@@ -26,8 +26,8 @@ from padicdyn.maps import map_from_coefficients
 
 def brute_force_edges(f, p, t, depth=4):
     mod_full, mod_t = p**depth, p**(-t)
-    pc = [int(c.value) for c in f.P.coefficients]
-    qc = [int(c.value) for c in f.Q.coefficients]
+    pc = [int(c) for c in f.P.coefficients]
+    qc = [int(c) for c in f.Q.coefficients]
     edges = {}
     for r in range(mod_full):
         num = 0

@@ -15,10 +15,8 @@ from padicdyn import (
     classify,
     compute_N,
     cycle_decomposition,
-    degree_gate,
     ergodic_check,
-    global_inv_iso_check,
-    global_mp_check,
+    global_check,
     intrinsic_level,
     mp_check,
     mp_components,
@@ -69,8 +67,9 @@ def global_analysis():
     f = parse_map("(x^4+x^3+2x^2+1)/(x^3-x+1)", 3)
     gate = compute_N(f)
     print(f"   gate: alpha={gate.alpha}, m={gate.m}, n={gate.n}, N={gate.N_exponent}")
-    print(f"   invertible local isometry: {global_inv_iso_check(f).verdict}")
-    print(f"   measure preserving: {global_mp_check(f).verdict}")
+    g = global_check(f, gate=gate)
+    print(f"   invertible local isometry: {g.isometry}")
+    print(f"   measure preserving: {g.measure_preserving}")
 
 
 def main():

@@ -18,29 +18,22 @@ from .digraph import (
     union_verdict,
     verify_bijection,
 )
-from .domains import (
-    Ball,
-    CompactDomain,
-    RepresentativeSystem,
-    decompose,
-    locate,
-    representatives,
-)
+from .domains import Ball, CompactDomain, decompose, locate
 from .global_qp import (
     GlobalGateReport,
     GlobalVerdict,
     ObstructionWitness,
+    ReductionFailure,
     SphereRegion,
     certify_no_roots_qp,
     compute_N,
     degree_gate,
-    global_inv_iso_check,
-    global_mp_check,
+    global_check,
     global_obstruction,
 )
 from .hensel import HenselResult, hensel_lift
 from .maps import RationalMap, map_from_coefficients, normalize_map
-from .padics import INF, NEG_INF, PAdicRational, canonical_key
+from .padics import INF, NEG_INF, canonical_key, fraction_valuation
 from .parsing import QP_GLOBAL, parse_domain, parse_map
 from .polynomials import (
     Polynomial,
@@ -69,11 +62,10 @@ __all__ = [
     "MPVerdict",
     "NEG_INF",
     "ObstructionWitness",
-    "PAdicRational",
     "Polynomial",
     "QP_GLOBAL",
     "RationalMap",
-    "RepresentativeSystem",
+    "ReductionFailure",
     "ScalingReport",
     "SphereRegion",
     "SubsidiaryEdgeData",
@@ -87,8 +79,8 @@ __all__ = [
     "decompose",
     "degree_gate",
     "ergodic_check",
-    "global_inv_iso_check",
-    "global_mp_check",
+    "fraction_valuation",
+    "global_check",
     "global_obstruction",
     "hensel_lift",
     "intrinsic_level",
@@ -103,7 +95,6 @@ __all__ = [
     "parse_map",
     "poly_derivative",
     "poly_eval",
-    "representatives",
     "scaling_radius",
     "taylor_shift",
     "union_verdict",

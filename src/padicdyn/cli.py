@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .digraph import (
@@ -33,13 +32,11 @@ from .global_qp import (
     MINIMALITY,
     compute_N,
     degree_gate,
-    global_inv_iso_check,
-    global_mp_check,
+    global_check,
     global_obstruction,
 )
 from .hensel import hensel_lift
-from .padics import PAdicRational
-from .parsing import QP_GLOBAL, parse_domain, parse_map
+from .parsing import QP_GLOBAL, parse_domain, parse_map, parse_seed
 from .render import digraph_to_dot, digraph_to_json, write_atomic
 from .scaling import classify
 
@@ -142,12 +139,13 @@ def _config_for(inv: Invocation) -> AnalysisConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _emit_graph(inv: Invocation, G, out) -> None:
+def _emit_graph(inv: Invocation, G, cycles, out) -> None:
+    """``cycles`` is G's cycle decomposition (only the JSON output uses it)."""
     if inv.dot_path:
         write_atomic(inv.dot_path, digraph_to_dot(G))
         out(f"dot written: {inv.dot_path}")
     if inv.json_path:
-        write_atomic(inv.json_path, digraph_to_json(G))
+        write_atomic(inv.json_path, digraph_to_json(G, cycles))
         out(f"json written: {inv.json_path}")
 
 
@@ -176,8 +174,7 @@ def run(inv: Invocation, stdout=None) -> int:
             raise PadicDynError(
                 "hensel lifts polynomial roots: give a map with a constant denominator"
             )
-        seed = PAdicRational(Fraction(inv.seed), p)
-        res = hensel_lift(f.P, seed, inv.precision)
+        res = hensel_lift(f.P, parse_seed(inv.seed), inv.precision)
         out(f"root: {res.root} (mod {p}^{res.precision_exponent})")
         out(f"distance bound exponent: {res.bound_exponent}")
         out(f"newton steps: {res.steps}")
@@ -213,13 +210,12 @@ def run(inv: Invocation, stdout=None) -> int:
             return EXIT_OK
         gate = compute_N(f, gate, cfg)
         out(f"N: {gate.N_exponent}")
-        iso = global_inv_iso_check(f, cfg)
-        mp = global_mp_check(f, cfg)
+        g = global_check(f, cfg, gate)
         out(f"forward invariant ball B(0,{gate.N_exponent - 1}): "
-            f"{_yesno(iso.gate.forward_invariant_ball)}")
-        out(f"invertible local isometry: {iso.verdict} ({iso.reason})")
-        out(f"measure preserving: {mp.verdict} ({mp.reason})")
-        if iso.verdict == "Undecided" or mp.verdict == "Undecided":
+            f"{_yesno(g.gate.forward_invariant_ball)}")
+        out(f"invertible local isometry: {g.isometry} ({g.isometry_reason})")
+        out(f"measure preserving: {g.measure_preserving} ({g.measure_preserving_reason})")
+        if "Undecided" in (g.isometry, g.measure_preserving):
             return EXIT_UNDECIDED
         return EXIT_OK
 
@@ -255,7 +251,7 @@ def run(inv: Invocation, stdout=None) -> int:
         out(f"tail vertices: {len(dec.tail_vertices)}")
         for cyc in dec.cycles:
             out("cycle: " + " -> ".join(str(v.key) for v in cyc))
-        _emit_graph(inv, G, out)
+        _emit_graph(inv, G, dec, out)
         return EXIT_OK
 
     if inv.command == "subsidiary":
@@ -270,7 +266,7 @@ def run(inv: Invocation, stdout=None) -> int:
                 f"edge {v.key} -> {G.edge[v].key}: s={d.s_exponent} "
                 f"bounds={list(d.bound_exponents)} passes={_yesno(d.passes)}"
             )
-        _emit_graph(inv, G, out)
+        _emit_graph(inv, G, cycle_decomposition(G) if inv.json_path else None, out)
         return EXIT_OK
 
     if inv.command == "intrinsic-level":

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, decompose, locate
 from .errors import (
+    CertificateFailed,
     ConstantTermNotIntegral,
     DecompositionTooLarge,
     DepthCapExceeded,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .hensel import hensel_lift
 from .maps import RationalMap
-from .padics import INF, NEG_INF, ExtendedInt, PAdicRational, fraction_valuation
+from .padics import INF, NEG_INF, ExtendedInt, ceil_div, fraction_valuation
 from .polynomials import Polynomial, poly_eval, taylor_shift
 from .scaling import ScalingReport, classify
 
@@ -55,7 +56,6 @@ class LevelDigraph:
     domain: CompactDomain
     vertices: tuple[Ball, ...]
     edge: dict[Ball, Ball]
-    reps: dict[Ball, PAdicRational]
     subsidiary: dict[Ball, SubsidiaryEdgeData] | None = None
 
     @property
@@ -117,11 +117,6 @@ class ErgodicVerdict:
     cycle_count: int | None = None
     depth: int | None = None
 
-    @property
-    def is_minimal_report(self) -> str:
-        # ergodicity plus measure preservation coincides with minimality here
-        return self.kind
-
 
 def _transport_level(
     f: RationalMap,
@@ -147,7 +142,7 @@ def build_digraph(
     config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> LevelDigraph:
     """The level-t digraph: one out-edge per ball, towards the ball holding
-    the image of its representative.
+    the image of its key.
 
     Requires t at or below the certified transport level, and the domain to
     be forward invariant at the representatives.
@@ -158,11 +153,10 @@ def build_digraph(
             f"level {t} is above the certified 1-Lipschitz level {level}"
         )
     balls = decompose(X, t, config)
-    reps = {b: b.center for b in balls}
     edge: dict[Ball, Ball] = {}
     escaping = []
     for b in balls:
-        image = f.eval(reps[b])
+        image = f.eval(b.key)
         try:
             edge[b] = locate(X, image, t)
         except NotInDomain:
@@ -179,12 +173,11 @@ def build_digraph(
         domain=X,
         vertices=tuple(balls),
         edge=edge,
-        reps=reps,
     )
 
 
 def s_exponent(
-    f: RationalMap, a: PAdicRational, b: PAdicRational
+    f: RationalMap, a: Fraction, b: Fraction
 ) -> tuple[int, Polynomial, Polynomial]:
     """Least s >= 0 making P(p^s x + a) - (p^s y + b) Q(p^s x + a) integral.
 
@@ -192,12 +185,12 @@ def s_exponent(
     by p^(s*d), so s = max over monomials of ceil(-v(coefficient)/d).
     Returns (s, P(x + a), Q(x + a)).
     """
+    p = f.prime
     Pa = taylor_shift(f.P, a)
     Qa = taylor_shift(f.Q, a)
-    bv = b.value
     # constant term: P(a) - b Q(a)
-    c00 = Pa.coefficient(0).value - bv * Qa.coefficient(0).value
-    if c00 != 0 and fraction_valuation(c00, f.prime) < 0:
+    c00 = Pa.coefficient(0) - b * Qa.coefficient(0)
+    if c00 != 0 and fraction_valuation(c00, p) < 0:
         raise ConstantTermNotIntegral(
             f"constant term P(a) - b Q(a) has negative valuation at a={a}, b={b}"
         )
@@ -206,28 +199,24 @@ def s_exponent(
     for i in range(0, deg + 1):
         # x^i y^1 monomial: -Q_a[i]
         cq = Qa.coefficient(i)
-        if not cq.is_zero():
-            v = cq.valuation
+        if cq != 0:
+            v = fraction_valuation(cq, p)
             if v < 0:
-                s = max(s, _ceil_div(-int(v), i + 1))
+                s = max(s, ceil_div(-int(v), i + 1))
         if i >= 1:
             # x^i y^0 monomial: P_a[i] - b Q_a[i]
-            c = Pa.coefficient(i).value - bv * cq.value
+            c = Pa.coefficient(i) - b * cq
             if c != 0:
-                v = fraction_valuation(c, f.prime)
+                v = fraction_valuation(c, p)
                 if v < 0:
-                    s = max(s, _ceil_div(-int(v), i))
+                    s = max(s, ceil_div(-int(v), i))
     return s, Pa, Qa
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def subsidiary_edge_data(
     f: RationalMap,
-    source_rep: PAdicRational,
-    target_rep: PAdicRational,
+    source_rep: Fraction,
+    target_rep: Fraction,
     t: int,
     radius_exponent: int,
 ) -> SubsidiaryEdgeData:
@@ -237,12 +226,12 @@ def subsidiary_edge_data(
     |Q(a)| |f'(a)| / |Q'(a)|; p^(-2s) |Q(a)| |f'(a)|^2 (third bound infinite
     when Q'(a) = 0).
     """
-    a = source_rep
+    a, p = source_rep, f.prime
     s, _, _ = s_exponent(f, a, target_rep)
-    vq = poly_eval(f.Q, a).valuation
-    vt = poly_eval(f.t1, a).valuation
+    vq = fraction_valuation(poly_eval(f.Q, a), p)
+    vt = fraction_valuation(poly_eval(f.t1, a), p)
     e: ExtendedInt = NEG_INF if vt is INF else 2 * int(vq) - int(vt)
-    vqd = poly_eval(f.Q_derivative, a).valuation
+    vqd = fraction_valuation(poly_eval(f.Q_derivative, a), p)
     b1: ExtendedInt = -s
     b2: ExtendedInt = NEG_INF if e is NEG_INF else radius_exponent - e
     b3: ExtendedInt = (
@@ -265,16 +254,13 @@ def build_subsidiary(
     G = build_digraph(f, X, t, report, config)
     data = {}
     for v in G.vertices:
-        data[v] = subsidiary_edge_data(
-            f, G.reps[v], G.edge[v].center, t, level
-        )
+        data[v] = subsidiary_edge_data(f, v.key, G.edge[v].key, t, level)
     return LevelDigraph(
         prime=G.prime,
         level=G.level,
         domain=G.domain,
         vertices=G.vertices,
         edge=G.edge,
-        reps=G.reps,
         subsidiary=data,
     )
 
@@ -533,22 +519,23 @@ def verify_bijection(
         raise LevelAboveIntrinsic(f"bijectivity is certified only at t <= {t0}")
     G = build_digraph(f, X, t, report, config)
     target = G.edge[source]
-    a = source.center
-    s, Pa, Qa = s_exponent(f, a, target.center)
+    p = f.prime
+    a = source.key
+    s, Pa, Qa = s_exponent(f, a, target.key)
     e = f.scalar_exponent(a)
-    assert e is not NEG_INF
+    if e == NEG_INF:
+        raise CertificateFailed(
+            f"derivative vanishes at {a} although the intrinsic level requires it root-free"
+        )
     k = config.bijection_precision + max(0, -sample_level)
     for b_ball in target.subdivide(sample_level):
-        b_point = b_ball.center
+        b_point = b_ball.key
         # F(x) = P(p^s x + a) - b Q(p^s x + a), integral by choice of s
-        F = Pa.shift_variable(s) - Qa.shift_variable(s).scale(b_point.value)
-        res = hensel_lift(F, PAdicRational(Fraction(0), f.prime), k)
-        x_root = res.root
-        preimage = PAdicRational(Fraction(f.prime) ** s * x_root.value, f.prime) + a
-        dist = preimage - a
-        if not dist.is_zero() and dist.valuation < -(t - int(e)):
+        F = Pa.shift_variable(s) - Qa.shift_variable(s).scale(b_point)
+        res = hensel_lift(F, Fraction(0), k)
+        preimage = Fraction(p) ** s * res.root + a
+        if fraction_valuation(preimage - a, p) < -(t - int(e)):
             return False
-        image_error = f.eval(preimage) - b_point
-        if not image_error.is_zero() and image_error.valuation < -sample_level:
+        if fraction_valuation(f.eval(preimage) - b_point, p) < -sample_level:
             return False
     return True

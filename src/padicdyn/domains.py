@@ -4,8 +4,9 @@ A closed ball of radius p^t is identified by its level t and canonical key:
 the unique finite base-p expansion of its center with digits only at
 exponents below -t.  A compact open domain is normalized to a disjoint
 union of balls at a single base level (differences are resolved by refining;
-complete sibling groups are merged back up), which makes equality, measure,
-refinement and nested representative systems immediate.
+complete sibling groups are merged back up), which makes equality, measure
+and refinement immediate.  A ball's key doubles as its representative point,
+so representatives are nested across levels automatically.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NotInDomain,
     PrimeMismatch,
 )
-from .padics import NEG_INF, PAdicRational, RationalLike, canonical_key, fraction_valuation
+from .padics import NEG_INF, canonical_key, fraction_valuation
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,8 @@ class Ball:
     prime: int
 
     @staticmethod
-    def containing(x: RationalLike, level: int, p: int) -> "Ball":
-        xv = PAdicRational.of(x, p)
-        return Ball(level, canonical_key(xv.value, level, p), p)
+    def containing(x: int | Fraction, level: int, p: int) -> "Ball":
+        return Ball(level, canonical_key(x, level, p), p)
 
     @property
     def measure_exponent(self) -> int:
@@ -46,16 +46,11 @@ class Ball:
     def measure(self) -> Fraction:
         return Fraction(self.prime) ** self.level
 
-    @property
-    def center(self) -> PAdicRational:
-        return PAdicRational(self.key, self.prime)
-
-    def contains(self, x: RationalLike) -> bool:
-        xv = PAdicRational.of(x, self.prime)
-        return fraction_valuation(xv.value - self.key, self.prime) >= -self.level
+    def contains(self, x: int | Fraction) -> bool:
+        return fraction_valuation(x - self.key, self.prime) >= -self.level
 
     def contains_ball(self, other: "Ball") -> bool:
-        return other.level <= self.level and self.contains(other.center)
+        return other.level <= self.level and self.contains(other.key)
 
     def child(self, digit: int) -> "Ball":
         step = Fraction(self.prime) ** (-self.level)
@@ -114,7 +109,7 @@ class CompactDomain:
         return CompactDomain(p, 0, frozenset([Fraction(0)]))
 
     @staticmethod
-    def ball(center: RationalLike, level: int, p: int) -> "CompactDomain":
+    def ball(center: int | Fraction, level: int, p: int) -> "CompactDomain":
         return CompactDomain.from_balls([Ball.containing(center, level, p)])
 
     @staticmethod
@@ -186,9 +181,8 @@ class CompactDomain:
         if self.prime != other.prime:
             raise PrimeMismatch("domains over different primes")
 
-    def contains(self, x: RationalLike) -> bool:
-        xv = PAdicRational.of(x, self.prime)
-        return xv.key_at_level(self.base_level) in self.keys
+    def contains(self, x: int | Fraction) -> bool:
+        return canonical_key(x, self.base_level, self.prime) in self.keys
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
@@ -197,18 +191,6 @@ class CompactDomain:
         parts = " + ".join(str(b) for b in self.balls()[:6])
         extra = "" if len(self.keys) <= 6 else f" + ... ({len(self.keys)} balls)"
         return parts + extra
-
-
-@dataclass(frozen=True)
-class RepresentativeSystem:
-    """One canonical point per level-t ball; canonical keys make the systems
-    nested across levels automatically."""
-
-    level: int
-    points: dict[Ball, PAdicRational]
-
-    def __iter__(self):
-        return iter(self.points.items())
 
 
 def decompose(
@@ -231,28 +213,20 @@ def decompose(
     return out
 
 
-def representatives(
-    X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
-) -> RepresentativeSystem:
-    balls = decompose(X, t, config)
-    return RepresentativeSystem(t, {b: b.center for b in balls})
-
-
-def locate(X: CompactDomain, x: RationalLike, t: int) -> Ball:
+def locate(X: CompactDomain, x: int | Fraction, t: int) -> Ball:
     """The level-t ball of X containing x; NotInDomain otherwise."""
-    xv = PAdicRational.of(x, X.prime)
-    if not X.contains(xv):
+    if not X.contains(x):
         best = NEG_INF
         for k in X.keys:
-            v = fraction_valuation(xv.value - k, X.prime)
+            v = fraction_valuation(x - k, X.prime)
             best = max(best, v)
         dist = NEG_INF if best is NEG_INF else -best
         raise NotInDomain(
-            f"{xv} is not in the domain (nearest ball at distance exponent {dist})",
+            f"{x} is not in the domain (nearest ball at distance exponent {dist})",
             distance_exponent=dist,
         )
     if t > X.base_level:
         raise LevelTooCoarse(
             f"domain is expressed at level {X.base_level}; cannot locate at {t}"
         )
-    return Ball(t, xv.key_at_level(t), X.prime)
+    return Ball(t, canonical_key(x, t, X.prime), X.prime)

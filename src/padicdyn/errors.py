@@ -121,3 +121,13 @@ class ConstantTermNotIntegral(PadicDynError):
 class LevelAboveIntrinsic(PadicDynError):
     """Component extraction was requested at a level above the intrinsic
     level, where cycle membership does not certify anything."""
+
+
+class InvalidPrime(PadicDynError):
+    """The modulus given as p is not a prime."""
+
+
+class CertificateFailed(PadicDynError):
+    """A certificate failed its own check: the computed object contradicts
+    the bound it was derived from.  This is a library defect, never a
+    verdict."""

@@ -12,6 +12,7 @@ S_{p^N}(0) invariant, which rules out global ergodicity and minimality.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from enum import Enum
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
@@ -30,7 +31,8 @@ from .errors import (
     RootCertified,
 )
 from .maps import RationalMap
-from .polynomials import Polynomial
+from .padics import ceil_div, fraction_valuation
+from .polynomials import Polynomial, poly_divexact, poly_gcd
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify, lower_bound_bF
 
 MINIMALITY = "Minimality"
@@ -78,11 +80,33 @@ class ObstructionWitness:
     verified: bool = False
 
 
+class ReductionFailure(Enum):
+    """Why the reduction to the compact ball stopped short, with the
+    (invertible local isometry, measure preservation) verdicts it implies."""
+
+    DEGREE_GATE = ("degree gate failed", "No", "No")
+    DENOMINATOR_ROOT = ("denominator has a root in Q_p", "No", "No")
+    DENOMINATOR_UNDECIDED = ("denominator root-freeness undecided", "Undecided", "Undecided")
+    NOT_ONE_LIPSCHITZ = ("not locally 1-Lipschitz on the reduction ball", "No", "Undecided")
+    BALL_NOT_INVARIANT = ("reduction ball is not forward invariant", "No", "No")
+
+    def __init__(self, text: str, isometry: str, measure_preserving: str):
+        self.text = text
+        self.isometry = isometry
+        self.measure_preserving = measure_preserving
+
+
 @dataclass(frozen=True)
 class GlobalVerdict:
-    verdict: str  # Yes / No / Undecided
-    reason: str
+    """Both global questions, answered from one reduction.  Verdicts are
+    Yes / No / Undecided, each with its reason."""
+
     gate: GlobalGateReport
+    isometry: str
+    isometry_reason: str
+    measure_preserving: str
+    measure_preserving_reason: str
+    failure: ReductionFailure | None = None
     compact_report: ScalingReport | None = None
     compact_mp: MPVerdict | None = None
 
@@ -93,9 +117,9 @@ def lemma_n_bound(F: Polynomial) -> int:
     best = 1
     for i in range(0, F.degree):
         c = F.coefficient(i)
-        if c.is_zero():
+        if c == 0:
             continue
-        v = int(c.valuation)
+        v = int(fraction_valuation(c, F.prime))
         if v < 0:
             best = max(best, 1 - v)
     return best
@@ -103,7 +127,7 @@ def lemma_n_bound(F: Polynomial) -> int:
 
 def unit_normalized(F: Polynomial) -> tuple[int, Polynomial]:
     """(k, G) with F = p^k G and G of unit leading coefficient."""
-    v = int(F.leading_coefficient.valuation)
+    v = int(fraction_valuation(F.leading_coefficient, F.prime))
     return v, F.scale(Fraction(F.prime) ** (-v))
 
 
@@ -159,8 +183,6 @@ def degree_gate(
 
 def _derivative_pair(f: RationalMap) -> tuple[Polynomial, Polynomial]:
     """Unit-leading numerator and denominator of f' (common factor cleared)."""
-    from .polynomials import poly_divexact, poly_gcd
-
     num = f.t1
     den = f.Q1 * f.Q1
     g = poly_gcd(num, den)
@@ -184,8 +206,8 @@ def compute_N(
     if not gate.gate_passed:
         raise ValueError("N is defined only once the degree gate passes")
     n = 1
-    for c in list(f.P1.coefficients) + list(f.Q1.coefficients):
-        v = c.valuation
+    for c in f.P1.coefficients + f.Q1.coefficients:
+        v = fraction_valuation(c, f.prime)
         if v < 0:
             n = max(n, 1 - int(v))
     if not (f.P1.is_integral() and f.Q1.is_integral()):
@@ -201,7 +223,7 @@ def _q1_lower_bound_exponent(f: RationalMap, config: AnalysisConfig) -> int:
     """Exponent l0 with |Q1(x)| >= p^l0 on all of Q_p (root-free Q1)."""
     _, q1u = unit_normalized(f.Q1)
     n0 = lemma_n_bound(q1u)
-    shift = int(f.Q1.leading_coefficient.valuation)  # 0 by normalization
+    shift = int(fraction_valuation(f.Q1.leading_coefficient, f.prime))  # 0 by normalization
     if f.Q1.degree == 0:
         return shift
     inside = lower_bound_bF(
@@ -215,93 +237,69 @@ def _q1_lower_bound_exponent(f: RationalMap, config: AnalysisConfig) -> int:
     return min(inside, outside)
 
 
-def _compact_reduction(
-    f: RationalMap, config: AnalysisConfig
-) -> tuple[GlobalGateReport, CompactDomain | None, ScalingReport | None, MPVerdict | None, str]:
-    """Shared reduction: gate, invariance of B(0, N-1), classification and
-    measure preservation on it.  Returns (gate, ball, report, mp, failure)."""
-    gate = degree_gate(f, config)
+def global_check(
+    f: RationalMap,
+    config: AnalysisConfig = DEFAULT_CONFIG,
+    gate: GlobalGateReport | None = None,
+) -> GlobalVerdict:
+    """Is f an invertible local isometry on Q_p, and is it measure
+    preserving there?
+
+    Gate-passing maps leave every sphere past the reduction radius
+    invariant and act on it as invertible local isometries, so both
+    questions reduce to B(0, N-1): its forward invariance, its
+    classification, and the cycle criterion on it.  For locally 1-Lipschitz
+    maps the two properties are equivalent.  ``gate`` is the degree gate
+    (with N once it passes) when the caller has already computed it.
+    """
+    if gate is None:
+        gate = degree_gate(f, config)
+        if gate.gate_passed:
+            gate = compute_N(f, gate, config)
     if not gate.gate_passed:
-        return gate, None, None, None, "degree gate failed"
+        return _failed(gate, ReductionFailure.DEGREE_GATE)
     if gate.q1_certification == "root":
-        return gate, None, None, None, "denominator has a root in Q_p"
+        return _failed(gate, ReductionFailure.DENOMINATOR_ROOT)
     if gate.q1_certification == "unknown":
-        return gate, None, None, None, "denominator root-freeness undecided"
-    gate = compute_N(f, gate, config)
+        return _failed(gate, ReductionFailure.DENOMINATOR_UNDECIDED)
     ball_domain = CompactDomain.ball(0, gate.N_exponent - 1, f.prime)
     report = classify(f, ball_domain, config)
     if not report.is_one_lipschitz:
-        gate = replace(gate, forward_invariant_ball=None)
-        return gate, ball_domain, report, None, "not locally 1-Lipschitz on the reduction ball"
+        return _failed(gate, ReductionFailure.NOT_ONE_LIPSCHITZ, report)
     try:
         build_digraph(f, ball_domain, report.transport_level, report, config)
     except NotForwardInvariant:
         gate = replace(gate, forward_invariant_ball=False)
-        return gate, ball_domain, report, None, "reduction ball is not forward invariant"
+        return _failed(gate, ReductionFailure.BALL_NOT_INVARIANT, report)
     gate = replace(gate, forward_invariant_ball=True)
     mp = mp_check(f, ball_domain, report, config)
-    return gate, ball_domain, report, mp, ""
-
-
-def global_inv_iso_check(
-    f: RationalMap, config: AnalysisConfig = DEFAULT_CONFIG
-) -> GlobalVerdict:
-    """Is f an invertible local isometry on Q_p?
-
-    Spheres past the reduction radius are always invertible local
-    isometries for gate-passing maps, so the verdict is decided by forward
-    invariance of B(0, N-1) together with invertibility and isometry there
-    (the latter via the cycle criterion)."""
-    gate, ball, report, mp, failure = _compact_reduction(f, config)
-    if failure:
-        verdict = "Undecided" if "undecided" in failure else "No"
-        return GlobalVerdict(verdict, failure, gate, report, mp)
-    if report.classification != LOCALLY_ISOMETRIC:
-        return GlobalVerdict(
-            "No",
-            f"not locally isometric on the reduction ball "
-            f"(classification: {report.classification})",
-            gate,
-            report,
-            mp,
-        )
-    if mp.kind == MEASURE_PRESERVING:
-        return GlobalVerdict(
-            "Yes", "reduction ball is invariant, isometric and invertible",
-            gate, report, mp,
-        )
     if mp.kind == UNDECIDED:
-        return GlobalVerdict("Undecided", "cycle criterion undecided", gate, report, mp)
-    return GlobalVerdict(
-        "No", "not invertible on the reduction ball", gate, report, mp
-    )
-
-
-def global_mp_check(
-    f: RationalMap, config: AnalysisConfig = DEFAULT_CONFIG
-) -> GlobalVerdict:
-    """Is f measure preserving on Q_p?
-
-    For locally 1-Lipschitz maps this is equivalent to being an invertible
-    local isometry, and the reduction is the same; the verdict carries that
-    equivalence."""
-    gate, ball, report, mp, failure = _compact_reduction(f, config)
-    if failure:
-        verdict = "Undecided" if "undecided" in failure or "1-Lipschitz" in failure else "No"
-        if failure == "degree gate failed":
-            verdict = "No"
-        return GlobalVerdict(verdict, failure, gate, report, mp)
-    if mp.kind == MEASURE_PRESERVING:
-        return GlobalVerdict(
+        iso = mp_verdict = ("Undecided", "cycle criterion undecided")
+    elif mp.kind == MEASURE_PRESERVING:
+        iso = ("Yes", "reduction ball is invariant, isometric and invertible")
+        mp_verdict = (
             "Yes",
             "measure preserving on the invariant reduction ball "
             "(equivalent to invertible local isometry here)",
-            gate, report, mp,
         )
-    if mp.kind == UNDECIDED:
-        return GlobalVerdict("Undecided", "cycle criterion undecided", gate, report, mp)
+    else:
+        iso = ("No", "not invertible on the reduction ball")
+        mp_verdict = ("No", "not measure preserving on the reduction ball")
+    if report.classification != LOCALLY_ISOMETRIC:
+        iso = (
+            "No",
+            f"not locally isometric on the reduction ball "
+            f"(classification: {report.classification})",
+        )
+    return GlobalVerdict(gate, *iso, *mp_verdict, None, report, mp)
+
+
+def _failed(
+    gate: GlobalGateReport, failure: ReductionFailure, report: ScalingReport | None = None
+) -> GlobalVerdict:
     return GlobalVerdict(
-        "No", "not measure preserving on the reduction ball", gate, report, mp
+        gate, failure.isometry, failure.text, failure.measure_preserving, failure.text,
+        failure, report,
     )
 
 
@@ -344,8 +342,8 @@ def _coefficient_peak(f: RationalMap, N: int) -> int:
     for |P1| on the ball of radius p^N."""
     peak = 0
     for i, c in enumerate(f.P1.coefficients):
-        if not c.is_zero():
-            peak = max(peak, N * i - int(c.valuation))
+        if c != 0:
+            peak = max(peak, N * i - int(fraction_valuation(c, f.prime)))
     return peak
 
 
@@ -367,7 +365,7 @@ def _contraction_witness(
     else:
         # past p^N the map does not expand: p^-alpha |x|^(m-n) <= |x|
         need = -alpha if not strict else -alpha + 1
-        N = max(n0, _ceil_div_int(need, n + 1 - m))
+        N = max(n0, ceil_div(need, n + 1 - m))
     l0 = _q1_lower_bound_exponent(f, config)
     l1 = -alpha - l0 + _coefficient_peak(f, N)
     if strict:
@@ -403,7 +401,7 @@ def _escape_witness(
         N = n0
     else:
         need = alpha if not strict else alpha + 1
-        N = max(n0, _ceil_div_int(need, m - n - 1))
+        N = max(n0, ceil_div(need, m - n - 1))
     sphere_exp = N + 1 if strict else N
     min_image = sphere_exp + 1 if strict else sphere_exp
     witness = ObstructionWitness(
@@ -417,10 +415,6 @@ def _escape_witness(
     return _verify_witness(f, witness, config)
 
 
-def _ceil_div_int(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _verify_witness(
     f: RationalMap, w: ObstructionWitness, config: AnalysisConfig
 ) -> ObstructionWitness:
@@ -430,13 +424,13 @@ def _verify_witness(
         N = w.region.radius_exponent
         sphere = CompactDomain.sphere(N, f.prime)
         for b in decompose(sphere, N - 1 - depth, config):
-            if f.eval(b.center).norm_exponent != N:
+            if -fraction_valuation(f.eval(b.key), f.prime) != N:
                 ok = False
                 break
     elif w.kind == "InvariantBall":
         dom = CompactDomain.ball(0, w.region.level, f.prime)
         for b in decompose(dom, w.region.level - depth, config):
-            if not w.image_region.contains(f.eval(b.center)):
+            if not w.image_region.contains(f.eval(b.key)):
                 ok = False
                 break
     else:  # EscapingRegion
@@ -444,7 +438,7 @@ def _verify_witness(
             sphere = CompactDomain.sphere(w.sphere_exponent + k, f.prime)
             lvl = w.sphere_exponent + k - 1 - depth
             for b in decompose(sphere, lvl, config):
-                if f.eval(b.center).norm_exponent < w.min_image_exponent:
+                if -fraction_valuation(f.eval(b.key), f.prime) < w.min_image_exponent:
                     ok = False
                     break
             if not ok:

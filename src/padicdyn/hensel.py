@@ -8,9 +8,10 @@ large enough that the reduction never disturbs the requested precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import HenselPreconditionFailed
-from .padics import INF, NEG_INF, ExtendedInt, PAdicRational
+from .errors import CertificateFailed, HenselPreconditionFailed
+from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation, unit_residue
 from .polynomials import Polynomial, poly_derivative, poly_eval
 
 _MAX_NEWTON_STEPS = 128
@@ -18,23 +19,23 @@ _MAX_NEWTON_STEPS = 128
 
 @dataclass(frozen=True)
 class HenselResult:
-    root: PAdicRational  # truncated to the requested precision exponent
+    root: Fraction  # truncated to the requested precision exponent
     bound_exponent: ExtendedInt  # t with |root - seed| <= p^t
     precision_exponent: int
     steps: int
 
 
-def hensel_precondition(F: Polynomial, seed: PAdicRational) -> tuple[ExtendedInt, ExtendedInt]:
+def hensel_precondition(F: Polynomial, seed: Fraction) -> tuple[ExtendedInt, ExtendedInt]:
     """Valuations (v(F(seed)), v(F'(seed))); raises unless v(F) > 2 v(F')."""
-    v_val = poly_eval(F, seed).valuation
-    v_der = poly_eval(poly_derivative(F), seed).valuation
+    v_val = fraction_valuation(poly_eval(F, seed), F.prime)
+    v_der = fraction_valuation(poly_eval(poly_derivative(F), seed), F.prime)
     if v_der is INF or not v_val > 2 * v_der:
         raise HenselPreconditionFailed(v_val, v_der)
     return v_val, v_der
 
 
 def certifies_root_in_radius(
-    F: Polynomial, seed: PAdicRational, radius_exponent: int
+    F: Polynomial, seed: Fraction, radius_exponent: int
 ) -> bool:
     """True when the lifting lemma proves a root within p^radius of the seed."""
     try:
@@ -48,7 +49,7 @@ def certifies_root_in_radius(
 
 
 def hensel_lift(
-    F: Polynomial, seed: PAdicRational, precision_exponent: int
+    F: Polynomial, seed: Fraction, precision_exponent: int
 ) -> HenselResult:
     """Lift the seed to a root of F modulo p^precision.
 
@@ -56,33 +57,36 @@ def hensel_lift(
     inequality |F(seed)| < |F'(seed)|^2.  The returned root r satisfies
     |F(r)| <= p^(-precision) and |r - seed| <= |F(seed)|/|F'(seed)|.
     """
+    p = F.prime
     if not F.is_integral():
         raise ValueError("lifting requires coefficients of valuation >= 0")
-    if seed.valuation < 0:
+    if fraction_valuation(seed, p) < 0:
         raise ValueError("lifting requires a seed of valuation >= 0")
     if precision_exponent < 1:
         raise ValueError("precision exponent must be positive")
     v_val, v_der = hensel_precondition(F, seed)
     k = precision_exponent
     if v_val is INF:
-        return HenselResult(seed.reduce(k), NEG_INF, k, 0)
+        return HenselResult(Fraction(unit_residue(seed, p, k)), NEG_INF, k, 0)
     bound = v_der - v_val  # exponent of the distance bound
     dF = poly_derivative(F)
     # reduction modulus: k digits plus slack for the derivative valuation
     K = k + 2 * int(v_der) + 2
-    x = seed.reduce(K)
+    x = unit_residue(seed, p, K)
     steps = 0
     while True:
         fx = poly_eval(F, x)
-        if fx.valuation >= k:
+        if fraction_valuation(fx, p) >= k:
             break
         steps += 1
         if steps > _MAX_NEWTON_STEPS:
             raise RuntimeError("Newton iteration failed to converge")
-        dfx = poly_eval(dF, x)
-        x = (x - fx / dfx).reduce(K)
-    root = x.reduce(k)
-    assert poly_eval(F, root).valuation >= k
-    if not (root - seed).is_zero():
-        assert (root - seed).valuation >= -bound
+        x = unit_residue(x - fx / poly_eval(dF, x), p, K)
+    root = Fraction(unit_residue(x, p, k))
+    if fraction_valuation(poly_eval(F, root), p) < k:
+        raise CertificateFailed(f"lifted root {root} is not a root of F modulo {p}^{k}")
+    if fraction_valuation(root - seed, p) < -bound:
+        raise CertificateFailed(
+            f"lifted root {root} lies outside the certified radius p^{bound} of {seed}"
+        )
     return HenselResult(root, bound, k, steps)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import PoleInDomain, ZeroDenominator
-from .padics import PAdicRational, RationalLike, int_valuation
+from .padics import fraction_valuation
 from .polynomials import (
     Polynomial,
     content_and_primitive,
@@ -39,24 +39,22 @@ class RationalMap:
     Q_derivative: Polynomial
     t1: Polynomial  # P'Q - PQ', the numerator of Q^2 * f'
 
-    def eval(self, x: RationalLike) -> PAdicRational:
-        xv = PAdicRational.of(x, self.prime)
-        q = poly_eval(self.Q, xv)
-        if q.is_zero():
-            raise PoleInDomain(f"denominator vanishes at {xv}")
-        return poly_eval(self.P, xv) / q
+    def eval(self, x: int | Fraction) -> Fraction:
+        q = poly_eval(self.Q, x)
+        if q == 0:
+            raise PoleInDomain(f"denominator vanishes at {x}")
+        return poly_eval(self.P, x) / q
 
-    def derivative_value(self, x: RationalLike) -> PAdicRational:
+    def derivative_value(self, x: int | Fraction) -> Fraction:
         """f'(x) computed as T1(x)/Q(x)^2."""
-        xv = PAdicRational.of(x, self.prime)
-        q = poly_eval(self.Q, xv)
-        if q.is_zero():
-            raise PoleInDomain(f"denominator vanishes at {xv}")
-        return poly_eval(self.t1, xv) / (q * q)
+        q = poly_eval(self.Q, x)
+        if q == 0:
+            raise PoleInDomain(f"denominator vanishes at {x}")
+        return poly_eval(self.t1, x) / (q * q)
 
-    def scalar_exponent(self, x: RationalLike):
-        """Exponent e with |f'(x)| = p^e (NEG_INF at derivative roots)."""
-        return self.derivative_value(x).norm_exponent
+    def scalar_exponent(self, x: int | Fraction):
+        """Exponent e with |f'(x)| = p^e (-inf at derivative roots)."""
+        return -fraction_valuation(self.derivative_value(x), self.prime)
 
     def __str__(self):
         return f"({self.P})/({self.Q})"
@@ -86,8 +84,8 @@ def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
         P = P.scale(num)
         Q = Q.scale(den)
         c = int_gcd(
-            int_gcd(*(abs(x.value.numerator) for x in P.coefficients), 0),
-            int_gcd(*(abs(x.value.numerator) for x in Q.coefficients), 0),
+            int_gcd(*(abs(x.numerator) for x in P.coefficients), 0),
+            int_gcd(*(abs(x.numerator) for x in Q.coefficients), 0),
         )
         if c > 1:
             P = P.scale(Fraction(1, c))
@@ -98,14 +96,10 @@ def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
         alpha_p = 0
         m = -1
     else:
-        alpha_p = int(int_valuation(P.leading_coefficient.value.numerator, p)) - int(
-            int_valuation(P.leading_coefficient.value.denominator, p)
-        )
+        alpha_p = int(fraction_valuation(P.leading_coefficient, p))
         P1 = P.scale(Fraction(1, p**alpha_p) if alpha_p >= 0 else Fraction(p**-alpha_p))
         m = P.degree
-    alpha_q = int(int_valuation(Q.leading_coefficient.value.numerator, p)) - int(
-        int_valuation(Q.leading_coefficient.value.denominator, p)
-    )
+    alpha_q = int(fraction_valuation(Q.leading_coefficient, p))
     Q1 = Q.scale(Fraction(1, p**alpha_q) if alpha_q >= 0 else Fraction(p**-alpha_q))
     n = Q.degree
 

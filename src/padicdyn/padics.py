@@ -1,19 +1,19 @@
-"""Exact elements of Q_p represented as rational numbers.
+"""Exact p-adic bookkeeping for rational numbers.
 
-A value is stored as a reduced ``Fraction`` together with the prime p.  The
-valuation v(x) = v_p(numerator) - v_p(denominator) is always an exact
-integer (infinity for 0), and the norm |x| = p^(-v(x)) is only ever handled
-through its integer exponent.  Nothing here rounds.
+A point of Q_p is a plain ``Fraction``; the prime lives with the object that
+holds the point (polynomial, ball, domain, map).  The valuation
+v(x) = v_p(numerator) - v_p(denominator) is always an exact integer
+(infinity for 0), and the norm |x| = p^(-v(x)) is only ever handled through
+its integer exponent -v(x).  Nothing here rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import PrimeMismatch, ZeroDenominator
+from .errors import InvalidPrime
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -21,7 +21,33 @@ NEG_INF = -math.inf
 # exact integer except for the +/- infinity sentinels
 ExtendedInt = Union[int, float]
 
-RationalLike = Union[int, Fraction, "PAdicRational"]
+# Miller-Rabin with these bases is exact below the limit (Sorenson & Webster)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def require_prime(p: int) -> None:
+    """Raise InvalidPrime unless p is a prime below the exact-test limit."""
+    if p >= _MR_LIMIT:
+        raise InvalidPrime(f"p = {p} is beyond the exact primality test (limit {_MR_LIMIT})")
+    if p < 2 or any(p % q == 0 for q in _MR_BASES if q < p):
+        raise InvalidPrime(f"p must be a prime: got {p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        if a >= p:
+            break
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise InvalidPrime(f"p must be a prime: got {p}")
 
 
 def int_valuation(n: int, p: int) -> ExtendedInt:
@@ -34,6 +60,10 @@ def int_valuation(n: int, p: int) -> ExtendedInt:
         n //= p
         v += 1
     return v
+
+
+def ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
 
 
 def fraction_valuation(x: Fraction, p: int) -> ExtendedInt:
@@ -80,125 +110,3 @@ def canonical_key(x: Fraction, level: int, p: int) -> Fraction:
     u = x / pv
     r = unit_residue(u, p, -level - int(v))
     return r * pv
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
-@dataclass(frozen=True)
-class PAdicRational:
-    """An exact element of Q_p that happens to be rational.
-
-    Supports field arithmetic, exact valuation, and canonical reduction
-    modulo powers of p.  Immutable and hashable.
-    """
-
-    value: Fraction
-    prime: int
-
-    @staticmethod
-    def of(x: RationalLike, p: int) -> "PAdicRational":
-        if isinstance(x, PAdicRational):
-            if x.prime != p:
-                raise PrimeMismatch(f"value for p={x.prime} used in p={p} context")
-            return x
-        return PAdicRational(Fraction(x), p)
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    @property
-    def valuation(self) -> ExtendedInt:
-        return fraction_valuation(self.value, self.prime)
-
-    @property
-    def norm_exponent(self) -> ExtendedInt:
-        """e with |x| = p^e (so -valuation; NEG_INF for zero)."""
-        v = self.valuation
-        return NEG_INF if v is INF else -v
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_integral(self) -> bool:
-        return self.valuation >= 0
-
-    def _coerce(self, other) -> "PAdicRational":
-        if isinstance(other, PAdicRational):
-            if other.prime != self.prime:
-                raise PrimeMismatch(
-                    f"cannot combine p={self.prime} and p={other.prime} values"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PAdicRational(Fraction(other), self.prime)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PAdicRational(self.value + other.value, self.prime)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PAdicRational(self.value - other.value, self.prime)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PAdicRational(other.value - self.value, self.prime)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PAdicRational(self.value * other.value, self.prime)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDenominator("division by zero in Q_p")
-        return PAdicRational(self.value / other.value, self.prime)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDenominator("division by zero in Q_p")
-        return PAdicRational(other.value / self.value, self.prime)
-
-    def __neg__(self):
-        return PAdicRational(-self.value, self.prime)
-
-    def __pow__(self, n: int):
-        return PAdicRational(self.value**n, self.prime)
-
-    def reduce(self, precision_exponent: int) -> "PAdicRational":
-        """Canonical representative modulo p^k (requires valuation >= 0)."""
-        if self.valuation < 0:
-            raise ValueError("cannot reduce a value of negative valuation")
-        r = unit_residue(self.value, self.prime, precision_exponent)
-        return PAdicRational(Fraction(r), self.prime)
-
-    def key_at_level(self, level: int) -> Fraction:
-        return canonical_key(self.value, level, self.prime)
-
-    def __str__(self):
-        return fraction_str(self.value)

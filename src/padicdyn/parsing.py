@@ -9,6 +9,8 @@ offset of the offending token.
 
 Domains: ``Zp`` or ``B(<rational>, <t>)`` combined left to right with ``+``
 (union) and ``-`` (set difference); ``Qp`` selects the global analysis.
+
+Both grammars reject a modulus p that is not a prime.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from .domains import CompactDomain
 from .errors import EmptyDomain, ParseError, ZeroDenominator
 from .maps import RationalMap, normalize_map
+from .padics import require_prime
 from .polynomials import Polynomial
 
 _MAX_DEPTH = 64
@@ -218,8 +221,19 @@ class _MapParser:
 
 def parse_map(text: str, p: int) -> RationalMap:
     """Parse and normalize a rational map expression."""
+    require_prime(p)
     value = _MapParser(_tokenize(text), p).parse()
     return normalize_map(value.num, value.den)
+
+
+def parse_seed(text: str) -> Fraction:
+    """An integer or rational seed, in any form ``Fraction`` accepts."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"zero denominator in seed {text!r}") from None
+    except ValueError:
+        raise ParseError(f"seed is not a rational number: {text!r}", 0) from None
 
 
 def _parse_rational(toks: list[_Tok], i: int) -> tuple[Fraction, int]:
@@ -256,6 +270,7 @@ def _parse_integer(toks: list[_Tok], i: int) -> tuple[int, int]:
 
 def parse_domain(text: str, p: int) -> CompactDomain | str:
     """Parse the domain grammar; returns QP_GLOBAL for "Qp"."""
+    require_prime(p)
     toks = _tokenize(text)
     if toks[0].kind == "name" and toks[0].text == "Qp" and toks[1].kind == "end":
         return QP_GLOBAL

@@ -1,8 +1,8 @@
 """Dense univariate polynomials over Q with p-adic coefficient bookkeeping.
 
-Coefficients are stored lowest degree first as exact rationals.  The zero
-polynomial has degree -1.  All operations are exact; evaluation uses Horner's
-scheme.
+Coefficients are stored lowest degree first as exact ``Fraction``s, with the
+prime held once by the polynomial.  The zero polynomial has degree -1.  All
+operations are exact; evaluation uses Horner's scheme.
 """
 
 from __future__ import annotations
@@ -10,27 +10,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import PrimeMismatch
-from .padics import (
-    INF,
-    NEG_INF,
-    ExtendedInt,
-    PAdicRational,
-    RationalLike,
-)
+from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    coefficients: tuple[PAdicRational, ...]  # lowest degree first, no trailing zeros
+    coefficients: tuple[Fraction, ...]  # lowest degree first, no trailing zeros
     prime: int
 
     @staticmethod
-    def of(coeffs: Iterable[RationalLike], p: int) -> "Polynomial":
-        vals = [PAdicRational.of(c, p) for c in coeffs]
-        while vals and vals[-1].is_zero():
+    def of(coeffs: Iterable[int | Fraction], p: int) -> "Polynomial":
+        vals = [Fraction(c) for c in coeffs]
+        while vals and vals[-1] == 0:
             vals.pop()
         return Polynomial(tuple(vals), p)
 
@@ -39,7 +33,7 @@ class Polynomial:
         return Polynomial((), p)
 
     @staticmethod
-    def constant(c: RationalLike, p: int) -> "Polynomial":
+    def constant(c: int | Fraction, p: int) -> "Polynomial":
         return Polynomial.of([c], p)
 
     @staticmethod
@@ -54,15 +48,15 @@ class Polynomial:
         return not self.coefficients
 
     @property
-    def leading_coefficient(self) -> PAdicRational:
+    def leading_coefficient(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coefficients[-1]
 
-    def coefficient(self, i: int) -> PAdicRational:
+    def coefficient(self, i: int) -> Fraction:
         if 0 <= i <= self.degree:
             return self.coefficients[i]
-        return PAdicRational(Fraction(0), self.prime)
+        return Fraction(0)
 
     def _check(self, other: "Polynomial"):
         if self.prime != other.prime:
@@ -72,10 +66,7 @@ class Polynomial:
         self._check(other)
         n = max(len(self.coefficients), len(other.coefficients))
         return Polynomial.of(
-            [
-                self.coefficient(i).value + other.coefficient(i).value
-                for i in range(n)
-            ],
+            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
             self.prime,
         )
 
@@ -83,15 +74,12 @@ class Polynomial:
         self._check(other)
         n = max(len(self.coefficients), len(other.coefficients))
         return Polynomial.of(
-            [
-                self.coefficient(i).value - other.coefficient(i).value
-                for i in range(n)
-            ],
+            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
             self.prime,
         )
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial.of([-c.value for c in self.coefficients], self.prime)
+        return Polynomial.of([-c for c in self.coefficients], self.prime)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -99,29 +87,24 @@ class Polynomial:
             return Polynomial.zero(self.prime)
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
-            if a.is_zero():
+            if a == 0:
                 continue
-            av = a.value
             for j, b in enumerate(other.coefficients):
-                out[i + j] += av * b.value
+                out[i + j] += a * b
         return Polynomial.of(out, self.prime)
 
-    def scale(self, c: RationalLike) -> "Polynomial":
-        cv = Fraction(c) if not isinstance(c, PAdicRational) else c.value
-        return Polynomial.of([cv * a.value for a in self.coefficients], self.prime)
+    def scale(self, c: int | Fraction) -> "Polynomial":
+        return Polynomial.of([c * a for a in self.coefficients], self.prime)
 
     def shift_variable(self, k: int) -> "Polynomial":
         """Substitute x -> p^k x."""
         pk = Fraction(self.prime) ** k
         return Polynomial.of(
-            [a.value * pk**i for i, a in enumerate(self.coefficients)], self.prime
+            [a * pk**i for i, a in enumerate(self.coefficients)], self.prime
         )
 
-    def fraction_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(c.value for c in self.coefficients)
-
     def coefficient_valuations(self) -> tuple[ExtendedInt, ...]:
-        return tuple(c.valuation for c in self.coefficients)
+        return tuple(fraction_valuation(c, self.prime) for c in self.coefficients)
 
     def min_coefficient_valuation(self) -> ExtendedInt:
         if self.is_zero():
@@ -136,7 +119,7 @@ class Polynomial:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self.coefficient(i).value
+            c = self.coefficient(i)
             if c == 0:
                 continue
             if i == 0:
@@ -148,29 +131,25 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_eval(F: Polynomial, a: RationalLike) -> PAdicRational:
+def poly_eval(F: Polynomial, a: int | Fraction) -> Fraction:
     """Exact evaluation by Horner's scheme."""
-    x = PAdicRational.of(a, F.prime)
     acc = Fraction(0)
     for c in reversed(F.coefficients):
-        acc = acc * x.value + c.value
-    return PAdicRational(acc, F.prime)
+        acc = acc * a + c
+    return acc
 
 
 def poly_derivative(F: Polynomial) -> Polynomial:
-    return Polynomial.of(
-        [i * c.value for i, c in enumerate(F.coefficients)][1:], F.prime
-    )
+    return Polynomial.of([i * c for i, c in enumerate(F.coefficients)][1:], F.prime)
 
 
-def taylor_shift(F: Polynomial, a: RationalLike) -> Polynomial:
+def taylor_shift(F: Polynomial, a: int | Fraction) -> Polynomial:
     """The polynomial G with G(x) = F(x + a), via in-place synthetic shifts."""
-    av = PAdicRational.of(a, F.prime).value
     n = len(F.coefficients)
-    work = [c.value for c in F.coefficients]
+    work = list(F.coefficients)
     for k in range(n - 1):
         for j in range(n - 2, k - 1, -1):
-            work[j] += av * work[j + 1]
+            work[j] += a * work[j + 1]
     return Polynomial.of(work, F.prime)
 
 
@@ -181,8 +160,8 @@ def content_and_primitive(F: Polynomial) -> tuple[Fraction, Polynomial]:
     num = 0
     den = 1
     for c in F.coefficients:
-        num = int_gcd(num, c.value.numerator)
-        den = den * c.value.denominator // int_gcd(den, c.value.denominator)
+        num = int_gcd(num, c.numerator)
+        den = den * c.denominator // int_gcd(den, c.denominator)
     content = Fraction(num, den)
     return content, F.scale(1 / content)
 
@@ -194,14 +173,14 @@ def poly_gcd(A: Polynomial, B: Polynomial) -> Polynomial:
         a, b = b, _poly_mod(a, b)
     if a.is_zero():
         return a
-    return a.scale(1 / a.leading_coefficient.value)
+    return a.scale(1 / a.leading_coefficient)
 
 
 def _poly_mod(A: Polynomial, B: Polynomial) -> Polynomial:
     if B.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(A.fraction_coefficients())
-    b = B.fraction_coefficients()
+    r = list(A.coefficients)
+    b = B.coefficients
     db = len(b) - 1
     lead = b[-1]
     while len(r) - 1 >= db and any(r):
@@ -221,8 +200,8 @@ def poly_divexact(A: Polynomial, B: Polynomial) -> Polynomial:
     """Exact quotient A/B; raises if the division leaves a remainder."""
     if B.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(A.fraction_coefficients())
-    b = B.fraction_coefficients()
+    r = list(A.coefficients)
+    b = B.coefficients
     db = len(b) - 1
     lead = b[-1]
     q = [Fraction(0)] * max(len(r) - db, 0)
@@ -254,7 +233,7 @@ def squarefree_part(F: Polynomial) -> Polynomial:
     return prim
 
 
-def norm_constant_exponent(F: Polynomial, center: RationalLike) -> ExtendedInt:
+def norm_constant_exponent(F: Polynomial, center: int | Fraction) -> ExtendedInt:
     """Largest level t certifying |F| constant on the ball of radius p^t
     around the center.
 
@@ -266,39 +245,18 @@ def norm_constant_exponent(F: Polynomial, center: RationalLike) -> ExtendedInt:
         return NEG_INF
     g = taylor_shift(F, center)
     g0 = g.coefficient(0)
-    if g0.is_zero():
+    if g0 == 0:
         return NEG_INF
     if g.degree <= 0:
         return INF
-    v0 = g0.valuation
+    p = F.prime
+    v0 = fraction_valuation(g0, p)
     best = INF
     for i in range(1, g.degree + 1):
         gi = g.coefficient(i)
-        if gi.is_zero():
+        if gi == 0:
             continue
         # largest t with i*t < v(g_i) - v0
-        t_i = (gi.valuation - v0 - 1) // i
+        t_i = (fraction_valuation(gi, p) - v0 - 1) // i
         best = min(best, t_i)
     return best
-
-
-def lipschitz_exponent(F: Polynomial, height_exponent: int) -> int:
-    """Exponent h with |F(x)-F(y)| <= p^h |x-y| whenever |x|,|y| <= p^M.
-
-    For an integral polynomial on the unit ball (M <= 0) this is 0; larger
-    domains pick up a factor p^(M*(deg-1)).
-    """
-    if F.degree <= 0:
-        return 0
-    m = max(0, height_exponent)
-    base = -F.min_coefficient_valuation()
-    base = 0 if base is NEG_INF or base < 0 else int(base)
-    return base + m * (F.degree - 1)
-
-
-def eval_int_mod(coeffs: Sequence[int], x: int, modulus: int) -> int:
-    """Horner evaluation of an integer-coefficient polynomial modulo m."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc

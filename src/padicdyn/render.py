@@ -39,11 +39,11 @@ def _ext(x):
     return int(x)
 
 
-def digraph_to_json_dict(G: LevelDigraph, cycles: CycleDecomposition | None = None) -> dict:
-    if cycles is None:
-        cycles = cycle_decomposition(G)
+def digraph_to_json_dict(G: LevelDigraph, cycles: CycleDecomposition) -> dict:
+    """``cycles`` is G's cycle decomposition.  "center" and "rep" repeat the
+    key: a ball's key is its canonical center and representative."""
     vertices = [
-        {"key": str(v.key), "center": str(v.key), "rep": str(G.reps[v])}
+        {"key": str(v.key), "center": str(v.key), "rep": str(v.key)}
         for v in G.vertices
     ]
     edges = []
@@ -68,8 +68,8 @@ def digraph_to_json_dict(G: LevelDigraph, cycles: CycleDecomposition | None = No
     }
 
 
-def digraph_to_json(G: LevelDigraph) -> str:
-    return json.dumps(digraph_to_json_dict(G), indent=2) + "\n"
+def digraph_to_json(G: LevelDigraph, cycles: CycleDecomposition) -> str:
+    return json.dumps(digraph_to_json_dict(G, cycles), indent=2) + "\n"
 
 
 def digraph_from_json(text: str) -> dict:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, decompose
 from .errors import (
+    CertificateFailed,
     DepthCapExceeded,
     DerivativeRootInDomain,
     PoleInDomain,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .hensel import certifies_root_in_radius
 from .maps import RationalMap
-from .padics import INF, NEG_INF
+from .padics import NEG_INF, fraction_valuation
 from .polynomials import (
     Polynomial,
     norm_constant_exponent,
@@ -105,24 +106,24 @@ def lower_bound_bF(
 
 
 def _descend(F: Polynomial, X: CompactDomain, config: AnalysisConfig) -> int:
+    p = F.prime
     t = min(X.base_level, -1)
     floor = t - config.descent_cap
     work = decompose(X, t, config)
     while True:
         suspects = []
         for b in work:
-            value = poly_eval(F, b.center)
-            if value.valuation >= -t:
+            if fraction_valuation(poly_eval(F, b.key), p) >= -t:
                 suspects.append(b)
         if not suspects:
             return t + 1
         for b in suspects:
-            a = b.center
-            if poly_eval(F, a).is_zero():
+            a = b.key
+            if poly_eval(F, a) == 0:
                 raise RootCertified(
                     f"{a} is a root of F inside the domain", ball=b, seed=a
                 )
-            if a.valuation >= 0 and certifies_root_in_radius(F, a, b.level):
+            if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(F, a, b.level):
                 raise RootCertified(
                     f"a root of F provably lies in {b}", ball=b, seed=a
                 )
@@ -137,7 +138,7 @@ def _descend(F: Polynomial, X: CompactDomain, config: AnalysisConfig) -> int:
         work = [c for b in suspects for c in b.children()]
 
 
-def _two_variable_lipschitz_exponent(f: RationalMap, M: int) -> int:
+def _two_variable_height_factor(f: RationalMap, M: int) -> int:
     """Exponent h with |T(x,y) - T(a,a)| <= p^h max(|x-a|, |y-a|) on the
     ball of radius p^M, for the symmetric difference-quotient polynomial T
     of an integral P/Q pair."""
@@ -147,7 +148,7 @@ def _two_variable_lipschitz_exponent(f: RationalMap, M: int) -> int:
     return M * (total_degree - 1)
 
 
-def _q_lipschitz_exponent(f: RationalMap, M: int) -> int:
+def _q_height_factor(f: RationalMap, M: int) -> int:
     if M <= 0 or f.Q.degree <= 0:
         return 0
     return M * (f.Q.degree - 1)
@@ -194,11 +195,14 @@ def _root_free_report(
     config: AnalysisConfig,
 ) -> ScalingReport:
     M = X.height_exponent()
-    l = min(b_q - _q_lipschitz_exponent(f, M), b_t1 - _two_variable_lipschitz_exponent(f, M)) - 1
+    l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
     profile: dict[Ball, int] = {}
     for b in decompose(X, l, config):
-        e = f.scalar_exponent(b.center)
-        assert e is not NEG_INF
+        e = f.scalar_exponent(b.key)
+        if e == NEG_INF:
+            raise CertificateFailed(
+                f"derivative vanishes at {b.key} despite the lower bound p^{b_t1} on |T1|"
+            )
         profile[b] = int(e)
     exponents = set(profile.values())
     if exponents <= {0}:
@@ -261,7 +265,7 @@ def _certified_profile(
     somewhere in the domain."""
     p = f.prime
     M = X.height_exponent()
-    h_t = _two_variable_lipschitz_exponent(f, M)
+    h_t = _two_variable_height_factor(f, M)
     start = min(X.base_level, -1)
     floor = start - config.certify_cap
     exact: dict[Ball, int] = {}
@@ -275,21 +279,21 @@ def _certified_profile(
                 level=b.level,
                 suspect_ball=b,
             )
-        a = b.center
+        a = b.key
         t = b.level
         qa = poly_eval(f.Q, a)
-        if qa.is_zero():
+        if qa == 0:
             raise PoleInDomain(f"denominator vanishes at {a}", ball=b)
-        if a.valuation >= 0 and certifies_root_in_radius(f.Q, a, t):
+        if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(f.Q, a, t):
             raise PoleInDomain(f"denominator has a root inside {b}", ball=b)
         if t > norm_constant_exponent(f.Q, a):
             work.extend(b.children())
             continue
-        vq = int(qa.valuation)
+        vq = int(fraction_valuation(qa, p))
         ta = poly_eval(f.t1, a)
-        t1_norm_exp = ta.norm_exponent  # NEG_INF at an exact derivative root
+        t1_norm_exp = -fraction_valuation(ta, p)  # -inf at an exact derivative root
         lip_bound = max(t1_norm_exp, t + h_t)
-        if not ta.is_zero() and t <= norm_constant_exponent(f.t1, a):
+        if ta != 0 and t <= norm_constant_exponent(f.t1, a):
             e = int(2 * vq + t1_norm_exp)
             if e > 0 or lip_bound <= -2 * vq:
                 exact[b] = e

@@ -13,7 +13,7 @@ from padicdyn.cli import (
     run,
 )
 from padicdyn.render import digraph_from_json, digraph_to_json, structural_form
-from padicdyn import build_subsidiary, parse_domain, parse_map
+from padicdyn import build_subsidiary, cycle_decomposition, parse_domain, parse_map
 
 
 def run_cli(args):
@@ -151,7 +151,7 @@ def test_json_round_trip():
     f = parse_map("(x^2-1)/x", 7)
     X = parse_domain("B(2,-1)+B(5,-1)", 7)
     G = build_subsidiary(f, X, -2)
-    text = digraph_to_json(G)
+    text = digraph_to_json(G, cycle_decomposition(G))
     loaded = digraph_from_json(text)
     direct = structural_form(G)
     assert loaded["prime"] == direct["prime"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import Ball, CompactDomain, decompose, locate, representatives
+from padicdyn import Ball, CompactDomain, decompose, locate
 from padicdyn.config import AnalysisConfig
 from padicdyn.errors import (
     DecompositionTooLarge,
@@ -51,22 +51,21 @@ def test_level_too_coarse():
 
 
 def test_representatives_z3_minus_three():
-    reps = representatives(CompactDomain.zp(3), -3)
-    values = sorted(int(v.value) for v in reps.points.values())
+    # a ball's key is its representative
+    values = sorted(int(b.key) for b in decompose(CompactDomain.zp(3), -3))
     assert values == list(range(27))
 
 
 def test_representatives_nested():
     # a representative at level t is among the representatives at t-1
     X = two_unit_balls()
-    coarse = {v.value for v in representatives(X, -2).points.values()}
-    fine = {v.value for v in representatives(X, -3).points.values()}
+    coarse = {b.key for b in decompose(X, -2)}
+    fine = {b.key for b in decompose(X, -3)}
     assert coarse <= fine
 
 
 def test_single_ball_representative():
-    reps = representatives(CompactDomain.ball(2, -1, 7), -1)
-    assert [v.value for v in reps.points.values()] == [Fraction(2)]
+    assert [b.key for b in decompose(CompactDomain.ball(2, -1, 7), -1)] == [Fraction(2)]
 
 
 def test_locate_examples():
@@ -81,8 +80,8 @@ def test_locate_examples():
 def test_locate_representative_roundtrip():
     X = punctured_z3()
     for t in (-2, -3, -4):
-        for ball, rep in representatives(X, t):
-            assert locate(X, rep, t) == ball
+        for ball in decompose(X, t):
+            assert locate(X, ball.key, t) == ball
 
 
 def test_refinement_structure():

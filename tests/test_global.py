@@ -9,13 +9,14 @@ from padicdyn import (
     compute_N,
     decompose,
     degree_gate,
-    global_inv_iso_check,
-    global_mp_check,
+    fraction_valuation,
+    global_check,
     global_obstruction,
     parse_map,
 )
+from padicdyn.config import AnalysisConfig
 from padicdyn.errors import PoleInDomain
-from padicdyn.global_qp import ERGODICITY, MINIMALITY
+from padicdyn.global_qp import ERGODICITY, MINIMALITY, ReductionFailure
 from padicdyn.maps import map_from_coefficients
 
 
@@ -50,8 +51,8 @@ def test_compute_n_with_fractional_coefficient():
     # and denominator of f' behave like their leading terms
     sphere = CompactDomain.sphere(n, 7)
     for b in decompose(sphere, n - 1 - 2):
-        x = b.center
-        assert f.eval(x).norm_exponent == x.norm_exponent
+        x = b.key
+        assert fraction_valuation(f.eval(x), 7) == fraction_valuation(x, 7)
         e = f.scalar_exponent(x)
         assert e == 0
 
@@ -66,32 +67,31 @@ def test_root_certification_modes():
 
 def test_global_checks_quartic_yes():
     f = parse_map("(x^4 + x^3 + 2x^2 + 1)/(x^3 - x + 1)", 3)
-    iso = global_inv_iso_check(f)
-    mp = global_mp_check(f)
-    assert iso.verdict == "Yes"
-    assert mp.verdict == "Yes"
-    assert iso.gate.forward_invariant_ball is True
+    g = global_check(f)
+    assert g.isometry == "Yes"
+    assert g.measure_preserving == "Yes"
+    assert g.gate.forward_invariant_ball is True
+    assert g.failure is None
 
 
 def test_global_checks_translation_yes():
     for p in (2, 3, 7):
-        assert global_inv_iso_check(parse_map("x + 1", p)).verdict == "Yes"
+        assert global_check(parse_map("x + 1", p)).isometry == "Yes"
 
 
 def test_global_checks_reciprocal_fails_gate():
     f = parse_map("1/x", 7)
-    iso = global_inv_iso_check(f)
-    assert iso.verdict == "No"
-    assert "gate" in iso.reason
+    g = global_check(f)
+    assert g.isometry == "No"
+    assert "gate" in g.isometry_reason
 
 
 def test_global_check_with_pole_reports_root():
     # (x^2-1)/x passes the gate but x has a root in Q_7: both checks agree
     f = parse_map("(x^2-1)/x", 7)
-    iso = global_inv_iso_check(f)
-    mp = global_mp_check(f)
-    assert iso.verdict == mp.verdict == "No"
-    assert "root" in iso.reason and "root" in mp.reason
+    g = global_check(f)
+    assert g.isometry == g.measure_preserving == "No"
+    assert "root" in g.isometry_reason and "root" in g.measure_preserving_reason
 
 
 def test_mp_equals_inv_iso_on_one_lipschitz_corpus():
@@ -103,11 +103,10 @@ def test_mp_equals_inv_iso_on_one_lipschitz_corpus():
         q = [rng.randint(-6, 6) for _ in range(n)] + [1]
         pc = [rng.randint(-6, 6) for _ in range(n + 1)] + [1]
         f = map_from_coefficients(pc, q, p)
-        iso = global_inv_iso_check(f)
-        mp = global_mp_check(f)
-        if iso.compact_report is None or not iso.compact_report.is_one_lipschitz:
+        g = global_check(f)
+        if g.compact_report is None or not g.compact_report.is_one_lipschitz:
             continue  # the equivalence is only claimed for 1-Lipschitz maps
-        assert iso.verdict == mp.verdict
+        assert g.isometry == g.measure_preserving
         checked += 1
     assert checked >= 10
 
@@ -121,7 +120,7 @@ def test_invariant_sphere_witness():
     # direct check of sphere invariance at level -2 representatives
     sphere = CompactDomain.sphere(1, 7)
     for b in decompose(sphere, -2):
-        assert f.eval(b.center).norm_exponent == 1
+        assert -fraction_valuation(f.eval(b.key), 7) == 1
 
 
 def test_sphere_invariance_beyond_n():
@@ -132,7 +131,7 @@ def test_sphere_invariance_beyond_n():
         for k in range(3):
             sphere = CompactDomain.sphere(n + k, p)
             for b in decompose(sphere, n + k - 1 - 2):
-                assert f.eval(b.center).norm_exponent == n + k
+                assert -fraction_valuation(f.eval(b.key), p) == n + k
 
 
 def test_contraction_witness_for_scaled_identity():
@@ -143,7 +142,7 @@ def test_contraction_witness_for_scaled_identity():
     # orbits fall into the witness ball and stay
     x = Fraction(3)
     for _ in range(4):
-        x = f.eval(x).value
+        x = f.eval(x)
     assert w.region.contains(x)
 
 
@@ -157,7 +156,7 @@ def test_escape_witness_for_square():
     x = Fraction(5**w.sphere_exponent)
     x = Fraction(1, x)  # |x| = p^N
     for _ in range(3):
-        x = f.eval(x).value
+        x = f.eval(x)
         assert not w.region.contains(x)
 
 
@@ -201,10 +200,9 @@ def test_reduction_ball_beyond_unit_ball_isometry():
     f = parse_map("x + 1/9", 3)
     gate = compute_N(f)
     assert gate.N_exponent == 3
-    iso = global_inv_iso_check(f)
-    mp = global_mp_check(f)
-    assert iso.verdict == "Yes" and mp.verdict == "Yes"
-    assert iso.compact_report.classification == "LocallyIsometric"
+    g = global_check(f)
+    assert g.isometry == "Yes" and g.measure_preserving == "Yes"
+    assert g.compact_report.classification == "LocallyIsometric"
 
 
 def test_reduction_ball_beyond_unit_ball_expansion_refused():
@@ -214,6 +212,40 @@ def test_reduction_ball_beyond_unit_ball_expansion_refused():
     gate = degree_gate(f)
     assert gate.gate_passed and gate.q1_certification == "root-free"
     assert compute_N(f, gate).N_exponent == 3
-    iso = global_inv_iso_check(f)
-    assert iso.verdict == "No"
-    assert iso.compact_report.classification == "LocallyRhoLipschitz"
+    g = global_check(f)
+    assert g.isometry == "No"
+    assert g.compact_report.classification == "LocallyRhoLipschitz"
+
+
+@pytest.mark.parametrize(
+    "failure,f,config",
+    [
+        (ReductionFailure.DEGREE_GATE, parse_map("1/x", 7), None),
+        (ReductionFailure.DENOMINATOR_ROOT, parse_map("x^2/(x-1)", 3), None),
+        # x^2 + 3 has no root in Q_3, but no descent level separates it from 0
+        (ReductionFailure.DENOMINATOR_UNDECIDED, parse_map("(x^3+1)/(x^2+3)", 3),
+         AnalysisConfig(descent_cap=0)),
+        (ReductionFailure.NOT_ONE_LIPSCHITZ, parse_map("(x^3 + x/9 + 1)/(x^2 + 1)", 3), None),
+        (ReductionFailure.BALL_NOT_INVARIANT,
+         map_from_coefficients([-3, -1, -4, 1], [6, -2, 1], 2), None),
+    ],
+)
+def test_reduction_failure_reasons(failure, f, config):
+    g = global_check(f) if config is None else global_check(f, config)
+    assert g.failure is failure
+    assert g.isometry_reason == g.measure_preserving_reason == failure.text
+    assert (g.isometry, g.measure_preserving) == (failure.isometry, failure.measure_preserving)
+    assert g.gate.forward_invariant_ball is (
+        False if failure is ReductionFailure.BALL_NOT_INVARIANT else None
+    )
+
+
+def test_reduction_failure_texts_and_verdicts():
+    # the reasons and verdict pairs the global command prints
+    assert [(r.text, r.isometry, r.measure_preserving) for r in ReductionFailure] == [
+        ("degree gate failed", "No", "No"),
+        ("denominator has a root in Q_p", "No", "No"),
+        ("denominator root-freeness undecided", "Undecided", "Undecided"),
+        ("not locally 1-Lipschitz on the reduction ball", "No", "Undecided"),
+        ("reduction ball is not forward invariant", "No", "No"),
+    ]

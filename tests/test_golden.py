@@ -1,0 +1,128 @@
+"""Golden CLI outputs: every command on the three worked instances at small
+levels, a few failing inputs, and the DOT/JSON files they write.
+
+Each case runs ``padicdyn.cli.main`` in-process from a scratch working
+directory and compares exit status, stdout, stderr and every written file
+byte for byte with ``tests/golden/cli.json``.  To re-record after an
+intended output change, or to record a new case (review the diff of the
+JSON file afterwards):
+
+    PYTHONPATH=src python tests/test_golden.py --record [CASE ...]
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+TWO_BALL = ["-p", "7", "--map", "(x^2-1)/x", "--domain", "B(2,-1)+B(5,-1)"]
+PUNCTURED = ["-p", "3", "--map", "(2x^3+x^2+x)/(x^2+1)", "--domain", "Zp-B(4,-2)-B(5,-2)"]
+QUARTIC = ["-p", "3", "--map", "(x^4+x^3+2x^2+1)/(x^3-x+1)", "--domain", "Zp"]
+INSTANCES = {"two-ball": TWO_BALL, "punctured": PUNCTURED, "quartic": QUARTIC}
+
+
+def _compact_cases(name: str, args: list[str]) -> dict[str, list[str]]:
+    return {
+        f"{name}-classify": args + ["classify"],
+        f"{name}-radius": args + ["radius"],
+        f"{name}-digraph": args + ["digraph", "--level", "-2",
+                                   "--dot", "g.dot", "--json", "g.json"],
+        f"{name}-subsidiary": args + ["subsidiary", "--level", "-2",
+                                      "--dot", "s.dot", "--json", "s.json"],
+        f"{name}-intrinsic-level": args + ["intrinsic-level"],
+        f"{name}-mp": args + ["mp"],
+        f"{name}-ergodic": args + ["ergodic", "--depth", "-3"],
+        f"{name}-components": args + ["components", "--level", "-2"],
+    }
+
+
+def _global_cases(name: str, args: list[str]) -> dict[str, list[str]]:
+    qp = args[:4] + ["--domain", "Qp"]
+    return {
+        f"{name}-global": qp + ["global"],
+        f"{name}-witness-minimality": qp + ["witness", "--goal", "minimality"],
+        f"{name}-witness-ergodicity": qp + ["witness", "--goal", "ergodicity"],
+    }
+
+
+CASES: dict[str, list[str]] = {}
+for _name, _args in INSTANCES.items():
+    CASES.update(_compact_cases(_name, _args))
+    CASES.update(_global_cases(_name, _args))
+CASES.update({
+    "shift-third-global": ["-p", "3", "--map", "x+1/3", "global"],
+    "shift-quarter-global": ["-p", "2", "--map", "x+1/4", "global"],
+    "hensel-sqrt2": ["-p", "7", "--map", "x^2-2", "--domain", "Zp",
+                     "hensel", "--seed", "3", "--prec", "12"],
+    "hensel-exact-root": ["-p", "5", "--map", "x^2-4", "hensel", "--seed", "2", "--prec", "3"],
+    "error-pole-in-domain": ["-p", "3", "--map", "1/x", "--domain", "Zp", "classify"],
+    "error-not-invariant": ["-p", "3", "--map", "x+1", "--domain", "B(0,-1)",
+                            "digraph", "--level", "-2"],
+    "error-parse": ["-p", "5", "--map", "x +", "--domain", "Zp", "classify"],
+    "error-compact-command-on-qp": ["-p", "5", "--map", "x", "--domain", "Qp", "mp"],
+    "error-hensel-precondition": ["-p", "7", "--map", "x^2-3", "hensel", "--seed", "1"],
+    "error-composite-prime": ["-p", "4", "--map", "x+1", "--domain", "Zp", "mp"],
+    "error-prime-one": ["-p", "1", "--map", "x+1", "--domain", "Zp", "mp"],
+    "error-seed-zero-denominator": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "1/0"],
+    "error-seed-not-a-number": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "abc"],
+})
+
+
+def run_case(argv: list[str]) -> dict:
+    from padicdyn import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+            files = {name: Path(name).read_text() for name in sorted(os.listdir(work))}
+        finally:
+            os.chdir(old)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    want = _golden()[name]
+    assert want["argv"] == CASES[name]
+    got = run_case(CASES[name])
+    assert got["exit"] == want["exit"]
+    assert got["stdout"] == want["stdout"]
+    assert got["stderr"] == want["stderr"]
+    assert got["files"] == want["files"]
+
+
+def test_golden_file_has_no_stale_cases():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+def record(names: list[str]) -> None:
+    """Re-record the named cases (all cases when none are named), keeping
+    the other recorded cases as they are."""
+    golden = _golden() if GOLDEN.exists() else {}
+    for name in names or sorted(CASES):
+        golden[name] = {"argv": CASES[name], **run_case(CASES[name])}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [CASE ...]")
+    record(sys.argv[2:])

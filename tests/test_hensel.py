@@ -3,56 +3,66 @@ from fractions import Fraction
 
 import pytest
 
-from padicdyn import PAdicRational, Polynomial, hensel_lift, poly_eval
-from padicdyn.errors import HenselPreconditionFailed
+import padicdyn.hensel
+from padicdyn import Polynomial, fraction_valuation, hensel_lift, poly_eval
+from padicdyn.errors import CertificateFailed, HenselPreconditionFailed
 from padicdyn.hensel import certifies_root_in_radius, hensel_precondition
+from padicdyn.padics import unit_residue
 from padicdyn.polynomials import poly_derivative
-
-
-def pad(x, p):
-    return PAdicRational(Fraction(x), p)
 
 
 def test_square_root_of_two_mod_49():
     # oracle: 10 is the unique residue mod 49 congruent to 3 mod 7 with r^2 = 2
     matches = [r for r in range(49) if (r * r - 2) % 49 == 0 and r % 7 == 3]
     assert matches == [10]
-    res = hensel_lift(Polynomial.of([-2, 0, 1], 7), pad(3, 7), 2)
-    assert res.root.value == 10
+    res = hensel_lift(Polynomial.of([-2, 0, 1], 7), Fraction(3), 2)
+    assert res.root == 10
+    assert isinstance(res.root, Fraction)
     assert res.bound_exponent == -1
 
 
 def test_linear_is_exact():
-    res = hensel_lift(Polynomial.of([-5, 1], 7), pad(5, 7), 10)
-    assert res.root.value == 5
-    assert poly_eval(Polynomial.of([-5, 1], 7), res.root).is_zero()
+    res = hensel_lift(Polynomial.of([-5, 1], 7), Fraction(5), 10)
+    assert res.root == 5
+    assert poly_eval(Polynomial.of([-5, 1], 7), res.root) == 0
 
 
 def test_precondition_failure_reports_norms():
     # |F(1)| = |-2| = 1 equals |F'(1)|^2, and no seed residue mod 7 works
     F = Polynomial.of([-3, 0, 1], 7)
     with pytest.raises(HenselPreconditionFailed) as info:
-        hensel_lift(F, pad(1, 7), 2)
+        hensel_lift(F, Fraction(1), 2)
     assert info.value.value_valuation == 0
     assert info.value.derivative_valuation == 0
     for seed in range(7):
-        v = poly_eval(F, pad(seed, 7)).valuation
-        dv = poly_eval(poly_derivative(F), pad(seed, 7)).valuation
+        v = fraction_valuation(poly_eval(F, seed), 7)
+        dv = fraction_valuation(poly_eval(poly_derivative(F), seed), 7)
         assert not v > 2 * dv  # 3 is not a square mod 7
 
 
 def test_certifies_root_in_radius():
     F = Polynomial.of([-2, 0, 1], 7)
-    assert certifies_root_in_radius(F, pad(3, 7), -1)
-    assert certifies_root_in_radius(F, pad(3, 7), 0)
-    assert not certifies_root_in_radius(F, pad(1, 7), -1)
+    assert certifies_root_in_radius(F, Fraction(3), -1)
+    assert certifies_root_in_radius(F, Fraction(3), 0)
+    assert not certifies_root_in_radius(F, Fraction(1), -1)
 
 
 def test_requires_integral_inputs():
     with pytest.raises(ValueError):
-        hensel_lift(Polynomial.of([Fraction(1, 7), 1], 7), pad(0, 7), 2)
+        hensel_lift(Polynomial.of([Fraction(1, 7), 1], 7), Fraction(0), 2)
     with pytest.raises(ValueError):
-        hensel_lift(Polynomial.of([1, 1], 7), PAdicRational(Fraction(1, 7), 7), 2)
+        hensel_lift(Polynomial.of([1, 1], 7), Fraction(1, 7), 2)
+
+
+def test_postcondition_failure_is_a_typed_error(monkeypatch):
+    # a reduction that is off by one at the requested precision yields a
+    # "root" that is not one; the check must hold under python -O too
+    def off_by_one(x, p, k):
+        return unit_residue(x, p, k) + (1 if k == 4 else 0)
+
+    monkeypatch.setattr(padicdyn.hensel, "unit_residue", off_by_one)
+    with pytest.raises(CertificateFailed, match="not a root of F modulo 7\\^4"):
+        hensel_lift(Polynomial.of([-2, 0, 1], 7), Fraction(3), 4)
 
 
 def _random_instances(count, seed=7):
@@ -65,7 +75,7 @@ def _random_instances(count, seed=7):
         if coeffs[-1] == 0:
             coeffs[-1] = 1
         F = Polynomial.of(coeffs, p)
-        a = pad(rng.randint(0, p**3), p)
+        a = Fraction(rng.randint(0, p**3))
         try:
             hensel_precondition(F, a)
         except HenselPreconditionFailed:
@@ -78,20 +88,20 @@ def test_lift_postconditions_random():
     for p, F, a in _random_instances(40):
         k = 12
         res = hensel_lift(F, a, k)
-        assert poly_eval(F, res.root).valuation >= k
+        assert fraction_valuation(poly_eval(F, res.root), p) >= k
         diff = res.root - a
-        if not diff.is_zero():
-            assert diff.valuation >= -res.bound_exponent
+        if diff != 0:
+            assert fraction_valuation(diff, p) >= -res.bound_exponent
 
 
 def test_lift_against_exhaustive_roots_mod_p4():
     # the lifted root agrees with one of the residues killing F mod p^4
     for p, F, a in _random_instances(15, seed=11):
         res = hensel_lift(F, a, 4)
-        ints = [int(c.value) for c in F.coefficients]
+        ints = [int(c) for c in F.coefficients]
         roots = [
             r
             for r in range(p**4)
             if sum(c * pow(r, i, p**4) for i, c in enumerate(ints)) % p**4 == 0
         ]
-        assert int(res.root.value) % p**4 in roots
+        assert int(res.root) % p**4 in roots

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import INF, PAdicRational, canonical_key
-from padicdyn.errors import PrimeMismatch, ZeroDenominator
-from padicdyn.padics import fraction_valuation, unit_residue
+from padicdyn import INF, CompactDomain, Polynomial, canonical_key
+from padicdyn.errors import InvalidPrime, PrimeMismatch, ZeroDenominator
+from padicdyn.maps import map_from_coefficients
+from padicdyn.padics import fraction_valuation, require_prime, unit_residue
 
 
 @pytest.mark.parametrize(
@@ -22,14 +23,14 @@ from padicdyn.padics import fraction_valuation, unit_residue
     ],
 )
 def test_valuation_examples(p, num, den, expected):
-    x = PAdicRational(Fraction(num, den), p)
-    assert x.valuation == expected
+    assert fraction_valuation(Fraction(num, den), p) == expected
 
 
 def test_norm_is_an_exponent_never_a_float():
-    x = PAdicRational(Fraction(98, 3), 7)
-    assert x.norm_exponent == -2
-    assert isinstance(x.norm_exponent, int)
+    # |x| = p^(-v(x)) is handled through the exponent -v(x)
+    norm_exponent = -fraction_valuation(Fraction(98, 3), 7)
+    assert norm_exponent == -2
+    assert isinstance(norm_exponent, int)
 
 
 rationals = st.fractions(
@@ -40,12 +41,18 @@ rationals = st.fractions(
 @given(rationals, rationals, rationals, st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=200)
 def test_field_laws(a, b, c, p):
-    x, y, z = (PAdicRational(v, p) for v in (a, b, c))
-    assert ((x + y) + z).value == (x + (y + z)).value
-    assert (x * (y + z)).value == (x * y + x * z).value
-    assert (x * y).value == (y * x).value
-    if not y.is_zero():
-        assert ((x / y) * y).value == x.value
+    # the field operations on points commute with reduction modulo p^k
+    k = 3
+    mod = p**k
+    integral = [x for x in (a, b, c) if fraction_valuation(x, p) >= 0]
+    for x in integral:
+        for y in integral:
+            rx, ry = unit_residue(x, p, k), unit_residue(y, p, k)
+            assert unit_residue(x + y, p, k) == (rx + ry) % mod
+            assert unit_residue(x - y, p, k) == (rx - ry) % mod
+            assert unit_residue(x * y, p, k) == rx * ry % mod
+            if fraction_valuation(y, p) == 0:
+                assert unit_residue(x / y, p, k) == rx * pow(ry, -1, mod) % mod
 
 
 def test_valuation_arithmetic_bulk():
@@ -53,22 +60,19 @@ def test_valuation_arithmetic_bulk():
     rng = random.Random(20260811)
     for p in (2, 3, 5):
         for _ in range(4000):
-            x = PAdicRational(
-                Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)), p
-            )
-            y = PAdicRational(
-                Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)), p
-            )
-            if x.is_zero() or y.is_zero():
+            x = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+            y = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+            if x == 0 or y == 0:
                 continue
-            assert (x * y).valuation == x.valuation + y.valuation
+            vx, vy = fraction_valuation(x, p), fraction_valuation(y, p)
+            assert fraction_valuation(x * y, p) == vx + vy
             s = x + y
-            bound = min(x.valuation, y.valuation)
-            if s.is_zero():
+            bound = min(vx, vy)
+            if s == 0:
                 continue
-            assert s.valuation >= bound
-            if x.valuation != y.valuation:
-                assert s.valuation == bound
+            assert fraction_valuation(s, p) >= bound
+            if vx != vy:
+                assert fraction_valuation(s, p) == bound
 
 
 @given(rationals, st.sampled_from([2, 3, 5]), st.integers(-5, 5))
@@ -87,17 +91,42 @@ def test_unit_residue_matches_modular_inverse():
 
 
 def test_reduce_requires_integrality():
-    x = PAdicRational(Fraction(1, 3), 3)
     with pytest.raises(ValueError):
-        x.reduce(2)
+        unit_residue(Fraction(1, 3), 3, 2)
 
 
 def test_prime_mismatch_rejected():
     with pytest.raises(PrimeMismatch):
-        PAdicRational(Fraction(1), 3) + PAdicRational(Fraction(1), 5)
+        Polynomial.of([1], 3) + Polynomial.of([1], 5)
+    with pytest.raises(PrimeMismatch):
+        CompactDomain.zp(3).union(CompactDomain.zp(5))
 
 
 def test_zero_division_raises():
-    x = PAdicRational(Fraction(1), 3)
     with pytest.raises(ZeroDenominator):
-        x / PAdicRational(Fraction(0), 3)
+        map_from_coefficients([1], [0], 3)
+
+
+@pytest.mark.parametrize("p", [0, 1, -3, 4, 6, 561, 2**61 + 1, 3_215_031_751, 10**30])
+def test_require_prime_rejects(p):
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7; 10^30 lies beyond the exact test's range
+    with pytest.raises(InvalidPrime):
+        require_prime(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**61 - 1, 3_317_044_064_679_887_385_961_813])
+def test_require_prime_accepts(p):
+    require_prime(p)
+
+
+def test_require_prime_agrees_with_trial_division():
+    small = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    accepted = []
+    for n in range(-5, 3000):
+        try:
+            require_prime(n)
+        except InvalidPrime:
+            continue
+        accepted.append(n)
+    assert accepted == small

@@ -8,6 +8,7 @@ from padicdyn import (
     INF,
     NEG_INF,
     Polynomial,
+    fraction_valuation,
     norm_constant_exponent,
     poly_derivative,
     poly_eval,
@@ -23,19 +24,19 @@ def P(coeffs, p=7):
 
 def test_eval_example():
     # F = x^2 - 1 at 2
-    assert poly_eval(P([-1, 0, 1]), 2).value == 3
+    assert poly_eval(P([-1, 0, 1]), 2) == 3
 
 
 def test_derivative_example():
     # d/dx (2x^3 + x^2 + x) = 6x^2 + 2x + 1
     d = poly_derivative(P([0, 1, 1, 2]))
-    assert d.fraction_coefficients() == (Fraction(1), Fraction(2), Fraction(6))
+    assert d.coefficients == (Fraction(1), Fraction(2), Fraction(6))
 
 
 def test_taylor_shift_example():
     # (x+1)^2 = x^2 + 2x + 1
     g = taylor_shift(P([0, 0, 1]), 1)
-    assert g.fraction_coefficients() == (Fraction(1), Fraction(2), Fraction(1))
+    assert g.coefficients == (Fraction(1), Fraction(2), Fraction(1))
 
 
 def test_zero_polynomial_degree_is_minus_one():
@@ -57,16 +58,16 @@ def test_taylor_shift_property(coeffs, a):
     F = P(coeffs, 5)
     G = taylor_shift(F, a)
     for x in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7)):
-        assert poly_eval(G, x - a).value == poly_eval(F, x).value
+        assert poly_eval(G, x - a) == poly_eval(F, x)
 
 
 def test_gcd_and_exact_division():
     A = P([-1, 0, 1], 3)  # x^2 - 1
     B = P([1, 1], 3)  # x + 1
     g = poly_gcd(A, B)
-    assert g.fraction_coefficients() == (Fraction(1), Fraction(1))
+    assert g.coefficients == (Fraction(1), Fraction(1))
     q = poly_divexact(A, B)
-    assert q.fraction_coefficients() == (Fraction(-1), Fraction(1))
+    assert q.coefficients == (Fraction(-1), Fraction(1))
     with pytest.raises(ValueError):
         poly_divexact(P([1, 0, 1], 3), B)
 
@@ -74,7 +75,7 @@ def test_gcd_and_exact_division():
 def test_content_and_primitive():
     c, prim = content_and_primitive(P([Fraction(2, 3), Fraction(4, 3)], 5))
     assert c == Fraction(2, 3)
-    assert prim.fraction_coefficients() == (Fraction(1), Fraction(2))
+    assert prim.coefficients == (Fraction(1), Fraction(2))
 
 
 @pytest.mark.parametrize(
@@ -104,7 +105,7 @@ def test_norm_constant_soundness_exhaustive(p, coeffs, center):
     F = Polynomial.of(coeffs, p)
     t = norm_constant_exponent(F, center)
     assert isinstance(t, int) and abs(t) <= 4
-    want = poly_eval(F, center).valuation
+    want = fraction_valuation(poly_eval(F, center), p)
     ball = Ball.containing(center, t, p)
     for sub in ball.subdivide(t - 2):
-        assert poly_eval(F, sub.center).valuation == want
+        assert fraction_valuation(poly_eval(F, sub.key), p) == want
