@@ -246,24 +246,25 @@ def run(inv: Invocation, stdout=None) -> int:
     if inv.command == "digraph":
         G = build_digraph(f, domain, inv.level, report, cfg)
         dec = cycle_decomposition(G)
+        names = G.key_strings
         out(f"vertices: {len(G.vertices)}")
         out(f"cycle lengths: {dec.cycle_lengths}")
-        out(f"tail vertices: {len(dec.tail_vertices)}")
-        for cyc in dec.cycles:
-            out("cycle: " + " -> ".join(str(v.key) for v in cyc))
+        out(f"tail vertices: {len(dec.tail_indices)}")
+        for cyc in dec.cycle_indices:
+            out("cycle: " + " -> ".join(names[i] for i in cyc))
         _emit_graph(inv, G, dec, out)
         return EXIT_OK
 
     if inv.command == "subsidiary":
         G = build_subsidiary(f, domain, inv.level, report, cfg)
-        kept = sum(1 for d in G.subsidiary.values() if d.passes)
+        names = G.key_strings
+        kept = sum(1 for d in G.subsidiary if d.passes)
         out(f"vertices: {len(G.vertices)}")
         out(f"subsidiary edges kept: {kept} of {len(G.vertices)}")
         out(f"coincides with full digraph: {_yesno(G.is_subsidiary_equal)}")
-        for v in G.vertices:
-            d = G.subsidiary[v]
+        for i, (j, d) in enumerate(zip(G.succ, G.subsidiary)):
             out(
-                f"edge {v.key} -> {G.edge[v].key}: s={d.s_exponent} "
+                f"edge {names[i]} -> {names[j]}: s={d.s_exponent} "
                 f"bounds={list(d.bound_exponents)} passes={_yesno(d.passes)}"
             )
         _emit_graph(inv, G, cycle_decomposition(G) if inv.json_path else None, out)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DecompositionTooLarge
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -22,6 +24,14 @@ class AnalysisConfig:
     witness_depth: int = 4
     # precision exponent used when certifying bijectivity of an edge
     bijection_precision: int = 12
+
+    def check_ball_budget(self, count: int, what: str, level: int) -> None:
+        """Raise DecompositionTooLarge when ``what`` needs more than
+        ``ball_cap`` balls at ``level``."""
+        if count > self.ball_cap:
+            raise DecompositionTooLarge(
+                f"{what} at level {level} needs {count} balls (cap {self.ball_cap})"
+            )
 
 
 DEFAULT_CONFIG = AnalysisConfig()

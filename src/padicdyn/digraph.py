@@ -3,18 +3,24 @@
 One vertex per level-t ball; the unique out-edge of a ball is the ball
 containing the image of its canonical representative (a single evaluation
 suffices because the map is locally 1-Lipschitz at and below the certified
-transport level).  Cycle structure decides measure preservation and
-semi-decides ergodicity and minimality; subsidiary edge data decides how far
-the finite digraphs certify the infinite family.
+transport level).  Edges are computed on plain integers: after rescaling
+the domain into Z_p, a key is a residue y mod p^(M - t) and its image is
+P(y) Q(y)^-1 of the rescaled integer polynomials.  A digraph stores sorted
+residues and one successor index per vertex; Balls are built on demand.
+Cycle structure decides measure preservation and semi-decides ergodicity and
+minimality; subsidiary edge data decides how far the finite digraphs
+certify the infinite family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import Ball, CompactDomain, decompose, locate
+from .domains import Ball, CompactDomain, decompose_residues
 from .errors import (
     CertificateFailed,
     ConstantTermNotIntegral,
@@ -24,7 +30,6 @@ from .errors import (
     LevelAboveIntrinsic,
     LevelTooCoarse,
     NotForwardInvariant,
-    NotInDomain,
     NotOneLipschitz,
 )
 from .hensel import hensel_lift
@@ -49,43 +54,108 @@ class SubsidiaryEdgeData:
     passes: bool
 
 
+class _Vertices(Sequence):
+    """A digraph's vertices as Balls, each built when it is read."""
+
+    def __init__(self, G: "LevelDigraph"):
+        self._G = G
+
+    def __len__(self) -> int:
+        return len(self._G.residues)
+
+    def __getitem__(self, i: int) -> Ball:
+        return Ball(self._G.level, self._G.keys[i], self._G.prime)
+
+
 @dataclass(frozen=True)
 class LevelDigraph:
+    """Vertex i is the level ball keyed residues[i] / p^height (sorted by
+    key); its out-edge goes to vertex succ[i].  ``subsidiary`` holds the
+    admission data of each vertex's edge, in vertex order."""
+
     prime: int
     level: int
     domain: CompactDomain
-    vertices: tuple[Ball, ...]
-    edge: dict[Ball, Ball]
-    subsidiary: dict[Ball, SubsidiaryEdgeData] | None = None
+    height: int
+    residues: tuple[int, ...]
+    succ: tuple[int, ...]
+    subsidiary: tuple[SubsidiaryEdgeData, ...] | None = None
+
+    @cached_property
+    def keys(self) -> tuple[Fraction, ...]:
+        scale = self.prime**self.height
+        return tuple(Fraction(y, scale) for y in self.residues)
+
+    @cached_property
+    def key_strings(self) -> list[str]:
+        """``str`` of each key, as the CLI and the renderers print it."""
+        if self.height == 0:
+            # an integral key prints as the integer it equals
+            return [str(y) for y in self.residues]
+        return [str(k) for k in self.keys]
+
+    @property
+    def vertices(self) -> Sequence[Ball]:
+        return _Vertices(self)
+
+    @cached_property
+    def edge(self) -> dict[Ball, Ball]:
+        V = self.vertices
+        return {V[i]: V[j] for i, j in enumerate(self.succ)}
 
     @property
     def is_subsidiary_equal(self) -> bool:
         if self.subsidiary is None:
             raise ValueError("subsidiary data was not computed")
-        return all(d.passes for d in self.subsidiary.values())
+        return all(d.passes for d in self.subsidiary)
 
     def subsidiary_edges(self) -> list[tuple[Ball, Ball]]:
         if self.subsidiary is None:
             raise ValueError("subsidiary data was not computed")
-        return [(v, self.edge[v]) for v in self.vertices if self.subsidiary[v].passes]
+        V = self.vertices
+        return [
+            (V[i], V[j])
+            for i, j in enumerate(self.succ)
+            if self.subsidiary[i].passes
+        ]
 
-    def in_degrees(self) -> dict[Ball, int]:
-        deg = {v: 0 for v in self.vertices}
-        for v in self.vertices:
-            deg[self.edge[v]] += 1
+    def in_degrees(self) -> list[int]:
+        """In-degree of each vertex, in vertex order."""
+        deg = [0] * len(self.succ)
+        for j in self.succ:
+            deg[j] += 1
         return deg
 
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    cycles: tuple[tuple[Ball, ...], ...]
-    tail_vertices: tuple[Ball, ...]
-    is_union_of_cycles: bool
-    is_single_cycle: bool
+    """Cycles and tails of ``graph`` as vertex indices."""
+
+    graph: LevelDigraph = field(repr=False)
+    cycle_indices: tuple[tuple[int, ...], ...]
+    tail_indices: tuple[int, ...]
+
+    @property
+    def is_union_of_cycles(self) -> bool:
+        return not self.tail_indices
+
+    @property
+    def is_single_cycle(self) -> bool:
+        return not self.tail_indices and len(self.cycle_indices) == 1
 
     @property
     def cycle_lengths(self) -> list[int]:
-        return sorted(len(c) for c in self.cycles)
+        return sorted(len(c) for c in self.cycle_indices)
+
+    @property
+    def cycles(self) -> tuple[tuple[Ball, ...], ...]:
+        V = self.graph.vertices
+        return tuple(tuple(V[i] for i in c) for c in self.cycle_indices)
+
+    @property
+    def tail_vertices(self) -> tuple[Ball, ...]:
+        V = self.graph.vertices
+        return tuple(V[i] for i in self.tail_indices)
 
 
 @dataclass(frozen=True)
@@ -152,28 +222,99 @@ def build_digraph(
         raise LevelTooCoarse(
             f"level {t} is above the certified 1-Lipschitz level {level}"
         )
-    balls = decompose(X, t, config)
-    edge: dict[Ball, Ball] = {}
-    escaping = []
-    for b in balls:
-        image = f.eval(b.key)
-        try:
-            edge[b] = locate(X, image, t)
-        except NotInDomain:
-            escaping.append((b, image))
-    if escaping:
-        raise NotForwardInvariant(
-            f"{len(escaping)} ball(s) leave the domain, first: "
-            f"{escaping[0][0]} -> {escaping[0][1]}",
-            escaping=escaping,
-        )
+    M, residues = decompose_residues(X, t, config)
+    succ = _successors(f, X, t, M, residues)
     return LevelDigraph(
         prime=f.prime,
         level=t,
         domain=X,
-        vertices=tuple(balls),
-        edge=edge,
+        height=M,
+        residues=tuple(residues),
+        succ=tuple(succ),
     )
+
+
+def _successors(
+    f: RationalMap, X: CompactDomain, t: int, M: int, residues: list[int]
+) -> list[int]:
+    """Index of the ball holding the image of each ball's key.
+
+    With x = y / p^M and d = max(deg P, deg Q), f(x) = P^(y) / Q^(y) for
+    the integer polynomials P^(y) = p^(Md) P(y / p^M) and likewise Q^; the
+    image's rescaled key is p^M P^(y) / Q^(y) mod p^(M - t), and it names a
+    ball of X exactly when it is one of ``residues``.  Raises PoleInDomain
+    at the first key where Q vanishes and NotForwardInvariant listing every
+    ball whose image leaves X, with the images from ``f.eval``.
+    """
+    p = f.prime
+    scale = p**M
+    d = max(f.P.degree, f.Q.degree)
+    num_coeffs = _rescaled_coefficients(f.P, d, M)
+    den_coeffs = _rescaled_coefficients(f.Q, d, M)
+    mod = p ** (M - t)
+    index = {y: i for i, y in enumerate(residues)}
+    succ = []
+    escaping = []
+    for y in residues:
+        num = 0
+        for c in num_coeffs:
+            num = num * y + c
+        den = 0
+        for c in den_coeffs:
+            den = den * y + c
+        if den % p:
+            j = index.get(num * scale * pow(den, -1, mod) % mod)
+        elif den == 0:
+            f.eval(Fraction(y, scale))  # raises PoleInDomain
+            raise CertificateFailed(
+                f"the rescaled denominator vanishes at {y}, but Q has no root at "
+                f"{Fraction(y, scale)}"
+            )
+        else:
+            j = _image_index(num, den, M, p, mod, index)
+        if j is None:
+            escaping.append(y)
+        else:
+            succ.append(j)
+    if escaping:
+        pairs = [
+            (Ball(t, Fraction(y, scale), p), f.eval(Fraction(y, scale)))
+            for y in escaping
+        ]
+        raise NotForwardInvariant(
+            f"{len(pairs)} ball(s) leave the domain, first: "
+            f"{pairs[0][0]} -> {pairs[0][1]}",
+            escaping=pairs,
+        )
+    return succ
+
+
+def _image_index(num: int, den: int, M: int, p: int, mod: int, index: dict[int, int]):
+    """``index.get`` of p^M num / den mod ``mod``, for den != 0 divisible by
+    p; None also when that image is not integral (it leaves B(0, M))."""
+    e = M
+    while den % p == 0:
+        den //= p
+        e -= 1
+    if e < 0:
+        num, rest = divmod(num, p**-e)
+        if rest:
+            return None
+        e = 0
+    return index.get(num * p**e * pow(den, -1, mod) % mod)
+
+
+def _rescaled_coefficients(poly: Polynomial, d: int, M: int) -> list[int]:
+    """Coefficients of p^(Md) poly(y / p^M), highest degree first."""
+    p = poly.prime
+    out = []
+    for i, c in enumerate(poly.coefficients):
+        if c.denominator != 1:
+            raise CertificateFailed(
+                f"the normalized map has a non-integral coefficient {c}"
+            )
+        out.append(c.numerator * p ** (M * (d - i)))
+    return out[::-1]
 
 
 def s_exponent(
@@ -252,56 +393,48 @@ def build_subsidiary(
     """The level-t digraph with subsidiary admission data on every edge."""
     report, level = _transport_level(f, X, report, config)
     G = build_digraph(f, X, t, report, config)
-    data = {}
-    for v in G.vertices:
-        data[v] = subsidiary_edge_data(f, v.key, G.edge[v].key, t, level)
-    return LevelDigraph(
-        prime=G.prime,
-        level=G.level,
-        domain=G.domain,
-        vertices=G.vertices,
-        edge=G.edge,
-        subsidiary=data,
+    keys = G.keys
+    data = tuple(
+        subsidiary_edge_data(f, keys[i], keys[j], t, level)
+        for i, j in enumerate(G.succ)
     )
+    return replace(G, subsidiary=data)
 
 
 def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
     """Cycles and tails of the out-degree-1 functional graph.
 
     Deterministic: cycles are rotated to start at their smallest key and
-    sorted by that key.
+    sorted by that key (vertex indices follow key order).
     """
-    color: dict[Ball, int] = {}  # 0 in progress, 1 done
-    on_cycle: set[Ball] = set()
-    cycles: list[tuple[Ball, ...]] = []
-    for start in G.vertices:
-        if start in color:
+    succ = G.succ
+    walk = [0] * len(succ)  # 1 + the start of the walk that reached a vertex
+    on_cycle = bytearray(len(succ))
+    cycles = []
+    for start in range(len(succ)):
+        if walk[start]:
             continue
-        path = []
+        mark = start + 1
         v = start
-        while v not in color:
-            color[v] = 0
-            path.append(v)
-            v = G.edge[v]
-        if color[v] == 0:
-            # found a new cycle: unwind path back to v
-            idx = path.index(v)
-            cyc = path[idx:]
-            cycles.append(tuple(cyc))
-            on_cycle.update(cyc)
-        for u in path:
-            color[u] = 1
-    normalized = []
-    for cyc in cycles:
-        k = min(range(len(cyc)), key=lambda i: cyc[i].key)
-        normalized.append(cyc[k:] + cyc[:k])
-    normalized.sort(key=lambda c: c[0].key)
-    tails = tuple(v for v in G.vertices if v not in on_cycle)
+        while not walk[v]:
+            walk[v] = mark
+            v = succ[v]
+        if walk[v] == mark:
+            # this walk closed a new cycle through v
+            cyc = [v]
+            u = succ[v]
+            while u != v:
+                cyc.append(u)
+                u = succ[u]
+            k = cyc.index(min(cyc))
+            cycles.append(tuple(cyc[k:] + cyc[:k]))
+            for u in cyc:
+                on_cycle[u] = 1
+    cycles.sort()
     return CycleDecomposition(
-        cycles=tuple(normalized),
-        tail_vertices=tails,
-        is_union_of_cycles=not tails,
-        is_single_cycle=not tails and len(normalized) == 1,
+        graph=G,
+        cycle_indices=tuple(cycles),
+        tail_indices=tuple(i for i, c in enumerate(on_cycle) if not c),
     )
 
 
@@ -379,15 +512,15 @@ def mp_check(
 def _cycle_failure(f, X, t, report, config) -> MPVerdict | None:
     G = build_digraph(f, X, t, report, config)
     deg = G.in_degrees()
-    worst = max(deg.values())
-    if worst <= 1:
+    if max(deg) <= 1:
         return None
-    ball = min((b for b, d in deg.items() if d >= 2), key=lambda b: b.key)
+    # the first vertex with in-degree >= 2 has the smallest such key
+    i = next(i for i, d in enumerate(deg) if d >= 2)
     return MPVerdict(
         kind=NOT_MEASURE_PRESERVING,
         witness_level=t,
-        witness_ball=ball,
-        in_degree=deg[ball],
+        witness_ball=G.vertices[i],
+        in_degree=deg[i],
         route="cycle-criterion",
     )
 
@@ -413,7 +546,7 @@ def ergodic_check(
         dec = cycle_decomposition(G)
         if not dec.is_single_cycle:
             return ErgodicVerdict(
-                kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycles)
+                kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices)
             )
     return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
 

@@ -17,13 +17,12 @@ from typing import Iterable, Iterator
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .errors import (
-    DecompositionTooLarge,
     EmptyDomain,
     LevelTooCoarse,
     NotInDomain,
     PrimeMismatch,
 )
-from .padics import NEG_INF, canonical_key, fraction_valuation
+from .padics import NEG_INF, canonical_key, fraction_valuation, require_prime
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,18 @@ class CompactDomain:
 
     @staticmethod
     def zp(p: int) -> "CompactDomain":
+        require_prime(p)
         return CompactDomain(p, 0, frozenset([Fraction(0)]))
 
     @staticmethod
     def ball(center: int | Fraction, level: int, p: int) -> "CompactDomain":
+        require_prime(p)
         return CompactDomain.from_balls([Ball.containing(center, level, p)])
 
     @staticmethod
     def sphere(radius_exponent: int, p: int) -> "CompactDomain":
         """S_{p^N}(0): the points of norm exactly p^N."""
+        require_prime(p)
         n = radius_exponent
         step = Fraction(p) ** (-n)
         balls = [Ball(n - 1, d * step, p) for d in range(1, p)]
@@ -197,20 +199,38 @@ def decompose(
     X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> list[Ball]:
     """The unique decomposition of X into level-t balls, sorted by key."""
-    if t > X.base_level:
-        raise LevelTooCoarse(
-            f"domain is expressed at level {X.base_level}; cannot decompose at {t}"
-        )
-    count = len(X.keys) * X.prime ** (X.base_level - t)
-    if count > config.ball_cap:
-        raise DecompositionTooLarge(
-            f"decomposition at level {t} needs {count} balls (cap {config.ball_cap})"
-        )
+    _check_decomposition(X, t, config)
     out: list[Ball] = []
     for b in X.balls():
         out.extend(b.subdivide(t))
     out.sort(key=lambda b: b.key)
     return out
+
+
+def decompose_residues(
+    X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
+) -> tuple[int, list[int]]:
+    """``decompose`` on integers: (M, ys) with M = X.height_exponent() and
+    the level-t balls of X keyed y / p^M for y in ys, sorted.
+
+    Each y is the residue mod p^(M - t) of the rescaled key p^M * key.
+    """
+    _check_decomposition(X, t, config)
+    p, M = X.prime, X.height_exponent()
+    scale = p**M
+    # the rescaled base keys lie in [0, step): adding multiples of step
+    # in the outer loop keeps the list sorted
+    bases = sorted(int(k * scale) for k in X.keys)
+    step = p ** (M - X.base_level)
+    return M, [b + s for s in range(0, p ** (M - t), step) for b in bases]
+
+
+def _check_decomposition(X: CompactDomain, t: int, config: AnalysisConfig) -> None:
+    if t > X.base_level:
+        raise LevelTooCoarse(
+            f"domain is expressed at level {X.base_level}; cannot decompose at {t}"
+        )
+    config.check_ball_budget(len(X.keys) * X.prime ** (X.base_level - t), "decomposition", t)
 
 
 def locate(X: CompactDomain, x: int | Fraction, t: int) -> Ball:

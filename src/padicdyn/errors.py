@@ -70,6 +70,11 @@ class HenselPreconditionFailed(PadicDynError):
         self.derivative_valuation = derivative_valuation
 
 
+class InvalidHenselInput(PadicDynError, ValueError):
+    """The polynomial, seed or precision given to a lift is out of range
+    (non-integral coefficients or seed, precision below 1)."""
+
+
 class DepthCapExceeded(PadicDynError):
     """A descent hit its depth cap before reaching a certificate."""
 

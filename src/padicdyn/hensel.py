@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateFailed, HenselPreconditionFailed
+from .errors import CertificateFailed, HenselPreconditionFailed, InvalidHenselInput
 from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation, unit_residue
 from .polynomials import Polynomial, poly_derivative, poly_eval
 
@@ -59,11 +59,11 @@ def hensel_lift(
     """
     p = F.prime
     if not F.is_integral():
-        raise ValueError("lifting requires coefficients of valuation >= 0")
+        raise InvalidHenselInput("lifting requires coefficients of valuation >= 0")
     if fraction_valuation(seed, p) < 0:
-        raise ValueError("lifting requires a seed of valuation >= 0")
+        raise InvalidHenselInput("lifting requires a seed of valuation >= 0")
     if precision_exponent < 1:
-        raise ValueError("precision exponent must be positive")
+        raise InvalidHenselInput("precision exponent must be positive")
     v_val, v_der = hensel_precondition(F, seed)
     k = precision_exponent
     if v_val is INF:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import PoleInDomain, ZeroDenominator
-from .padics import fraction_valuation
+from .padics import fraction_valuation, require_prime
 from .polynomials import (
     Polynomial,
     content_and_primitive,
@@ -122,6 +122,7 @@ def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
 
 
 def map_from_coefficients(p_coeffs, q_coeffs, prime: int) -> RationalMap:
+    require_prime(prime)
     return normalize_map(
         Polynomial.of(p_coeffs, prime), Polynomial.of(q_coeffs, prime)
     )

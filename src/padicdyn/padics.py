@@ -51,9 +51,12 @@ def require_prime(p: int) -> None:
 
 
 def int_valuation(n: int, p: int) -> ExtendedInt:
-    """Largest e with p^e dividing n; INF for n = 0."""
+    """Largest e with p^e dividing n; INF for n = 0.  Raises InvalidPrime
+    for p < 2, where the division loop would never end."""
     if n == 0:
         return INF
+    if p < 2:
+        raise InvalidPrime(f"p must be a prime: got {p}")
     v = 0
     n = abs(n)
     while n % p == 0:

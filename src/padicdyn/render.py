@@ -6,96 +6,82 @@ atomic (temp file in the target directory, then rename).
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from fractions import Fraction
 
-from .digraph import CycleDecomposition, LevelDigraph, cycle_decomposition
+from .digraph import CycleDecomposition, LevelDigraph
+from .padics import INF, NEG_INF
 
 
 def digraph_to_dot(G: LevelDigraph, name: str = "dynamics") -> str:
     """One node per ball labeled "key (level)"; the unique out-edges are
     solid, except that edges failing the subsidiary admission are dashed."""
+    names = G.key_strings
     lines = [f"digraph {name} {{"]
-    for v in G.vertices:
-        lines.append(f'  "{v.key}" [label="{v.key} ({v.level})"];')
-    for v in G.vertices:
-        style = "solid"
-        if G.subsidiary is not None and not G.subsidiary[v].passes:
-            style = "dashed"
-        lines.append(f'  "{v.key}" -> "{G.edge[v].key}" [style={style}];')
+    lines.extend(f'  "{k}" [label="{k} ({G.level})"];' for k in names)
+    for i, j in enumerate(G.succ):
+        dashed = G.subsidiary is not None and not G.subsidiary[i].passes
+        lines.append(
+            f'  "{names[i]}" -> "{names[j]}" [style={"dashed" if dashed else "solid"}];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _ext(x):
-    if x is None:
-        return None
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return int(x)
-
-
-def digraph_to_json_dict(G: LevelDigraph, cycles: CycleDecomposition) -> dict:
-    """``cycles`` is G's cycle decomposition.  "center" and "rep" repeat the
-    key: a ball's key is its canonical center and representative."""
-    vertices = [
-        {"key": str(v.key), "center": str(v.key), "rep": str(v.key)}
-        for v in G.vertices
-    ]
-    edges = []
-    for v in G.vertices:
-        entry = {"from": str(v.key), "to": str(G.edge[v].key)}
-        if G.subsidiary is not None:
-            data = G.subsidiary[v]
-            entry["s"] = data.s_exponent
-            entry["passes"] = data.passes
-            entry["bounds"] = [_ext(b) for b in data.bound_exponents]
-        else:
-            entry["s"] = None
-            entry["passes"] = None
-        edges.append(entry)
-    return {
-        "prime": G.prime,
-        "level": G.level,
-        "vertices": vertices,
-        "edges": edges,
-        "cycles": [[str(v.key) for v in c] for c in cycles.cycles],
-        "tails": [str(v.key) for v in cycles.tail_vertices],
-    }
-
-
 def digraph_to_json(G: LevelDigraph, cycles: CycleDecomposition) -> str:
-    return json.dumps(digraph_to_json_dict(G, cycles), indent=2) + "\n"
+    """``cycles`` is G's cycle decomposition.  "center" and "rep" repeat the
+    key: a ball's key is its canonical center and representative.
+
+    The text is what ``json.dumps(..., indent=2)`` prints for the digraph's
+    dict form, plus a newline, written directly because any indent sends
+    ``json.dumps`` to its pure-Python encoder.  Keys are ``str(Fraction)``
+    (digits, "-" and "/"), so no string needs escaping.
+    """
+    q = [f'"{k}"' for k in G.key_strings]
+    vertices = [
+        f'{{\n      "key": {k},\n      "center": {k},\n      "rep": {k}\n    }}'
+        for k in q
+    ]
+    if G.subsidiary is None:
+        edges = [
+            f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n'
+            '      "s": null,\n      "passes": null\n    }'
+            for i, j in enumerate(G.succ)
+        ]
+    else:
+        edges = [
+            f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n'
+            f'      "s": {d.s_exponent},\n'
+            f'      "passes": {"true" if d.passes else "false"},\n'
+            f'      "bounds": {_json_list([_bound(b) for b in d.bound_exponents], 6)}\n'
+            "    }"
+            for (i, j), d in zip(enumerate(G.succ), G.subsidiary)
+        ]
+    return (
+        f'{{\n  "prime": {G.prime},\n  "level": {G.level},\n'
+        f'  "vertices": {_json_list(vertices, 2)},\n'
+        f'  "edges": {_json_list(edges, 2)},\n'
+        f'  "cycles": {_json_list([_json_list([q[i] for i in c], 4) for c in cycles.cycle_indices], 2)},\n'
+        f'  "tails": {_json_list([q[i] for i in cycles.tail_indices], 2)}\n'
+        "}\n"
+    )
 
 
-def digraph_from_json(text: str) -> dict:
-    """Re-read an emitted digraph into a structural form: keys as exact
-    rationals, edge map, cycles.  Used for round-trip checks."""
-    raw = json.loads(text)
-    return {
-        "prime": raw["prime"],
-        "level": raw["level"],
-        "vertices": [Fraction(v["key"]) for v in raw["vertices"]],
-        "edges": {Fraction(e["from"]): Fraction(e["to"]) for e in raw["edges"]},
-        "cycles": [[Fraction(k) for k in c] for c in raw["cycles"]],
-        "tails": [Fraction(k) for k in raw.get("tails", [])],
-    }
+def _json_list(items: list[str], indent: int) -> str:
+    """JSON list of encoded ``items`` whose closing bracket sits at
+    ``indent``, laid out as by ``json.dumps(..., indent=2)``."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + "\n" + " " * indent + "]"
 
 
-def structural_form(G: LevelDigraph) -> dict:
-    dec = cycle_decomposition(G)
-    return {
-        "prime": G.prime,
-        "level": G.level,
-        "vertices": [v.key for v in G.vertices],
-        "edges": {v.key: G.edge[v].key for v in G.vertices},
-        "cycles": [[v.key for v in c] for c in dec.cycles],
-        "tails": [v.key for v in dec.tail_vertices],
-    }
+def _bound(x) -> str:
+    if x == INF:
+        return '"inf"'
+    if x == NEG_INF:
+        return '"-inf"'
+    return str(int(x))
 
 
 def write_atomic(path: str, content: str) -> None:

@@ -135,6 +135,7 @@ def _descend(F: Polynomial, X: CompactDomain, config: AnalysisConfig) -> int:
                 suspect_ball=suspects[0],
             )
         t -= 1
+        config.check_ball_budget(len(suspects) * p, "descent", t)
         work = [c for b in suspects for c in b.children()]
 
 
@@ -271,6 +272,14 @@ def _certified_profile(
     exact: dict[Ball, int] = {}
     upper: dict[Ball, int] = {}
     work = list(decompose(X, start, config))
+    produced = len(work)
+
+    def split(b: Ball) -> None:
+        nonlocal produced
+        produced += p
+        config.check_ball_budget(produced, "per-ball certification", b.level - 1)
+        work.extend(b.children())
+
     while work:
         b = work.pop()
         if b.level < floor:
@@ -287,7 +296,7 @@ def _certified_profile(
         if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(f.Q, a, t):
             raise PoleInDomain(f"denominator has a root inside {b}", ball=b)
         if t > norm_constant_exponent(f.Q, a):
-            work.extend(b.children())
+            split(b)
             continue
         vq = int(fraction_valuation(qa, p))
         ta = poly_eval(f.t1, a)
@@ -299,12 +308,12 @@ def _certified_profile(
                 exact[b] = e
                 continue
             # scalar known but the ball-to-ball certificate needs more depth
-            work.extend(b.children())
+            split(b)
             continue
         if lip_bound <= -2 * vq:
             upper[b] = int(lip_bound + 2 * vq)
             continue
-        work.extend(b.children())
+        split(b)
 
     # this route is only entered once a derivative root has been certified,
     # so the map cannot be isometric

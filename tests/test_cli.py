@@ -12,8 +12,19 @@ from padicdyn.cli import (
     main,
     run,
 )
-from padicdyn.render import digraph_from_json, digraph_to_json, structural_form
-from padicdyn import build_subsidiary, cycle_decomposition, parse_domain, parse_map
+from fractions import Fraction
+
+from padicdyn.render import digraph_to_json
+from padicdyn import (
+    CompactDomain,
+    build_digraph,
+    build_subsidiary,
+    cycle_decomposition,
+    parse_domain,
+    parse_map,
+)
+from padicdyn.digraph import LevelDigraph, SubsidiaryEdgeData
+from padicdyn.padics import INF, NEG_INF
 
 
 def run_cli(args):
@@ -145,6 +156,93 @@ def test_level_flags_are_exponents():
     # a decimal radius is a parse error, not silently accepted
     with pytest.raises(SystemExit):
         invocation_from_args(P7_ARGS + ["digraph", "--level", "0.5"])
+
+
+def digraph_from_json(text: str) -> dict:
+    """Re-read an emitted digraph into a structural form: keys as exact
+    rationals, edge map, cycles."""
+    raw = json.loads(text)
+    return {
+        "prime": raw["prime"],
+        "level": raw["level"],
+        "vertices": [Fraction(v["key"]) for v in raw["vertices"]],
+        "edges": {Fraction(e["from"]): Fraction(e["to"]) for e in raw["edges"]},
+        "cycles": [[Fraction(k) for k in c] for c in raw["cycles"]],
+        "tails": [Fraction(k) for k in raw.get("tails", [])],
+    }
+
+
+def structural_form(G: LevelDigraph) -> dict:
+    dec = cycle_decomposition(G)
+    return {
+        "prime": G.prime,
+        "level": G.level,
+        "vertices": [v.key for v in G.vertices],
+        "edges": {v.key: G.edge[v].key for v in G.vertices},
+        "cycles": [[v.key for v in c] for c in dec.cycles],
+        "tails": [v.key for v in dec.tail_vertices],
+    }
+
+
+def json_dict_oracle(G: LevelDigraph) -> dict:
+    """The digraph's JSON structure, built from Balls and the edge dict."""
+
+    def ext(x):
+        return "inf" if x == INF else "-inf" if x == NEG_INF else int(x)
+
+    dec = cycle_decomposition(G)
+    edges = []
+    for i, v in enumerate(G.vertices):
+        entry = {"from": str(v.key), "to": str(G.edge[v].key)}
+        if G.subsidiary is None:
+            entry.update(s=None, passes=None)
+        else:
+            d = G.subsidiary[i]
+            entry.update(s=d.s_exponent, passes=d.passes,
+                         bounds=[ext(b) for b in d.bound_exponents])
+        edges.append(entry)
+    return {
+        "prime": G.prime,
+        "level": G.level,
+        "vertices": [
+            {"key": str(v.key), "center": str(v.key), "rep": str(v.key)}
+            for v in G.vertices
+        ],
+        "edges": edges,
+        "cycles": [[str(v.key) for v in c] for c in dec.cycles],
+        "tails": [str(v.key) for v in dec.tail_vertices],
+    }
+
+
+def _json_cases():
+    p7_map, p7_domain = parse_map("(x^2-1)/x", 7), parse_domain("B(2,-1)+B(5,-1)", 7)
+    yield "plain, no tails", build_digraph(p7_map, p7_domain, -2)
+    punctured = (parse_map("(2x^3+x^2+x)/(x^2+1)", 3), parse_domain("Zp-B(4,-2)-B(5,-2)", 3))
+    yield "plain, with tails", build_digraph(*punctured, -2)
+    yield "subsidiary", build_subsidiary(*punctured, -3)
+    shift = parse_map("x + 1/3", 3)
+    yield "beyond Z_p", build_digraph(shift, CompactDomain.ball(0, 1, 3), -3)
+
+
+def test_json_writer_matches_json_dumps():
+    for name, G in _json_cases():
+        want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
+        assert digraph_to_json(G, cycle_decomposition(G)) == want, name
+        if name == "beyond Z_p":
+            assert '"1/3"' in want
+
+
+def test_json_writer_on_hand_built_subsidiary_bounds():
+    # no worked instance has a -inf bound (a derivative root at a key)
+    f, X = parse_map("(x^2-1)/x", 7), parse_domain("B(2,-1)+B(5,-1)", 7)
+    G = build_digraph(f, X, -2)
+    bounds = [(0, INF, NEG_INF, -3), (NEG_INF, NEG_INF, INF, 2)]
+    data = tuple(
+        SubsidiaryEdgeData(i % 3, bounds[i % 2], i % 2 == 0) for i in range(len(G.succ))
+    )
+    G = LevelDigraph(G.prime, G.level, G.domain, G.height, G.residues, G.succ, data)
+    want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
+    assert digraph_to_json(G, cycle_decomposition(G)) == want
 
 
 def test_json_round_trip():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padicdyn import (
     Ball,
@@ -21,9 +23,10 @@ from padicdyn import (
     verify_bijection,
 )
 from padicdyn.config import AnalysisConfig
-from padicdyn.digraph import s_exponent
+from padicdyn.digraph import LevelDigraph, s_exponent
 from padicdyn.errors import (
     ConstantTermNotIntegral,
+    DecompositionTooLarge,
     DerivativeRootInDomain,
     LevelAboveIntrinsic,
     LevelTooCoarse,
@@ -76,7 +79,7 @@ class TestSevenAdicTwoBallMap:
         f, X = p7_instance()
         G = build_subsidiary(f, X, -2)
         assert G.is_subsidiary_equal
-        assert all(d.s_exponent == 0 for d in G.subsidiary.values())
+        assert all(d.s_exponent == 0 for d in G.subsidiary)
 
     def test_mp_and_ergodic(self):
         f, X = p7_instance()
@@ -322,3 +325,101 @@ def test_mp_scan_depth_controls_undecided():
     assert full.kind == "NotMeasurePreserving"
     assert full.witness_level == -2
     assert full.in_degree == 3
+
+
+def _residue_oracle(f, X, t, extra=2):
+    """Level-t edges on rescaled keys y = p^M * key, M = X.height_exponent(),
+    from every point r / p^M with r below p^(M - t + extra), evaluated in
+    exact fractions and reduced with integer arithmetic."""
+    p, M = f.prime, X.height_exponent()
+    mod_t = p ** (M - t)
+    edges = {}
+    for r in range(p ** (M - t + extra)):
+        x = Fraction(r, p**M)
+        if x not in X:
+            continue
+        image = f.eval(x) * p**M
+        assert image.denominator % p != 0, f"{f} leaves B(0,{M}) at {x}"
+        z = image.numerator * pow(image.denominator, -1, mod_t) % mod_t
+        assert Fraction(z, p**M) in X, f"{f} leaves the domain at {x}"
+        # one image ball per ball: the map is 1-Lipschitz at level t
+        assert edges.setdefault(r % mod_t, z) == z
+    return edges
+
+
+@pytest.mark.parametrize(
+    "p,map_text,domain_text,depth",
+    [
+        (2, "x^3 + x + 1", "Zp", 3),
+        (2, "(x^2+x+1)/(1+2x)", "Zp", 4),
+        (2, "(x^2 + 3)/(1 + 4x)", "Zp - B(1,-2)", 3),
+        (3, "x + 9x^2 + 1/3", "B(0,1)", 3),
+        (2, "5x + 1/2 + 4x^2", "B(0,1)", 3),
+        (2, "x + 1/4", "B(0,2)", 2),
+    ],
+)
+def test_edges_match_residue_oracle_p2_and_rescaled(p, map_text, domain_text, depth):
+    f, X = parse_map(map_text, p), parse_domain(domain_text, p)
+    report = classify(f, X)
+    top = min(report.transport_level, X.base_level)
+    for t in range(top, top - depth, -1):
+        G = build_digraph(f, X, t, report)
+        assert G.height == X.height_exponent()
+        assert G.keys == tuple(b.key for b in decompose(X, t))
+        lib = {G.residues[i]: G.residues[j] for i, j in enumerate(G.succ)}
+        assert lib == _residue_oracle(f, X, t)
+
+
+def test_too_fine_level_is_refused_and_ends_the_scan():
+    # x^3 on Z_3 fixes every residue mod 3 and collapses balls mod 9; with
+    # a budget of 5 balls, level -2 (9 balls) cannot be built, so the scan
+    # stops at -1 with an honest Undecided
+    f, X = parse_map("x^3", 3), CompactDomain.zp(3)
+    tight = AnalysisConfig(ball_cap=5)
+    report = classify(f, X, tight)
+    with pytest.raises(DecompositionTooLarge, match=r"^decomposition at level -2 needs 9 balls \(cap 5\)$"):
+        build_digraph(f, X, -2, report, tight)
+    verdict = mp_check(f, X, report, tight)
+    assert verdict.kind == "Undecided"
+    assert verdict.scanned_to == -1
+    assert mp_check(f, X, report).kind == "NotMeasurePreserving"
+
+
+def _functional_graph(succ):
+    """A LevelDigraph on Z_2 whose vertex i points to succ[i] (the cycle
+    walk reads only the successor indices)."""
+    n = len(succ)
+    return LevelDigraph(2, -n, CompactDomain.zp(2), 0, tuple(range(n)), tuple(succ))
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_cycle_walk_matches_iterating_the_map(succ):
+    n = len(succ)
+    # v lies on a cycle iff it returns to itself within n steps
+    on_cycle = []
+    for v in range(n):
+        u = succ[v]
+        for _ in range(n):
+            if u == v:
+                break
+            u = succ[u]
+        on_cycle.append(u == v)
+    cycles = set()
+    for v in range(n):
+        if on_cycle[v]:
+            orbit = [v]
+            while succ[orbit[-1]] != v:
+                orbit.append(succ[orbit[-1]])
+            k = orbit.index(min(orbit))
+            cycles.add(tuple(orbit[k:] + orbit[:k]))
+    dec = cycle_decomposition(_functional_graph(succ))
+    assert dec.cycle_indices == tuple(sorted(cycles))
+    assert dec.tail_indices == tuple(v for v in range(n) if not on_cycle[v])
+
+
+def test_cycle_entered_from_a_tail_starts_at_its_smallest_vertex():
+    # 0 -> 3 -> 2 -> 3: the walk from 0 enters the cycle {2, 3} at 3
+    dec = cycle_decomposition(_functional_graph([3, 1, 3, 2]))
+    assert dec.cycle_indices == ((1,), (2, 3))
+    assert dec.tail_indices == (0,)
+    assert [[int(b.key) for b in c] for c in dec.cycles] == [[1], [2, 3]]

@@ -74,6 +74,9 @@ CASES.update({
     "error-prime-one": ["-p", "1", "--map", "x+1", "--domain", "Zp", "mp"],
     "error-seed-zero-denominator": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "1/0"],
     "error-seed-not-a-number": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "abc"],
+    "error-seed-negative-valuation": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "1/7"],
+    "error-hensel-precision-zero": ["-p", "7", "--map", "x^2-2", "hensel",
+                                    "--seed", "3", "--prec", "0"],
 })
 
 

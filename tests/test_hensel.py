@@ -5,7 +5,12 @@ import pytest
 
 import padicdyn.hensel
 from padicdyn import Polynomial, fraction_valuation, hensel_lift, poly_eval
-from padicdyn.errors import CertificateFailed, HenselPreconditionFailed
+from padicdyn.errors import (
+    CertificateFailed,
+    HenselPreconditionFailed,
+    InvalidHenselInput,
+    PadicDynError,
+)
 from padicdyn.hensel import certifies_root_in_radius, hensel_precondition
 from padicdyn.padics import unit_residue
 from padicdyn.polynomials import poly_derivative
@@ -52,6 +57,18 @@ def test_requires_integral_inputs():
         hensel_lift(Polynomial.of([Fraction(1, 7), 1], 7), Fraction(0), 2)
     with pytest.raises(ValueError):
         hensel_lift(Polynomial.of([1, 1], 7), Fraction(1, 7), 2)
+
+
+def test_input_errors_are_library_errors_and_value_errors():
+    # the CLI reports PadicDynError as "error: ..." with exit status 1
+    F = Polynomial.of([-2, 0, 1], 7)
+    for args in [(Polynomial.of([Fraction(1, 7), 1], 7), Fraction(0), 2),
+                 (F, Fraction(1, 7), 2),
+                 (F, Fraction(3), 0)]:
+        with pytest.raises(InvalidHenselInput) as info:
+            hensel_lift(*args)
+        assert isinstance(info.value, PadicDynError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_postcondition_failure_is_a_typed_error(monkeypatch):

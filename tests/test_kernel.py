@@ -1,0 +1,182 @@
+"""The integer level-digraph kernel against per-vertex exact evaluation.
+
+The oracle evaluates f at every ball's key in exact fractions and takes the
+canonical key of the image, as the digraph was first defined; the kernel
+must give the same vertices, the same edges and the same errors.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
+
+from padicdyn import Ball, CompactDomain, build_digraph, canonical_key, classify, decompose
+from padicdyn.digraph import _successors
+from padicdyn.domains import decompose_residues
+from padicdyn.errors import (
+    DepthCapExceeded,
+    NotForwardInvariant,
+    PadicDynError,
+    PoleInDomain,
+)
+from padicdyn.maps import map_from_coefficients
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+MAX_VERTICES = 800
+
+
+def oracle(f, X, t):
+    """(keys, edges, escaping) by exact evaluation; raises PoleInDomain at
+    the first key where the denominator vanishes."""
+    balls = decompose(X, t)
+    edges, escaping = {}, []
+    for b in balls:
+        image = f.eval(b.key)
+        if X.contains(image):
+            edges[b.key] = canonical_key(image, t, f.prime)
+        else:
+            escaping.append((b, image))
+    return [b.key for b in balls], edges, escaping
+
+
+def kernel(f, X, t):
+    M, residues = decompose_residues(X, t)
+    succ = _successors(f, X, t, M, residues)
+    keys = [Fraction(y, f.prime**M) for y in residues]
+    return keys, {keys[i]: keys[j] for i, j in enumerate(succ)}
+
+
+@st.composite
+def domains(draw, p, kinds=("zp", "ball", "punctured", "beyond")):
+    """Z_p, a sub-ball, Z_p with a ball removed, or a ball beyond Z_p
+    (B(0,1), B(0,2), B(c/p, 0)), so the rescaling exponent M reaches 2."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zp":
+        return CompactDomain.zp(p)
+    level = draw(st.integers(-2, -1))
+    center = draw(st.integers(0, p**2 - 1))
+    if kind == "ball":
+        return CompactDomain.ball(center, level, p)
+    if kind == "punctured":
+        return CompactDomain.zp(p).difference(CompactDomain.ball(center, level, p))
+    radius = draw(st.integers(0, 2))
+    if radius == 0:
+        return CompactDomain.ball(Fraction(draw(st.integers(1, p - 1)), p), 0, p)
+    return CompactDomain.ball(0, radius, p)
+
+
+@st.composite
+def instances(draw):
+    p = draw(PRIMES)
+    pc = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5))
+    qc = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+    assume(any(qc))
+    f = map_from_coefficients(pc, qc, p)
+    X = draw(domains(p))
+    depth = draw(st.integers(0, 3))
+    t = X.base_level - depth
+    assume(X.ball_count * p**depth <= MAX_VERTICES)
+    return f, X, t
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(instances())
+def test_kernel_matches_exact_evaluation(instance):
+    f, X, t = instance
+    try:
+        keys, edges, escaping = oracle(f, X, t)
+    except PoleInDomain as exc:
+        event("pole")
+        with pytest.raises(PoleInDomain) as info:
+            kernel(f, X, t)
+        assert str(info.value) == str(exc)
+        return
+    if escaping:
+        event("escape")
+        with pytest.raises(NotForwardInvariant) as info:
+            kernel(f, X, t)
+        first = escaping[0]
+        assert str(info.value) == (
+            f"{len(escaping)} ball(s) leave the domain, first: {first[0]} -> {first[1]}"
+        )
+        assert info.value.escaping == tuple(escaping)
+        return
+    event(f"digraph, M = {X.height_exponent()}")
+    assert kernel(f, X, t) == (keys, edges)
+
+
+@st.composite
+def one_lipschitz_instances(draw):
+    """Maps that are 1-Lipschitz on B(0, M) and keep it invariant:
+    P(x) = c0 / p^M + sum_i c_i p^(M(i-1)) x^i over Q = 1 + k p^(M+1) x,
+    on B(0, M) itself or, for M = 0, on a ball or punctured Z_p.
+
+    Beyond Z_p only M = 1 with p <= 3 and degree <= 2: there the certified
+    radius is loose, and classify alone takes seconds for larger ones."""
+    M = draw(st.integers(0, 1))
+    p = draw(PRIMES if M == 0 else st.sampled_from([2, 3]))
+    pc = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=5 if M == 0 else 3))
+    P = [Fraction(pc[0], p**M)] + [c * p ** (M * (i - 1)) for i, c in enumerate(pc) if i]
+    Q = [1, draw(st.integers(-5, 5)) * p ** (M + 1)]
+    f = map_from_coefficients(P, Q, p)
+    assume(f.P.degree >= 1)
+    X = CompactDomain.ball(0, M, p) if M else draw(domains(p, ("zp", "ball", "punctured")))
+    return f, X
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(one_lipschitz_instances())
+def test_edges_commute_with_parents_below_the_transport_level(instance):
+    f, X = instance
+    try:
+        report = classify(f, X)
+        top = min(report.transport_level, X.base_level)
+        G = build_digraph(f, X, top, report)
+    except (NotForwardInvariant, DepthCapExceeded):
+        assume(False)
+    p, M = f.prime, X.height_exponent()
+    levels = [top]
+    while len(G.succ) * p ** len(levels) <= MAX_VERTICES and len(levels) < 4:
+        levels.append(top - len(levels))
+    graphs = [G] + [build_digraph(f, X, t, report) for t in levels[1:]]
+    for coarse, fine in zip(graphs, graphs[1:]):
+        # parent of a rescaled key at level t - 1: its residue mod p^(M - t)
+        mod = p ** (M - coarse.level)
+        where = {y: i for i, y in enumerate(coarse.residues)}
+        for i, j in enumerate(fine.succ):
+            parent = where[fine.residues[i] % mod]
+            assert coarse.residues[coarse.succ[parent]] == fine.residues[j] % mod
+    # the same statement on Balls, for the coarsest pair
+    if len(graphs) > 1:
+        coarse, fine = graphs[0], graphs[1]
+        for v in fine.vertices:
+            assert fine.edge[v].parent() == coarse.edge[v.parent()]
+
+
+def test_kernel_rejects_a_non_integral_map():
+    f = map_from_coefficients([1, 1], [1], 3)
+    broken = type(f)(**{**vars(f), "P": f.P.scale(Fraction(1, 2))})
+    X = CompactDomain.zp(3)
+    with pytest.raises(PadicDynError, match="non-integral coefficient 1/2"):
+        kernel(broken, X, -1)
+
+
+def test_a_pole_wins_over_earlier_escapes():
+    # 1/(3x - 3) on Z_3 at level -1: key 0 escapes (image -1/3), key 1 is
+    # a pole; as with per-key evaluation, the pole is raised
+    f = map_from_coefficients([1], [-3, 3], 3)
+    assert not CompactDomain.zp(3).contains(f.eval(0))
+    with pytest.raises(PoleInDomain, match="^denominator vanishes at 1$"):
+        kernel(f, CompactDomain.zp(3), -1)
+    with pytest.raises(PoleInDomain, match="^denominator vanishes at 1$"):
+        oracle(f, CompactDomain.zp(3), -1)
+
+
+def test_escaping_balls_carry_their_images():
+    # x/3 + 1 on B(1,-1): the only ball escapes, with image 4/3
+    g = map_from_coefficients([3, 1], [3], 3)
+    with pytest.raises(NotForwardInvariant) as info:
+        kernel(g, CompactDomain.ball(1, -1, 3), -1)
+    assert info.value.escaping == ((Ball(-1, Fraction(1), 3), Fraction(4, 3)),)

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from padicdyn import INF, CompactDomain, Polynomial, canonical_key
 from padicdyn.errors import InvalidPrime, PrimeMismatch, ZeroDenominator
 from padicdyn.maps import map_from_coefficients
-from padicdyn.padics import fraction_valuation, require_prime, unit_residue
+from padicdyn.padics import fraction_valuation, int_valuation, require_prime, unit_residue
 
 
 @pytest.mark.parametrize(
@@ -130,3 +132,42 @@ def test_require_prime_agrees_with_trial_division():
             continue
         accepted.append(n)
     assert accepted == small
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [1, 0, 4])
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda p: CompactDomain.zp(p),
+        lambda p: CompactDomain.ball(1, -1, p),
+        lambda p: CompactDomain.sphere(1, p),
+        lambda p: map_from_coefficients([1, 1], [1], p),
+    ],
+    ids=["zp", "ball", "sphere", "map_from_coefficients"],
+)
+def test_public_constructors_reject_a_non_prime_promptly(construct, p):
+    with _deadline(5), pytest.raises(InvalidPrime, match=f"p must be a prime: got {p}"):
+        construct(p)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_int_valuation_refuses_moduli_below_two(p):
+    # n % 1 == 0 and n % -1 == 0 for every n: the loop would never end
+    with _deadline(5), pytest.raises(InvalidPrime):
+        int_valuation(12, p)

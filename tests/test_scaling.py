@@ -17,6 +17,7 @@ from padicdyn import (
 )
 from padicdyn.config import AnalysisConfig
 from padicdyn.errors import (
+    DecompositionTooLarge,
     DepthCapExceeded,
     DerivativeRootInDomain,
     PoleInDomain,
@@ -218,3 +219,25 @@ def test_profile_constant_per_ball():
         e = report.scalar_profile[ball]
         for sub in ball.subdivide(ball.level - 2):
             assert f.scalar_exponent(sub.key) == e
+
+
+def test_descent_work_list_respects_the_ball_budget():
+    # the descent for (x^2-2)^2 + 7^9 keeps two suspect balls per level, so
+    # level -2 needs 14 balls: over a budget of 10
+    F = Polynomial.of([4 + 7**9, 0, -4, 0, 1], 7)
+    with pytest.raises(DecompositionTooLarge, match=r"^descent at level -2 needs 14 balls \(cap 10\)$"):
+        lower_bound_bF(F, CompactDomain.zp(7), AnalysisConfig(ball_cap=10))
+
+
+def test_per_ball_certification_respects_the_ball_budget():
+    # (9x^2 - 6x - 6)/6 on Z_2 has a derivative root, so it is certified ball
+    # by ball; the split at level -1 brings the balls produced to 6
+    f = parse_map("(9x^2 - 6x - 6)/6", 2)
+    X = CompactDomain.zp(2)
+    with pytest.raises(
+        DecompositionTooLarge,
+        match=r"^per-ball certification at level -2 needs 6 balls \(cap 4\)$",
+    ):
+        classify(f, X, AnalysisConfig(ball_cap=4))
+    report = classify(f, X)
+    assert (report.classification, report.transport_level) == ("Locally1Lipschitz", -2)
