@@ -12,14 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from padicdyn import (
-    CompactDomain,
-    build_digraph,
-    classify,
-    cycle_decomposition,
-    ergodic_check,
-    mp_check,
-)
+from padicdyn import Analysis, CompactDomain
 from padicdyn.errors import PadicDynError
 from padicdyn.maps import map_from_coefficients
 
@@ -69,24 +62,25 @@ def main():
             f = map_from_coefficients(pc, qc, p)
             if f.P.degree < 1:
                 continue
-            report = classify(f, X)
+            A = Analysis(f, X)
+            report = A.report
             if not report.is_one_lipschitz or report.transport_level is None:
                 stats["rejected: not 1-Lipschitz"] += 1
                 continue
-            top = min(report.transport_level, -1)
-            build_digraph(f, X, top, report)
+            top = min(A.transport_level, -1)
+            A.digraph(top)
         except PadicDynError:
             stats["rejected: pole/escape/undecidable"] += 1
             continue
         kept += 1
         stats[f"classification: {report.classification}"] += 1
-        verdict = mp_check(f, X, report)
+        verdict = A.mp()
         stats[f"measure preserving: {verdict.kind}"] += 1
         if verdict.kind == "MeasurePreserving":
-            erg = ergodic_check(f, X, -4, report)
+            erg = A.ergodic(-4)
             stats[f"ergodic scan: {erg.kind}"] += 1
         for t in range(top, -4, -1):
-            G = build_digraph(f, X, t, report)
+            G = A.digraph(t)
             oracle = brute_force_edges(f, p, t)
             lib = {int(v.key): int(G.edge[v].key) for v in G.vertices}
             assert oracle == lib, f"oracle mismatch for {f} at level {t}"

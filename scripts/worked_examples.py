@@ -10,16 +10,10 @@ import argparse
 import os
 
 from padicdyn import (
-    CompactDomain,
-    build_subsidiary,
-    classify,
+    Analysis,
     compute_N,
     cycle_decomposition,
-    ergodic_check,
     global_check,
-    intrinsic_level,
-    mp_check,
-    mp_components,
     parse_domain,
     parse_map,
 )
@@ -36,22 +30,23 @@ def analyze(name, p, map_text, domain_text, level, dot_dir=None):
     print(f"== {name}: p={p}, f={map_text}, X={domain_text}")
     f = parse_map(map_text, p)
     X = parse_domain(domain_text, p)
-    report = classify(f, X)
+    A = Analysis(f, X)
+    report = A.report
     print(f"   classification: {report.classification}, l={report.radius_exponent}")
-    t0 = intrinsic_level(f, X, report)
+    t0 = A.intrinsic_level
     print(f"   intrinsic level t0 = {t0}")
-    G = build_subsidiary(f, X, level, report)
+    G = A.subsidiary(level)
     dec = cycle_decomposition(G)
     print(
         f"   level {level}: {len(G.vertices)} balls, cycles {dec.cycle_lengths}, "
         f"{len(dec.tail_vertices)} tails, subsidiary=full: {G.is_subsidiary_equal}"
     )
-    verdict = mp_check(f, X, report)
+    verdict = A.mp()
     print(f"   measure preserving: {verdict.kind}")
-    erg = ergodic_check(f, X, level - 2, report)
+    erg = A.ergodic(level - 2)
     print(f"   ergodic scan: {erg.kind} (level {erg.level}, depth {erg.depth})")
     if t0 <= level:
-        comps = mp_components(f, X, min(level, t0), report)
+        comps = A.components(min(level, t0))
         for c in comps:
             balls = ",".join(str(b.key) for b in c.cycle)
             print(f"   component [{balls}]: {c.verdict}")

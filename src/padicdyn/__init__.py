@@ -2,6 +2,7 @@
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .digraph import (
+    Analysis,
     ComponentSelection,
     CycleDecomposition,
     ErgodicVerdict,
@@ -9,16 +10,10 @@ from .digraph import (
     MPVerdict,
     SubsidiaryEdgeData,
     build_digraph,
-    build_subsidiary,
     cycle_decomposition,
-    ergodic_check,
-    intrinsic_level,
-    mp_check,
-    mp_components,
     union_verdict,
-    verify_bijection,
 )
-from .domains import Ball, CompactDomain, decompose, locate
+from .domains import Ball, CompactDomain, decompose
 from .global_qp import (
     GlobalGateReport,
     GlobalVerdict,
@@ -42,11 +37,12 @@ from .polynomials import (
     poly_eval,
     taylor_shift,
 )
-from .scaling import ScalingReport, classify, lower_bound_bF, scaling_radius
+from .scaling import ScalingReport, classify, lower_bound_bF
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "AnalysisConfig",
     "DEFAULT_CONFIG",
     "Ball",
@@ -70,7 +66,6 @@ __all__ = [
     "SphereRegion",
     "SubsidiaryEdgeData",
     "build_digraph",
-    "build_subsidiary",
     "canonical_key",
     "certify_no_roots_qp",
     "classify",
@@ -78,25 +73,18 @@ __all__ = [
     "cycle_decomposition",
     "decompose",
     "degree_gate",
-    "ergodic_check",
     "fraction_valuation",
     "global_check",
     "global_obstruction",
     "hensel_lift",
-    "intrinsic_level",
-    "locate",
     "lower_bound_bF",
     "map_from_coefficients",
-    "mp_check",
-    "mp_components",
     "norm_constant_exponent",
     "normalize_map",
     "parse_domain",
     "parse_map",
     "poly_derivative",
     "poly_eval",
-    "scaling_radius",
     "taylor_shift",
     "union_verdict",
-    "verify_bijection",
 ]

@@ -18,13 +18,8 @@ from .digraph import (
     MEASURE_PRESERVING,
     NOT_ERGODIC,
     UNDECIDED,
-    build_digraph,
-    build_subsidiary,
+    Analysis,
     cycle_decomposition,
-    ergodic_check,
-    intrinsic_level,
-    mp_check,
-    mp_components,
 )
 from .errors import PadicDynError
 from .global_qp import (
@@ -38,7 +33,6 @@ from .global_qp import (
 from .hensel import hensel_lift
 from .parsing import QP_GLOBAL, parse_domain, parse_map, parse_seed
 from .render import digraph_to_dot, digraph_to_json, write_atomic
-from .scaling import classify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -219,7 +213,8 @@ def run(inv: Invocation, stdout=None) -> int:
             return EXIT_UNDECIDED
         return EXIT_OK
 
-    report = classify(f, domain, cfg)
+    analysis = Analysis(f, domain, cfg)
+    report = analysis.report
 
     if inv.command == "classify":
         out(f"classification: {report.classification}"
@@ -244,7 +239,7 @@ def run(inv: Invocation, stdout=None) -> int:
         return EXIT_OK
 
     if inv.command == "digraph":
-        G = build_digraph(f, domain, inv.level, report, cfg)
+        G = analysis.digraph(inv.level)
         dec = cycle_decomposition(G)
         names = G.key_strings
         out(f"vertices: {len(G.vertices)}")
@@ -256,7 +251,7 @@ def run(inv: Invocation, stdout=None) -> int:
         return EXIT_OK
 
     if inv.command == "subsidiary":
-        G = build_subsidiary(f, domain, inv.level, report, cfg)
+        G = analysis.subsidiary(inv.level)
         names = G.key_strings
         kept = sum(1 for d in G.subsidiary if d.passes)
         out(f"vertices: {len(G.vertices)}")
@@ -271,14 +266,14 @@ def run(inv: Invocation, stdout=None) -> int:
         return EXIT_OK
 
     if inv.command == "intrinsic-level":
-        t0 = intrinsic_level(f, domain, report, cfg)
+        t0 = analysis.intrinsic_level
         margin = cfg.intrinsic_margin
         levels = ", ".join(str(t0 - j) for j in range(margin + 1))
         out(f"t0: {t0} (coincidence certified at levels {levels})")
         return EXIT_OK
 
     if inv.command == "mp":
-        verdict = mp_check(f, domain, report, cfg)
+        verdict = analysis.mp()
         if verdict.kind == MEASURE_PRESERVING:
             out("MeasurePreserving")
             out(f"certified via intrinsic level {verdict.intrinsic_level}")
@@ -293,7 +288,7 @@ def run(inv: Invocation, stdout=None) -> int:
         return EXIT_OK
 
     if inv.command == "ergodic":
-        verdict = ergodic_check(f, domain, inv.depth, report, cfg)
+        verdict = analysis.ergodic(inv.depth)
         if verdict.kind == NOT_ERGODIC:
             out(f"NotErgodic at level {verdict.level} ({verdict.cycle_count} cycles)")
             out("minimality: No (same criterion)")
@@ -303,7 +298,7 @@ def run(inv: Invocation, stdout=None) -> int:
         return EXIT_UNDECIDED
 
     if inv.command == "components":
-        comps = mp_components(f, domain, inv.level, report, cfg)
+        comps = analysis.components(inv.level)
         for c in comps:
             balls = ", ".join(str(b.key) for b in c.cycle)
             out(f"component [{balls}]: {c.verdict} (route: {c.route})")

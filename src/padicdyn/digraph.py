@@ -9,7 +9,8 @@ P(y) Q(y)^-1 of the rescaled integer polynomials.  A digraph stores sorted
 residues and one successor index per vertex; Balls are built on demand.
 Cycle structure decides measure preservation and semi-decides ergodicity and
 minimality; subsidiary edge data decides how far the finite digraphs
-certify the infinite family.
+certify the infinite family.  ``Analysis`` answers these questions for one
+map and domain from one classification, building each level once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .hensel import hensel_lift
 from .maps import RationalMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, fraction_valuation
 from .polynomials import Polynomial, poly_eval, taylor_shift
-from .scaling import ScalingReport, classify
+from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify
 
 MEASURE_PRESERVING = "MeasurePreserving"
 NOT_MEASURE_PRESERVING = "NotMeasurePreserving"
@@ -109,16 +110,6 @@ class LevelDigraph:
             raise ValueError("subsidiary data was not computed")
         return all(d.passes for d in self.subsidiary)
 
-    def subsidiary_edges(self) -> list[tuple[Ball, Ball]]:
-        if self.subsidiary is None:
-            raise ValueError("subsidiary data was not computed")
-        V = self.vertices
-        return [
-            (V[i], V[j])
-            for i, j in enumerate(self.succ)
-            if self.subsidiary[i].passes
-        ]
-
     def in_degrees(self) -> list[int]:
         """In-degree of each vertex, in vertex order."""
         deg = [0] * len(self.succ)
@@ -188,40 +179,19 @@ class ErgodicVerdict:
     depth: int | None = None
 
 
-def _transport_level(
-    f: RationalMap,
-    X: CompactDomain,
-    report: ScalingReport | None,
-    config: AnalysisConfig,
-) -> tuple[ScalingReport, int]:
-    if report is None:
-        report = classify(f, X, config)
-    if not report.is_one_lipschitz or report.transport_level is None:
-        raise NotOneLipschitz(
-            "digraph levels are only defined for locally 1-Lipschitz maps "
-            f"(classification: {report.classification})"
-        )
-    return report, report.transport_level
-
-
 def build_digraph(
     f: RationalMap,
     X: CompactDomain,
     t: int,
-    report: ScalingReport | None = None,
     config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> LevelDigraph:
     """The level-t digraph: one out-edge per ball, towards the ball holding
     the image of its key.
 
-    Requires t at or below the certified transport level, and the domain to
-    be forward invariant at the representatives.
+    Requires the domain to be forward invariant at the representatives.
+    The edges are f's level-t digraph only at or below the certified
+    transport level, which ``Analysis.digraph`` checks before it builds.
     """
-    report, level = _transport_level(f, X, report, config)
-    if t > level:
-        raise LevelTooCoarse(
-            f"level {t} is above the certified 1-Lipschitz level {level}"
-        )
     M, residues = decompose_residues(X, t, config)
     succ = _successors(f, X, t, M, residues)
     return LevelDigraph(
@@ -383,24 +353,6 @@ def subsidiary_edge_data(
     return SubsidiaryEdgeData(s, (b1, b2, b3, b4), passes)
 
 
-def build_subsidiary(
-    f: RationalMap,
-    X: CompactDomain,
-    t: int,
-    report: ScalingReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> LevelDigraph:
-    """The level-t digraph with subsidiary admission data on every edge."""
-    report, level = _transport_level(f, X, report, config)
-    G = build_digraph(f, X, t, report, config)
-    keys = G.keys
-    data = tuple(
-        subsidiary_edge_data(f, keys[i], keys[j], t, level)
-        for i, j in enumerate(G.succ)
-    )
-    return replace(G, subsidiary=data)
-
-
 def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
     """Cycles and tails of the out-degree-1 functional graph.
 
@@ -438,190 +390,6 @@ def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
     )
 
 
-def intrinsic_level(
-    f: RationalMap,
-    X: CompactDomain,
-    report: ScalingReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> int:
-    """Largest level t where the subsidiary digraph keeps every edge, with a
-    guard margin of coinciding levels below it.
-
-    Coincidence below a candidate is verified rather than assumed (it is not
-    monotone by construction), so the returned level carries
-    ``config.intrinsic_margin`` extra certificate levels.
-    """
-    report, level = _transport_level(f, X, report, config)
-    if not report.derivative_root_free:
-        raise DerivativeRootInDomain(
-            "intrinsic level requires a root-free derivative on the domain"
-        )
-    cache: dict[int, bool] = {}
-
-    def coincides(t: int) -> bool:
-        if t not in cache:
-            cache[t] = build_subsidiary(f, X, t, report, config).is_subsidiary_equal
-        return cache[t]
-
-    floor = level - config.descent_cap
-    for t in range(level, floor - 1, -1):
-        if all(coincides(t - j) for j in range(config.intrinsic_margin + 1)):
-            return t
-    raise DepthCapExceeded(
-        f"no level down to {floor} has matching digraph and subsidiary digraph",
-        level=floor,
-    )
-
-
-def mp_check(
-    f: RationalMap,
-    X: CompactDomain,
-    report: ScalingReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> MPVerdict:
-    """Measure preservation verdict for a locally 1-Lipschitz map.
-
-    Root-free derivative: decided finitely by checking the cycle criterion
-    at the intrinsic level and one level below.  With derivative roots the
-    criterion is scanned level by level to a depth cap and an honest
-    Undecided is returned when every scanned level passes.
-    """
-    report, level = _transport_level(f, X, report, config)
-    if report.derivative_root_free:
-        t0 = intrinsic_level(f, X, report, config)
-        # a failure at a fine level forces failures at all finer levels, so
-        # scanning from the top finds the first (coarsest) counterexample
-        for t in range(level, t0 - 2, -1):
-            verdict = _cycle_failure(f, X, t, report, config)
-            if verdict is not None:
-                return verdict
-        return MPVerdict(
-            kind=MEASURE_PRESERVING, intrinsic_level=t0, route="intrinsic"
-        )
-    floor = level - config.mp_scan_depth
-    for t in range(level, floor - 1, -1):
-        try:
-            verdict = _cycle_failure(f, X, t, report, config)
-        except DecompositionTooLarge:
-            return MPVerdict(kind=UNDECIDED, scanned_to=t + 1, route="scan")
-        if verdict is not None:
-            return verdict
-    return MPVerdict(kind=UNDECIDED, scanned_to=floor, route="scan")
-
-
-def _cycle_failure(f, X, t, report, config) -> MPVerdict | None:
-    G = build_digraph(f, X, t, report, config)
-    deg = G.in_degrees()
-    if max(deg) <= 1:
-        return None
-    # the first vertex with in-degree >= 2 has the smallest such key
-    i = next(i for i, d in enumerate(deg) if d >= 2)
-    return MPVerdict(
-        kind=NOT_MEASURE_PRESERVING,
-        witness_level=t,
-        witness_ball=G.vertices[i],
-        in_degree=deg[i],
-        route="cycle-criterion",
-    )
-
-
-def ergodic_check(
-    f: RationalMap,
-    X: CompactDomain,
-    depth: int,
-    report: ScalingReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> ErgodicVerdict:
-    """Single-cycle scan down to ``depth``.
-
-    NotErgodic is definitive; a full pass is only a certificate to the
-    scanned depth since the criterion quantifies over every level.  The
-    same verdict answers minimality.
-    """
-    report, level = _transport_level(f, X, report, config)
-    if depth > level:
-        raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
-    for t in range(level, depth - 1, -1):
-        G = build_digraph(f, X, t, report, config)
-        dec = cycle_decomposition(G)
-        if not dec.is_single_cycle:
-            return ErgodicVerdict(
-                kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices)
-            )
-    return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
-
-
-def mp_components(
-    f: RationalMap,
-    X: CompactDomain,
-    t: int,
-    report: ScalingReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> list[ComponentSelection]:
-    """Per-cycle measure preservation verdicts at a level t <= t0.
-
-    For a local isometry every union of cycles is measure preserving; in
-    general a cycle survives exactly when its balls stay a union of cycles
-    one level down.  Verdicts for unions combine conjunctively
-    (see ``union_verdict``).
-    """
-    report, level = _transport_level(f, X, report, config)
-    t0 = intrinsic_level(f, X, report, config)
-    if t > t0:
-        raise LevelAboveIntrinsic(
-            f"components are certified only at levels <= t0 = {t0}, got {t}"
-        )
-    G = build_digraph(f, X, t, report, config)
-    dec = cycle_decomposition(G)
-    isometric = report.classification == "LocallyIsometric"
-    out = []
-    finer = None
-    if not isometric:
-        finer = build_digraph(f, X, t - 1, report, config)
-    for cyc in dec.cycles:
-        domain = CompactDomain.from_balls(cyc)
-        if isometric:
-            out.append(
-                ComponentSelection(
-                    level=t,
-                    cycle=cyc,
-                    domain=domain,
-                    verdict=MEASURE_PRESERVING,
-                    route="isometric",
-                )
-            )
-            continue
-        # children of the cycle's balls must again be a union of cycles
-        children = {c for b in cyc for c in b.children()}
-        indeg = {c: 0 for c in children}
-        ok = True
-        witness = None
-        for c in children:
-            target = finer.edge[c]
-            if target not in indeg:
-                ok = False
-                witness = c
-                break
-            indeg[target] += 1
-        if ok:
-            bad = [c for c, d in indeg.items() if d != 1]
-            if bad:
-                ok = False
-                witness = min(bad, key=lambda b: b.key)
-        out.append(
-            ComponentSelection(
-                level=t,
-                cycle=cyc,
-                domain=domain,
-                verdict=MEASURE_PRESERVING if ok else NOT_MEASURE_PRESERVING,
-                route="refinement",
-                witness_level=None if ok else t - 1,
-                witness_ball=witness,
-            )
-        )
-    return out
-
-
 def union_verdict(components: list[ComponentSelection]) -> str:
     return (
         MEASURE_PRESERVING
@@ -630,45 +398,237 @@ def union_verdict(components: list[ComponentSelection]) -> str:
     )
 
 
-def verify_bijection(
-    f: RationalMap,
-    X: CompactDomain,
-    source: Ball,
-    sample_level: int,
-    report: ScalingReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> bool:
-    """Certify that the edge out of ``source`` is a sampled bijection.
+class Analysis:
+    """Everything attached to f on X, from one classification of f on X.
 
-    Every representative of the target ball at ``sample_level`` is lifted
-    back through the rescaled polynomial; the lifted preimage must land in
-    the enlarged source ball of radius p^t/|f'(a)|.  Raises on the first
-    lifting failure (which would contradict the edge admission data).
+    ``report`` is computed on construction.  The transport level, the
+    intrinsic level and the digraph of each level (with and without
+    subsidiary data) are computed on first use and kept, so each level is
+    built once however many questions read it.
     """
-    report, level = _transport_level(f, X, report, config)
-    t = source.level
-    t0 = intrinsic_level(f, X, report, config)
-    if t > t0:
-        raise LevelAboveIntrinsic(f"bijectivity is certified only at t <= {t0}")
-    G = build_digraph(f, X, t, report, config)
-    target = G.edge[source]
-    p = f.prime
-    a = source.key
-    s, Pa, Qa = s_exponent(f, a, target.key)
-    e = f.scalar_exponent(a)
-    if e == NEG_INF:
-        raise CertificateFailed(
-            f"derivative vanishes at {a} although the intrinsic level requires it root-free"
+
+    def __init__(
+        self, f: RationalMap, X: CompactDomain, config: AnalysisConfig = DEFAULT_CONFIG
+    ):
+        self.f = f
+        self.X = X
+        self.config = config
+        self.report: ScalingReport = classify(f, X, config)
+        self._digraphs: dict[int, LevelDigraph] = {}
+        self._subsidiaries: dict[int, LevelDigraph] = {}
+
+    @cached_property
+    def transport_level(self) -> int:
+        """The coarsest level at which every ball maps into one ball."""
+        report = self.report
+        if not report.is_one_lipschitz or report.transport_level is None:
+            raise NotOneLipschitz(
+                "digraph levels are only defined for locally 1-Lipschitz maps "
+                f"(classification: {report.classification})"
+            )
+        return report.transport_level
+
+    def digraph(self, t: int) -> LevelDigraph:
+        """The level-t digraph, for t at or below the transport level."""
+        level = self.transport_level
+        if t > level:
+            raise LevelTooCoarse(
+                f"level {t} is above the certified 1-Lipschitz level {level}"
+            )
+        if t not in self._digraphs:
+            self._digraphs[t] = build_digraph(self.f, self.X, t, self.config)
+        return self._digraphs[t]
+
+    def subsidiary(self, t: int) -> LevelDigraph:
+        """The level-t digraph with subsidiary admission data on every edge."""
+        if t not in self._subsidiaries:
+            G = self.digraph(t)
+            keys, level = G.keys, self.transport_level
+            data = tuple(
+                subsidiary_edge_data(self.f, keys[i], keys[j], t, level)
+                for i, j in enumerate(G.succ)
+            )
+            self._subsidiaries[t] = replace(G, subsidiary=data)
+        return self._subsidiaries[t]
+
+    @cached_property
+    def intrinsic_level(self) -> int:
+        """Largest level t where the subsidiary digraph keeps every edge, with
+        a guard margin of coinciding levels below it.
+
+        Coincidence below a candidate is verified rather than assumed (it is
+        not monotone by construction), so the returned level carries
+        ``config.intrinsic_margin`` extra certificate levels.
+        """
+        level = self.transport_level
+        if not self.report.derivative_root_free:
+            raise DerivativeRootInDomain(
+                "intrinsic level requires a root-free derivative on the domain"
+            )
+        margin = self.config.intrinsic_margin
+        floor = level - self.config.descent_cap
+        for t in range(level, floor - 1, -1):
+            if all(self.subsidiary(t - j).is_subsidiary_equal for j in range(margin + 1)):
+                return t
+        raise DepthCapExceeded(
+            f"no level down to {floor} has matching digraph and subsidiary digraph",
+            level=floor,
         )
-    k = config.bijection_precision + max(0, -sample_level)
-    for b_ball in target.subdivide(sample_level):
-        b_point = b_ball.key
-        # F(x) = P(p^s x + a) - b Q(p^s x + a), integral by choice of s
-        F = Pa.shift_variable(s) - Qa.shift_variable(s).scale(b_point)
-        res = hensel_lift(F, Fraction(0), k)
-        preimage = Fraction(p) ** s * res.root + a
-        if fraction_valuation(preimage - a, p) < -(t - int(e)):
-            return False
-        if fraction_valuation(f.eval(preimage) - b_point, p) < -sample_level:
-            return False
-    return True
+
+    def mp(self) -> MPVerdict:
+        """Measure preservation verdict for a locally 1-Lipschitz map.
+
+        Root-free derivative: decided finitely by checking the cycle
+        criterion at the intrinsic level and one level below.  With
+        derivative roots the criterion is scanned level by level to a depth
+        cap and an honest Undecided is returned when every scanned level
+        passes.
+        """
+        level = self.transport_level
+        if self.report.derivative_root_free:
+            t0 = self.intrinsic_level
+            # a failure at a fine level forces failures at all finer levels,
+            # so scanning from the top finds the first (coarsest) counterexample
+            for t in range(level, t0 - 2, -1):
+                verdict = self._cycle_failure(t)
+                if verdict is not None:
+                    return verdict
+            return MPVerdict(
+                kind=MEASURE_PRESERVING, intrinsic_level=t0, route="intrinsic"
+            )
+        floor = level - self.config.mp_scan_depth
+        for t in range(level, floor - 1, -1):
+            try:
+                verdict = self._cycle_failure(t)
+            except DecompositionTooLarge:
+                return MPVerdict(kind=UNDECIDED, scanned_to=t + 1, route="scan")
+            if verdict is not None:
+                return verdict
+        return MPVerdict(kind=UNDECIDED, scanned_to=floor, route="scan")
+
+    def _cycle_failure(self, t: int) -> MPVerdict | None:
+        G = self.digraph(t)
+        deg = G.in_degrees()
+        if max(deg) <= 1:
+            return None
+        # the first vertex with in-degree >= 2 has the smallest such key
+        i = next(i for i, d in enumerate(deg) if d >= 2)
+        return MPVerdict(
+            kind=NOT_MEASURE_PRESERVING,
+            witness_level=t,
+            witness_ball=G.vertices[i],
+            in_degree=deg[i],
+            route="cycle-criterion",
+        )
+
+    def ergodic(self, depth: int) -> ErgodicVerdict:
+        """Single-cycle scan down to ``depth``.
+
+        NotErgodic is definitive; a full pass is only a certificate to the
+        scanned depth since the criterion quantifies over every level.  The
+        same verdict answers minimality.
+        """
+        level = self.transport_level
+        if depth > level:
+            raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
+        for t in range(level, depth - 1, -1):
+            dec = cycle_decomposition(self.digraph(t))
+            if not dec.is_single_cycle:
+                return ErgodicVerdict(
+                    kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices)
+                )
+        return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
+
+    def components(self, t: int) -> list[ComponentSelection]:
+        """Per-cycle measure preservation verdicts at a level t <= t0.
+
+        For a local isometry every union of cycles is measure preserving; in
+        general a cycle survives exactly when its balls stay a union of
+        cycles one level down.  Verdicts for unions combine conjunctively
+        (see ``union_verdict``).
+        """
+        t0 = self.intrinsic_level
+        if t > t0:
+            raise LevelAboveIntrinsic(
+                f"components are certified only at levels <= t0 = {t0}, got {t}"
+            )
+        dec = cycle_decomposition(self.digraph(t))
+        if self.report.classification == LOCALLY_ISOMETRIC:
+            return [
+                ComponentSelection(
+                    level=t,
+                    cycle=cyc,
+                    domain=CompactDomain.from_balls(cyc),
+                    verdict=MEASURE_PRESERVING,
+                    route="isometric",
+                )
+                for cyc in dec.cycles
+            ]
+        finer = self.digraph(t - 1)
+        out = []
+        for cyc in dec.cycles:
+            # children of the cycle's balls must again be a union of cycles
+            children = {c for b in cyc for c in b.children()}
+            indeg = {c: 0 for c in children}
+            ok = True
+            witness = None
+            for c in children:
+                target = finer.edge[c]
+                if target not in indeg:
+                    ok = False
+                    witness = c
+                    break
+                indeg[target] += 1
+            if ok:
+                bad = [c for c, d in indeg.items() if d != 1]
+                if bad:
+                    ok = False
+                    witness = min(bad, key=lambda b: b.key)
+            out.append(
+                ComponentSelection(
+                    level=t,
+                    cycle=cyc,
+                    domain=CompactDomain.from_balls(cyc),
+                    verdict=MEASURE_PRESERVING if ok else NOT_MEASURE_PRESERVING,
+                    route="refinement",
+                    witness_level=None if ok else t - 1,
+                    witness_ball=witness,
+                )
+            )
+        return out
+
+    def verify_bijection(self, source: Ball, sample_level: int) -> bool:
+        """Certify that the edge out of ``source`` is a sampled bijection.
+
+        Every representative of the target ball at ``sample_level`` is
+        lifted back through the rescaled polynomial; the lifted preimage
+        must land in the enlarged source ball of radius p^t/|f'(a)|.  Raises
+        on the first lifting failure (which would contradict the edge
+        admission data).
+        """
+        f = self.f
+        t = source.level
+        t0 = self.intrinsic_level
+        if t > t0:
+            raise LevelAboveIntrinsic(f"bijectivity is certified only at t <= {t0}")
+        target = self.digraph(t).edge[source]
+        p = f.prime
+        a = source.key
+        s, Pa, Qa = s_exponent(f, a, target.key)
+        e = f.scalar_exponent(a)
+        if e == NEG_INF:
+            raise CertificateFailed(
+                f"derivative vanishes at {a} although the intrinsic level requires it root-free"
+            )
+        k = self.config.bijection_precision + max(0, -sample_level)
+        for b_ball in target.subdivide(sample_level):
+            b_point = b_ball.key
+            # F(x) = P(p^s x + a) - b Q(p^s x + a), integral by choice of s
+            F = Pa.shift_variable(s) - Qa.shift_variable(s).scale(b_point)
+            res = hensel_lift(F, Fraction(0), k)
+            preimage = Fraction(p) ** s * res.root + a
+            if fraction_valuation(preimage - a, p) < -(t - int(e)):
+                return False
+            if fraction_valuation(f.eval(preimage) - b_point, p) < -sample_level:
+                return False
+        return True

@@ -16,13 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .errors import (
-    EmptyDomain,
-    LevelTooCoarse,
-    NotInDomain,
-    PrimeMismatch,
-)
-from .padics import NEG_INF, canonical_key, fraction_valuation, require_prime
+from .errors import EmptyDomain, LevelTooCoarse, PrimeMismatch
+from .padics import canonical_key, fraction_valuation, require_prime
 
 
 @dataclass(frozen=True)
@@ -38,18 +33,11 @@ class Ball:
         return Ball(level, canonical_key(x, level, p), p)
 
     @property
-    def measure_exponent(self) -> int:
-        return self.level
-
-    @property
     def measure(self) -> Fraction:
         return Fraction(self.prime) ** self.level
 
     def contains(self, x: int | Fraction) -> bool:
         return fraction_valuation(x - self.key, self.prime) >= -self.level
-
-    def contains_ball(self, other: "Ball") -> bool:
-        return other.level <= self.level and self.contains(other.key)
 
     def child(self, digit: int) -> "Ball":
         step = Fraction(self.prime) ** (-self.level)
@@ -142,10 +130,6 @@ class CompactDomain:
         )
 
     @property
-    def ball_count(self) -> int:
-        return len(self.keys)
-
-    @property
     def measure(self) -> Fraction:
         return len(self.keys) * Fraction(self.prime) ** self.base_level
 
@@ -231,22 +215,3 @@ def _check_decomposition(X: CompactDomain, t: int, config: AnalysisConfig) -> No
             f"domain is expressed at level {X.base_level}; cannot decompose at {t}"
         )
     config.check_ball_budget(len(X.keys) * X.prime ** (X.base_level - t), "decomposition", t)
-
-
-def locate(X: CompactDomain, x: int | Fraction, t: int) -> Ball:
-    """The level-t ball of X containing x; NotInDomain otherwise."""
-    if not X.contains(x):
-        best = NEG_INF
-        for k in X.keys:
-            v = fraction_valuation(x - k, X.prime)
-            best = max(best, v)
-        dist = NEG_INF if best is NEG_INF else -best
-        raise NotInDomain(
-            f"{x} is not in the domain (nearest ball at distance exponent {dist})",
-            distance_exponent=dist,
-        )
-    if t > X.base_level:
-        raise LevelTooCoarse(
-            f"domain is expressed at level {X.base_level}; cannot locate at {t}"
-        )
-    return Ball(t, canonical_key(x, t, X.prime), X.prime)

@@ -40,15 +40,6 @@ class DecompositionTooLarge(PadicDynError):
     """A decomposition would exceed the configured ball budget."""
 
 
-class NotInDomain(PadicDynError):
-    """A point fell outside the domain.  ``distance_exponent`` is the exponent
-    of the p-adic distance to the nearest ball."""
-
-    def __init__(self, message: str, distance_exponent=None):
-        super().__init__(message)
-        self.distance_exponent = distance_exponent
-
-
 class NotForwardInvariant(PadicDynError):
     """The map sends some balls of the domain outside it; ``escaping`` lists
     (ball, image point) pairs."""

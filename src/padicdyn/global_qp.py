@@ -16,13 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .digraph import (
-    MEASURE_PRESERVING,
-    MPVerdict,
-    UNDECIDED,
-    build_digraph,
-    mp_check,
-)
+from .digraph import MEASURE_PRESERVING, UNDECIDED, Analysis, MPVerdict
 from .domains import Ball, CompactDomain, decompose
 from .errors import (
     DepthCapExceeded,
@@ -33,7 +27,7 @@ from .errors import (
 from .maps import RationalMap
 from .padics import ceil_div, fraction_valuation
 from .polynomials import Polynomial, poly_divexact, poly_gcd
-from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify, lower_bound_bF
+from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF
 
 MINIMALITY = "Minimality"
 ERGODICITY = "Ergodicity"
@@ -263,16 +257,17 @@ def global_check(
     if gate.q1_certification == "unknown":
         return _failed(gate, ReductionFailure.DENOMINATOR_UNDECIDED)
     ball_domain = CompactDomain.ball(0, gate.N_exponent - 1, f.prime)
-    report = classify(f, ball_domain, config)
+    analysis = Analysis(f, ball_domain, config)
+    report = analysis.report
     if not report.is_one_lipschitz:
         return _failed(gate, ReductionFailure.NOT_ONE_LIPSCHITZ, report)
     try:
-        build_digraph(f, ball_domain, report.transport_level, report, config)
+        analysis.digraph(analysis.transport_level)
     except NotForwardInvariant:
         gate = replace(gate, forward_invariant_ball=False)
         return _failed(gate, ReductionFailure.BALL_NOT_INVARIANT, report)
     gate = replace(gate, forward_invariant_ball=True)
-    mp = mp_check(f, ball_domain, report, config)
+    mp = analysis.mp()
     if mp.kind == UNDECIDED:
         iso = mp_verdict = ("Undecided", "cycle criterion undecided")
     elif mp.kind == MEASURE_PRESERVING:

@@ -22,7 +22,6 @@ from .domains import Ball, CompactDomain, decompose
 from .errors import (
     CertificateFailed,
     DepthCapExceeded,
-    DerivativeRootInDomain,
     PoleInDomain,
     RootCertified,
 )
@@ -164,28 +163,6 @@ def _denominator_bound(
         raise PoleInDomain(
             f"denominator has a root in the domain: {exc}", ball=exc.ball
         ) from exc
-
-
-def scaling_radius(
-    f: RationalMap, X: CompactDomain, config: AnalysisConfig = DEFAULT_CONFIG
-) -> ScalingReport:
-    """Radius exponent l and per-ball scalars for a root-free derivative.
-
-    Requires Q and T1 = P'Q - PQ' to have no roots in X (certified by the
-    descent); on every level-l ball |f(x)-f(y)| = |f'(a)| |x-y| exactly.
-    """
-    b_q = _denominator_bound(f, X, config)
-    if f.t1.is_zero():
-        raise DerivativeRootInDomain(
-            "derivative vanishes identically (constant map)"
-        )
-    try:
-        b_t1 = lower_bound_bF(f.t1, X, config)
-    except RootCertified as exc:
-        raise DerivativeRootInDomain(
-            f"derivative has a root in the domain: {exc}", ball=exc.ball
-        ) from exc
-    return _root_free_report(f, X, b_q, b_t1, config)
 
 
 def _root_free_report(

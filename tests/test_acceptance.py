@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import (
+    Analysis,
     CompactDomain,
     Polynomial,
-    build_digraph,
     classify,
     cycle_decomposition,
     decompose,
@@ -21,12 +21,9 @@ from padicdyn import (
     fraction_valuation,
     global_obstruction,
     hensel_lift,
-    intrinsic_level,
-    mp_check,
     parse_domain,
     parse_map,
     poly_eval,
-    scaling_radius,
 )
 from padicdyn.cli import EXIT_OK, invocation_from_args, run
 from padicdyn.errors import (
@@ -78,7 +75,7 @@ def test_criterion_1_two_ball_digraph_reproduction(tmp_path):
         assert "cycle lengths: [2, 6, 6]" in out
         f = parse_map("(x^2-1)/x", 7)
         X = parse_domain("B(2,-1)+B(5,-1)", 7)
-        dec = cycle_decomposition(build_digraph(f, X, -2))
+        dec = cycle_decomposition(Analysis(f, X).digraph(-2))
         key_sets = [set(int(v.key) for v in c) for c in dec.cycles]
         assert {2, 9, 23, 26, 40, 47} in key_sets
         assert sorted(len(c) for c in dec.cycles) == [2, 6, 6]
@@ -108,10 +105,10 @@ def test_criterion_3_punctured_domain_reproduction():
         for k in (0, 3, 6):
             assert f"component [{k}]: MeasurePreserving" in out
         f = parse_map("(2x^3+x^2+x)/(x^2+1)", 3)
-        from padicdyn import mp_components, union_verdict
+        from padicdyn import union_verdict
 
-        comps = {int(c.cycle[0].key): c for c in
-                 mp_components(f, parse_domain("Zp-B(4,-2)-B(5,-2)", 3), -2)}
+        A = Analysis(f, parse_domain("Zp-B(4,-2)-B(5,-2)", 3))
+        comps = {int(c.cycle[0].key): c for c in A.components(-2)}
         y2 = CompactDomain.from_balls(
             [b for k in (0, 3, 6) for b in comps[k].cycle]
         )
@@ -125,12 +122,10 @@ def test_criterion_4_quartic_global_reproduction():
         gate = compute_N(f)
         assert gate.gate_passed and gate.N_exponent == 1
         Z3 = CompactDomain.zp(3)
-        report = classify(f, Z3)
-        assert report.radius_exponent == -1
-        assert intrinsic_level(f, Z3, report) == -1
-        from padicdyn import build_subsidiary
-
-        G = build_subsidiary(f, Z3, -1, report)
+        A = Analysis(f, Z3)
+        assert A.report.radius_exponent == -1
+        assert A.intrinsic_level == -1
+        G = A.subsidiary(-1)
         dec = cycle_decomposition(G)
         assert dec.is_single_cycle and dec.cycle_lengths == [3]
         assert G.is_subsidiary_equal
@@ -148,7 +143,8 @@ def test_criterion_5_radius_agreement():
             ("(x^4+x^3+2x^2+1)/(x^3-x+1)", "Zp", 3, -1),
         ]
         for text, dom, p, expected in cases:
-            report = scaling_radius(parse_map(text, p), parse_domain(dom, p))
+            report = classify(parse_map(text, p), parse_domain(dom, p))
+            assert report.derivative_root_free
             assert report.radius_exponent == expected
 
 
@@ -169,14 +165,14 @@ def _random_one_lipschitz_maps(count, seed=20260811):
             if f.Q.degree < 0 or f.P.degree < 1:
                 continue
             X = CompactDomain.zp(p)
-            report = classify(f, X)
-            if not report.is_one_lipschitz or report.transport_level is None:
+            A = Analysis(f, X)
+            if not A.report.is_one_lipschitz or A.report.transport_level is None:
                 continue
-            top = min(report.transport_level, -1)
-            build_digraph(f, X, top, report)
+            top = min(A.transport_level, -1)
+            A.digraph(top)
         except (PadicDynError, DepthCapExceeded):
             continue
-        kept.append((p, f, report, top))
+        kept.append((p, f, A, top))
     return kept
 
 
@@ -210,10 +206,9 @@ def test_criterion_6_oracle_equivalence():
     with _Budget("6 (oracle equivalence, 200 maps)", 60.0):
         maps = _random_one_lipschitz_maps(200)
         assert len(maps) >= 200
-        for p, f, report, top in maps:
-            X = CompactDomain.zp(p)
+        for p, f, A, top in maps:
             for t in range(top, -5, -1):
-                G = build_digraph(f, X, t, report)
+                G = A.digraph(t)
                 lib_edges = {int(v.key): int(G.edge[v].key) for v in G.vertices}
                 oracle = _brute_force_edges(f, p, t)
                 assert oracle is not None, f"oracle rejected accepted map {f}"
@@ -277,10 +272,10 @@ def test_criterion_8_preserving_maps_are_isometries():
         for text, dom, p in instances:
             f = parse_map(text, p)
             X = parse_domain(dom, p)
-            report = classify(f, X)
-            verdict = mp_check(f, X, report)
+            A = Analysis(f, X)
+            verdict = A.mp()
             assert verdict.kind == "MeasurePreserving"
-            l = report.radius_exponent
+            l = A.report.radius_exponent
             balls = decompose(X, l)
             done = 0
             while done < 1000:

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -16,13 +17,14 @@ from fractions import Fraction
 
 from padicdyn.render import digraph_to_json
 from padicdyn import (
+    Analysis,
     CompactDomain,
     build_digraph,
-    build_subsidiary,
     cycle_decomposition,
     parse_domain,
     parse_map,
 )
+from padicdyn import digraph, scaling
 from padicdyn.digraph import LevelDigraph, SubsidiaryEdgeData
 from padicdyn.padics import INF, NEG_INF
 
@@ -152,6 +154,51 @@ def test_compact_command_on_qp_rejected(capsys):
     assert main(["-p", "5", "--map", "x", "--domain", "Qp", "mp"]) == EXIT_ERROR
 
 
+PUNCTURED_ARGS = ["-p", "3", "--map", "(2x^3+x^2+x)/(x^2+1)", "--domain", "Zp-B(4,-2)-B(5,-2)"]
+QUARTIC_ARGS = ["-p", "3", "--map", "(x^4+x^3+2x^2+1)/(x^3-x+1)", "--domain", "Zp"]
+
+
+def _record_calls(monkeypatch, fn, calls):
+    """Append the positional arguments of every call of ``fn`` to ``calls``,
+    through every binding of ``fn`` in the loaded padicdyn modules."""
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "padicdyn" or name.startswith("padicdyn."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+
+
+def _counted_ops():
+    """(name, argv, classify calls) of each op whose builds are counted."""
+    for name, args in (("two-ball", P7_ARGS), ("punctured", PUNCTURED_ARGS),
+                       ("quartic", QUARTIC_ARGS)):
+        yield f"{name}-mp", args + ["mp"], 1
+        yield f"{name}-components", args + ["components", "--level", "-2"], 1
+        # the two-ball map's denominator x has a root in Q_p, so its global
+        # op stops before the reduction ball is classified
+        yield f"{name}-global", args[:4] + ["--domain", "Qp", "global"], int(name != "two-ball")
+    yield "shift-third-global", ["-p", "3", "--map", "x+1/3", "global"], 1
+
+
+@pytest.mark.parametrize(
+    "argv,classify_calls", [pytest.param(a, c, id=n) for n, a, c in _counted_ops()]
+)
+def test_each_level_is_built_once_per_op(monkeypatch, argv, classify_calls):
+    builds, classifications = [], []
+    _record_calls(monkeypatch, digraph.build_digraph, builds)
+    _record_calls(monkeypatch, scaling.classify, classifications)
+    code, _ = run_cli(argv)
+    assert code == EXIT_OK
+    levels = [args[2] for args in builds]
+    assert len(levels) == len(set(levels)), sorted(levels)
+    assert len(classifications) == classify_calls
+    assert bool(levels) == bool(classify_calls)
+
+
 def test_level_flags_are_exponents():
     # a decimal radius is a parse error, not silently accepted
     with pytest.raises(SystemExit):
@@ -219,7 +266,7 @@ def _json_cases():
     yield "plain, no tails", build_digraph(p7_map, p7_domain, -2)
     punctured = (parse_map("(2x^3+x^2+x)/(x^2+1)", 3), parse_domain("Zp-B(4,-2)-B(5,-2)", 3))
     yield "plain, with tails", build_digraph(*punctured, -2)
-    yield "subsidiary", build_subsidiary(*punctured, -3)
+    yield "subsidiary", Analysis(*punctured).subsidiary(-3)
     shift = parse_map("x + 1/3", 3)
     yield "beyond Z_p", build_digraph(shift, CompactDomain.ball(0, 1, 3), -3)
 
@@ -248,7 +295,7 @@ def test_json_writer_on_hand_built_subsidiary_bounds():
 def test_json_round_trip():
     f = parse_map("(x^2-1)/x", 7)
     X = parse_domain("B(2,-1)+B(5,-1)", 7)
-    G = build_subsidiary(f, X, -2)
+    G = Analysis(f, X).subsidiary(-2)
     text = digraph_to_json(G, cycle_decomposition(G))
     loaded = digraph_from_json(text)
     direct = structural_form(G)

@@ -6,21 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padicdyn import (
+    Analysis,
     Ball,
     CompactDomain,
-    build_digraph,
-    build_subsidiary,
-    classify,
     cycle_decomposition,
     decompose,
-    ergodic_check,
-    intrinsic_level,
-    mp_check,
-    mp_components,
     parse_domain,
     parse_map,
     union_verdict,
-    verify_bijection,
 )
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import LevelDigraph, s_exponent
@@ -31,6 +24,7 @@ from padicdyn.errors import (
     LevelAboveIntrinsic,
     LevelTooCoarse,
     NotForwardInvariant,
+    NotOneLipschitz,
 )
 from padicdyn.maps import map_from_coefficients
 from padicdyn.polynomials import taylor_shift
@@ -58,7 +52,7 @@ def keys(balls):
 class TestSevenAdicTwoBallMap:
     def test_digraph_level_minus_two(self):
         f, X = p7_instance()
-        G = build_digraph(f, X, -2)
+        G = Analysis(f, X).digraph(-2)
         assert len(G.vertices) == 14
         dec = cycle_decomposition(G)
         assert dec.cycle_lengths == [2, 6, 6]
@@ -69,7 +63,7 @@ class TestSevenAdicTwoBallMap:
     def test_edge_map_against_modular_oracle(self):
         # f(x) = x - 1/x on residues mod 49, computed independently
         f, X = p7_instance()
-        G = build_digraph(f, X, -2)
+        G = Analysis(f, X).digraph(-2)
         for v in G.vertices:
             r = int(v.key)
             image = (r - pow(r, -1, 49)) % 49
@@ -77,21 +71,20 @@ class TestSevenAdicTwoBallMap:
 
     def test_subsidiary_all_edges_kept_at_minus_two(self):
         f, X = p7_instance()
-        G = build_subsidiary(f, X, -2)
+        G = Analysis(f, X).subsidiary(-2)
         assert G.is_subsidiary_equal
         assert all(d.s_exponent == 0 for d in G.subsidiary)
 
     def test_mp_and_ergodic(self):
-        f, X = p7_instance()
-        assert mp_check(f, X).kind == "MeasurePreserving"
-        verdict = ergodic_check(f, X, -6)
+        A = Analysis(*p7_instance())
+        assert A.mp().kind == "MeasurePreserving"
+        verdict = A.ergodic(-6)
         assert verdict.kind == "NotErgodic"
         assert verdict.level == -2
         assert verdict.cycle_count == 3
 
     def test_components_all_preserving(self):
-        f, X = p7_instance()
-        comps = mp_components(f, X, -2)
+        comps = Analysis(*p7_instance()).components(-2)
         assert len(comps) == 3
         assert all(c.verdict == "MeasurePreserving" for c in comps)
         assert all(c.route == "isometric" for c in comps)
@@ -101,15 +94,13 @@ class TestSevenAdicTwoBallMap:
         assert six_cycle.domain.measure == Fraction(6, 49)
 
     def test_bijection_certificate(self):
-        f, X = p7_instance()
         source = Ball.containing(2, -2, 7)
-        assert verify_bijection(f, X, source, -4)
+        assert Analysis(*p7_instance()).verify_bijection(source, -4)
 
 
 class TestThreeAdicPuncturedMap:
     def test_level_minus_two_structure(self):
-        f, X = p3_punctured_instance()
-        G = build_digraph(f, X, -2)
+        G = Analysis(*p3_punctured_instance()).digraph(-2)
         edges = {int(v.key): int(G.edge[v].key) for v in G.vertices}
         assert edges == {0: 0, 1: 2, 2: 8, 3: 3, 6: 6, 7: 8, 8: 8}
         dec = cycle_decomposition(G)
@@ -117,12 +108,11 @@ class TestThreeAdicPuncturedMap:
         assert {int(v.key) for v in dec.tail_vertices} == {1, 2, 7}
 
     def test_intrinsic_level(self):
-        f, X = p3_punctured_instance()
-        assert intrinsic_level(f, X) == -2
+        assert Analysis(*p3_punctured_instance()).intrinsic_level == -2
 
     def test_components_verdicts(self):
-        f, X = p3_punctured_instance()
-        comps = {int(c.cycle[0].key): c for c in mp_components(f, X, -2)}
+        A = Analysis(*p3_punctured_instance())
+        comps = {int(c.cycle[0].key): c for c in A.components(-2)}
         assert comps[8].verdict == "NotMeasurePreserving"
         assert comps[8].witness_level == -3
         for k in (0, 3, 6):
@@ -136,7 +126,7 @@ class TestThreeAdicPuncturedMap:
     def test_restriction_to_bad_ball_not_preserving(self):
         f, _ = p3_punctured_instance()
         Y1 = CompactDomain.ball(8, -2, 3)
-        verdict = mp_check(f, Y1)
+        verdict = Analysis(f, Y1).mp()
         assert verdict.kind == "NotMeasurePreserving"
         assert verdict.witness_level == -3
         assert verdict.in_degree >= 2
@@ -144,69 +134,61 @@ class TestThreeAdicPuncturedMap:
     def test_restriction_to_good_ball_preserves(self):
         f, _ = p3_punctured_instance()
         Y2 = CompactDomain.ball(0, -1, 3)
-        assert mp_check(f, Y2).kind == "MeasurePreserving"
+        assert Analysis(f, Y2).mp().kind == "MeasurePreserving"
 
     def test_level_above_intrinsic_rejected(self):
-        f, X = p3_punctured_instance()
+        A = Analysis(*p3_punctured_instance())
         with pytest.raises(LevelAboveIntrinsic):
-            mp_components(f, X, -1)
+            A.components(-1)
 
 
 class TestThreeAdicQuarticMap:
     def test_single_three_cycle_and_subsidiary(self):
-        f, X = p3_quartic_instance()
-        G = build_subsidiary(f, X, -1)
+        G = Analysis(*p3_quartic_instance()).subsidiary(-1)
         dec = cycle_decomposition(G)
         assert dec.is_single_cycle
         assert dec.cycle_lengths == [3]
         assert G.is_subsidiary_equal
 
     def test_intrinsic_level(self):
-        f, X = p3_quartic_instance()
-        assert intrinsic_level(f, X) == -1
+        assert Analysis(*p3_quartic_instance()).intrinsic_level == -1
 
     def test_mp_on_z3(self):
-        f, X = p3_quartic_instance()
-        assert mp_check(f, X).kind == "MeasurePreserving"
+        assert Analysis(*p3_quartic_instance()).mp().kind == "MeasurePreserving"
 
     def test_bijection_on_each_cycle_edge(self):
-        f, X = p3_quartic_instance()
+        A = Analysis(*p3_quartic_instance())
         for k in (0, 1, 2):
-            assert verify_bijection(f, X, Ball.containing(k, -1, 3), -4)
+            assert A.verify_bijection(Ball.containing(k, -1, 3), -4)
 
 
 def test_translation_single_cycle():
-    f = parse_map("x + 1", 5)
-    X = CompactDomain.zp(5)
-    G = build_digraph(f, X, -2)
-    dec = cycle_decomposition(G)
+    A = Analysis(parse_map("x + 1", 5), CompactDomain.zp(5))
+    dec = cycle_decomposition(A.digraph(-2))
     assert dec.is_single_cycle and dec.cycle_lengths == [25]
-    assert ergodic_check(f, X, -6).kind == "SingleCycleToDepth"
-    assert verify_bijection(f, X, Ball.containing(3, -1, 5), -4)
+    assert A.ergodic(-6).kind == "SingleCycleToDepth"
+    assert A.verify_bijection(Ball.containing(3, -1, 5), -4)
 
 
 def test_identity_all_self_loops():
-    f = parse_map("x", 3)
-    G = build_digraph(f, CompactDomain.zp(3), -1)
-    dec = cycle_decomposition(G)
+    A = Analysis(parse_map("x", 3), CompactDomain.zp(3))
+    dec = cycle_decomposition(A.digraph(-1))
     assert dec.cycle_lengths == [1, 1, 1]
-    verdict = ergodic_check(f, CompactDomain.zp(3), -4)
+    verdict = A.ergodic(-4)
     assert verdict.kind == "NotErgodic" and verdict.level == -1
     # every ball is its own measure-preserving component
-    comps = mp_components(f, CompactDomain.zp(3), -1)
+    comps = A.components(-1)
     assert [c.verdict for c in comps] == ["MeasurePreserving"] * 3
     assert all(len(c.cycle) == 1 for c in comps)
 
 
 def test_scaling_toward_zero_not_preserving():
-    f = parse_map("5x", 5)
-    X = CompactDomain.zp(5)
-    verdict = mp_check(f, X)
+    A = Analysis(parse_map("5x", 5), CompactDomain.zp(5))
+    verdict = A.mp()
     assert verdict.kind == "NotMeasurePreserving"
     assert verdict.witness_ball.key == Fraction(0)
     assert verdict.in_degree == 5
-    G = build_digraph(f, X, -2)
-    dec = cycle_decomposition(G)
+    dec = cycle_decomposition(A.digraph(-2))
     assert dec.cycle_lengths == [1]
     assert keys(dec.cycles[0]) == [Fraction(0)]
     assert len(dec.tail_vertices) == 24
@@ -214,23 +196,42 @@ def test_scaling_toward_zero_not_preserving():
 
 def test_forward_invariance_checked():
     # x + 1/5 is an isometry but maps Z_5 outside itself
-    f = parse_map("x + 1/5", 5)
-    X = CompactDomain.zp(5)
-    report = classify(f, X)
+    A = Analysis(parse_map("x + 1/5", 5), CompactDomain.zp(5))
     with pytest.raises(NotForwardInvariant):
-        build_digraph(f, X, report.transport_level, report)
+        A.digraph(A.transport_level)
 
 
 def test_level_above_radius_rejected():
-    f, X = p3_punctured_instance()
-    with pytest.raises(LevelTooCoarse):
-        build_digraph(f, X, -1)
+    A = Analysis(*p3_punctured_instance())
+    with pytest.raises(LevelTooCoarse, match="above the certified 1-Lipschitz level -2"):
+        A.digraph(-1)
+
+
+def test_analysis_needs_a_one_lipschitz_map():
+    # x/3 scales every distance by 3
+    A = Analysis(parse_map("x/3", 3), CompactDomain.zp(3))
+    assert A.report.classification == "BoundedScaling"
+    for question in (lambda: A.transport_level, lambda: A.digraph(-1), A.mp,
+                     lambda: A.ergodic(-2)):
+        with pytest.raises(NotOneLipschitz, match=r"\(classification: BoundedScaling\)$"):
+            question()
+
+
+def test_analysis_builds_each_level_once():
+    A = Analysis(*p3_punctured_instance())
+    G = A.digraph(-3)
+    assert A.digraph(-3) is G
+    S = A.subsidiary(-3)
+    assert A.subsidiary(-3) is S
+    assert G.subsidiary is None
+    assert (S.residues, S.succ) == (G.residues, G.succ)
+    assert S.residues is G.residues
 
 
 def test_out_degree_one_and_refinement_consistency():
-    f, X = p3_punctured_instance()
-    coarse = build_digraph(f, X, -2)
-    fine = build_digraph(f, X, -3)
+    A = Analysis(*p3_punctured_instance())
+    coarse = A.digraph(-2)
+    fine = A.digraph(-3)
     for v in fine.vertices:
         assert fine.edge[v].parent() == coarse.edge[v.parent()]
     assert set(coarse.edge) == set(coarse.vertices)
@@ -238,18 +239,20 @@ def test_out_degree_one_and_refinement_consistency():
 
 def test_single_cycle_length_counts_measure():
     f, X = p3_quartic_instance()
+    A = Analysis(f, X)
     for t in (-1, -2):
-        G = build_digraph(f, X, t)
+        G = A.digraph(t)
         dec = cycle_decomposition(G)
         if dec.is_single_cycle:
             assert len(dec.cycles[0]) == X.measure / Fraction(3) ** t
 
 
 def test_subsidiary_edges_subset_of_edges():
-    f, X = p3_punctured_instance()
-    G = build_subsidiary(f, X, -2)
+    G = Analysis(*p3_punctured_instance()).subsidiary(-2)
     all_edges = {(v, G.edge[v]) for v in G.vertices}
-    assert set(G.subsidiary_edges()) <= all_edges
+    V = G.vertices
+    kept = {(V[i], V[j]) for i, j in enumerate(G.succ) if G.subsidiary[i].passes}
+    assert kept <= all_edges
 
 
 def _brute_force_s(f, a, b, bound=8):
@@ -298,15 +301,14 @@ def test_constant_term_must_be_integral():
 
 
 def test_intrinsic_level_needs_root_free_derivative():
-    froot = parse_map("(x^2 + 2x)/2", 3)
+    A = Analysis(parse_map("(x^2 + 2x)/2", 3), CompactDomain.zp(3))
     with pytest.raises(DerivativeRootInDomain):
-        intrinsic_level(froot, CompactDomain.zp(3))
+        A.intrinsic_level
 
 
 def test_mp_scan_route_with_derivative_root():
     # |f'| vanishes at -1; the scan finds a two-to-one collapse
-    froot = parse_map("(x^2 + 2x)/2", 3)
-    verdict = mp_check(froot, CompactDomain.zp(3))
+    verdict = Analysis(parse_map("(x^2 + 2x)/2", 3), CompactDomain.zp(3)).mp()
     assert verdict.kind == "NotMeasurePreserving"
     assert verdict.route == "cycle-criterion"
 
@@ -317,11 +319,10 @@ def test_mp_scan_depth_controls_undecided():
     # budget the collapse is found one level down
     f = parse_map("x^3", 3)
     X = CompactDomain.zp(3)
-    report = classify(f, X)
-    assert not report.derivative_root_free
-    shallow = mp_check(f, X, report, AnalysisConfig(mp_scan_depth=0))
-    assert shallow.kind == "Undecided"
-    full = mp_check(f, X, report)
+    shallow = Analysis(f, X, AnalysisConfig(mp_scan_depth=0))
+    assert not shallow.report.derivative_root_free
+    assert shallow.mp().kind == "Undecided"
+    full = Analysis(f, X).mp()
     assert full.kind == "NotMeasurePreserving"
     assert full.witness_level == -2
     assert full.in_degree == 3
@@ -360,10 +361,10 @@ def _residue_oracle(f, X, t, extra=2):
 )
 def test_edges_match_residue_oracle_p2_and_rescaled(p, map_text, domain_text, depth):
     f, X = parse_map(map_text, p), parse_domain(domain_text, p)
-    report = classify(f, X)
-    top = min(report.transport_level, X.base_level)
+    A = Analysis(f, X)
+    top = min(A.transport_level, X.base_level)
     for t in range(top, top - depth, -1):
-        G = build_digraph(f, X, t, report)
+        G = A.digraph(t)
         assert G.height == X.height_exponent()
         assert G.keys == tuple(b.key for b in decompose(X, t))
         lib = {G.residues[i]: G.residues[j] for i, j in enumerate(G.succ)}
@@ -375,14 +376,13 @@ def test_too_fine_level_is_refused_and_ends_the_scan():
     # a budget of 5 balls, level -2 (9 balls) cannot be built, so the scan
     # stops at -1 with an honest Undecided
     f, X = parse_map("x^3", 3), CompactDomain.zp(3)
-    tight = AnalysisConfig(ball_cap=5)
-    report = classify(f, X, tight)
+    tight = Analysis(f, X, AnalysisConfig(ball_cap=5))
     with pytest.raises(DecompositionTooLarge, match=r"^decomposition at level -2 needs 9 balls \(cap 5\)$"):
-        build_digraph(f, X, -2, report, tight)
-    verdict = mp_check(f, X, report, tight)
+        tight.digraph(-2)
+    verdict = tight.mp()
     assert verdict.kind == "Undecided"
     assert verdict.scanned_to == -1
-    assert mp_check(f, X, report).kind == "NotMeasurePreserving"
+    assert Analysis(f, X).mp().kind == "NotMeasurePreserving"
 
 
 def _functional_graph(succ):

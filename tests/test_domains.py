@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import Ball, CompactDomain, decompose, locate
+from padicdyn import Ball, CompactDomain, decompose, fraction_valuation
 from padicdyn.config import AnalysisConfig
 from padicdyn.errors import (
     DecompositionTooLarge,
     EmptyDomain,
     LevelTooCoarse,
-    NotInDomain,
 )
 
 
@@ -70,18 +69,18 @@ def test_single_ball_representative():
 
 def test_locate_examples():
     X = two_unit_balls()
-    assert locate(X, 51, -2).key == Fraction(2)
-    assert locate(X, 47, -2).key == Fraction(47)
-    with pytest.raises(NotInDomain) as info:
-        locate(X, 3, -2)
-    assert info.value.distance_exponent == 0  # |3-2| = |3-5| = 1
+    assert 51 in X and Ball.containing(51, -2, 7).key == Fraction(2)
+    assert 47 in X and Ball.containing(47, -2, 7).key == Fraction(47)
+    assert 3 not in X
+    # |3-2| = |3-5| = 1: both balls lie at distance exponent 0
+    assert [fraction_valuation(3 - k, 7) for k in sorted(X.keys)] == [0, 0]
 
 
 def test_locate_representative_roundtrip():
     X = punctured_z3()
     for t in (-2, -3, -4):
         for ball in decompose(X, t):
-            assert locate(X, ball.key, t) == ball
+            assert ball.key in X and Ball.containing(ball.key, t, 3) == ball
 
 
 def test_refinement_structure():
@@ -141,7 +140,7 @@ def test_sphere_decomposition():
 def test_positive_level_ball_contains_fractions():
     X = CompactDomain.ball(0, 2, 3)
     assert X.contains(Fraction(10, 9))
-    assert locate(X, Fraction(10, 9), 0).key == Fraction(1, 9)
+    assert Ball.containing(Fraction(10, 9), 0, 3).key == Fraction(1, 9)
 
 
 centers = st.integers(min_value=-200, max_value=200)

@@ -77,6 +77,12 @@ CASES.update({
     "error-seed-negative-valuation": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "1/7"],
     "error-hensel-precision-zero": ["-p", "7", "--map", "x^2-2", "hensel",
                                     "--seed", "3", "--prec", "0"],
+    "cube-mp-cap-zero": ["-p", "3", "--map", "x^3", "--domain", "Zp", "mp", "--cap", "0"],
+    "halved-square-mp-scan": ["-p", "3", "--map", "(x^2+2x)/2", "--domain", "Zp", "mp"],
+    "quartic-beyond-zp-mp": QUARTIC[:4] + ["--domain", "B(0,1)", "mp"],
+    "quartic-beyond-zp-intrinsic-level": QUARTIC[:4] + ["--domain", "B(0,1)",
+                                                        "intrinsic-level", "--margin", "0"],
+    "shift-ergodic-p5": ["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
 })
 
 

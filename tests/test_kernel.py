@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from padicdyn import Ball, CompactDomain, build_digraph, canonical_key, classify, decompose
+from padicdyn import Analysis, Ball, CompactDomain, canonical_key, decompose
 from padicdyn.digraph import _successors
 from padicdyn.domains import decompose_residues
 from padicdyn.errors import (
@@ -76,7 +76,7 @@ def instances(draw):
     X = draw(domains(p))
     depth = draw(st.integers(0, 3))
     t = X.base_level - depth
-    assume(X.ball_count * p**depth <= MAX_VERTICES)
+    assume(len(X.keys) * p**depth <= MAX_VERTICES)
     return f, X, t
 
 
@@ -131,16 +131,16 @@ def one_lipschitz_instances(draw):
 def test_edges_commute_with_parents_below_the_transport_level(instance):
     f, X = instance
     try:
-        report = classify(f, X)
-        top = min(report.transport_level, X.base_level)
-        G = build_digraph(f, X, top, report)
+        A = Analysis(f, X)
+        top = min(A.transport_level, X.base_level)
+        G = A.digraph(top)
     except (NotForwardInvariant, DepthCapExceeded):
         assume(False)
     p, M = f.prime, X.height_exponent()
     levels = [top]
     while len(G.succ) * p ** len(levels) <= MAX_VERTICES and len(levels) < 4:
         levels.append(top - len(levels))
-    graphs = [G] + [build_digraph(f, X, t, report) for t in levels[1:]]
+    graphs = [A.digraph(t) for t in levels]
     for coarse, fine in zip(graphs, graphs[1:]):
         # parent of a rescaled key at level t - 1: its residue mod p^(M - t)
         mod = p ** (M - coarse.level)

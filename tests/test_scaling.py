@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import (
+    Analysis,
     CompactDomain,
     Polynomial,
     classify,
@@ -13,7 +14,6 @@ from padicdyn import (
     parse_domain,
     parse_map,
     poly_eval,
-    scaling_radius,
 )
 from padicdyn.config import AnalysisConfig
 from padicdyn.errors import (
@@ -102,14 +102,15 @@ def test_lower_bound_outside_unit_ball():
 def test_scaling_radius_worked_instances(p, map_text, domain_text, expected_l):
     f = parse_map(map_text, p)
     X = parse_domain(domain_text, p)
-    report = scaling_radius(f, X)
+    report = classify(f, X)
     assert report.radius_exponent == expected_l
     assert report.derivative_root_free
 
 
 def test_radius_formula_fields():
     f = parse_map("(2x^3 + x^2 + x)/(x^2 + 1)", 3)
-    report = scaling_radius(f, punctured_z3())
+    report = classify(f, punctured_z3())
+    assert report.derivative_root_free
     assert report.b_q_exponent == -1
     assert report.b_t1_exponent == -1
     assert report.radius_exponent == min(report.b_q_exponent, report.b_t1_exponent) - 1
@@ -144,13 +145,17 @@ def test_expanding_map_is_bounded_scaling():
 
 def test_pole_detected():
     with pytest.raises(PoleInDomain):
-        scaling_radius(parse_map("(x+1)/x", 5), CompactDomain.zp(5))
+        classify(parse_map("(x+1)/x", 5), CompactDomain.zp(5))
 
 
 def test_derivative_root_reported_by_radius():
     # f' = (x^2+2x... ) : T1 = 4x + 4 vanishes at -1
+    f, X = parse_map("(x^2 + 2x)/2", 3), CompactDomain.zp(3)
+    report = classify(f, X)
+    assert not report.derivative_root_free
+    assert report.b_t1_exponent is None
     with pytest.raises(DerivativeRootInDomain):
-        scaling_radius(parse_map("(x^2 + 2x)/2", 3), CompactDomain.zp(3))
+        Analysis(f, X).intrinsic_level
 
 
 def test_classify_falls_back_on_derivative_roots():
@@ -191,7 +196,8 @@ def test_scaling_identity_on_radius_balls(p, map_text, domain_text):
     # |f(x) - f(y)| = |f'(a)| |x - y| exactly, for pairs in any level-l ball
     f = parse_map(map_text, p)
     X = parse_domain(domain_text, p)
-    report = scaling_radius(f, X)
+    report = classify(f, X)
+    assert report.derivative_root_free
     rng = random.Random(1234 + p)
     balls = decompose(X, report.radius_exponent)
     pairs_per_ball = 1000 // len(balls) + 1
@@ -214,7 +220,8 @@ def test_profile_constant_per_ball():
     # |f'| takes a single value on each radius ball (sampled two levels down)
     f = parse_map("(2x^3 + x^2 + x)/(x^2 + 1)", 3)
     X = punctured_z3()
-    report = scaling_radius(f, X)
+    report = classify(f, X)
+    assert report.derivative_root_free
     for ball in decompose(X, report.radius_exponent):
         e = report.scalar_profile[ball]
         for sub in ball.subdivide(ball.level - 2):
