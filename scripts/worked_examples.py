@@ -11,8 +11,8 @@ import os
 
 from padicdyn import (
     Analysis,
-    compute_N,
     cycle_decomposition,
+    degree_gate,
     global_check,
     parse_domain,
     parse_map,
@@ -60,7 +60,7 @@ def analyze(name, p, map_text, domain_text, level, dot_dir=None):
 def global_analysis():
     print("== global analysis of the quartic-over-cubic map on Q_3")
     f = parse_map("(x^4+x^3+2x^2+1)/(x^3-x+1)", 3)
-    gate = compute_N(f)
+    gate = degree_gate(f)
     print(f"   gate: alpha={gate.alpha}, m={gate.m}, n={gate.n}, N={gate.N_exponent}")
     g = global_check(f, gate=gate)
     print(f"   invertible local isometry: {g.isometry}")

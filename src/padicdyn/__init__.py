@@ -21,7 +21,6 @@ from .global_qp import (
     ReductionFailure,
     SphereRegion,
     certify_no_roots_qp,
-    compute_N,
     degree_gate,
     global_check,
     global_obstruction,
@@ -69,7 +68,6 @@ __all__ = [
     "canonical_key",
     "certify_no_roots_qp",
     "classify",
-    "compute_N",
     "cycle_decomposition",
     "decompose",
     "degree_gate",

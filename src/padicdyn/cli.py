@@ -25,7 +25,6 @@ from .errors import PadicDynError
 from .global_qp import (
     ERGODICITY,
     MINIMALITY,
-    compute_N,
     degree_gate,
     global_check,
     global_obstruction,
@@ -56,8 +55,15 @@ class Invocation:
     goal: str | None = None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad argv as a PadicDynError: one ``error:`` line, status 1."""
+
+    def error(self, message):
+        raise PadicDynError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicdyn",
         description="Exact analysis of rational map dynamics over Q_p",
     )
@@ -70,28 +76,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **flags):
+    def add(name: str, level=False, depth=False, graph=False, margin=False, cap=True):
         s = sub.add_parser(name)
-        if flags.get("level"):
+        if level:
             s.add_argument("--level", type=int, required=True, help="level exponent t")
-        if flags.get("depth"):
+        if depth:
             s.add_argument("--depth", type=int, required=True, help="deepest level scanned")
-        s.add_argument("--dot", dest="dot_path", help="write the digraph as DOT")
-        s.add_argument("--json", dest="json_path", help="write the digraph as JSON")
-        s.add_argument("--margin", type=int, help="intrinsic-level guard margin")
-        s.add_argument("--cap", type=int, help="descent/scan depth cap")
+        if graph:
+            s.add_argument("--dot", dest="dot_path", help="write the digraph as DOT")
+            s.add_argument("--json", dest="json_path", help="write the digraph as JSON")
+        if margin:
+            s.add_argument("--margin", type=int, help="intrinsic-level guard margin")
+        if cap:
+            s.add_argument("--cap", type=int, help="descent/scan depth cap")
         return s
 
     add("classify")
     add("radius")
-    add("digraph", level=True)
-    add("subsidiary", level=True)
-    add("intrinsic-level")
-    add("mp")
+    add("digraph", level=True, graph=True)
+    add("subsidiary", level=True, graph=True)
+    add("intrinsic-level", margin=True)
+    add("mp", margin=True)
     add("ergodic", depth=True)
-    add("components", level=True)
-    add("global")
-    h = add("hensel")
+    add("components", level=True, margin=True)
+    add("global", margin=True)
+    h = add("hensel", cap=False)
     h.add_argument("--seed", required=True, help="integer or rational seed")
     h.add_argument("--prec", dest="precision", type=int, default=12)
     w = add("witness")
@@ -202,11 +211,11 @@ def run(inv: Invocation, stdout=None) -> int:
             out("invertible local isometry: No")
             out("measure preserving: No")
             return EXIT_OK
-        gate = compute_N(f, gate, cfg)
         out(f"N: {gate.N_exponent}")
+        # the lines above stay on stdout when the reduction raises
         g = global_check(f, cfg, gate)
         out(f"forward invariant ball B(0,{gate.N_exponent - 1}): "
-            f"{_yesno(g.gate.forward_invariant_ball)}")
+            f"{_yesno(g.forward_invariant_ball)}")
         out(f"invertible local isometry: {g.isometry} ({g.isometry_reason})")
         out(f"measure preserving: {g.measure_preserving} ({g.measure_preserving_reason})")
         if "Undecided" in (g.isometry, g.measure_preserving):

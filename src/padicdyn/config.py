@@ -11,19 +11,13 @@ from .errors import DecompositionTooLarge
 class AnalysisConfig:
     # levels below the start allowed in lower-bound descents
     descent_cap: int = 32
-    # levels below the start allowed in the per-ball Lipschitz certifier
-    certify_cap: int = 48
     # hard budget on balls produced by a single decomposition
     ball_cap: int = 1_000_000
     # extra coincidence levels required below an intrinsic-level candidate
     intrinsic_margin: int = 2
-    # levels scanned below the radius before mp_check returns Undecided
+    # levels scanned below the radius before Analysis.mp returns Undecided
     # (used only when the derivative has roots in the domain)
     mp_scan_depth: int = 8
-    # levels below a witness region sampled when verifying an obstruction
-    witness_depth: int = 4
-    # precision exponent used when certifying bijectivity of an edge
-    bijection_precision: int = 12
 
     def check_ball_budget(self, count: int, what: str, level: int) -> None:
         """Raise DecompositionTooLarge when ``what`` needs more than

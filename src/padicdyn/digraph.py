@@ -45,6 +45,9 @@ UNDECIDED = "Undecided"
 NOT_ERGODIC = "NotErgodic"
 SINGLE_CYCLE_TO_DEPTH = "SingleCycleToDepth"
 
+# precision exponent used when certifying bijectivity of an edge
+BIJECTION_PRECISION = 12
+
 
 @dataclass(frozen=True)
 class SubsidiaryEdgeData:
@@ -620,7 +623,7 @@ class Analysis:
             raise CertificateFailed(
                 f"derivative vanishes at {a} although the intrinsic level requires it root-free"
             )
-        k = self.config.bijection_precision + max(0, -sample_level)
+        k = BIJECTION_PRECISION + max(0, -sample_level)
         for b_ball in target.subdivide(sample_level):
             b_point = b_ball.key
             # F(x) = P(p^s x + a) - b Q(p^s x + a), integral by choice of s

@@ -11,12 +11,12 @@ S_{p^N}(0) invariant, which rules out global ergodicity and minimality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .digraph import MEASURE_PRESERVING, UNDECIDED, Analysis, MPVerdict
+from .digraph import MEASURE_PRESERVING, UNDECIDED, Analysis
 from .domains import Ball, CompactDomain, decompose
 from .errors import (
     DepthCapExceeded,
@@ -32,6 +32,9 @@ from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF
 MINIMALITY = "Minimality"
 ERGODICITY = "Ergodicity"
 
+# levels below a witness region sampled when verifying an obstruction
+WITNESS_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class SphereRegion:
@@ -46,16 +49,13 @@ class SphereRegion:
 
 @dataclass(frozen=True)
 class GlobalGateReport:
-    prime: int
     alpha: int
     m: int
     n: int
     gate_passed: bool
-    q1_certification: str = "unchecked"
+    q1_certification: str
+    # the reduction ball is B(0, N-1); set once the gate passes
     N_exponent: int | None = None
-    l0_exponent: int | None = None
-    forward_invariant_ball: bool | None = None
-    derived_levels: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,17 @@ class ObstructionWitness:
     kind: str  # InvariantBall / EscapingRegion / InvariantSphere
     case_tag: str
     region: Ball | SphereRegion
+    derived_levels: dict
+    # the stated property holds at every ball centre WITNESS_DEPTH levels
+    # below the checked region
+    verified: bool
+    checked_depth: int = WITNESS_DEPTH
     # for contraction witnesses: samples of the region must land here
     image_region: Ball | None = None
     # for escaping witnesses: spheres from this exponent up stay at norm
     # at least p^min_image_exponent
     sphere_exponent: int | None = None
     min_image_exponent: int | None = None
-    derived_levels: dict | None = None
-    checked_depth: int | None = None
-    verified: bool = False
 
 
 class ReductionFailure(Enum):
@@ -102,7 +104,8 @@ class GlobalVerdict:
     measure_preserving_reason: str
     failure: ReductionFailure | None = None
     compact_report: ScalingReport | None = None
-    compact_mp: MPVerdict | None = None
+    # None when the reduction stopped before the ball was built
+    forward_invariant_ball: bool | None = None
 
 
 def lemma_n_bound(F: Polynomial) -> int:
@@ -127,108 +130,66 @@ def unit_normalized(F: Polynomial) -> tuple[int, Polynomial]:
 
 def certify_no_roots_qp(
     F: Polynomial, config: AnalysisConfig = DEFAULT_CONFIG
-) -> tuple[str, Ball | None]:
-    """('root-free' | 'root' | 'unknown', witness ball if a root was found).
+) -> tuple[str, Ball | None, int | None]:
+    """('root-free' | 'root' | 'unknown', witness ball if a root was found,
+    exponent l with |F(x)| >= p^l on all of Q_p if F is root-free).
 
-    Outside the coefficient-bound radius the norm is |x|^deg, so roots can
-    only live in a compact ball, where the descent either separates |F| from
-    zero or certifies a root.
+    Outside the coefficient-bound radius the norm is |lc| |x|^deg, so roots
+    can only live in a compact ball, where the descent either separates |F|
+    from zero or certifies a root.
     """
     if F.is_zero():
-        return "root", None
+        return "root", None, None
+    k, G = unit_normalized(F)
     if F.degree == 0:
-        return "root-free", None
-    _, G = unit_normalized(F)
+        return "root-free", None, -k
     n0 = lemma_n_bound(G)
-    ball = CompactDomain.ball(0, n0, F.prime)
-    cleared = _cleared_integral(F)
+    # the descent needs integral coefficients: multiplying by p^-clear
+    # shrinks every norm by p^clear
+    clear = min(0, int(F.min_coefficient_valuation()))
+    integral = F.scale(Fraction(F.prime) ** -clear) if clear else F
     try:
-        lower_bound_bF(cleared, ball, config)
+        inside = lower_bound_bF(integral, CompactDomain.ball(0, n0, F.prime), config)
     except RootCertified as exc:
-        return "root", exc.ball
+        return "root", exc.ball, None
     except DepthCapExceeded:
-        return "unknown", None
-    return "root-free", None
-
-
-def _cleared_integral(F: Polynomial) -> Polynomial:
-    """Scale by a power of p so every coefficient is integral."""
-    v = F.min_coefficient_valuation()
-    if v >= 0:
-        return F
-    return F.scale(Fraction(F.prime) ** (-int(v)))
+        return "unknown", None, None
+    return "root-free", None, min(inside - clear, F.degree * n0 - k)
 
 
 def degree_gate(
     f: RationalMap, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> GlobalGateReport:
     """Necessary condition for global invertible isometry / measure
-    preservation: alpha = 0 and deg P1 = deg Q1 + 1."""
-    cert, _ = certify_no_roots_qp(f.Q1, config)
+    preservation: alpha = 0 and deg P1 = deg Q1 + 1; with the reduction
+    exponent N when it holds."""
+    cert, _, _ = certify_no_roots_qp(f.Q1, config)
+    passed = f.alpha == 0 and f.m == f.n + 1
     return GlobalGateReport(
-        prime=f.prime,
-        alpha=f.alpha,
-        m=f.m,
-        n=f.n,
-        gate_passed=(f.alpha == 0 and f.m == f.n + 1),
-        q1_certification=cert,
+        f.alpha, f.m, f.n, passed, cert, _reduction_exponent(f) if passed else None
     )
 
 
-def _derivative_pair(f: RationalMap) -> tuple[Polynomial, Polynomial]:
-    """Unit-leading numerator and denominator of f' (common factor cleared)."""
-    num = f.t1
-    den = f.Q1 * f.Q1
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-    _, p2 = unit_normalized(num)
-    _, q2 = unit_normalized(den)
-    return p2, q2
+def _leading_term_exponent(f: RationalMap) -> int:
+    """N0 past which P1 and Q1 (both unit-leading) have the norms of their
+    leading terms."""
+    return max(lemma_n_bound(f.P1), lemma_n_bound(f.Q1))
 
 
-def compute_N(
-    f: RationalMap, gate: GlobalGateReport | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> GlobalGateReport:
+def _reduction_exponent(f: RationalMap) -> int:
     """Smallest positive N past which norms behave like leading terms:
     p^N exceeds every P1 and Q1 coefficient norm and both derivative parts
     scale as |x|^(deg).  Integral P1, Q1 always give N = 1."""
-    if gate is None:
-        gate = degree_gate(f, config)
-    if not gate.gate_passed:
-        raise ValueError("N is defined only once the degree gate passes")
-    n = 1
-    for c in f.P1.coefficients + f.Q1.coefficients:
-        v = fraction_valuation(c, f.prime)
-        if v < 0:
-            n = max(n, 1 - int(v))
+    n = _leading_term_exponent(f)
     if not (f.P1.is_integral() and f.Q1.is_integral()):
-        p2, q2 = _derivative_pair(f)
-        n = max(n, lemma_n_bound(p2), lemma_n_bound(q2))
-    l0 = None
-    if gate.q1_certification == "root-free":
-        l0 = _q1_lower_bound_exponent(f, config)
-    return replace(gate, N_exponent=n, l0_exponent=l0)
-
-
-def _q1_lower_bound_exponent(f: RationalMap, config: AnalysisConfig) -> int:
-    """Exponent l0 with |Q1(x)| >= p^l0 on all of Q_p (root-free Q1)."""
-    _, q1u = unit_normalized(f.Q1)
-    n0 = lemma_n_bound(q1u)
-    shift = int(fraction_valuation(f.Q1.leading_coefficient, f.prime))  # 0 by normalization
-    if f.Q1.degree == 0:
-        return shift
-    inside = lower_bound_bF(
-        _cleared_integral(f.Q1), CompactDomain.ball(0, n0, f.prime), config
-    )
-    clear = f.Q1.min_coefficient_valuation()
-    if clear < 0:
-        # clearing multiplied Q1 by p^(-clear), shrinking norms by p^clear
-        inside -= int(clear)
-    outside = f.n * n0
-    return min(inside, outside)
+        # the unit-leading numerator and denominator of f', common factor cleared
+        num, den = f.t1, f.Q1 * f.Q1
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = poly_divexact(num, g), poly_divexact(den, g)
+        n = max(n, lemma_n_bound(unit_normalized(num)[1]),
+                lemma_n_bound(unit_normalized(den)[1]))
+    return n
 
 
 def global_check(
@@ -243,13 +204,11 @@ def global_check(
     invariant and act on it as invertible local isometries, so both
     questions reduce to B(0, N-1): its forward invariance, its
     classification, and the cycle criterion on it.  For locally 1-Lipschitz
-    maps the two properties are equivalent.  ``gate`` is the degree gate
-    (with N once it passes) when the caller has already computed it.
+    maps the two properties are equivalent.  ``gate`` is ``degree_gate(f,
+    config)`` when the caller has already computed it.
     """
     if gate is None:
         gate = degree_gate(f, config)
-        if gate.gate_passed:
-            gate = compute_N(f, gate, config)
     if not gate.gate_passed:
         return _failed(gate, ReductionFailure.DEGREE_GATE)
     if gate.q1_certification == "root":
@@ -264,9 +223,7 @@ def global_check(
     try:
         analysis.digraph(analysis.transport_level)
     except NotForwardInvariant:
-        gate = replace(gate, forward_invariant_ball=False)
-        return _failed(gate, ReductionFailure.BALL_NOT_INVARIANT, report)
-    gate = replace(gate, forward_invariant_ball=True)
+        return _failed(gate, ReductionFailure.BALL_NOT_INVARIANT, report, False)
     mp = analysis.mp()
     if mp.kind == UNDECIDED:
         iso = mp_verdict = ("Undecided", "cycle criterion undecided")
@@ -286,15 +243,18 @@ def global_check(
             f"not locally isometric on the reduction ball "
             f"(classification: {report.classification})",
         )
-    return GlobalVerdict(gate, *iso, *mp_verdict, None, report, mp)
+    return GlobalVerdict(gate, *iso, *mp_verdict, None, report, True)
 
 
 def _failed(
-    gate: GlobalGateReport, failure: ReductionFailure, report: ScalingReport | None = None
+    gate: GlobalGateReport,
+    failure: ReductionFailure,
+    report: ScalingReport | None = None,
+    invariant: bool | None = None,
 ) -> GlobalVerdict:
     return GlobalVerdict(
         gate, failure.isometry, failure.text, failure.measure_preserving, failure.text,
-        failure, report,
+        failure, report, invariant,
     )
 
 
@@ -316,20 +276,35 @@ def global_obstruction(
         raise ValueError(f"unknown goal {goal!r}")
     alpha, m, n = f.alpha, f.m, f.n
     if goal == ERGODICITY and alpha == 0 and m == n + 1:
-        gate = compute_N(f, None, config)
-        N = gate.N_exponent
-        witness = ObstructionWitness(
-            kind="InvariantSphere",
-            case_tag="invariant-sphere",
-            region=SphereRegion(N, f.prime),
-            derived_levels={"N": N},
-        )
-        return _verify_witness(f, witness, config)
+        return _sphere_witness(f, config)
     strict = goal == ERGODICITY  # measure distortion needs strict scaling
     if m <= n or (m == n + 1 and alpha > 0):
         return _contraction_witness(f, strict, config)
     # now m > n with alpha <= 0, or m - n >= 2 with alpha > 0
     return _escape_witness(f, strict, config)
+
+
+def _holds_on_samples(
+    f: RationalMap, X: CompactDomain, holds, config: AnalysisConfig
+) -> bool:
+    """Whether ``holds(f(x))`` at every ball centre x of X, WITNESS_DEPTH
+    levels below its base level."""
+    samples = decompose(X, X.base_level - WITNESS_DEPTH, config)
+    return all(holds(f.eval(b.key)) for b in samples)
+
+
+def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitness:
+    p = f.prime
+    N = _reduction_exponent(f)
+    return ObstructionWitness(
+        kind="InvariantSphere",
+        case_tag="invariant-sphere",
+        region=SphereRegion(N, p),
+        derived_levels={"N": N},
+        verified=_holds_on_samples(
+            f, CompactDomain.sphere(N, p), lambda y: -fraction_valuation(y, p) == N, config
+        ),
+    )
 
 
 def _coefficient_peak(f: RationalMap, N: int) -> int:
@@ -346,11 +321,8 @@ def _contraction_witness(
     f: RationalMap, strict: bool, config: AnalysisConfig
 ) -> ObstructionWitness:
     alpha, m, n = f.alpha, f.m, f.n
-    _, q1u = unit_normalized(f.Q1)
-    n0 = lemma_n_bound(q1u)
-    if not f.P1.is_zero():
-        n0 = max(n0, lemma_n_bound(unit_normalized(f.P1)[1]))
-    cert, ball = certify_no_roots_qp(f.Q1, config)
+    n0 = _leading_term_exponent(f)
+    cert, ball, l0 = certify_no_roots_qp(f.Q1, config)
     if cert != "root-free":
         raise PoleInDomain(
             "the invariant-ball witness needs a pole-free denominator", ball=ball
@@ -361,36 +333,33 @@ def _contraction_witness(
         # past p^N the map does not expand: p^-alpha |x|^(m-n) <= |x|
         need = -alpha if not strict else -alpha + 1
         N = max(n0, ceil_div(need, n + 1 - m))
-    l0 = _q1_lower_bound_exponent(f, config)
     l1 = -alpha - l0 + _coefficient_peak(f, N)
+    n1 = max(N, l1)
     if strict:
-        n1 = max(N, l1)
         region = Ball.containing(0, n1 + 1, f.prime)
         image = Ball.containing(0, n1, f.prime)
         tag = "measure-distorting-ball"
     else:
-        n1 = max(N, l1)
-        region = Ball.containing(0, n1, f.prime)
-        image = region
+        region = image = Ball.containing(0, n1, f.prime)
         tag = "invariant-ball"
-    witness = ObstructionWitness(
+    return ObstructionWitness(
         kind="InvariantBall",
         case_tag=tag,
         region=region,
-        image_region=image,
         derived_levels={"N0": n0, "N": N, "l0": l0, "l1": l1, "N1": n1},
+        verified=_holds_on_samples(
+            f, CompactDomain.ball(0, region.level, f.prime), image.contains, config
+        ),
+        image_region=image,
     )
-    return _verify_witness(f, witness, config)
 
 
 def _escape_witness(
     f: RationalMap, strict: bool, config: AnalysisConfig
 ) -> ObstructionWitness:
     alpha, m, n = f.alpha, f.m, f.n
-    n0 = max(
-        lemma_n_bound(unit_normalized(f.P1)[1]),
-        lemma_n_bound(unit_normalized(f.Q1)[1]),
-    )
+    p = f.prime
+    n0 = _leading_term_exponent(f)
     if m - n == 1:
         # alpha <= 0 here, so |f(x)| = p^-alpha |x| >= |x|
         N = n0
@@ -399,43 +368,20 @@ def _escape_witness(
         N = max(n0, ceil_div(need, m - n - 1))
     sphere_exp = N + 1 if strict else N
     min_image = sphere_exp + 1 if strict else sphere_exp
-    witness = ObstructionWitness(
+    return ObstructionWitness(
         kind="EscapingRegion",
         case_tag="escaping-orbit" if not strict else "measure-distorting-escape",
-        region=Ball.containing(0, sphere_exp - 1, f.prime),
+        region=Ball.containing(0, sphere_exp - 1, p),
+        derived_levels={"N0": n0, "N": N},
+        verified=all(
+            _holds_on_samples(
+                f,
+                CompactDomain.sphere(sphere_exp + k, p),
+                lambda y: -fraction_valuation(y, p) >= min_image,
+                config,
+            )
+            for k in range(3)
+        ),
         sphere_exponent=sphere_exp,
         min_image_exponent=min_image,
-        derived_levels={"N0": n0, "N": N},
     )
-    return _verify_witness(f, witness, config)
-
-
-def _verify_witness(
-    f: RationalMap, w: ObstructionWitness, config: AnalysisConfig
-) -> ObstructionWitness:
-    depth = config.witness_depth
-    ok = True
-    if w.kind == "InvariantSphere":
-        N = w.region.radius_exponent
-        sphere = CompactDomain.sphere(N, f.prime)
-        for b in decompose(sphere, N - 1 - depth, config):
-            if -fraction_valuation(f.eval(b.key), f.prime) != N:
-                ok = False
-                break
-    elif w.kind == "InvariantBall":
-        dom = CompactDomain.ball(0, w.region.level, f.prime)
-        for b in decompose(dom, w.region.level - depth, config):
-            if not w.image_region.contains(f.eval(b.key)):
-                ok = False
-                break
-    else:  # EscapingRegion
-        for k in range(3):
-            sphere = CompactDomain.sphere(w.sphere_exponent + k, f.prime)
-            lvl = w.sphere_exponent + k - 1 - depth
-            for b in decompose(sphere, lvl, config):
-                if -fraction_valuation(f.eval(b.key), f.prime) < w.min_image_exponent:
-                    ok = False
-                    break
-            if not ok:
-                break
-    return replace(w, checked_depth=depth, verified=ok)

@@ -35,7 +35,6 @@ class RationalMap:
     m: int
     n: int
     prime: int
-    P_derivative: Polynomial
     Q_derivative: Polynomial
     t1: Polynomial  # P'Q - PQ', the numerator of Q^2 * f'
 
@@ -115,7 +114,6 @@ def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
         m=m,
         n=n,
         prime=p,
-        P_derivative=dP,
         Q_derivative=dQ,
         t1=t1,
     )

@@ -40,11 +40,12 @@ LOCALLY_1_LIPSCHITZ = "Locally1Lipschitz"
 BOUNDED_SCALING = "BoundedScaling"
 LOCALLY_RHO_LIPSCHITZ = "LocallyRhoLipschitz"
 
+# levels below the start allowed in the per-ball Lipschitz certifier
+CERTIFY_CAP = 48
+
 
 @dataclass(frozen=True)
 class ScalingReport:
-    prime: int
-    domain: CompactDomain
     classification: str
     # exponent of the bound C (BoundedScaling) or rho (LocallyRhoLipschitz)
     classification_exponent: int | None
@@ -190,8 +191,6 @@ def _root_free_report(
     else:
         kind, bound = BOUNDED_SCALING, max(exponents)
     return ScalingReport(
-        prime=f.prime,
-        domain=X,
         classification=kind,
         classification_exponent=bound,
         radius_exponent=l,
@@ -216,8 +215,6 @@ def classify(
     if f.t1.is_zero():
         # constant map: distances collapse, trivially 1-Lipschitz
         return ScalingReport(
-            prime=f.prime,
-            domain=X,
             classification=LOCALLY_1_LIPSCHITZ,
             classification_exponent=None,
             radius_exponent=None,
@@ -245,7 +242,7 @@ def _certified_profile(
     M = X.height_exponent()
     h_t = _two_variable_height_factor(f, M)
     start = min(X.base_level, -1)
-    floor = start - config.certify_cap
+    floor = start - CERTIFY_CAP
     exact: dict[Ball, int] = {}
     upper: dict[Ball, int] = {}
     work = list(decompose(X, start, config))
@@ -303,8 +300,6 @@ def _certified_profile(
         kind, bound = LOCALLY_RHO_LIPSCHITZ, max_exp
         transport = None
     return ScalingReport(
-        prime=p,
-        domain=X,
         classification=kind,
         classification_exponent=bound,
         radius_exponent=transport,

@@ -32,7 +32,7 @@ from padicdyn.errors import (
     PadicDynError,
     PoleInDomain,
 )
-from padicdyn.global_qp import ERGODICITY, MINIMALITY, certify_no_roots_qp, compute_N
+from padicdyn.global_qp import ERGODICITY, MINIMALITY, certify_no_roots_qp
 from padicdyn.hensel import hensel_precondition
 from padicdyn.maps import map_from_coefficients
 
@@ -119,7 +119,7 @@ def test_criterion_3_punctured_domain_reproduction():
 def test_criterion_4_quartic_global_reproduction():
     with _Budget("4 (global quartic analysis)", 1.0):
         f = parse_map("(x^4+x^3+2x^2+1)/(x^3-x+1)", 3)
-        gate = compute_N(f)
+        gate = degree_gate(f)
         assert gate.gate_passed and gate.N_exponent == 1
         Z3 = CompactDomain.zp(3)
         A = Analysis(f, Z3)

@@ -24,8 +24,9 @@ from padicdyn import (
     parse_domain,
     parse_map,
 )
-from padicdyn import digraph, scaling
+from padicdyn import digraph, global_qp, scaling
 from padicdyn.digraph import LevelDigraph, SubsidiaryEdgeData
+from padicdyn.errors import DecompositionTooLarge, PadicDynError
 from padicdyn.padics import INF, NEG_INF
 
 
@@ -199,9 +200,49 @@ def test_each_level_is_built_once_per_op(monkeypatch, argv, classify_calls):
     assert bool(levels) == bool(classify_calls)
 
 
+@pytest.mark.parametrize(
+    "argv,descents",
+    [
+        pytest.param(QUARTIC_ARGS[:4] + ["global"], 1, id="quartic-global"),
+        pytest.param(PUNCTURED_ARGS[:4] + ["global"], 1, id="punctured-global"),
+        # the invariant sphere needs N only, which takes no descent
+        pytest.param(QUARTIC_ARGS[:4] + ["witness", "--goal", "ergodicity"], 0,
+                     id="quartic-witness-ergodicity"),
+        pytest.param(["-p", "3", "--map", "x/(x^2+1)", "witness", "--goal", "minimality"], 1,
+                     id="contraction-witness-minimality"),
+    ],
+)
+def test_each_op_descends_on_the_denominator_at_most_once(monkeypatch, argv, descents):
+    # only the global module's descents: classifying the reduction ball
+    # descends on Q and T1 over that ball, through scaling's own binding
+    calls = []
+    descend = global_qp.lower_bound_bF
+    monkeypatch.setattr(
+        global_qp, "lower_bound_bF", lambda *args: calls.append(args) or descend(*args)
+    )
+    code, _ = run_cli(argv)
+    assert code == EXIT_OK
+    assert len(calls) == descents
+
+
+def test_global_prints_the_gate_before_the_reduction_runs(monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise DecompositionTooLarge("reduction ball over budget")
+
+    monkeypatch.setattr(global_qp, "Analysis", too_large)
+    assert main(QUARTIC_ARGS[:4] + ["global"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "gate: passed (alpha=0, m=4, n=3)",
+        "denominator roots in Qp: root-free",
+        "N: 1",
+    ]
+    assert captured.err == "error: reduction ball over budget\n"
+
+
 def test_level_flags_are_exponents():
     # a decimal radius is a parse error, not silently accepted
-    with pytest.raises(SystemExit):
+    with pytest.raises(PadicDynError):
         invocation_from_args(P7_ARGS + ["digraph", "--level", "0.5"])
 
 

@@ -6,7 +6,6 @@ import pytest
 from padicdyn import (
     CompactDomain,
     certify_no_roots_qp,
-    compute_N,
     decompose,
     degree_gate,
     fraction_valuation,
@@ -36,8 +35,8 @@ def test_degree_gate(p, text, passed, alpha, m, n):
 
 
 def test_compute_n_integral_fast_path():
-    assert compute_N(parse_map("(x^4 + x^3 + 2x^2 + 1)/(x^3 - x + 1)", 3)).N_exponent == 1
-    assert compute_N(parse_map("(x^2-1)/x", 7)).N_exponent == 1
+    assert degree_gate(parse_map("(x^4 + x^3 + 2x^2 + 1)/(x^3 - x + 1)", 3)).N_exponent == 1
+    assert degree_gate(parse_map("(x^2-1)/x", 7)).N_exponent == 1
 
 
 def test_compute_n_with_fractional_coefficient():
@@ -45,7 +44,7 @@ def test_compute_n_with_fractional_coefficient():
     f = parse_map("(x^2 - 1/343)/x", 7)
     gate = degree_gate(f)
     assert gate.gate_passed
-    n = compute_N(f, gate).N_exponent
+    n = gate.N_exponent
     assert n == 4
     # oracle for the norm conditions defining N: at |x| = p^N the numerator
     # and denominator of f' behave like their leading terms
@@ -70,7 +69,7 @@ def test_global_checks_quartic_yes():
     g = global_check(f)
     assert g.isometry == "Yes"
     assert g.measure_preserving == "Yes"
-    assert g.gate.forward_invariant_ball is True
+    assert g.forward_invariant_ball is True
     assert g.failure is None
 
 
@@ -127,7 +126,7 @@ def test_sphere_invariance_beyond_n():
     # every gate-passing map keeps the spheres at N, N+1, N+2 invariant
     for p, text in [(3, "(x^4 + x^3 + 2x^2 + 1)/(x^3 - x + 1)"), (7, "(x^2-1)/x")]:
         f = parse_map(text, p)
-        n = compute_N(f).N_exponent
+        n = degree_gate(f).N_exponent
         for k in range(3):
             sphere = CompactDomain.sphere(n + k, p)
             for b in decompose(sphere, n + k - 1 - 2):
@@ -198,7 +197,7 @@ def test_reduction_ball_beyond_unit_ball_isometry():
     # translation by 1/9 passes the gate with N = 3; the reduction ball
     # B(0,2) reaches outside Z_3 and the verdict is still decided exactly
     f = parse_map("x + 1/9", 3)
-    gate = compute_N(f)
+    gate = degree_gate(f)
     assert gate.N_exponent == 3
     g = global_check(f)
     assert g.isometry == "Yes" and g.measure_preserving == "Yes"
@@ -211,7 +210,7 @@ def test_reduction_ball_beyond_unit_ball_expansion_refused():
     f = parse_map("(x^3 + x/9 + 1)/(x^2 + 1)", 3)
     gate = degree_gate(f)
     assert gate.gate_passed and gate.q1_certification == "root-free"
-    assert compute_N(f, gate).N_exponent == 3
+    assert gate.N_exponent == 3
     g = global_check(f)
     assert g.isometry == "No"
     assert g.compact_report.classification == "LocallyRhoLipschitz"
@@ -235,7 +234,7 @@ def test_reduction_failure_reasons(failure, f, config):
     assert g.failure is failure
     assert g.isometry_reason == g.measure_preserving_reason == failure.text
     assert (g.isometry, g.measure_preserving) == (failure.isometry, failure.measure_preserving)
-    assert g.gate.forward_invariant_ball is (
+    assert g.forward_invariant_ball is (
         False if failure is ReductionFailure.BALL_NOT_INVARIANT else None
     )
 

@@ -83,6 +83,8 @@ CASES.update({
     "quartic-beyond-zp-intrinsic-level": QUARTIC[:4] + ["--domain", "B(0,1)",
                                                         "intrinsic-level", "--margin", "0"],
     "shift-ergodic-p5": ["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
+    "error-usage-decimal-level": TWO_BALL + ["digraph", "--level", "0.5"],
+    "error-usage-flag-not-taken": QUARTIC + ["mp", "--dot", "g.dot"],
 })
 
 
