@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .digraph import MEASURE_PRESERVING, UNDECIDED, Analysis
-from .domains import Ball, CompactDomain, decompose
+from .domains import Ball, CompactDomain
 from .errors import (
     DepthCapExceeded,
     NotForwardInvariant,
@@ -26,13 +26,20 @@ from .errors import (
 )
 from .maps import RationalMap
 from .padics import ceil_div, fraction_valuation
-from .polynomials import Polynomial, poly_divexact, poly_gcd
+from .polynomials import (
+    Polynomial,
+    norm_constant_exponent,
+    poly_divexact,
+    poly_eval,
+    poly_gcd,
+)
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF
 
 MINIMALITY = "Minimality"
 ERGODICITY = "Ergodicity"
 
-# levels below a witness region sampled when verifying an obstruction
+# levels below a witness region at which unsettled ball centres are
+# evaluated when verifying an obstruction
 WITNESS_DEPTH = 4
 
 
@@ -65,7 +72,8 @@ class ObstructionWitness:
     region: Ball | SphereRegion
     derived_levels: dict
     # the stated property holds at every ball centre WITNESS_DEPTH levels
-    # below the checked region
+    # below the checked region: proven on each ball where |f| is constant,
+    # evaluated at the centres no such ball covers
     verified: bool
     checked_depth: int = WITNESS_DEPTH
     # for contraction witnesses: samples of the region must land here
@@ -269,8 +277,9 @@ def global_obstruction(
     Minimality: an invariant ball around 0 or a region that orbits never
     leave.  Ergodicity: for gate-passing maps the invariant sphere
     S_{p^N}(0); otherwise a measure-distorting ball or escaping region.
-    The stated property is verified at sampled representatives before the
-    witness is returned.
+    Before the witness is returned its region is settled ball by ball where
+    P1 and Q1 have constant norm, and f is evaluated only at the ball
+    centres WITNESS_DEPTH levels down that no ball settles.
     """
     if goal not in (MINIMALITY, ERGODICITY):
         raise ValueError(f"unknown goal {goal!r}")
@@ -285,12 +294,49 @@ def global_obstruction(
 
 
 def _holds_on_samples(
-    f: RationalMap, X: CompactDomain, holds, config: AnalysisConfig
+    f: RationalMap, X: CompactDomain, lo: int | None, hi: int | None,
+    config: AnalysisConfig,
 ) -> bool:
-    """Whether ``holds(f(x))`` at every ball centre x of X, WITNESS_DEPTH
-    levels below its base level."""
-    samples = decompose(X, X.base_level - WITNESS_DEPTH, config)
-    return all(holds(f.eval(b.key)) for b in samples)
+    """Whether lo <= -v(f(x)) <= hi (``None`` for an open side) at every
+    ball centre x of X, WITNESS_DEPTH levels below its base level.
+
+    A ball on which P1 and Q1 both have constant norm carries one norm
+    exponent of f; when it lies within the claim the ball is settled,
+    otherwise it is split.  f is evaluated only at the sample-level centres
+    that no ball settles, in key order.  A settled ball holds no pole and
+    no failing centre, so the first failing centre or pole, and with it the
+    verdict or the ``PoleInDomain`` raised, is the full sweep's.
+    """
+    p = f.prime
+    bottom = X.base_level - WITNESS_DEPTH
+    config.check_ball_budget(len(X.keys) * p**WITNESS_DEPTH, "decomposition", bottom)
+
+    def within(e) -> bool:
+        return (lo is None or lo <= e) and (hi is None or e <= hi)
+
+    samples = []
+    work = list(X.balls())
+    while work:
+        b = work.pop()
+        if b.level == bottom:
+            samples.append(b.key)
+            continue
+        e = _constant_norm_exponent(f, b)
+        if e is None or not within(e):
+            work.extend(b.children())
+    return all(within(-fraction_valuation(f.eval(k), p)) for k in sorted(samples))
+
+
+def _constant_norm_exponent(f: RationalMap, b: Ball) -> int | None:
+    """e with |f| = p^e on all of b when P1 and Q1 both have constant norm
+    there, else None."""
+    a, t, p = b.key, b.level, f.prime
+    if t > norm_constant_exponent(f.Q1, a) or t > norm_constant_exponent(f.P1, a):
+        return None
+    return int(
+        -f.alpha - fraction_valuation(poly_eval(f.P1, a), p)
+        + fraction_valuation(poly_eval(f.Q1, a), p)
+    )
 
 
 def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitness:
@@ -301,9 +347,7 @@ def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitnes
         case_tag="invariant-sphere",
         region=SphereRegion(N, p),
         derived_levels={"N": N},
-        verified=_holds_on_samples(
-            f, CompactDomain.sphere(N, p), lambda y: -fraction_valuation(y, p) == N, config
-        ),
+        verified=_holds_on_samples(f, CompactDomain.sphere(N, p), N, N, config),
     )
 
 
@@ -348,7 +392,7 @@ def _contraction_witness(
         region=region,
         derived_levels={"N0": n0, "N": N, "l0": l0, "l1": l1, "N1": n1},
         verified=_holds_on_samples(
-            f, CompactDomain.ball(0, region.level, f.prime), image.contains, config
+            f, CompactDomain.ball(0, region.level, f.prime), None, image.level, config
         ),
         image_region=image,
     )
@@ -374,12 +418,7 @@ def _escape_witness(
         region=Ball.containing(0, sphere_exp - 1, p),
         derived_levels={"N0": n0, "N": N},
         verified=all(
-            _holds_on_samples(
-                f,
-                CompactDomain.sphere(sphere_exp + k, p),
-                lambda y: -fraction_valuation(y, p) >= min_image,
-                config,
-            )
+            _holds_on_samples(f, CompactDomain.sphere(sphere_exp + k, p), min_image, None, config)
             for k in range(3)
         ),
         sphere_exponent=sphere_exp,

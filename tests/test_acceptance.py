@@ -319,9 +319,29 @@ def test_criterion_9_obstruction_suite():
             w = global_obstruction(f, ERGODICITY)
             assert w.verified, f"unverified ergodicity witness for {f}"
             assert w.checked_depth == 4
+            assert _claim_holds_at_samples(f, w), f"ergodicity witness fails for {f}"
             try:
                 wm = global_obstruction(f, MINIMALITY)
                 assert wm.verified, f"unverified minimality witness for {f}"
+                assert _claim_holds_at_samples(f, wm), f"minimality witness fails for {f}"
             except PoleInDomain:
                 pass  # contraction witnesses need pole-free denominators
             produced += 1
+
+
+def _claim_holds_at_samples(f, w):
+    """Independent oracle for a witness: f at every ball centre 4 levels
+    below each checked region satisfies the stated claim."""
+    p = f.prime
+    if w.kind == "InvariantBall":
+        regions = [CompactDomain.ball(0, w.region.level, p)]
+        claim = w.image_region.contains
+    else:
+        assert w.kind == "EscapingRegion"
+        regions = [CompactDomain.sphere(w.sphere_exponent + k, p) for k in range(3)]
+
+        def claim(y):
+            return -fraction_valuation(y, p) >= w.min_image_exponent
+    return all(
+        claim(f.eval(b.key)) for X in regions for b in decompose(X, X.base_level - 4)
+    )

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import (
     CompactDomain,
+    Polynomial,
     certify_no_roots_qp,
     decompose,
     degree_gate,
@@ -13,10 +16,11 @@ from padicdyn import (
     global_obstruction,
     parse_map,
 )
+from padicdyn import cli, global_qp
 from padicdyn.config import AnalysisConfig
-from padicdyn.errors import PoleInDomain
-from padicdyn.global_qp import ERGODICITY, MINIMALITY, ReductionFailure
-from padicdyn.maps import map_from_coefficients
+from padicdyn.errors import DecompositionTooLarge, PadicDynError, PoleInDomain
+from padicdyn.global_qp import ERGODICITY, MINIMALITY, WITNESS_DEPTH, ReductionFailure
+from padicdyn.maps import RationalMap, map_from_coefficients, normalize_map
 
 
 @pytest.mark.parametrize(
@@ -248,3 +252,126 @@ def test_reduction_failure_texts_and_verdicts():
         ("not locally 1-Lipschitz on the reduction ball", "No", "Undecided"),
         ("reduction ball is not forward invariant", "No", "No"),
     ]
+
+
+def _within(lo, hi, e):
+    return (lo is None or lo <= e) and (hi is None or e <= hi)
+
+
+def _sampled_sweep(f, X, lo, hi, config):
+    """The witness check before balls were settled: f at every ball centre
+    WITNESS_DEPTH levels below X, in key order."""
+    samples = decompose(X, X.base_level - WITNESS_DEPTH, config)
+    return all(_within(lo, hi, -fraction_valuation(f.eval(b.key), f.prime)) for b in samples)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except PadicDynError as exc:
+        return type(exc), str(exc)
+
+
+_small_fraction = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 1, 2, 3, 5, 7, 9, 25, 49])
+)
+
+
+@st.composite
+def _settling_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        X = CompactDomain.ball(0, draw(st.integers(-1, 1)), p)
+    else:
+        X = CompactDomain.sphere(draw(st.integers(-1, 2)), p)
+    pc = draw(st.lists(_small_fraction, min_size=1, max_size=4))
+    qc = draw(st.lists(_small_fraction, min_size=1, max_size=3))
+    if not any(qc):
+        qc[-1] = Fraction(1)
+    q = Polynomial.of(qc, p)
+    if draw(st.booleans()):
+        # a pole at one of the sample centres
+        keys = decompose(X, X.base_level - WITNESS_DEPTH)
+        root = keys[draw(st.integers(0, len(keys) - 1))].key
+        q = q * Polynomial.of([-root, 1], p)
+    f = normalize_map(Polynomial.of(pc, p), q)
+    lo = draw(st.none() | st.integers(-6, 6))
+    hi = draw(st.none() | st.integers(-6, 6))
+    cap = draw(st.sampled_from([1_000_000, 1_000_000, 1_000_000, 50]))
+    return f, X, lo, hi, AnalysisConfig(ball_cap=cap)
+
+
+def test_settled_check_agrees_with_the_sampled_sweep():
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_settling_cases())
+    def check(case):
+        got = _outcome(global_qp._holds_on_samples, *case)
+        assert got == _outcome(_sampled_sweep, *case)
+        seen.add(got if isinstance(got, bool) else got[0])
+
+    check()
+    assert seen == {True, False, PoleInDomain, DecompositionTooLarge}
+
+
+def _shift_claims(monkeypatch):
+    """Move every witness claim one level past its bound: a sphere claim to
+    the next sphere, an image bound one level in, an escape bound one out."""
+    real = global_qp._holds_on_samples
+
+    def shifted(f, X, lo, hi, config):
+        if lo == hi:
+            lo = hi = lo + 1
+        else:
+            lo = None if lo is None else lo + 1
+            hi = None if hi is None else hi - 1
+        return real(f, X, lo, hi, config)
+
+    monkeypatch.setattr(global_qp, "_holds_on_samples", shifted)
+
+
+@pytest.mark.parametrize(
+    "p,text,goal,tag",
+    [
+        (7, "(x^2-1)/x", ERGODICITY, "invariant-sphere"),
+        # |f| = p on all of Z_5, and the image ball is B(0, 1)
+        (5, "1/(5x^2+5x+5)", MINIMALITY, "invariant-ball"),
+        # |x + 1| = p on S(0, 1)
+        (3, "x+1", MINIMALITY, "escaping-orbit"),
+        # |x/3| = p^3 on S(0, 2)
+        (3, "x/3", ERGODICITY, "measure-distorting-escape"),
+    ],
+)
+def test_claim_one_level_past_an_attained_bound_fails(monkeypatch, p, text, goal, tag):
+    f = parse_map(text, p)
+    w = global_obstruction(f, goal)
+    assert (w.case_tag, w.verified) == (tag, True)
+    _shift_claims(monkeypatch)
+    assert global_obstruction(f, goal).verified is False
+
+
+def test_cli_prints_failed_for_a_claim_past_its_bound(monkeypatch, capsys):
+    _shift_claims(monkeypatch)
+    code = cli.main(["-p", "7", "--map", "(x^2-1)/x", "witness", "--goal", "ergodicity"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verified at depth 4: FAILED"
+
+
+@pytest.mark.parametrize(
+    "map_text,most",
+    [("(-7+5*x^2+6*x^3)/(7)", 0), ("(3-2*x+3*x^2)/(2+7*x+2*x^2)", 20)],
+)
+def test_witness_evaluates_only_unsettled_centres(monkeypatch, capsys, map_text, most):
+    # the sampled sweep made 43,218 and 2,401 evaluations
+    real = RationalMap.eval
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(RationalMap, "eval", counted)
+    assert cli.main(["-p", "7", f"--map={map_text}", "witness", "--goal", "ergodicity"]) == 0
+    assert "verified at depth 4: ok" in capsys.readouterr().out
+    assert len(calls) <= most

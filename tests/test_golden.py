@@ -85,6 +85,14 @@ CASES.update({
     "shift-ergodic-p5": ["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
     "error-usage-decimal-level": TWO_BALL + ["digraph", "--level", "0.5"],
     "error-usage-flag-not-taken": QUARTIC + ["mp", "--dot", "g.dot"],
+    "escape-p7-witness-ergodicity": ["-p", "7", "--map=(-7+5*x^2+6*x^3)/(7)",
+                                     "witness", "--goal", "ergodicity"],
+    "distorting-ball-p7-witness-ergodicity": ["-p", "7", "--map=(3-2*x+3*x^2)/(2+7*x+2*x^2)",
+                                              "witness", "--goal", "ergodicity"],
+    "invariant-ball-p7-witness-minimality": ["-p", "7", "--map=(3-2*x+3*x^2)/(2+7*x+2*x^2)",
+                                             "witness", "--goal", "minimality"],
+    "error-witness-denominator-root": ["-p", "7", "--map=(3+8*x)/(1+9*x)",
+                                       "witness", "--goal", "ergodicity"],
 })
 
 
