@@ -79,10 +79,9 @@ class RootCertified(PadicDynError):
     """A root of the polynomial provably lies inside the domain, so no
     positive lower bound for |F| exists there."""
 
-    def __init__(self, message: str, ball=None, seed=None):
+    def __init__(self, message: str, ball=None):
         super().__init__(message)
         self.ball = ball
-        self.seed = seed
 
 
 class PoleInDomain(PadicDynError):

@@ -33,7 +33,7 @@ from .polynomials import (
     poly_eval,
     poly_gcd,
 )
-from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF
+from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF, walk
 
 MINIMALITY = "Minimality"
 ERGODICITY = "Ergodicity"
@@ -315,28 +315,20 @@ def _holds_on_samples(
         return (lo is None or lo <= e) and (hi is None or e <= hi)
 
     samples = []
-    work = list(X.balls())
-    while work:
-        b = work.pop()
-        if b.level == bottom:
-            samples.append(b.key)
-            continue
-        e = _constant_norm_exponent(f, b)
-        if e is None or not within(e):
-            work.extend(b.children())
+
+    def visit(b: Ball) -> bool:
+        a, t = b.key, b.level
+        if t == bottom:
+            samples.append(a)
+            return False
+        if t > norm_constant_exponent(f.Q1, a) or t > norm_constant_exponent(f.P1, a):
+            return True
+        # P1 and Q1 have constant norm on b, so |f| = p^(e - alpha) on all of b
+        e = fraction_valuation(poly_eval(f.Q1, a), p) - fraction_valuation(poly_eval(f.P1, a), p)
+        return not within(e - f.alpha)
+
+    walk(X.balls(), visit, config, "witness check")
     return all(within(-fraction_valuation(f.eval(k), p)) for k in sorted(samples))
-
-
-def _constant_norm_exponent(f: RationalMap, b: Ball) -> int | None:
-    """e with |f| = p^e on all of b when P1 and Q1 both have constant norm
-    there, else None."""
-    a, t, p = b.key, b.level, f.prime
-    if t > norm_constant_exponent(f.Q1, a) or t > norm_constant_exponent(f.P1, a):
-        return None
-    return int(
-        -f.alpha - fraction_valuation(poly_eval(f.P1, a), p)
-        + fraction_valuation(poly_eval(f.Q1, a), p)
-    )
 
 
 def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitness:

@@ -1,11 +1,14 @@
 """Certified lower bounds, uniform scaling radius, and classification.
 
-``lower_bound_bF`` runs the representative descent: starting at the domain's
-base level (coerced below 0), it evaluates F at every representative and
-descends one level while some value vanishes modulo p^(-t); on termination
-p^(t+1) is a proven lower bound for |F| on the whole domain.  Domains that
-extend beyond the unit ball are rescaled into Z_p first so the one-step
-Lipschitz argument behind the descent stays valid.
+``walk`` visits a tree of balls level by level, settling or splitting each;
+the descent, the per-ball profile and ``global_qp``'s witness check run on it.
+``lower_bound_bF`` walks the domain, rescaled into Z_p first so that F is
+integral and 1-Lipschitz there: a level-t ball is a suspect when
+v(F(key)) >= -t, and p^d bounds |F| from below when d is the deepest level
+holding a suspect.  A ball where F's Taylor expansion has a dominant
+constant term holds no root of F and |F| is constant on it, so it is
+settled: its suspects reach exactly down to -v(F(key)).  Only balls that may
+hold a root are split, and lifting certifies a root as soon as one is met.
 
 The uniform scaling radius is r = min(b(Q), b(T1))/p with T1 = P'Q - PQ'
 (corrected by a height factor for domains outside Z_p), and on any ball of
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, decompose
@@ -27,7 +31,7 @@ from .errors import (
 )
 from .hensel import certifies_root_in_radius
 from .maps import RationalMap
-from .padics import NEG_INF, fraction_valuation
+from .padics import INF, NEG_INF, canonical_key, fraction_valuation
 from .polynomials import (
     Polynomial,
     norm_constant_exponent,
@@ -63,6 +67,23 @@ class ScalingReport:
     @property
     def is_one_lipschitz(self) -> bool:
         return self.classification in (LOCALLY_ISOMETRIC, LOCALLY_1_LIPSCHITZ)
+
+
+def walk(
+    balls: Iterable[Ball], visit: Callable[[Ball], bool], config: AnalysisConfig, what: str
+) -> None:
+    """Visit ``balls`` (all on one level), then the children of every ball
+    that ``visit`` splits, level by level, until no ball is split.
+
+    ``visit(b)`` returns True to split b and False to settle it, or raises.
+    A level keeps its parents' order, children by digit, and each level
+    below the first must fit ``config.ball_cap``.
+    """
+    level = list(balls)
+    while level:
+        split = [b for b in level if visit(b)]
+        config.check_ball_budget(len(split) * level[0].prime, what, level[0].level - 1)
+        level = [c for b in split for c in b.children()]
 
 
 def _rescaled(F: Polynomial, X: CompactDomain):
@@ -107,36 +128,44 @@ def lower_bound_bF(
 
 def _descend(F: Polynomial, X: CompactDomain, config: AnalysisConfig) -> int:
     p = F.prime
-    t = min(X.base_level, -1)
-    floor = t - config.descent_cap
-    work = decompose(X, t, config)
-    while True:
-        suspects = []
-        for b in work:
-            if fraction_valuation(poly_eval(F, b.key), p) >= -t:
-                suspects.append(b)
-        if not suspects:
-            return t + 1
-        for b in suspects:
-            a = b.key
-            if poly_eval(F, a) == 0:
-                raise RootCertified(
-                    f"{a} is a root of F inside the domain", ball=b, seed=a
-                )
-            if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(F, a, b.level):
-                raise RootCertified(
-                    f"a root of F provably lies in {b}", ball=b, seed=a
-                )
-        if t - 1 < floor:
-            raise DepthCapExceeded(
-                f"|F| not separated from 0 after {config.descent_cap} levels; "
-                f"suspect ball {suspects[0]}",
-                level=t,
-                suspect_ball=suspects[0],
-            )
-        t -= 1
-        config.check_ball_budget(len(suspects) * p, "descent", t)
-        work = [c for b in suspects for c in b.children()]
+    start = min(X.base_level, -1)
+    floor = start - config.descent_cap
+    # (e, b): ball b holds suspects, the level-t balls with v(F(key)) >= -t,
+    # down to level e and no further
+    deepest: list[tuple[int, Ball]] = []
+
+    def visit(b: Ball) -> bool:
+        a, t = b.key, b.level
+        v = fraction_valuation(poly_eval(F, a), p)
+        if v < -t or norm_constant_exponent(F, a) >= t:
+            # |F| = p^-v on all of b
+            deepest.append((int(-v), b))
+        elif v == INF:
+            raise RootCertified(f"{a} is a root of F inside the domain", ball=b)
+        elif fraction_valuation(a, p) >= 0 and certifies_root_in_radius(F, a, t):
+            raise RootCertified(f"a root of F provably lies in {b}", ball=b)
+        elif t == floor:
+            deepest.append((t, b))
+        else:
+            return True
+        return False
+
+    walk(decompose(X, start, config), visit, config, "descent")
+    breached = [b for e, b in deepest if e <= floor]
+    if breached:
+        # the suspect the walk would meet first on the floor level
+        first = min(
+            breached,
+            key=lambda b: [canonical_key(b.key, t, p) for t in range(start, floor - 1, -1)],
+        )
+        suspect = Ball(floor, first.key, p)
+        raise DepthCapExceeded(
+            f"|F| not separated from 0 after {config.descent_cap} levels; "
+            f"suspect ball {suspect}",
+            level=floor,
+            suspect_ball=suspect,
+        )
+    return min([start + 1] + [e for e, _ in deepest])
 
 
 def _two_variable_height_factor(f: RationalMap, M: int) -> int:
@@ -153,17 +182,6 @@ def _q_height_factor(f: RationalMap, M: int) -> int:
     if M <= 0 or f.Q.degree <= 0:
         return 0
     return M * (f.Q.degree - 1)
-
-
-def _denominator_bound(
-    f: RationalMap, X: CompactDomain, config: AnalysisConfig
-) -> int:
-    try:
-        return lower_bound_bF(f.Q, X, config)
-    except RootCertified as exc:
-        raise PoleInDomain(
-            f"denominator has a root in the domain: {exc}", ball=exc.ball
-        ) from exc
 
 
 def _root_free_report(
@@ -223,7 +241,10 @@ def classify(
             derivative_root_free=False,
             transport_level=X.base_level,
         )
-    b_q = _denominator_bound(f, X, config)
+    try:
+        b_q = lower_bound_bF(f.Q, X, config)
+    except RootCertified as exc:
+        raise PoleInDomain(f"denominator has a root in the domain: {exc}", ball=exc.ball) from exc
     try:
         b_t1 = lower_bound_bF(f.t1, X, config)
     except (RootCertified, DepthCapExceeded):
@@ -245,17 +266,8 @@ def _certified_profile(
     floor = start - CERTIFY_CAP
     exact: dict[Ball, int] = {}
     upper: dict[Ball, int] = {}
-    work = list(decompose(X, start, config))
-    produced = len(work)
 
-    def split(b: Ball) -> None:
-        nonlocal produced
-        produced += p
-        config.check_ball_budget(produced, "per-ball certification", b.level - 1)
-        work.extend(b.children())
-
-    while work:
-        b = work.pop()
+    def visit(b: Ball) -> bool:
         if b.level < floor:
             raise DepthCapExceeded(
                 f"per-ball certification exceeded depth cap at {b}",
@@ -264,15 +276,10 @@ def _certified_profile(
             )
         a = b.key
         t = b.level
-        qa = poly_eval(f.Q, a)
-        if qa == 0:
-            raise PoleInDomain(f"denominator vanishes at {a}", ball=b)
-        if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(f.Q, a, t):
-            raise PoleInDomain(f"denominator has a root inside {b}", ball=b)
+        # classify has bounded |Q| from below on X, so Q has no root here
         if t > norm_constant_exponent(f.Q, a):
-            split(b)
-            continue
-        vq = int(fraction_valuation(qa, p))
+            return True
+        vq = int(fraction_valuation(poly_eval(f.Q, a), p))
         ta = poly_eval(f.t1, a)
         t1_norm_exp = -fraction_valuation(ta, p)  # -inf at an exact derivative root
         lip_bound = max(t1_norm_exp, t + h_t)
@@ -280,14 +287,14 @@ def _certified_profile(
             e = int(2 * vq + t1_norm_exp)
             if e > 0 or lip_bound <= -2 * vq:
                 exact[b] = e
-                continue
+                return False
             # scalar known but the ball-to-ball certificate needs more depth
-            split(b)
-            continue
-        if lip_bound <= -2 * vq:
+        elif lip_bound <= -2 * vq:
             upper[b] = int(lip_bound + 2 * vq)
-            continue
-        split(b)
+            return False
+        return True
+
+    walk(decompose(X, start, config), visit, config, "per-ball certification")
 
     # this route is only entered once a derivative root has been certified,
     # so the map cannot be isometric

@@ -15,7 +15,12 @@ from padicdyn import (
     taylor_shift,
 )
 from padicdyn.domains import Ball
-from padicdyn.polynomials import content_and_primitive, poly_divexact, poly_gcd
+from padicdyn.polynomials import (
+    content_and_primitive,
+    poly_divexact,
+    poly_gcd,
+    squarefree_part,
+)
 
 
 def P(coeffs, p=7):
@@ -109,3 +114,38 @@ def test_norm_constant_soundness_exhaustive(p, coeffs, center):
     ball = Ball.containing(center, t, p)
     for sub in ball.subdivide(t - 2):
         assert fraction_valuation(poly_eval(F, sub.key), p) == want
+
+
+small_polys = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=4
+)
+
+
+def _monic(coeffs):
+    """Coefficients, lowest degree first, scaled to a monic polynomial."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return [c / coeffs[-1] for c in coeffs] if coeffs else []
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=150, deadline=None)
+def test_gcd_and_squarefree_part_agree_with_sympy(a, b, c):
+    # A = a*c and B = b*c^2 share the factor c; F = A*B has repeated roots
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(F):
+        return sympy.Poly(list(reversed(F.coefficients)) or [0], x, domain="QQ")
+
+    def from_sympy(S):
+        return _monic(reversed([Fraction(int(k.p), int(k.q)) for k in S.all_coeffs()]))
+
+    C = P(c)
+    A, B = P(a) * C, P(b) * C * C
+    if A.is_zero() or B.is_zero():
+        return
+    assert _monic(poly_gcd(A, B).coefficients) == from_sympy(to_sympy(A).gcd(to_sympy(B)))
+    F = A * B
+    assert _monic(squarefree_part(F).coefficients) == from_sympy(to_sympy(F).sqf_part())

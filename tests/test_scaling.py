@@ -238,13 +238,14 @@ def test_descent_work_list_respects_the_ball_budget():
 
 def test_per_ball_certification_respects_the_ball_budget():
     # (9x^2 - 6x - 6)/6 on Z_2 has a derivative root, so it is certified ball
-    # by ball; the split at level -1 brings the balls produced to 6
+    # by ball; both level -1 balls are split, and level -2 holds 4 balls
     f = parse_map("(9x^2 - 6x - 6)/6", 2)
     X = CompactDomain.zp(2)
     with pytest.raises(
         DecompositionTooLarge,
-        match=r"^per-ball certification at level -2 needs 6 balls \(cap 4\)$",
+        match=r"^per-ball certification at level -2 needs 4 balls \(cap 3\)$",
     ):
-        classify(f, X, AnalysisConfig(ball_cap=4))
+        classify(f, X, AnalysisConfig(ball_cap=3))
+    assert classify(f, X, AnalysisConfig(ball_cap=4)) == classify(f, X)
     report = classify(f, X)
     assert (report.classification, report.transport_level) == ("Locally1Lipschitz", -2)

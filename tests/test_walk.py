@@ -1,0 +1,305 @@
+"""The ball walker against the loops it replaced.
+
+``_old_descend`` and ``_old_certified_profile`` are copies of the descent
+that split every suspect ball and of the depth-first per-ball profile.  The
+walker must give the same lower-bound exponent (or the same exception,
+message included) and the same scaling report.
+"""
+
+from __future__ import annotations
+
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicdyn import cli, scaling
+from padicdyn.config import AnalysisConfig
+from padicdyn.domains import CompactDomain, decompose
+from padicdyn.errors import (
+    DecompositionTooLarge,
+    DepthCapExceeded,
+    PadicDynError,
+    PoleInDomain,
+    RootCertified,
+)
+from padicdyn.hensel import certifies_root_in_radius
+from padicdyn.maps import normalize_map
+from padicdyn.padics import fraction_valuation
+from padicdyn.parsing import parse_domain
+from padicdyn.polynomials import (
+    Polynomial,
+    norm_constant_exponent,
+    poly_eval,
+    squarefree_part,
+)
+from padicdyn.scaling import (
+    CERTIFY_CAP,
+    LOCALLY_1_LIPSCHITZ,
+    LOCALLY_RHO_LIPSCHITZ,
+    ScalingReport,
+    _rescaled,
+    _two_variable_height_factor,
+    lower_bound_bF,
+)
+
+
+def _old_descend(F, X, config):
+    p = F.prime
+    t = min(X.base_level, -1)
+    floor = t - config.descent_cap
+    work = decompose(X, t, config)
+    while True:
+        suspects = []
+        for b in work:
+            if fraction_valuation(poly_eval(F, b.key), p) >= -t:
+                suspects.append(b)
+        if not suspects:
+            return t + 1
+        for b in suspects:
+            a = b.key
+            if poly_eval(F, a) == 0:
+                raise RootCertified(
+                    f"{a} is a root of F inside the domain", ball=b
+                )
+            if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(F, a, b.level):
+                raise RootCertified(
+                    f"a root of F provably lies in {b}", ball=b
+                )
+        if t - 1 < floor:
+            raise DepthCapExceeded(
+                f"|F| not separated from 0 after {config.descent_cap} levels; "
+                f"suspect ball {suspects[0]}",
+                level=t,
+                suspect_ball=suspects[0],
+            )
+        t -= 1
+        config.check_ball_budget(len(suspects) * p, "descent", t)
+        work = [c for b in suspects for c in b.children()]
+
+
+def _old_lower_bound(F, X, config):
+    G, Xs, shift = _rescaled(F, X)
+    sf = squarefree_part(G)
+    if sf.degree < G.degree:
+        _old_descend(sf, Xs, config)
+    return _old_descend(G, Xs, config) + shift
+
+
+def _old_certified_profile(f, X, config):
+    p = f.prime
+    M = X.height_exponent()
+    h_t = _two_variable_height_factor(f, M)
+    start = min(X.base_level, -1)
+    floor = start - CERTIFY_CAP
+    exact, upper = {}, {}
+    work = list(decompose(X, start, config))
+    produced = len(work)
+
+    def split(b):
+        nonlocal produced
+        produced += p
+        config.check_ball_budget(produced, "per-ball certification", b.level - 1)
+        work.extend(b.children())
+
+    while work:
+        b = work.pop()
+        if b.level < floor:
+            raise DepthCapExceeded(
+                f"per-ball certification exceeded depth cap at {b}",
+                level=b.level,
+                suspect_ball=b,
+            )
+        a = b.key
+        t = b.level
+        qa = poly_eval(f.Q, a)
+        if qa == 0:
+            raise PoleInDomain(f"denominator vanishes at {a}", ball=b)
+        if fraction_valuation(a, p) >= 0 and certifies_root_in_radius(f.Q, a, t):
+            raise PoleInDomain(f"denominator has a root inside {b}", ball=b)
+        if t > norm_constant_exponent(f.Q, a):
+            split(b)
+            continue
+        vq = int(fraction_valuation(qa, p))
+        ta = poly_eval(f.t1, a)
+        t1_norm_exp = -fraction_valuation(ta, p)
+        lip_bound = max(t1_norm_exp, t + h_t)
+        if ta != 0 and t <= norm_constant_exponent(f.t1, a):
+            e = int(2 * vq + t1_norm_exp)
+            if e > 0 or lip_bound <= -2 * vq:
+                exact[b] = e
+                continue
+            split(b)
+            continue
+        if lip_bound <= -2 * vq:
+            upper[b] = int(lip_bound + 2 * vq)
+            continue
+        split(b)
+
+    exponents = list(exact.values()) + list(upper.values())
+    max_exp = max(exponents) if exponents else 0
+    if max_exp <= 0:
+        kind, bound = LOCALLY_1_LIPSCHITZ, None
+        transport = min((b.level for b in list(exact) + list(upper)), default=start)
+    else:
+        kind, bound = LOCALLY_RHO_LIPSCHITZ, max_exp
+        transport = None
+    return ScalingReport(
+        classification=kind,
+        classification_exponent=bound,
+        radius_exponent=transport,
+        b_q_exponent=None,
+        b_t1_exponent=None,
+        derivative_root_free=False,
+        transport_level=transport,
+        scalar_profile=exact,
+        scalar_upper_bounds=upper,
+    )
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except PadicDynError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _domains(draw, p):
+    kind = draw(st.sampled_from(["Zp", "B(0,1)", "B(0,2)", "sphere", "punctured"]))
+    if kind == "sphere":
+        return CompactDomain.sphere(draw(st.integers(-1, 2)), p)
+    if kind == "punctured":
+        hole = draw(st.integers(0, p**2 - 1))
+        return parse_domain(f"Zp - B({hole},-2)", p)
+    return parse_domain(kind, p)
+
+
+@st.composite
+def _factor(draw, p):
+    """x - r, or (x - r)^2 - c p^k: a cluster of two roots near r whose
+    separation from zero the descent has to find k levels down."""
+    r = draw(st.integers(-p**3, p**3))
+    linear = Polynomial.of([-r, 1], p)
+    if draw(st.booleans()):
+        return linear
+    c = draw(st.sampled_from([1, -1, 2, 3, 5]))
+    return linear * linear - Polynomial.constant(c * p ** draw(st.integers(1, 12)), p)
+
+
+@st.composite
+def _descent_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    X = draw(_domains(p))
+    if draw(st.booleans()):
+        F = Polynomial.of(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5)), p)
+    else:
+        F = Polynomial.constant(draw(st.sampled_from([1, p, -2])), p)
+        for _ in range(draw(st.integers(1, 2))):
+            F = F * draw(_factor(p))
+    if F.is_zero():
+        F = Polynomial.constant(1, p)
+    cap = draw(st.sampled_from([1, 2, 3, 5, 32]))
+    # the budget only keeps the copied descent's cost in bounds
+    return F, X, AnalysisConfig(descent_cap=cap, ball_cap=20_000)
+
+
+def test_descent_agrees_with_the_descent_that_splits_every_suspect():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_descent_cases())
+    def check(case):
+        want = _outcome(_old_lower_bound, *case)
+        got = _outcome(lower_bound_bF, *case)
+        if isinstance(want, tuple) and want[0] is DecompositionTooLarge:
+            # the walker splits only balls that may hold a root, so it
+            # meets the budget later, if at all
+            return
+        assert got == want
+        seen.add(int if isinstance(got, int) else got[0])
+
+    check()
+    assert {int, RootCertified, DepthCapExceeded} <= seen
+
+
+def test_cap_error_names_the_suspect_the_old_descent_named():
+    # ((x-6)^2 + 2^9)((x-1)^2 + 2^9) has no root in Q_2; at level -3 the
+    # suspects are 2, 6 and 1 mod 8, and the walk meets 2 first (then 6,
+    # then 1: digit by digit, lowest first), although 1 is the smallest key
+    def cluster(r):
+        linear = Polynomial.of([-r, 1], 2)
+        return linear * linear + Polynomial.constant(2**9, 2)
+
+    F, X = cluster(6) * cluster(1), CompactDomain.zp(2)
+    config = AnalysisConfig(descent_cap=2)
+    with pytest.raises(DepthCapExceeded, match=r"suspect ball B\(2, -3\)$") as caught:
+        lower_bound_bF(F, X, config)
+    assert caught.value.level == -3
+    assert _outcome(lower_bound_bF, F, X, config) == _outcome(_old_lower_bound, F, X, config)
+
+
+_small_fraction = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 1, 2, 3, 9])
+)
+
+
+@st.composite
+def _profile_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    # B(0,2) is left out: there both profiles walk 10^5 balls for some
+    # quadratic denominators, about 30 s each
+    X = draw(_domains(p).filter(lambda X: X.height_exponent() < 2))
+    pc = draw(st.lists(_small_fraction, min_size=2, max_size=4))
+    qc = draw(st.lists(_small_fraction, min_size=1, max_size=3))
+    if not any(qc):
+        qc[-1] = Fraction(1)
+    f = normalize_map(Polynomial.of(pc, p), Polynomial.of(qc, p))
+    return f, X, AnalysisConfig()
+
+
+def test_profile_agrees_with_the_depth_first_profile():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_profile_cases())
+    def check(case):
+        f, X, config = case
+        if f.t1.is_zero():
+            return
+        try:
+            # classify reaches the profile only past the denominator descent
+            lower_bound_bF(f.Q, X, config)
+        except PadicDynError:
+            return
+        want = _outcome(_old_certified_profile, *case)
+        got = _outcome(scaling._certified_profile, *case)
+        if isinstance(want, ScalingReport) or isinstance(got, ScalingReport):
+            assert got == want
+        else:
+            assert got[0] is want[0]
+        seen.add(type(got) if isinstance(got, ScalingReport) else got[0])
+
+    check()
+    assert ScalingReport in seen
+
+
+@pytest.mark.parametrize(
+    "argv,budget",
+    [
+        # the descent on Q1 = x^3+9x^2+8x-2/25 over B(0,3) used to split
+        # every suspect ball (286k evaluations) before the failed gate printed
+        (["-p", "5", "--map", "(-20x+20)/(25x^3+225x^2+200x-2)", "--domain", "Qp",
+          "global"], 0.5),
+        # two descents beyond Z_p, then the per-ball profile
+        (["-p", "3", "--map", "(-14/9-3x-27x^2)/(1+27x)", "--domain", "B(0,2)",
+          "classify"], 3.0),
+    ],
+)
+def test_descent_beyond_zp_settles_root_free_balls_in_time(capsys, argv, budget):
+    started = time.perf_counter()
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - started < budget
+    assert capsys.readouterr().out
