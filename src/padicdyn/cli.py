@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .digraph import (
@@ -62,7 +63,9 @@ class _Parser(argparse.ArgumentParser):
         raise PadicDynError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = _Parser(
         prog="padicdyn",
         description="Exact analysis of rational map dynamics over Q_p",

@@ -35,8 +35,8 @@ from .errors import (
 )
 from .hensel import hensel_lift
 from .maps import RationalMap
-from .padics import INF, NEG_INF, ExtendedInt, ceil_div, fraction_valuation
-from .polynomials import Polynomial, poly_eval, taylor_shift
+from .padics import INF, NEG_INF, ExtendedInt, ceil_div, fraction_valuation, int_valuation
+from .polynomials import Polynomial, _taylor_coefficients, taylor_shift
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify
 
 MEASURE_PRESERVING = "MeasurePreserving"
@@ -290,68 +290,55 @@ def _rescaled_coefficients(poly: Polynomial, d: int, M: int) -> list[int]:
     return out[::-1]
 
 
-def s_exponent(
-    f: RationalMap, a: Fraction, b: Fraction
-) -> tuple[int, Polynomial, Polynomial]:
-    """Least s >= 0 making P(p^s x + a) - (p^s y + b) Q(p^s x + a) integral.
-
-    Computed from the s = 0 expansion: a monomial of total degree d scales
-    by p^(s*d), so s = max over monomials of ceil(-v(coefficient)/d).
-    Returns (s, P(x + a), Q(x + a)).
-    """
-    p = f.prime
-    Pa = taylor_shift(f.P, a)
-    Qa = taylor_shift(f.Q, a)
-    # constant term: P(a) - b Q(a)
-    c00 = Pa.coefficient(0) - b * Qa.coefficient(0)
-    if c00 != 0 and fraction_valuation(c00, p) < 0:
-        raise ConstantTermNotIntegral(
-            f"constant term P(a) - b Q(a) has negative valuation at a={a}, b={b}"
-        )
-    s = 0
-    deg = max(Pa.degree, Qa.degree)
-    for i in range(0, deg + 1):
-        # x^i y^1 monomial: -Q_a[i]
-        cq = Qa.coefficient(i)
-        if cq != 0:
-            v = fraction_valuation(cq, p)
-            if v < 0:
-                s = max(s, ceil_div(-int(v), i + 1))
-        if i >= 1:
-            # x^i y^0 monomial: P_a[i] - b Q_a[i]
-            c = Pa.coefficient(i) - b * cq
-            if c != 0:
-                v = fraction_valuation(c, p)
-                if v < 0:
-                    s = max(s, ceil_div(-int(v), i))
-    return s, Pa, Qa
-
-
 def subsidiary_edge_data(
-    f: RationalMap,
-    source_rep: Fraction,
-    target_rep: Fraction,
-    t: int,
-    radius_exponent: int,
+    num: list[int], den: list[int], p: int, M: int,
+    y: int, y_image: int, t: int, radius_exponent: int,
 ) -> SubsidiaryEdgeData:
-    """Edge admission data at level t.
+    """Admission data of the level-t edge from the key a = y / p^M to the key
+    b = y_image / p^M, for the rescaled P^ = ``num`` and Q^ = ``den``.
 
     The edge is kept when p^t is at most each of: p^(-s); p^l / |f'(a)|;
     |Q(a)| |f'(a)| / |Q'(a)|; p^(-2s) |Q(a)| |f'(a)|^2 (third bound infinite
-    when Q'(a) = 0).
+    when Q'(a) = 0).  s is the least s >= 0 making P(p^s x + a) -
+    (p^s y + b) Q(p^s x + a) integral; a monomial of total degree k scales by
+    p^(sk).  The i-th coefficient of P(x + a) is p^(M(i - d)) Ph_i for the
+    integer Taylor coefficients Ph of P^(z + y), and likewise for Q.
     """
-    a, p = source_rep, f.prime
-    s, _, _ = s_exponent(f, a, target_rep)
-    vq = fraction_valuation(poly_eval(f.Q, a), p)
-    vt = fraction_valuation(poly_eval(f.t1, a), p)
-    e: ExtendedInt = NEG_INF if vt is INF else 2 * int(vq) - int(vt)
-    vqd = fraction_valuation(poly_eval(f.Q_derivative, a), p)
+    d = max(len(num), len(den)) - 1
+    # padded so that Ph_1 and Qh_1 exist for constant P and Q
+    Ph = _taylor_coefficients(num[::-1], y) + [0] * (d + 2 - len(num))
+    Qh = _taylor_coefficients(den[::-1], y) + [0] * (d + 2 - len(den))
+    s = 0
+    if M:  # with M = 0 every coefficient is an integer
+        pM = p**M
+        # constant term: P(a) - b Q(a) = p^(-M(d + 1)) (p^M Ph_0 - y_image Qh_0)
+        c = pM * Ph[0] - y_image * Qh[0]
+        if c and int_valuation(c, p) < M * (d + 1):
+            raise ConstantTermNotIntegral(
+                "constant term P(a) - b Q(a) has negative valuation at "
+                f"a={Fraction(y, pM)}, b={Fraction(y_image, pM)}"
+            )
+        for i in range(d + 1):
+            # the x^i y^1 coefficient -Q_a[i], and for i >= 1 the x^i y^0
+            # coefficient P_a[i] - b Q_a[i]
+            if Qh[i]:
+                s = max(s, ceil_div(-int_valuation(Qh[i], p) - M * (i - d), i + 1))
+            c = pM * Ph[i] - y_image * Qh[i]
+            if i and c:
+                s = max(s, ceil_div(-int_valuation(c, p) - M * (i - d - 1), i))
+    # Q(a) = p^(-Md) Qh_0, Q'(a) = p^(M(1 - d)) Qh_1 and
+    # T1(a) = (P'Q - PQ')(a) = p^(M(1 - 2d)) (Ph_1 Qh_0 - Ph_0 Qh_1)
+    vq = int_valuation(Qh[0], p) - M * d
+    t1 = Ph[1] * Qh[0] - Ph[0] * Qh[1]
+    vt = int_valuation(t1, p) + M * (1 - 2 * d)
+    vqd = int_valuation(Qh[1], p) + M * (1 - d)
+    e: ExtendedInt = NEG_INF if t1 == 0 else 2 * vq - vt
     b1: ExtendedInt = -s
     b2: ExtendedInt = NEG_INF if e is NEG_INF else radius_exponent - e
     b3: ExtendedInt = (
-        INF if vqd is INF else (NEG_INF if e is NEG_INF else int(vqd) - int(vq) + e)
+        INF if Qh[1] == 0 else (NEG_INF if e is NEG_INF else vqd - vq + e)
     )
-    b4: ExtendedInt = NEG_INF if e is NEG_INF else -2 * s - int(vq) + 2 * e
+    b4: ExtendedInt = NEG_INF if e is NEG_INF else -2 * s - vq + 2 * e
     passes = t <= min(b1, b2, b3, b4)
     return SubsidiaryEdgeData(s, (b1, b2, b3, b4), passes)
 
@@ -445,10 +432,11 @@ class Analysis:
     def subsidiary(self, t: int) -> LevelDigraph:
         """The level-t digraph with subsidiary admission data on every edge."""
         if t not in self._subsidiaries:
-            G = self.digraph(t)
-            keys, level = G.keys, self.transport_level
+            f, G, level = self.f, self.digraph(t), self.transport_level
+            d, M, y = max(f.P.degree, f.Q.degree), G.height, G.residues
+            num, den = (_rescaled_coefficients(F, d, M) for F in (f.P, f.Q))
             data = tuple(
-                subsidiary_edge_data(self.f, keys[i], keys[j], t, level)
+                subsidiary_edge_data(num, den, f.prime, M, y[i], y[j], t, level)
                 for i, j in enumerate(G.succ)
             )
             self._subsidiaries[t] = replace(G, subsidiary=data)
@@ -614,10 +602,13 @@ class Analysis:
         t0 = self.intrinsic_level
         if t > t0:
             raise LevelAboveIntrinsic(f"bijectivity is certified only at t <= {t0}")
-        target = self.digraph(t).edge[source]
         p = f.prime
         a = source.key
-        s, Pa, Qa = s_exponent(f, a, target.key)
+        G = self.subsidiary(t)
+        i = G.keys.index(a)
+        target = G.vertices[G.succ[i]]
+        s = G.subsidiary[i].s_exponent
+        Pa, Qa = taylor_shift(f.P, a), taylor_shift(f.Q, a)
         e = f.scalar_exponent(a)
         if e == NEG_INF:
             raise CertificateFailed(

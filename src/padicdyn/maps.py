@@ -35,7 +35,6 @@ class RationalMap:
     m: int
     n: int
     prime: int
-    Q_derivative: Polynomial
     t1: Polynomial  # P'Q - PQ', the numerator of Q^2 * f'
 
     def eval(self, x: int | Fraction) -> Fraction:
@@ -114,7 +113,6 @@ def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
         m=m,
         n=n,
         prime=p,
-        Q_derivative=dQ,
         t1=t1,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import PrimeMismatch
 from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation
@@ -144,13 +144,19 @@ def poly_derivative(F: Polynomial) -> Polynomial:
 
 
 def taylor_shift(F: Polynomial, a: int | Fraction) -> Polynomial:
-    """The polynomial G with G(x) = F(x + a), via in-place synthetic shifts."""
-    n = len(F.coefficients)
-    work = list(F.coefficients)
+    """The polynomial G with G(x) = F(x + a)."""
+    return Polynomial.of(_taylor_coefficients(F.coefficients, a), F.prime)
+
+
+def _taylor_coefficients(coeffs: Sequence, a: int | Fraction) -> list:
+    """Coefficients of F(x + a) from F's, both lowest degree first, via
+    in-place synthetic shifts; integer coefficients and a stay integers."""
+    n = len(coeffs)
+    work = list(coeffs)
     for k in range(n - 1):
         for j in range(n - 2, k - 1, -1):
             work[j] += a * work[j + 1]
-    return Polynomial.of(work, F.prime)
+    return work
 
 
 def content_and_primitive(F: Polynomial) -> tuple[Fraction, Polynomial]:

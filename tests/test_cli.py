@@ -246,6 +246,19 @@ def test_level_flags_are_exponents():
         invocation_from_args(P7_ARGS + ["digraph", "--level", "0.5"])
 
 
+def test_shared_parser_keeps_no_state_between_calls():
+    bad = P7_ARGS + ["digraph", "--level", "0.5"]
+    with pytest.raises(PadicDynError) as first:
+        invocation_from_args(bad)
+    inv = invocation_from_args(P7_ARGS + ["mp", "--cap", "3", "--margin", "1"])
+    assert (inv.cap, inv.margin) == (3, 1)
+    inv = invocation_from_args(P7_ARGS + ["mp"])
+    assert (inv.cap, inv.margin) == (None, None)
+    with pytest.raises(PadicDynError) as again:
+        invocation_from_args(bad)
+    assert str(again.value) == str(first.value)
+
+
 def digraph_from_json(text: str) -> dict:
     """Re-read an emitted digraph into a structural form: keys as exact
     rationals, edge map, cycles."""

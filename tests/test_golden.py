@@ -97,6 +97,10 @@ CASES.update({
                                       "--domain", "Qp", "global"],
     "derivative-root-beyond-zp-classify": ["-p", "3", "--map", "(-14/9-3x-27x^2)/(1+27x)",
                                            "--domain", "B(0,2)", "classify"],
+    "rescaled-subsidiary-failing-edges": ["-p", "2", "--map", "x/(1+2x^2)", "--domain", "B(0,1)",
+                                          "subsidiary", "--level", "-2", "--json", "s.json"],
+    "error-subsidiary-constant-term": ["-p", "2", "--map", "(3x-3x^2)/(1+3x)",
+                                       "--domain", "B(1/2,0)", "subsidiary", "--level", "0"],
 })
 
 
