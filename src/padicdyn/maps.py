@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .errors import PoleInDomain, ZeroDenominator
-from .padics import fraction_valuation, require_prime
+from .padics import fraction_valuation, int_valuation, require_prime
 from .polynomials import (
     Polynomial,
-    content_and_primitive,
-    poly_derivative,
-    poly_divexact,
+    _cleared,
+    _int_add,
+    _int_content,
+    _int_divexact,
+    _int_gcd,
+    _int_mul,
+    _lcm_denominator,
     poly_eval,
-    poly_gcd,
 )
 
 
@@ -61,59 +63,41 @@ class RationalMap:
 def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
     """Build the normalized map for a numerator/denominator pair.
 
-    Steps: remove the polynomial gcd, clear denominators to a coprime
-    integral pair, then factor unit-leading P1, Q1 and the p-power alpha.
+    Steps, in integers: clear both denominators at once, remove the
+    polynomial gcd (positive leading coefficient, so Q keeps the sign of
+    Q_raw's leading coefficient) and the joint content, then factor
+    unit-leading P1, Q1 and the p-power alpha.
     """
     p = P_raw.prime
     if Q_raw.is_zero():
         raise ZeroDenominator("rational map with zero denominator polynomial")
-    P, Q = P_raw, Q_raw
-    if not P.is_zero():
-        g = poly_gcd(P, Q)
-        if g.degree > 0:
-            P = poly_divexact(P, g)
-            Q = poly_divexact(Q, g)
-    # clear to integer coefficients with trivial common content
-    cP, P = content_and_primitive(P) if not P.is_zero() else (Fraction(1), P)
-    cQ, Q = content_and_primitive(Q)
-    scale = cP / cQ if not P_raw.is_zero() else Fraction(1) / cQ
-    if not P.is_zero():
-        num, den = scale.numerator, scale.denominator
-        P = P.scale(num)
-        Q = Q.scale(den)
-        c = int_gcd(
-            int_gcd(*(abs(x.numerator) for x in P.coefficients), 0),
-            int_gcd(*(abs(x.numerator) for x in Q.coefficients), 0),
-        )
-        if c > 1:
-            P = P.scale(Fraction(1, c))
-            Q = Q.scale(Fraction(1, c))
+    den = _lcm_denominator(P_raw.coefficients + Q_raw.coefficients)
+    P = _cleared(P_raw.coefficients, den)
+    Q = _cleared(Q_raw.coefficients, den)
+    if P:
+        g = _int_gcd(P, Q)
+        if len(g) > 1:
+            P = _int_divexact(P, g)
+            Q = _int_divexact(Q, g)
+    c = _int_content(P + Q)
+    P = [a // c for a in P]
+    Q = [b // c for b in Q]
 
-    if P.is_zero():
-        P1 = P
-        alpha_p = 0
-        m = -1
-    else:
-        alpha_p = int(fraction_valuation(P.leading_coefficient, p))
-        P1 = P.scale(Fraction(1, p**alpha_p) if alpha_p >= 0 else Fraction(p**-alpha_p))
-        m = P.degree
-    alpha_q = int(fraction_valuation(Q.leading_coefficient, p))
-    Q1 = Q.scale(Fraction(1, p**alpha_q) if alpha_q >= 0 else Fraction(p**-alpha_q))
-    n = Q.degree
-
-    dP = poly_derivative(P)
-    dQ = poly_derivative(Q)
-    t1 = dP * Q - P * dQ
+    alpha_p = int_valuation(P[-1], p) if P else 0
+    alpha_q = int_valuation(Q[-1], p)
+    dP = [i * a for i, a in enumerate(P)][1:]
+    dQ = [i * b for i, b in enumerate(Q)][1:]
+    t1 = _int_add(_int_mul(dP, Q), _int_mul(P, dQ), -1)
     return RationalMap(
-        P=P,
-        Q=Q,
+        P=Polynomial.of(P, p),
+        Q=Polynomial.of(Q, p),
         alpha=alpha_p - alpha_q,
-        P1=P1,
-        Q1=Q1,
-        m=m,
-        n=n,
+        P1=Polynomial.of([Fraction(a, p**alpha_p) for a in P], p),
+        Q1=Polynomial.of([Fraction(b, p**alpha_q) for b in Q], p),
+        m=len(P) - 1,
+        n=len(Q) - 1,
         prime=p,
-        t1=t1,
+        t1=Polynomial.of(t1, p),
     )
 
 

@@ -1,10 +1,14 @@
 """Front-end grammars for maps and domains.
 
-Map expressions are rational-coefficient polynomials in x combined with
-``+ - * / ^`` and parentheses; implicit multiplication ("2x^3", "2(x+1)")
-is accepted and whitespace ignored.  The expression is evaluated exactly as
-a quotient of polynomials, so "(x^2-1)/x" and "x - 1/x" both work, and a
-zero denominator anywhere is rejected.  Every rejection carries the byte
+Map expressions are integer literals and x combined with ``+ - * / ^`` and
+parentheses; implicit multiplication ("2x^3", "2(x+1)") is accepted and
+whitespace ignored.  The expression is evaluated exactly as a quotient of
+two integer polynomials, so "(x^2-1)/x", "x - 1/x" and "x/3 + 1/2" all
+work, and a zero denominator anywhere is rejected.  The raw quotient is the
+one the formulas n1*d2 +- n2*d1 over d1*d2 give; ``normalize_map`` then
+makes it canonical.  Work is bounded: exponents above _MAX_POWER, products
+of degree above _MAX_DEGREE, nesting deeper than _MAX_DEPTH and literals
+too long for ``int()`` are refused.  Every rejection carries the byte
 offset of the offending token.
 
 Domains: ``Zp`` or ``B(<rational>, <t>)`` combined left to right with ``+``
@@ -22,10 +26,13 @@ from .domains import CompactDomain
 from .errors import EmptyDomain, ParseError, ZeroDenominator
 from .maps import RationalMap, normalize_map
 from .padics import require_prime
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _int_add, _int_mul
 
 _MAX_DEPTH = 64
 _MAX_POWER = 64
+# the gcd in normalize_map costs 0.1 s for two coprime polynomials of this
+# degree, and about 40 times that at twice the degree
+_MAX_DEGREE = 64
 
 QP_GLOBAL = "Qp"
 
@@ -86,59 +93,71 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _PolyFraction:
-    """Exact quotient of two polynomials, the parser's value type."""
+    """Exact quotient num/den of two integer polynomials, the parser's value
+    type; coefficient lists run lowest degree first, without trailing
+    zeros."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial):
+    def __init__(self, num: list[int], den: list[int]):
         self.num = num
         self.den = den
 
-    @staticmethod
-    def const(c: Fraction, p: int) -> "_PolyFraction":
-        return _PolyFraction(Polynomial.constant(c, p), Polynomial.constant(1, p))
+    def add(self, o, pos: int, sign: int):
+        """self + sign*o, as n1*d2 + sign*n2*d1 over d1*d2 even when the
+        denominators are equal: the sign of the raw denominator decides the
+        sign of the normalized pair."""
+        return _PolyFraction(
+            _int_add(_mul(self.num, o.den, pos), _mul(o.num, self.den, pos), sign),
+            _mul(self.den, o.den, pos),
+        )
 
-    @staticmethod
-    def x(p: int) -> "_PolyFraction":
-        return _PolyFraction(Polynomial.x(p), Polynomial.constant(1, p))
-
-    def add(self, o):
-        return _PolyFraction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def sub(self, o):
-        return _PolyFraction(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def mul(self, o):
-        return _PolyFraction(self.num * o.num, self.den * o.den)
+    def mul(self, o, pos: int):
+        return _PolyFraction(_mul(self.num, o.num, pos), _mul(self.den, o.den, pos))
 
     def div(self, o, pos: int):
-        if o.num.is_zero():
+        if not o.num:
             raise ZeroDenominator(f"division by zero in map expression (offset {pos})")
-        return _PolyFraction(self.num * o.den, self.den * o.num)
+        return _PolyFraction(_mul(self.num, o.den, pos), _mul(self.den, o.num, pos))
 
     def neg(self):
-        return _PolyFraction(-self.num, self.den)
+        return _PolyFraction([-c for c in self.num], self.den)
 
     def pow(self, k: int, pos: int):
-        if k > _MAX_POWER:
-            raise ParseError(f"exponent {k} too large", pos)
-        out = _PolyFraction.const(Fraction(1), self.num.prime)
+        # no squaring past the last bit: every product formed is a factor
+        # of the result, so _mul refuses only results above _MAX_DEGREE
+        out = _PolyFraction([1], [1])
         base = self
         while k:
             if k & 1:
-                out = out.mul(base)
-            base = base.mul(base)
+                out = out.mul(base, pos)
             k >>= 1
+            if k:
+                base = base.mul(base, pos)
         return out
+
+
+def _mul(a: list[int], b: list[int], pos: int) -> list[int]:
+    """Product of two coefficient lists, refused before it is formed when
+    its degree would pass _MAX_DEGREE."""
+    if a and b and len(a) + len(b) - 2 > _MAX_DEGREE:
+        raise ParseError(f"degree {len(a) + len(b) - 2} too large", pos)
+    return _int_mul(a, b)
+
+
+def _int_literal(t: _Tok) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer literal of {len(t.text)} digits too long", t.pos) from None
 
 
 class _MapParser:
     """Recursive descent with precedence: +- < */ < unary- < ^."""
 
-    def __init__(self, toks: list[_Tok], p: int):
+    def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
-        self.p = p
         self.depth = 0
 
     def peek(self) -> _Tok:
@@ -161,7 +180,7 @@ class _MapParser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance()
             rhs = self.term()
-            value = value.add(rhs) if op.text == "+" else value.sub(rhs)
+            value = value.add(rhs, op.pos, 1 if op.text == "+" else -1)
         return value
 
     def term(self) -> _PolyFraction:
@@ -171,10 +190,10 @@ class _MapParser:
             if t.kind == "op" and t.text in "*/":
                 self.advance()
                 rhs = self.unary()
-                value = value.mul(rhs) if t.text == "*" else value.div(rhs, t.pos)
+                value = value.mul(rhs, t.pos) if t.text == "*" else value.div(rhs, t.pos)
             elif t.kind in ("num", "x", "lparen"):
                 # implicit multiplication: 2x, 2(x+1), x(x+1), (x+1)(x-1)
-                value = value.mul(self.unary())
+                value = value.mul(self.unary(), t.pos)
             else:
                 return value
 
@@ -197,15 +216,19 @@ class _MapParser:
             if e.kind != "num":
                 raise ParseError("expected a nonnegative integer exponent", e.pos)
             self.advance()
-            return base.pow(int(e.text), e.pos)
+            k = _int_literal(e)
+            if k > _MAX_POWER:
+                raise ParseError(f"exponent {k} too large", e.pos)
+            return base.pow(k, t.pos)
         return base
 
     def atom(self) -> _PolyFraction:
         t = self.advance()
         if t.kind == "num":
-            return _PolyFraction.const(Fraction(int(t.text)), self.p)
+            c = _int_literal(t)
+            return _PolyFraction([c] if c else [], [1])
         if t.kind == "x":
-            return _PolyFraction.x(self.p)
+            return _PolyFraction([0, 1], [1])
         if t.kind == "lparen":
             self.depth += 1
             if self.depth > _MAX_DEPTH:
@@ -222,8 +245,8 @@ class _MapParser:
 def parse_map(text: str, p: int) -> RationalMap:
     """Parse and normalize a rational map expression."""
     require_prime(p)
-    value = _MapParser(_tokenize(text), p).parse()
-    return normalize_map(value.num, value.den)
+    value = _MapParser(_tokenize(text)).parse()
+    return normalize_map(Polynomial.of(value.num, p), Polynomial.of(value.den, p))
 
 
 def parse_seed(text: str) -> Fraction:
@@ -243,13 +266,13 @@ def _parse_rational(toks: list[_Tok], i: int) -> tuple[Fraction, int]:
         i += 1
     if toks[i].kind != "num":
         raise ParseError("expected a rational number", toks[i].pos)
-    num = int(toks[i].text)
+    num = _int_literal(toks[i])
     i += 1
     if toks[i].kind == "op" and toks[i].text == "/":
         i += 1
         if toks[i].kind != "num":
             raise ParseError("expected a denominator", toks[i].pos)
-        den = int(toks[i].text)
+        den = _int_literal(toks[i])
         if den == 0:
             raise ZeroDenominator(f"zero denominator in domain literal (offset {toks[i].pos})")
         i += 1
@@ -264,7 +287,7 @@ def _parse_integer(toks: list[_Tok], i: int) -> tuple[int, int]:
         i += 1
     if toks[i].kind != "num":
         raise ParseError("expected an integer level", toks[i].pos)
-    value = sign * int(toks[i].text)
+    value = sign * _int_literal(toks[i])
     return value, i + 1
 
 

@@ -2,7 +2,9 @@
 
 Coefficients are stored lowest degree first as exact ``Fraction``s, with the
 prime held once by the polynomial.  The zero polynomial has degree -1.  All
-operations are exact; evaluation uses Horner's scheme.
+operations are exact; evaluation uses Horner's scheme.  The gcd and the exact
+division run on integer coefficient lists (the ``_int_*`` helpers, which the
+parser and ``normalize_map`` also use), so no Euclid runs on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import PrimeMismatch
@@ -31,14 +34,6 @@ class Polynomial:
     @staticmethod
     def zero(p: int) -> "Polynomial":
         return Polynomial((), p)
-
-    @staticmethod
-    def constant(c: int | Fraction, p: int) -> "Polynomial":
-        return Polynomial.of([c], p)
-
-    @staticmethod
-    def x(p: int) -> "Polynomial":
-        return Polynomial.of([0, 1], p)
 
     @property
     def degree(self) -> int:
@@ -163,68 +158,128 @@ def content_and_primitive(F: Polynomial) -> tuple[Fraction, Polynomial]:
     """Positive rational content c and primitive integer part G with F = c*G."""
     if F.is_zero():
         return Fraction(1), F
-    num = 0
-    den = 1
-    for c in F.coefficients:
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    content = Fraction(num, den)
+    den = _lcm_denominator(F.coefficients)
+    content = Fraction(_int_content(_cleared(F.coefficients, den)), den)
     return content, F.scale(1 / content)
 
 
 def poly_gcd(A: Polynomial, B: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (Euclid)."""
-    a, b = A, B
-    while not b.is_zero():
-        a, b = b, _poly_mod(a, b)
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.leading_coefficient)
-
-
-def _poly_mod(A: Polynomial, B: Polynomial) -> Polynomial:
-    if B.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(A.coefficients)
-    b = B.coefficients
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        q = r[-1] / lead
-        off = len(r) - 1 - db
-        for i in range(db + 1):
-            r[off + i] -= q * b[i]
-        r.pop()
-    return Polynomial.of(r, A.prime)
+    """Monic gcd over the rationals."""
+    g = _int_gcd(_cleared(A.coefficients), _cleared(B.coefficients))
+    if not g:
+        return Polynomial.zero(A.prime)
+    lead = g[-1]
+    return Polynomial.of([Fraction(c, lead) for c in g], A.prime)
 
 
 def poly_divexact(A: Polynomial, B: Polynomial) -> Polynomial:
     """Exact quotient A/B; raises if the division leaves a remainder."""
     if B.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(A.coefficients)
-    b = B.coefficients
+    da, db = _lcm_denominator(A.coefficients), _lcm_denominator(B.coefficients)
+    a, b = _cleared(A.coefficients, da), _cleared(B.coefficients, db)
+    # A = ca/da * a' and B = cb/db * b' with a', b' primitive: by Gauss's
+    # lemma b' divides a' over Q exactly when it does over Z
+    ca, cb = _int_content(a), _int_content(b)
+    q = _int_divexact([c // ca for c in a], [c // cb for c in b])
+    scale = Fraction(ca * db, cb * da)
+    return Polynomial.of([scale * c for c in q], A.prime)
+
+
+def _lcm_denominator(coeffs: Iterable[Fraction]) -> int:
+    return lcm(*(c.denominator for c in coeffs))
+
+
+def _cleared(coeffs: Sequence[Fraction], den: int = 0) -> list[int]:
+    """Integer coefficients of den * F; den defaults to the lcm of F's
+    denominators."""
+    den = den or _lcm_denominator(coeffs)
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _int_content(a: Sequence[int]) -> int:
+    """Positive gcd of the coefficients (1 for the zero polynomial)."""
+    return int_gcd(*a) or 1
+
+
+def _int_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
+    """a + sign*b on integer coefficient lists, without trailing zeros."""
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer coefficient lists (lowest degree first)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient of two integer
+    polynomials ([] when both are zero), by the primitive
+    pseudo-remainder sequence."""
+    a = _int_primitive(a)
+    b = _int_primitive(b)
+    while b:
+        r = a
+        lb = b[-1]
+        while len(r) >= len(b):
+            # r <- (lb*r - r_lead*x^k*b)/gcd(lb, r_lead) drops r's degree;
+            # the constant factor changes no gcd
+            g = int_gcd(lb, r[-1])
+            u, w = lb // g, r[-1] // g
+            off = len(r) - len(b)
+            r = [u * c for c in r]
+            for i, c in enumerate(b):
+                r[off + i] -= w * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _int_primitive(r)
+    return a
+
+
+def _int_primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    if not a:
+        return a
+    c = _int_content(a)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a]
+
+
+def _int_divexact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a/b of integer polynomials (lowest degree first, no
+    trailing zeros); raises unless b divides a in Z[x]."""
+    r = list(a)
     db = len(b) - 1
     lead = b[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        c = r[-1] / lead
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c, rem = divmod(r[-1], lead)
+        if rem:
+            raise ValueError("division is not exact")
         off = len(r) - 1 - db
         q[off] = c
         for i in range(db + 1):
             r[off + i] -= c * b[i]
         r.pop()
-    if any(r):
+        while r and r[-1] == 0:
+            r.pop()
+    if r:
         raise ValueError("division is not exact")
-    return Polynomial.of(q, A.prime)
+    return q
 
 
 def squarefree_part(F: Polynomial) -> Polynomial:

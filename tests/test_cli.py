@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,19 @@ def test_error_exit_code(capsys):
     assert main(["-p", "5", "--map", "x +", "--domain", "Zp", "classify"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "error:" in err and "offset" in err
+
+
+@pytest.mark.parametrize(
+    "map_text,domain",
+    [("1" * 5000 + "*x", "Zp"), ("x", f"B({'1' * 5000},0)"), ("(x^64)^64", "Zp")],
+    ids=["long-map-literal", "long-ball-centre", "nested-powers"],
+)
+def test_oversized_input_is_one_error_line(capsys, map_text, domain):
+    start = time.perf_counter()
+    assert main(["-p", "3", "--map", map_text, "--domain", domain, "classify"]) == EXIT_ERROR
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_compact_command_on_qp_rejected(capsys):

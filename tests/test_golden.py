@@ -101,6 +101,15 @@ CASES.update({
                                           "subsidiary", "--level", "-2", "--json", "s.json"],
     "error-subsidiary-constant-term": ["-p", "2", "--map", "(3x-3x^2)/(1+3x)",
                                        "--domain", "B(1/2,0)", "subsidiary", "--level", "0"],
+    # common factor, negative leading coefficients and rational literals
+    "common-factor-global": ["-p", "3", "--map", "(-(x+1)(x^2-2))/((x+1)(-3x+9/2))",
+                             "--domain", "Qp", "global"],
+    "common-factor-mp": ["-p", "3", "--map", "(-(x+1)(x^2-2))/((x+1)(-3x+9/2))",
+                         "--domain", "Zp", "mp"],
+    "common-factor-unit-mp": ["-p", "3", "--map", "(-(x+1)(-3x^2+2x-1/2))/((x+1)(-2))",
+                              "--domain", "Zp", "mp"],
+    "common-factor-hensel": ["-p", "7", "--map", "(-(x+1)(2x^2-4))/((x+1)(-3/5))",
+                             "hensel", "--seed", "3", "--prec", "6"],
 })
 
 

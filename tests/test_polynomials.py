@@ -149,3 +149,25 @@ def test_gcd_and_squarefree_part_agree_with_sympy(a, b, c):
     assert _monic(poly_gcd(A, B).coefficients) == from_sympy(to_sympy(A).gcd(to_sympy(B)))
     F = A * B
     assert _monic(squarefree_part(F).coefficients) == from_sympy(to_sympy(F).sqf_part())
+
+
+rational_polys = st.lists(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+                          max_size=5).map(P)
+
+
+@given(rational_polys, rational_polys, rational_polys)
+@settings(max_examples=200, deadline=None)
+def test_exact_division_over_the_rationals(a, b, r):
+    # rational coefficients and non-monic divisors: A*B/B = A, and a
+    # remainder of lower degree than B is never divided away
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(a, b)
+        return
+    assert poly_divexact(a * b, b) == a
+    if not r.is_zero() and r.degree < b.degree:
+        with pytest.raises(ValueError, match="division is not exact"):
+            poly_divexact(a * b + r, b)
+    g = poly_gcd(a * b, b)
+    assert g.is_zero() or g.leading_coefficient == 1
+    assert poly_divexact(b, g) * g == b

@@ -77,7 +77,7 @@ def _outcome(fn, *args):
 def _horner(coeffs, u, p):
     out = Polynomial.zero(p)
     for c in reversed(coeffs):
-        out = out * u + Polynomial.constant(c, p)
+        out = out * u + Polynomial.of([c], p)
     return out
 
 
@@ -93,7 +93,7 @@ def _cases(draw):
     p = draw(PRIMES)
     X = draw(domains(p, ("zp", "ball", "punctured", "beyond", "beyond", "beyond")))
     kind = draw(st.sampled_from(["integer", "fractional", "near-identity", "carried"]))
-    x = Polynomial.x(p)
+    x = Polynomial.of([0, 1], p)
     if kind in ("integer", "fractional"):
         e = (0, 0) if kind == "integer" else (-1, 1)
         coeff = st.builds(lambda n, k: n * Fraction(p) ** k,
@@ -116,7 +116,7 @@ def _cases(draw):
     gc = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
     hc = [draw(st.sampled_from([1, -1, 2, 3, p]))]
     hc += [p * k for k in draw(st.lists(st.integers(-5, 5), max_size=2))]
-    u = (x - Polynomial.constant(c, p)).scale(p**R)
+    u = (x - Polynomial.of([c], p)).scale(p**R)
     G, H = _horner(gc, u, p), _horner(hc, u, p)
     return normalize_map(G + H.scale(c * p**R), H.scale(p**R)), X
 

@@ -186,7 +186,7 @@ def _factor(draw, p):
     if draw(st.booleans()):
         return linear
     c = draw(st.sampled_from([1, -1, 2, 3, 5]))
-    return linear * linear - Polynomial.constant(c * p ** draw(st.integers(1, 12)), p)
+    return linear * linear - Polynomial.of([c * p ** draw(st.integers(1, 12))], p)
 
 
 @st.composite
@@ -196,11 +196,11 @@ def _descent_cases(draw):
     if draw(st.booleans()):
         F = Polynomial.of(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5)), p)
     else:
-        F = Polynomial.constant(draw(st.sampled_from([1, p, -2])), p)
+        F = Polynomial.of([draw(st.sampled_from([1, p, -2]))], p)
         for _ in range(draw(st.integers(1, 2))):
             F = F * draw(_factor(p))
     if F.is_zero():
-        F = Polynomial.constant(1, p)
+        F = Polynomial.of([1], p)
     cap = draw(st.sampled_from([1, 2, 3, 5, 32]))
     # the budget only keeps the copied descent's cost in bounds
     return F, X, AnalysisConfig(descent_cap=cap, ball_cap=20_000)
@@ -231,7 +231,7 @@ def test_cap_error_names_the_suspect_the_old_descent_named():
     # then 1: digit by digit, lowest first), although 1 is the smallest key
     def cluster(r):
         linear = Polynomial.of([-r, 1], 2)
-        return linear * linear + Polynomial.constant(2**9, 2)
+        return linear * linear + Polynomial.of([2**9], 2)
 
     F, X = cluster(6) * cluster(1), CompactDomain.zp(2)
     config = AnalysisConfig(descent_cap=2)
