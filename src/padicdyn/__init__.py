@@ -31,7 +31,6 @@ from .padics import INF, NEG_INF, canonical_key, fraction_valuation
 from .parsing import QP_GLOBAL, parse_domain, parse_map
 from .polynomials import (
     Polynomial,
-    norm_constant_exponent,
     poly_derivative,
     poly_eval,
     taylor_shift,
@@ -77,7 +76,6 @@ __all__ = [
     "hensel_lift",
     "lower_bound_bF",
     "map_from_coefficients",
-    "norm_constant_exponent",
     "normalize_map",
     "parse_domain",
     "parse_map",

@@ -36,7 +36,7 @@ from .errors import (
 from .hensel import hensel_lift
 from .maps import RationalMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, fraction_valuation, int_valuation
-from .polynomials import Polynomial, _taylor_coefficients, taylor_shift
+from .polynomials import _rescaled_coefficients, _taylor_coefficients, taylor_shift
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify
 
 MEASURE_PRESERVING = "MeasurePreserving"
@@ -79,7 +79,6 @@ class LevelDigraph:
 
     prime: int
     level: int
-    domain: CompactDomain
     height: int
     residues: tuple[int, ...]
     succ: tuple[int, ...]
@@ -156,7 +155,6 @@ class CycleDecomposition:
 class ComponentSelection:
     level: int
     cycle: tuple[Ball, ...]
-    domain: CompactDomain
     verdict: str  # MeasurePreserving / NotMeasurePreserving
     route: str  # "isometric" or "refinement"
     witness_level: int | None = None
@@ -200,7 +198,6 @@ def build_digraph(
     return LevelDigraph(
         prime=f.prime,
         level=t,
-        domain=X,
         height=M,
         residues=tuple(residues),
         succ=tuple(succ),
@@ -222,8 +219,9 @@ def _successors(
     p = f.prime
     scale = p**M
     d = max(f.P.degree, f.Q.degree)
-    num_coeffs = _rescaled_coefficients(f.P, d, M)
-    den_coeffs = _rescaled_coefficients(f.Q, d, M)
+    # highest degree first, for Horner's scheme
+    num_coeffs = _rescaled_coefficients(f.P, d, M)[::-1]
+    den_coeffs = _rescaled_coefficients(f.Q, d, M)[::-1]
     mod = p ** (M - t)
     index = {y: i for i, y in enumerate(residues)}
     succ = []
@@ -277,19 +275,6 @@ def _image_index(num: int, den: int, M: int, p: int, mod: int, index: dict[int, 
     return index.get(num * p**e * pow(den, -1, mod) % mod)
 
 
-def _rescaled_coefficients(poly: Polynomial, d: int, M: int) -> list[int]:
-    """Coefficients of p^(Md) poly(y / p^M), highest degree first."""
-    p = poly.prime
-    out = []
-    for i, c in enumerate(poly.coefficients):
-        if c.denominator != 1:
-            raise CertificateFailed(
-                f"the normalized map has a non-integral coefficient {c}"
-            )
-        out.append(c.numerator * p ** (M * (d - i)))
-    return out[::-1]
-
-
 def subsidiary_edge_data(
     num: list[int], den: list[int], p: int, M: int,
     y: int, y_image: int, t: int, radius_exponent: int,
@@ -306,8 +291,8 @@ def subsidiary_edge_data(
     """
     d = max(len(num), len(den)) - 1
     # padded so that Ph_1 and Qh_1 exist for constant P and Q
-    Ph = _taylor_coefficients(num[::-1], y) + [0] * (d + 2 - len(num))
-    Qh = _taylor_coefficients(den[::-1], y) + [0] * (d + 2 - len(den))
+    Ph = _taylor_coefficients(num, y) + [0] * (d + 2 - len(num))
+    Qh = _taylor_coefficients(den, y) + [0] * (d + 2 - len(den))
     s = 0
     if M:  # with M = 0 every coefficient is an integer
         pM = p**M
@@ -549,7 +534,6 @@ class Analysis:
                 ComponentSelection(
                     level=t,
                     cycle=cyc,
-                    domain=CompactDomain.from_balls(cyc),
                     verdict=MEASURE_PRESERVING,
                     route="isometric",
                 )
@@ -579,7 +563,6 @@ class Analysis:
                 ComponentSelection(
                     level=t,
                     cycle=cyc,
-                    domain=CompactDomain.from_balls(cyc),
                     verdict=MEASURE_PRESERVING if ok else NOT_MEASURE_PRESERVING,
                     route="refinement",
                     witness_level=None if ok else t - 1,

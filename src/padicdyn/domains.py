@@ -64,6 +64,11 @@ class Ball:
         for j in range(count):
             yield Ball(level, self.key + j * step, self.prime)
 
+    def rescaled_key(self, M: int) -> int:
+        """The integer p^M * key, for a ball inside the ball of radius p^M
+        around 0."""
+        return self.key.numerator * (self.prime**M // self.key.denominator)
+
     def __str__(self):
         return f"B({self.key}, {self.level})"
 
@@ -182,13 +187,11 @@ class CompactDomain:
 def decompose(
     X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> list[Ball]:
-    """The unique decomposition of X into level-t balls, sorted by key."""
-    _check_decomposition(X, t, config)
-    out: list[Ball] = []
-    for b in X.balls():
-        out.extend(b.subdivide(t))
-    out.sort(key=lambda b: b.key)
-    return out
+    """The unique decomposition of X into level-t balls, sorted by key: the
+    Ball view of ``decompose_residues``."""
+    M, ys = decompose_residues(X, t, config)
+    scale = X.prime**M
+    return [Ball(t, Fraction(y, scale), X.prime) for y in ys]
 
 
 def decompose_residues(

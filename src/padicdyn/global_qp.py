@@ -28,9 +28,9 @@ from .maps import RationalMap
 from .padics import ceil_div, fraction_valuation
 from .polynomials import (
     Polynomial,
-    norm_constant_exponent,
+    _ball_probe,
+    _rescaled_coefficients,
     poly_divexact,
-    poly_eval,
     poly_gcd,
 )
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF, walk
@@ -278,7 +278,7 @@ def global_obstruction(
     leave.  Ergodicity: for gate-passing maps the invariant sphere
     S_{p^N}(0); otherwise a measure-distorting ball or escaping region.
     Before the witness is returned its region is settled ball by ball where
-    P1 and Q1 have constant norm, and f is evaluated only at the ball
+    P and Q have constant norm, and f is evaluated only at the ball
     centres WITNESS_DEPTH levels down that no ball settles.
     """
     if goal not in (MINIMALITY, ERGODICITY):
@@ -300,7 +300,7 @@ def _holds_on_samples(
     """Whether lo <= -v(f(x)) <= hi (``None`` for an open side) at every
     ball centre x of X, WITNESS_DEPTH levels below its base level.
 
-    A ball on which P1 and Q1 both have constant norm carries one norm
+    A ball on which P and Q both have constant norm carries one norm
     exponent of f; when it lies within the claim the ball is settled,
     otherwise it is split.  f is evaluated only at the sample-level centres
     that no ball settles, in key order.  A settled ball holds no pole and
@@ -310,6 +310,9 @@ def _holds_on_samples(
     p = f.prime
     bottom = X.base_level - WITNESS_DEPTH
     config.check_ball_budget(len(X.keys) * p**WITNESS_DEPTH, "decomposition", bottom)
+    M = X.height_exponent()
+    d = max(f.P.degree, f.Q.degree)
+    Ph, Qh = (_rescaled_coefficients(F, d, M) for F in (f.P, f.Q))
 
     def within(e) -> bool:
         return (lo is None or lo <= e) and (hi is None or e <= hi)
@@ -321,11 +324,16 @@ def _holds_on_samples(
         if t == bottom:
             samples.append(a)
             return False
-        if t > norm_constant_exponent(f.Q1, a) or t > norm_constant_exponent(f.P1, a):
+        y = b.rescaled_key(M)
+        vq, _, cq = _ball_probe(Qh, p, y)
+        if t > cq + M:
             return True
-        # P1 and Q1 have constant norm on b, so |f| = p^(e - alpha) on all of b
-        e = fraction_valuation(poly_eval(f.Q1, a), p) - fraction_valuation(poly_eval(f.P1, a), p)
-        return not within(e - f.alpha)
+        vp, _, cp = _ball_probe(Ph, p, y)
+        if t > cp + M:
+            return True
+        # P and Q have constant norm on b, so |f| = p^(vq - vp) on all of b:
+        # Ph and Qh share the offset Md of v(P(a)) and v(Q(a))
+        return not within(vq - vp)
 
     walk(X.balls(), visit, config, "witness check")
     return all(within(-fraction_valuation(f.eval(k), p)) for k in sorted(samples))

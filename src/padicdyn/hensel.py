@@ -34,20 +34,6 @@ def hensel_precondition(F: Polynomial, seed: Fraction) -> tuple[ExtendedInt, Ext
     return v_val, v_der
 
 
-def certifies_root_in_radius(
-    F: Polynomial, seed: Fraction, radius_exponent: int
-) -> bool:
-    """True when the lifting lemma proves a root within p^radius of the seed."""
-    try:
-        v_val, v_der = hensel_precondition(F, seed)
-    except HenselPreconditionFailed:
-        return False
-    if v_val is INF:
-        return True
-    # |root - seed| <= |F(seed)|/|F'(seed)| = p^(v_der - v_val)
-    return v_der - v_val <= radius_exponent
-
-
 def hensel_lift(
     F: Polynomial, seed: Fraction, precision_exponent: int
 ) -> HenselResult:

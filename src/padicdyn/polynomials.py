@@ -15,8 +15,8 @@ from math import gcd as int_gcd
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import PrimeMismatch
-from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation
+from .errors import CertificateFailed, PrimeMismatch
+from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation, int_valuation
 
 
 @dataclass(frozen=True)
@@ -294,30 +294,37 @@ def squarefree_part(F: Polynomial) -> Polynomial:
     return prim
 
 
-def norm_constant_exponent(F: Polynomial, center: int | Fraction) -> ExtendedInt:
-    """Largest level t certifying |F| constant on the ball of radius p^t
-    around the center.
-
-    With Taylor coefficients g_i of F at the center, |F| equals |F(center)|
-    on the ball whenever v(g_0) < v(g_i) - i*t for every i >= 1.  Returns INF
-    for nonzero constants and NEG_INF when F(center) = 0.
-    """
-    if F.is_zero():
-        return NEG_INF
-    g = taylor_shift(F, center)
-    g0 = g.coefficient(0)
-    if g0 == 0:
-        return NEG_INF
-    if g.degree <= 0:
-        return INF
+def _rescaled_coefficients(F: Polynomial, d: int, M: int) -> list[int]:
+    """Integer coefficients of p^(Md) F(y / p^M), lowest degree first, for
+    integer coefficients and d >= deg F; y = p^M x takes B(0, M) into Z_p."""
     p = F.prime
-    v0 = fraction_valuation(g0, p)
-    best = INF
-    for i in range(1, g.degree + 1):
-        gi = g.coefficient(i)
-        if gi == 0:
-            continue
-        # largest t with i*t < v(g_i) - v0
-        t_i = (fraction_valuation(gi, p) - v0 - 1) // i
-        best = min(best, t_i)
-    return best
+    out = []
+    for i, c in enumerate(F.coefficients):
+        if c.denominator != 1:
+            raise CertificateFailed(f"cannot rescale the non-integral coefficient {c}")
+        out.append(c.numerator * p ** (M * (d - i)))
+    return out
+
+
+def _ball_probe(G: Sequence[int], p: int, y: int) -> tuple[ExtendedInt, ExtendedInt, ExtendedInt]:
+    """(v(G(y)), v(G'(y)), c) for an integer G (lowest degree first) at an
+    integer y, with c the largest level t certifying |G| constant on the
+    ball of radius p^t around y (INF for a nonzero constant, NEG_INF when
+    G(y) = 0): the largest t with v(g_0) < v(g_i) - i*t for the Taylor
+    coefficients g_i of G at y.  For G = ``_rescaled_coefficients(F, d, M)``
+    the i-th Taylor coefficient of F at a = y / p^M is p^(M(i - d)) g_i, so
+    v(F(a)) = v(G(y)) - Md, v(F'(a)) = v(G'(y)) + M(1 - d), and |F| is
+    constant on the ball of radius p^(c + M) around a.
+    """
+    g = _taylor_coefficients(G, y)
+    if not g:
+        return INF, INF, NEG_INF
+    v0 = int_valuation(g[0], p)
+    v1 = int_valuation(g[1], p) if len(g) > 1 else INF
+    if v0 == INF:
+        return v0, v1, NEG_INF
+    c = INF
+    for i in range(1, len(g)):
+        if g[i]:
+            c = min(c, (int_valuation(g[i], p) - v0 - 1) // i)
+    return v0, v1, c

@@ -2,13 +2,15 @@
 
 ``walk`` visits a tree of balls level by level, settling or splitting each;
 the descent, the per-ball profile and ``global_qp``'s witness check run on it.
-``lower_bound_bF`` walks the domain, rescaled into Z_p first so that F is
-integral and 1-Lipschitz there: a level-t ball is a suspect when
-v(F(key)) >= -t, and p^d bounds |F| from below when d is the deepest level
-holding a suspect.  A ball where F's Taylor expansion has a dominant
-constant term holds no root of F and |F| is constant on it, so it is
-settled: its suspects reach exactly down to -v(F(key)).  Only balls that may
-hold a root are split, and lifting certifies a root as soon as one is met.
+Each visit reads a ball through ``_ball_probe`` on integers in y = p^M x,
+which takes the domain into Z_p; balls are named in the domain's own
+coordinates.  ``lower_bound_bF`` descends on G(y) = p^(Md) F(y / p^M): a
+ball of y-level s is a suspect when v(G(y)) >= -s, and p^e bounds |G| from
+below when e is the deepest y-level holding a suspect.  A ball where G's
+Taylor expansion has a dominant constant term holds no root and |G| is
+constant on it, so it is settled: its suspects reach exactly down to
+-v(G(y)).  Only balls that may hold a root are split, and lifting certifies
+a root as soon as one is met.
 
 The uniform scaling radius is r = min(b(Q), b(T1))/p with T1 = P'Q - PQ'
 (corrected by a height factor for domains outside Z_p), and on any ball of
@@ -18,7 +20,6 @@ radius r the map scales distances by exactly |f'(a)|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
@@ -29,13 +30,13 @@ from .errors import (
     PoleInDomain,
     RootCertified,
 )
-from .hensel import certifies_root_in_radius
 from .maps import RationalMap
-from .padics import INF, NEG_INF, canonical_key, fraction_valuation
+from .padics import INF, canonical_key
 from .polynomials import (
     Polynomial,
-    norm_constant_exponent,
-    poly_eval,
+    _ball_probe,
+    _lcm_denominator,
+    _rescaled_coefficients,
     squarefree_part,
 )
 
@@ -86,24 +87,6 @@ def walk(
         level = [c for b in split for c in b.children()]
 
 
-def _rescaled(F: Polynomial, X: CompactDomain):
-    """Substitute x = y/p^M so the domain lands inside Z_p.
-
-    Returns (G, X_scaled, shift) with G integral, X_scaled in Z_p, and
-    |F(x)| = p^shift * |G(p^M x)| for x in X.
-    """
-    p = F.prime
-    M = X.height_exponent()
-    if M <= 0:
-        return F, X, 0
-    d = max(F.degree, 0)
-    G = F.shift_variable(-M).scale(Fraction(p) ** (M * d))
-    pm = Fraction(p) ** M
-    keys = frozenset(k * pm for k in X.keys)
-    Xs = CompactDomain(p, X.base_level - M, keys)
-    return G, Xs, M * d
-
-
 def lower_bound_bF(
     F: Polynomial, X: CompactDomain, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> int:
@@ -117,52 +100,58 @@ def lower_bound_bF(
         raise ValueError("lower bound of the zero polynomial")
     if not F.is_integral():
         raise ValueError("descent requires integral coefficients")
-    G, Xs, shift = _rescaled(F, X)
-    sf = squarefree_part(G)
-    if sf.degree < G.degree:
+    M, d = X.height_exponent(), F.degree
+    # an integral F's denominators are units: clearing them keeps every norm
+    G = _rescaled_coefficients(F.scale(_lcm_denominator(F.coefficients)), d, M)
+    sf = squarefree_part(Polynomial.of(G, F.prime))
+    if sf.degree < d:
         # multiple roots defeat the one-step lifting certificate; settle
         # root existence on the squarefree part first (same root set)
-        _descend(sf, Xs, config)
-    return _descend(G, Xs, config) + shift
+        _descend(_rescaled_coefficients(sf, sf.degree, 0), X, M, config)
+    # |F(x)| = p^(Md) |G(p^M x)|
+    return _descend(G, X, M, config) + M * d
 
 
-def _descend(F: Polynomial, X: CompactDomain, config: AnalysisConfig) -> int:
-    p = F.prime
-    start = min(X.base_level, -1)
+def _descend(G: list[int], X: CompactDomain, M: int, config: AnalysisConfig) -> int:
+    """Exponent e with |G(y)| >= p^e for every y = p^M x, x in X, where X
+    lies inside the ball of radius p^M and G has integer coefficients."""
+    p = X.prime
+    # levels in y; the ball of x-level t has y-level t - M
+    start = min(X.base_level - M, -1)
     floor = start - config.descent_cap
-    # (e, b): ball b holds suspects, the level-t balls with v(F(key)) >= -t,
-    # down to level e and no further
+    # (e, b): ball b holds suspects down to y-level e and no further
     deepest: list[tuple[int, Ball]] = []
 
     def visit(b: Ball) -> bool:
-        a, t = b.key, b.level
-        v = fraction_valuation(poly_eval(F, a), p)
-        if v < -t or norm_constant_exponent(F, a) >= t:
-            # |F| = p^-v on all of b
-            deepest.append((int(-v), b))
-        elif v == INF:
-            raise RootCertified(f"{a} is a root of F inside the domain", ball=b)
-        elif fraction_valuation(a, p) >= 0 and certifies_root_in_radius(F, a, t):
+        s = b.level - M
+        v0, v1, c = _ball_probe(G, p, b.rescaled_key(M))
+        if v0 < -s or c >= s:
+            # |G| = p^-v0 on all of b
+            deepest.append((-v0, b))
+        elif v0 == INF:
+            raise RootCertified(f"{b.key} is a root of F inside the domain", ball=b)
+        elif v0 > 2 * v1 and v1 - v0 <= s:
+            # |G(y)| < |G'(y)|^2 lifts to a root within p^(v1 - v0) of y
             raise RootCertified(f"a root of F provably lies in {b}", ball=b)
-        elif t == floor:
-            deepest.append((t, b))
+        elif s == floor:
+            deepest.append((s, b))
         else:
             return True
         return False
 
-    walk(decompose(X, start, config), visit, config, "descent")
+    walk(decompose(X, start + M, config), visit, config, "descent")
     breached = [b for e, b in deepest if e <= floor]
     if breached:
         # the suspect the walk would meet first on the floor level
         first = min(
             breached,
-            key=lambda b: [canonical_key(b.key, t, p) for t in range(start, floor - 1, -1)],
+            key=lambda b: [canonical_key(b.key, t, p) for t in range(start + M, floor + M - 1, -1)],
         )
-        suspect = Ball(floor, first.key, p)
+        suspect = Ball(floor + M, first.key, p)
         raise DepthCapExceeded(
             f"|F| not separated from 0 after {config.descent_cap} levels; "
             f"suspect ball {suspect}",
-            level=floor,
+            level=suspect.level,
             suspect_ball=suspect,
         )
     return min([start + 1] + [e for e, _ in deepest])
@@ -193,14 +182,19 @@ def _root_free_report(
 ) -> ScalingReport:
     M = X.height_exponent()
     l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
+    Qh, Th = (_rescaled_coefficients(F, F.degree, M) for F in (f.Q, f.t1))
+    # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
+    oq, ot = M * f.Q.degree, M * f.t1.degree
     profile: dict[Ball, int] = {}
     for b in decompose(X, l, config):
-        e = f.scalar_exponent(b.key)
-        if e == NEG_INF:
+        y = b.rescaled_key(M)
+        vt = _ball_probe(Th, f.prime, y)[0]
+        if vt == INF:
             raise CertificateFailed(
                 f"derivative vanishes at {b.key} despite the lower bound p^{b_t1} on |T1|"
             )
-        profile[b] = int(e)
+        # |f'(a)| = |T1(a)| / |Q(a)|^2
+        profile[b] = 2 * (_ball_probe(Qh, f.prime, y)[0] - oq) - (vt - ot)
     exponents = set(profile.values())
     if exponents <= {0}:
         kind, bound = LOCALLY_ISOMETRIC, None
@@ -262,6 +256,9 @@ def _certified_profile(
     p = f.prime
     M = X.height_exponent()
     h_t = _two_variable_height_factor(f, M)
+    Qh, Th = (_rescaled_coefficients(F, F.degree, M) for F in (f.Q, f.t1))
+    # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
+    oq, ot = M * f.Q.degree, M * f.t1.degree
     start = min(X.base_level, -1)
     floor = start - CERTIFY_CAP
     exact: dict[Ball, int] = {}
@@ -274,23 +271,24 @@ def _certified_profile(
                 level=b.level,
                 suspect_ball=b,
             )
-        a = b.key
         t = b.level
+        y = b.rescaled_key(M)
+        vq, _, cq = _ball_probe(Qh, p, y)
         # classify has bounded |Q| from below on X, so Q has no root here
-        if t > norm_constant_exponent(f.Q, a):
+        if t > cq + M:
             return True
-        vq = int(fraction_valuation(poly_eval(f.Q, a), p))
-        ta = poly_eval(f.t1, a)
-        t1_norm_exp = -fraction_valuation(ta, p)  # -inf at an exact derivative root
+        vq -= oq
+        vt, _, ct = _ball_probe(Th, p, y)
+        t1_norm_exp = ot - vt  # -inf at an exact derivative root
         lip_bound = max(t1_norm_exp, t + h_t)
-        if ta != 0 and t <= norm_constant_exponent(f.t1, a):
-            e = int(2 * vq + t1_norm_exp)
+        if t <= ct + M:
+            e = 2 * vq + t1_norm_exp
             if e > 0 or lip_bound <= -2 * vq:
                 exact[b] = e
                 return False
             # scalar known but the ball-to-ball certificate needs more depth
         elif lip_bound <= -2 * vq:
-            upper[b] = int(lip_bound + 2 * vq)
+            upper[b] = lip_bound + 2 * vq
             return False
         return True
 

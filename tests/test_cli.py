@@ -355,7 +355,7 @@ def test_json_writer_on_hand_built_subsidiary_bounds():
     data = tuple(
         SubsidiaryEdgeData(i % 3, bounds[i % 2], i % 2 == 0) for i in range(len(G.succ))
     )
-    G = LevelDigraph(G.prime, G.level, G.domain, G.height, G.residues, G.succ, data)
+    G = LevelDigraph(G.prime, G.level, G.height, G.residues, G.succ, data)
     want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
     assert digraph_to_json(G, cycle_decomposition(G)) == want
 

@@ -302,17 +302,23 @@ def _settling_cases(draw):
 
 
 def test_settled_check_agrees_with_the_sampled_sweep():
-    seen = set()
+    seen, alphas, heights = set(), set(), set()
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_settling_cases())
     def check(case):
         got = _outcome(global_qp._holds_on_samples, *case)
         assert got == _outcome(_sampled_sweep, *case)
         seen.add(got if isinstance(got, bool) else got[0])
+        f, X = case[:2]
+        alphas.add(f.alpha != 0)
+        heights.add(X.height_exponent())
 
     check()
     assert seen == {True, False, PoleInDomain, DecompositionTooLarge}
+    # the probes' rescaling offsets are exercised: alpha cancels from
+    # v(Q) - v(P), and regions reach beyond Z_p
+    assert alphas == {True, False} and max(heights) >= 2
 
 
 def _shift_claims(monkeypatch):

@@ -110,6 +110,12 @@ CASES.update({
                               "--domain", "Zp", "mp"],
     "common-factor-hensel": ["-p", "7", "--map", "(-(x+1)(2x^2-4))/((x+1)(-3/5))",
                              "hensel", "--seed", "3", "--prec", "6"],
+    # a pole beyond Z_p, met exactly at a key and certified by lifting: the
+    # error names it in the domain's coordinates
+    "error-exact-pole-beyond-zp": ["-p", "3", "--map", "1/(3x-1)", "--domain", "B(0,1)",
+                                   "classify"],
+    "error-lifted-pole-beyond-zp": ["-p", "5", "--map", "x+1/(25x^2-10x+26)",
+                                    "--domain", "B(0,2)", "classify"],
 })
 
 

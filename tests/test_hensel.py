@@ -4,14 +4,22 @@ from fractions import Fraction
 import pytest
 
 import padicdyn.hensel
-from padicdyn import Polynomial, fraction_valuation, hensel_lift, poly_eval
+from padicdyn import (
+    CompactDomain,
+    Polynomial,
+    fraction_valuation,
+    hensel_lift,
+    lower_bound_bF,
+    poly_eval,
+)
 from padicdyn.errors import (
     CertificateFailed,
     HenselPreconditionFailed,
     InvalidHenselInput,
     PadicDynError,
+    RootCertified,
 )
-from padicdyn.hensel import certifies_root_in_radius, hensel_precondition
+from padicdyn.hensel import hensel_precondition
 from padicdyn.padics import unit_residue
 from padicdyn.polynomials import poly_derivative
 
@@ -46,10 +54,13 @@ def test_precondition_failure_reports_norms():
 
 
 def test_certifies_root_in_radius():
+    # the descent's lifting certificate: |F(3)| = 7^-1 < |F'(3)|^2 = 1 puts
+    # a root of x^2 - 2 within 7^-1 of 3, on the ball B(3, -1) itself; the
+    # ball around 1 (F(1) = -1, a unit) holds none
     F = Polynomial.of([-2, 0, 1], 7)
-    assert certifies_root_in_radius(F, Fraction(3), -1)
-    assert certifies_root_in_radius(F, Fraction(3), 0)
-    assert not certifies_root_in_radius(F, Fraction(1), -1)
+    with pytest.raises(RootCertified, match=r"^a root of F provably lies in B\(3, -1\)$"):
+        lower_bound_bF(F, CompactDomain.ball(3, -1, 7))
+    assert lower_bound_bF(F, CompactDomain.ball(1, -1, 7)) == 0
 
 
 def test_requires_integral_inputs():

@@ -171,3 +171,30 @@ def test_int_valuation_refuses_moduli_below_two(p):
     # n % 1 == 0 and n % -1 == 0 for every n: the loop would never end
     with _deadline(5), pytest.raises(InvalidPrime):
         int_valuation(12, p)
+
+
+def _stepwise_valuation(n, p):
+    """The one-step division loop, as the oracle for ``int_valuation``."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(0, 200),
+)
+@settings(max_examples=300, derandomize=True)
+def test_int_valuation_matches_the_stepwise_loop(p, u, e):
+    # u may itself carry factors of p; e crosses the hand-over to the ladder
+    n = u * p**e
+    assert int_valuation(n, p) == _stepwise_valuation(n, p)
+
+
+def test_int_valuation_of_a_tall_power_finishes():
+    # the one-step loop needs 524,288 divisions of a number of 830k bits
+    with _deadline(30):
+        assert int_valuation(2 * 3**524288, 3) == 524288

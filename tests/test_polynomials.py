@@ -7,20 +7,49 @@ from hypothesis import strategies as st
 from padicdyn import (
     INF,
     NEG_INF,
+    CompactDomain,
     Polynomial,
+    decompose,
     fraction_valuation,
-    norm_constant_exponent,
+    parse_domain,
     poly_derivative,
     poly_eval,
     taylor_shift,
 )
 from padicdyn.domains import Ball
 from padicdyn.polynomials import (
+    _ball_probe,
+    _rescaled_coefficients,
     content_and_primitive,
     poly_divexact,
     poly_gcd,
     squarefree_part,
 )
+
+
+def norm_constant_exponent(F: Polynomial, center) -> float:
+    """Oracle for ``_ball_probe``'s constancy level, on ``Fraction``s: the
+    largest level t certifying |F| constant on the ball of radius p^t
+    around the center (INF for nonzero constants, NEG_INF when F(center)
+    = 0), read from F's Taylor coefficients g_i at the center as the
+    largest t with v(g_0) < v(g_i) - i*t for every i >= 1."""
+    if F.is_zero():
+        return NEG_INF
+    g = taylor_shift(F, center)
+    g0 = g.coefficient(0)
+    if g0 == 0:
+        return NEG_INF
+    if g.degree <= 0:
+        return INF
+    p = F.prime
+    v0 = fraction_valuation(g0, p)
+    best = INF
+    for i in range(1, g.degree + 1):
+        gi = g.coefficient(i)
+        if gi == 0:
+            continue
+        best = min(best, (fraction_valuation(gi, p) - v0 - 1) // i)
+    return best
 
 
 def P(coeffs, p=7):
@@ -92,7 +121,7 @@ def test_content_and_primitive():
     ],
 )
 def test_norm_constant_examples(p, coeffs, center, expected):
-    assert norm_constant_exponent(Polynomial.of(coeffs, p), center) == expected
+    assert _ball_probe(coeffs, p, center)[2] == expected
 
 
 @pytest.mark.parametrize(
@@ -108,12 +137,55 @@ def test_norm_constant_soundness_exhaustive(p, coeffs, center):
     # every point of the certified ball, enumerated two levels deeper,
     # has the same norm as the center
     F = Polynomial.of(coeffs, p)
-    t = norm_constant_exponent(F, center)
+    t = _ball_probe(coeffs, p, center)[2]
     assert isinstance(t, int) and abs(t) <= 4
     want = fraction_valuation(poly_eval(F, center), p)
     ball = Ball.containing(center, t, p)
     for sub in ball.subdivide(t - 2):
         assert fraction_valuation(poly_eval(F, sub.key), p) == want
+
+
+@st.composite
+def _probe_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["Zp", "B(0,1)", "B(0,2)", "sphere"]))
+    if kind == "sphere":
+        X = CompactDomain.sphere(draw(st.integers(-2, 2)), p)
+    else:
+        X = parse_domain(kind, p)
+    balls = decompose(X, X.base_level - draw(st.integers(0, 2)))
+    ball = balls[draw(st.integers(0, len(balls) - 1))]
+    shape = draw(st.sampled_from(["zero", "constant", "random", "repeated root"]))
+    if shape == "zero":
+        F = Polynomial.zero(p)
+    elif shape == "constant":
+        F = Polynomial.of([draw(st.integers(1, p**4)) * draw(st.sampled_from([1, -1]))], p)
+    else:
+        F = Polynomial.of(draw(st.lists(st.integers(-p**3, p**3), min_size=1, max_size=5)), p)
+        if shape == "repeated root":
+            # a root r / p^M near the ball's key (at it when the offset is
+            # 0), with multiplicity 2 or 3
+            M = X.height_exponent()
+            r = ball.rescaled_key(M) + draw(st.integers(-p, p)) * p ** draw(st.integers(0, 3))
+            root = Polynomial.of([-r, p**M], p)
+            for _ in range(draw(st.integers(2, 3))):
+                F = F * root
+    # the kernel rescales P and Q with one d >= both degrees
+    d = max(F.degree, 0) + draw(st.integers(0, 2))
+    return F, X, ball, d
+
+
+@given(_probe_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_probe_agrees_with_the_fraction_oracle(case):
+    # v(F(a)) = v(G(y)) - Md, v(F'(a)) = v(G'(y)) + M(1 - d), and the
+    # constancy level of F at a is G's at y plus M
+    F, X, ball, d = case
+    p, M, a = F.prime, X.height_exponent(), ball.key
+    v0, v1, c = _ball_probe(_rescaled_coefficients(F, d, M), p, ball.rescaled_key(M))
+    assert v0 - M * d == fraction_valuation(poly_eval(F, a), p)
+    assert v1 + M * (1 - d) == fraction_valuation(poly_eval(poly_derivative(F), a), p)
+    assert c + M == norm_constant_exponent(F, a)
 
 
 small_polys = st.lists(

@@ -17,11 +17,17 @@ from test_kernel import PRIMES, domains
 
 from padicdyn import Analysis, parse_domain, parse_map
 from padicdyn.config import AnalysisConfig
-from padicdyn.digraph import SubsidiaryEdgeData, _rescaled_coefficients, subsidiary_edge_data
+from padicdyn.digraph import SubsidiaryEdgeData, subsidiary_edge_data
 from padicdyn.errors import ConstantTermNotIntegral, PadicDynError
 from padicdyn.maps import normalize_map
 from padicdyn.padics import INF, NEG_INF, ceil_div, fraction_valuation
-from padicdyn.polynomials import Polynomial, poly_derivative, poly_eval, taylor_shift
+from padicdyn.polynomials import (
+    Polynomial,
+    _rescaled_coefficients,
+    poly_derivative,
+    poly_eval,
+    taylor_shift,
+)
 
 MAX_VERTICES = 800
 

@@ -1,9 +1,11 @@
 """The ball walker against the loops it replaced.
 
 ``_old_descend`` and ``_old_certified_profile`` are copies of the descent
-that split every suspect ball and of the depth-first per-ball profile.  The
-walker must give the same lower-bound exponent (or the same exception,
-message included) and the same scaling report.
+that split every suspect ball and of the depth-first per-ball profile, on
+``Fraction`` evaluations.  The walker must give the same lower-bound
+exponent (or the same exception, message and data included) and the same
+scaling report.  The copied descent ran on the domain rescaled into Z_p and
+named its balls there; ``_old_lower_bound`` maps them back.
 """
 
 from __future__ import annotations
@@ -14,36 +16,62 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polynomials import norm_constant_exponent
 
 from padicdyn import cli, scaling
 from padicdyn.config import AnalysisConfig
-from padicdyn.domains import CompactDomain, decompose
+from padicdyn.domains import Ball, CompactDomain, decompose
 from padicdyn.errors import (
     DecompositionTooLarge,
     DepthCapExceeded,
+    HenselPreconditionFailed,
     PadicDynError,
     PoleInDomain,
     RootCertified,
 )
-from padicdyn.hensel import certifies_root_in_radius
+from padicdyn.hensel import hensel_precondition
 from padicdyn.maps import normalize_map
-from padicdyn.padics import fraction_valuation
+from padicdyn.padics import INF, fraction_valuation
 from padicdyn.parsing import parse_domain
-from padicdyn.polynomials import (
-    Polynomial,
-    norm_constant_exponent,
-    poly_eval,
-    squarefree_part,
-)
+from padicdyn.polynomials import Polynomial, poly_eval, squarefree_part
 from padicdyn.scaling import (
     CERTIFY_CAP,
     LOCALLY_1_LIPSCHITZ,
     LOCALLY_RHO_LIPSCHITZ,
     ScalingReport,
-    _rescaled,
     _two_variable_height_factor,
+    classify,
     lower_bound_bF,
 )
+
+
+def certifies_root_in_radius(F, seed, radius_exponent):
+    """True when the lifting lemma proves a root within p^radius of the seed."""
+    try:
+        v_val, v_der = hensel_precondition(F, seed)
+    except HenselPreconditionFailed:
+        return False
+    if v_val is INF:
+        return True
+    return v_der - v_val <= radius_exponent
+
+
+def _rescaled(F, X):
+    """Substitute x = y/p^M so the domain lands inside Z_p.
+
+    Returns (G, X_scaled, shift) with G integral, X_scaled in Z_p, and
+    |F(x)| = p^shift * |G(p^M x)| for x in X.
+    """
+    p = F.prime
+    M = X.height_exponent()
+    if M <= 0:
+        return F, X, 0
+    d = max(F.degree, 0)
+    G = F.shift_variable(-M).scale(Fraction(p) ** (M * d))
+    pm = Fraction(p) ** M
+    keys = frozenset(k * pm for k in X.keys)
+    Xs = CompactDomain(p, X.base_level - M, keys)
+    return G, Xs, M * d
 
 
 def _old_descend(F, X, config):
@@ -82,10 +110,29 @@ def _old_descend(F, X, config):
 
 def _old_lower_bound(F, X, config):
     G, Xs, shift = _rescaled(F, X)
-    sf = squarefree_part(G)
-    if sf.degree < G.degree:
-        _old_descend(sf, Xs, config)
-    return _old_descend(G, Xs, config) + shift
+    try:
+        sf = squarefree_part(G)
+        if sf.degree < G.degree:
+            _old_descend(sf, Xs, config)
+        return _old_descend(G, Xs, config) + shift
+    except RootCertified as exc:
+        b = _in_domain(exc.ball, X)
+        if str(exc).startswith("a root"):
+            raise RootCertified(f"a root of F provably lies in {b}", ball=b) from None
+        raise RootCertified(f"{b.key} is a root of F inside the domain", ball=b) from None
+    except DepthCapExceeded as exc:
+        b = _in_domain(exc.suspect_ball, X)
+        raise DepthCapExceeded(
+            f"|F| not separated from 0 after {config.descent_cap} levels; suspect ball {b}",
+            level=b.level,
+            suspect_ball=b,
+        ) from None
+
+
+def _in_domain(b, X):
+    """The ball b of the rescaled domain, in X's own coordinates."""
+    M = X.height_exponent()
+    return Ball(b.level + M, b.key / b.prime**M, b.prime)
 
 
 def _old_certified_profile(f, X, config):
@@ -163,7 +210,8 @@ def _outcome(run, *args):
     try:
         return run(*args)
     except PadicDynError as exc:
-        return type(exc), str(exc)
+        # the named ball and level too
+        return type(exc), str(exc), vars(exc)
 
 
 @st.composite
@@ -239,6 +287,41 @@ def test_cap_error_names_the_suspect_the_old_descent_named():
         lower_bound_bF(F, X, config)
     assert caught.value.level == -3
     assert _outcome(lower_bound_bF, F, X, config) == _outcome(_old_lower_bound, F, X, config)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_root_beyond_zp_is_named_by_a_ball_that_holds_it(p, k):
+    # r = u / p^k lies in B(0, 2) but not in Z_p; the descent walks the
+    # domain's own balls, so the ball it names holds r itself (F * F
+    # takes the squarefree pre-pass)
+    X = CompactDomain.ball(0, 2, p)
+    for u in (1, 2 * p - 1, 1 + p**3):
+        r = Fraction(u, p**k)
+        F = Polynomial.of([-u, p**k], p)
+        for G in (F, F * F):
+            with pytest.raises(RootCertified) as caught:
+                lower_bound_bF(G, X)
+            assert caught.value.ball.contains(r)
+        with pytest.raises(PoleInDomain) as caught:
+            classify(normalize_map(Polynomial.of([0, 1], p), F), X)
+        assert caught.value.ball.contains(r)
+
+
+def test_descent_errors_beyond_zp_name_domain_levels():
+    # (4x - 1)^2 + 2^9 and (4x - 3)^2 + 2^9 have no root in Q_2; on B(0, 2)
+    # the descent starts at level 1, and both level-0 balls are suspects
+    def cluster(u):
+        return Polynomial.of([u * u + 2**9, -8 * u, 16], 2)
+
+    X = CompactDomain.ball(0, 2, 2)
+    with pytest.raises(DepthCapExceeded, match=r"suspect ball B\(0, -2\)$") as caught:
+        lower_bound_bF(cluster(1), X, AnalysisConfig(descent_cap=3))
+    assert caught.value.level == caught.value.suspect_ball.level == -2
+    with pytest.raises(DecompositionTooLarge, match=r"^descent at level -1 needs 4 balls \(cap 2\)$"):
+        lower_bound_bF(cluster(1) * cluster(3), X, AnalysisConfig(ball_cap=2))
+    with pytest.raises(DecompositionTooLarge, match=r"^decomposition at level 1 needs 2 balls"):
+        lower_bound_bF(cluster(1), X, AnalysisConfig(ball_cap=1))
 
 
 _small_fraction = st.builds(
