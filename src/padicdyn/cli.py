@@ -148,11 +148,18 @@ def _config_for(inv: Invocation) -> AnalysisConfig:
 def _emit_graph(inv: Invocation, G, cycles, out) -> None:
     """``cycles`` is G's cycle decomposition (only the JSON output uses it)."""
     if inv.dot_path:
-        write_atomic(inv.dot_path, digraph_to_dot(G))
+        _write(inv.dot_path, digraph_to_dot(G))
         out(f"dot written: {inv.dot_path}")
     if inv.json_path:
-        write_atomic(inv.json_path, digraph_to_json(G, cycles))
+        _write(inv.json_path, digraph_to_json(G, cycles))
         out(f"json written: {inv.json_path}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        write_atomic(path, text)
+    except OSError as exc:
+        raise PadicDynError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def run(inv: Invocation, stdout=None) -> int:

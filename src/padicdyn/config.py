@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DecompositionTooLarge
+from .errors import DecompositionTooLarge, PadicDynError
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,11 @@ class AnalysisConfig:
     # levels scanned below the radius before Analysis.mp returns Undecided
     # (used only when the derivative has roots in the domain)
     mp_scan_depth: int = 8
+
+    def __post_init__(self):
+        for name in ("descent_cap", "intrinsic_margin", "mp_scan_depth"):
+            if getattr(self, name) < 0:
+                raise PadicDynError(f"{name} must be at least 0, got {getattr(self, name)}")
 
     def check_ball_budget(self, count: int, what: str, level: int) -> None:
         """Raise DecompositionTooLarge when ``what`` needs more than

@@ -15,6 +15,7 @@ map and domain from one classification, building each level once.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -33,10 +34,9 @@ from .errors import (
     NotForwardInvariant,
     NotOneLipschitz,
 )
-from .hensel import hensel_lift
 from .maps import RationalMap
-from .padics import INF, NEG_INF, ExtendedInt, ceil_div, fraction_valuation, int_valuation
-from .polynomials import _rescaled_coefficients, _taylor_coefficients, taylor_shift
+from .padics import INF, NEG_INF, ExtendedInt, ceil_div, int_valuation
+from .polynomials import _rescaled_coefficients, _taylor_coefficients
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify
 
 MEASURE_PRESERVING = "MeasurePreserving"
@@ -44,9 +44,6 @@ NOT_MEASURE_PRESERVING = "NotMeasurePreserving"
 UNDECIDED = "Undecided"
 NOT_ERGODIC = "NotErgodic"
 SINGLE_CYCLE_TO_DEPTH = "SingleCycleToDepth"
-
-# precision exponent used when certifying bijectivity of an edge
-BIJECTION_PRECISION = 12
 
 
 @dataclass(frozen=True)
@@ -528,84 +525,39 @@ class Analysis:
             raise LevelAboveIntrinsic(
                 f"components are certified only at levels <= t0 = {t0}, got {t}"
             )
-        dec = cycle_decomposition(self.digraph(t))
+        G = self.digraph(t)
+        V = G.vertices
+        cycles = cycle_decomposition(G).cycle_indices
         if self.report.classification == LOCALLY_ISOMETRIC:
             return [
                 ComponentSelection(
                     level=t,
-                    cycle=cyc,
+                    cycle=tuple(V[i] for i in cyc),
                     verdict=MEASURE_PRESERVING,
                     route="isometric",
                 )
-                for cyc in dec.cycles
+                for cyc in cycles
             ]
         finer = self.digraph(t - 1)
+        n = len(G.succ)
         out = []
-        for cyc in dec.cycles:
-            # children of the cycle's balls must again be a union of cycles
-            children = {c for b in cyc for c in b.children()}
-            indeg = {c: 0 for c in children}
-            ok = True
-            witness = None
-            for c in children:
-                target = finer.edge[c]
-                if target not in indeg:
-                    ok = False
-                    witness = c
-                    break
-                indeg[target] += 1
-            if ok:
-                bad = [c for c, d in indeg.items() if d != 1]
-                if bad:
-                    ok = False
-                    witness = min(bad, key=lambda b: b.key)
+        for cyc in cycles:
+            # decompose_residues lists the children of vertex i as the finer
+            # vertices i + k n; each maps into a child of its parent's
+            # successor, so the children are a union of cycles exactly when
+            # each is hit once from among them
+            children = [i + k * n for k in range(self.f.prime) for i in cyc]
+            hits = Counter(finer.succ[c] for c in children)
+            bad = [c for c in children if hits[c] != 1]
             out.append(
                 ComponentSelection(
                     level=t,
-                    cycle=cyc,
-                    verdict=MEASURE_PRESERVING if ok else NOT_MEASURE_PRESERVING,
+                    cycle=tuple(V[i] for i in cyc),
+                    verdict=NOT_MEASURE_PRESERVING if bad else MEASURE_PRESERVING,
                     route="refinement",
-                    witness_level=None if ok else t - 1,
-                    witness_ball=witness,
+                    witness_level=t - 1 if bad else None,
+                    # finer vertices are in key order
+                    witness_ball=finer.vertices[min(bad)] if bad else None,
                 )
             )
         return out
-
-    def verify_bijection(self, source: Ball, sample_level: int) -> bool:
-        """Certify that the edge out of ``source`` is a sampled bijection.
-
-        Every representative of the target ball at ``sample_level`` is
-        lifted back through the rescaled polynomial; the lifted preimage
-        must land in the enlarged source ball of radius p^t/|f'(a)|.  Raises
-        on the first lifting failure (which would contradict the edge
-        admission data).
-        """
-        f = self.f
-        t = source.level
-        t0 = self.intrinsic_level
-        if t > t0:
-            raise LevelAboveIntrinsic(f"bijectivity is certified only at t <= {t0}")
-        p = f.prime
-        a = source.key
-        G = self.subsidiary(t)
-        i = G.keys.index(a)
-        target = G.vertices[G.succ[i]]
-        s = G.subsidiary[i].s_exponent
-        Pa, Qa = taylor_shift(f.P, a), taylor_shift(f.Q, a)
-        e = f.scalar_exponent(a)
-        if e == NEG_INF:
-            raise CertificateFailed(
-                f"derivative vanishes at {a} although the intrinsic level requires it root-free"
-            )
-        k = BIJECTION_PRECISION + max(0, -sample_level)
-        for b_ball in target.subdivide(sample_level):
-            b_point = b_ball.key
-            # F(x) = P(p^s x + a) - b Q(p^s x + a), integral by choice of s
-            F = Pa.shift_variable(s) - Qa.shift_variable(s).scale(b_point)
-            res = hensel_lift(F, Fraction(0), k)
-            preimage = Fraction(p) ** s * res.root + a
-            if fraction_valuation(preimage - a, p) < -(t - int(e)):
-                return False
-            if fraction_valuation(f.eval(preimage) - b_point, p) < -sample_level:
-                return False
-        return True

@@ -25,13 +25,15 @@ from .errors import (
     RootCertified,
 )
 from .maps import RationalMap
-from .padics import ceil_div, fraction_valuation
+from .padics import INF, ceil_div, fraction_valuation
 from .polynomials import (
     Polynomial,
     _ball_probe,
+    _cleared,
+    _int_divexact,
+    _int_gcd,
+    _int_mul,
     _rescaled_coefficients,
-    poly_divexact,
-    poly_gcd,
 )
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF, walk
 
@@ -190,13 +192,16 @@ def _reduction_exponent(f: RationalMap) -> int:
     scale as |x|^(deg).  Integral P1, Q1 always give N = 1."""
     n = _leading_term_exponent(f)
     if not (f.P1.is_integral() and f.Q1.is_integral()):
-        # the unit-leading numerator and denominator of f', common factor cleared
-        num, den = f.t1, f.Q1 * f.Q1
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = poly_divexact(num, g), poly_divexact(den, g)
-        n = max(n, lemma_n_bound(unit_normalized(num)[1]),
-                lemma_n_bound(unit_normalized(den)[1]))
+        # the numerator T1 and denominator Q^2 of f', common factor cleared;
+        # the bound of a unit-normalized polynomial ignores scalars
+        num, Q = _cleared(f.t1.coefficients), _cleared(f.Q.coefficients)
+        den = _int_mul(Q, Q)
+        g = _int_gcd(num, den)
+        if len(g) > 1:
+            num, den = _int_divexact(num, g), _int_divexact(den, g)
+        p = f.prime
+        n = max(n, lemma_n_bound(unit_normalized(Polynomial.of(num, p))[1]),
+                lemma_n_bound(unit_normalized(Polynomial.of(den, p))[1]))
     return n
 
 
@@ -302,10 +307,11 @@ def _holds_on_samples(
 
     A ball on which P and Q both have constant norm carries one norm
     exponent of f; when it lies within the claim the ball is settled,
-    otherwise it is split.  f is evaluated only at the sample-level centres
-    that no ball settles, in key order.  A settled ball holds no pole and
-    no failing centre, so the first failing centre or pole, and with it the
-    verdict or the ``PoleInDomain`` raised, is the full sweep's.
+    otherwise it is split.  |f| is read point by point only at the
+    sample-level centres that no ball settles, in key order.  A settled
+    ball holds no pole and no failing centre, so the first failing centre
+    or pole, and with it the verdict or the ``PoleInDomain`` raised, is the
+    full sweep's.
     """
     p = f.prime
     bottom = X.base_level - WITNESS_DEPTH
@@ -320,11 +326,10 @@ def _holds_on_samples(
     samples = []
 
     def visit(b: Ball) -> bool:
-        a, t = b.key, b.level
+        t, y = b.level, b.rescaled_key(M)
         if t == bottom:
-            samples.append(a)
+            samples.append(y)
             return False
-        y = b.rescaled_key(M)
         vq, _, cq = _ball_probe(Qh, p, y)
         if t > cq + M:
             return True
@@ -336,7 +341,14 @@ def _holds_on_samples(
         return not within(vq - vp)
 
     walk(X.balls(), visit, config, "witness check")
-    return all(within(-fraction_valuation(f.eval(k), p)) for k in sorted(samples))
+    for y in sorted(samples):
+        # |f(a)| = p^(vq - vp) at a = y / p^M, as on a settled ball
+        vq = _ball_probe(Qh, p, y)[0]
+        if vq == INF:
+            raise PoleInDomain(f"denominator vanishes at {Fraction(y, p**M)}")
+        if not within(vq - _ball_probe(Ph, p, y)[0]):
+            return False
+    return True
 
 
 def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitness:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleInDomain, ZeroDenominator
-from .padics import fraction_valuation, int_valuation, require_prime
+from .padics import int_valuation, require_prime
 from .polynomials import (
     Polynomial,
     _cleared,
@@ -51,10 +51,6 @@ class RationalMap:
         if q == 0:
             raise PoleInDomain(f"denominator vanishes at {x}")
         return poly_eval(self.t1, x) / (q * q)
-
-    def scalar_exponent(self, x: int | Fraction):
-        """Exponent e with |f'(x)| = p^e (-inf at derivative roots)."""
-        return -fraction_valuation(self.derivative_value(x), self.prime)
 
     def __str__(self):
         return f"({self.P})/({self.Q})"

@@ -3,8 +3,8 @@
 Coefficients are stored lowest degree first as exact ``Fraction``s, with the
 prime held once by the polynomial.  The zero polynomial has degree -1.  All
 operations are exact; evaluation uses Horner's scheme.  The gcd and the exact
-division run on integer coefficient lists (the ``_int_*`` helpers, which the
-parser and ``normalize_map`` also use), so no Euclid runs on ``Fraction``s.
+division exist only on integer coefficient lists (the ``_int_*`` helpers),
+so no Euclid runs on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -91,13 +91,6 @@ class Polynomial:
     def scale(self, c: int | Fraction) -> "Polynomial":
         return Polynomial.of([c * a for a in self.coefficients], self.prime)
 
-    def shift_variable(self, k: int) -> "Polynomial":
-        """Substitute x -> p^k x."""
-        pk = Fraction(self.prime) ** k
-        return Polynomial.of(
-            [a * pk**i for i, a in enumerate(self.coefficients)], self.prime
-        )
-
     def coefficient_valuations(self) -> tuple[ExtendedInt, ...]:
         return tuple(fraction_valuation(c, self.prime) for c in self.coefficients)
 
@@ -152,38 +145,6 @@ def _taylor_coefficients(coeffs: Sequence, a: int | Fraction) -> list:
         for j in range(n - 2, k - 1, -1):
             work[j] += a * work[j + 1]
     return work
-
-
-def content_and_primitive(F: Polynomial) -> tuple[Fraction, Polynomial]:
-    """Positive rational content c and primitive integer part G with F = c*G."""
-    if F.is_zero():
-        return Fraction(1), F
-    den = _lcm_denominator(F.coefficients)
-    content = Fraction(_int_content(_cleared(F.coefficients, den)), den)
-    return content, F.scale(1 / content)
-
-
-def poly_gcd(A: Polynomial, B: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals."""
-    g = _int_gcd(_cleared(A.coefficients), _cleared(B.coefficients))
-    if not g:
-        return Polynomial.zero(A.prime)
-    lead = g[-1]
-    return Polynomial.of([Fraction(c, lead) for c in g], A.prime)
-
-
-def poly_divexact(A: Polynomial, B: Polynomial) -> Polynomial:
-    """Exact quotient A/B; raises if the division leaves a remainder."""
-    if B.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    da, db = _lcm_denominator(A.coefficients), _lcm_denominator(B.coefficients)
-    a, b = _cleared(A.coefficients, da), _cleared(B.coefficients, db)
-    # A = ca/da * a' and B = cb/db * b' with a', b' primitive: by Gauss's
-    # lemma b' divides a' over Q exactly when it does over Z
-    ca, cb = _int_content(a), _int_content(b)
-    q = _int_divexact([c // ca for c in a], [c // cb for c in b])
-    scale = Fraction(ca * db, cb * da)
-    return Polynomial.of([scale * c for c in q], A.prime)
 
 
 def _lcm_denominator(coeffs: Iterable[Fraction]) -> int:
@@ -282,16 +243,17 @@ def _int_divexact(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def squarefree_part(F: Polynomial) -> Polynomial:
-    """F with repeated factors collapsed (same roots, all simple), cleared
-    to integral coefficients with content 1."""
-    if F.degree <= 1:
-        return F
-    g = poly_gcd(F, poly_derivative(F))
-    if g.degree <= 0:
-        return F
-    _, prim = content_and_primitive(poly_divexact(F, g))
-    return prim
+def squarefree_part(G: list[int]) -> list[int]:
+    """The integer polynomial G with repeated factors collapsed (same roots,
+    all simple) and content 1; G itself when no factor repeats."""
+    if len(G) <= 2:
+        return G
+    g = _int_gcd(G, [i * c for i, c in enumerate(G)][1:])
+    if len(g) <= 1:
+        return G
+    q = _int_divexact(G, g)
+    c = _int_content(q)
+    return [a // c for a in q]
 
 
 def _rescaled_coefficients(F: Polynomial, d: int, M: int) -> list[int]:

@@ -103,11 +103,11 @@ def lower_bound_bF(
     M, d = X.height_exponent(), F.degree
     # an integral F's denominators are units: clearing them keeps every norm
     G = _rescaled_coefficients(F.scale(_lcm_denominator(F.coefficients)), d, M)
-    sf = squarefree_part(Polynomial.of(G, F.prime))
-    if sf.degree < d:
+    sf = squarefree_part(G)
+    if len(sf) < len(G):
         # multiple roots defeat the one-step lifting certificate; settle
         # root existence on the squarefree part first (same root set)
-        _descend(_rescaled_coefficients(sf, sf.degree, 0), X, M, config)
+        _descend(sf, X, M, config)
     # |F(x)| = p^(Md) |G(p^M x)|
     return _descend(G, X, M, config) + M * d
 

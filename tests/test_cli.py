@@ -26,6 +26,7 @@ from padicdyn import (
     parse_map,
 )
 from padicdyn import digraph, global_qp, scaling
+from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import LevelDigraph, SubsidiaryEdgeData
 from padicdyn.errors import DecompositionTooLarge, PadicDynError
 from padicdyn.padics import INF, NEG_INF
@@ -163,6 +164,32 @@ def test_oversized_input_is_one_error_line(capsys, map_text, domain):
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--dot", "--json"])
+def test_artifact_in_a_missing_directory_is_one_error_line(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "g.out"
+    argv = QUARTIC_ARGS + ["digraph", "--level", "-1", flag, str(path)]
+    assert main(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out.startswith("vertices: 3\n")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_artifact_path_that_is_a_directory_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "g.dot"
+    path.mkdir()
+    assert main(QUARTIC_ARGS + ["subsidiary", "--level", "-1", "--dot", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: cannot write {path}: Is a directory\n"
+    # the temporary file beside it is removed
+    assert [p.name for p in tmp_path.iterdir()] == ["g.dot"]
+
+
+@pytest.mark.parametrize("field", ["descent_cap", "intrinsic_margin", "mp_scan_depth"])
+def test_config_rejects_negative_depths(field):
+    with pytest.raises(PadicDynError, match=f"^{field} must be at least 0, got -1$"):
+        AnalysisConfig(**{field: -1})
+    assert getattr(AnalysisConfig(**{field: 0}), field) == 0
 
 
 def test_compact_command_on_qp_rejected(capsys):

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_kernel import PRIMES, domains
+from test_polynomials import shift_variable
+from test_scaling import scalar_exponent
 
 from padicdyn import (
     Analysis,
     Ball,
     CompactDomain,
+    Polynomial,
     cycle_decomposition,
     decompose,
     parse_domain,
@@ -16,7 +20,8 @@ from padicdyn import (
     union_verdict,
 )
 from padicdyn.config import AnalysisConfig
-from padicdyn.digraph import LevelDigraph, subsidiary_edge_data
+from padicdyn.digraph import ComponentSelection, LevelDigraph, subsidiary_edge_data
+from padicdyn.domains import decompose_residues
 from padicdyn.errors import (
     ConstantTermNotIntegral,
     DecompositionTooLarge,
@@ -25,8 +30,11 @@ from padicdyn.errors import (
     LevelTooCoarse,
     NotForwardInvariant,
     NotOneLipschitz,
+    PadicDynError,
 )
+from padicdyn.hensel import hensel_lift
 from padicdyn.maps import map_from_coefficients
+from padicdyn.padics import fraction_valuation
 from padicdyn.polynomials import _rescaled_coefficients, taylor_shift
 
 
@@ -47,6 +55,35 @@ def p3_quartic_instance():
 
 def keys(balls):
     return [b.key for b in balls]
+
+
+def verify_bijection(A, source, sample_level, precision=12):
+    """Certify that the edge out of ``source`` is a sampled bijection.
+
+    Every representative of the target ball at ``sample_level`` is lifted
+    back through F(x) = P(p^s x + a) - b Q(p^s x + a), integral by the
+    choice of s; the lifted preimage must land in the enlarged source ball
+    of radius p^t / |f'(a)| and map within p^sample_level of b.
+    """
+    f, t = A.f, source.level
+    assert t <= A.intrinsic_level
+    p, a = f.prime, source.key
+    G = A.subsidiary(t)
+    i = G.keys.index(a)
+    target = G.vertices[G.succ[i]]
+    s = G.subsidiary[i].s_exponent
+    Pa, Qa = taylor_shift(f.P, a), taylor_shift(f.Q, a)
+    e = scalar_exponent(f, a)
+    k = precision + max(0, -sample_level)
+    for b_ball in target.subdivide(sample_level):
+        b = b_ball.key
+        F = shift_variable(Pa, s) - shift_variable(Qa, s).scale(b)
+        preimage = Fraction(p) ** s * hensel_lift(F, Fraction(0), k).root + a
+        if fraction_valuation(preimage - a, p) < -(t - int(e)):
+            return False
+        if fraction_valuation(f.eval(preimage) - b, p) < -sample_level:
+            return False
+    return True
 
 
 class TestSevenAdicTwoBallMap:
@@ -95,7 +132,7 @@ class TestSevenAdicTwoBallMap:
 
     def test_bijection_certificate(self):
         source = Ball.containing(2, -2, 7)
-        assert Analysis(*p7_instance()).verify_bijection(source, -4)
+        assert verify_bijection(Analysis(*p7_instance()), source, -4)
 
 
 class TestThreeAdicPuncturedMap:
@@ -159,7 +196,7 @@ class TestThreeAdicQuarticMap:
     def test_bijection_on_each_cycle_edge(self):
         A = Analysis(*p3_quartic_instance())
         for k in (0, 1, 2):
-            assert A.verify_bijection(Ball.containing(k, -1, 3), -4)
+            assert verify_bijection(A, Ball.containing(k, -1, 3), -4)
 
 
 def test_translation_single_cycle():
@@ -167,7 +204,7 @@ def test_translation_single_cycle():
     dec = cycle_decomposition(A.digraph(-2))
     assert dec.is_single_cycle and dec.cycle_lengths == [25]
     assert A.ergodic(-6).kind == "SingleCycleToDepth"
-    assert A.verify_bijection(Ball.containing(3, -1, 5), -4)
+    assert verify_bijection(A, Ball.containing(3, -1, 5), -4)
 
 
 def test_identity_all_self_loops():
@@ -262,8 +299,8 @@ def _brute_force_s(f, a, b, bound=8):
     p = f.prime
     for s in range(bound):
         shift = Fraction(p) ** s
-        Pa = taylor_shift(f.P, a).shift_variable(s)
-        Qa = taylor_shift(f.Q, a).shift_variable(s)
+        Pa = shift_variable(taylor_shift(f.P, a), s)
+        Qa = shift_variable(taylor_shift(f.Q, a), s)
         const_part = Pa - Qa.scale(b)
         y_part = Qa.scale(shift)
         if const_part.is_integral() and y_part.is_integral():
@@ -434,3 +471,101 @@ def test_cycle_entered_from_a_tail_starts_at_its_smallest_vertex():
     assert dec.cycle_indices == ((1,), (2, 3))
     assert dec.tail_indices == (0,)
     assert [[int(b.key) for b in c] for c in dec.cycles] == [[1], [2, 3]]
+
+
+@given(PRIMES.flatmap(domains), st.integers(0, 2))
+def test_children_of_vertex_i_are_the_finer_vertices_i_plus_k_n(X, depth):
+    # the level t - 1 residues are the level t residues shifted by
+    # k p^(M - t), k = 0 .. p - 1, in that order
+    p, t = X.prime, X.base_level - depth
+    M, coarse = decompose_residues(X, t)
+    _, fine = decompose_residues(X, t - 1)
+    n = len(coarse)
+    assert len(fine) == p * n
+    for k in range(p):
+        for i, y in enumerate(coarse):
+            assert fine[k * n + i] == y + k * p ** (M - t)
+
+
+def components_oracle(A, t):
+    """``Analysis.components`` as it was on Balls: the children of each
+    cycle ball from ``Ball.children`` and their images from the finer
+    level's Ball-keyed ``edge`` dict."""
+    t0 = A.intrinsic_level
+    if t > t0:
+        raise LevelAboveIntrinsic(f"components are certified only at levels <= t0 = {t0}, got {t}")
+    dec = cycle_decomposition(A.digraph(t))
+    if A.report.classification == "LocallyIsometric":
+        return [ComponentSelection(t, cyc, "MeasurePreserving", "isometric") for cyc in dec.cycles]
+    finer = A.digraph(t - 1)
+    out = []
+    for cyc in dec.cycles:
+        children = {c for b in cyc for c in b.children()}
+        indeg = {c: 0 for c in children}
+        witness = None
+        for c in children:
+            target = finer.edge[c]
+            if target not in indeg:
+                witness = c
+                break
+            indeg[target] += 1
+        if witness is None:
+            bad = [c for c, d in indeg.items() if d != 1]
+            witness = min(bad, key=lambda b: b.key) if bad else None
+        out.append(ComponentSelection(
+            t, cyc, "MeasurePreserving" if witness is None else "NotMeasurePreserving",
+            "refinement", None if witness is None else t - 1, witness,
+        ))
+    return out
+
+
+@st.composite
+def invariant_maps(draw):
+    """(f, X, offset): f(x) = c + lam (x - c) + p^e R(x) / Q(x) on a domain
+    X of ``test_kernel.domains``, half of them beyond Z_p, with c the least
+    key of X and Q = 1 + k p^(M+1) x a unit on B(0, M).  R has degree d,
+    and e >= Md - base_level makes |p^e R / Q| <= p^base_level on X, so f
+    keeps a ball domain invariant.  lam = p or p^2 contracts; the cubic
+    R = s (x - c)^3 gives |f'| = |lam + 3 s p^e (x - c)^2| both unit and
+    smaller norms, so both verdicts occur on the refinement route."""
+    p = draw(PRIMES)
+    X = draw(st.one_of(domains(p, ("beyond",)), domains(p, ("zp", "ball", "punctured"))))
+    M, c = X.height_exponent(), min(X.keys)
+    lam = draw(st.sampled_from([1, -1, 1 + p, p, p * p]))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 9))
+        R = Polynomial.of([-s * c**3, 3 * s * c**2, -3 * s * c, s], p)
+    else:
+        R = Polynomial.of(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)), p)
+    e = max(0, M * R.degree - X.base_level) + draw(st.integers(0, 1))
+    Q = Polynomial.of([1, draw(st.integers(-3, 3)) * p ** (M + 1)], p)
+    line = Polynomial.of([c - lam * c, lam], p)
+    P = line * Q + R.scale(Fraction(p) ** e)
+    return map_from_coefficients(P.coefficients, Q.coefficients, p), X, draw(st.integers(0, 1))
+
+
+def test_components_match_the_ball_oracle():
+    # small caps keep the intrinsic-level search shallow; the errors they
+    # raise must match too
+    config = AnalysisConfig(ball_cap=3000, descent_cap=8)
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(invariant_maps())
+    def check(instance):
+        f, X, offset = instance
+        try:
+            A = Analysis(f, X, config)
+            want = components_oracle(A, A.intrinsic_level - offset)
+        except PadicDynError as exc:
+            with pytest.raises(type(exc)) as info:
+                B = Analysis(f, X, config)
+                B.components(B.intrinsic_level - offset)
+            assert str(info.value) == str(exc)
+            return
+        got = Analysis(f, X, config).components(A.intrinsic_level - offset)
+        assert got == want
+        verdicts.update((c.route, c.verdict) for c in got)
+
+    check()
+    assert {("refinement", "MeasurePreserving"), ("refinement", "NotMeasurePreserving")} <= verdicts

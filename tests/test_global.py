@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_scaling import scalar_exponent
 
 from padicdyn import (
     CompactDomain,
@@ -56,8 +57,7 @@ def test_compute_n_with_fractional_coefficient():
     for b in decompose(sphere, n - 1 - 2):
         x = b.key
         assert fraction_valuation(f.eval(x), 7) == fraction_valuation(x, 7)
-        e = f.scalar_exponent(x)
-        assert e == 0
+        assert scalar_exponent(f, x) == 0
 
 
 def test_root_certification_modes():

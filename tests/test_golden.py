@@ -78,6 +78,9 @@ CASES.update({
     "error-hensel-precision-zero": ["-p", "7", "--map", "x^2-2", "hensel",
                                     "--seed", "3", "--prec", "0"],
     "cube-mp-cap-zero": ["-p", "3", "--map", "x^3", "--domain", "Zp", "mp", "--cap", "0"],
+    "error-negative-margin": ["-p", "3", "--map", "162x-270", "--domain", "Zp",
+                              "intrinsic-level", "--margin", "-1"],
+    "error-negative-cap": ["-p", "3", "--map", "1", "--domain", "Zp", "mp", "--cap", "-3"],
     "halved-square-mp-scan": ["-p", "3", "--map", "(x^2+2x)/2", "--domain", "Zp", "mp"],
     "quartic-beyond-zp-mp": QUARTIC[:4] + ["--domain", "B(0,1)", "mp"],
     "quartic-beyond-zp-intrinsic-level": QUARTIC[:4] + ["--domain", "B(0,1)",

@@ -25,6 +25,11 @@ from padicdyn.errors import (
 )
 
 
+def scalar_exponent(f, x):
+    """Exponent e with |f'(x)| = p^e (-inf at derivative roots)."""
+    return -fraction_valuation(f.derivative_value(x), f.prime)
+
+
 def two_unit_balls():
     return parse_domain("B(2,-1) + B(5,-1)", 7)
 
@@ -225,7 +230,7 @@ def test_profile_constant_per_ball():
     for ball in decompose(X, report.radius_exponent):
         e = report.scalar_profile[ball]
         for sub in ball.subdivide(ball.level - 2):
-            assert f.scalar_exponent(sub.key) == e
+            assert scalar_exponent(f, sub.key) == e
 
 
 def test_descent_work_list_respects_the_ball_budget():

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_polynomials import norm_constant_exponent
+from test_polynomials import norm_constant_exponent, shift_variable
 
 from padicdyn import cli, scaling
 from padicdyn.config import AnalysisConfig
@@ -33,7 +33,7 @@ from padicdyn.hensel import hensel_precondition
 from padicdyn.maps import normalize_map
 from padicdyn.padics import INF, fraction_valuation
 from padicdyn.parsing import parse_domain
-from padicdyn.polynomials import Polynomial, poly_eval, squarefree_part
+from padicdyn.polynomials import Polynomial, _cleared, poly_eval, squarefree_part
 from padicdyn.scaling import (
     CERTIFY_CAP,
     LOCALLY_1_LIPSCHITZ,
@@ -67,7 +67,7 @@ def _rescaled(F, X):
     if M <= 0:
         return F, X, 0
     d = max(F.degree, 0)
-    G = F.shift_variable(-M).scale(Fraction(p) ** (M * d))
+    G = shift_variable(F, -M).scale(Fraction(p) ** (M * d))
     pm = Fraction(p) ** M
     keys = frozenset(k * pm for k in X.keys)
     Xs = CompactDomain(p, X.base_level - M, keys)
@@ -111,7 +111,8 @@ def _old_descend(F, X, config):
 def _old_lower_bound(F, X, config):
     G, Xs, shift = _rescaled(F, X)
     try:
-        sf = squarefree_part(G)
+        # G's denominators are units: clearing them keeps every root
+        sf = Polynomial.of(squarefree_part(_cleared(G.coefficients)), G.prime)
         if sf.degree < G.degree:
             _old_descend(sf, Xs, config)
         return _old_descend(G, Xs, config) + shift
