@@ -39,7 +39,7 @@ def analyze(name, p, map_text, domain_text, level, dot_dir=None):
     dec = cycle_decomposition(G)
     print(
         f"   level {level}: {len(G.vertices)} balls, cycles {dec.cycle_lengths}, "
-        f"{len(dec.tail_vertices)} tails, subsidiary=full: {G.is_subsidiary_equal}"
+        f"{len(dec.tail_indices)} tails, subsidiary=full: {G.is_subsidiary_equal}"
     )
     verdict = A.mp()
     print(f"   measure preserving: {verdict.kind}")

@@ -26,15 +26,10 @@ from .global_qp import (
     global_obstruction,
 )
 from .hensel import HenselResult, hensel_lift
-from .maps import RationalMap, map_from_coefficients, normalize_map
+from .maps import RationalMap, normalize_map
 from .padics import INF, NEG_INF, canonical_key, fraction_valuation
 from .parsing import QP_GLOBAL, parse_domain, parse_map
-from .polynomials import (
-    Polynomial,
-    poly_derivative,
-    poly_eval,
-    taylor_shift,
-)
+from .polynomials import poly_eval
 from .scaling import ScalingReport, classify, lower_bound_bF
 
 __version__ = "0.1.0"
@@ -56,7 +51,6 @@ __all__ = [
     "MPVerdict",
     "NEG_INF",
     "ObstructionWitness",
-    "Polynomial",
     "QP_GLOBAL",
     "RationalMap",
     "ReductionFailure",
@@ -75,12 +69,9 @@ __all__ = [
     "global_obstruction",
     "hensel_lift",
     "lower_bound_bF",
-    "map_from_coefficients",
     "normalize_map",
     "parse_domain",
     "parse_map",
-    "poly_derivative",
     "poly_eval",
-    "taylor_shift",
     "union_verdict",
 ]

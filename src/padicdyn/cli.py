@@ -183,11 +183,11 @@ def run(inv: Invocation, stdout=None) -> int:
         )
 
     if inv.command == "hensel":
-        if f.Q.degree > 0:
+        if f.n > 0:
             raise PadicDynError(
                 "hensel lifts polynomial roots: give a map with a constant denominator"
             )
-        res = hensel_lift(f.P, parse_seed(inv.seed), inv.precision)
+        res = hensel_lift(f.P, p, parse_seed(inv.seed), inv.precision)
         out(f"root: {res.root} (mod {p}^{res.precision_exponent})")
         out(f"distance bound exponent: {res.bound_exponent}")
         out(f"newton steps: {res.steps}")

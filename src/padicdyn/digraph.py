@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,7 +37,7 @@ from .errors import (
 from .maps import RationalMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, int_valuation
 from .polynomials import _rescaled_coefficients, _taylor_coefficients
-from .scaling import LOCALLY_ISOMETRIC, ScalingReport, classify
+from .scaling import LOCALLY_ISOMETRIC, ScalingReport, _check_primes, classify
 
 MEASURE_PRESERVING = "MeasurePreserving"
 NOT_MEASURE_PRESERVING = "NotMeasurePreserving"
@@ -98,11 +98,6 @@ class LevelDigraph:
     def vertices(self) -> Sequence[Ball]:
         return _Vertices(self)
 
-    @cached_property
-    def edge(self) -> dict[Ball, Ball]:
-        V = self.vertices
-        return {V[i]: V[j] for i, j in enumerate(self.succ)}
-
     @property
     def is_subsidiary_equal(self) -> bool:
         if self.subsidiary is None:
@@ -119,9 +114,8 @@ class LevelDigraph:
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Cycles and tails of ``graph`` as vertex indices."""
+    """Cycles and tails of a level digraph as vertex indices."""
 
-    graph: LevelDigraph = field(repr=False)
     cycle_indices: tuple[tuple[int, ...], ...]
     tail_indices: tuple[int, ...]
 
@@ -136,16 +130,6 @@ class CycleDecomposition:
     @property
     def cycle_lengths(self) -> list[int]:
         return sorted(len(c) for c in self.cycle_indices)
-
-    @property
-    def cycles(self) -> tuple[tuple[Ball, ...], ...]:
-        V = self.graph.vertices
-        return tuple(tuple(V[i] for i in c) for c in self.cycle_indices)
-
-    @property
-    def tail_vertices(self) -> tuple[Ball, ...]:
-        V = self.graph.vertices
-        return tuple(V[i] for i in self.tail_indices)
 
 
 @dataclass(frozen=True)
@@ -190,6 +174,7 @@ def build_digraph(
     The edges are f's level-t digraph only at or below the certified
     transport level, which ``Analysis.digraph`` checks before it builds.
     """
+    _check_primes(f, X)
     M, residues = decompose_residues(X, t, config)
     succ = _successors(f, X, t, M, residues)
     return LevelDigraph(
@@ -215,10 +200,10 @@ def _successors(
     """
     p = f.prime
     scale = p**M
-    d = max(f.P.degree, f.Q.degree)
+    d = max(f.m, f.n)
     # highest degree first, for Horner's scheme
-    num_coeffs = _rescaled_coefficients(f.P, d, M)[::-1]
-    den_coeffs = _rescaled_coefficients(f.Q, d, M)[::-1]
+    num_coeffs = _rescaled_coefficients(f.P, p, d, M)[::-1]
+    den_coeffs = _rescaled_coefficients(f.Q, p, d, M)[::-1]
     mod = p ** (M - t)
     index = {y: i for i, y in enumerate(residues)}
     succ = []
@@ -356,7 +341,6 @@ def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
                 on_cycle[u] = 1
     cycles.sort()
     return CycleDecomposition(
-        graph=G,
         cycle_indices=tuple(cycles),
         tail_indices=tuple(i for i, c in enumerate(on_cycle) if not c),
     )
@@ -415,8 +399,8 @@ class Analysis:
         """The level-t digraph with subsidiary admission data on every edge."""
         if t not in self._subsidiaries:
             f, G, level = self.f, self.digraph(t), self.transport_level
-            d, M, y = max(f.P.degree, f.Q.degree), G.height, G.residues
-            num, den = (_rescaled_coefficients(F, d, M) for F in (f.P, f.Q))
+            d, M, y = max(f.m, f.n), G.height, G.residues
+            num, den = (_rescaled_coefficients(F, f.prime, d, M) for F in (f.P, f.Q))
             data = tuple(
                 subsidiary_edge_data(num, den, f.prime, M, y[i], y[j], t, level)
                 for i, j in enumerate(G.succ)

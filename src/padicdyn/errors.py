@@ -63,7 +63,8 @@ class HenselPreconditionFailed(PadicDynError):
 
 class InvalidHenselInput(PadicDynError, ValueError):
     """The polynomial, seed or precision given to a lift is out of range
-    (non-integral coefficients or seed, precision below 1)."""
+    (non-integer coefficients, a seed of negative valuation, a precision
+    below 1 or one whose p^k has more than 4,300 decimal digits)."""
 
 
 class DepthCapExceeded(PadicDynError):

@@ -1,7 +1,7 @@
 """Global analysis over all of Q_p.
 
 Invertible local isometry and measure preservation on Q_p force alpha = 0
-and deg P1 = deg Q1 + 1; when the gate passes, behaviour outside a computed
+and deg P = deg Q + 1; when the gate passes, behaviour outside a computed
 ball B(0, N-1) is rigid (spheres around 0 map into themselves), so the
 global questions reduce to the compact ball.  Maps failing the gate carry
 constructive obstruction witnesses: an invariant (or measure-distorting)
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .digraph import MEASURE_PRESERVING, UNDECIDED, Analysis
@@ -25,12 +26,11 @@ from .errors import (
     RootCertified,
 )
 from .maps import RationalMap
-from .padics import INF, ceil_div, fraction_valuation
+from .padics import INF, ceil_div, int_valuation
 from .polynomials import (
-    Polynomial,
     _ball_probe,
-    _cleared,
     _int_divexact,
+    _is_int_polynomial,
     _int_gcd,
     _int_mul,
     _rescaled_coefficients,
@@ -118,62 +118,58 @@ class GlobalVerdict:
     forward_invariant_ball: bool | None = None
 
 
-def lemma_n_bound(F: Polynomial) -> int:
+def lemma_n_bound(F: Sequence[int], p: int) -> int:
     """Smallest positive N with p^N exceeding every non-leading coefficient
-    norm, so that |F(x)| = |lc| |x|^deg whenever |x| >= p^N."""
+    norm of F / lc, so that |F(x)| = |lc| |x|^deg whenever |x| >= p^N: the
+    coefficient F_i / lc has valuation v(F_i) - v(lc)."""
     best = 1
-    for i in range(0, F.degree):
-        c = F.coefficient(i)
-        if c == 0:
-            continue
-        v = int(fraction_valuation(c, F.prime))
-        if v < 0:
-            best = max(best, 1 - v)
+    if F:
+        lead = int_valuation(F[-1], p)
+        for c in F[:-1]:
+            if c:
+                best = max(best, 1 + lead - int_valuation(c, p))
     return best
 
 
-def unit_normalized(F: Polynomial) -> tuple[int, Polynomial]:
-    """(k, G) with F = p^k G and G of unit leading coefficient."""
-    v = int(fraction_valuation(F.leading_coefficient, F.prime))
-    return v, F.scale(Fraction(F.prime) ** (-v))
-
-
 def certify_no_roots_qp(
-    F: Polynomial, config: AnalysisConfig = DEFAULT_CONFIG
+    F: Sequence[int], p: int, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> tuple[str, Ball | None, int | None]:
     """('root-free' | 'root' | 'unknown', witness ball if a root was found,
-    exponent l with |F(x)| >= p^l on all of Q_p if F is root-free).
+    exponent l with |F(x)| >= p^l on all of Q_p if F is root-free), for
+    integer coefficients F (lowest degree first, no trailing zeros).
 
     Outside the coefficient-bound radius the norm is |lc| |x|^deg, so roots
     can only live in a compact ball, where the descent either separates |F|
     from zero or certifies a root.
     """
-    if F.is_zero():
+    if not _is_int_polynomial(F):
+        raise ValueError("root certification requires integer coefficients without trailing zeros")
+    if not F:
         return "root", None, None
-    k, G = unit_normalized(F)
-    if F.degree == 0:
+    k = int_valuation(F[-1], p)
+    if len(F) == 1:
         return "root-free", None, -k
-    n0 = lemma_n_bound(G)
-    # the descent needs integral coefficients: multiplying by p^-clear
-    # shrinks every norm by p^clear
-    clear = min(0, int(F.min_coefficient_valuation()))
-    integral = F.scale(Fraction(F.prime) ** -clear) if clear else F
+    n0 = lemma_n_bound(F, p)
+    # the descent runs on F / p^v with v the least coefficient valuation,
+    # whose norms are p^v times F's
+    v = min(int_valuation(c, p) for c in F if c)
+    pv = p**v
     try:
-        inside = lower_bound_bF(integral, CompactDomain.ball(0, n0, F.prime), config)
+        inside = lower_bound_bF(tuple(c // pv for c in F), CompactDomain.ball(0, n0, p), config)
     except RootCertified as exc:
         return "root", exc.ball, None
     except DepthCapExceeded:
         return "unknown", None, None
-    return "root-free", None, min(inside - clear, F.degree * n0 - k)
+    return "root-free", None, min(inside - v, (len(F) - 1) * n0 - k)
 
 
 def degree_gate(
     f: RationalMap, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> GlobalGateReport:
     """Necessary condition for global invertible isometry / measure
-    preservation: alpha = 0 and deg P1 = deg Q1 + 1; with the reduction
+    preservation: alpha = 0 and deg P = deg Q + 1; with the reduction
     exponent N when it holds."""
-    cert, _, _ = certify_no_roots_qp(f.Q1, config)
+    cert, _, _ = certify_no_roots_qp(f.Q, f.prime, config)
     passed = f.alpha == 0 and f.m == f.n + 1
     return GlobalGateReport(
         f.alpha, f.m, f.n, passed, cert, _reduction_exponent(f) if passed else None
@@ -181,27 +177,23 @@ def degree_gate(
 
 
 def _leading_term_exponent(f: RationalMap) -> int:
-    """N0 past which P1 and Q1 (both unit-leading) have the norms of their
-    leading terms."""
-    return max(lemma_n_bound(f.P1), lemma_n_bound(f.Q1))
+    """N0 past which P and Q have the norms of their leading terms."""
+    return max(lemma_n_bound(f.P, f.prime), lemma_n_bound(f.Q, f.prime))
 
 
 def _reduction_exponent(f: RationalMap) -> int:
     """Smallest positive N past which norms behave like leading terms:
     p^N exceeds every P1 and Q1 coefficient norm and both derivative parts
-    scale as |x|^(deg).  Integral P1, Q1 always give N = 1."""
+    scale as |x|^(deg).  Integral P1, Q1 (N0 = 1) always give N = 1."""
     n = _leading_term_exponent(f)
-    if not (f.P1.is_integral() and f.Q1.is_integral()):
+    if n > 1:
         # the numerator T1 and denominator Q^2 of f', common factor cleared;
-        # the bound of a unit-normalized polynomial ignores scalars
-        num, Q = _cleared(f.t1.coefficients), _cleared(f.Q.coefficients)
-        den = _int_mul(Q, Q)
+        # lemma_n_bound reads valuations relative to the leading one
+        num, den = list(f.t1), _int_mul(f.Q, f.Q)
         g = _int_gcd(num, den)
         if len(g) > 1:
             num, den = _int_divexact(num, g), _int_divexact(den, g)
-        p = f.prime
-        n = max(n, lemma_n_bound(unit_normalized(Polynomial.of(num, p))[1]),
-                lemma_n_bound(unit_normalized(Polynomial.of(den, p))[1]))
+        n = max(n, lemma_n_bound(num, f.prime), lemma_n_bound(den, f.prime))
     return n
 
 
@@ -317,8 +309,8 @@ def _holds_on_samples(
     bottom = X.base_level - WITNESS_DEPTH
     config.check_ball_budget(len(X.keys) * p**WITNESS_DEPTH, "decomposition", bottom)
     M = X.height_exponent()
-    d = max(f.P.degree, f.Q.degree)
-    Ph, Qh = (_rescaled_coefficients(F, d, M) for F in (f.P, f.Q))
+    d = max(f.m, f.n)
+    Ph, Qh = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
 
     def within(e) -> bool:
         return (lo is None or lo <= e) and (hi is None or e <= hi)
@@ -364,12 +356,15 @@ def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitnes
 
 
 def _coefficient_peak(f: RationalMap, N: int) -> int:
-    """max over i of (N*i - v(a_i)) for the P1 coefficients: exponent bound
-    for |P1| on the ball of radius p^N."""
+    """max over i of (N*i - v(a_i)) for the P1 coefficients
+    a_i = P_i / p^v(lead P): exponent bound for |P1| on the ball of radius
+    p^N."""
     peak = 0
-    for i, c in enumerate(f.P1.coefficients):
-        if c != 0:
-            peak = max(peak, N * i - int(fraction_valuation(c, f.prime)))
+    if f.P:
+        lead = int_valuation(f.P[-1], f.prime)
+        for i, c in enumerate(f.P):
+            if c:
+                peak = max(peak, N * i - int_valuation(c, f.prime) + lead)
     return peak
 
 
@@ -378,11 +373,13 @@ def _contraction_witness(
 ) -> ObstructionWitness:
     alpha, m, n = f.alpha, f.m, f.n
     n0 = _leading_term_exponent(f)
-    cert, ball, l0 = certify_no_roots_qp(f.Q1, config)
+    cert, ball, l = certify_no_roots_qp(f.Q, f.prime, config)
     if cert != "root-free":
         raise PoleInDomain(
             "the invariant-ball witness needs a pole-free denominator", ball=ball
         )
+    # |Q1| >= p^l0 from |Q| >= p^l, as Q1 = Q / p^v(lead Q)
+    l0 = l + int_valuation(f.Q[-1], f.prime)
     if m == n + 1:
         N = n0
     else:

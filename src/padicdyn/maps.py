@@ -1,43 +1,43 @@
 """Rational maps f = P/Q in normalized form.
 
-Normalization makes P and Q coprime with integral coefficients and factors
-the map as f = p^alpha * P1/Q1 where P1 and Q1 have unit leading
-coefficients.  The auxiliary polynomial T1 = P'Q - PQ' (the numerator of
-Q^2 f') is computed once; it drives the scaling analysis and the subsidiary
-edge bounds.
+Normalization makes P and Q coprime integer polynomials (tuples of ints,
+lowest degree first) with joint content 1, and reads off the factor
+f = p^alpha * P1/Q1 with P1 = P / p^v(lead P) and Q1 = Q / p^v(lead Q) of
+unit leading coefficients; P1 and Q1 are not stored, since each of their
+coefficient valuations is v(P_i) - v(lead P) (likewise for Q).  The
+auxiliary polynomial T1 = P'Q - PQ' (the numerator of Q^2 f') is computed
+once; it drives the scaling analysis and the subsidiary edge bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import PoleInDomain, ZeroDenominator
 from .padics import int_valuation, require_prime
 from .polynomials import (
-    Polynomial,
-    _cleared,
     _int_add,
     _int_content,
+    _int_derivative,
     _int_divexact,
     _int_gcd,
     _int_mul,
-    _lcm_denominator,
     poly_eval,
 )
 
 
 @dataclass(frozen=True)
 class RationalMap:
-    P: Polynomial
-    Q: Polynomial
+    P: tuple[int, ...]
+    Q: tuple[int, ...]
     alpha: int
-    P1: Polynomial
-    Q1: Polynomial
-    m: int
-    n: int
+    m: int  # deg P (-1 for the zero map)
+    n: int  # deg Q
     prime: int
-    t1: Polynomial  # P'Q - PQ', the numerator of Q^2 * f'
+    t1: tuple[int, ...]  # P'Q - PQ', the numerator of Q^2 * f'
 
     def eval(self, x: int | Fraction) -> Fraction:
         q = poly_eval(self.Q, x)
@@ -52,24 +52,24 @@ class RationalMap:
             raise PoleInDomain(f"denominator vanishes at {x}")
         return poly_eval(self.t1, x) / (q * q)
 
-    def __str__(self):
-        return f"({self.P})/({self.Q})"
 
-
-def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
-    """Build the normalized map for a numerator/denominator pair.
+def normalize_map(
+    P_raw: Sequence[int | Fraction], Q_raw: Sequence[int | Fraction], p: int
+) -> RationalMap:
+    """The normalized map P_raw/Q_raw over Q_p, for coefficient sequences
+    (ints or ``Fraction``s, lowest degree first).
 
     Steps, in integers: clear both denominators at once, remove the
     polynomial gcd (positive leading coefficient, so Q keeps the sign of
-    Q_raw's leading coefficient) and the joint content, then factor
-    unit-leading P1, Q1 and the p-power alpha.
+    Q_raw's leading coefficient) and the joint content, then read alpha off
+    the leading coefficients.
     """
-    p = P_raw.prime
-    if Q_raw.is_zero():
+    require_prime(p)
+    den = lcm(*(c.denominator for c in P_raw), *(c.denominator for c in Q_raw))
+    P = _trimmed([c.numerator * (den // c.denominator) for c in P_raw])
+    Q = _trimmed([c.numerator * (den // c.denominator) for c in Q_raw])
+    if not Q:
         raise ZeroDenominator("rational map with zero denominator polynomial")
-    den = _lcm_denominator(P_raw.coefficients + Q_raw.coefficients)
-    P = _cleared(P_raw.coefficients, den)
-    Q = _cleared(Q_raw.coefficients, den)
     if P:
         g = _int_gcd(P, Q)
         if len(g) > 1:
@@ -78,27 +78,20 @@ def normalize_map(P_raw: Polynomial, Q_raw: Polynomial) -> RationalMap:
     c = _int_content(P + Q)
     P = [a // c for a in P]
     Q = [b // c for b in Q]
-
     alpha_p = int_valuation(P[-1], p) if P else 0
-    alpha_q = int_valuation(Q[-1], p)
-    dP = [i * a for i, a in enumerate(P)][1:]
-    dQ = [i * b for i, b in enumerate(Q)][1:]
-    t1 = _int_add(_int_mul(dP, Q), _int_mul(P, dQ), -1)
+    t1 = _int_add(_int_mul(_int_derivative(P), Q), _int_mul(P, _int_derivative(Q)), -1)
     return RationalMap(
-        P=Polynomial.of(P, p),
-        Q=Polynomial.of(Q, p),
-        alpha=alpha_p - alpha_q,
-        P1=Polynomial.of([Fraction(a, p**alpha_p) for a in P], p),
-        Q1=Polynomial.of([Fraction(b, p**alpha_q) for b in Q], p),
+        P=tuple(P),
+        Q=tuple(Q),
+        alpha=alpha_p - int_valuation(Q[-1], p),
         m=len(P) - 1,
         n=len(Q) - 1,
         prime=p,
-        t1=Polynomial.of(t1, p),
+        t1=tuple(t1),
     )
 
 
-def map_from_coefficients(p_coeffs, q_coeffs, prime: int) -> RationalMap:
-    require_prime(prime)
-    return normalize_map(
-        Polynomial.of(p_coeffs, prime), Polynomial.of(q_coeffs, prime)
-    )
+def _trimmed(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

@@ -1,7 +1,7 @@
 """Exact p-adic bookkeeping for rational numbers.
 
 A point of Q_p is a plain ``Fraction``; the prime lives with the object that
-holds the point (polynomial, ball, domain, map).  The valuation
+holds the point (ball, domain, map).  The valuation
 v(x) = v_p(numerator) - v_p(denominator) is always an exact integer
 (infinity for 0), and the norm |x| = p^(-v(x)) is only ever handled through
 its integer exponent -v(x).  Nothing here rounds.

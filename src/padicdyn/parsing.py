@@ -26,7 +26,7 @@ from .domains import CompactDomain
 from .errors import EmptyDomain, ParseError, ZeroDenominator
 from .maps import RationalMap, normalize_map
 from .padics import require_prime
-from .polynomials import Polynomial, _int_add, _int_mul
+from .polynomials import _int_add, _int_mul
 
 _MAX_DEPTH = 64
 _MAX_POWER = 64
@@ -246,7 +246,7 @@ def parse_map(text: str, p: int) -> RationalMap:
     """Parse and normalize a rational map expression."""
     require_prime(p)
     value = _MapParser(_tokenize(text)).parse()
-    return normalize_map(Polynomial.of(value.num, p), Polynomial.of(value.den, p))
+    return normalize_map(value.num, value.den, p)
 
 
 def parse_seed(text: str) -> Fraction:

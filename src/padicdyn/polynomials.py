@@ -1,139 +1,37 @@
-"""Dense univariate polynomials over Q with p-adic coefficient bookkeeping.
+"""Dense univariate polynomials over Z as tuples of ints.
 
-Coefficients are stored lowest degree first as exact ``Fraction``s, with the
-prime held once by the polynomial.  The zero polynomial has degree -1.  All
-operations are exact; evaluation uses Horner's scheme.  The gcd and the exact
-division exist only on integer coefficient lists (the ``_int_*`` helpers),
-so no Euclid runs on ``Fraction``s.
+A polynomial is a sequence of Python ints, lowest degree first, with no
+trailing zeros; ``RationalMap`` holds its P, Q and T1 as tuples.  The zero
+polynomial is empty (degree -1).  Evaluation uses Horner's scheme and stays
+exact at ``Fraction`` points.  The gcd, exact division, Taylor shifts and
+the rescaling all run on integers (the ``_int_*`` helpers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import CertificateFailed, PrimeMismatch
-from .padics import INF, NEG_INF, ExtendedInt, fraction_valuation, int_valuation
+from .padics import INF, NEG_INF, ExtendedInt, int_valuation
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    coefficients: tuple[Fraction, ...]  # lowest degree first, no trailing zeros
-    prime: int
-
-    @staticmethod
-    def of(coeffs: Iterable[int | Fraction], p: int) -> "Polynomial":
-        vals = [Fraction(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return Polynomial(tuple(vals), p)
-
-    @staticmethod
-    def zero(p: int) -> "Polynomial":
-        return Polynomial((), p)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i <= self.degree:
-            return self.coefficients[i]
-        return Fraction(0)
-
-    def _check(self, other: "Polynomial"):
-        if self.prime != other.prime:
-            raise PrimeMismatch("polynomials over different primes")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial.of(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-            self.prime,
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial.of(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-            self.prime,
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial.of([-c for c in self.coefficients], self.prime)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.prime)
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial.of(out, self.prime)
-
-    def scale(self, c: int | Fraction) -> "Polynomial":
-        return Polynomial.of([c * a for a in self.coefficients], self.prime)
-
-    def coefficient_valuations(self) -> tuple[ExtendedInt, ...]:
-        return tuple(fraction_valuation(c, self.prime) for c in self.coefficients)
-
-    def min_coefficient_valuation(self) -> ExtendedInt:
-        if self.is_zero():
-            return INF
-        return min(self.coefficient_valuations())
-
-    def is_integral(self) -> bool:
-        return self.min_coefficient_valuation() >= 0
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficient(i)
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def poly_eval(F: Polynomial, a: int | Fraction) -> Fraction:
+def poly_eval(F: Sequence[int], a: int | Fraction) -> Fraction:
     """Exact evaluation by Horner's scheme."""
     acc = Fraction(0)
-    for c in reversed(F.coefficients):
+    for c in reversed(F):
         acc = acc * a + c
     return acc
 
 
-def poly_derivative(F: Polynomial) -> Polynomial:
-    return Polynomial.of([i * c for i, c in enumerate(F.coefficients)][1:], F.prime)
+def _is_int_polynomial(F: Sequence) -> bool:
+    """Whether F is in the polynomial form: ints, no trailing zeros."""
+    return all(isinstance(c, int) for c in F) and not (F and F[-1] == 0)
 
 
-def taylor_shift(F: Polynomial, a: int | Fraction) -> Polynomial:
-    """The polynomial G with G(x) = F(x + a)."""
-    return Polynomial.of(_taylor_coefficients(F.coefficients, a), F.prime)
+def _int_derivative(F: Sequence[int]) -> list[int]:
+    """Coefficients of F', lowest degree first."""
+    return [i * c for i, c in enumerate(F)][1:]
 
 
 def _taylor_coefficients(coeffs: Sequence, a: int | Fraction) -> list:
@@ -145,17 +43,6 @@ def _taylor_coefficients(coeffs: Sequence, a: int | Fraction) -> list:
         for j in range(n - 2, k - 1, -1):
             work[j] += a * work[j + 1]
     return work
-
-
-def _lcm_denominator(coeffs: Iterable[Fraction]) -> int:
-    return lcm(*(c.denominator for c in coeffs))
-
-
-def _cleared(coeffs: Sequence[Fraction], den: int = 0) -> list[int]:
-    """Integer coefficients of den * F; den defaults to the lcm of F's
-    denominators."""
-    den = den or _lcm_denominator(coeffs)
-    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _int_content(a: Sequence[int]) -> int:
@@ -248,7 +135,7 @@ def squarefree_part(G: list[int]) -> list[int]:
     all simple) and content 1; G itself when no factor repeats."""
     if len(G) <= 2:
         return G
-    g = _int_gcd(G, [i * c for i, c in enumerate(G)][1:])
+    g = _int_gcd(G, _int_derivative(G))
     if len(g) <= 1:
         return G
     q = _int_divexact(G, g)
@@ -256,16 +143,10 @@ def squarefree_part(G: list[int]) -> list[int]:
     return [a // c for a in q]
 
 
-def _rescaled_coefficients(F: Polynomial, d: int, M: int) -> list[int]:
+def _rescaled_coefficients(F: Sequence[int], p: int, d: int, M: int) -> list[int]:
     """Integer coefficients of p^(Md) F(y / p^M), lowest degree first, for
-    integer coefficients and d >= deg F; y = p^M x takes B(0, M) into Z_p."""
-    p = F.prime
-    out = []
-    for i, c in enumerate(F.coefficients):
-        if c.denominator != 1:
-            raise CertificateFailed(f"cannot rescale the non-integral coefficient {c}")
-        out.append(c.numerator * p ** (M * (d - i)))
-    return out
+    d >= deg F; y = p^M x takes B(0, M) into Z_p."""
+    return [c * p ** (M * (d - i)) for i, c in enumerate(F)]
 
 
 def _ball_probe(G: Sequence[int], p: int, y: int) -> tuple[ExtendedInt, ExtendedInt, ExtendedInt]:
@@ -273,7 +154,7 @@ def _ball_probe(G: Sequence[int], p: int, y: int) -> tuple[ExtendedInt, Extended
     integer y, with c the largest level t certifying |G| constant on the
     ball of radius p^t around y (INF for a nonzero constant, NEG_INF when
     G(y) = 0): the largest t with v(g_0) < v(g_i) - i*t for the Taylor
-    coefficients g_i of G at y.  For G = ``_rescaled_coefficients(F, d, M)``
+    coefficients g_i of G at y.  For G = ``_rescaled_coefficients(F, p, d, M)``
     the i-th Taylor coefficient of F at a = y / p^M is p^(M(i - d)) g_i, so
     v(F(a)) = v(G(y)) - Md, v(F'(a)) = v(G'(y)) + M(1 - d), and |F| is
     constant on the ball of radius p^(c + M) around a.

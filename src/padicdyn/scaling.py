@@ -20,7 +20,7 @@ radius r the map scales distances by exactly |f'(a)|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, decompose
@@ -28,14 +28,14 @@ from .errors import (
     CertificateFailed,
     DepthCapExceeded,
     PoleInDomain,
+    PrimeMismatch,
     RootCertified,
 )
 from .maps import RationalMap
 from .padics import INF, canonical_key
 from .polynomials import (
-    Polynomial,
     _ball_probe,
-    _lcm_denominator,
+    _is_int_polynomial,
     _rescaled_coefficients,
     squarefree_part,
 )
@@ -88,21 +88,21 @@ def walk(
 
 
 def lower_bound_bF(
-    F: Polynomial, X: CompactDomain, config: AnalysisConfig = DEFAULT_CONFIG
+    F: Sequence[int], X: CompactDomain, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> int:
-    """Exponent b with |F(x)| >= p^b certified for every x in X.
+    """Exponent b with |F(x)| >= p^b certified for every x in X, for integer
+    coefficients F (lowest degree first, no trailing zeros).
 
     Raises RootCertified when a root of F provably lies in X, and
     DepthCapExceeded when the descent cannot separate |F| from zero within
     the configured depth (reporting the suspect ball).
     """
-    if F.is_zero():
+    if not _is_int_polynomial(F):
+        raise ValueError("descent requires integer coefficients without trailing zeros")
+    if not F:
         raise ValueError("lower bound of the zero polynomial")
-    if not F.is_integral():
-        raise ValueError("descent requires integral coefficients")
-    M, d = X.height_exponent(), F.degree
-    # an integral F's denominators are units: clearing them keeps every norm
-    G = _rescaled_coefficients(F.scale(_lcm_denominator(F.coefficients)), d, M)
+    M, d = X.height_exponent(), len(F) - 1
+    G = _rescaled_coefficients(F, X.prime, d, M)
     sf = squarefree_part(G)
     if len(sf) < len(G):
         # multiple roots defeat the one-step lifting certificate; settle
@@ -163,14 +163,14 @@ def _two_variable_height_factor(f: RationalMap, M: int) -> int:
     of an integral P/Q pair."""
     if M <= 0:
         return 0
-    total_degree = max(f.P.degree + f.Q.degree - 1, 1)
+    total_degree = max(f.m + f.n - 1, 1)
     return M * (total_degree - 1)
 
 
 def _q_height_factor(f: RationalMap, M: int) -> int:
-    if M <= 0 or f.Q.degree <= 0:
+    if M <= 0 or f.n <= 0:
         return 0
-    return M * (f.Q.degree - 1)
+    return M * (f.n - 1)
 
 
 def _root_free_report(
@@ -182,9 +182,9 @@ def _root_free_report(
 ) -> ScalingReport:
     M = X.height_exponent()
     l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
-    Qh, Th = (_rescaled_coefficients(F, F.degree, M) for F in (f.Q, f.t1))
+    Qh, Th = (_rescaled_coefficients(F, f.prime, len(F) - 1, M) for F in (f.Q, f.t1))
     # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
-    oq, ot = M * f.Q.degree, M * f.t1.degree
+    oq, ot = M * f.n, M * (len(f.t1) - 1)
     profile: dict[Ball, int] = {}
     for b in decompose(X, l, config):
         y = b.rescaled_key(M)
@@ -224,7 +224,8 @@ def classify(
     behaviour (recording exact scalars where |f'| is locally constant and
     certified upper bounds around derivative roots).
     """
-    if f.t1.is_zero():
+    _check_primes(f, X)
+    if not f.t1:
         # constant map: distances collapse, trivially 1-Lipschitz
         return ScalingReport(
             classification=LOCALLY_1_LIPSCHITZ,
@@ -248,6 +249,11 @@ def classify(
     return _root_free_report(f, X, b_q, b_t1, config)
 
 
+def _check_primes(f: RationalMap, X: CompactDomain) -> None:
+    if f.prime != X.prime:
+        raise PrimeMismatch(f"map over p = {f.prime} and domain over p = {X.prime}")
+
+
 def _certified_profile(
     f: RationalMap, X: CompactDomain, config: AnalysisConfig
 ) -> ScalingReport:
@@ -256,9 +262,9 @@ def _certified_profile(
     p = f.prime
     M = X.height_exponent()
     h_t = _two_variable_height_factor(f, M)
-    Qh, Th = (_rescaled_coefficients(F, F.degree, M) for F in (f.Q, f.t1))
+    Qh, Th = (_rescaled_coefficients(F, f.prime, len(F) - 1, M) for F in (f.Q, f.t1))
     # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
-    oq, ot = M * f.Q.degree, M * f.t1.degree
+    oq, ot = M * f.n, M * (len(f.t1) - 1)
     start = min(X.base_level, -1)
     floor = start - CERTIFY_CAP
     exact: dict[Ball, int] = {}

@@ -13,7 +13,6 @@ import pytest
 from padicdyn import (
     Analysis,
     CompactDomain,
-    Polynomial,
     classify,
     cycle_decomposition,
     decompose,
@@ -21,6 +20,7 @@ from padicdyn import (
     fraction_valuation,
     global_obstruction,
     hensel_lift,
+    normalize_map,
     parse_domain,
     parse_map,
     poly_eval,
@@ -34,7 +34,6 @@ from padicdyn.errors import (
 )
 from padicdyn.global_qp import ERGODICITY, MINIMALITY, certify_no_roots_qp
 from padicdyn.hensel import hensel_precondition
-from padicdyn.maps import map_from_coefficients
 
 
 def run_cli(args):
@@ -75,10 +74,11 @@ def test_criterion_1_two_ball_digraph_reproduction(tmp_path):
         assert "cycle lengths: [2, 6, 6]" in out
         f = parse_map("(x^2-1)/x", 7)
         X = parse_domain("B(2,-1)+B(5,-1)", 7)
-        dec = cycle_decomposition(Analysis(f, X).digraph(-2))
-        key_sets = [set(int(v.key) for v in c) for c in dec.cycles]
+        G = Analysis(f, X).digraph(-2)
+        dec = cycle_decomposition(G)
+        key_sets = [set(G.residues[i] for i in c) for c in dec.cycle_indices]
         assert {2, 9, 23, 26, 40, 47} in key_sets
-        assert sorted(len(c) for c in dec.cycles) == [2, 6, 6]
+        assert sorted(len(c) for c in dec.cycle_indices) == [2, 6, 6]
 
 
 def test_criterion_2_mp_and_ergodic_verdicts():
@@ -161,8 +161,8 @@ def _random_one_lipschitz_maps(count, seed=20260811):
         pc = [rng.randint(-9, 9) for _ in range(deg_p)] + [rng.randint(1, 9)]
         qc = [rng.randint(-9, 9) for _ in range(deg_q)] + [rng.randint(1, 9)]
         try:
-            f = map_from_coefficients(pc, qc, p)
-            if f.Q.degree < 0 or f.P.degree < 1:
+            f = normalize_map(pc, qc, p)
+            if f.n < 0 or f.m < 1:
                 continue
             X = CompactDomain.zp(p)
             A = Analysis(f, X)
@@ -181,15 +181,13 @@ def _brute_force_edges(f, p, t, modulus_exponent=4):
     p^4, computed with plain integer arithmetic."""
     mod_full = p**modulus_exponent
     mod_t = p**(-t)
-    pc = [int(c) for c in f.P.coefficients]
-    qc = [int(c) for c in f.Q.coefficients]
     edges = {}
     for r in range(mod_full):
         num = 0
-        for c in reversed(pc):
+        for c in reversed(f.P):
             num = num * r + c
         den = 0
-        for c in reversed(qc):
+        for c in reversed(f.Q):
             den = den * r + c
         value = Fraction(num, den)
         if value.denominator % p == 0:
@@ -209,7 +207,8 @@ def test_criterion_6_oracle_equivalence():
         for p, f, A, top in maps:
             for t in range(top, -5, -1):
                 G = A.digraph(t)
-                lib_edges = {int(v.key): int(G.edge[v].key) for v in G.vertices}
+                # on Z_p the residues are the integer keys
+                lib_edges = {G.residues[i]: G.residues[j] for i, j in enumerate(G.succ)}
                 oracle = _brute_force_edges(f, p, t)
                 assert oracle is not None, f"oracle rejected accepted map {f}"
                 assert oracle == lib_edges, f"edge mismatch for {f} at {t}"
@@ -233,28 +232,27 @@ def test_criterion_7_hensel_suite():
             coeffs = [rng.randint(-p**3, p**3) for _ in range(deg + 1)]
             if coeffs[-1] == 0:
                 coeffs[-1] = 1
-            F = Polynomial.of(coeffs, p)
+            F = tuple(coeffs)
             seed = Fraction(rng.randint(0, p**3))
             try:
-                hensel_precondition(F, seed)
+                hensel_precondition(F, p, seed)
             except HenselPreconditionFailed:
                 continue
             instances.append((p, F, seed))
         for p, F, seed in instances:
-            res = hensel_lift(F, seed, 12)
+            res = hensel_lift(F, p, seed, 12)
             assert fraction_valuation(poly_eval(F, res.root), p) >= 12
             diff = res.root - seed
             if diff != 0:
                 assert fraction_valuation(diff, p) >= -res.bound_exponent
         # cross-check small cases against exhaustive root search mod p^4
         for p, F, seed in instances[:25]:
-            res = hensel_lift(F, seed, 4)
-            ints = [int(c) for c in F.coefficients]
+            res = hensel_lift(F, p, seed, 4)
             mod = p**4
             roots = set()
             for r in range(mod):
                 acc = 0
-                for c in reversed(ints):
+                for c in reversed(F):
                     acc = (acc * r + c) % mod
                 if acc == 0:
                     roots.add(r)
@@ -305,15 +303,15 @@ def test_criterion_9_obstruction_suite():
                 # m <= n: constant or linear over quadratic, pole-free only
                 pc = [rng.randint(-4, 4), rng.randint(1, 4)]
                 qc = [rng.randint(-4, 4), rng.randint(-4, 4), 1]
-                f = map_from_coefficients(pc, qc, p)
-                if certify_no_roots_qp(f.Q1)[0] != "root-free":
+                f = normalize_map(pc, qc, p)
+                if certify_no_roots_qp(f.Q, p)[0] != "root-free":
                     continue
             elif shape == "expanding":
                 deg = rng.randint(2, 4)
                 pc = [rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)]
-                f = map_from_coefficients(pc, [1], p)
+                f = normalize_map(pc, [1], p)
             else:
-                f = map_from_coefficients([rng.randint(-4, 4), p], [1], p)
+                f = normalize_map([rng.randint(-4, 4), p], [1], p)
             if degree_gate(f).gate_passed:
                 continue
             w = global_obstruction(f, ERGODICITY)

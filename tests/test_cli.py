@@ -4,6 +4,7 @@ import sys
 import time
 
 import pytest
+from test_kernel import cycle_balls, edge_map
 
 from padicdyn.cli import (
     EXIT_ERROR,
@@ -316,13 +317,14 @@ def digraph_from_json(text: str) -> dict:
 
 def structural_form(G: LevelDigraph) -> dict:
     dec = cycle_decomposition(G)
+    V = G.vertices
     return {
         "prime": G.prime,
         "level": G.level,
-        "vertices": [v.key for v in G.vertices],
-        "edges": {v.key: G.edge[v].key for v in G.vertices},
-        "cycles": [[v.key for v in c] for c in dec.cycles],
-        "tails": [v.key for v in dec.tail_vertices],
+        "vertices": [v.key for v in V],
+        "edges": {v.key: w.key for v, w in edge_map(G).items()},
+        "cycles": [[v.key for v in c] for c in cycle_balls(G, dec)],
+        "tails": [V[i].key for i in dec.tail_indices],
     }
 
 
@@ -333,9 +335,10 @@ def json_dict_oracle(G: LevelDigraph) -> dict:
         return "inf" if x == INF else "-inf" if x == NEG_INF else int(x)
 
     dec = cycle_decomposition(G)
+    V, edge = G.vertices, edge_map(G)
     edges = []
-    for i, v in enumerate(G.vertices):
-        entry = {"from": str(v.key), "to": str(G.edge[v].key)}
+    for i, v in enumerate(V):
+        entry = {"from": str(v.key), "to": str(edge[v].key)}
         if G.subsidiary is None:
             entry.update(s=None, passes=None)
         else:
@@ -351,8 +354,8 @@ def json_dict_oracle(G: LevelDigraph) -> dict:
             for v in G.vertices
         ],
         "edges": edges,
-        "cycles": [[str(v.key) for v in c] for c in dec.cycles],
-        "tails": [str(v.key) for v in dec.tail_vertices],
+        "cycles": [[str(v.key) for v in c] for c in cycle_balls(G, dec)],
+        "tails": [str(V[i].key) for i in dec.tail_indices],
     }
 
 

@@ -4,17 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_kernel import PRIMES, domains
-from test_polynomials import shift_variable
+from test_kernel import PRIMES, cycle_balls, domains, edge_map
+from test_polynomials import (
+    as_ints,
+    is_integral,
+    padd,
+    pmul,
+    pscale,
+    ptaylor,
+    shift_variable,
+    trimmed,
+)
 from test_scaling import scalar_exponent
 
 from padicdyn import (
     Analysis,
     Ball,
     CompactDomain,
-    Polynomial,
     cycle_decomposition,
     decompose,
+    normalize_map,
     parse_domain,
     parse_map,
     union_verdict,
@@ -33,9 +42,8 @@ from padicdyn.errors import (
     PadicDynError,
 )
 from padicdyn.hensel import hensel_lift
-from padicdyn.maps import map_from_coefficients
 from padicdyn.padics import fraction_valuation
-from padicdyn.polynomials import _rescaled_coefficients, taylor_shift
+from padicdyn.polynomials import _rescaled_coefficients
 
 
 def p7_instance():
@@ -72,13 +80,13 @@ def verify_bijection(A, source, sample_level, precision=12):
     i = G.keys.index(a)
     target = G.vertices[G.succ[i]]
     s = G.subsidiary[i].s_exponent
-    Pa, Qa = taylor_shift(f.P, a), taylor_shift(f.Q, a)
+    Pa, Qa = ptaylor(f.P, a), ptaylor(f.Q, a)
     e = scalar_exponent(f, a)
     k = precision + max(0, -sample_level)
     for b_ball in target.subdivide(sample_level):
         b = b_ball.key
-        F = shift_variable(Pa, s) - shift_variable(Qa, s).scale(b)
-        preimage = Fraction(p) ** s * hensel_lift(F, Fraction(0), k).root + a
+        F = as_ints(padd(shift_variable(Pa, p, s), pscale(shift_variable(Qa, p, s), b), -1))
+        preimage = Fraction(p) ** s * hensel_lift(F, p, Fraction(0), k).root + a
         if fraction_valuation(preimage - a, p) < -(t - int(e)):
             return False
         if fraction_valuation(f.eval(preimage) - b, p) < -sample_level:
@@ -94,17 +102,17 @@ class TestSevenAdicTwoBallMap:
         dec = cycle_decomposition(G)
         assert dec.cycle_lengths == [2, 6, 6]
         assert dec.is_union_of_cycles
-        cycle_key_sets = [set(keys(c)) for c in dec.cycles]
+        cycle_key_sets = [set(keys(c)) for c in cycle_balls(G, dec)]
         assert {Fraction(k) for k in (2, 9, 23, 26, 40, 47)} in cycle_key_sets
 
     def test_edge_map_against_modular_oracle(self):
         # f(x) = x - 1/x on residues mod 49, computed independently
         f, X = p7_instance()
         G = Analysis(f, X).digraph(-2)
-        for v in G.vertices:
+        for v, w in edge_map(G).items():
             r = int(v.key)
             image = (r - pow(r, -1, 49)) % 49
-            assert G.edge[v].key == Fraction(image)
+            assert w.key == Fraction(image)
 
     def test_subsidiary_all_edges_kept_at_minus_two(self):
         f, X = p7_instance()
@@ -138,11 +146,11 @@ class TestSevenAdicTwoBallMap:
 class TestThreeAdicPuncturedMap:
     def test_level_minus_two_structure(self):
         G = Analysis(*p3_punctured_instance()).digraph(-2)
-        edges = {int(v.key): int(G.edge[v].key) for v in G.vertices}
+        edges = {int(v.key): int(w.key) for v, w in edge_map(G).items()}
         assert edges == {0: 0, 1: 2, 2: 8, 3: 3, 6: 6, 7: 8, 8: 8}
         dec = cycle_decomposition(G)
         assert dec.cycle_lengths == [1, 1, 1, 1]
-        assert {int(v.key) for v in dec.tail_vertices} == {1, 2, 7}
+        assert {int(G.vertices[i].key) for i in dec.tail_indices} == {1, 2, 7}
 
     def test_intrinsic_level(self):
         assert Analysis(*p3_punctured_instance()).intrinsic_level == -2
@@ -225,10 +233,11 @@ def test_scaling_toward_zero_not_preserving():
     assert verdict.kind == "NotMeasurePreserving"
     assert verdict.witness_ball.key == Fraction(0)
     assert verdict.in_degree == 5
-    dec = cycle_decomposition(A.digraph(-2))
+    G = A.digraph(-2)
+    dec = cycle_decomposition(G)
     assert dec.cycle_lengths == [1]
-    assert keys(dec.cycles[0]) == [Fraction(0)]
-    assert len(dec.tail_vertices) == 24
+    assert keys(cycle_balls(G, dec)[0]) == [Fraction(0)]
+    assert len(dec.tail_indices) == 24
 
 
 def test_forward_invariance_checked():
@@ -267,11 +276,11 @@ def test_analysis_builds_each_level_once():
 
 def test_out_degree_one_and_refinement_consistency():
     A = Analysis(*p3_punctured_instance())
-    coarse = A.digraph(-2)
-    fine = A.digraph(-3)
-    for v in fine.vertices:
-        assert fine.edge[v].parent() == coarse.edge[v.parent()]
-    assert set(coarse.edge) == set(coarse.vertices)
+    coarse = edge_map(A.digraph(-2))
+    fine = edge_map(A.digraph(-3))
+    for v in fine:
+        assert fine[v].parent() == coarse[v.parent()]
+    assert set(coarse) == set(A.digraph(-2).vertices)
 
 
 def test_single_cycle_length_counts_measure():
@@ -281,12 +290,12 @@ def test_single_cycle_length_counts_measure():
         G = A.digraph(t)
         dec = cycle_decomposition(G)
         if dec.is_single_cycle:
-            assert len(dec.cycles[0]) == X.measure / Fraction(3) ** t
+            assert len(dec.cycle_indices[0]) == X.measure / Fraction(3) ** t
 
 
 def test_subsidiary_edges_subset_of_edges():
     G = Analysis(*p3_punctured_instance()).subsidiary(-2)
-    all_edges = {(v, G.edge[v]) for v in G.vertices}
+    all_edges = set(edge_map(G).items())
     V = G.vertices
     kept = {(V[i], V[j]) for i, j in enumerate(G.succ) if G.subsidiary[i].passes}
     assert kept <= all_edges
@@ -299,11 +308,11 @@ def _brute_force_s(f, a, b, bound=8):
     p = f.prime
     for s in range(bound):
         shift = Fraction(p) ** s
-        Pa = shift_variable(taylor_shift(f.P, a), s)
-        Qa = shift_variable(taylor_shift(f.Q, a), s)
-        const_part = Pa - Qa.scale(b)
-        y_part = Qa.scale(shift)
-        if const_part.is_integral() and y_part.is_integral():
+        Pa = shift_variable(ptaylor(f.P, a), p, s)
+        Qa = shift_variable(ptaylor(f.Q, a), p, s)
+        const_part = padd(Pa, pscale(Qa, b), -1)
+        y_part = pscale(Qa, shift)
+        if is_integral(const_part, p) and is_integral(y_part, p):
             return s
     raise AssertionError("no s found")
 
@@ -314,8 +323,8 @@ def _s_exponent(f, a, b):
     p, M = f.prime, 0
     while (a * p**M).denominator != 1 or (b * p**M).denominator != 1:
         M += 1
-    d = max(f.P.degree, f.Q.degree)
-    num, den = (_rescaled_coefficients(F, d, M) for F in (f.P, f.Q))
+    d = max(f.m, f.n)
+    num, den = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
     y, y_image = int(a * p**M), int(b * p**M)
     return subsidiary_edge_data(num, den, p, M, y, y_image, 0, 0).s_exponent
 
@@ -332,7 +341,7 @@ def test_s_exponent_matches_brute_force():
 
 def test_s_exponent_positive_outside_unit_ball():
     # around a center of norm p, rescaling is needed for integrality
-    f = map_from_coefficients([0, 0, 1], [1], 3)  # x^2
+    f = normalize_map([0, 0, 1], [1], 3)  # x^2
     a = Fraction(1, 3)
     b = Fraction(1, 9)
     s = _s_exponent(f, a, b)
@@ -341,7 +350,7 @@ def test_s_exponent_positive_outside_unit_ball():
 
 
 def test_constant_term_must_be_integral():
-    f = map_from_coefficients([0, 1], [1], 3)  # identity
+    f = normalize_map([0, 1], [1], 3)  # identity
     a = Fraction(1, 3)
     b = Fraction(0)
     with pytest.raises(ConstantTermNotIntegral, match=r"at a=1/3, b=0$"):
@@ -467,10 +476,11 @@ def test_cycle_walk_matches_iterating_the_map(succ):
 
 def test_cycle_entered_from_a_tail_starts_at_its_smallest_vertex():
     # 0 -> 3 -> 2 -> 3: the walk from 0 enters the cycle {2, 3} at 3
-    dec = cycle_decomposition(_functional_graph([3, 1, 3, 2]))
+    G = _functional_graph([3, 1, 3, 2])
+    dec = cycle_decomposition(G)
     assert dec.cycle_indices == ((1,), (2, 3))
     assert dec.tail_indices == (0,)
-    assert [[int(b.key) for b in c] for c in dec.cycles] == [[1], [2, 3]]
+    assert [[int(b.key) for b in c] for c in cycle_balls(G, dec)] == [[1], [2, 3]]
 
 
 @given(PRIMES.flatmap(domains), st.integers(0, 2))
@@ -490,21 +500,22 @@ def test_children_of_vertex_i_are_the_finer_vertices_i_plus_k_n(X, depth):
 def components_oracle(A, t):
     """``Analysis.components`` as it was on Balls: the children of each
     cycle ball from ``Ball.children`` and their images from the finer
-    level's Ball-keyed ``edge`` dict."""
+    level's Ball-keyed edge dict."""
     t0 = A.intrinsic_level
     if t > t0:
         raise LevelAboveIntrinsic(f"components are certified only at levels <= t0 = {t0}, got {t}")
-    dec = cycle_decomposition(A.digraph(t))
+    G = A.digraph(t)
+    cycles = cycle_balls(G, cycle_decomposition(G))
     if A.report.classification == "LocallyIsometric":
-        return [ComponentSelection(t, cyc, "MeasurePreserving", "isometric") for cyc in dec.cycles]
-    finer = A.digraph(t - 1)
+        return [ComponentSelection(t, cyc, "MeasurePreserving", "isometric") for cyc in cycles]
+    finer = edge_map(A.digraph(t - 1))
     out = []
-    for cyc in dec.cycles:
+    for cyc in cycles:
         children = {c for b in cyc for c in b.children()}
         indeg = {c: 0 for c in children}
         witness = None
         for c in children:
-            target = finer.edge[c]
+            target = finer[c]
             if target not in indeg:
                 witness = c
                 break
@@ -534,14 +545,14 @@ def invariant_maps(draw):
     lam = draw(st.sampled_from([1, -1, 1 + p, p, p * p]))
     if draw(st.booleans()):
         s = draw(st.integers(1, 9))
-        R = Polynomial.of([-s * c**3, 3 * s * c**2, -3 * s * c, s], p)
+        R = [-s * c**3, 3 * s * c**2, -3 * s * c, s]
     else:
-        R = Polynomial.of(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)), p)
-    e = max(0, M * R.degree - X.base_level) + draw(st.integers(0, 1))
-    Q = Polynomial.of([1, draw(st.integers(-3, 3)) * p ** (M + 1)], p)
-    line = Polynomial.of([c - lam * c, lam], p)
-    P = line * Q + R.scale(Fraction(p) ** e)
-    return map_from_coefficients(P.coefficients, Q.coefficients, p), X, draw(st.integers(0, 1))
+        R = trimmed(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+    e = max(0, M * (len(R) - 1) - X.base_level) + draw(st.integers(0, 1))
+    Q = trimmed([1, draw(st.integers(-3, 3)) * p ** (M + 1)])
+    line = [c - lam * c, lam]
+    P = padd(pmul(line, Q), pscale(R, Fraction(p) ** e))
+    return normalize_map(P, Q, p), X, draw(st.integers(0, 1))
 
 
 def test_components_match_the_ball_oracle():

@@ -1,27 +1,43 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polynomials import as_ints, pmul, trimmed
 from test_scaling import scalar_exponent
 
 from padicdyn import (
     CompactDomain,
-    Polynomial,
     certify_no_roots_qp,
     decompose,
     degree_gate,
     fraction_valuation,
     global_check,
     global_obstruction,
+    lower_bound_bF,
     parse_map,
 )
 from padicdyn import cli, global_qp
 from padicdyn.config import AnalysisConfig
-from padicdyn.errors import DecompositionTooLarge, PadicDynError, PoleInDomain
-from padicdyn.global_qp import ERGODICITY, MINIMALITY, WITNESS_DEPTH, ReductionFailure
-from padicdyn.maps import RationalMap, map_from_coefficients, normalize_map
+from padicdyn.errors import (
+    DecompositionTooLarge,
+    DepthCapExceeded,
+    PadicDynError,
+    PoleInDomain,
+    RootCertified,
+)
+from padicdyn.global_qp import (
+    ERGODICITY,
+    MINIMALITY,
+    WITNESS_DEPTH,
+    GlobalGateReport,
+    ReductionFailure,
+)
+from padicdyn.padics import ceil_div, int_valuation
+from padicdyn.polynomials import _int_divexact, _int_gcd, _int_mul
+from padicdyn.maps import RationalMap, normalize_map
 
 
 @pytest.mark.parametrize(
@@ -61,11 +77,14 @@ def test_compute_n_with_fractional_coefficient():
 
 
 def test_root_certification_modes():
-    from padicdyn.polynomials import Polynomial
-
-    assert certify_no_roots_qp(Polynomial.of([1, 0, 1], 7), )[0] == "root-free"
-    assert certify_no_roots_qp(Polynomial.of([0, 1], 7))[0] == "root"
-    assert certify_no_roots_qp(Polynomial.of([-2, 0, 1], 7))[0] == "root"
+    assert certify_no_roots_qp((1, 0, 1), 7)[0] == "root-free"
+    assert certify_no_roots_qp((0, 1), 7)[0] == "root"
+    assert certify_no_roots_qp((-2, 0, 1), 7)[0] == "root"
+    # the bound is for |F| itself: |49 (x^2 + 1)| >= p^-2 on Q_7
+    assert certify_no_roots_qp((49, 0, 49), 7) == ("root-free", None, -2)
+    assert certify_no_roots_qp((), 7) == ("root", None, None)
+    with pytest.raises(ValueError, match="without trailing zeros$"):
+        certify_no_roots_qp((1, 0, 1, 0), 7)
 
 
 def test_global_checks_quartic_yes():
@@ -105,7 +124,7 @@ def test_mp_equals_inv_iso_on_one_lipschitz_corpus():
         n = rng.randint(0, 2)
         q = [rng.randint(-6, 6) for _ in range(n)] + [1]
         pc = [rng.randint(-6, 6) for _ in range(n + 1)] + [1]
-        f = map_from_coefficients(pc, q, p)
+        f = normalize_map(pc, q, p)
         g = global_check(f)
         if g.compact_report is None or not g.compact_report.is_one_lipschitz:
             continue  # the equivalence is only claimed for 1-Lipschitz maps
@@ -173,16 +192,13 @@ def test_mp_distortion_witnesses_for_gate_failures():
             # m <= n with constant denominator of larger degree
             pc = [rng.randint(-4, 4), 1]
             q = [rng.randint(-4, 4), rng.randint(-4, 4), 1]
-            pole_free = certify_no_roots_qp(
-                map_from_coefficients(pc, q, p).Q1
-            )[0] == "root-free"
-            if not pole_free:
+            f = normalize_map(pc, q, p)
+            if certify_no_roots_qp(f.Q, p)[0] != "root-free":
                 continue
-            f = map_from_coefficients(pc, q, p)
         elif kind == "expand":
-            f = map_from_coefficients([0, 0, rng.randint(1, 3) * p + 1], [1], p)
+            f = normalize_map([0, 0, rng.randint(1, 3) * p + 1], [1], p)
         else:
-            f = map_from_coefficients([0, p], [1], p)  # alpha = 1
+            f = normalize_map([0, p], [1], p)  # alpha = 1
         gate = degree_gate(f)
         if gate.gate_passed:
             continue
@@ -230,7 +246,7 @@ def test_reduction_ball_beyond_unit_ball_expansion_refused():
          AnalysisConfig(descent_cap=0)),
         (ReductionFailure.NOT_ONE_LIPSCHITZ, parse_map("(x^3 + x/9 + 1)/(x^2 + 1)", 3), None),
         (ReductionFailure.BALL_NOT_INVARIANT,
-         map_from_coefficients([-3, -1, -4, 1], [6, -2, 1], 2), None),
+         normalize_map([-3, -1, -4, 1], [6, -2, 1], 2), None),
     ],
 )
 def test_reduction_failure_reasons(failure, f, config):
@@ -288,13 +304,13 @@ def _settling_cases(draw):
     qc = draw(st.lists(_small_fraction, min_size=1, max_size=3))
     if not any(qc):
         qc[-1] = Fraction(1)
-    q = Polynomial.of(qc, p)
+    q = trimmed(qc)
     if draw(st.booleans()):
         # a pole at one of the sample centres
         keys = decompose(X, X.base_level - WITNESS_DEPTH)
         root = keys[draw(st.integers(0, len(keys) - 1))].key
-        q = q * Polynomial.of([-root, 1], p)
-    f = normalize_map(Polynomial.of(pc, p), q)
+        q = pmul(q, [-root, 1])
+    f = normalize_map(pc, q, p)
     lo = draw(st.none() | st.integers(-6, 6))
     hi = draw(st.none() | st.integers(-6, 6))
     cap = draw(st.sampled_from([1_000_000, 1_000_000, 1_000_000, 50]))
@@ -381,3 +397,181 @@ def test_witness_evaluates_only_unsettled_centres(monkeypatch, capsys, map_text,
     assert cli.main(["-p", "7", f"--map={map_text}", "witness", "--goal", "ergodicity"]) == 0
     assert "verified at depth 4: ok" in capsys.readouterr().out
     assert len(calls) <= most
+
+
+# -- the P1/Q1 quantities against the Fraction code they replaced -------------
+#
+# The global module once kept P1 = P / p^v(lead P) and Q1 = Q / p^v(lead Q)
+# as Fraction polynomials and read N0, N, the gate's certification and the
+# witnesses' levels from their coefficients.  The copies below do that on
+# Fraction coefficient lists; the library reads the same numbers as integer
+# valuation differences on P and Q.
+
+
+def _old_lemma_n_bound(F, p):
+    best = 1
+    for c in F[:-1]:
+        if c != 0:
+            v = int(fraction_valuation(c, p))
+            if v < 0:
+                best = max(best, 1 - v)
+    return best
+
+
+def _old_unit_normalized(F, p):
+    v = int(fraction_valuation(F[-1], p))
+    return v, [c * Fraction(p) ** -v for c in F]
+
+
+def _old_certify_no_roots_qp(F, p, config):
+    if not F:
+        return "root", None, None
+    k, G = _old_unit_normalized(F, p)
+    if len(F) == 1:
+        return "root-free", None, -k
+    n0 = _old_lemma_n_bound(G, p)
+    clear = min(0, min(int(fraction_valuation(c, p)) for c in F if c))
+    integral = [c * Fraction(p) ** -clear for c in F]
+    # the descent cleared an integral F's denominators, which are units
+    den = lcm(*(c.denominator for c in integral))
+    try:
+        inside = lower_bound_bF(
+            as_ints(c * den for c in integral), CompactDomain.ball(0, n0, p), config
+        )
+    except RootCertified as exc:
+        return "root", exc.ball, None
+    except DepthCapExceeded:
+        return "unknown", None, None
+    return "root-free", None, min(inside - clear, (len(F) - 1) * n0 - k)
+
+
+def _old_p1_q1(f):
+    p = f.prime
+    ap = int_valuation(f.P[-1], p) if f.P else 0
+    aq = int_valuation(f.Q[-1], p)
+    return [Fraction(a, p**ap) for a in f.P], [Fraction(b, p**aq) for b in f.Q]
+
+
+def _old_leading_term_exponent(f):
+    P1, Q1 = _old_p1_q1(f)
+    return max(_old_lemma_n_bound(P1, f.prime), _old_lemma_n_bound(Q1, f.prime))
+
+
+def _old_reduction_exponent(f):
+    p = f.prime
+    P1, Q1 = _old_p1_q1(f)
+    n = _old_leading_term_exponent(f)
+    if not all(fraction_valuation(c, p) >= 0 for c in P1 + Q1):
+        num, Q = list(f.t1), list(f.Q)
+        den = _int_mul(Q, Q)
+        g = _int_gcd(num, den)
+        if len(g) > 1:
+            num, den = _int_divexact(num, g), _int_divexact(den, g)
+        n = max(n, _old_lemma_n_bound(_old_unit_normalized(num, p)[1], p),
+                _old_lemma_n_bound(_old_unit_normalized(den, p)[1], p))
+    return n
+
+
+def _old_degree_gate(f, config):
+    cert = _old_certify_no_roots_qp(_old_p1_q1(f)[1], f.prime, config)[0]
+    passed = f.alpha == 0 and f.m == f.n + 1
+    return GlobalGateReport(
+        f.alpha, f.m, f.n, passed, cert, _old_reduction_exponent(f) if passed else None
+    )
+
+
+def _old_witness(f, goal, config):
+    """(kind, derived_levels, verified) of the parent's witness for goal."""
+    p, alpha, m, n = f.prime, f.alpha, f.m, f.n
+    check = global_qp._holds_on_samples
+    if goal == ERGODICITY and alpha == 0 and m == n + 1:
+        N = _old_reduction_exponent(f)
+        return "InvariantSphere", {"N": N}, check(f, CompactDomain.sphere(N, p), N, N, config)
+    strict = goal == ERGODICITY
+    n0 = _old_leading_term_exponent(f)
+    if m <= n or (m == n + 1 and alpha > 0):
+        P1, Q1 = _old_p1_q1(f)
+        cert, ball, l0 = _old_certify_no_roots_qp(Q1, p, config)
+        if cert != "root-free":
+            raise PoleInDomain(
+                "the invariant-ball witness needs a pole-free denominator", ball=ball
+            )
+        if m == n + 1:
+            N = n0
+        else:
+            N = max(n0, ceil_div(-alpha + strict, n + 1 - m))
+        peak = max([0] + [N * i - int(fraction_valuation(c, p)) for i, c in enumerate(P1) if c])
+        l1 = -alpha - l0 + peak
+        n1 = max(N, l1)
+        region = n1 + 1 if strict else n1
+        levels = {"N0": n0, "N": N, "l0": l0, "l1": l1, "N1": n1}
+        return "InvariantBall", levels, check(f, CompactDomain.ball(0, region, p), None, n1, config)
+    N = n0 if m - n == 1 else max(n0, ceil_div(alpha + strict, m - n - 1))
+    sphere_exp = N + 1 if strict else N
+    min_image = sphere_exp + 1 if strict else sphere_exp
+    verified = all(
+        check(f, CompactDomain.sphere(sphere_exp + k, p), min_image, None, config)
+        for k in range(3)
+    )
+    return "EscapingRegion", {"N0": n0, "N": N}, verified
+
+
+def _new_witness(f, goal, config):
+    w = global_obstruction(f, goal, config)
+    return w.kind, w.derived_levels, w.verified
+
+
+def _new_certification(f, config):
+    """certify_no_roots_qp on Q, with its bound moved to |Q1|."""
+    cert, ball, l = certify_no_roots_qp(f.Q, f.prime, config)
+    return cert, ball, None if l is None else l + int_valuation(f.Q[-1], f.prime)
+
+
+@st.composite
+def _rational_maps(draw):
+    """P/Q of degrees m, n with coefficients u p^e: leading exponents in
+    -2..2 (equal half the time, so alpha = 0 is common), and the other
+    exponents up to two above the leading one or, half the time, up to two
+    below it, which makes P1 or Q1 non-integral."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 2))
+    m = draw(st.sampled_from([max(n - 1, 0), n, n + 1, n + 1, n + 2]))
+    shift = draw(st.sampled_from([0, -2]))
+
+    def poly(degree, lead):
+        lower = [
+            draw(st.integers(-9, 9)) * Fraction(p) ** (lead + shift + draw(st.integers(0, 2)))
+            for _ in range(degree)
+        ]
+        return lower + [draw(st.sampled_from([1, -1, 2, 3])) * Fraction(p) ** lead]
+
+    e_p = draw(st.integers(-2, 2))
+    e_q = e_p if draw(st.booleans()) else draw(st.integers(-2, 2))
+    return normalize_map(poly(m, e_p), poly(n, e_q), p)
+
+
+def test_valuation_differences_agree_with_the_p1_q1_code():
+    config = AnalysisConfig(descent_cap=12)
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_rational_maps(), st.sampled_from([MINIMALITY, ERGODICITY]))
+    def check(f, goal):
+        gate = _outcome(degree_gate, f, config)
+        assert gate == _outcome(_old_degree_gate, f, config)
+        assert global_qp._reduction_exponent(f) == _old_reduction_exponent(f)
+        Q1 = _old_p1_q1(f)[1]
+        assert _outcome(_new_certification, f, config) == _outcome(
+            _old_certify_no_roots_qp, Q1, f.prime, config
+        )
+        witness = _outcome(_new_witness, f, goal, config)
+        assert witness == _outcome(_old_witness, f, goal, config)
+        seen.add(("integral P1, Q1", global_qp._leading_term_exponent(f) == 1))
+        if isinstance(gate, GlobalGateReport):
+            seen.add(("gate passed", gate.gate_passed))
+        seen.add(("witness", witness[0]))
+
+    check()
+    assert {("integral P1, Q1", True), ("integral P1, Q1", False)} <= seen
+    assert {("gate passed", True), ("gate passed", False)} <= seen
+    assert {("witness", k) for k in ("InvariantSphere", "InvariantBall", "EscapingRegion")} <= seen

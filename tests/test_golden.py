@@ -77,6 +77,9 @@ CASES.update({
     "error-seed-negative-valuation": ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "1/7"],
     "error-hensel-precision-zero": ["-p", "7", "--map", "x^2-2", "hensel",
                                     "--seed", "3", "--prec", "0"],
+    # 7^100000 has about 84,500 digits: refused before any lifting
+    "error-hensel-precision-too-large": ["-p", "7", "--map", "x^2-2", "hensel",
+                                         "--seed", "3", "--prec", "100000"],
     "cube-mp-cap-zero": ["-p", "3", "--map", "x^3", "--domain", "Zp", "mp", "--cap", "0"],
     "error-negative-margin": ["-p", "3", "--map", "162x-270", "--domain", "Zp",
                               "intrinsic-level", "--margin", "-1"],

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import INF, CompactDomain, Polynomial, canonical_key
+from padicdyn import (
+    INF,
+    Analysis,
+    CompactDomain,
+    build_digraph,
+    canonical_key,
+    normalize_map,
+    parse_map,
+)
 from padicdyn.errors import InvalidPrime, PrimeMismatch, ZeroDenominator
-from padicdyn.maps import map_from_coefficients
 from padicdyn.padics import fraction_valuation, int_valuation, require_prime, unit_residue
 
 
@@ -98,15 +105,20 @@ def test_reduce_requires_integrality():
 
 
 def test_prime_mismatch_rejected():
-    with pytest.raises(PrimeMismatch):
-        Polynomial.of([1], 3) + Polynomial.of([1], 5)
+    # a 3-adic map on a 5-adic domain would otherwise classify and build a
+    # digraph from the 3-adic kernel on 5-adic balls
+    f, X = parse_map("x+1", 3), CompactDomain.zp(5)
+    with pytest.raises(PrimeMismatch, match=r"^map over p = 3 and domain over p = 5$"):
+        Analysis(f, X)
+    with pytest.raises(PrimeMismatch, match=r"^map over p = 3 and domain over p = 5$"):
+        build_digraph(f, X, -1)
     with pytest.raises(PrimeMismatch):
         CompactDomain.zp(3).union(CompactDomain.zp(5))
 
 
 def test_zero_division_raises():
     with pytest.raises(ZeroDenominator):
-        map_from_coefficients([1], [0], 3)
+        normalize_map([1], [0], 3)
 
 
 @pytest.mark.parametrize("p", [0, 1, -3, 4, 6, 561, 2**61 + 1, 3_215_031_751, 10**30])
@@ -157,9 +169,9 @@ def _deadline(seconds: int):
         lambda p: CompactDomain.zp(p),
         lambda p: CompactDomain.ball(1, -1, p),
         lambda p: CompactDomain.sphere(1, p),
-        lambda p: map_from_coefficients([1, 1], [1], p),
+        lambda p: normalize_map([1, 1], [1], p),
     ],
-    ids=["zp", "ball", "sphere", "map_from_coefficients"],
+    ids=["zp", "ball", "sphere", "normalize_map"],
 )
 def test_public_constructors_reject_a_non_prime_promptly(construct, p):
     with _deadline(5), pytest.raises(InvalidPrime, match=f"p must be a prime: got {p}"):

@@ -4,38 +4,40 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_polynomials import padd, pderiv, pmul, pscale, trimmed
 
-from padicdyn import QP_GLOBAL, parse_domain, parse_map
+from padicdyn import QP_GLOBAL, normalize_map, parse_domain, parse_map
 from padicdyn.errors import EmptyDomain, PadicDynError, ParseError, ZeroDenominator
-from padicdyn.maps import RationalMap, map_from_coefficients
+from padicdyn.maps import RationalMap
 from padicdyn.padics import fraction_valuation
 from padicdyn.parsing import _tokenize
-from padicdyn.polynomials import Polynomial, poly_derivative
-
-
-def coeffs(poly):
-    return poly.coefficients
 
 
 def test_quadratic_over_linear():
     f = parse_map("(x^2 - 1)/x", 7)
-    assert coeffs(f.P) == (Fraction(-1), Fraction(0), Fraction(1))
-    assert coeffs(f.Q) == (Fraction(0), Fraction(1))
+    assert f.P == (-1, 0, 1)
+    assert f.Q == (0, 1)
     assert (f.alpha, f.m, f.n) == (0, 2, 1)
+    assert f.t1 == (1, 0, 1)  # (2x)x - (x^2 - 1)
 
 
 def test_implicit_multiplication():
     f = parse_map("(2x^3 + x^2 + x)/(x^2 + 1)", 3)
-    assert coeffs(f.P) == (Fraction(0), Fraction(1), Fraction(1), Fraction(2))
-    assert coeffs(f.Q) == (Fraction(1), Fraction(0), Fraction(1))
+    assert f.P == (0, 1, 1, 2)
+    assert f.Q == (1, 0, 1)
     g = parse_map("2(x+1)(x-1)", 5)
-    assert coeffs(g.P) == (Fraction(-2), Fraction(0), Fraction(2))
+    assert g.P == (-2, 0, 2)
+
+
+def test_coefficients_are_plain_ints():
+    f = parse_map("(x^2 - 1/27)/(x/2)", 3)
+    assert all(type(c) is int for c in f.P + f.Q + f.t1)
 
 
 def test_whitespace_insensitive():
     a = parse_map("x^2-1", 7)
     b = parse_map("  x ^ 2 - 1 ", 7)
-    assert coeffs(a.P) == coeffs(b.P)
+    assert a.P == b.P
 
 
 def test_zero_denominator_rejected():
@@ -48,7 +50,7 @@ def test_zero_denominator_rejected():
 def test_rational_coefficients_cleared():
     # coefficients with p in the denominator are legal and cleared
     f = parse_map("(x^2 - 1/27)/x", 3)
-    assert f.P.is_integral() and f.Q.is_integral()
+    assert (f.P, f.Q) == ((-1, 0, 27), (0, 27))
     assert f.alpha == 0
     assert f.eval(1) == Fraction(26, 27)
 
@@ -61,14 +63,14 @@ def test_scalar_extraction():
 def test_nested_inverse():
     f = parse_map("1/(x^2+1) + x", 5)
     # (x^3 + x + 1)/(x^2 + 1)
-    assert coeffs(f.P) == (Fraction(1), Fraction(1), Fraction(0), Fraction(1))
-    assert coeffs(f.Q) == (Fraction(1), Fraction(0), Fraction(1))
+    assert f.P == (1, 1, 0, 1)
+    assert f.Q == (1, 0, 1)
 
 
 def test_common_factor_removed():
     f = parse_map("(x^2 - 1)/(x - 1)", 5)
-    assert coeffs(f.P) == (Fraction(1), Fraction(1))
-    assert coeffs(f.Q) == (Fraction(1),)
+    assert f.P == (1, 1)
+    assert f.Q == (1,)
 
 
 @pytest.mark.parametrize(
@@ -198,13 +200,12 @@ def test_degree_bound_admits_every_power():
 
 
 def _old_poly_mod(A, B):
-    r = list(A.coefficients)
-    b = B.coefficients
+    r = list(A)
+    b = B
     db = len(b) - 1
     lead = b[-1]
     while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
+        r = trimmed(r)
         if len(r) - 1 < db:
             break
         q = r[-1] / lead
@@ -212,27 +213,26 @@ def _old_poly_mod(A, B):
         for i in range(db + 1):
             r[off + i] -= q * b[i]
         r.pop()
-    return Polynomial.of(r, A.prime)
+    return trimmed(r)
 
 
 def _old_poly_gcd(A, B):
     a, b = A, B
-    while not b.is_zero():
+    while b:
         a, b = b, _old_poly_mod(a, b)
-    if a.is_zero():
+    if not a:
         return a
-    return a.scale(1 / a.leading_coefficient)
+    return pscale(a, 1 / a[-1])
 
 
 def _old_poly_divexact(A, B):
-    r = list(A.coefficients)
-    b = B.coefficients
+    r = list(A)
+    b = B
     db = len(b) - 1
     lead = b[-1]
     q = [Fraction(0)] * max(len(r) - db, 0)
     while len(r) - 1 >= db:
-        while r and r[-1] == 0:
-            r.pop()
+        r = trimmed(r)
         if len(r) - 1 < db:
             break
         c = r[-1] / lead
@@ -242,54 +242,52 @@ def _old_poly_divexact(A, B):
             r[off + i] -= c * b[i]
         r.pop()
     assert not any(r)
-    return Polynomial.of(q, A.prime)
+    return trimmed(q)
 
 
 def _old_content_and_primitive(F):
     num, den = 0, 1
-    for c in F.coefficients:
+    for c in F:
         num = gcd(num, c.numerator)
         den = den * c.denominator // gcd(den, c.denominator)
     content = Fraction(num, den)
-    return content, F.scale(1 / content)
+    return content, pscale(F, 1 / content)
 
 
-def _old_normalize_map(P_raw, Q_raw):
-    p = P_raw.prime
-    if Q_raw.is_zero():
+def _old_normalize_map(P_raw, Q_raw, p):
+    """The old normalizer on Fraction coefficient lists; the map it built,
+    with P and Q (integers after normalization) as int tuples."""
+    P_raw = trimmed([Fraction(c) for c in P_raw])
+    Q_raw = trimmed([Fraction(c) for c in Q_raw])
+    if not Q_raw:
         raise ZeroDenominator("rational map with zero denominator polynomial")
     P, Q = P_raw, Q_raw
-    if not P.is_zero():
+    if P:
         g = _old_poly_gcd(P, Q)
-        if g.degree > 0:
+        if len(g) > 1:
             P = _old_poly_divexact(P, g)
             Q = _old_poly_divexact(Q, g)
-    cP, P = _old_content_and_primitive(P) if not P.is_zero() else (Fraction(1), P)
+    cP, P = _old_content_and_primitive(P) if P else (Fraction(1), P)
     cQ, Q = _old_content_and_primitive(Q)
-    scale = cP / cQ if not P_raw.is_zero() else Fraction(1) / cQ
-    if not P.is_zero():
+    scale = cP / cQ if P_raw else Fraction(1) / cQ
+    if P:
         num, den = scale.numerator, scale.denominator
-        P = P.scale(num)
-        Q = Q.scale(den)
+        P = pscale(P, num)
+        Q = pscale(Q, den)
         c = gcd(
-            gcd(*(abs(x.numerator) for x in P.coefficients), 0),
-            gcd(*(abs(x.numerator) for x in Q.coefficients), 0),
+            gcd(*(abs(x.numerator) for x in P), 0),
+            gcd(*(abs(x.numerator) for x in Q), 0),
         )
         if c > 1:
-            P = P.scale(Fraction(1, c))
-            Q = Q.scale(Fraction(1, c))
-    if P.is_zero():
-        P1, alpha_p, m = P, 0, -1
-    else:
-        alpha_p = int(fraction_valuation(P.leading_coefficient, p))
-        P1 = P.scale(Fraction(1, p**alpha_p) if alpha_p >= 0 else Fraction(p**-alpha_p))
-        m = P.degree
-    alpha_q = int(fraction_valuation(Q.leading_coefficient, p))
-    Q1 = Q.scale(Fraction(1, p**alpha_q) if alpha_q >= 0 else Fraction(p**-alpha_q))
-    dP = poly_derivative(P)
-    dQ = poly_derivative(Q)
-    return RationalMap(P=P, Q=Q, alpha=alpha_p - alpha_q, P1=P1, Q1=Q1, m=m,
-                       n=Q.degree, prime=p, t1=dP * Q - P * dQ)
+            P = pscale(P, Fraction(1, c))
+            Q = pscale(Q, Fraction(1, c))
+    alpha_p = int(fraction_valuation(P[-1], p)) if P else 0
+    alpha_q = int(fraction_valuation(Q[-1], p))
+    t1 = padd(pmul(pderiv(P), Q), pmul(P, pderiv(Q)), -1)
+    assert all(c.denominator == 1 for c in P + Q)
+    return RationalMap(P=tuple(int(c) for c in P), Q=tuple(int(c) for c in Q),
+                       alpha=alpha_p - alpha_q, m=len(P) - 1, n=len(Q) - 1, prime=p,
+                       t1=tuple(int(c) for c in t1))
 
 
 class _OldPolyFraction:
@@ -298,27 +296,28 @@ class _OldPolyFraction:
         self.den = den
 
     def add(self, o):
-        return _OldPolyFraction(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _OldPolyFraction(padd(pmul(self.num, o.den), pmul(o.num, self.den)),
+                                pmul(self.den, o.den))
 
     def sub(self, o):
-        return _OldPolyFraction(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _OldPolyFraction(padd(pmul(self.num, o.den), pmul(o.num, self.den), -1),
+                                pmul(self.den, o.den))
 
     def mul(self, o):
-        return _OldPolyFraction(self.num * o.num, self.den * o.den)
+        return _OldPolyFraction(pmul(self.num, o.num), pmul(self.den, o.den))
 
     def div(self, o, pos):
-        if o.num.is_zero():
+        if not o.num:
             raise ZeroDenominator(f"division by zero in map expression (offset {pos})")
-        return _OldPolyFraction(self.num * o.den, self.den * o.num)
+        return _OldPolyFraction(pmul(self.num, o.den), pmul(self.den, o.num))
 
     def neg(self):
-        return _OldPolyFraction(-self.num, self.den)
+        return _OldPolyFraction(pscale(self.num, -1), self.den)
 
     def pow(self, k, pos):
         if k > 64:
             raise ParseError(f"exponent {k} too large", pos)
-        p = self.num.prime
-        out = _OldPolyFraction(Polynomial.of([1], p), Polynomial.of([1], p))
+        out = _OldPolyFraction([Fraction(1)], [Fraction(1)])
         base = self
         while k:
             if k & 1:
@@ -392,9 +391,9 @@ class _OldMapParser:
     def atom(self):
         t = self.advance()
         if t.kind == "num":
-            return _OldPolyFraction(Polynomial.of([int(t.text)], self.p), Polynomial.of([1], self.p))
+            return _OldPolyFraction(trimmed([Fraction(int(t.text))]), [Fraction(1)])
         if t.kind == "x":
-            return _OldPolyFraction(Polynomial.of([0, 1], self.p), Polynomial.of([1], self.p))
+            return _OldPolyFraction([Fraction(0), Fraction(1)], [Fraction(1)])
         if t.kind == "lparen":
             self.depth += 1
             if self.depth > 64:
@@ -410,7 +409,7 @@ class _OldMapParser:
 
 def _old_parse_map(text, p):
     value = _OldMapParser(_tokenize(text), p).parse()
-    return _old_normalize_map(value.num, value.den)
+    return _old_normalize_map(value.num, value.den, p)
 
 
 def _outcome(parse, text, p):
@@ -503,7 +502,8 @@ fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
 @given(st.lists(fractions, min_size=1, max_size=5), st.lists(fractions, min_size=1, max_size=4),
        st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_map_from_coefficients_matches_the_parsed_text(pc, qc, p):
+def test_normalize_map_matches_the_parsed_text(pc, qc, p):
     assume(any(qc))
     text = f"({_coefficient_text(pc)})/({_coefficient_text(qc)})"
-    assert map_from_coefficients(pc, qc, p) == parse_map(text, p)
+    assert normalize_map(pc, qc, p) == parse_map(text, p)
+    assert normalize_map(pc, qc, p) == _old_normalize_map(pc, qc, p)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,81 +9,126 @@ from padicdyn import (
     INF,
     NEG_INF,
     CompactDomain,
-    Polynomial,
     decompose,
     fraction_valuation,
+    normalize_map,
     parse_domain,
-    poly_derivative,
     poly_eval,
-    taylor_shift,
 )
 from padicdyn.domains import Ball
 from padicdyn.polynomials import (
     _ball_probe,
     _int_add,
+    _int_derivative,
     _int_divexact,
     _int_gcd,
     _int_mul,
     _rescaled_coefficients,
+    _taylor_coefficients,
     squarefree_part,
 )
 
+# Oracle arithmetic on coefficient lists (ints or Fractions, lowest degree
+# first), written out independently of the library.
 
-def shift_variable(F: Polynomial, k: int) -> Polynomial:
+
+def trimmed(coeffs) -> list:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def padd(a, b, sign=1) -> list:
+    """a + sign*b."""
+    n = max(len(a), len(b))
+    return trimmed(
+        (a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def pmul(a, b) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return trimmed(out)
+
+
+def pscale(a, c) -> list:
+    return trimmed(c * x for x in a)
+
+
+def pderiv(a) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def ptaylor(F, a) -> list:
+    """Coefficients of F(x + a), from the binomial expansion of each term."""
+    out = [0] * len(F)
+    for i, c in enumerate(F):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * a ** (i - j)
+    return trimmed(out)
+
+
+def as_ints(F) -> list[int]:
+    """Integer-valued coefficients as ints; raises on any other value."""
+    out = []
+    for c in F:
+        if Fraction(c).denominator != 1:
+            raise ValueError(f"coefficient {c} is not an integer")
+        out.append(int(c))
+    return out
+
+
+def is_integral(F, p) -> bool:
+    return all(fraction_valuation(c, p) >= 0 for c in F)
+
+
+def shift_variable(F, p, k) -> list:
     """F(p^k x)."""
-    pk = Fraction(F.prime) ** k
-    return Polynomial.of([a * pk**i for i, a in enumerate(F.coefficients)], F.prime)
+    pk = Fraction(p) ** k
+    return [a * pk**i for i, a in enumerate(F)]
 
 
-def norm_constant_exponent(F: Polynomial, center) -> float:
+def norm_constant_exponent(F, p, center) -> float:
     """Oracle for ``_ball_probe``'s constancy level, on ``Fraction``s: the
     largest level t certifying |F| constant on the ball of radius p^t
     around the center (INF for nonzero constants, NEG_INF when F(center)
     = 0), read from F's Taylor coefficients g_i at the center as the
     largest t with v(g_0) < v(g_i) - i*t for every i >= 1."""
-    if F.is_zero():
+    g = ptaylor(F, center)
+    if not g or g[0] == 0:
         return NEG_INF
-    g = taylor_shift(F, center)
-    g0 = g.coefficient(0)
-    if g0 == 0:
-        return NEG_INF
-    if g.degree <= 0:
-        return INF
-    p = F.prime
-    v0 = fraction_valuation(g0, p)
+    v0 = fraction_valuation(g[0], p)
     best = INF
-    for i in range(1, g.degree + 1):
-        gi = g.coefficient(i)
-        if gi == 0:
-            continue
-        best = min(best, (fraction_valuation(gi, p) - v0 - 1) // i)
+    for i in range(1, len(g)):
+        if g[i]:
+            best = min(best, (fraction_valuation(g[i], p) - v0 - 1) // i)
     return best
-
-
-def P(coeffs, p=7):
-    return Polynomial.of(coeffs, p)
 
 
 def test_eval_example():
     # F = x^2 - 1 at 2
-    assert poly_eval(P([-1, 0, 1]), 2) == 3
+    assert poly_eval([-1, 0, 1], 2) == 3
 
 
 def test_derivative_example():
     # d/dx (2x^3 + x^2 + x) = 6x^2 + 2x + 1
-    d = poly_derivative(P([0, 1, 1, 2]))
-    assert d.coefficients == (Fraction(1), Fraction(2), Fraction(6))
+    assert _int_derivative((0, 1, 1, 2)) == [1, 2, 6]
 
 
 def test_taylor_shift_example():
     # (x+1)^2 = x^2 + 2x + 1
-    g = taylor_shift(P([0, 0, 1]), 1)
-    assert g.coefficients == (Fraction(1), Fraction(2), Fraction(1))
+    assert _taylor_coefficients([0, 0, 1], 1) == [1, 2, 1]
 
 
 def test_zero_polynomial_degree_is_minus_one():
-    assert Polynomial.zero(5).degree == -1
-    assert P([0, 0]).degree == -1
+    # the zero polynomial is the empty tuple; the zero map has m = -1
+    f = normalize_map([0, 0], [5], 5)
+    assert f.P == () and f.m == -1
+    assert f.t1 == ()
 
 
 coeff_lists = st.lists(
@@ -96,11 +141,12 @@ coeff_lists = st.lists(
 @given(coeff_lists, st.fractions(min_value=-20, max_value=20, max_denominator=10))
 @settings(max_examples=200)
 def test_taylor_shift_property(coeffs, a):
-    # G(x) = F(x + a) evaluated at x - a recovers F(x)
-    F = P(coeffs, 5)
-    G = taylor_shift(F, a)
+    # G(x) = F(x + a) evaluated at x - a recovers F(x), and the synthetic
+    # shift gives the binomial expansion's coefficients
+    G = _taylor_coefficients(coeffs, a)
+    assert trimmed(G) == ptaylor(coeffs, a)
     for x in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7)):
-        assert poly_eval(G, x - a) == poly_eval(F, x)
+        assert poly_eval(G, x - a) == poly_eval(coeffs, x)
 
 
 def test_gcd_and_exact_division():
@@ -148,13 +194,12 @@ def test_norm_constant_examples(p, coeffs, center, expected):
 def test_norm_constant_soundness_exhaustive(p, coeffs, center):
     # every point of the certified ball, enumerated two levels deeper,
     # has the same norm as the center
-    F = Polynomial.of(coeffs, p)
     t = _ball_probe(coeffs, p, center)[2]
     assert isinstance(t, int) and abs(t) <= 4
-    want = fraction_valuation(poly_eval(F, center), p)
+    want = fraction_valuation(poly_eval(coeffs, center), p)
     ball = Ball.containing(center, t, p)
     for sub in ball.subdivide(t - 2):
-        assert fraction_valuation(poly_eval(F, sub.key), p) == want
+        assert fraction_valuation(poly_eval(coeffs, sub.key), p) == want
 
 
 @st.composite
@@ -169,22 +214,21 @@ def _probe_cases(draw):
     ball = balls[draw(st.integers(0, len(balls) - 1))]
     shape = draw(st.sampled_from(["zero", "constant", "random", "repeated root"]))
     if shape == "zero":
-        F = Polynomial.zero(p)
+        F = []
     elif shape == "constant":
-        F = Polynomial.of([draw(st.integers(1, p**4)) * draw(st.sampled_from([1, -1]))], p)
+        F = [draw(st.integers(1, p**4)) * draw(st.sampled_from([1, -1]))]
     else:
-        F = Polynomial.of(draw(st.lists(st.integers(-p**3, p**3), min_size=1, max_size=5)), p)
+        F = trimmed(draw(st.lists(st.integers(-p**3, p**3), min_size=1, max_size=5)))
         if shape == "repeated root":
             # a root r / p^M near the ball's key (at it when the offset is
             # 0), with multiplicity 2 or 3
             M = X.height_exponent()
             r = ball.rescaled_key(M) + draw(st.integers(-p, p)) * p ** draw(st.integers(0, 3))
-            root = Polynomial.of([-r, p**M], p)
             for _ in range(draw(st.integers(2, 3))):
-                F = F * root
+                F = pmul(F, [-r, p**M])
     # the kernel rescales P and Q with one d >= both degrees
-    d = max(F.degree, 0) + draw(st.integers(0, 2))
-    return F, X, ball, d
+    d = max(len(F) - 1, 0) + draw(st.integers(0, 2))
+    return tuple(F), X, ball, d
 
 
 @given(_probe_cases())
@@ -193,26 +237,19 @@ def test_probe_agrees_with_the_fraction_oracle(case):
     # v(F(a)) = v(G(y)) - Md, v(F'(a)) = v(G'(y)) + M(1 - d), and the
     # constancy level of F at a is G's at y plus M
     F, X, ball, d = case
-    p, M, a = F.prime, X.height_exponent(), ball.key
-    v0, v1, c = _ball_probe(_rescaled_coefficients(F, d, M), p, ball.rescaled_key(M))
+    p, M, a = X.prime, X.height_exponent(), ball.key
+    v0, v1, c = _ball_probe(_rescaled_coefficients(F, p, d, M), p, ball.rescaled_key(M))
     assert v0 - M * d == fraction_valuation(poly_eval(F, a), p)
-    assert v1 + M * (1 - d) == fraction_valuation(poly_eval(poly_derivative(F), a), p)
-    assert c + M == norm_constant_exponent(F, a)
+    assert v1 + M * (1 - d) == fraction_valuation(poly_eval(pderiv(F), a), p)
+    assert c + M == norm_constant_exponent(F, p, a)
 
 
-def _trimmed(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(_trimmed)
+small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(trimmed)
 
 
 def _monic(coeffs):
     """Coefficients, lowest degree first, scaled to a monic polynomial."""
-    coeffs = _trimmed(Fraction(c) for c in coeffs)
+    coeffs = trimmed(Fraction(c) for c in coeffs)
     return [c / coeffs[-1] for c in coeffs] if coeffs else []
 
 
@@ -241,7 +278,7 @@ def test_gcd_and_squarefree_part_agree_with_sympy(a, b, c):
     assert sf == F or gcd(*sf) == 1
 
 
-integer_polys = st.lists(st.integers(-20, 20), max_size=5).map(_trimmed)
+integer_polys = st.lists(st.integers(-20, 20), max_size=5).map(trimmed)
 
 
 @given(integer_polys, integer_polys.filter(bool), integer_polys)

@@ -6,7 +6,6 @@ import pytest
 from padicdyn import (
     Analysis,
     CompactDomain,
-    Polynomial,
     classify,
     decompose,
     fraction_valuation,
@@ -48,7 +47,7 @@ def punctured_z3():
 )
 def test_lower_bound_examples(p, coeffs, domain_text, expected):
     X = parse_domain(domain_text, p)
-    assert lower_bound_bF(Polynomial.of(coeffs, p), X) == expected
+    assert lower_bound_bF(coeffs, X) == expected
 
 
 def test_lower_bound_is_sound_exhaustively():
@@ -59,8 +58,7 @@ def test_lower_bound_is_sound_exhaustively():
         (5, [1, 1, 1], CompactDomain.zp(5)),
         (3, [3], CompactDomain.zp(3)),  # constant of valuation 1
     ]
-    for p, coeffs, X in cases:
-        F = Polynomial.of(coeffs, p)
+    for p, F, X in cases:
         b = lower_bound_bF(F, X)
         depth = min(b - 2, X.base_level - 2)
         for ball in decompose(X, depth):
@@ -70,13 +68,23 @@ def test_lower_bound_is_sound_exhaustively():
 def test_lower_bound_certifies_roots():
     # x^2 - 2 has a root in Z_7 (3^2 = 2 mod 7)
     with pytest.raises(RootCertified):
-        lower_bound_bF(Polynomial.of([-2, 0, 1], 7), CompactDomain.zp(7))
+        lower_bound_bF([-2, 0, 1], CompactDomain.zp(7))
+
+
+def test_lower_bound_refuses_coefficients_outside_the_polynomial_form():
+    # coefficients are ints without trailing zeros; anything else was once
+    # a ZeroDivisionError deep in the squarefree pass
+    X = CompactDomain.zp(3)
+    for F, message in [([1, 0, 1, 0], "trailing zeros"), ([Fraction(1, 2), 1], "integer"),
+                       ([], "zero polynomial")]:
+        with pytest.raises(ValueError, match=message):
+            lower_bound_bF(F, X)
 
 
 def test_lower_bound_depth_cap():
     # (x^2-2)^2 + 7^9 is root-free (odd valuation forces no solution) but
     # its norm floor sits 9 levels down, beyond a cap of 5
-    F = Polynomial.of([4 + 7**9, 0, -4, 0, 1], 7)
+    F = [4 + 7**9, 0, -4, 0, 1]
     with pytest.raises(DepthCapExceeded):
         lower_bound_bF(F, CompactDomain.zp(7), AnalysisConfig(descent_cap=5))
     assert lower_bound_bF(F, CompactDomain.zp(7)) == -9
@@ -85,7 +93,7 @@ def test_lower_bound_depth_cap():
 def test_lower_bound_certifies_multiple_root_via_squarefree_part():
     # (x+1)^2 at p=2: lifting alone cannot certify a double root, the
     # squarefree pre-pass can
-    F = Polynomial.of([1, 2, 1], 2)
+    F = [1, 2, 1]
     with pytest.raises(RootCertified):
         lower_bound_bF(F, CompactDomain.zp(2))
 
@@ -93,7 +101,7 @@ def test_lower_bound_certifies_multiple_root_via_squarefree_part():
 def test_lower_bound_outside_unit_ball():
     # |x| = p^2 exactly on the sphere, found through rescaling
     S = CompactDomain.sphere(2, 3)
-    assert lower_bound_bF(Polynomial.of([0, 1], 3), S) == 2
+    assert lower_bound_bF([0, 1], S) == 2
 
 
 @pytest.mark.parametrize(
@@ -236,7 +244,7 @@ def test_profile_constant_per_ball():
 def test_descent_work_list_respects_the_ball_budget():
     # the descent for (x^2-2)^2 + 7^9 keeps two suspect balls per level, so
     # level -2 needs 14 balls: over a budget of 10
-    F = Polynomial.of([4 + 7**9, 0, -4, 0, 1], 7)
+    F = [4 + 7**9, 0, -4, 0, 1]
     with pytest.raises(DecompositionTooLarge, match=r"^descent at level -2 needs 14 balls \(cap 10\)$"):
         lower_bound_bF(F, CompactDomain.zp(7), AnalysisConfig(ball_cap=10))
 
