@@ -4,8 +4,9 @@
 Samples maps, keeps the locally 1-Lipschitz ones with Z_p forward
 invariant, and tabulates classification, measure preservation, and how far
 single-cycle scans reach.  Cross-checks every kept digraph against the
-brute-force functional graph on residues; a mismatch is reported on stderr
-with exit status 1.
+brute-force functional graph on residues, and every map's single-cycle scan
+to level -4 against the cycles of those graphs; a mismatch is reported on
+stderr with exit status 1.
 """
 
 import argparse
@@ -36,6 +37,31 @@ def brute_force_edges(f, p, t, depth=4):
         if prev != image:
             return None
     return edges
+
+
+def brute_force_scan(f, p, top, depth=-4):
+    """(kind, level, cycle count) of the single-cycle scan from level top
+    down to depth, read off the brute-force residue graphs."""
+    for t in range(top, depth - 1, -1):
+        edges = brute_force_edges(f, p, t)
+        on_cycle, cycles = set(), 0
+        for v in edges:
+            if v in on_cycle:
+                continue
+            # v is on a cycle exactly when it comes back within len(edges) steps
+            u, steps = edges[v], 1
+            while u != v and steps < len(edges):
+                u, steps = edges[u], steps + 1
+            if u == v:
+                cycles += 1
+                while True:
+                    on_cycle.add(u)
+                    u = edges[u]
+                    if u == v:
+                        break
+        if cycles != 1 or len(on_cycle) != len(edges):
+            return "NotErgodic", t, cycles
+    return "SingleCycleToDepth", None, None
 
 
 def main():
@@ -75,9 +101,19 @@ def main():
         stats[f"classification: {report.classification}"] += 1
         verdict = A.mp()
         stats[f"measure preserving: {verdict.kind}"] += 1
-        if verdict.kind == "MeasurePreserving":
+        # the scan starts at the transport level; the oracle's graphs cover
+        # the levels from 0 down to -4
+        checked = -4 <= A.transport_level <= 0
+        if checked or verdict.kind == "MeasurePreserving":
             erg = A.ergodic(-4)
+        if verdict.kind == "MeasurePreserving":
             stats[f"ergodic scan: {erg.kind}"] += 1
+        if checked:
+            want = brute_force_scan(f, p, A.transport_level)
+            if (erg.kind, erg.level, erg.cycle_count) != want:
+                print(f"ergodic scan mismatch for {f}: {erg} against {want}", file=sys.stderr)
+                sys.exit(1)
+            stats["oracle-checked ergodic scans"] += 1
         for t in range(top, -4, -1):
             G = A.digraph(t)
             oracle = brute_force_edges(f, p, t)

@@ -10,13 +10,15 @@ residues and one successor index per vertex; Balls are built on demand.
 Cycle structure decides measure preservation and semi-decides ergodicity and
 minimality; subsidiary edge data decides how far the finite digraphs
 certify the infinite family.  ``Analysis`` answers these questions for one
-map and domain from one classification, building each level once.
+map and domain from one classification, building each level once.  Its
+single-cycle scan builds no level it can certify by one orbit walk at the
+deepest level, and keeps none.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +35,7 @@ from .errors import (
     LevelTooCoarse,
     NotForwardInvariant,
     NotOneLipschitz,
+    PoleInDomain,
 )
 from .maps import RationalMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, int_valuation
@@ -191,48 +194,20 @@ def _successors(
 ) -> list[int]:
     """Index of the ball holding the image of each ball's key.
 
-    With x = y / p^M and d = max(deg P, deg Q), f(x) = P^(y) / Q^(y) for
-    the integer polynomials P^(y) = p^(Md) P(y / p^M) and likewise Q^; the
-    image's rescaled key is p^M P^(y) / Q^(y) mod p^(M - t), and it names a
-    ball of X exactly when it is one of ``residues``.  Raises PoleInDomain
-    at the first key where Q vanishes and NotForwardInvariant listing every
-    ball whose image leaves X, with the images from ``f.eval``.
+    The image's rescaled key (see ``_rescaled_image``) names a ball of X
+    exactly when it is one of ``residues``.  Raises PoleInDomain at the first
+    key where Q vanishes and NotForwardInvariant listing every ball whose
+    image leaves X, with the images from ``f.eval``.
     """
-    p = f.prime
-    scale = p**M
-    d = max(f.m, f.n)
-    # highest degree first, for Horner's scheme
-    num_coeffs = _rescaled_coefficients(f.P, p, d, M)[::-1]
-    den_coeffs = _rescaled_coefficients(f.Q, p, d, M)[::-1]
-    mod = p ** (M - t)
-    index = {y: i for i, y in enumerate(residues)}
-    succ = []
-    escaping = []
-    for y in residues:
-        num = 0
-        for c in num_coeffs:
-            num = num * y + c
-        den = 0
-        for c in den_coeffs:
-            den = den * y + c
-        if den % p:
-            j = index.get(num * scale * pow(den, -1, mod) % mod)
-        elif den == 0:
-            f.eval(Fraction(y, scale))  # raises PoleInDomain
-            raise CertificateFailed(
-                f"the rescaled denominator vanishes at {y}, but Q has no root at "
-                f"{Fraction(y, scale)}"
-            )
-        else:
-            j = _image_index(num, den, M, p, mod, index)
-        if j is None:
-            escaping.append(y)
-        else:
-            succ.append(j)
-    if escaping:
+    image = _rescaled_image(f, M, f.prime ** (M - t))
+    index = dict(zip(residues, range(len(residues))))
+    succ = [index.get(image(y)) for y in residues]
+    if None in succ:
+        scale = f.prime**M
         pairs = [
-            (Ball(t, Fraction(y, scale), p), f.eval(Fraction(y, scale)))
-            for y in escaping
+            (Ball(t, Fraction(y, scale), f.prime), f.eval(Fraction(y, scale)))
+            for y, j in zip(residues, succ)
+            if j is None
         ]
         raise NotForwardInvariant(
             f"{len(pairs)} ball(s) leave the domain, first: "
@@ -242,19 +217,50 @@ def _successors(
     return succ
 
 
-def _image_index(num: int, den: int, M: int, p: int, mod: int, index: dict[int, int]):
-    """``index.get`` of p^M num / den mod ``mod``, for den != 0 divisible by
-    p; None also when that image is not integral (it leaves B(0, M))."""
-    e = M
-    while den % p == 0:
-        den //= p
-        e -= 1
-    if e < 0:
-        num, rest = divmod(num, p**-e)
+def _rescaled_image(f: RationalMap, M: int, mod: int) -> Callable[[int], int | None]:
+    """The map from a rescaled key y to the rescaled key of its image,
+    p^M f(y / p^M) mod ``mod``; None where that image is not integral (it
+    leaves B(0, M)).
+
+    With x = y / p^M and d = max(deg P, deg Q), f(x) = P^(y) / Q^(y) for
+    the integer polynomials P^(y) = p^(Md) P(y / p^M) and likewise Q^.  The
+    returned function raises PoleInDomain at a key where Q vanishes.
+    """
+    p = f.prime
+    scale = p**M
+    d = max(f.m, f.n)
+    # p^M P^ and Q^, highest degree first, for Horner's scheme; P may be 0
+    P_hat = _rescaled_coefficients(f.P, p, d, M)
+    num_top, *num_coeffs = [scale * c for c in reversed(P_hat)] or [0]
+    den_top, *den_coeffs = reversed(_rescaled_coefficients(f.Q, p, d, M))
+
+    def image(y: int) -> int | None:
+        num = num_top
+        for c in num_coeffs:
+            num = num * y + c
+        den = den_top
+        for c in den_coeffs:
+            den = den * y + c
+        if den % p:
+            return num * pow(den, -1, mod) % mod
+        if den == 0:
+            f.eval(Fraction(y, scale))  # raises PoleInDomain
+            raise CertificateFailed(
+                f"the rescaled denominator vanishes at {y}, but Q has no root at "
+                f"{Fraction(y, scale)}"
+            )
+        # with den = p^k * unit, the image num / den is integral exactly
+        # when p^k divides num = p^M P^(y)
+        k = 0
+        while den % p == 0:
+            den //= p
+            k += 1
+        num, rest = divmod(num, p**k)
         if rest:
             return None
-        e = 0
-    return index.get(num * p**e * pow(den, -1, mod) % mod)
+        return num * pow(den, -1, mod) % mod
+
+    return image
 
 
 def subsidiary_edge_data(
@@ -360,7 +366,9 @@ class Analysis:
     ``report`` is computed on construction.  The transport level, the
     intrinsic level and the digraph of each level (with and without
     subsidiary data) are computed on first use and kept, so each level is
-    built once however many questions read it.
+    built once however many questions read it.  ``ergodic`` walks one orbit
+    instead and keeps nothing from the walk; only the levels the walk does
+    not certify are built and kept.
     """
 
     def __init__(
@@ -488,13 +496,70 @@ class Analysis:
         level = self.transport_level
         if depth > level:
             raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
-        for t in range(level, depth - 1, -1):
+        # the digraphs decide the levels the walk leaves open, and every
+        # level when the transport level is above the domain's base level
+        start = level
+        if level <= self.X.base_level:
+            start = self._single_cycles_walked(level, depth)
+        for t in range(start, depth - 1, -1):
             dec = cycle_decomposition(self.digraph(t))
             if not dec.is_single_cycle:
                 return ErgodicVerdict(
                     kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices)
                 )
         return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
+
+    def _single_cycles_walked(self, level: int, depth: int) -> int:
+        """The first level of ``level`` .. ``depth`` that one orbit walk does
+        not certify a single cycle; ``depth - 1`` when it certifies them all.
+
+        Level t <= base level has n_t = len(X.keys) p^(base - t) vertices
+        and is a quotient of every finer level: the parent of the image of a
+        ball is the successor of its parent.  So the level-K orbit of the
+        smallest rescaled key y0, projected mod p^(M - t), is the level-t
+        orbit of y0's ball, and level t is a single cycle exactly when that
+        projection first comes back to y0 at step n_t.  K is the deepest
+        level down to ``depth`` that fits in ``ball_cap``.  The walk stops
+        without deciding at an early return, at no return by step n_t, at
+        an image outside X and at a pole; the level digraph then decides.
+        """
+        X, p, cap = self.X, self.f.prime, self.config.ball_cap
+        n = len(X.keys) * p ** (X.base_level - level)
+        if n > cap:
+            return level
+        K, n_K = level, n
+        while K > depth and n_K * p <= cap:
+            K, n_K = K - 1, n_K * p
+        M = X.height_exponent()
+        scale = p**M
+        # decompose_residues' layout: a rescaled key lies in X exactly when
+        # its residue mod step is one of the rescaled base keys
+        step = p ** (M - X.base_level)
+        bases = {int(k * scale) for k in X.keys}
+        y0 = min(bases)
+        image = _rescaled_image(self.f, M, p ** (M - K))
+        t, mod = level, p ** (M - level)
+        z = y0
+        # i <= n throughout, so step n_K certifies K or stops there
+        for i in range(1, n_K + 1):
+            try:
+                z = image(z)
+            except (PoleInDomain, CertificateFailed):
+                return t
+            if z is None or z % step not in bases:
+                return t
+            if z % mod == y0:
+                if i < n:
+                    return t
+                # level t is one cycle; step n_t may be an early return at t - 1
+                t, n, mod = t - 1, n * p, mod * p
+                if t < K:
+                    return t
+                if z % mod == y0:
+                    return t
+            elif i == n:
+                return t
+        return t
 
     def components(self, t: int) -> list[ComponentSelection]:
         """Per-cycle measure preservation verdicts at a level t <= t0.

@@ -89,6 +89,17 @@ CASES.update({
     "quartic-beyond-zp-intrinsic-level": QUARTIC[:4] + ["--domain", "B(0,1)",
                                                         "intrinsic-level", "--margin", "0"],
     "shift-ergodic-p5": ["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
+    # scans that the deepest level's orbit walk hands back to the per-level
+    # digraphs: several cycles below a passing level, one cycle plus tails,
+    # and an image outside the domain
+    "quadratic-shift-ergodic-p3": ["-p", "3", "--map", "x+1+3x^2", "--domain", "Zp",
+                                   "ergodic", "--depth", "-5"],
+    "affine-tails-ergodic-p2": ["-p", "2", "--map", "4x+1", "--domain", "Zp",
+                                "ergodic", "--depth", "-5"],
+    "cubic-ergodic-p2": ["-p", "2", "--map", "x^3+x+1", "--domain", "Zp",
+                         "ergodic", "--depth", "-5"],
+    "error-not-invariant-ergodic": ["-p", "5", "--map", "x+1/5", "--domain", "Zp",
+                                    "ergodic", "--depth", "-4"],
     "error-usage-decimal-level": TWO_BALL + ["digraph", "--level", "0.5"],
     "error-usage-flag-not-taken": QUARTIC + ["mp", "--dot", "g.dot"],
     "escape-p7-witness-ergodicity": ["-p", "7", "--map=(-7+5*x^2+6*x^3)/(7)",

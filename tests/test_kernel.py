@@ -2,7 +2,9 @@
 
 The oracle evaluates f at every ball's key in exact fractions and takes the
 canonical key of the image, as the digraph was first defined; the kernel
-must give the same vertices, the same edges and the same errors.
+must give the same vertices, the same edges and the same errors.  The
+ergodic scan's orbit walk is checked against the cycle decomposition of
+every level digraph.
 """
 
 from fractions import Fraction
@@ -11,12 +13,29 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from padicdyn import Analysis, Ball, CompactDomain, canonical_key, decompose, normalize_map
-from padicdyn.digraph import _successors
+from padicdyn import (
+    Analysis,
+    AnalysisConfig,
+    Ball,
+    CompactDomain,
+    canonical_key,
+    decompose,
+    normalize_map,
+)
+from padicdyn.digraph import (
+    NOT_ERGODIC,
+    SINGLE_CYCLE_TO_DEPTH,
+    ErgodicVerdict,
+    _successors,
+    build_digraph,
+    cycle_decomposition,
+)
 from padicdyn.domains import decompose_residues
 from padicdyn.errors import (
     DepthCapExceeded,
+    LevelTooCoarse,
     NotForwardInvariant,
+    PadicDynError,
     PoleInDomain,
 )
 
@@ -182,3 +201,79 @@ def test_escaping_balls_carry_their_images():
     with pytest.raises(NotForwardInvariant) as info:
         kernel(g, CompactDomain.ball(1, -1, 3), -1)
     assert info.value.escaping == ((Ball(-1, Fraction(1), 3), Fraction(4, 3)),)
+
+
+@st.composite
+def shift_instances(draw):
+    """x + p^-L (u + p h(p^M x)) / (1 + k p^(M + 1) x) with a unit u on a
+    ball B(c, L): Z_p, a sub-ball, or B(0, 1) with M = 1.  Each point stays
+    in its level-L ball, so scans pass the first levels and fail at varying
+    depths; B(0, 1) only for p <= 3 and deg h <= 1, to keep classify fast."""
+    L = draw(st.integers(-2, 1))
+    M = max(L, 0)
+    p = draw(PRIMES if M == 0 else st.sampled_from([2, 3]))
+    c = 0 if M else draw(st.integers(0, p**2 - 1))
+    u = draw(st.integers(1, p - 1)) + p * draw(st.integers(-3, 3))
+    h = draw(st.lists(st.integers(-3, 3), max_size=3 if M == 0 else 2))
+    k = draw(st.integers(-2, 2)) * p ** (M + 1)
+    shift = Fraction(p) ** -L
+    # P = x Q + p^-L (u + p h(p^M x)) over Q = 1 + k x
+    P = [shift * u, Fraction(1), Fraction(k)]
+    for i, a in enumerate(h):
+        P[i] += shift * p * a * p ** (M * i)
+    return normalize_map(P, [1, k], p), CompactDomain.ball(c, L, p)
+
+
+def per_level_ergodic(A, depth):
+    """The single-cycle scan as one cycle decomposition per level digraph,
+    each built afresh."""
+    level = A.transport_level
+    if depth > level:
+        raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
+    for t in range(level, depth - 1, -1):
+        dec = cycle_decomposition(build_digraph(A.f, A.X, t, A.config))
+        if not dec.is_single_cycle:
+            return ErgodicVerdict(kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices))
+    return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
+
+
+def outcome(scan, A, depth):
+    """The verdict, or the exception's type and message."""
+    try:
+        return scan(A, depth)
+    except PadicDynError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.one_of(instances().map(lambda i: i[:2]), one_lipschitz_instances(), shift_instances()),
+       st.data())
+def test_ergodic_scan_matches_per_level_cycle_decompositions(instance, data):
+    f, X = instance
+    p = f.prime
+    # a cap of a few levels' balls stops some scans with DecompositionTooLarge
+    k = data.draw(st.none() | st.integers(0, 5), label="cap levels")
+    cap = None if k is None else len(X.keys) * p**k + data.draw(st.integers(0, p - 1))
+    try:
+        A = Analysis(f, X, AnalysisConfig() if cap is None else AnalysisConfig(ball_cap=cap))
+    except PadicDynError:
+        assume(False)
+    # from the transport level down to the deepest level of at most
+    # MAX_VERTICES balls, and now and then one level above it (LevelTooCoarse)
+    top = A.report.transport_level
+    top = X.base_level if top is None else top
+    deepest = X.base_level
+    while len(X.keys) * p ** (X.base_level - deepest + 1) <= MAX_VERTICES:
+        deepest -= 1
+    depth = data.draw(st.integers(min(deepest, top), top), label="depth")
+    if data.draw(st.integers(0, 9), label="above") == 0:
+        depth = top + 1
+    want = outcome(per_level_ergodic, A, depth)
+    if not isinstance(want, ErgodicVerdict):
+        event(want[0].__name__)
+    elif want.kind == NOT_ERGODIC:
+        event(f"NotErgodic {top - want.level} level(s) below the top")
+    else:
+        event(f"SingleCycleToDepth, {top - depth + 1} level(s)")
+    assert outcome(Analysis.ergodic, A, depth) == want
