@@ -4,9 +4,10 @@
 Samples maps, keeps the locally 1-Lipschitz ones with Z_p forward
 invariant, and tabulates classification, measure preservation, and how far
 single-cycle scans reach.  Cross-checks every kept digraph against the
-brute-force functional graph on residues, and every map's single-cycle scan
-to level -4 against the cycles of those graphs; a mismatch is reported on
-stderr with exit status 1.
+brute-force functional graph on residues, every map's single-cycle scan
+to level -4 against the cycles of those graphs, and every intrinsic level
+against the search over the subsidiary data of every edge; a mismatch is
+reported on stderr with exit status 1.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 from padicdyn import Analysis, CompactDomain, normalize_map
-from padicdyn.errors import PadicDynError
+from padicdyn.errors import DepthCapExceeded, PadicDynError
 
 
 def brute_force_edges(f, p, t, depth=4):
@@ -64,6 +65,29 @@ def brute_force_scan(f, p, top, depth=-4):
     return "SingleCycleToDepth", None, None
 
 
+def per_edge_intrinsic_level(A):
+    """The intrinsic-level search on the subsidiary data of every edge of
+    every level it reads; the library reads them off per-ball bounds."""
+    level = A.transport_level
+    margin = A.config.intrinsic_margin
+    floor = level - A.config.descent_cap
+    for t in range(level, floor - 1, -1):
+        if all(A.subsidiary(t - j).is_subsidiary_equal for j in range(margin + 1)):
+            return t
+    raise DepthCapExceeded(
+        f"no level down to {floor} has matching digraph and subsidiary digraph",
+        level=floor,
+    )
+
+
+def outcome(fn):
+    """The value, or the exception's type and message."""
+    try:
+        return fn()
+    except PadicDynError as exc:
+        return type(exc), str(exc)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--count", type=int, default=100)
@@ -101,6 +125,13 @@ def main():
         stats[f"classification: {report.classification}"] += 1
         verdict = A.mp()
         stats[f"measure preserving: {verdict.kind}"] += 1
+        if report.derivative_root_free:
+            got = outcome(lambda: A.intrinsic_level)
+            want = outcome(lambda: per_edge_intrinsic_level(A))
+            if got != want:
+                print(f"intrinsic level mismatch for {f}: {got} against {want}", file=sys.stderr)
+                sys.exit(1)
+            stats["oracle-checked intrinsic levels"] += 1
         # the scan starts at the transport level; the oracle's graphs cover
         # the levels from 0 down to -4
         checked = -4 <= A.transport_level <= 0

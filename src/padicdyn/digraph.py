@@ -12,19 +12,21 @@ minimality; subsidiary edge data decides how far the finite digraphs
 certify the infinite family.  ``Analysis`` answers these questions for one
 map and domain from one classification, building each level once.  Its
 single-cycle scan builds no level it can certify by one orbit walk at the
-deepest level, and keeps none.
+deepest level, and keeps none; its intrinsic-level search builds only the
+transport level and reads the levels below it off per-ball bounds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import Ball, CompactDomain, decompose_residues
+from .domains import Ball, CompactDomain, _check_decomposition, decompose_residues
 from .errors import (
     CertificateFailed,
     ConstantTermNotIntegral,
@@ -39,7 +41,14 @@ from .errors import (
 )
 from .maps import RationalMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, int_valuation
-from .polynomials import _rescaled_coefficients, _taylor_coefficients
+from .polynomials import (
+    _ball_valuation,
+    _int_add,
+    _int_mul,
+    _rescaled_coefficients,
+    _taylor_coefficients,
+    _taylor_polynomials,
+)
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, _check_primes, classify
 
 MEASURE_PRESERVING = "MeasurePreserving"
@@ -302,18 +311,30 @@ def subsidiary_edge_data(
     # Q(a) = p^(-Md) Qh_0, Q'(a) = p^(M(1 - d)) Qh_1 and
     # T1(a) = (P'Q - PQ')(a) = p^(M(1 - 2d)) (Ph_1 Qh_0 - Ph_0 Qh_1)
     vq = int_valuation(Qh[0], p) - M * d
-    t1 = Ph[1] * Qh[0] - Ph[0] * Qh[1]
-    vt = int_valuation(t1, p) + M * (1 - 2 * d)
     vqd = int_valuation(Qh[1], p) + M * (1 - d)
-    e: ExtendedInt = NEG_INF if t1 == 0 else 2 * vq - vt
-    b1: ExtendedInt = -s
-    b2: ExtendedInt = NEG_INF if e is NEG_INF else radius_exponent - e
-    b3: ExtendedInt = (
-        INF if Qh[1] == 0 else (NEG_INF if e is NEG_INF else vqd - vq + e)
-    )
-    b4: ExtendedInt = NEG_INF if e is NEG_INF else -2 * s - vq + 2 * e
-    passes = t <= min(b1, b2, b3, b4)
-    return SubsidiaryEdgeData(s, (b1, b2, b3, b4), passes)
+    vt = int_valuation(Ph[1] * Qh[0] - Ph[0] * Qh[1], p) + M * (1 - 2 * d)
+    return _edge_data(s, vq, vqd, vt, radius_exponent, t)
+
+
+def _edge_data(
+    s: int, vq: int, vqd: ExtendedInt, vt: ExtendedInt, radius_exponent: int, t: int
+) -> SubsidiaryEdgeData:
+    """The four bound exponents of a level-t edge from a, and whether the
+    edge is kept, from s, v(Q(a)), v(Q'(a)) and v(T1(a)).
+
+    With e = 2 v(Q(a)) - v(T1(a)) (|f'(a)| = p^e): -s, l - e,
+    v(Q'(a)) - v(Q(a)) + e and -2s - v(Q(a)) + 2e, where T1(a) = 0 sends the
+    last three to -inf and Q'(a) = 0 sends the third to +inf.  Each bound
+    falls as s grows, so an upper bound on s that keeps the edge proves it
+    kept.
+    """
+    if vt == INF:
+        bounds = (-s, NEG_INF, INF if vqd == INF else NEG_INF, NEG_INF)
+    else:
+        e = 2 * vq - vt
+        third = INF if vqd == INF else vqd - vq + e
+        bounds = (-s, radius_exponent - e, third, -2 * s - vq + 2 * e)
+    return SubsidiaryEdgeData(s, bounds, t <= min(bounds))
 
 
 def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
@@ -368,7 +389,8 @@ class Analysis:
     subsidiary data) are computed on first use and kept, so each level is
     built once however many questions read it.  ``ergodic`` walks one orbit
     instead and keeps nothing from the walk; only the levels the walk does
-    not certify are built and kept.
+    not certify are built and kept.  ``intrinsic_level`` builds the
+    transport level only, and walks its balls for the levels below.
     """
 
     def __init__(
@@ -421,9 +443,17 @@ class Analysis:
         """Largest level t where the subsidiary digraph keeps every edge, with
         a guard margin of coinciding levels below it.
 
-        Coincidence below a candidate is verified rather than assumed (it is
-        not monotone by construction), so the returned level carries
-        ``config.intrinsic_margin`` extra certificate levels.
+        The candidates run from the transport level l down to l -
+        ``descent_cap``; the first whose level and ``config.intrinsic_margin``
+        levels below it keep every edge is returned.  Coincidence below a
+        candidate is verified, not assumed.  Keys nest across levels: the
+        children of vertex i of n are the vertices i + kn, and k = 0 keeps
+        the key.  So a level keeps every edge exactly when each key of that
+        level, the coarser levels' keys included, passes there.
+        ``_levels_keeping_every_edge`` reads this off per-ball bounds, one
+        level at a time from l, and is advanced only as far as a candidate by
+        candidate search builds levels.  The same level therefore raises the
+        same error, DecompositionTooLarge included.
         """
         level = self.transport_level
         if not self.report.derivative_root_free:
@@ -432,13 +462,143 @@ class Analysis:
             )
         margin = self.config.intrinsic_margin
         floor = level - self.config.descent_cap
-        for t in range(level, floor - 1, -1):
-            if all(self.subsidiary(t - j).is_subsidiary_equal for j in range(margin + 1)):
-                return t
-        raise DepthCapExceeded(
-            f"no level down to {floor} has matching digraph and subsidiary digraph",
-            level=floor,
-        )
+        run = 0  # levels keeping every edge just above and at t
+        for t, kept in zip(count(level, -1), self._levels_keeping_every_edge(level)):
+            if kept:
+                run += 1
+                if run > margin:
+                    return t + margin
+            elif t <= floor:
+                # every candidate from the top of the run down to the floor
+                # meets this level
+                raise DepthCapExceeded(
+                    f"no level down to {floor} has matching digraph and subsidiary digraph",
+                    level=floor,
+                )
+            else:
+                run = 0
+
+    def _levels_keeping_every_edge(self, level: int) -> Iterator[bool]:
+        """``subsidiary(t).is_subsidiary_equal`` for t = level, level - 1, ...,
+        raising what ``subsidiary(t)`` raises, from per-ball bounds.
+
+        The walk starts from X's balls at its base level.  The level-u keys
+        of a level-t ball (u <= t) are its centre's residue plus multiples
+        of p^(M - t), and its centre is its only key at the coarser levels.
+        Each ball is probed at its centre.  Where |Q|, |Q'| and |T1| are
+        constant on the ball, v(Q(a)), v(Q'(a)) and v(T1(a)) are the same at
+        each of its keys at every level, and the ball is settled.  Otherwise
+        the ball is split, and at and below ``level`` its centre's edge is
+        computed.
+
+        On Z_p (M = 0), s = 0, so one set of bounds decides the settled
+        ball's edges at every level.  Beyond Z_p, s depends on the image key
+        b, and |b - f(a)| <= p^u at level u.  With W_i = P_a[i] Q(a) -
+        P(a) Q_a[i], v(P_a[i] - b Q_a[i]) >= min(v(W_i(a)) - v(Q(a)),
+        v(Q_a[i]) - u).  The second term never decides whether an edge is
+        kept.  Its share of s, (u - v(Q_a[i])) / i, is at most Q_a[i]'s own
+        share -v(Q_a[i]) / (i + 1) exactly when v(Q_a[i]) >= u(i + 1), and
+        otherwise Q_a[i]'s own share exceeds -u, so that the first bound, -s,
+        rejects the edge.  So lower bounds of v(Q_a[i]) and v(W_i) - v(Q)
+        over the ball give one s for the ball, and where the bounds under
+        that s keep level u, every edge of the ball is kept at u and at every
+        finer level (each bound falls as s grows).  Such an edge has no
+        ConstantTermNotIntegral: Q_a[0] = Q(a) makes s >= -v(Q(a)), so
+        u <= -s <= v(Q(a)) and v(P(a) - b Q(a)) >= v(Q(a)) - u >= 0.
+
+        Where the bounds do not keep the ball at u, it fails the level
+        outright if no edge's s is below the ball's: the valuations are
+        constant on the ball, each finite W_i term lies strictly below its
+        Q_a[i] term (so it is the valuation), and u <= v(Q(a)) rules out
+        ConstantTermNotIntegral.  Otherwise the ball's edges at u are
+        computed one by one.  The edges computed at a level are taken in
+        vertex order, so the first error is the one ``subsidiary`` meets
+        first.
+        """
+        f, X, config = self.f, self.X, self.config
+        M = self.digraph(level).height
+        p, d = f.prime, max(f.m, f.n)
+        num, den = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
+        # the i-th Taylor coefficients Ph_i(y) and Qh_i(y) of P^ and Q^ at y,
+        # and p^(M(2d - i)) W_i(y / p^M) = Ph_i Qh_0 - Ph_0 Qh_i; W_1 is T1's
+        Qc = _taylor_polynomials(den, d)
+        W = [
+            _int_add(_int_mul(Pi, den), _int_mul(num, Qi), -1)
+            for Pi, Qi in zip(_taylor_polynomials(num, d), Qc)
+        ]
+
+        def settle(
+            y: int, t: int
+        ) -> tuple[int, int, ExtendedInt, ExtendedInt, ExtendedInt] | None:
+            """(s, v(Q(a)), v(Q'(a)), v(T1(a)), exact_to) on a level-t ball
+            where |Q|, |Q'| and |T1| are constant, else None.  s bounds the
+            rescaling exponent of each edge that the bounds under s keep, and
+            no edge's exponent is below s at the levels u <= exact_to.  Above
+            ``level``, only a ball on which every valuation entering s is
+            constant settles: it then stands for its level-``level`` balls."""
+            k = M - t
+            (vq, cq), (vqd, cqd), (vt, ct) = (
+                _ball_valuation(F, p, y, k) for F in (den, Qc[1], W[1])
+            )
+            if not (cq and cqd and ct):
+                return None
+            # with M = 0 every coefficient is an integer, s = 0
+            s, constant, exact_to = 0, True, INF if M == 0 else vq - M * d
+            for i in range(d + 1 if M else 0):
+                # v(Q_a[i]) >= q and v(W_i(a)) - v(Q(a)) >= w on the ball
+                q, q_exact = _ball_valuation(Qc[i], p, y, k)
+                w, w_exact = _ball_valuation(W[i], p, y, k)
+                q, w = q + M * (i - d), w - vq + M * (i - d)
+                if q != INF:
+                    s = max(s, ceil_div(-q, i + 1))
+                if i and w != INF:
+                    s = max(s, ceil_div(-w, i))
+                    if q != INF:
+                        # v(P_a[i] - b Q_a[i]) = w at the levels u where
+                        # w < v(Q_a[i]) - u
+                        exact_to = min(exact_to, q - w - 1)
+                constant = constant and q_exact and w_exact
+            if not constant:
+                if t > level:
+                    return None
+                exact_to = NEG_INF
+            return s, vq - M * d, vqd + M * (1 - d), vt + M * (1 - 2 * d), exact_to
+
+        # settled balls not yet kept, as (level, centre, settle's values)
+        t, settled = X.base_level, []
+        centres = decompose_residues(X, t, config)[1]
+        while True:
+            mod = p ** (M - t)
+            split = []
+            for y in centres:
+                values = settle(y, t)
+                if values is None:
+                    split.append(y)
+                else:
+                    settled.append((t, y, values))
+            if t <= level:
+                # the keys whose edges are computed one by one, and whether
+                # the settled balls keep every other edge
+                keys, kept, still_open = list(split), True, []
+                for ball in settled:
+                    u, y, (s, vq, vqd, vt, exact_to) = ball
+                    if _edge_data(s, vq, vqd, vt, level, t).passes:
+                        continue  # kept at t and at every finer level
+                    still_open.append(ball)
+                    if t <= exact_to:
+                        kept = False
+                    else:
+                        keys.extend(range(y, p ** (M - t), p ** (M - u)))
+                settled = still_open
+                image = _rescaled_image(f, M, mod)
+                data = [
+                    subsidiary_edge_data(num, den, p, M, y, image(y), t, level)
+                    for y in sorted(keys)
+                ]
+                yield kept and all(e.passes for e in data)
+            t -= 1
+            _check_decomposition(X, t, config)
+            centres = [y + k * mod for y in split for k in range(p)]
 
     def mp(self) -> MPVerdict:
         """Measure preservation verdict for a locally 1-Lipschitz map.

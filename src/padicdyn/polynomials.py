@@ -10,6 +10,7 @@ the rescaling all run on integers (the ``_int_*`` helpers).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from math import gcd as int_gcd
 from typing import Sequence
 
@@ -43,6 +44,13 @@ def _taylor_coefficients(coeffs: Sequence, a: int | Fraction) -> list:
         for j in range(n - 2, k - 1, -1):
             work[j] += a * work[j + 1]
     return work
+
+
+def _taylor_polynomials(F: Sequence[int], d: int) -> list[list[int]]:
+    """F_0, ..., F_d with F(y + z) = sum_i F_i(y) z^i: the i-th Taylor
+    coefficient of F as a polynomial in the centre, sum_k C(k, i) F_k y^(k - i)
+    (empty for i > deg F)."""
+    return [[comb(k, i) * F[k] for k in range(i, len(F))] for i in range(d + 1)]
 
 
 def _int_content(a: Sequence[int]) -> int:
@@ -171,3 +179,15 @@ def _ball_probe(G: Sequence[int], p: int, y: int) -> tuple[ExtendedInt, Extended
         if g[i]:
             c = min(c, (int_valuation(g[i], p) - v0 - 1) // i)
     return v0, v1, c
+
+
+def _ball_valuation(G: Sequence[int], p: int, y: int, k: int) -> tuple[ExtendedInt, bool]:
+    """(v, exact) for an integer G on the ball y + p^k Z_p (k >= 0): v is the
+    least v(g_j) + jk over the Taylor coefficients g_j of G at y, a lower
+    bound on v(G) over the ball, and ``exact`` says whether v(G) = v at
+    every point of it: the j = 0 term alone attains the least, as
+    ``_ball_probe``'s c >= -k says.  G = 0 gives (INF, True)."""
+    g = _taylor_coefficients(G, y)
+    v0 = int_valuation(g[0], p) if g else INF
+    rest = min((int_valuation(c, p) + j * k for j, c in enumerate(g) if j and c), default=INF)
+    return min(v0, rest), v0 < rest or rest == v0 == INF

@@ -88,7 +88,17 @@ CASES.update({
     "quartic-beyond-zp-mp": QUARTIC[:4] + ["--domain", "B(0,1)", "mp"],
     "quartic-beyond-zp-intrinsic-level": QUARTIC[:4] + ["--domain", "B(0,1)",
                                                         "intrinsic-level", "--margin", "0"],
-    "shift-ergodic-p5": ["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
+    # intrinsic levels several levels below the transport level, on Z_p and
+    # beyond it, and a search that runs out of levels
+    "affine-intrinsic-level-p3": ["-p", "3", "--map", "(7+9x)/(-5)", "--domain", "Zp",
+                                  "intrinsic-level"],
+    "moebius-beyond-zp-intrinsic-level": ["-p", "2", "--map", "(9+2x)/(9-9x-5x^2)",
+                                          "--domain", "B(0,1)", "intrinsic-level"],
+    "moebius-beyond-zp-mp": ["-p", "2", "--map", "(9+2x)/(9-9x-5x^2)", "--domain", "B(0,1)",
+                             "mp"],
+    "error-intrinsic-depth-cap": ["-p", "2", "--map", "(9+2x)/(9-9x-5x^2)",
+                                  "--domain", "B(0,1)", "intrinsic-level", "--cap", "3"],
+    "shift-ergodic-p5":["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
     # scans that the deepest level's orbit walk hands back to the per-level
     # digraphs: several cycles below a passing level, one cycle plus tails,
     # and an image outside the domain

@@ -1,25 +1,37 @@
-"""Subsidiary edge data on the kernel's integers against the Fraction path.
+"""Subsidiary edge data on the kernel's integers against the Fraction path,
+and the intrinsic level from per-ball bounds against the per-edge search.
 
-The oracle is the earlier exact-fraction computation: Taylor shifts of P and
-Q at the source key a, the least s making P(p^s x + a) - (p^s y + b) Q(p^s x + a)
-integral, and the valuations of Q(a), T1(a) and Q'(a) from ``poly_eval``.
-The integer path must give the same (s, bounds, passes) on every edge of
-the transport level and one level below, or the same
-ConstantTermNotIntegral message.
+The first oracle is the earlier exact-fraction computation: Taylor shifts of
+P and Q at the source key a, the least s making P(p^s x + a) -
+(p^s y + b) Q(p^s x + a) integral, and the valuations of Q(a), T1(a) and
+Q'(a) from ``poly_eval``.  The integer path must give the same (s, bounds,
+passes) on every edge of the transport level and one level below, or the
+same ConstantTermNotIntegral message.
+
+The second oracle finds the intrinsic level as it was first defined: for
+each candidate level from the top, the subsidiary data of every edge of the
+candidate and of the margin levels below it.  ``Analysis.intrinsic_level``
+must give the same level or the same error, and ``mp`` the same verdict.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from test_kernel import PRIMES, domains
+from test_kernel import PRIMES, domains, one_lipschitz_instances, shift_instances
 from test_polynomials import padd, pderiv, pmul, pscale, ptaylor, trimmed
 
-from padicdyn import Analysis, parse_domain, parse_map
+from padicdyn import Analysis, CompactDomain, parse_domain, parse_map
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import SubsidiaryEdgeData, subsidiary_edge_data
-from padicdyn.errors import ConstantTermNotIntegral, PadicDynError
+from padicdyn.errors import (
+    ConstantTermNotIntegral,
+    DecompositionTooLarge,
+    DepthCapExceeded,
+    DerivativeRootInDomain,
+    PadicDynError,
+)
 from padicdyn.maps import normalize_map
 from padicdyn.padics import INF, NEG_INF, ceil_div, fraction_valuation
 from padicdyn.polynomials import _rescaled_coefficients, poly_eval
@@ -170,3 +182,102 @@ def test_integer_edge_data_agrees_with_the_fraction_path():
     check()
     assert {ConstantTermNotIntegral, "M = 0", "M = 1", "M = 2"} <= seen
     assert {("s = 0", True), ("s = 0", False), ("s > 0", False)} <= seen
+
+
+def per_edge_intrinsic_level(A):
+    """The intrinsic-level search on every edge of every level it reads."""
+    level = A.transport_level
+    if not A.report.derivative_root_free:
+        raise DerivativeRootInDomain(
+            "intrinsic level requires a root-free derivative on the domain"
+        )
+    margin = A.config.intrinsic_margin
+    floor = level - A.config.descent_cap
+    for t in range(level, floor - 1, -1):
+        if all(A.subsidiary(t - j).is_subsidiary_equal for j in range(margin + 1)):
+            return t
+    raise DepthCapExceeded(
+        f"no level down to {floor} has matching digraph and subsidiary digraph",
+        level=floor,
+    )
+
+
+def _result(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except PadicDynError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _contractions(draw):
+    """g(p^M x) / p^M on B(0, M) (Z_p for M = 0), for
+    g(u) = (a_0 + p^k a_1 u) / (b_0 + p^k (b_1 u + b_2 u^2)) with a unit b_0:
+    g maps Z_p into itself and scales distances by at most p^-k, so the ball
+    is invariant and the intrinsic level lies levels below the transport
+    level."""
+    M = draw(st.integers(0, 2))
+    p = draw(PRIMES if M == 0 else st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 4))
+    a0, a1 = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=2))
+    b0 = draw(st.integers(1, p - 1)) + p * draw(st.integers(-3, 3))
+    b1, b2 = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    P = [a0, a1 * p ** (k + M)]
+    Q = [b0 * p**M, b1 * p ** (k + 2 * M), b2 * p ** (k + 3 * M)]
+    X = CompactDomain.ball(0, M, p) if M else CompactDomain.zp(p)
+    return normalize_map(P, Q, p), X
+
+
+def test_intrinsic_level_matches_the_per_edge_search():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.one_of(_cases(), _contractions(), _contractions(), one_lipschitz_instances(),
+                     shift_instances()),
+           st.data())
+    # M = 1 with t0 six levels below the transport level, and a search that
+    # runs out of levels (the golden cases); ConstantTermNotIntegral at the
+    # transport level, at one edge and at two (the first in vertex order is
+    # raised); s = 1 on half the edges
+    @example((parse_map("(9+2x)/(9-9x-5x^2)", 2), parse_domain("B(0,1)", 2)), None)
+    @example((parse_map("(3x-3x^2)/(1+3x)", 2), parse_domain("B(1/2,0)", 2)), None)
+    @example((parse_map("(4+4x+4x^2)/(4+2x)", 3), parse_domain("B(1/3,0)+B(2/3,0)", 3)), None)
+    @example((parse_map("x/(1+2x^2)", 2), parse_domain("B(0,1)", 2)), None)
+    def check(case, data):
+        f, X = case
+        p = f.prime
+        if data is None:  # the explicit examples: default margin, descent cap 3
+            margin, descent_cap, cap = 2, 3, 3000
+        else:
+            margin = data.draw(st.integers(0, 4), label="margin")
+            descent_cap = data.draw(st.sampled_from([32, 32, 32, 0, 1, 2, 4]),
+                                    label="descent cap")
+            # a cap of a few levels' balls stops some searches with
+            # DecompositionTooLarge, and keeps the per-edge search small
+            k = data.draw(st.integers(1, 12), label="cap levels")
+            cap = min(len(X.keys) * p**k + data.draw(st.integers(0, p - 1)), 3000)
+        config = AnalysisConfig(descent_cap=descent_cap, ball_cap=cap, intrinsic_margin=margin)
+        try:
+            new, old = Analysis(f, X, config), Analysis(f, X, config)
+        except PadicDynError:
+            assume(False)
+        want = _result(per_edge_intrinsic_level, old)
+        got = _result(lambda A: A.intrinsic_level, new)
+        beyond = X.height_exponent() > 0
+        if isinstance(want, tuple):
+            seen.add((beyond, want[0]))
+        else:
+            seen.add((beyond, "t0 below the top" if want < old.transport_level else "t0"))
+        assert got == want
+        # mp reads t0 and the levels down to t0 - 1: the same verdict and
+        # witness as with the per-edge search's t0
+        if not isinstance(want, tuple):
+            old.__dict__["intrinsic_level"] = want
+        assert _result(new.mp) == _result(old.mp)
+
+    check()
+    assert {(False, "t0 below the top"), (True, "t0 below the top"),
+            (False, DecompositionTooLarge), (True, DecompositionTooLarge),
+            (True, DepthCapExceeded), (True, ConstantTermNotIntegral)} <= seen
