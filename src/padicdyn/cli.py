@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
@@ -39,23 +38,6 @@ EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
 
-@dataclass(frozen=True)
-class Invocation:
-    prime: int
-    map_text: str
-    domain_text: str
-    command: str
-    level: int | None = None
-    depth: int | None = None
-    dot_path: str | None = None
-    json_path: str | None = None
-    margin: int | None = None
-    cap: int | None = None
-    seed: str | None = None
-    precision: int | None = None
-    goal: str | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports bad argv as a PadicDynError: one ``error:`` line, status 1."""
 
@@ -76,6 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--domain",
         default="Qp",
         help="domain: 'Zp', 'B(c,t)' combined with + and -, or 'Qp'",
+    )
+    # the options of one command are None in another command's namespace
+    parser.set_defaults(
+        level=None, depth=None, dot_path=None, json_path=None, margin=None,
+        cap=None, seed=None, precision=None, goal=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -115,26 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def invocation_from_args(argv: list[str]) -> Invocation:
-    ns = _build_parser().parse_args(argv)
-    return Invocation(
-        prime=ns.prime,
-        map_text=ns.map,
-        domain_text=ns.domain,
-        command=ns.command,
-        level=getattr(ns, "level", None),
-        depth=getattr(ns, "depth", None),
-        dot_path=getattr(ns, "dot_path", None),
-        json_path=getattr(ns, "json_path", None),
-        margin=getattr(ns, "margin", None),
-        cap=getattr(ns, "cap", None),
-        seed=getattr(ns, "seed", None),
-        precision=getattr(ns, "precision", None),
-        goal=getattr(ns, "goal", None),
-    )
+def invocation_from_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line: every option of every command is an
+    attribute, None where the command does not take it."""
+    return _build_parser().parse_args(argv)
 
 
-def _config_for(inv: Invocation) -> AnalysisConfig:
+def _config_for(inv: argparse.Namespace) -> AnalysisConfig:
     cfg = DEFAULT_CONFIG
     updates = {}
     if inv.margin is not None:
@@ -145,7 +119,7 @@ def _config_for(inv: Invocation) -> AnalysisConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _emit_graph(inv: Invocation, G, cycles, out) -> None:
+def _emit_graph(inv: argparse.Namespace, G, cycles, out) -> None:
     """``cycles`` is G's cycle decomposition (only the JSON output uses it)."""
     if inv.dot_path:
         _write(inv.dot_path, digraph_to_dot(G))
@@ -162,7 +136,7 @@ def _write(path: str, text: str) -> None:
         raise PadicDynError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def run(inv: Invocation, stdout=None) -> int:
+def run(inv: argparse.Namespace, stdout=None) -> int:
     """Execute one invocation; returns the exit status."""
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -171,8 +145,8 @@ def run(inv: Invocation, stdout=None) -> int:
 
     cfg = _config_for(inv)
     p = inv.prime
-    f = parse_map(inv.map_text, p)
-    domain = parse_domain(inv.domain_text, p)
+    f = parse_map(inv.map, p)
+    domain = parse_domain(inv.domain, p)
     is_global = domain == QP_GLOBAL
 
     if inv.command in ("global", "witness", "hensel"):

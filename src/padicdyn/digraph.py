@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import count
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import Ball, CompactDomain, _check_decomposition, decompose_residues
+from .domains import Ball, CompactDomain, _check_decomposition, decompose_residues, residue_ball
 from .errors import (
     CertificateFailed,
     ConstantTermNotIntegral,
@@ -205,23 +205,20 @@ def _successors(
 
     The image's rescaled key (see ``_rescaled_image``) names a ball of X
     exactly when it is one of ``residues``.  Raises PoleInDomain at the first
-    key where Q vanishes and NotForwardInvariant listing every ball whose
-    image leaves X, with the images from ``f.eval``.
+    key where Q vanishes and NotForwardInvariant with the number of balls
+    whose image leaves X and the first of them, its image from ``f.eval``.
     """
     image = _rescaled_image(f, M, f.prime ** (M - t))
     index = dict(zip(residues, range(len(residues))))
     succ = [index.get(image(y)) for y in residues]
     if None in succ:
-        scale = f.prime**M
-        pairs = [
-            (Ball(t, Fraction(y, scale), f.prime), f.eval(Fraction(y, scale)))
-            for y, j in zip(residues, succ)
-            if j is None
-        ]
+        b = residue_ball(residues[succ.index(None)], t, M, f.prime)
+        first = (b, f.eval(b.key))
+        count = succ.count(None)
         raise NotForwardInvariant(
-            f"{len(pairs)} ball(s) leave the domain, first: "
-            f"{pairs[0][0]} -> {pairs[0][1]}",
-            escaping=pairs,
+            f"{count} ball(s) leave the domain, first: {first[0]} -> {first[1]}",
+            count=count,
+            first=first,
         )
     return succ
 
@@ -690,13 +687,11 @@ class Analysis:
         K, n_K = level, n
         while K > depth and n_K * p <= cap:
             K, n_K = K - 1, n_K * p
-        M = X.height_exponent()
-        scale = p**M
+        M, ys = decompose_residues(X, X.base_level, self.config)
         # decompose_residues' layout: a rescaled key lies in X exactly when
         # its residue mod step is one of the rescaled base keys
         step = p ** (M - X.base_level)
-        bases = {int(k * scale) for k in X.keys}
-        y0 = min(bases)
+        bases, y0 = set(ys), ys[0]
         image = _rescaled_image(self.f, M, p ** (M - K))
         t, mod = level, p ** (M - level)
         z = y0

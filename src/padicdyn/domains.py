@@ -39,13 +39,6 @@ class Ball:
     def contains(self, x: int | Fraction) -> bool:
         return fraction_valuation(x - self.key, self.prime) >= -self.level
 
-    def child(self, digit: int) -> "Ball":
-        step = Fraction(self.prime) ** (-self.level)
-        return Ball(self.level - 1, self.key + digit * step, self.prime)
-
-    def children(self) -> tuple["Ball", ...]:
-        return tuple(self.child(d) for d in range(self.prime))
-
     def parent(self) -> "Ball":
         return Ball(
             self.level + 1,
@@ -63,11 +56,6 @@ class Ball:
         step = Fraction(self.prime) ** (-self.level)
         for j in range(count):
             yield Ball(level, self.key + j * step, self.prime)
-
-    def rescaled_key(self, M: int) -> int:
-        """The integer p^M * key, for a ball inside the ball of radius p^M
-        around 0."""
-        return self.key.numerator * (self.prime**M // self.key.denominator)
 
     def __str__(self):
         return f"B({self.key}, {self.level})"
@@ -190,8 +178,13 @@ def decompose(
     """The unique decomposition of X into level-t balls, sorted by key: the
     Ball view of ``decompose_residues``."""
     M, ys = decompose_residues(X, t, config)
-    scale = X.prime**M
-    return [Ball(t, Fraction(y, scale), X.prime) for y in ys]
+    return [residue_ball(y, t, M, X.prime) for y in ys]
+
+
+def residue_ball(y: int, t: int, M: int, p: int) -> Ball:
+    """The level-t ball keyed y / p^M, for a residue y of
+    ``decompose_residues``."""
+    return Ball(t, Fraction(y, p**M), p)
 
 
 def decompose_residues(
@@ -200,14 +193,16 @@ def decompose_residues(
     """``decompose`` on integers: (M, ys) with M = X.height_exponent() and
     the level-t balls of X keyed y / p^M for y in ys, sorted.
 
-    Each y is the residue mod p^(M - t) of the rescaled key p^M * key.
+    Each y is the residue mod p^(M - t) of the rescaled key p^M * key, and
+    the level-(t - 1) children of y are y + k p^(M - t), k = 0 .. p - 1.
     """
     _check_decomposition(X, t, config)
     p, M = X.prime, X.height_exponent()
     scale = p**M
     # the rescaled base keys lie in [0, step): adding multiples of step
-    # in the outer loop keeps the list sorted
-    bases = sorted(int(k * scale) for k in X.keys)
+    # in the outer loop keeps the list sorted; p^M clears each key's
+    # denominator, as X lies in the ball of radius p^M
+    bases = sorted(k.numerator * (scale // k.denominator) for k in X.keys)
     step = p ** (M - X.base_level)
     return M, [b + s for s in range(0, p ** (M - t), step) for b in bases]
 

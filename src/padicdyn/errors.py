@@ -41,12 +41,13 @@ class DecompositionTooLarge(PadicDynError):
 
 
 class NotForwardInvariant(PadicDynError):
-    """The map sends some balls of the domain outside it; ``escaping`` lists
-    (ball, image point) pairs."""
+    """The map sends ``count`` balls of the domain outside it; ``first`` is
+    the (ball, image point) pair of the one with the smallest key."""
 
-    def __init__(self, message: str, escaping=()):
+    def __init__(self, message: str, count: int, first):
         super().__init__(message)
-        self.escaping = tuple(escaping)
+        self.count = count
+        self.first = first
 
 
 class HenselPreconditionFailed(PadicDynError):

@@ -317,8 +317,7 @@ def _holds_on_samples(
 
     samples = []
 
-    def visit(b: Ball) -> bool:
-        t, y = b.level, b.rescaled_key(M)
+    def visit(y: int, t: int) -> bool:
         if t == bottom:
             samples.append(y)
             return False
@@ -328,11 +327,11 @@ def _holds_on_samples(
         vp, _, cp = _ball_probe(Ph, p, y)
         if t > cp + M:
             return True
-        # P and Q have constant norm on b, so |f| = p^(vq - vp) on all of b:
-        # Ph and Qh share the offset Md of v(P(a)) and v(Q(a))
+        # P and Q have constant norm on the ball, so |f| = p^(vq - vp) on
+        # all of it: Ph and Qh share the offset Md of v(P(a)) and v(Q(a))
         return not within(vq - vp)
 
-    walk(X.balls(), visit, config, "witness check")
+    walk(X, X.base_level, visit, config, "witness check")
     for y in sorted(samples):
         # |f(a)| = p^(vq - vp) at a = y / p^M, as on a settled ball
         vq = _ball_probe(Qh, p, y)[0]

@@ -2,15 +2,16 @@
 
 ``walk`` visits a tree of balls level by level, settling or splitting each;
 the descent, the per-ball profile and ``global_qp``'s witness check run on it.
-Each visit reads a ball through ``_ball_probe`` on integers in y = p^M x,
-which takes the domain into Z_p; balls are named in the domain's own
-coordinates.  ``lower_bound_bF`` descends on G(y) = p^(Md) F(y / p^M): a
-ball of y-level s is a suspect when v(G(y)) >= -s, and p^e bounds |G| from
-below when e is the deepest y-level holding a suspect.  A ball where G's
-Taylor expansion has a dominant constant term holds no root and |G| is
-constant on it, so it is settled: its suspects reach exactly down to
--v(G(y)).  Only balls that may hold a root are split, and lifting certifies
-a root as soon as one is met.
+It names each ball by its rescaled residue y = p^M x, which takes the domain
+into Z_p, and each visit reads the ball through ``_ball_probe`` on that
+integer.  A ``Ball``, in the domain's own coordinates, is built only for a
+ball that a report records or an error names.  ``lower_bound_bF`` descends
+on G(y) = p^(Md) F(y / p^M): a ball of y-level s is a suspect when
+v(G(y)) >= -s, and p^e bounds |G| from below when e is the deepest y-level
+holding a suspect.  A ball where G's Taylor expansion has a dominant
+constant term holds no root and |G| is constant on it, so it is settled:
+its suspects reach exactly down to -v(G(y)).  Only balls that may hold a
+root are split, and lifting certifies a root as soon as one is met.
 
 The uniform scaling radius is r = min(b(Q), b(T1))/p with T1 = P'Q - PQ'
 (corrected by a height factor for domains outside Z_p), and on any ball of
@@ -20,10 +21,10 @@ radius r the map scales distances by exactly |f'(a)|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import Ball, CompactDomain, decompose
+from .domains import Ball, CompactDomain, decompose_residues, residue_ball
 from .errors import (
     CertificateFailed,
     DepthCapExceeded,
@@ -32,7 +33,7 @@ from .errors import (
     RootCertified,
 )
 from .maps import RationalMap
-from .padics import INF, canonical_key
+from .padics import INF
 from .polynomials import (
     _ball_probe,
     _is_int_polynomial,
@@ -71,20 +72,29 @@ class ScalingReport:
 
 
 def walk(
-    balls: Iterable[Ball], visit: Callable[[Ball], bool], config: AnalysisConfig, what: str
+    X: CompactDomain,
+    t: int,
+    visit: Callable[[int, int], bool],
+    config: AnalysisConfig,
+    what: str,
 ) -> None:
-    """Visit ``balls`` (all on one level), then the children of every ball
-    that ``visit`` splits, level by level, until no ball is split.
+    """Visit the level-t balls of X, then the children of every ball that
+    ``visit`` splits, level by level, until no ball is split.
 
-    ``visit(b)`` returns True to split b and False to settle it, or raises.
-    A level keeps its parents' order, children by digit, and each level
-    below the first must fit ``config.ball_cap``.
+    Balls are named as ``decompose_residues`` names them: ``visit(y, t)``
+    gets the residue y of a level-t ball and returns True to split it and
+    False to settle it, or raises.  A level keeps its parents' order,
+    children by digit, and each level below the first must fit
+    ``config.ball_cap``.
     """
-    level = list(balls)
+    M, level = decompose_residues(X, t, config)
+    p = X.prime
     while level:
-        split = [b for b in level if visit(b)]
-        config.check_ball_budget(len(split) * level[0].prime, what, level[0].level - 1)
-        level = [c for b in split for c in b.children()]
+        split = [y for y in level if visit(y, t)]
+        config.check_ball_budget(len(split) * p, what, t - 1)
+        step = p ** (M - t)
+        level = [y + k * step for y in split for k in range(p)]
+        t -= 1
 
 
 def lower_bound_bF(
@@ -119,35 +129,36 @@ def _descend(G: list[int], X: CompactDomain, M: int, config: AnalysisConfig) -> 
     # levels in y; the ball of x-level t has y-level t - M
     start = min(X.base_level - M, -1)
     floor = start - config.descent_cap
-    # (e, b): ball b holds suspects down to y-level e and no further
-    deepest: list[tuple[int, Ball]] = []
+    # (e, y): the ball of residue y holds suspects down to y-level e and no
+    # further
+    deepest: list[tuple[int, int]] = []
 
-    def visit(b: Ball) -> bool:
-        s = b.level - M
-        v0, v1, c = _ball_probe(G, p, b.rescaled_key(M))
+    def visit(y: int, t: int) -> bool:
+        s = t - M
+        v0, v1, c = _ball_probe(G, p, y)
         if v0 < -s or c >= s:
-            # |G| = p^-v0 on all of b
-            deepest.append((-v0, b))
+            # |G| = p^-v0 on all of the ball
+            deepest.append((-v0, y))
         elif v0 == INF:
+            b = residue_ball(y, t, M, p)
             raise RootCertified(f"{b.key} is a root of F inside the domain", ball=b)
         elif v0 > 2 * v1 and v1 - v0 <= s:
             # |G(y)| < |G'(y)|^2 lifts to a root within p^(v1 - v0) of y
+            b = residue_ball(y, t, M, p)
             raise RootCertified(f"a root of F provably lies in {b}", ball=b)
         elif s == floor:
-            deepest.append((s, b))
+            deepest.append((s, y))
         else:
             return True
         return False
 
-    walk(decompose(X, start + M, config), visit, config, "descent")
-    breached = [b for e, b in deepest if e <= floor]
+    walk(X, start + M, visit, config, "descent")
+    breached = [y for e, y in deepest if e <= floor]
     if breached:
-        # the suspect the walk would meet first on the floor level
-        first = min(
-            breached,
-            key=lambda b: [canonical_key(b.key, t, p) for t in range(start + M, floor + M - 1, -1)],
-        )
-        suspect = Ball(floor + M, first.key, p)
+        # the suspect the walk would meet first on the floor level: the
+        # least by its digits, coarsest first
+        first = min(breached, key=lambda y: [y % p**k for k in range(-start, -floor + 1)])
+        suspect = residue_ball(first, floor + M, M, p)
         raise DepthCapExceeded(
             f"|F| not separated from 0 after {config.descent_cap} levels; "
             f"suspect ball {suspect}",
@@ -186,8 +197,9 @@ def _root_free_report(
     # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
     oq, ot = M * f.n, M * (len(f.t1) - 1)
     profile: dict[Ball, int] = {}
-    for b in decompose(X, l, config):
-        y = b.rescaled_key(M)
+    for y in decompose_residues(X, l, config)[1]:
+        # every ball is recorded
+        b = residue_ball(y, l, M, f.prime)
         vt = _ball_probe(Th, f.prime, y)[0]
         if vt == INF:
             raise CertificateFailed(
@@ -270,15 +282,14 @@ def _certified_profile(
     exact: dict[Ball, int] = {}
     upper: dict[Ball, int] = {}
 
-    def visit(b: Ball) -> bool:
-        if b.level < floor:
+    def visit(y: int, t: int) -> bool:
+        if t < floor:
+            b = residue_ball(y, t, M, p)
             raise DepthCapExceeded(
                 f"per-ball certification exceeded depth cap at {b}",
-                level=b.level,
+                level=t,
                 suspect_ball=b,
             )
-        t = b.level
-        y = b.rescaled_key(M)
         vq, _, cq = _ball_probe(Qh, p, y)
         # classify has bounded |Q| from below on X, so Q has no root here
         if t > cq + M:
@@ -290,15 +301,15 @@ def _certified_profile(
         if t <= ct + M:
             e = 2 * vq + t1_norm_exp
             if e > 0 or lip_bound <= -2 * vq:
-                exact[b] = e
+                exact[residue_ball(y, t, M, p)] = e
                 return False
             # scalar known but the ball-to-ball certificate needs more depth
         elif lip_bound <= -2 * vq:
-            upper[b] = lip_bound + 2 * vq
+            upper[residue_ball(y, t, M, p)] = lip_bound + 2 * vq
             return False
         return True
 
-    walk(decompose(X, start, config), visit, config, "per-ball certification")
+    walk(X, start, visit, config, "per-ball certification")
 
     # this route is only entered once a derivative root has been certified,
     # so the map cannot be isometric

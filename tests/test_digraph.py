@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_kernel import PRIMES, cycle_balls, domains, edge_map
+from test_kernel import PRIMES, children, cycle_balls, domains, edge_map
 from test_polynomials import (
     as_ints,
     is_integral,
@@ -499,7 +499,7 @@ def test_children_of_vertex_i_are_the_finer_vertices_i_plus_k_n(X, depth):
 
 def components_oracle(A, t):
     """``Analysis.components`` as it was on Balls: the children of each
-    cycle ball from ``Ball.children`` and their images from the finer
+    cycle ball and their images from the finer
     level's Ball-keyed edge dict."""
     t0 = A.intrinsic_level
     if t > t0:
@@ -511,10 +511,10 @@ def components_oracle(A, t):
     finer = edge_map(A.digraph(t - 1))
     out = []
     for cyc in cycles:
-        children = {c for b in cyc for c in b.children()}
-        indeg = {c: 0 for c in children}
+        kids = {c for b in cyc for c in children(b)}
+        indeg = {c: 0 for c in kids}
         witness = None
-        for c in children:
+        for c in kids:
             target = finer[c]
             if target not in indeg:
                 witness = c

@@ -143,6 +143,10 @@ CASES.update({
                                    "classify"],
     "error-lifted-pole-beyond-zp": ["-p", "5", "--map", "x+1/(25x^2-10x+26)",
                                     "--domain", "B(0,2)", "classify"],
+    # 62,500 level-(-7) balls leave the punctured domain; the error prints
+    # their count and the first
+    "error-not-invariant-many-escaping": ["-p", "5", "--map", "(9/25+5x)/(5)",
+                                          "--domain", "Zp-B(3,-1)", "mp"],
 })
 
 

@@ -18,7 +18,9 @@ from padicdyn import (
     AnalysisConfig,
     Ball,
     CompactDomain,
+    RationalMap,
     canonical_key,
+    cli,
     decompose,
     normalize_map,
 )
@@ -47,6 +49,12 @@ def edge_map(G):
     """G's edges as a dict from vertex Ball to successor Ball."""
     V = G.vertices
     return {V[i]: V[j] for i, j in enumerate(G.succ)}
+
+
+def children(b):
+    """The level-(t - 1) balls inside the level-t ball b, by digit."""
+    step = Fraction(b.prime) ** -b.level
+    return [Ball(b.level - 1, b.key + d * step, b.prime) for d in range(b.prime)]
 
 
 def cycle_balls(G, dec):
@@ -129,7 +137,7 @@ def test_kernel_matches_exact_evaluation(instance):
         assert str(info.value) == (
             f"{len(escaping)} ball(s) leave the domain, first: {first[0]} -> {first[1]}"
         )
-        assert info.value.escaping == tuple(escaping)
+        assert (info.value.count, info.value.first) == (len(escaping), first)
         return
     event(f"digraph, M = {X.height_exponent()}")
     assert kernel(f, X, t) == (keys, edges)
@@ -200,7 +208,22 @@ def test_escaping_balls_carry_their_images():
     g = normalize_map([3, 1], [3], 3)
     with pytest.raises(NotForwardInvariant) as info:
         kernel(g, CompactDomain.ball(1, -1, 3), -1)
-    assert info.value.escaping == ((Ball(-1, Fraction(1), 3), Fraction(4, 3)),)
+    assert info.value.count == 1
+    assert info.value.first == (Ball(-1, Fraction(1), 3), Fraction(4, 3))
+
+
+def test_an_escaping_level_evaluates_f_once(monkeypatch, capsys):
+    # 62,500 level-(-7) balls leave the domain; only the first one's image
+    # is printed, so only it is evaluated in fractions
+    calls = []
+    real = RationalMap.eval
+    monkeypatch.setattr(RationalMap, "eval", lambda f, x: calls.append(x) or real(f, x))
+    argv = ["-p", "5", "--map", "(9/25+5x)/(5)", "--domain", "Zp-B(3,-1)", "mp"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: 62500 ball(s) leave the domain, first: B(0, -7) -> 9/125\n"
+    )
+    assert calls == [0]
 
 
 @st.composite

@@ -223,7 +223,7 @@ def _probe_cases(draw):
             # a root r / p^M near the ball's key (at it when the offset is
             # 0), with multiplicity 2 or 3
             M = X.height_exponent()
-            r = ball.rescaled_key(M) + draw(st.integers(-p, p)) * p ** draw(st.integers(0, 3))
+            r = int(ball.key * p**M) + draw(st.integers(-p, p)) * p ** draw(st.integers(0, 3))
             for _ in range(draw(st.integers(2, 3))):
                 F = pmul(F, [-r, p**M])
     # the kernel rescales P and Q with one d >= both degrees
@@ -238,7 +238,7 @@ def test_probe_agrees_with_the_fraction_oracle(case):
     # constancy level of F at a is G's at y plus M
     F, X, ball, d = case
     p, M, a = X.prime, X.height_exponent(), ball.key
-    v0, v1, c = _ball_probe(_rescaled_coefficients(F, p, d, M), p, ball.rescaled_key(M))
+    v0, v1, c = _ball_probe(_rescaled_coefficients(F, p, d, M), p, int(a * p**M))
     assert v0 - M * d == fraction_valuation(poly_eval(F, a), p)
     assert v1 + M * (1 - d) == fraction_valuation(poly_eval(pderiv(F), a), p)
     assert c + M == norm_constant_exponent(F, p, a)
