@@ -3,10 +3,12 @@
 
 Samples maps, keeps the locally 1-Lipschitz ones with Z_p forward
 invariant, and tabulates classification, measure preservation, and how far
-single-cycle scans reach.  Cross-checks every kept digraph against the
-brute-force functional graph on residues, every map's single-cycle scan
-to level -4 against the cycles of those graphs, and every intrinsic level
-against the search over the subsidiary data of every edge; a mismatch is
+single-cycle scans reach.  Cross-checks every kept digraph down to level -6
+(p <= 3), -5 (p = 5) or -3 (larger p) against the brute-force functional
+graph on residues, and the subsidiary data of those levels against
+``subsidiary_edge_data`` on every edge; every map's single-cycle scan to
+level -4 against the cycles of those graphs; and every intrinsic level
+against the search over the subsidiary data of every edge.  A mismatch is
 reported on stderr with exit status 1.
 """
 
@@ -17,7 +19,11 @@ from collections import Counter
 from fractions import Fraction
 
 from padicdyn import Analysis, CompactDomain, normalize_map
+from padicdyn.digraph import subsidiary_edge_data
 from padicdyn.errors import DepthCapExceeded, PadicDynError
+
+# the deepest level whose digraph and subsidiary data are checked, by prime
+DEEPEST_CHECKED = {2: -6, 3: -6, 5: -5}
 
 
 def brute_force_edges(f, p, t, depth=4):
@@ -145,13 +151,23 @@ def main():
                 print(f"ergodic scan mismatch for {f}: {erg} against {want}", file=sys.stderr)
                 sys.exit(1)
             stats["oracle-checked ergodic scans"] += 1
-        for t in range(top, -4, -1):
+        for t in range(top, DEEPEST_CHECKED.get(p, -3) - 1, -1):
             G = A.digraph(t)
-            oracle = brute_force_edges(f, p, t)
+            oracle = brute_force_edges(f, p, t, max(4, -t))
             # on Z_p the residues are the integer keys
-            lib = {G.residues[i]: G.residues[j] for i, j in enumerate(G.succ)}
+            y = G.residues
+            lib = {y[i]: y[j] for i, j in enumerate(G.succ)}
             if oracle != lib:
                 print(f"oracle mismatch for {f} at level {t}", file=sys.stderr)
+                sys.exit(1)
+            # the library shares one datum among the edges of a ball where
+            # |Q|, |Q'| and |T1| are constant
+            per_edge = tuple(
+                subsidiary_edge_data(f.P, f.Q, p, 0, y[i], y[j], t, A.transport_level)
+                for i, j in enumerate(G.succ)
+            )
+            if A.subsidiary(t).subsidiary != per_edge:
+                print(f"subsidiary data mismatch for {f} at level {t}", file=sys.stderr)
                 sys.exit(1)
         stats["oracle-checked maps"] += 1
 

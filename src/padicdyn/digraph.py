@@ -5,15 +5,18 @@ containing the image of its canonical representative (a single evaluation
 suffices because the map is locally 1-Lipschitz at and below the certified
 transport level).  Edges are computed on plain integers: after rescaling
 the domain into Z_p, a key is a residue y mod p^(M - t) and its image is
-P(y) Q(y)^-1 of the rescaled integer polynomials.  A digraph stores sorted
-residues and one successor index per vertex; Balls are built on demand.
-Cycle structure decides measure preservation and semi-decides ergodicity and
-minimality; subsidiary edge data decides how far the finite digraphs
-certify the infinite family.  ``Analysis`` answers these questions for one
-map and domain from one classification, building each level once.  Its
-single-cycle scan builds no level it can certify by one orbit walk at the
-deepest level, and keeps none; its intrinsic-level search builds only the
-transport level and reads the levels below it off per-ball bounds.
+P(y) Q(y)^-1 of the rescaled integer polynomials, read off a first-order
+expansion at the key's ancestor mod p^ceil((M - t) / 2) wherever Q is a
+unit there.  A digraph stores sorted residues and one successor index per
+vertex; Balls are built on demand.  Cycle structure decides measure
+preservation and semi-decides ergodicity and minimality; subsidiary edge
+data decides how far the finite digraphs certify the infinite family, and
+on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
+constant.  ``Analysis`` answers these questions for one map and domain
+from one classification, building each level once.  Its single-cycle scan
+builds no level it can certify by one orbit walk at the deepest level, and
+keeps none; its intrinsic-level search builds only the transport level and
+reads the levels below it off per-ball bounds.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def _successors(
     key where Q vanishes and NotForwardInvariant with the number of balls
     whose image leaves X and the first of them, its image from ``f.eval``.
     """
-    image = _rescaled_image(f, M, f.prime ** (M - t))
+    image = _rescaled_image(f, M, M - t)
     index = dict(zip(residues, range(len(residues))))
     succ = [index.get(image(y)) for y in residues]
     if None in succ:
@@ -223,24 +226,37 @@ def _successors(
     return succ
 
 
-def _rescaled_image(f: RationalMap, M: int, mod: int) -> Callable[[int], int | None]:
+def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | None]:
     """The map from a rescaled key y to the rescaled key of its image,
-    p^M f(y / p^M) mod ``mod``; None where that image is not integral (it
-    leaves B(0, M)).
+    g(y) = p^M f(y / p^M) mod p^K; None where that image is not integral
+    (it leaves B(0, M)).
 
     With x = y / p^M and d = max(deg P, deg Q), f(x) = P^(y) / Q^(y) for
     the integer polynomials P^(y) = p^(Md) P(y / p^M) and likewise Q^.  The
     returned function raises PoleInDomain at a key where Q vanishes.
+
+    A key y is read off a first-order expansion at its ancestor
+    a = y mod p^K1, K1 = ceil(K / 2), computed once per ancestor.  Where
+    Q^(a) is a unit, so is Q^(a + h) = Q^(a) (1 + sum_i (Qh_i / Q^(a)) h^i)
+    for h in p Z_p, with Qh_i the integer Taylor coefficients of Q^ at a;
+    its inverse is the geometric series in those integral terms, so
+    g(a + h) = sum_i c_i h^i with every c_i in Z_p.  Since v(y - a) >= K1
+    and 2 K1 >= K, the terms of degree 2 and up vanish mod p^K, and
+    g(y) = c0 + c1 (y - a) mod p^K with c0 = g(a) and c1 = g'(a) =
+    p^M T1^(a) / Q^(a)^2, where T1^(y) = p^(M(2d - 1)) T1(y / p^M) =
+    (P^' Q^ - P^ Q^')(y); c1 matters only mod p^(K - K1).  Every other key
+    (Q^(a) not a unit, or K1 = K) is evaluated on its own.
     """
     p = f.prime
     scale = p**M
+    mod = p**K
     d = max(f.m, f.n)
     # p^M P^ and Q^, highest degree first, for Horner's scheme; P may be 0
     P_hat = _rescaled_coefficients(f.P, p, d, M)
     num_top, *num_coeffs = [scale * c for c in reversed(P_hat)] or [0]
     den_top, *den_coeffs = reversed(_rescaled_coefficients(f.Q, p, d, M))
 
-    def image(y: int) -> int | None:
+    def direct(y: int) -> int | None:
         num = num_top
         for c in num_coeffs:
             num = num * y + c
@@ -265,6 +281,39 @@ def _rescaled_image(f: RationalMap, M: int, mod: int) -> Callable[[int], int | N
         if rest:
             return None
         return num * pow(den, -1, mod) % mod
+
+    K1 = (K + 1) // 2
+    if K1 == K:
+        return direct
+    coarse, slope_mod = p**K1, p ** (K - K1)
+    # p^M T1^, highest degree first; deg T1 <= 2d - 1
+    t1_coeffs = [scale * c for c in reversed(_rescaled_coefficients(f.t1, p, 2 * d - 1, M))]
+    expansions: dict[int, tuple[int, ...]] = {}
+
+    def expansion(a: int) -> tuple[int, ...]:
+        """(c0, c1) at the ancestor a, or () where Q^(a) is not a unit."""
+        den = den_top
+        for c in den_coeffs:
+            den = den * a + c
+        if den % p == 0:
+            return ()
+        num = num_top
+        for c in num_coeffs:
+            num = num * a + c
+        t1 = 0
+        for c in t1_coeffs:
+            t1 = t1 * a + c
+        inv = pow(den, -1, mod)
+        return num * inv % mod, t1 * inv * inv % slope_mod
+
+    def image(y: int) -> int | None:
+        a = y % coarse
+        e = expansions.get(a)
+        if e is None:
+            e = expansions[a] = expansion(a)
+        if e:
+            return (e[0] + e[1] * (y - a)) % mod
+        return direct(y)
 
     return image
 
@@ -423,16 +472,38 @@ class Analysis:
         return self._digraphs[t]
 
     def subsidiary(self, t: int) -> LevelDigraph:
-        """The level-t digraph with subsidiary admission data on every edge."""
+        """The level-t digraph with subsidiary admission data on every edge.
+
+        On Z_p (M = 0) every edge's s is 0, so its datum depends only on
+        v(Q(a)), v(Q'(a)) and v(T1(a)) at its key a.  The domain is walked
+        from its base level down to t + 1; a ball that ``_settle`` finds
+        |Q|, |Q'| and |T1| constant on gives each of its edges one shared
+        datum, and the edges of the level-t balls left are computed one by
+        one.  The level-u balls are the level-t vertices i < n_u, and the
+        vertices of ball i are i + j n_u.  Beyond Z_p, s depends on the
+        image key, and every edge is computed on its own.
+        """
         if t not in self._subsidiaries:
-            f, G, level = self.f, self.digraph(t), self.transport_level
-            d, M, y = max(f.m, f.n), G.height, G.residues
-            num, den = (_rescaled_coefficients(F, f.prime, d, M) for F in (f.P, f.Q))
-            data = tuple(
-                subsidiary_edge_data(num, den, f.prime, M, y[i], y[j], t, level)
-                for i, j in enumerate(G.succ)
-            )
-            self._subsidiaries[t] = replace(G, subsidiary=data)
+            G, level = self.digraph(t), self.transport_level
+            p, y = self.f.prime, G.residues
+            M, _, num, den = self._rescaled[:4]
+            n, data = len(y), [None] * len(y)
+            u, n_u, balls = self.X.base_level, len(self.X.keys), range(len(self.X.keys))
+            while M == 0 and u > t:
+                split = []
+                for i in balls:
+                    values = self._settle(y[i], u)
+                    if values is None:
+                        split.append(i)
+                    else:
+                        s, vq, vqd, vt, _ = values
+                        data[i::n_u] = [_edge_data(s, vq, vqd, vt, level, t)] * (n // n_u)
+                balls = [i + k * n_u for k in range(p) for i in split]
+                u, n_u = u - 1, n_u * p
+            for i, j in enumerate(G.succ):
+                if data[i] is None:
+                    data[i] = subsidiary_edge_data(num, den, p, M, y[i], y[j], t, level)
+            self._subsidiaries[t] = replace(G, subsidiary=tuple(data))
         return self._subsidiaries[t]
 
     @cached_property
@@ -475,6 +546,65 @@ class Analysis:
             else:
                 run = 0
 
+    @cached_property
+    def _rescaled(
+        self,
+    ) -> tuple[int, int, list[int], list[int], list[list[int]], list[list[int]]]:
+        """(M, d, P^, Q^, Qh, W) on X's rescaling x = y / p^M, with d =
+        max(deg P, deg Q): the i-th Taylor coefficients Ph_i(y) and Qh_i(y)
+        of P^ and Q^ at y, and p^(M(2d - i)) W_i(y / p^M) = Ph_i Qh_0 -
+        Ph_0 Qh_i, as polynomials in y; W_1 is T1's.  Qh_1 and W_1 are
+        listed (empty) for a constant map too."""
+        f, M = self.f, self.X.height_exponent()
+        d = max(f.m, f.n)
+        num, den = (_rescaled_coefficients(F, f.prime, d, M) for F in (f.P, f.Q))
+        Qc = _taylor_polynomials(den, max(d, 1))
+        W = [
+            _int_add(_int_mul(Pi, den), _int_mul(num, Qi), -1)
+            for Pi, Qi in zip(_taylor_polynomials(num, max(d, 1)), Qc)
+        ]
+        return M, d, num, den, Qc, W
+
+    def _settle(
+        self, y: int, t: int
+    ) -> tuple[int, int, ExtendedInt, ExtendedInt, ExtendedInt] | None:
+        """(s, v(Q(a)), v(Q'(a)), v(T1(a)), exact_to) on a level-t ball
+        where |Q|, |Q'| and |T1| are constant, else None.  s bounds the
+        rescaling exponent of each edge that the bounds under s keep, and
+        no edge's exponent is below s at the levels u <= exact_to.  Above
+        the transport level, only a ball on which every valuation entering s
+        is constant settles: it then stands for its transport-level balls.
+        On Z_p (M = 0), s = 0 and the three valuations settle a ball."""
+        p, level = self.f.prime, self.transport_level
+        M, d, _, den, Qc, W = self._rescaled
+        k = M - t
+        (vq, cq), (vqd, cqd), (vt, ct) = (
+            _ball_valuation(F, p, y, k) for F in (den, Qc[1], W[1])
+        )
+        if not (cq and cqd and ct):
+            return None
+        # with M = 0 every coefficient is an integer, s = 0
+        s, constant, exact_to = 0, True, INF if M == 0 else vq - M * d
+        for i in range(d + 1 if M else 0):
+            # v(Q_a[i]) >= q and v(W_i(a)) - v(Q(a)) >= w on the ball
+            q, q_exact = _ball_valuation(Qc[i], p, y, k)
+            w, w_exact = _ball_valuation(W[i], p, y, k)
+            q, w = q + M * (i - d), w - vq + M * (i - d)
+            if q != INF:
+                s = max(s, ceil_div(-q, i + 1))
+            if i and w != INF:
+                s = max(s, ceil_div(-w, i))
+                if q != INF:
+                    # v(P_a[i] - b Q_a[i]) = w at the levels u where
+                    # w < v(Q_a[i]) - u
+                    exact_to = min(exact_to, q - w - 1)
+            constant = constant and q_exact and w_exact
+        if not constant:
+            if t > level:
+                return None
+            exact_to = NEG_INF
+        return s, vq - M * d, vqd + M * (1 - d), vt + M * (1 - 2 * d), exact_to
+
     def _levels_keeping_every_edge(self, level: int) -> Iterator[bool]:
         """``subsidiary(t).is_subsidiary_equal`` for t = level, level - 1, ...,
         raising what ``subsidiary(t)`` raises, from per-ball bounds.
@@ -513,54 +643,9 @@ class Analysis:
         first.
         """
         f, X, config = self.f, self.X, self.config
-        M = self.digraph(level).height
-        p, d = f.prime, max(f.m, f.n)
-        num, den = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
-        # the i-th Taylor coefficients Ph_i(y) and Qh_i(y) of P^ and Q^ at y,
-        # and p^(M(2d - i)) W_i(y / p^M) = Ph_i Qh_0 - Ph_0 Qh_i; W_1 is T1's
-        Qc = _taylor_polynomials(den, d)
-        W = [
-            _int_add(_int_mul(Pi, den), _int_mul(num, Qi), -1)
-            for Pi, Qi in zip(_taylor_polynomials(num, d), Qc)
-        ]
-
-        def settle(
-            y: int, t: int
-        ) -> tuple[int, int, ExtendedInt, ExtendedInt, ExtendedInt] | None:
-            """(s, v(Q(a)), v(Q'(a)), v(T1(a)), exact_to) on a level-t ball
-            where |Q|, |Q'| and |T1| are constant, else None.  s bounds the
-            rescaling exponent of each edge that the bounds under s keep, and
-            no edge's exponent is below s at the levels u <= exact_to.  Above
-            ``level``, only a ball on which every valuation entering s is
-            constant settles: it then stands for its level-``level`` balls."""
-            k = M - t
-            (vq, cq), (vqd, cqd), (vt, ct) = (
-                _ball_valuation(F, p, y, k) for F in (den, Qc[1], W[1])
-            )
-            if not (cq and cqd and ct):
-                return None
-            # with M = 0 every coefficient is an integer, s = 0
-            s, constant, exact_to = 0, True, INF if M == 0 else vq - M * d
-            for i in range(d + 1 if M else 0):
-                # v(Q_a[i]) >= q and v(W_i(a)) - v(Q(a)) >= w on the ball
-                q, q_exact = _ball_valuation(Qc[i], p, y, k)
-                w, w_exact = _ball_valuation(W[i], p, y, k)
-                q, w = q + M * (i - d), w - vq + M * (i - d)
-                if q != INF:
-                    s = max(s, ceil_div(-q, i + 1))
-                if i and w != INF:
-                    s = max(s, ceil_div(-w, i))
-                    if q != INF:
-                        # v(P_a[i] - b Q_a[i]) = w at the levels u where
-                        # w < v(Q_a[i]) - u
-                        exact_to = min(exact_to, q - w - 1)
-                constant = constant and q_exact and w_exact
-            if not constant:
-                if t > level:
-                    return None
-                exact_to = NEG_INF
-            return s, vq - M * d, vqd + M * (1 - d), vt + M * (1 - 2 * d), exact_to
-
+        self.digraph(level)  # raises what subsidiary(level) raises first
+        p = f.prime
+        M, _, num, den = self._rescaled[:4]
         # settled balls not yet kept, as (level, centre, settle's values)
         t, settled = X.base_level, []
         centres = decompose_residues(X, t, config)[1]
@@ -568,7 +653,7 @@ class Analysis:
             mod = p ** (M - t)
             split = []
             for y in centres:
-                values = settle(y, t)
+                values = self._settle(y, t)
                 if values is None:
                     split.append(y)
                 else:
@@ -587,7 +672,7 @@ class Analysis:
                     else:
                         keys.extend(range(y, p ** (M - t), p ** (M - u)))
                 settled = still_open
-                image = _rescaled_image(f, M, mod)
+                image = _rescaled_image(f, M, M - t)
                 data = [
                     subsidiary_edge_data(num, den, p, M, y, image(y), t, level)
                     for y in sorted(keys)
@@ -692,7 +777,7 @@ class Analysis:
         # its residue mod step is one of the rescaled base keys
         step = p ** (M - X.base_level)
         bases, y0 = set(ys), ys[0]
-        image = _rescaled_image(self.f, M, p ** (M - K))
+        image = _rescaled_image(self.f, M, M - K)
         t, mod = level, p ** (M - level)
         z = y0
         # i <= n throughout, so step n_K certifies K or stops there

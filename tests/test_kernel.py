@@ -3,8 +3,9 @@
 The oracle evaluates f at every ball's key in exact fractions and takes the
 canonical key of the image, as the digraph was first defined; the kernel
 must give the same vertices, the same edges and the same errors.  The
-ergodic scan's orbit walk is checked against the cycle decomposition of
-every level digraph.
+first-order expansion behind each image is checked against per-key Horner
+evaluation at every residue.  The ergodic scan's orbit walk is checked
+against the cycle decomposition of every level digraph.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
+from test_polynomials import pmul
 
 from padicdyn import (
     Analysis,
@@ -28,12 +30,14 @@ from padicdyn.digraph import (
     NOT_ERGODIC,
     SINGLE_CYCLE_TO_DEPTH,
     ErgodicVerdict,
+    _rescaled_image,
     _successors,
     build_digraph,
     cycle_decomposition,
 )
-from padicdyn.domains import decompose_residues
+from padicdyn.domains import decompose_residues, residue_ball
 from padicdyn.errors import (
+    CertificateFailed,
     DepthCapExceeded,
     LevelTooCoarse,
     NotForwardInvariant,
@@ -224,6 +228,122 @@ def test_an_escaping_level_evaluates_f_once(monkeypatch, capsys):
         "error: 62500 ball(s) leave the domain, first: B(0, -7) -> 9/125\n"
     )
     assert calls == [0]
+
+
+def per_key_image(f, M, K):
+    """The rescaled image p^M f(y / p^M) mod p^K by Horner's scheme at each
+    key, with one modular inverse per key: the kernel before the
+    first-order expansion."""
+    p, mod, scale = f.prime, f.prime**K, f.prime**M
+    d = max(f.m, f.n)
+    num = [scale * c * p ** (M * (d - i)) for i, c in enumerate(f.P)]
+    den = [c * p ** (M * (d - i)) for i, c in enumerate(f.Q)]
+
+    def image(y):
+        n = sum(c * y**i for i, c in enumerate(num))
+        q = sum(c * y**i for i, c in enumerate(den))
+        if q % p:
+            return n * pow(q, -1, mod) % mod
+        if q == 0:
+            f.eval(Fraction(y, scale))
+            raise CertificateFailed(
+                f"the rescaled denominator vanishes at {y}, but Q has no root at "
+                f"{Fraction(y, scale)}"
+            )
+        k = 0
+        while q % p == 0:
+            q //= p
+            k += 1
+        n, rest = divmod(n, p**k)
+        if rest:
+            return None
+        return n * pow(q, -1, mod) % mod
+
+    return image
+
+
+def per_key_successors(f, X, t, M, residues):
+    """``_successors`` on ``per_key_image``."""
+    image = per_key_image(f, M, M - t)
+    index = {y: i for i, y in enumerate(residues)}
+    succ = [index.get(image(y)) for y in residues]
+    if None in succ:
+        b = residue_ball(residues[succ.index(None)], t, M, f.prime)
+        first, count = (b, f.eval(b.key)), succ.count(None)
+        raise NotForwardInvariant(
+            f"{count} ball(s) leave the domain, first: {first[0]} -> {first[1]}",
+            count=count,
+            first=first,
+        )
+    return succ
+
+
+def _outcome(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except PadicDynError as exc:
+        return type(exc), str(exc)
+
+
+# the largest K with p^K <= 1024 residues to check one by one
+DEEPEST_K = {2: 10, 3: 6, 5: 4, 7: 3}
+
+
+@st.composite
+def expansion_cases(draw):
+    """(f, M, K): f = P / Q with coefficients of valuation -1 to 1, whose Q
+    is a multiple of (p^M x - r) for a drawn r about half the time, so
+    that Q^ has a root at the rescaled key r (a pole in B(0, M), unless P
+    cancels it) and is a non-unit at the ancestors congruent to r mod p."""
+    p = draw(PRIMES)
+    M = draw(st.integers(0, 2))
+    K = draw(st.integers(1, DEEPEST_K[p]))
+    coeff = st.builds(lambda n, k: n * Fraction(p) ** k, st.integers(-30, 30), st.integers(-1, 1))
+    P = draw(st.lists(coeff, min_size=1, max_size=4))
+    Q = draw(st.lists(coeff, min_size=1, max_size=3))
+    if not any(Q):
+        Q[-1] = 1
+    if draw(st.booleans()):
+        Q = pmul(Q, [-draw(st.integers(0, p**K - 1)), p**M])
+    return normalize_map(P, Q, p), M, K
+
+
+def test_expansion_matches_per_key_evaluation():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(expansion_cases())
+    def check(case):
+        f, M, K = case
+        p, K1 = f.prime, (K + 1) // 2
+        d = max(f.m, f.n)
+        den = [c * p ** (M * (d - i)) for i, c in enumerate(f.Q)]
+        new, old = _rescaled_image(f, M, K), per_key_image(f, M, K)
+        for y in range(p**K):
+            want = _outcome(old, y)
+            assert _outcome(new, y) == want
+            a = y % p**K1
+            if K1 == K:
+                seen.add("per key, K1 = K")
+            elif sum(c * a**i for i, c in enumerate(den)) % p:
+                seen.add("expansion")
+            else:
+                seen.add("per key, Q^(a) not a unit")
+            seen.add(want[0] if isinstance(want, tuple) else "image" if want is not None
+                     else "not integral")
+        # the level of B(0, M) whose keys are the residues mod p^K
+        X = CompactDomain.ball(0, M, p) if M else CompactDomain.zp(p)
+        residues = decompose_residues(X, M - K)[1]
+        want = _outcome(per_key_successors, f, X, M - K, M, residues)
+        assert _outcome(_successors, f, X, M - K, M, residues) == want
+        seen.add(("successors", want[0] if isinstance(want, tuple) else list))
+
+    check()
+    assert {"expansion", "per key, K1 = K", "per key, Q^(a) not a unit",
+            "image", "not integral", PoleInDomain} <= seen
+    assert {("successors", PoleInDomain), ("successors", NotForwardInvariant),
+            ("successors", list)} <= seen
 
 
 @st.composite

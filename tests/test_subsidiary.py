@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from test_kernel import PRIMES, domains, one_lipschitz_instances, shift_instances
 from test_polynomials import padd, pderiv, pmul, pscale, ptaylor, trimmed
 
-from padicdyn import Analysis, CompactDomain, parse_domain, parse_map
+from padicdyn import Analysis, CompactDomain, digraph, parse_domain, parse_map
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import SubsidiaryEdgeData, subsidiary_edge_data
 from padicdyn.errors import (
@@ -136,8 +136,13 @@ def _cases(draw):
     return normalize_map(padd(G, pscale(H, c * p**R)), pscale(H, p**R), p), X
 
 
-def test_integer_edge_data_agrees_with_the_fraction_path():
+def test_integer_edge_data_agrees_with_the_fraction_path(monkeypatch):
     seen = set()
+    # Analysis.subsidiary computes an edge on its own only where no ball of
+    # Z_p settles it; the others share their ball's datum
+    per_edge = []
+    monkeypatch.setattr(digraph, "subsidiary_edge_data",
+                        lambda *args: per_edge.append(args) or subsidiary_edge_data(*args))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_cases())
@@ -149,18 +154,22 @@ def test_integer_edge_data_agrees_with_the_fraction_path():
         f, X = case
         p, M = f.prime, X.height_exponent()
         try:
-            # the budget keeps classify's work small; levels too fine for
-            # MAX_VERTICES are left out
+            # the budget keeps classify's work small
             A = Analysis(f, X, AnalysisConfig(ball_cap=1000))
             top = A.transport_level
-            levels = [t for t in (top, top - 1)
-                      if len(X.keys) * p ** (X.base_level - t) <= MAX_VERTICES]
-            graphs = [A.digraph(t) for t in levels]
         except PadicDynError:
             return
         d = max(f.m, f.n)
         num, den = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
-        for t, G in zip(levels, graphs):
+        # the transport level and up to four levels below it, each of at
+        # most MAX_VERTICES balls
+        for t in range(top, top - 5, -1):
+            if len(X.keys) * p ** (X.base_level - t) > MAX_VERTICES:
+                break
+            try:
+                G = A.digraph(t)
+            except PadicDynError:
+                continue
             y, keys = G.residues, G.keys
             got = [_outcome(subsidiary_edge_data, num, den, p, M, y[i], y[j], t, top)
                    for i, j in enumerate(G.succ)]
@@ -169,19 +178,27 @@ def test_integer_edge_data_agrees_with_the_fraction_path():
             assert got == want
             # the level's data is the per-edge data, or the first edge's error
             failures = [w for w in want if isinstance(w, tuple)]
+            seen.add(f"M = {M}")
+            per_edge.clear()
             if failures:
                 with pytest.raises(ConstantTermNotIntegral) as info:
                     A.subsidiary(t)
                 assert str(info.value) == failures[0][1]
                 seen.add(ConstantTermNotIntegral)
-            else:
-                assert A.subsidiary(t).subsidiary == tuple(want)
-                seen.update(("s > 0" if w.s_exponent else "s = 0", w.passes) for w in want)
-            seen.add(f"M = {M}")
+                continue
+            assert A.subsidiary(t).subsidiary == tuple(want)
+            seen.update(("s > 0" if w.s_exponent else "s = 0", w.passes) for w in want)
+            if M == 0:
+                seen.add(("M = 0", top - t, "per edge", bool(per_edge)))
+                seen.add(("M = 0", top - t, "per ball", len(per_edge) < len(want)))
 
     check()
     assert {ConstantTermNotIntegral, "M = 0", "M = 1", "M = 2"} <= seen
     assert {("s = 0", True), ("s = 0", False), ("s > 0", False)} <= seen
+    # on Z_p, levels whose data came from settled balls and from single edges
+    for below in range(5):
+        assert {("M = 0", below, "per edge", True),
+                ("M = 0", below, "per ball", True)} <= seen, below
 
 
 def per_edge_intrinsic_level(A):
