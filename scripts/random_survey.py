@@ -7,9 +7,11 @@ single-cycle scans reach.  Cross-checks every kept digraph down to level -6
 (p <= 3), -5 (p = 5) or -3 (larger p) against the brute-force functional
 graph on residues, and the subsidiary data of those levels against
 ``subsidiary_edge_data`` on every edge; every map's single-cycle scan to
-level -4 against the cycles of those graphs; and every intrinsic level
-against the search over the subsidiary data of every edge.  A mismatch is
-reported on stderr with exit status 1.
+level -4 against the cycles of those graphs; every intrinsic level
+against the search over the subsidiary data of every edge; and the scalar
+profile of every sampled map with a root-free derivative against the
+exponents of |f'| read off exact values at the level-l residues.  A
+mismatch is reported on stderr with exit status 1.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from padicdyn import Analysis, CompactDomain, normalize_map
+from padicdyn import Analysis, CompactDomain, fraction_valuation, normalize_map, poly_eval
 from padicdyn.digraph import subsidiary_edge_data
 from padicdyn.errors import DepthCapExceeded, PadicDynError
 
@@ -86,6 +88,15 @@ def per_edge_intrinsic_level(A):
     )
 
 
+def brute_force_profile(f, p, l):
+    """Multiset of the exponents e with |f'(a)| = |T1(a)| / |Q(a)|^2 = p^e
+    over the level-l residues a, from exact values of Q and T1."""
+    return Counter(
+        2 * fraction_valuation(poly_eval(f.Q, a), p) - fraction_valuation(poly_eval(f.t1, a), p)
+        for a in range(p**-l)
+    )
+
+
 def outcome(fn):
     """The value, or the exception's type and message."""
     try:
@@ -119,6 +130,16 @@ def main():
                 continue
             A = Analysis(f, X)
             report = A.report
+            if report.derivative_root_free:
+                want = brute_force_profile(f, p, report.radius_exponent)
+                if report.scalar_profile != want:
+                    print(
+                        f"scalar profile mismatch for {f}: {report.scalar_profile} against "
+                        f"{dict(want)}",
+                        file=sys.stderr,
+                    )
+                    sys.exit(1)
+                stats["oracle-checked scalar profiles"] += 1
             if not report.is_one_lipschitz or report.transport_level is None:
                 stats["rejected: not 1-Lipschitz"] += 1
                 continue

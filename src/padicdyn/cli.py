@@ -215,12 +215,12 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
                if report.classification_exponent is not None else ""))
         out(f"radius exponent l: {report.radius_exponent}")
         out(f"derivative root-free: {_yesno(report.derivative_root_free)}")
-        exps = sorted(set(report.scalar_profile.values()))
+        exps = sorted(report.scalar_profile)
         out(f"scalar exponents at level {report.radius_exponent}: {exps}")
         if report.scalar_upper_bounds:
             out(
                 "certified upper bounds on "
-                f"{len(report.scalar_upper_bounds)} ball(s) near derivative roots"
+                f"{sum(report.scalar_upper_bounds.values())} ball(s) near derivative roots"
             )
         return EXIT_OK
 

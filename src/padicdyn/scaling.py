@@ -1,21 +1,25 @@
 """Certified lower bounds, uniform scaling radius, and classification.
 
 ``walk`` visits a tree of balls level by level, settling or splitting each;
-the descent, the per-ball profile and ``global_qp``'s witness check run on it.
-It names each ball by its rescaled residue y = p^M x, which takes the domain
-into Z_p, and each visit reads the ball through ``_ball_probe`` on that
-integer.  A ``Ball``, in the domain's own coordinates, is built only for a
-ball that a report records or an error names.  ``lower_bound_bF`` descends
-on G(y) = p^(Md) F(y / p^M): a ball of y-level s is a suspect when
-v(G(y)) >= -s, and p^e bounds |G| from below when e is the deepest y-level
-holding a suspect.  A ball where G's Taylor expansion has a dominant
-constant term holds no root and |G| is constant on it, so it is settled:
-its suspects reach exactly down to -v(G(y)).  Only balls that may hold a
-root are split, and lifting certifies a root as soon as one is met.
+the descent, the scalar profile of ``classify`` and ``global_qp``'s witness
+check run on it.  It names each ball by its rescaled residue y = p^M x,
+which takes the domain into Z_p, and each visit reads the ball through
+``_ball_probe`` on that integer.  A ``Ball``, in the domain's own
+coordinates, is built only for a ball that an error names.
+``lower_bound_bF`` descends on G(y) = p^(Md) F(y / p^M): a ball of y-level
+s is a suspect when v(G(y)) >= -s, and p^e bounds |G| from below when e is
+the deepest y-level holding a suspect.  A ball where G's Taylor expansion
+has a dominant constant term holds no root and |G| is constant on it, so
+it is settled: its suspects reach exactly down to -v(G(y)).  Only balls
+that may hold a root are split, and lifting certifies a root as soon as
+one is met.
 
 The uniform scaling radius is r = min(b(Q), b(T1))/p with T1 = P'Q - PQ'
 (corrected by a height factor for domains outside Z_p), and on any ball of
-radius r the map scales distances by exactly |f'(a)|.
+radius r the map scales distances by exactly |f'(a)|.  ``classify`` reads
+|f'| = |T1|/|Q|^2 off the same walk on both of its routes: a ball where
+|Q| and |T1| are constant fixes |f'| on its whole subtree, so it is settled
+once and counted for the balls of its settle level that it holds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import Ball, CompactDomain, decompose_residues, residue_ball
+from .domains import CompactDomain, _check_decomposition, decompose_residues, residue_ball
 from .errors import (
     CertificateFailed,
     DepthCapExceeded,
@@ -55,7 +59,8 @@ class ScalingReport:
     classification: str
     # exponent of the bound C (BoundedScaling) or rho (LocallyRhoLipschitz)
     classification_exponent: int | None
-    # exponent l of the uniform scaling radius r = p^l (descent route only)
+    # exponent l of the uniform scaling radius r = p^l on the root-free
+    # route; the transport level on the other route
     radius_exponent: int | None
     b_q_exponent: int | None
     b_t1_exponent: int | None
@@ -63,8 +68,11 @@ class ScalingReport:
     # coarsest level at which every ball is certified to map into one ball;
     # None when the map is not locally 1-Lipschitz
     transport_level: int | None
-    scalar_profile: dict[Ball, int] = field(default_factory=dict)
-    scalar_upper_bounds: dict[Ball, int] = field(default_factory=dict)
+    # exponent e of |f'| = p^e -> count of balls at their settle level
+    # (level l on the root-free route) where |f'| = p^e
+    scalar_profile: dict[int, int] = field(default_factory=dict)
+    # exponent e -> count of balls near derivative roots where |f'| <= p^e
+    scalar_upper_bounds: dict[int, int] = field(default_factory=dict)
 
     @property
     def is_one_lipschitz(self) -> bool:
@@ -184,57 +192,17 @@ def _q_height_factor(f: RationalMap, M: int) -> int:
     return M * (f.n - 1)
 
 
-def _root_free_report(
-    f: RationalMap,
-    X: CompactDomain,
-    b_q: int,
-    b_t1: int,
-    config: AnalysisConfig,
-) -> ScalingReport:
-    M = X.height_exponent()
-    l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
-    Qh, Th = (_rescaled_coefficients(F, f.prime, len(F) - 1, M) for F in (f.Q, f.t1))
-    # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
-    oq, ot = M * f.n, M * (len(f.t1) - 1)
-    profile: dict[Ball, int] = {}
-    for y in decompose_residues(X, l, config)[1]:
-        # every ball is recorded
-        b = residue_ball(y, l, M, f.prime)
-        vt = _ball_probe(Th, f.prime, y)[0]
-        if vt == INF:
-            raise CertificateFailed(
-                f"derivative vanishes at {b.key} despite the lower bound p^{b_t1} on |T1|"
-            )
-        # |f'(a)| = |T1(a)| / |Q(a)|^2
-        profile[b] = 2 * (_ball_probe(Qh, f.prime, y)[0] - oq) - (vt - ot)
-    exponents = set(profile.values())
-    if exponents <= {0}:
-        kind, bound = LOCALLY_ISOMETRIC, None
-    elif all(e <= 0 for e in exponents):
-        kind, bound = LOCALLY_1_LIPSCHITZ, None
-    else:
-        kind, bound = BOUNDED_SCALING, max(exponents)
-    return ScalingReport(
-        classification=kind,
-        classification_exponent=bound,
-        radius_exponent=l,
-        b_q_exponent=b_q,
-        b_t1_exponent=b_t1,
-        derivative_root_free=True,
-        transport_level=l if kind in (LOCALLY_ISOMETRIC, LOCALLY_1_LIPSCHITZ) else None,
-        scalar_profile=profile,
-    )
-
-
 def classify(
     f: RationalMap, X: CompactDomain, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> ScalingReport:
     """Classification of the local scaling behaviour of f on X.
 
-    Uses the radius descent when the derivative is root-free; otherwise
-    falls back to a per-ball certification that still decides 1-Lipschitz
-    behaviour (recording exact scalars where |f'| is locally constant and
-    certified upper bounds around derivative roots).
+    Uses the radius descent when the derivative is root-free, and reads
+    |f'| on the level-l balls of the scaling radius p^l; otherwise falls
+    back to a per-ball certification that still decides 1-Lipschitz
+    behaviour (exact scalars where |f'| is locally constant, certified upper
+    bounds around derivative roots).  Both routes walk the domain once with
+    ``_scalar_profile``.
     """
     _check_primes(f, X)
     if not f.t1:
@@ -252,37 +220,67 @@ def classify(
         b_q = lower_bound_bF(f.Q, X, config)
     except RootCertified as exc:
         raise PoleInDomain(f"denominator has a root in the domain: {exc}", ball=exc.ball) from exc
+    M = X.height_exponent()
     try:
         b_t1 = lower_bound_bF(f.t1, X, config)
     except (RootCertified, DepthCapExceeded):
         # derivative vanishes somewhere (or cannot be separated from zero):
         # decide 1-Lipschitz behaviour ball by ball instead
-        return _certified_profile(f, X, config)
-    return _root_free_report(f, X, b_q, b_t1, config)
+        b_q = b_t1 = l = None
+    else:
+        l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
+        _check_decomposition(X, l, config)
+    exact, upper, least = _scalar_profile(f, X, M, l, config)
+    exponents = exact.keys() | upper.keys()
+    if max(exponents) > 0:
+        kind = LOCALLY_RHO_LIPSCHITZ if l is None else BOUNDED_SCALING
+        bound, transport = max(exponents), None
+    else:
+        kind = LOCALLY_ISOMETRIC if l is not None and exponents == {0} else LOCALLY_1_LIPSCHITZ
+        bound, transport = None, least
+    return ScalingReport(
+        classification=kind,
+        classification_exponent=bound,
+        radius_exponent=transport if l is None else l,
+        b_q_exponent=b_q,
+        b_t1_exponent=b_t1,
+        derivative_root_free=l is not None,
+        transport_level=transport,
+        scalar_profile=exact,
+        scalar_upper_bounds=upper,
+    )
 
 
-def _check_primes(f: RationalMap, X: CompactDomain) -> None:
-    if f.prime != X.prime:
-        raise PrimeMismatch(f"map over p = {f.prime} and domain over p = {X.prime}")
+def _scalar_profile(
+    f: RationalMap, X: CompactDomain, M: int, l: int | None, config: AnalysisConfig
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """(exact, upper, least): the exponents e with |f'| = p^e on the balls
+    of X, and the bounds |f'| <= p^e near derivative roots, each mapped to
+    the count of balls it holds for, and the least settle level.
 
-
-def _certified_profile(
-    f: RationalMap, X: CompactDomain, config: AnalysisConfig
-) -> ScalingReport:
-    """Per-ball Lipschitz certification for maps whose derivative vanishes
-    somewhere in the domain."""
+    ``walk`` settles a ball once |Q| and |T1| are certified constant on it,
+    which fixes e = 2v(Q) - v(T1) on its whole subtree.  The ball then
+    stands for its p^(t - s) sub-balls of its settle level s: the radius
+    exponent l on the root-free route, where every level-l ball must be
+    settled; on the other route (l None) t itself when e > 0, and otherwise
+    the level -2v(Q) - h_t where the ball-to-ball certificate
+    max(|T1|, p^(t + h_t)) <= |Q|^2 holds, if finer than t.  A ball where
+    only |Q| is constant and that certificate holds is settled with an
+    upper bound on |f'|.
+    """
     p = f.prime
-    M = X.height_exponent()
     h_t = _two_variable_height_factor(f, M)
-    Qh, Th = (_rescaled_coefficients(F, f.prime, len(F) - 1, M) for F in (f.Q, f.t1))
+    Qh, Th = (_rescaled_coefficients(F, p, len(F) - 1, M) for F in (f.Q, f.t1))
     # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
     oq, ot = M * f.n, M * (len(f.t1) - 1)
-    start = min(X.base_level, -1)
-    floor = start - CERTIFY_CAP
-    exact: dict[Ball, int] = {}
-    upper: dict[Ball, int] = {}
+    start = min(X.base_level, -1) if l is None else X.base_level
+    floor = start - CERTIFY_CAP if l is None else l
+    exact: dict[int, int] = {}
+    upper: dict[int, int] = {}
+    least = start
 
     def visit(y: int, t: int) -> bool:
+        nonlocal least
         if t < floor:
             b = residue_ball(y, t, M, p)
             raise DepthCapExceeded(
@@ -291,44 +289,31 @@ def _certified_profile(
                 suspect_ball=b,
             )
         vq, _, cq = _ball_probe(Qh, p, y)
-        # classify has bounded |Q| from below on X, so Q has no root here
-        if t > cq + M:
-            return True
-        vq -= oq
         vt, _, ct = _ball_probe(Th, p, y)
+        vq -= oq
         t1_norm_exp = ot - vt  # -inf at an exact derivative root
-        lip_bound = max(t1_norm_exp, t + h_t)
-        if t <= ct + M:
+        if t <= min(cq, ct) + M:
             e = 2 * vq + t1_norm_exp
-            if e > 0 or lip_bound <= -2 * vq:
-                exact[residue_ball(y, t, M, p)] = e
-                return False
-            # scalar known but the ball-to-ball certificate needs more depth
-        elif lip_bound <= -2 * vq:
-            upper[residue_ball(y, t, M, p)] = lip_bound + 2 * vq
-            return False
-        return True
+            s = l if l is not None else t if e > 0 else min(t, -2 * vq - h_t)
+            exact[e] = exact.get(e, 0) + p ** (t - s)
+        elif t == l:
+            raise CertificateFailed(
+                f"|Q| and |T1| are not certified constant on {residue_ball(y, t, M, p)} "
+                f"at the scaling radius"
+            )
+        elif l is None and t <= cq + M and max(t1_norm_exp, t + h_t) <= -2 * vq:
+            s = t
+            e = max(t1_norm_exp, t + h_t) + 2 * vq
+            upper[e] = upper.get(e, 0) + 1
+        else:
+            return True
+        least = min(least, s)
+        return False
 
     walk(X, start, visit, config, "per-ball certification")
+    return exact, upper, least
 
-    # this route is only entered once a derivative root has been certified,
-    # so the map cannot be isometric
-    exponents = list(exact.values()) + list(upper.values())
-    max_exp = max(exponents) if exponents else 0
-    if max_exp <= 0:
-        kind, bound = LOCALLY_1_LIPSCHITZ, None
-        transport = min((b.level for b in list(exact) + list(upper)), default=start)
-    else:
-        kind, bound = LOCALLY_RHO_LIPSCHITZ, max_exp
-        transport = None
-    return ScalingReport(
-        classification=kind,
-        classification_exponent=bound,
-        radius_exponent=transport,
-        b_q_exponent=None,
-        b_t1_exponent=None,
-        derivative_root_free=False,
-        transport_level=transport,
-        scalar_profile=exact,
-        scalar_upper_bounds=upper,
-    )
+
+def _check_primes(f: RationalMap, X: CompactDomain) -> None:
+    if f.prime != X.prime:
+        raise PrimeMismatch(f"map over p = {f.prime} and domain over p = {X.prime}")

@@ -147,6 +147,17 @@ CASES.update({
     # their count and the first
     "error-not-invariant-many-escaping": ["-p", "5", "--map", "(9/25+5x)/(5)",
                                           "--domain", "Zp-B(3,-1)", "mp"],
+    # scaling profiles: a root-free BoundedScaling map with two exponents
+    # (and the ergodic refusal it leads to), a derivative-root profile with
+    # three upper-bound balls, and a LocallyRhoLipschitz map
+    "bounded-scaling-p5-classify": ["-p", "5", "--map=(3/25)+-1*x+5*x^2+(3/2)*x^3",
+                                    "--domain", "B(0,1)", "classify"],
+    "error-bounded-scaling-p5-ergodic": ["-p", "5", "--map=(3/25)+-1*x+5*x^2+(3/2)*x^3",
+                                         "--domain", "B(0,1)", "ergodic", "--depth", "-3"],
+    "upper-bounds-beyond-zp-classify": ["-p", "7", "--map", "(7x^3-4x^2+x-5)/(-4x^2+x-5)",
+                                        "--domain", "B(0,2)", "classify"],
+    "rho-lipschitz-p7-classify": ["-p", "7", "--map=(-7+5*x^2+6*x^3)/(7)", "--domain", "Zp",
+                                  "classify"],
 })
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -144,8 +145,11 @@ def test_classify_examples(p, map_text, domain_text, expected):
 
 
 def test_scaled_map_has_uniform_contraction_profile():
-    report = classify(parse_map("3x", 3), CompactDomain.zp(3))
-    assert set(report.scalar_profile.values()) == {-1}
+    f, X = parse_map("3x", 3), CompactDomain.zp(3)
+    report = classify(f, X)
+    balls = decompose(X, report.radius_exponent)
+    assert {scalar_exponent(f, b.key) for b in balls} == {-1}
+    assert report.scalar_profile == {-1: len(balls)}
 
 
 def test_expanding_map_is_bounded_scaling():
@@ -215,8 +219,10 @@ def test_scaling_identity_on_radius_balls(p, map_text, domain_text):
     balls = decompose(X, report.radius_exponent)
     pairs_per_ball = 1000 // len(balls) + 1
     checked = 0
+    exponents = Counter()
     for ball in balls:
-        e = report.scalar_profile[ball]
+        e = scalar_exponent(f, ball.key)
+        exponents[e] += 1
         done = 0
         while done < pairs_per_ball:
             x, y = _random_points_in_ball(ball, 2, rng)
@@ -227,6 +233,7 @@ def test_scaling_identity_on_radius_balls(p, map_text, domain_text):
             done += 1
         checked += done
     assert checked >= 1000
+    assert exponents == report.scalar_profile
 
 
 def test_profile_constant_per_ball():
@@ -235,10 +242,13 @@ def test_profile_constant_per_ball():
     X = punctured_z3()
     report = classify(f, X)
     assert report.derivative_root_free
+    exponents = Counter()
     for ball in decompose(X, report.radius_exponent):
-        e = report.scalar_profile[ball]
+        e = scalar_exponent(f, ball.key)
+        exponents[e] += 1
         for sub in ball.subdivide(ball.level - 2):
             assert scalar_exponent(f, sub.key) == e
+    assert exponents == report.scalar_profile
 
 
 def test_descent_work_list_respects_the_ball_budget():
@@ -251,14 +261,21 @@ def test_descent_work_list_respects_the_ball_budget():
 
 def test_per_ball_certification_respects_the_ball_budget():
     # (9x^2 - 6x - 6)/6 on Z_2 has a derivative root, so it is certified ball
-    # by ball; both level -1 balls are split, and level -2 holds 4 balls
+    # by ball; |Q| and |T1| are constant on both level -1 balls, so the walk
+    # settles them and fits a budget of 3
     f = parse_map("(9x^2 - 6x - 6)/6", 2)
     X = CompactDomain.zp(2)
+    report = classify(f, X, AnalysisConfig(ball_cap=3))
+    assert report == classify(f, X)
+    assert (report.classification, report.transport_level) == ("Locally1Lipschitz", -2)
+    # (8/5)x/(6x^2 + 7x - 4) on Z_5 splits two of its five level -1 balls,
+    # so level -2 holds 10 balls: over a budget of 5
+    f = parse_map("(8/5)x/(6x^2+7x-4)", 5)
     with pytest.raises(
         DecompositionTooLarge,
-        match=r"^per-ball certification at level -2 needs 4 balls \(cap 3\)$",
+        match=r"^per-ball certification at level -2 needs 10 balls \(cap 5\)$",
     ):
-        classify(f, X, AnalysisConfig(ball_cap=3))
-    assert classify(f, X, AnalysisConfig(ball_cap=4)) == classify(f, X)
-    report = classify(f, X)
-    assert (report.classification, report.transport_level) == ("Locally1Lipschitz", -2)
+        classify(f, CompactDomain.zp(5), AnalysisConfig(ball_cap=5))
+    assert classify(f, CompactDomain.zp(5), AnalysisConfig(ball_cap=10)).classification == (
+        "LocallyRhoLipschitz"
+    )
