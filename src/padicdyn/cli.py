@@ -14,13 +14,7 @@ import sys
 from functools import cache
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .digraph import (
-    MEASURE_PRESERVING,
-    NOT_ERGODIC,
-    UNDECIDED,
-    Analysis,
-    cycle_decomposition,
-)
+from .digraph import MEASURE_PRESERVING, NOT_ERGODIC, UNDECIDED, Analysis
 from .errors import PadicDynError
 from .global_qp import (
     ERGODICITY,
@@ -119,13 +113,12 @@ def _config_for(inv: argparse.Namespace) -> AnalysisConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _emit_graph(inv: argparse.Namespace, G, cycles, out) -> None:
-    """``cycles`` is G's cycle decomposition (only the JSON output uses it)."""
+def _emit_graph(inv: argparse.Namespace, G, out) -> None:
     if inv.dot_path:
         _write(inv.dot_path, digraph_to_dot(G))
         out(f"dot written: {inv.dot_path}")
     if inv.json_path:
-        _write(inv.json_path, digraph_to_json(G, cycles))
+        _write(inv.json_path, digraph_to_json(G))
         out(f"json written: {inv.json_path}")
 
 
@@ -233,14 +226,14 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
 
     if inv.command == "digraph":
         G = analysis.digraph(inv.level)
-        dec = cycle_decomposition(G)
+        dec = G.cycles
         names = G.key_strings
         out(f"vertices: {len(G.vertices)}")
         out(f"cycle lengths: {dec.cycle_lengths}")
         out(f"tail vertices: {len(dec.tail_indices)}")
         for cyc in dec.cycle_indices:
             out("cycle: " + " -> ".join(names[i] for i in cyc))
-        _emit_graph(inv, G, dec, out)
+        _emit_graph(inv, G, out)
         return EXIT_OK
 
     if inv.command == "subsidiary":
@@ -255,7 +248,7 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
                 f"edge {names[i]} -> {names[j]}: s={d.s_exponent} "
                 f"bounds={list(d.bound_exponents)} passes={_yesno(d.passes)}"
             )
-        _emit_graph(inv, G, cycle_decomposition(G) if inv.json_path else None, out)
+        _emit_graph(inv, G, out)
         return EXIT_OK
 
     if inv.command == "intrinsic-level":

@@ -22,11 +22,10 @@ reads the levels below it off per-ball bounds.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, _check_decomposition, decompose_residues, residue_ball
@@ -119,6 +118,11 @@ class LevelDigraph:
             raise ValueError("subsidiary data was not computed")
         return all(d.passes for d in self.subsidiary)
 
+    @cached_property
+    def cycles(self) -> CycleDecomposition:
+        """``cycle_decomposition(self)``, computed on first read."""
+        return cycle_decomposition(self)
+
     def in_degrees(self) -> list[int]:
         """In-degree of each vertex, in vertex order."""
         deg = [0] * len(self.succ)
@@ -133,10 +137,6 @@ class CycleDecomposition:
 
     cycle_indices: tuple[tuple[int, ...], ...]
     tail_indices: tuple[int, ...]
-
-    @property
-    def is_union_of_cycles(self) -> bool:
-        return not self.tail_indices
 
     @property
     def is_single_cycle(self) -> bool:
@@ -507,46 +507,6 @@ class Analysis:
         return self._subsidiaries[t]
 
     @cached_property
-    def intrinsic_level(self) -> int:
-        """Largest level t where the subsidiary digraph keeps every edge, with
-        a guard margin of coinciding levels below it.
-
-        The candidates run from the transport level l down to l -
-        ``descent_cap``; the first whose level and ``config.intrinsic_margin``
-        levels below it keep every edge is returned.  Coincidence below a
-        candidate is verified, not assumed.  Keys nest across levels: the
-        children of vertex i of n are the vertices i + kn, and k = 0 keeps
-        the key.  So a level keeps every edge exactly when each key of that
-        level, the coarser levels' keys included, passes there.
-        ``_levels_keeping_every_edge`` reads this off per-ball bounds, one
-        level at a time from l, and is advanced only as far as a candidate by
-        candidate search builds levels.  The same level therefore raises the
-        same error, DecompositionTooLarge included.
-        """
-        level = self.transport_level
-        if not self.report.derivative_root_free:
-            raise DerivativeRootInDomain(
-                "intrinsic level requires a root-free derivative on the domain"
-            )
-        margin = self.config.intrinsic_margin
-        floor = level - self.config.descent_cap
-        run = 0  # levels keeping every edge just above and at t
-        for t, kept in zip(count(level, -1), self._levels_keeping_every_edge(level)):
-            if kept:
-                run += 1
-                if run > margin:
-                    return t + margin
-            elif t <= floor:
-                # every candidate from the top of the run down to the floor
-                # meets this level
-                raise DepthCapExceeded(
-                    f"no level down to {floor} has matching digraph and subsidiary digraph",
-                    level=floor,
-                )
-            else:
-                run = 0
-
-    @cached_property
     def _rescaled(
         self,
     ) -> tuple[int, int, list[int], list[int], list[list[int]], list[list[int]]]:
@@ -605,9 +565,22 @@ class Analysis:
             exact_to = NEG_INF
         return s, vq - M * d, vqd + M * (1 - d), vt + M * (1 - 2 * d), exact_to
 
-    def _levels_keeping_every_edge(self, level: int) -> Iterator[bool]:
-        """``subsidiary(t).is_subsidiary_equal`` for t = level, level - 1, ...,
-        raising what ``subsidiary(t)`` raises, from per-ball bounds.
+    @cached_property
+    def intrinsic_level(self) -> int:
+        """Largest level t where the subsidiary digraph keeps every edge, with
+        a guard margin of coinciding levels below it.
+
+        The candidates run from the transport level l down to l -
+        ``descent_cap``; the first whose level and ``config.intrinsic_margin``
+        levels below it keep every edge is returned.  Coincidence below a
+        candidate is verified, not assumed.  Keys nest across levels: the
+        children of vertex i of n are the vertices i + kn, and k = 0 keeps
+        the key.  So a level keeps every edge exactly when each key of that
+        level, the coarser levels' keys included, passes there.  Each level
+        is judged from per-ball bounds, one level at a time from l, and the
+        search stops at the level that decides it, as a candidate by
+        candidate search building ``subsidiary(t)`` would: the same level
+        raises the same error, DecompositionTooLarge included.
 
         The walk starts from X's balls at its base level.  The level-u keys
         of a level-t ball (u <= t) are its centre's residue plus multiples
@@ -615,8 +588,7 @@ class Analysis:
         Each ball is probed at its centre.  Where |Q|, |Q'| and |T1| are
         constant on the ball, v(Q(a)), v(Q'(a)) and v(T1(a)) are the same at
         each of its keys at every level, and the ball is settled.  Otherwise
-        the ball is split, and at and below ``level`` its centre's edge is
-        computed.
+        the ball is split, and at and below l its centre's edge is computed.
 
         On Z_p (M = 0), s = 0, so one set of bounds decides the settled
         ball's edges at every level.  Beyond Z_p, s depends on the image key
@@ -638,14 +610,22 @@ class Analysis:
         constant on the ball, each finite W_i term lies strictly below its
         Q_a[i] term (so it is the valuation), and u <= v(Q(a)) rules out
         ConstantTermNotIntegral.  Otherwise the ball's edges at u are
-        computed one by one.  The edges computed at a level are taken in
-        vertex order, so the first error is the one ``subsidiary`` meets
-        first.
+        computed one by one.  All the edges computed at a level are computed
+        in vertex order before the level is judged, so the first error is
+        the one ``subsidiary`` meets first.
         """
+        level = self.transport_level
+        if not self.report.derivative_root_free:
+            raise DerivativeRootInDomain(
+                "intrinsic level requires a root-free derivative on the domain"
+            )
         f, X, config = self.f, self.X, self.config
         self.digraph(level)  # raises what subsidiary(level) raises first
         p = f.prime
         M, _, num, den = self._rescaled[:4]
+        margin = config.intrinsic_margin
+        floor = level - config.descent_cap
+        run = 0  # levels keeping every edge just above and at t
         # settled balls not yet kept, as (level, centre, settle's values)
         t, settled = X.base_level, []
         centres = decompose_residues(X, t, config)[1]
@@ -677,7 +657,19 @@ class Analysis:
                     subsidiary_edge_data(num, den, p, M, y, image(y), t, level)
                     for y in sorted(keys)
                 ]
-                yield kept and all(e.passes for e in data)
+                if kept and all(e.passes for e in data):
+                    run += 1
+                    if run > margin:
+                        return t + margin
+                elif t <= floor:
+                    # every candidate from the top of the run down to the
+                    # floor meets this level
+                    raise DepthCapExceeded(
+                        f"no level down to {floor} has matching digraph and subsidiary digraph",
+                        level=floor,
+                    )
+                else:
+                    run = 0
             t -= 1
             _check_decomposition(X, t, config)
             centres = [y + k * mod for y in split for k in range(p)]
@@ -744,7 +736,7 @@ class Analysis:
         if level <= self.X.base_level:
             start = self._single_cycles_walked(level, depth)
         for t in range(start, depth - 1, -1):
-            dec = cycle_decomposition(self.digraph(t))
+            dec = self.digraph(t).cycles
             if not dec.is_single_cycle:
                 return ErgodicVerdict(
                     kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices)
@@ -816,7 +808,7 @@ class Analysis:
             )
         G = self.digraph(t)
         V = G.vertices
-        cycles = cycle_decomposition(G).cycle_indices
+        cycles = G.cycles.cycle_indices
         if self.report.classification == LOCALLY_ISOMETRIC:
             return [
                 ComponentSelection(

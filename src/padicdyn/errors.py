@@ -100,10 +100,6 @@ class DerivativeRootInDomain(PadicDynError):
     locally scaling around that point, and radius/level machinery that
     requires a root-free derivative does not apply."""
 
-    def __init__(self, message: str, ball=None):
-        super().__init__(message)
-        self.ball = ball
-
 
 class NotOneLipschitz(PadicDynError):
     """The map is not locally 1-Lipschitz on the domain, so the cycle

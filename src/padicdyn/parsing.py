@@ -39,9 +39,13 @@ QP_GLOBAL = "Qp"
 
 @dataclass
 class _Tok:
-    kind: str  # num, x, op, lparen, rparen, name, end
+    kind: str  # num, x, op, lparen, rparen, comma, name, end
     text: str
     pos: int
+
+
+# the kind of each one-character token
+_SINGLE = {c: "op" for c in "+-*/^"} | {"(": "lparen", ")": "rparen", ",": "comma"}
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -50,6 +54,11 @@ def _tokenize(text: str) -> list[_Tok]:
     n = len(text)
     while i < n:
         c = text[i]
+        kind = _SINGLE.get(c)
+        if kind is not None:
+            toks.append(_Tok(kind, c, i))
+            i += 1
+            continue
         if c.isspace():
             i += 1
             continue
@@ -65,27 +74,8 @@ def _tokenize(text: str) -> list[_Tok]:
             while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
             word = text[i:j]
-            if word == "x":
-                toks.append(_Tok("x", word, i))
-            else:
-                toks.append(_Tok("name", word, i))
+            toks.append(_Tok("x" if word == "x" else "name", word, i))
             i = j
-            continue
-        if c in "+-*/^":
-            toks.append(_Tok("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            toks.append(_Tok("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            toks.append(_Tok("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            toks.append(_Tok("comma", c, i))
-            i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", i)
     toks.append(_Tok("end", "", n))
@@ -259,15 +249,20 @@ def parse_seed(text: str) -> Fraction:
         raise ParseError(f"seed is not a rational number: {text!r}", 0) from None
 
 
-def _parse_rational(toks: list[_Tok], i: int) -> tuple[Fraction, int]:
+def _signed_integer(toks: list[_Tok], i: int, what: str) -> tuple[int, int]:
+    """An integer literal with an optional leading '-', read at token i;
+    ``what`` names the expected value in the error."""
     sign = 1
     if toks[i].kind == "op" and toks[i].text == "-":
         sign = -1
         i += 1
     if toks[i].kind != "num":
-        raise ParseError("expected a rational number", toks[i].pos)
-    num = _int_literal(toks[i])
-    i += 1
+        raise ParseError(f"expected {what}", toks[i].pos)
+    return sign * _int_literal(toks[i]), i + 1
+
+
+def _parse_rational(toks: list[_Tok], i: int) -> tuple[Fraction, int]:
+    num, i = _signed_integer(toks, i, "a rational number")
     if toks[i].kind == "op" and toks[i].text == "/":
         i += 1
         if toks[i].kind != "num":
@@ -275,20 +270,8 @@ def _parse_rational(toks: list[_Tok], i: int) -> tuple[Fraction, int]:
         den = _int_literal(toks[i])
         if den == 0:
             raise ZeroDenominator(f"zero denominator in domain literal (offset {toks[i].pos})")
-        i += 1
-        return Fraction(sign * num, den), i
-    return Fraction(sign * num), i
-
-
-def _parse_integer(toks: list[_Tok], i: int) -> tuple[int, int]:
-    sign = 1
-    if toks[i].kind == "op" and toks[i].text == "-":
-        sign = -1
-        i += 1
-    if toks[i].kind != "num":
-        raise ParseError("expected an integer level", toks[i].pos)
-    value = sign * _int_literal(toks[i])
-    return value, i + 1
+        return Fraction(num, den), i + 1
+    return Fraction(num), i
 
 
 def parse_domain(text: str, p: int) -> CompactDomain | str:
@@ -328,7 +311,7 @@ def _domain_atom(toks: list[_Tok], i: int, p: int) -> tuple[CompactDomain, int]:
         if toks[i].kind != "comma":
             raise ParseError("expected ',' between center and level", toks[i].pos)
         i += 1
-        level, i = _parse_integer(toks, i)
+        level, i = _signed_integer(toks, i, "an integer level")
         if toks[i].kind != "rparen":
             raise ParseError("expected ')'", toks[i].pos)
         return CompactDomain.ball(center, level, p), i + 1

@@ -9,15 +9,15 @@ from __future__ import annotations
 import os
 import tempfile
 
-from .digraph import CycleDecomposition, LevelDigraph
+from .digraph import LevelDigraph
 from .padics import INF, NEG_INF
 
 
-def digraph_to_dot(G: LevelDigraph, name: str = "dynamics") -> str:
+def digraph_to_dot(G: LevelDigraph) -> str:
     """One node per ball labeled "key (level)"; the unique out-edges are
     solid, except that edges failing the subsidiary admission are dashed."""
     names = G.key_strings
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph dynamics {"]
     lines.extend(f'  "{k}" [label="{k} ({G.level})"];' for k in names)
     for i, j in enumerate(G.succ):
         dashed = G.subsidiary is not None and not G.subsidiary[i].passes
@@ -28,9 +28,9 @@ def digraph_to_dot(G: LevelDigraph, name: str = "dynamics") -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_json(G: LevelDigraph, cycles: CycleDecomposition) -> str:
-    """``cycles`` is G's cycle decomposition.  "center" and "rep" repeat the
-    key: a ball's key is its canonical center and representative.
+def digraph_to_json(G: LevelDigraph) -> str:
+    """G with its cycles and tails.  "center" and "rep" repeat the key: a
+    ball's key is its canonical center and representative.
 
     The text is what ``json.dumps(..., indent=2)`` prints for the digraph's
     dict form, plus a newline, written directly because any indent sends
@@ -57,6 +57,7 @@ def digraph_to_json(G: LevelDigraph, cycles: CycleDecomposition) -> str:
             "    }"
             for (i, j), d in zip(enumerate(G.succ), G.subsidiary)
         ]
+    cycles = G.cycles
     return (
         f'{{\n  "prime": {G.prime},\n  "level": {G.level},\n'
         f'  "vertices": {_json_list(vertices, 2)},\n'

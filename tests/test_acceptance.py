@@ -217,7 +217,7 @@ def test_criterion_6_oracle_equivalence():
                 preimage = {b: 0 for b in lib_edges}
                 for ball, image in oracle.items():
                     preimage[image] += 1
-                all_cycles = cycle_decomposition(G).is_union_of_cycles
+                all_cycles = not cycle_decomposition(G).tail_indices
                 equal_measure = all(v == 1 for v in preimage.values())
                 assert all_cycles == equal_measure
 

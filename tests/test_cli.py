@@ -371,7 +371,7 @@ def _json_cases():
 def test_json_writer_matches_json_dumps():
     for name, G in _json_cases():
         want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
-        assert digraph_to_json(G, cycle_decomposition(G)) == want, name
+        assert digraph_to_json(G) == want, name
         if name == "beyond Z_p":
             assert '"1/3"' in want
 
@@ -386,14 +386,14 @@ def test_json_writer_on_hand_built_subsidiary_bounds():
     )
     G = LevelDigraph(G.prime, G.level, G.height, G.residues, G.succ, data)
     want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
-    assert digraph_to_json(G, cycle_decomposition(G)) == want
+    assert digraph_to_json(G) == want
 
 
 def test_json_round_trip():
     f = parse_map("(x^2-1)/x", 7)
     X = parse_domain("B(2,-1)+B(5,-1)", 7)
     G = Analysis(f, X).subsidiary(-2)
-    text = digraph_to_json(G, cycle_decomposition(G))
+    text = digraph_to_json(G)
     loaded = digraph_from_json(text)
     direct = structural_form(G)
     assert loaded["prime"] == direct["prime"]

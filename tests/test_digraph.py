@@ -101,7 +101,10 @@ class TestSevenAdicTwoBallMap:
         assert len(G.vertices) == 14
         dec = cycle_decomposition(G)
         assert dec.cycle_lengths == [2, 6, 6]
-        assert dec.is_union_of_cycles
+        assert not dec.tail_indices
+        # the digraph holds its decomposition, computed once
+        assert G.cycles == dec
+        assert G.cycles is G.cycles
         cycle_key_sets = [set(keys(c)) for c in cycle_balls(G, dec)]
         assert {Fraction(k) for k in (2, 9, 23, 26, 40, 47)} in cycle_key_sets
 

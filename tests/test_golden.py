@@ -158,6 +158,11 @@ CASES.update({
                                         "--domain", "B(0,2)", "classify"],
     "rho-lipschitz-p7-classify": ["-p", "7", "--map=(-7+5*x^2+6*x^3)/(7)", "--domain", "Zp",
                                   "classify"],
+    # a cap of 0 leaves the denominator's root-freeness undecided (exit 2),
+    # and Hensel lifting refuses a map with a non-constant denominator
+    "undecided-root-freeness-global": ["-p", "5", "--map", "(x^3+1)/(x^2-26)",
+                                       "global", "--cap", "0"],
+    "error-hensel-rational-map": ["-p", "7", "--map", "x/(x+1)", "hensel", "--seed", "1"],
 })
 
 

@@ -2,12 +2,14 @@
 
 Certificates are checked by real code, so the library holds no ``assert``
 statement (``python -O`` strips them).  Every import is used, apart from
-the package's re-exports in ``__init__``.
+the package's re-exports in ``__init__``, and every private function is
+called from somewhere other than its own body.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,33 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or an
+    attribute."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+    return refs
+
+
+def _unreferenced_private_functions(trees: list[ast.Module]) -> list[str]:
+    """The single-underscore functions and methods whose name is read
+    nowhere in ``trees`` outside their own body (names match across
+    modules)."""
+    everywhere = sum((_references(tree) for tree in trees), Counter())
+    return [
+        fn.name
+        for tree in trees
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_") and not fn.name.startswith("__")
+        and everywhere[fn.name] == _references(fn)[fn.name]
+    ]
+
+
 def test_sources_are_found():
     assert {"__init__.py", "scaling.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -50,3 +79,20 @@ def test_no_unused_imports(path):
 def test_the_unused_import_check_sees_one():
     tree = ast.parse("import os\nfrom sys import argv, path as p\nprint(argv)\n")
     assert _unused_imports(tree) == ["os", "p"]
+
+
+def test_every_private_function_is_referenced():
+    assert _unreferenced_private_functions([_tree(p) for p in SOURCES]) == []
+
+
+def test_the_private_function_check_sees_unreferenced_ones():
+    tree = ast.parse(
+        "def _used():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class A:\n"
+        "    def __init__(self):\n        self.x = _used()\n"
+        "    def _method(self):\n        return self._method()\n"
+        "    def _read(self):\n        return 2\n"
+        "print(A()._read())\n"
+    )
+    assert _unreferenced_private_functions([tree]) == ["_recursive", "_method"]
