@@ -7,7 +7,8 @@ single-cycle scans reach.  Cross-checks every kept digraph down to level -6
 (p <= 3), -5 (p = 5) or -3 (larger p) against the brute-force functional
 graph on residues, and the subsidiary data of those levels against
 ``subsidiary_edge_data`` on every edge; every map's single-cycle scan to
-level -4 against the cycles of those graphs; every intrinsic level
+level -4 against the cycles of those graphs, and each scan that passes
+again down to the deepest checked level; every intrinsic level
 against the search over the subsidiary data of every edge; and the scalar
 profile of every sampled map with a root-free derivative against the
 exponents of |f'| read off exact values at the level-l residues.  A
@@ -52,7 +53,7 @@ def brute_force_scan(f, p, top, depth=-4):
     """(kind, level, cycle count) of the single-cycle scan from level top
     down to depth, read off the brute-force residue graphs."""
     for t in range(top, depth - 1, -1):
-        edges = brute_force_edges(f, p, t)
+        edges = brute_force_edges(f, p, t, max(4, -t))
         on_cycle, cycles = set(), 0
         for v in edges:
             if v in on_cycle:
@@ -172,6 +173,19 @@ def main():
                 print(f"ergodic scan mismatch for {f}: {erg} against {want}", file=sys.stderr)
                 sys.exit(1)
             stats["oracle-checked ergodic scans"] += 1
+            if erg.kind == "SingleCycleToDepth":
+                # cycle lifting may certify the deeper levels without
+                # walking them
+                deepest = DEEPEST_CHECKED.get(p, -3)
+                erg = A.ergodic(deepest)
+                want = brute_force_scan(f, p, A.transport_level, deepest)
+                if (erg.kind, erg.level, erg.cycle_count) != want:
+                    print(
+                        f"deep ergodic scan mismatch for {f}: {erg} against {want}",
+                        file=sys.stderr,
+                    )
+                    sys.exit(1)
+                stats["oracle-checked deep ergodic scans"] += 1
         for t in range(top, DEEPEST_CHECKED.get(p, -3) - 1, -1):
             G = A.digraph(t)
             oracle = brute_force_edges(f, p, t, max(4, -t))

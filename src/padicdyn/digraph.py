@@ -15,8 +15,9 @@ on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
 constant.  ``Analysis`` answers these questions for one map and domain
 from one classification, building each level once.  Its single-cycle scan
 builds no level it can certify by one orbit walk at the deepest level, and
-keeps none; its intrinsic-level search builds only the transport level and
-reads the levels below it off per-ball bounds.
+keeps none; cycle lifting ends the walk after one orbit of a coarse level
+where it certifies every finer level.  Its intrinsic-level search builds
+only the transport level and reads the levels below it off per-ball bounds.
 """
 
 from __future__ import annotations
@@ -245,16 +246,15 @@ def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | Non
     g(y) = c0 + c1 (y - a) mod p^K with c0 = g(a) and c1 = g'(a) =
     p^M T1^(a) / Q^(a)^2, where T1^(y) = p^(M(2d - 1)) T1(y / p^M) =
     (P^' Q^ - P^ Q^')(y); c1 matters only mod p^(K - K1).  Every other key
-    (Q^(a) not a unit, or K1 = K) is evaluated on its own.
+    (Q^(a) not a unit, or K1 = K) is evaluated on its own.  The polynomials
+    are those of ``_reduced_rescaling``, which leave g as it is.
     """
     p = f.prime
     scale = p**M
     mod = p**K
-    d = max(f.m, f.n)
-    # p^M P^ and Q^, highest degree first, for Horner's scheme; P may be 0
-    P_hat = _rescaled_coefficients(f.P, p, d, M)
-    num_top, *num_coeffs = [scale * c for c in reversed(P_hat)] or [0]
-    den_top, *den_coeffs = reversed(_rescaled_coefficients(f.Q, p, d, M))
+    num, den, t1 = _reduced_rescaling(f, M)
+    num_top, *num_coeffs = num
+    den_top, *den_coeffs = den
 
     def direct(y: int) -> int | None:
         num = num_top
@@ -286,25 +286,15 @@ def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | Non
     if K1 == K:
         return direct
     coarse, slope_mod = p**K1, p ** (K - K1)
-    # p^M T1^, highest degree first; deg T1 <= 2d - 1
-    t1_coeffs = [scale * c for c in reversed(_rescaled_coefficients(f.t1, p, 2 * d - 1, M))]
     expansions: dict[int, tuple[int, ...]] = {}
 
     def expansion(a: int) -> tuple[int, ...]:
         """(c0, c1) at the ancestor a, or () where Q^(a) is not a unit."""
-        den = den_top
-        for c in den_coeffs:
-            den = den * a + c
-        if den % p == 0:
+        q = _horner(den, a)
+        if q % p == 0:
             return ()
-        num = num_top
-        for c in num_coeffs:
-            num = num * a + c
-        t1 = 0
-        for c in t1_coeffs:
-            t1 = t1 * a + c
-        inv = pow(den, -1, mod)
-        return num * inv % mod, t1 * inv * inv % slope_mod
+        inv = pow(q, -1, mod)
+        return _horner(num, a) * inv % mod, _horner(t1, a) * inv * inv % slope_mod
 
     def image(y: int) -> int | None:
         a = y % coarse
@@ -316,6 +306,29 @@ def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | Non
         return direct(y)
 
     return image
+
+
+def _reduced_rescaling(f: RationalMap, M: int) -> tuple[list[int], list[int], list[int]]:
+    """p^M P^, Q^ and p^M T1^, highest degree first, divided by p^e, p^e and
+    p^(2e) for the largest p^e dividing every coefficient of p^M P^ and Q^.
+    The last stays integral: p^M T1^ = (p^M P^)' Q^ - (p^M P^) Q^'.  The
+    quotient g = p^M P^ / Q^ does not change, but Q^ can become a unit: for
+    a polynomial map on B(0, M), Q^ = Q_0 p^(Md) before the division."""
+    p, scale, d = f.prime, f.prime**M, max(f.m, f.n)
+    # P may be 0; deg T1 <= 2d - 1
+    num = [scale * c for c in reversed(_rescaled_coefficients(f.P, p, d, M))] or [0]
+    den = list(reversed(_rescaled_coefficients(f.Q, p, d, M)))
+    t1 = [scale * c for c in reversed(_rescaled_coefficients(f.t1, p, 2 * d - 1, M))]
+    e = min(int_valuation(c, p) for c in num + den if c)
+    return [c // p**e for c in num], [c // p**e for c in den], [c // p ** (2 * e) for c in t1]
+
+
+def _horner(F: list[int], y: int) -> int:
+    """F(y) for integer coefficients listed highest degree first."""
+    acc = 0
+    for c in F:
+        acc = acc * y + c
+    return acc
 
 
 def subsidiary_edge_data(
@@ -434,9 +447,10 @@ class Analysis:
     intrinsic level and the digraph of each level (with and without
     subsidiary data) are computed on first use and kept, so each level is
     built once however many questions read it.  ``ergodic`` walks one orbit
-    instead and keeps nothing from the walk; only the levels the walk does
-    not certify are built and kept.  ``intrinsic_level`` builds the
-    transport level only, and walks its balls for the levels below.
+    instead, ended early by cycle lifting, and keeps nothing from the walk;
+    only the levels the walk does not certify are built and kept.
+    ``intrinsic_level`` builds the transport level only, and walks its balls
+    for the levels below.
     """
 
     def __init__(
@@ -723,9 +737,9 @@ class Analysis:
     def ergodic(self, depth: int) -> ErgodicVerdict:
         """Single-cycle scan down to ``depth``.
 
-        NotErgodic is definitive; a full pass is only a certificate to the
-        scanned depth since the criterion quantifies over every level.  The
-        same verdict answers minimality.
+        NotErgodic is definitive.  A pass reports only the scanned depth,
+        also when cycle lifting has certified every level.  The same verdict
+        answers minimality.
         """
         level = self.transport_level
         if depth > level:
@@ -756,6 +770,20 @@ class Analysis:
         level down to ``depth`` that fits in ``ball_cap``.  The walk stops
         without deciding at an early return, at no return by step n_t, at
         an image outside X and at a pole; the level digraph then decides.
+
+        Cycle lifting certifies every level after n0 = n_t0 steps, with
+        t0 = min(level, M - 2) above K and K0 = M - t0 >= 2.  Let z_j be
+        the orbit, g the rescaled map, a = prod_{j < n0} g'(z_j) and
+        b = (z_n0 - y0) / p^K0 mod p.  (1) Where Q^(z_j) is a unit (the
+        polynomials of ``_reduced_rescaling``), g is an integral power series
+        on z_j + p Z_p, so phi(s) = (g^n0(y0 + p^K0 s) - y0) / p^K0 = b + a s
+        + sum_{i >= 2} d_i s^i with v(d_i) >= (i - 1) K0.  (2) The level
+        t0 - k balls form one cycle exactly when phi cycles Z / p^k.  (3) As
+        K0 >= 2, the return map of each level-k cycle is affine mod
+        p^(k + 2), and phi' = a mod p^K0.  (4) So b_(k+1) = b_k (sum_{j < p}
+        a_k^j) / p mod p: b_k for odd p with a = 1 mod p, and b_k (1 + a_k) / 2
+        for p = 2 with a_k = a^(2^k) = 1 mod 4.  Induction on k: b != 0 mod p
+        certifies every level.
         """
         X, p, cap = self.X, self.f.prime, self.config.ball_cap
         n = len(X.keys) * p ** (X.base_level - level)
@@ -770,10 +798,21 @@ class Analysis:
         step = p ** (M - X.base_level)
         bases, y0 = set(ys), ys[0]
         image = _rescaled_image(self.f, M, M - K)
+        t0 = min(level, M - 2)
+        # no certificate (n0 = 0) when K is not below t0 or Q^ is not a unit
+        n0 = len(X.keys) * p ** (X.base_level - t0) if K < t0 else 0
+        _, den, t1 = _reduced_rescaling(self.f, M)
+        a, sq = 1, p * p
         t, mod = level, p ** (M - level)
         z = y0
         # i <= n throughout, so step n_K certifies K or stops there
         for i in range(1, n_K + 1):
+            if i <= n0:
+                q = _horner(den, z)
+                if q % p:
+                    a = a * _horner(t1, z) * pow(q, -2, sq) % sq
+                else:
+                    n0 = 0
             try:
                 z = image(z)
             except (PoleInDomain, CertificateFailed):
@@ -785,6 +824,9 @@ class Analysis:
                     return t
                 # level t is one cycle; step n_t may be an early return at t - 1
                 t, n, mod = t - 1, n * p, mod * p
+                b = (z - y0) // p ** (M - t0) % p
+                if i == n0 and b and a % (4 if p == 2 else p) == 1:
+                    return depth - 1  # cycle lifting certifies every level
                 if t < K:
                     return t
                 if z % mod == y0:

@@ -163,6 +163,28 @@ CASES.update({
     "undecided-root-freeness-global": ["-p", "5", "--map", "(x^3+1)/(x^2-26)",
                                        "global", "--cap", "0"],
     "error-hensel-rational-map": ["-p", "7", "--map", "x/(x+1)", "hensel", "--seed", "1"],
+    # scans near the cycle-lifting certificate's guards: a product of
+    # slopes that is 3 mod 4 at p = 2, and a coarse level only one level
+    # below the domain's height (both fail deeper down); passing scans on
+    # B(0, 1), with a rational denominator, and with a slope of 5 at p = 2
+    "slope-three-mod-four-ergodic-p2": ["-p", "2", "--map", "8-5x", "--domain", "B(2,-2)",
+                                        "ergodic", "--depth", "-6"],
+    "shallow-lift-ergodic-p3": ["-p", "3", "--map", "8-x-4x^2", "--domain", "B(2,-1)",
+                                "ergodic", "--depth", "-5"],
+    "shift-beyond-zp-ergodic-p3": ["-p", "3", "--map", "x+1/3", "--domain", "B(0,1)",
+                                   "ergodic", "--depth", "-8"],
+    "moebius-ergodic-p5": ["-p", "5", "--map", "(x+1)/(1+5x)", "--domain", "Zp",
+                           "ergodic", "--depth", "-6"],
+    "affine-slope-five-ergodic-p2": ["-p", "2", "--map", "5x+3", "--domain", "Zp",
+                                     "ergodic", "--depth", "-14"],
+    # the denominator is not a unit along the level -2 orbit, where f
+    # contracts (f'(0) = 16/9): cycle lifting must not certify the scan
+    "nonunit-denominator-ergodic-p2": ["-p", "2", "--map", "(44+40x+23x^2+4x^3)/(6+4x+x^2)",
+                                       "--domain", "B(0,-1)", "ergodic", "--depth", "-8"],
+    # 2^25 level -25 balls, far over the ball cap: cycle lifting certifies
+    # the scan after one orbit of the four level -2 balls
+    "shift-deep-ergodic-p2": ["-p", "2", "--map", "x+1", "--domain", "Zp",
+                              "ergodic", "--depth", "-25"],
 })
 
 

@@ -9,6 +9,7 @@ against the cycle decomposition of every level digraph.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
@@ -25,7 +26,9 @@ from padicdyn import (
     cli,
     decompose,
     normalize_map,
+    parse_map,
 )
+from padicdyn import digraph
 from padicdyn.digraph import (
     NOT_ERGODIC,
     SINGLE_CYCLE_TO_DEPTH,
@@ -38,12 +41,14 @@ from padicdyn.digraph import (
 from padicdyn.domains import decompose_residues, residue_ball
 from padicdyn.errors import (
     CertificateFailed,
+    DecompositionTooLarge,
     DepthCapExceeded,
     LevelTooCoarse,
     NotForwardInvariant,
     PadicDynError,
     PoleInDomain,
 )
+from padicdyn.padics import int_valuation
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 MAX_VERTICES = 800
@@ -318,7 +323,11 @@ def test_expansion_matches_per_key_evaluation():
         f, M, K = case
         p, K1 = f.prime, (K + 1) // 2
         d = max(f.m, f.n)
+        num = [p**M * c * p ** (M * (d - i)) for i, c in enumerate(f.P)]
         den = [c * p ** (M * (d - i)) for i, c in enumerate(f.Q)]
+        # the expansion reads Q^ over the largest power of p dividing
+        # p^M P^ and Q^
+        e = min(int_valuation(c, p) for c in num + den if c)
         new, old = _rescaled_image(f, M, K), per_key_image(f, M, K)
         for y in range(p**K):
             want = _outcome(old, y)
@@ -326,8 +335,10 @@ def test_expansion_matches_per_key_evaluation():
             a = y % p**K1
             if K1 == K:
                 seen.add("per key, K1 = K")
-            elif sum(c * a**i for i, c in enumerate(den)) % p:
+            elif sum(c * a**i for i, c in enumerate(den)) // p**e % p:
                 seen.add("expansion")
+                if M and f.n == 0:
+                    seen.add("expansion, constant denominator, M >= 1")
             else:
                 seen.add("per key, Q^(a) not a unit")
             seen.add(want[0] if isinstance(want, tuple) else "image" if want is not None
@@ -340,8 +351,8 @@ def test_expansion_matches_per_key_evaluation():
         seen.add(("successors", want[0] if isinstance(want, tuple) else list))
 
     check()
-    assert {"expansion", "per key, K1 = K", "per key, Q^(a) not a unit",
-            "image", "not integral", PoleInDomain} <= seen
+    assert {"expansion", "expansion, constant denominator, M >= 1", "per key, K1 = K",
+            "per key, Q^(a) not a unit", "image", "not integral", PoleInDomain} <= seen
     assert {("successors", PoleInDomain), ("successors", NotForwardInvariant),
             ("successors", list)} <= seen
 
@@ -367,6 +378,21 @@ def shift_instances(draw):
     return normalize_map(P, [1, k], p), CompactDomain.ball(c, L, p)
 
 
+@st.composite
+def unit_instances(draw):
+    """x (a + p h(x)) / (1 + p k x) on the units Z_p - B(0, -1), p odd:
+    p - 1 balls, permuted as one cycle when a is a primitive root mod p;
+    with h = k = 0 every level is one cycle when a is a primitive root
+    mod p^2."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    a = draw(st.integers(1, p * p - 1).filter(lambda a: a % p))
+    h = draw(st.lists(st.integers(-3, 3), max_size=2))
+    P = [0, a + p * (h[0] if h else 0)] + [p * c for c in h[1:]]
+    Q = [1, p * draw(st.integers(-2, 2))]
+    X = CompactDomain.zp(p).difference(CompactDomain.ball(0, -1, p))
+    return normalize_map(P, Q, p), X
+
+
 def per_level_ergodic(A, depth):
     """The single-cycle scan as one cycle decomposition per level digraph,
     each built afresh."""
@@ -388,35 +414,85 @@ def outcome(scan, A, depth):
         return type(exc), str(exc)
 
 
-@settings(max_examples=600, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(st.one_of(instances().map(lambda i: i[:2]), one_lipschitz_instances(), shift_instances()),
-       st.data())
-def test_ergodic_scan_matches_per_level_cycle_decompositions(instance, data):
-    f, X = instance
-    p = f.prime
-    # a cap of a few levels' balls stops some scans with DecompositionTooLarge
-    k = data.draw(st.none() | st.integers(0, 5), label="cap levels")
-    cap = None if k is None else len(X.keys) * p**k + data.draw(st.integers(0, p - 1))
-    try:
-        A = Analysis(f, X, AnalysisConfig() if cap is None else AnalysisConfig(ball_cap=cap))
-    except PadicDynError:
-        assume(False)
-    # from the transport level down to the deepest level of at most
-    # MAX_VERTICES balls, and now and then one level above it (LevelTooCoarse)
-    top = A.report.transport_level
-    top = X.base_level if top is None else top
-    deepest = X.base_level
-    while len(X.keys) * p ** (X.base_level - deepest + 1) <= MAX_VERTICES:
-        deepest -= 1
-    depth = data.draw(st.integers(min(deepest, top), top), label="depth")
-    if data.draw(st.integers(0, 9), label="above") == 0:
-        depth = top + 1
-    want = outcome(per_level_ergodic, A, depth)
-    if not isinstance(want, ErgodicVerdict):
-        event(want[0].__name__)
-    elif want.kind == NOT_ERGODIC:
-        event(f"NotErgodic {top - want.level} level(s) below the top")
-    else:
-        event(f"SingleCycleToDepth, {top - depth + 1} level(s)")
-    assert outcome(Analysis.ergodic, A, depth) == want
+def counted_images(calls):
+    """``_rescaled_image`` whose images each add 1 to calls[0]."""
+
+    def rescaled_image(f, M, K):
+        image = _rescaled_image(f, M, K)
+
+        def counted(y):
+            calls[0] += 1
+            return image(y)
+
+        return counted
+
+    return rescaled_image
+
+
+def test_ergodic_scan_matches_per_level_cycle_decompositions():
+    seen = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.one_of(instances().map(lambda i: i[:2]), one_lipschitz_instances(),
+                     shift_instances(), unit_instances()),
+           st.data())
+    def check(instance, data):
+        f, X = instance
+        p = f.prime
+        # a cap of a few levels' balls stops some scans with DecompositionTooLarge
+        k = data.draw(st.none() | st.integers(0, 5), label="cap levels")
+        cap = None if k is None else len(X.keys) * p**k + data.draw(st.integers(0, p - 1))
+        try:
+            A = Analysis(f, X, AnalysisConfig() if cap is None else AnalysisConfig(ball_cap=cap))
+        except PadicDynError:
+            assume(False)
+        # from the transport level down to the deepest level of at most
+        # MAX_VERTICES balls, and now and then one level above it (LevelTooCoarse)
+        top = A.report.transport_level
+        top = X.base_level if top is None else top
+        deepest = X.base_level
+        while len(X.keys) * p ** (X.base_level - deepest + 1) <= MAX_VERTICES:
+            deepest -= 1
+        depth = data.draw(st.integers(min(deepest, top), top), label="depth")
+        if data.draw(st.integers(0, 9), label="above") == 0:
+            depth = top + 1
+        want = outcome(per_level_ergodic, A, depth)
+        calls = [0]
+        with mock.patch.object(digraph, "_rescaled_image", counted_images(calls)):
+            got = outcome(Analysis.ergodic, A, depth)
+        passed = isinstance(got, ErgodicVerdict) and got.kind == SINGLE_CYCLE_TO_DEPTH
+        if passed and calls[0] < len(X.keys) * p ** (X.base_level - depth):
+            # cycle lifting certified levels that the walk did not reach,
+            # and no level digraph was built
+            event("lifting certificate")
+            seen.update({("certificate", p), ("certificate", "multi-ball" if len(X.keys) > 1
+                                                else "one ball")})
+            if X.height_exponent():
+                seen.add(("certificate", "M >= 1"))
+        if passed and isinstance(want, tuple) and want[0] is DecompositionTooLarge:
+            # the certificate needs no level that the oracle builds
+            event("oracle rerun at the default cap")
+            want = outcome(per_level_ergodic, Analysis(f, X), depth)
+        if not isinstance(want, ErgodicVerdict):
+            event(want[0].__name__)
+        elif want.kind == NOT_ERGODIC:
+            event(f"NotErgodic {top - want.level} level(s) below the top")
+        else:
+            event(f"SingleCycleToDepth, {top - depth + 1} level(s)")
+        assert got == want
+
+    check()
+    assert {("certificate", 2), ("certificate", 3), ("certificate", "M >= 1"),
+            ("certificate", "multi-ball")} <= seen, seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lifting_certifies_deep_scans_from_p_squared_images(p, monkeypatch):
+    # x + 1 cycles Z / p^k for every k; the scan to level -40 stops after
+    # one orbit of the p^2 level -2 balls instead of walking p^40 balls
+    calls = [0]
+    monkeypatch.setattr(digraph, "_rescaled_image", counted_images(calls))
+    A = Analysis(parse_map("x+1", p), CompactDomain.zp(p))
+    assert A.ergodic(-40) == ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=-40)
+    assert 0 < calls[0] <= p * p
