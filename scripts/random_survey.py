@@ -198,7 +198,7 @@ def main():
             # the library shares one datum among the edges of a ball where
             # |Q|, |Q'| and |T1| are constant
             per_edge = tuple(
-                subsidiary_edge_data(f.P, f.Q, p, 0, y[i], y[j], t, A.transport_level)
+                subsidiary_edge_data(A.form, y[i], y[j], t, A.transport_level)
                 for i, j in enumerate(G.succ)
             )
             if A.subsidiary(t).subsidiary != per_edge:

@@ -5,9 +5,9 @@ containing the image of its canonical representative (a single evaluation
 suffices because the map is locally 1-Lipschitz at and below the certified
 transport level).  Edges are computed on plain integers: after rescaling
 the domain into Z_p, a key is a residue y mod p^(M - t) and its image is
-P(y) Q(y)^-1 of the rescaled integer polynomials, read off a first-order
-expansion at the key's ancestor mod p^ceil((M - t) / 2) wherever Q is a
-unit there.  A digraph stores sorted residues and one successor index per
+num(y) den(y)^-1 on f's integer form (``RationalMap.rescaled``), read off
+a first-order expansion at the key's ancestor mod p^ceil((M - t) / 2)
+wherever den is a unit there.  A digraph stores sorted residues and one successor index per
 vertex; Balls are built on demand.  Cycle structure decides measure
 preservation and semi-decides ergodicity and minimality; subsidiary edge
 data decides how far the finite digraphs certify the infinite family, and
@@ -31,7 +31,6 @@ from functools import cached_property
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, _check_decomposition, decompose_residues, residue_ball
 from .errors import (
-    CertificateFailed,
     ConstantTermNotIntegral,
     DecompositionTooLarge,
     DepthCapExceeded,
@@ -42,13 +41,13 @@ from .errors import (
     NotOneLipschitz,
     PoleInDomain,
 )
-from .maps import RationalMap
+from .maps import RationalMap, RescaledMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, int_valuation
 from .polynomials import (
     _ball_valuation,
     _int_add,
+    _evaluate,
     _int_mul,
-    _rescaled_coefficients,
     _taylor_coefficients,
     _taylor_polynomials,
 )
@@ -212,7 +211,7 @@ def _successors(
     key where Q vanishes and NotForwardInvariant with the number of balls
     whose image leaves X and the first of them, its image from ``f.eval``.
     """
-    image = _rescaled_image(f, M, M - t)
+    image = _rescaled_image(f.rescaled(M), M - t)
     index = dict(zip(residues, range(len(residues))))
     succ = [index.get(image(y)) for y in residues]
     if None in succ:
@@ -227,60 +226,38 @@ def _successors(
     return succ
 
 
-def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | None]:
+def _rescaled_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
     """The map from a rescaled key y to the rescaled key of its image,
-    g(y) = p^M f(y / p^M) mod p^K; None where that image is not integral
-    (it leaves B(0, M)).
-
-    With x = y / p^M and d = max(deg P, deg Q), f(x) = P^(y) / Q^(y) for
-    the integer polynomials P^(y) = p^(Md) P(y / p^M) and likewise Q^.  The
-    returned function raises PoleInDomain at a key where Q vanishes.
+    g(y) = p^M f(y / p^M) = num(y) / den(y) mod p^K on f's integer form
+    ``form`` on B(0, M); None where that image is not integral (it leaves
+    B(0, M)).  The returned function raises PoleInDomain at a key where Q
+    vanishes, that is where den does.
 
     A key y is read off a first-order expansion at its ancestor
     a = y mod p^K1, K1 = ceil(K / 2), computed once per ancestor.  Where
-    Q^(a) is a unit, so is Q^(a + h) = Q^(a) (1 + sum_i (Qh_i / Q^(a)) h^i)
-    for h in p Z_p, with Qh_i the integer Taylor coefficients of Q^ at a;
+    den(a) is a unit, so is den(a + h) = den(a) (1 + sum_i (Qh_i / den(a)) h^i)
+    for h in p Z_p, with Qh_i the integer Taylor coefficients of den at a;
     its inverse is the geometric series in those integral terms, so
     g(a + h) = sum_i c_i h^i with every c_i in Z_p.  Since v(y - a) >= K1
     and 2 K1 >= K, the terms of degree 2 and up vanish mod p^K, and
     g(y) = c0 + c1 (y - a) mod p^K with c0 = g(a) and c1 = g'(a) =
-    p^M T1^(a) / Q^(a)^2, where T1^(y) = p^(M(2d - 1)) T1(y / p^M) =
-    (P^' Q^ - P^ Q^')(y); c1 matters only mod p^(K - K1).  Every other key
-    (Q^(a) not a unit, or K1 = K) is evaluated on its own.  The polynomials
-    are those of ``_reduced_rescaling``, which leave g as it is.
+    t1(a) / den(a)^2; c1 matters only mod p^(K - K1).  Every other key
+    (den(a) not a unit, or K1 = K) is evaluated on its own.
     """
-    p = f.prime
-    scale = p**M
+    p, num, den = form.prime, form.num, form.den
     mod = p**K
-    num, den, t1 = _reduced_rescaling(f, M)
-    num_top, *num_coeffs = num
-    den_top, *den_coeffs = den
 
     def direct(y: int) -> int | None:
-        num = num_top
-        for c in num_coeffs:
-            num = num * y + c
-        den = den_top
-        for c in den_coeffs:
-            den = den * y + c
-        if den % p:
-            return num * pow(den, -1, mod) % mod
-        if den == 0:
-            f.eval(Fraction(y, scale))  # raises PoleInDomain
-            raise CertificateFailed(
-                f"the rescaled denominator vanishes at {y}, but Q has no root at "
-                f"{Fraction(y, scale)}"
-            )
-        # with den = p^k * unit, the image num / den is integral exactly
-        # when p^k divides num = p^M P^(y)
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
-        num, rest = divmod(num, p**k)
-        if rest:
-            return None
-        return num * pow(den, -1, mod) % mod
+        q = _evaluate(den, y)
+        if q % p:
+            return _evaluate(num, y) * pow(q, -1, mod) % mod
+        if q == 0:
+            raise PoleInDomain(f"denominator vanishes at {Fraction(y, p**form.M)}")
+        # with q = p^k * unit, the image num(y) / q is integral exactly
+        # when p^k divides num(y)
+        pk = p ** int_valuation(q, p)
+        n, rest = divmod(_evaluate(num, y), pk)
+        return None if rest else n * pow(q // pk, -1, mod) % mod
 
     K1 = (K + 1) // 2
     if K1 == K:
@@ -289,12 +266,12 @@ def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | Non
     expansions: dict[int, tuple[int, ...]] = {}
 
     def expansion(a: int) -> tuple[int, ...]:
-        """(c0, c1) at the ancestor a, or () where Q^(a) is not a unit."""
-        q = _horner(den, a)
+        """(c0, c1) at the ancestor a, or () where den(a) is not a unit."""
+        q = _evaluate(den, a)
         if q % p == 0:
             return ()
         inv = pow(q, -1, mod)
-        return _horner(num, a) * inv % mod, _horner(t1, a) * inv * inv % slope_mod
+        return _evaluate(num, a) * inv % mod, _evaluate(form.t1, a) * inv * inv % slope_mod
 
     def image(y: int) -> int | None:
         a = y % coarse
@@ -308,70 +285,47 @@ def _rescaled_image(f: RationalMap, M: int, K: int) -> Callable[[int], int | Non
     return image
 
 
-def _reduced_rescaling(f: RationalMap, M: int) -> tuple[list[int], list[int], list[int]]:
-    """p^M P^, Q^ and p^M T1^, highest degree first, divided by p^e, p^e and
-    p^(2e) for the largest p^e dividing every coefficient of p^M P^ and Q^.
-    The last stays integral: p^M T1^ = (p^M P^)' Q^ - (p^M P^) Q^'.  The
-    quotient g = p^M P^ / Q^ does not change, but Q^ can become a unit: for
-    a polynomial map on B(0, M), Q^ = Q_0 p^(Md) before the division."""
-    p, scale, d = f.prime, f.prime**M, max(f.m, f.n)
-    # P may be 0; deg T1 <= 2d - 1
-    num = [scale * c for c in reversed(_rescaled_coefficients(f.P, p, d, M))] or [0]
-    den = list(reversed(_rescaled_coefficients(f.Q, p, d, M)))
-    t1 = [scale * c for c in reversed(_rescaled_coefficients(f.t1, p, 2 * d - 1, M))]
-    e = min(int_valuation(c, p) for c in num + den if c)
-    return [c // p**e for c in num], [c // p**e for c in den], [c // p ** (2 * e) for c in t1]
-
-
-def _horner(F: list[int], y: int) -> int:
-    """F(y) for integer coefficients listed highest degree first."""
-    acc = 0
-    for c in F:
-        acc = acc * y + c
-    return acc
-
-
 def subsidiary_edge_data(
-    num: list[int], den: list[int], p: int, M: int,
-    y: int, y_image: int, t: int, radius_exponent: int,
+    form: RescaledMap, y: int, y_image: int, t: int, radius_exponent: int
 ) -> SubsidiaryEdgeData:
     """Admission data of the level-t edge from the key a = y / p^M to the key
-    b = y_image / p^M, for the rescaled P^ = ``num`` and Q^ = ``den``.
+    b = y_image / p^M, on f's integer form ``form`` on B(0, M).
 
     The edge is kept when p^t is at most each of: p^(-s); p^l / |f'(a)|;
     |Q(a)| |f'(a)| / |Q'(a)|; p^(-2s) |Q(a)| |f'(a)|^2 (third bound infinite
     when Q'(a) = 0).  s is the least s >= 0 making P(p^s x + a) -
     (p^s y + b) Q(p^s x + a) integral; a monomial of total degree k scales by
-    p^(sk).  The i-th coefficient of P(x + a) is p^(M(i - d)) Ph_i for the
-    integer Taylor coefficients Ph of P^(z + y), and likewise for Q.
+    p^(sk).  With o = ``form.offset``, the i-th coefficients of P(x + a) and
+    Q(x + a) are p^(M(i - 1) - o) Ph_i and p^(Mi - o) Qh_i for the integer
+    Taylor coefficients Ph and Qh of num and den at y.
     """
+    p, M, o, num, den = form.prime, form.M, form.offset, form.num, form.den
     d = max(len(num), len(den)) - 1
     # padded so that Ph_1 and Qh_1 exist for constant P and Q
     Ph = _taylor_coefficients(num, y) + [0] * (d + 2 - len(num))
     Qh = _taylor_coefficients(den, y) + [0] * (d + 2 - len(den))
     s = 0
     if M:  # with M = 0 every coefficient is an integer
-        pM = p**M
-        # constant term: P(a) - b Q(a) = p^(-M(d + 1)) (p^M Ph_0 - y_image Qh_0)
-        c = pM * Ph[0] - y_image * Qh[0]
-        if c and int_valuation(c, p) < M * (d + 1):
+        # constant term: P(a) - b Q(a) = p^(-M - o) (Ph_0 - y_image Qh_0)
+        c = Ph[0] - y_image * Qh[0]
+        if c and int_valuation(c, p) < M + o:
             raise ConstantTermNotIntegral(
                 "constant term P(a) - b Q(a) has negative valuation at "
-                f"a={Fraction(y, pM)}, b={Fraction(y_image, pM)}"
+                f"a={Fraction(y, p**M)}, b={Fraction(y_image, p**M)}"
             )
         for i in range(d + 1):
             # the x^i y^1 coefficient -Q_a[i], and for i >= 1 the x^i y^0
-            # coefficient P_a[i] - b Q_a[i]
+            # coefficient P_a[i] - b Q_a[i] = p^(M(i - 1) - o) (Ph_i - y_image Qh_i)
             if Qh[i]:
-                s = max(s, ceil_div(-int_valuation(Qh[i], p) - M * (i - d), i + 1))
-            c = pM * Ph[i] - y_image * Qh[i]
+                s = max(s, ceil_div(o - M * i - int_valuation(Qh[i], p), i + 1))
+            c = Ph[i] - y_image * Qh[i]
             if i and c:
-                s = max(s, ceil_div(-int_valuation(c, p) - M * (i - d - 1), i))
-    # Q(a) = p^(-Md) Qh_0, Q'(a) = p^(M(1 - d)) Qh_1 and
-    # T1(a) = (P'Q - PQ')(a) = p^(M(1 - 2d)) (Ph_1 Qh_0 - Ph_0 Qh_1)
-    vq = int_valuation(Qh[0], p) - M * d
-    vqd = int_valuation(Qh[1], p) + M * (1 - d)
-    vt = int_valuation(Ph[1] * Qh[0] - Ph[0] * Qh[1], p) + M * (1 - 2 * d)
+                s = max(s, ceil_div(o - M * (i - 1) - int_valuation(c, p), i))
+    # Q(a) = p^(-o) Qh_0, Q'(a) = p^(M - o) Qh_1 and
+    # T1(a) = (P'Q - PQ')(a) = p^(-2o) (Ph_1 Qh_0 - Ph_0 Qh_1)
+    vq = int_valuation(Qh[0], p) - o
+    vqd = int_valuation(Qh[1], p) + M - o
+    vt = int_valuation(Ph[1] * Qh[0] - Ph[0] * Qh[1], p) - 2 * o
     return _edge_data(s, vq, vqd, vt, radius_exponent, t)
 
 
@@ -460,6 +414,7 @@ class Analysis:
         self.X = X
         self.config = config
         self.report: ScalingReport = classify(f, X, config)
+        self.form = f.rescaled(X.height_exponent())
         self._digraphs: dict[int, LevelDigraph] = {}
         self._subsidiaries: dict[int, LevelDigraph] = {}
 
@@ -467,7 +422,7 @@ class Analysis:
     def transport_level(self) -> int:
         """The coarsest level at which every ball maps into one ball."""
         report = self.report
-        if not report.is_one_lipschitz or report.transport_level is None:
+        if report.transport_level is None:
             raise NotOneLipschitz(
                 "digraph levels are only defined for locally 1-Lipschitz maps "
                 f"(classification: {report.classification})"
@@ -499,8 +454,7 @@ class Analysis:
         """
         if t not in self._subsidiaries:
             G, level = self.digraph(t), self.transport_level
-            p, y = self.f.prime, G.residues
-            M, _, num, den = self._rescaled[:4]
+            p, M, y = self.f.prime, self.form.M, G.residues
             n, data = len(y), [None] * len(y)
             u, n_u, balls = self.X.base_level, len(self.X.keys), range(len(self.X.keys))
             while M == 0 and u > t:
@@ -516,28 +470,22 @@ class Analysis:
                 u, n_u = u - 1, n_u * p
             for i, j in enumerate(G.succ):
                 if data[i] is None:
-                    data[i] = subsidiary_edge_data(num, den, p, M, y[i], y[j], t, level)
+                    data[i] = subsidiary_edge_data(self.form, y[i], y[j], t, level)
             self._subsidiaries[t] = replace(G, subsidiary=tuple(data))
         return self._subsidiaries[t]
 
     @cached_property
-    def _rescaled(
-        self,
-    ) -> tuple[int, int, list[int], list[int], list[list[int]], list[list[int]]]:
-        """(M, d, P^, Q^, Qh, W) on X's rescaling x = y / p^M, with d =
-        max(deg P, deg Q): the i-th Taylor coefficients Ph_i(y) and Qh_i(y)
-        of P^ and Q^ at y, and p^(M(2d - i)) W_i(y / p^M) = Ph_i Qh_0 -
-        Ph_0 Qh_i, as polynomials in y; W_1 is T1's.  Qh_1 and W_1 are
-        listed (empty) for a constant map too."""
-        f, M = self.f, self.X.height_exponent()
-        d = max(f.m, f.n)
-        num, den = (_rescaled_coefficients(F, f.prime, d, M) for F in (f.P, f.Q))
-        Qc = _taylor_polynomials(den, max(d, 1))
-        W = [
-            _int_add(_int_mul(Pi, den), _int_mul(num, Qi), -1)
-            for Pi, Qi in zip(_taylor_polynomials(num, max(d, 1)), Qc)
+    def _taylor(self) -> list[tuple[list[int], list[int]]]:
+        """(Qh_i, W_i) for i = 0 .. max(d, 1), as polynomials in y: the i-th
+        Taylor coefficients Ph_i(y) and Qh_i(y) of the form's num and den at
+        y, and W_i = Ph_i den - num Qh_i, so that W_1 = t1 and
+        p^(M(i - 1) - 2o) W_i(y) = P_a[i] Q(a) - P(a) Q_a[i] at a = y / p^M."""
+        num, den = self.form.num, self.form.den
+        d = max(len(num), len(den), 2) - 1
+        return [
+            (Qi, _int_add(_int_mul(Pi, den), _int_mul(num, Qi), -1))
+            for Pi, Qi in zip(_taylor_polynomials(num, d), _taylor_polynomials(den, d))
         ]
-        return M, d, num, den, Qc, W
 
     def _settle(
         self, y: int, t: int
@@ -549,21 +497,21 @@ class Analysis:
         the transport level, only a ball on which every valuation entering s
         is constant settles: it then stands for its transport-level balls.
         On Z_p (M = 0), s = 0 and the three valuations settle a ball."""
-        p, level = self.f.prime, self.transport_level
-        M, d, _, den, Qc, W = self._rescaled
+        p, level, taylor = self.f.prime, self.transport_level, self._taylor
+        M, o = self.form.M, self.form.offset
         k = M - t
         (vq, cq), (vqd, cqd), (vt, ct) = (
-            _ball_valuation(F, p, y, k) for F in (den, Qc[1], W[1])
+            _ball_valuation(F, p, y, k) for F in (self.form.den, *taylor[1])
         )
         if not (cq and cqd and ct):
             return None
         # with M = 0 every coefficient is an integer, s = 0
-        s, constant, exact_to = 0, True, INF if M == 0 else vq - M * d
-        for i in range(d + 1 if M else 0):
+        s, constant, exact_to = 0, True, INF if M == 0 else vq - o
+        for i, (Qi, Wi) in enumerate(taylor if M else ()):
             # v(Q_a[i]) >= q and v(W_i(a)) - v(Q(a)) >= w on the ball
-            q, q_exact = _ball_valuation(Qc[i], p, y, k)
-            w, w_exact = _ball_valuation(W[i], p, y, k)
-            q, w = q + M * (i - d), w - vq + M * (i - d)
+            q, q_exact = _ball_valuation(Qi, p, y, k)
+            w, w_exact = _ball_valuation(Wi, p, y, k)
+            q, w = q + M * i - o, w - vq + M * (i - 1) - o
             if q != INF:
                 s = max(s, ceil_div(-q, i + 1))
             if i and w != INF:
@@ -577,7 +525,7 @@ class Analysis:
             if t > level:
                 return None
             exact_to = NEG_INF
-        return s, vq - M * d, vqd + M * (1 - d), vt + M * (1 - 2 * d), exact_to
+        return s, vq - o, vqd + M - o, vt - 2 * o, exact_to
 
     @cached_property
     def intrinsic_level(self) -> int:
@@ -635,8 +583,7 @@ class Analysis:
             )
         f, X, config = self.f, self.X, self.config
         self.digraph(level)  # raises what subsidiary(level) raises first
-        p = f.prime
-        M, _, num, den = self._rescaled[:4]
+        p, M = f.prime, self.form.M
         margin = config.intrinsic_margin
         floor = level - config.descent_cap
         run = 0  # levels keeping every edge just above and at t
@@ -666,9 +613,9 @@ class Analysis:
                     else:
                         keys.extend(range(y, p ** (M - t), p ** (M - u)))
                 settled = still_open
-                image = _rescaled_image(f, M, M - t)
+                image = _rescaled_image(self.form, M - t)
                 data = [
-                    subsidiary_edge_data(num, den, p, M, y, image(y), t, level)
+                    subsidiary_edge_data(self.form, y, image(y), t, level)
                     for y in sorted(keys)
                 ]
                 if kept and all(e.passes for e in data):
@@ -744,12 +691,8 @@ class Analysis:
         level = self.transport_level
         if depth > level:
             raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
-        # the digraphs decide the levels the walk leaves open, and every
-        # level when the transport level is above the domain's base level
-        start = level
-        if level <= self.X.base_level:
-            start = self._single_cycles_walked(level, depth)
-        for t in range(start, depth - 1, -1):
+        # the digraphs decide the levels the walk leaves open
+        for t in range(self._single_cycles_walked(level, depth), depth - 1, -1):
             dec = self.digraph(t).cycles
             if not dec.is_single_cycle:
                 return ErgodicVerdict(
@@ -774,8 +717,8 @@ class Analysis:
         Cycle lifting certifies every level after n0 = n_t0 steps, with
         t0 = min(level, M - 2) above K and K0 = M - t0 >= 2.  Let z_j be
         the orbit, g the rescaled map, a = prod_{j < n0} g'(z_j) and
-        b = (z_n0 - y0) / p^K0 mod p.  (1) Where Q^(z_j) is a unit (the
-        polynomials of ``_reduced_rescaling``), g is an integral power series
+        b = (z_n0 - y0) / p^K0 mod p.  (1) Where den(z_j) is a unit (the
+        form of ``RationalMap.rescaled``), g is an integral power series
         on z_j + p Z_p, so phi(s) = (g^n0(y0 + p^K0 s) - y0) / p^K0 = b + a s
         + sum_{i >= 2} d_i s^i with v(d_i) >= (i - 1) K0.  (2) The level
         t0 - k balls form one cycle exactly when phi cycles Z / p^k.  (3) As
@@ -797,25 +740,24 @@ class Analysis:
         # its residue mod step is one of the rescaled base keys
         step = p ** (M - X.base_level)
         bases, y0 = set(ys), ys[0]
-        image = _rescaled_image(self.f, M, M - K)
+        image = _rescaled_image(self.form, M - K)
         t0 = min(level, M - 2)
-        # no certificate (n0 = 0) when K is not below t0 or Q^ is not a unit
+        # no certificate (n0 = 0) when K is not below t0 or den is not a unit
         n0 = len(X.keys) * p ** (X.base_level - t0) if K < t0 else 0
-        _, den, t1 = _reduced_rescaling(self.f, M)
         a, sq = 1, p * p
         t, mod = level, p ** (M - level)
         z = y0
         # i <= n throughout, so step n_K certifies K or stops there
         for i in range(1, n_K + 1):
             if i <= n0:
-                q = _horner(den, z)
+                q = _evaluate(self.form.den, z)
                 if q % p:
-                    a = a * _horner(t1, z) * pow(q, -2, sq) % sq
+                    a = a * _evaluate(self.form.t1, z) * pow(q, -2, sq) % sq
                 else:
                     n0 = 0
             try:
                 z = image(z)
-            except (PoleInDomain, CertificateFailed):
+            except PoleInDomain:
                 return t
             if z is None or z % step not in bases:
                 return t

@@ -11,6 +11,7 @@ so representatives are nested across levels automatically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -52,9 +53,9 @@ class Ball:
             raise LevelTooCoarse(
                 f"cannot subdivide a level-{self.level} ball at level {level}"
             )
-        count = self.prime ** (self.level - level)
+        yield Ball(level, self.key, self.prime)
         step = Fraction(self.prime) ** (-self.level)
-        for j in range(count):
+        for j in range(1, self.prime ** (self.level - level)):
             yield Ball(level, self.key + j * step, self.prime)
 
     def __str__(self):
@@ -71,18 +72,21 @@ class CompactDomain:
 
     @staticmethod
     def from_balls(balls: Iterable[Ball]) -> "CompactDomain":
-        balls = list(balls)
+        """The union of ``balls``: a ball inside another is dropped, and the
+        rest are refined to the finest level among them."""
+        balls = set(balls)
         if not balls:
             raise EmptyDomain("domain with no balls")
-        p = balls[0].prime
+        p = next(iter(balls)).prime
         if any(b.prime != p for b in balls):
             raise PrimeMismatch("balls over different primes")
+        levels = {b.level for b in balls}
+        balls = [
+            b for b in balls
+            if not any(L > b.level and Ball.containing(b.key, L, p) in balls for L in levels)
+        ]
         level = min(b.level for b in balls)
-        keys = set()
-        for b in balls:
-            for sub in b.subdivide(level):
-                keys.add(sub.key)
-        return CompactDomain(p, level, frozenset(keys))._coarsened()
+        return CompactDomain(p, level, frozenset(_refined_keys(balls, level)))._coarsened()
 
     @staticmethod
     def zp(p: int) -> "CompactDomain":
@@ -105,17 +109,11 @@ class CompactDomain:
 
     def _coarsened(self) -> "CompactDomain":
         level, keys = self.base_level, self.keys
-        while keys:
-            groups: dict[Fraction, int] = {}
-            for k in keys:
-                parent = canonical_key(k, level + 1, self.prime)
-                groups[parent] = groups.get(parent, 0) + 1
-            if all(c == self.prime for c in groups.values()):
-                level += 1
-                keys = frozenset(groups)
-            else:
-                break
-        return CompactDomain(self.prime, level, keys)
+        while True:
+            groups = Counter(canonical_key(k, level + 1, self.prime) for k in keys)
+            if any(c != self.prime for c in groups.values()):
+                return CompactDomain(self.prime, level, keys)
+            level, keys = level + 1, frozenset(groups)
 
     def balls(self) -> tuple[Ball, ...]:
         return tuple(
@@ -137,24 +135,19 @@ class CompactDomain:
 
     def union(self, other: "CompactDomain") -> "CompactDomain":
         self._check(other)
-        level = min(self.base_level, other.base_level)
-        return CompactDomain.from_balls(
-            list(self._refined_balls(level)) + list(other._refined_balls(level))
-        )
+        return CompactDomain.from_balls(self.balls() + other.balls())
 
     def difference(self, other: "CompactDomain") -> "CompactDomain":
         self._check(other)
-        level = min(self.base_level, other.base_level)
-        mine = {b.key for b in self._refined_balls(level)}
-        theirs = {b.key for b in other._refined_balls(level)}
-        left = mine - theirs
+        # only the balls that meet the other domain are refined; a ball lies
+        # in a coarser (or equal) ball of a domain when the domain holds its key
+        mine = [b for b in self.balls() if not (b.level <= other.base_level and b.key in other)]
+        theirs = [b for b in other.balls() if b.level < self.base_level and b.key in self]
+        level = other.base_level if theirs else self.base_level
+        left = _refined_keys(mine, level) - _refined_keys(theirs, level)
         if not left:
             raise EmptyDomain("difference removed every ball")
         return CompactDomain(self.prime, level, frozenset(left))._coarsened()
-
-    def _refined_balls(self, level: int) -> Iterator[Ball]:
-        for b in self.balls():
-            yield from b.subdivide(level)
 
     def _check(self, other: "CompactDomain"):
         if self.prime != other.prime:
@@ -170,6 +163,14 @@ class CompactDomain:
         parts = " + ".join(str(b) for b in self.balls()[:6])
         extra = "" if len(self.keys) <= 6 else f" + ... ({len(self.keys)} balls)"
         return parts + extra
+
+
+def _refined_keys(balls: list[Ball], level: int) -> set[Fraction]:
+    """The keys of the level balls in disjoint ``balls``, refused before any
+    is built when they exceed ``ball_cap``."""
+    count = sum(b.prime ** (b.level - level) for b in balls)
+    DEFAULT_CONFIG.check_ball_budget(count, "decomposition", level)
+    return {sub.key for b in balls for sub in b.subdivide(level)}
 
 
 def decompose(

@@ -33,7 +33,6 @@ from .polynomials import (
     _is_int_polynomial,
     _int_gcd,
     _int_mul,
-    _rescaled_coefficients,
 )
 from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF, walk
 
@@ -308,9 +307,8 @@ def _holds_on_samples(
     p = f.prime
     bottom = X.base_level - WITNESS_DEPTH
     config.check_ball_budget(len(X.keys) * p**WITNESS_DEPTH, "decomposition", bottom)
-    M = X.height_exponent()
-    d = max(f.m, f.n)
-    Ph, Qh = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
+    form = f.rescaled(X.height_exponent())
+    M, Ph, Qh = form.M, form.num, form.den
 
     def within(e) -> bool:
         return (lo is None or lo <= e) and (hi is None or e <= hi)
@@ -327,17 +325,17 @@ def _holds_on_samples(
         vp, _, cp = _ball_probe(Ph, p, y)
         if t > cp + M:
             return True
-        # P and Q have constant norm on the ball, so |f| = p^(vq - vp) on
-        # all of it: Ph and Qh share the offset Md of v(P(a)) and v(Q(a))
-        return not within(vq - vp)
+        # P and Q have constant norm on the ball, so |f| = p^(vq - vp + M)
+        # on all of it: v(P(a)) and v(Q(a)) are v(Ph(y)) - o - M and v(Qh(y)) - o
+        return not within(vq - vp + M)
 
     walk(X, X.base_level, visit, config, "witness check")
     for y in sorted(samples):
-        # |f(a)| = p^(vq - vp) at a = y / p^M, as on a settled ball
+        # |f(a)| = p^(vq - vp + M) at a = y / p^M, as on a settled ball
         vq = _ball_probe(Qh, p, y)[0]
         if vq == INF:
             raise PoleInDomain(f"denominator vanishes at {Fraction(y, p**M)}")
-        if not within(vq - _ball_probe(Ph, p, y)[0]):
+        if not within(vq - _ball_probe(Ph, p, y)[0] + M):
             return False
     return True
 

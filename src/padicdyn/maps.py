@@ -7,13 +7,17 @@ unit leading coefficients; P1 and Q1 are not stored, since each of their
 coefficient valuations is v(P_i) - v(lead P) (likewise for Q).  The
 auxiliary polynomial T1 = P'Q - PQ' (the numerator of Q^2 f') is computed
 once; it drives the scaling analysis and the subsidiary edge bounds.
+
+``RationalMap.rescaled(M)`` is f's one integer form on B(0, M), which every
+kernel reads: the level digraphs, the subsidiary data, the scalar profile
+and the global witness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import PoleInDomain, ZeroDenominator
@@ -25,8 +29,31 @@ from .polynomials import (
     _int_divexact,
     _int_gcd,
     _int_mul,
+    _rescaled_coefficients,
     poly_eval,
 )
+
+
+@dataclass(frozen=True)
+class RescaledMap:
+    """f on B(0, M) in integers: g(y) = p^M f(y / p^M) = num(y) / den(y) and
+    g'(y) = t1(y) / den(y)^2, coefficients lowest degree first.
+
+    num, den and t1 are p^(M(d + 1)) P(y / p^M), p^(Md) Q(y / p^M) and
+    p^(2Md) T1(y / p^M) for d = max(deg P, deg Q), over p^e, p^e and p^(2e)
+    for the largest p^e dividing every coefficient of the first two.  That
+    leaves g as it is, but den can become a unit: for a polynomial map it is
+    a constant.  With o = ``offset`` = Md - e and a = y / p^M, the i-th
+    Taylor coefficients of Q and P at a are p^(Mi - o) and p^(M(i - 1) - o)
+    times those of den and num at y, and v(T1(a)) = v(t1(y)) - 2o.
+    """
+
+    prime: int
+    M: int
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+    t1: tuple[int, ...]
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -51,6 +78,20 @@ class RationalMap:
         if q == 0:
             raise PoleInDomain(f"denominator vanishes at {x}")
         return poly_eval(self.t1, x) / (q * q)
+
+    def rescaled(self, M: int) -> RescaledMap:
+        """f's integer form on B(0, M), M >= 0."""
+        p, d = self.prime, max(self.m, self.n)
+        num, den, t1 = (
+            _rescaled_coefficients(F, p, k, M)
+            for F, k in ((self.P, d + 1), (self.Q, d), (self.t1, 2 * d))
+        )
+        e = int_valuation(gcd(*num, *den), p)
+        pe = p**e
+        return RescaledMap(
+            p, M, tuple(c // pe for c in num), tuple(c // pe for c in den),
+            tuple(c // pe // pe for c in t1), M * d - e,
+        )
 
 
 def normalize_map(

@@ -2,9 +2,10 @@
 
 A polynomial is a sequence of Python ints, lowest degree first, with no
 trailing zeros; ``RationalMap`` holds its P, Q and T1 as tuples.  The zero
-polynomial is empty (degree -1).  Evaluation uses Horner's scheme and stays
-exact at ``Fraction`` points.  The gcd, exact division, Taylor shifts and
-the rescaling all run on integers (the ``_int_*`` helpers).
+polynomial is empty (degree -1).  Evaluation uses Horner's scheme
+(``_evaluate``), in integers at an integer point and exact at ``Fraction``
+points.  The gcd, exact division, Taylor shifts and the rescaling all run
+on integers (the ``_int_*`` helpers).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from .padics import INF, NEG_INF, ExtendedInt, int_valuation
 
 def poly_eval(F: Sequence[int], a: int | Fraction) -> Fraction:
     """Exact evaluation by Horner's scheme."""
-    acc = Fraction(0)
+    return Fraction(_evaluate(F, a))
+
+
+def _evaluate(F: Sequence[int], a: int | Fraction) -> int | Fraction:
+    """F(a) by Horner's scheme: an int at an int a."""
+    acc = 0
     for c in reversed(F):
         acc = acc * a + c
     return acc

@@ -179,17 +179,12 @@ def _descend(G: list[int], X: CompactDomain, M: int, config: AnalysisConfig) -> 
 def _two_variable_height_factor(f: RationalMap, M: int) -> int:
     """Exponent h with |T(x,y) - T(a,a)| <= p^h max(|x-a|, |y-a|) on the
     ball of radius p^M, for the symmetric difference-quotient polynomial T
-    of an integral P/Q pair."""
-    if M <= 0:
-        return 0
-    total_degree = max(f.m + f.n - 1, 1)
-    return M * (total_degree - 1)
+    of an integral P/Q pair (M >= 0)."""
+    return M * max(f.m + f.n - 2, 0)
 
 
 def _q_height_factor(f: RationalMap, M: int) -> int:
-    if M <= 0 or f.n <= 0:
-        return 0
-    return M * (f.n - 1)
+    return M * max(f.n - 1, 0)
 
 
 def classify(
@@ -268,11 +263,8 @@ def _scalar_profile(
     only |Q| is constant and that certificate holds is settled with an
     upper bound on |f'|.
     """
-    p = f.prime
+    p, form = f.prime, f.rescaled(M)
     h_t = _two_variable_height_factor(f, M)
-    Qh, Th = (_rescaled_coefficients(F, p, len(F) - 1, M) for F in (f.Q, f.t1))
-    # v(Q(a)) = v(Qh(p^M a)) - oq and likewise for T1 (see _ball_probe)
-    oq, ot = M * f.n, M * (len(f.t1) - 1)
     start = min(X.base_level, -1) if l is None else X.base_level
     floor = start - CERTIFY_CAP if l is None else l
     exact: dict[int, int] = {}
@@ -288,10 +280,11 @@ def _scalar_profile(
                 level=t,
                 suspect_ball=b,
             )
-        vq, _, cq = _ball_probe(Qh, p, y)
-        vt, _, ct = _ball_probe(Th, p, y)
-        vq -= oq
-        t1_norm_exp = ot - vt  # -inf at an exact derivative root
+        vq, _, cq = _ball_probe(form.den, p, y)
+        vt, _, ct = _ball_probe(form.t1, p, y)
+        # v(Q(a)) = v(den(y)) - o and v(T1(a)) = v(t1(y)) - 2o
+        vq -= form.offset
+        t1_norm_exp = 2 * form.offset - vt  # -inf at an exact derivative root
         if t <= min(cq, ct) + M:
             e = 2 * vq + t1_norm_exp
             s = l if l is not None else t if e > 0 else min(t, -2 * vq - h_t)

@@ -147,6 +147,24 @@ def test_subsidiary_command():
     assert "coincides with full digraph: yes" in out
 
 
+def test_values_with_a_leading_minus_in_the_equals_form(capsys):
+    # argparse takes "--map -x+1" for two options; "--map=-x+1" is one
+    assert main(["-p", "3", "--map", "-x+1", "--domain", "Zp", "ergodic", "--depth", "-3"]) == 1
+    assert capsys.readouterr().err == "error: argument --map: expected one argument\n"
+    assert main(["-p", "3", "--map=-x+1", "--domain", "Zp", "ergodic", "--depth", "-3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "NotErgodic at level -1 (2 cycles)"
+    # -1/2 reaches the lifting test, which x^2 + 1 fails at p = 7; -2 is
+    # a root of x^2 + 1 mod 5
+    assert main(["-p", "7", "--map", "x^2+1", "hensel", "--seed=-1/2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: lifting needs |F(seed)| < |F'(seed)|^2: got valuations "
+        "v(F(seed))=0, v(F'(seed))=0\n"
+    )
+    assert main(["-p", "5", "--map", "x^2+1", "hensel", "--seed=-2", "--prec", "3"]) == 0
+    # 68 = -2 mod 5 and 68^2 + 1 = 37 * 5^3
+    assert capsys.readouterr().out.splitlines()[0] == "root: 68 (mod 5^3)"
+
+
 def test_error_exit_code(capsys):
     assert main(["-p", "5", "--map", "x +", "--domain", "Zp", "classify"]) == EXIT_ERROR
     err = capsys.readouterr().err

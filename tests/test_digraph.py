@@ -43,7 +43,6 @@ from padicdyn.errors import (
 )
 from padicdyn.hensel import hensel_lift
 from padicdyn.padics import fraction_valuation
-from padicdyn.polynomials import _rescaled_coefficients
 
 
 def p7_instance():
@@ -326,10 +325,8 @@ def _s_exponent(f, a, b):
     p, M = f.prime, 0
     while (a * p**M).denominator != 1 or (b * p**M).denominator != 1:
         M += 1
-    d = max(f.m, f.n)
-    num, den = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
     y, y_image = int(a * p**M), int(b * p**M)
-    return subsidiary_edge_data(num, den, p, M, y, y_image, 0, 0).s_exponent
+    return subsidiary_edge_data(f.rescaled(M), y, y_image, 0, 0).s_exponent
 
 
 def test_s_exponent_matches_brute_force():

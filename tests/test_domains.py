@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import Ball, CompactDomain, decompose, fraction_valuation
+from padicdyn import Ball, CompactDomain, decompose, fraction_valuation, parse_domain
+from padicdyn.cli import main
 from padicdyn.config import AnalysisConfig
 from padicdyn.errors import (
     DecompositionTooLarge,
@@ -153,3 +155,86 @@ def test_ball_membership_matches_key(center, level, p):
     b = Ball.containing(center, level, p)
     assert b.contains(center)
     assert Ball.containing(b.key, level, p) == b
+
+
+def refined_keys(X, level):
+    """X's level-``level`` keys, by subdividing each of its balls."""
+    return {s.key for b in X.balls() for s in b.subdivide(level)}
+
+
+def ball_lists(p):
+    """One to three balls at levels -3 .. 1 (over Z_p and beyond), which may
+    overlap or nest."""
+    ball = st.builds(lambda c, t: Ball.containing(Fraction(c, p), t, p),
+                     st.integers(0, p**4), st.integers(-3, 1))
+    return st.lists(ball, min_size=1, max_size=3)
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(ball_lists(p), ball_lists(p))))
+@settings(max_examples=300, derandomize=True)
+def test_domain_algebra_matches_refined_key_sets(pair):
+    # every operand refined to the finest level, as the algebra once ran
+    A, B = (CompactDomain.from_balls(balls) for balls in pair)
+    p, level = A.prime, min(b.level for balls in pair for b in balls)
+    for balls, X in zip(pair, (A, B)):
+        assert refined_keys(X, level) == {s.key for b in balls for s in b.subdivide(level)}
+    union = refined_keys(A, level) | refined_keys(B, level)
+    assert A.union(B) == CompactDomain(p, level, frozenset(union))._coarsened()
+    left = refined_keys(A, level) - refined_keys(B, level)
+    if not left:
+        with pytest.raises(EmptyDomain):
+            A.difference(B)
+    else:
+        assert A.difference(B) == CompactDomain(p, level, frozenset(left))._coarsened()
+
+
+def cli_lines(argv, capsys):
+    """Exit status and output of one command, which must take under 1 s."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    return code, out + err
+
+
+@pytest.mark.parametrize(
+    "domain,level,count",
+    [
+        # 1594322 balls before, counted on the built domain after 24 s
+        ("Zp-B(1,-13)", -13, 1594323),
+        # Z_3 before, after two refinements to level -13
+        ("Zp-B(1,-13)+B(1,-13)", -13, 1594323),
+        # the same error before, after the domain was built
+        ("B(0,-1)+B(1,-14)", -14, 1594324),
+    ],
+)
+@pytest.mark.parametrize("command", [["classify"], ["hensel", "--seed", "1"]])
+def test_domain_algebra_refines_within_the_ball_cap(capsys, domain, level, count, command):
+    # the refinement is refused before any ball is built; hensel, which
+    # reads no domain, used to answer once the domain was built
+    argv = ["-p", "3", "--map", "x^2-7", "--domain", domain] + command
+    assert cli_lines(argv, capsys) == (
+        1, f"error: decomposition at level {level} needs {count} balls (cap 1000000)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "domain,same_as",
+    [
+        # a union drops a ball inside another (6 s and 24 s before)
+        ("B(0,0)+B(1,-11)", "Zp"),
+        ("B(1,-13)+B(0,0)", "Zp"),
+        # a difference refines only the balls that meet the other domain
+        ("B(0,-1)-B(1,-14)", "B(0,-1)"),
+        ("B(0,-1)-B(1,-20)-B(2,-20)", "B(0,-1)"),
+    ],
+)
+def test_domain_algebra_refines_only_where_needed(capsys, domain, same_as):
+    assert parse_domain(domain, 3) == parse_domain(same_as, 3)
+    argv = ["-p", "3", "--map", "x+1", "--domain", domain, "classify"]
+    assert cli_lines(argv, capsys) == cli_lines(argv[:5] + [same_as, "classify"], capsys)
+
+
+def test_an_empty_difference_is_found_without_refining():
+    with pytest.raises(EmptyDomain, match="after '-' \\(offset 8\\)"):
+        parse_domain("B(1,-13)-Zp", 3)

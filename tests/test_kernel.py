@@ -23,6 +23,7 @@ from padicdyn import (
     CompactDomain,
     RationalMap,
     canonical_key,
+    classify,
     cli,
     decompose,
     normalize_map,
@@ -328,7 +329,7 @@ def test_expansion_matches_per_key_evaluation():
         # the expansion reads Q^ over the largest power of p dividing
         # p^M P^ and Q^
         e = min(int_valuation(c, p) for c in num + den if c)
-        new, old = _rescaled_image(f, M, K), per_key_image(f, M, K)
+        new, old = _rescaled_image(f.rescaled(M), K), per_key_image(f, M, K)
         for y in range(p**K):
             want = _outcome(old, y)
             assert _outcome(new, y) == want
@@ -417,8 +418,8 @@ def outcome(scan, A, depth):
 def counted_images(calls):
     """``_rescaled_image`` whose images each add 1 to calls[0]."""
 
-    def rescaled_image(f, M, K):
-        image = _rescaled_image(f, M, K)
+    def rescaled_image(form, K):
+        image = _rescaled_image(form, K)
 
         def counted(y):
             calls[0] += 1
@@ -427,6 +428,24 @@ def counted_images(calls):
         return counted
 
     return rescaled_image
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.one_of(instances().map(lambda i: i[:2]), one_lipschitz_instances(),
+                 shift_instances(), unit_instances()))
+def test_transport_level_is_at_or_below_the_base_level(instance):
+    # both classify routes settle at or below the domain's base level, so
+    # the single-cycle scan always starts with its orbit walk
+    f, X = instance
+    try:
+        report = classify(f, X, AnalysisConfig(ball_cap=10_000))
+    except PadicDynError as exc:
+        event(type(exc).__name__)
+        return
+    event("transport level" if report.transport_level is not None else "not 1-Lipschitz")
+    if report.transport_level is not None:
+        assert report.transport_level <= X.base_level
 
 
 def test_ergodic_scan_matches_per_level_cycle_decompositions():
@@ -455,7 +474,9 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
         while len(X.keys) * p ** (X.base_level - deepest + 1) <= MAX_VERTICES:
             deepest -= 1
         depth = data.draw(st.integers(min(deepest, top), top), label="depth")
-        if data.draw(st.integers(0, 9), label="above") == 0:
+        # Hypothesis favours a range's lower bound (0 of 0 .. 9 came up in 248
+        # of the 600 examples); the top of 1 .. 10 comes up about 1 in 10
+        if data.draw(st.integers(1, 10), label="above") == 10:
             depth = top + 1
         want = outcome(per_level_ergodic, A, depth)
         calls = [0]

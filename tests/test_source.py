@@ -3,7 +3,9 @@
 Certificates are checked by real code, so the library holds no ``assert``
 statement (``python -O`` strips them).  Every import is used, apart from
 the package's re-exports in ``__init__``, and every private function is
-called from somewhere other than its own body.
+called from somewhere other than its own body.  f's integer form on a ball
+is built in one place: only ``RationalMap.rescaled`` and the descent
+``lower_bound_bF`` rescale coefficients.
 """
 
 from __future__ import annotations
@@ -59,6 +61,23 @@ def _unreferenced_private_functions(trees: list[ast.Module]) -> list[str]:
     ]
 
 
+def _callers(trees: list[ast.Module], name: str) -> set[str]:
+    """The functions and methods whose bodies call ``name`` (by its bare
+    name), or ``<module>`` for a call outside any function."""
+    found = set()
+    for tree in trees:
+        owners = [(fn.name, fn) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == name):
+                inside = [n for n, fn in owners if call in set(ast.walk(fn))]
+                # the innermost function is the last one listed among those
+                # that hold the call (ast.walk is breadth first)
+                found.add(inside[-1] if inside else "<module>")
+    return found
+
+
 def test_sources_are_found():
     assert {"__init__.py", "scaling.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -79,6 +98,24 @@ def test_no_unused_imports(path):
 def test_the_unused_import_check_sees_one():
     tree = ast.parse("import os\nfrom sys import argv, path as p\nprint(argv)\n")
     assert _unused_imports(tree) == ["os", "p"]
+
+
+def test_only_the_form_and_the_descent_rescale_coefficients():
+    trees = [_tree(p) for p in SOURCES]
+    assert _callers(trees, "_rescaled_coefficients") == {"rescaled", "lower_bound_bF"}
+
+
+def test_the_rescaling_check_sees_each_caller():
+    tree = ast.parse(
+        "def _rescaled_coefficients(F):\n    return F\n"
+        "class M:\n"
+        "    def rescaled(self):\n        return _rescaled_coefficients(1)\n"
+        "def kernel():\n"
+        "    def inner():\n        return _rescaled_coefficients(2)\n"
+        "    return inner\n"
+        "x = _rescaled_coefficients(3)\n"
+    )
+    assert _callers([tree], "_rescaled_coefficients") == {"rescaled", "inner", "<module>"}
 
 
 def test_every_private_function_is_referenced():

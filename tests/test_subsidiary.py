@@ -34,7 +34,7 @@ from padicdyn.errors import (
 )
 from padicdyn.maps import normalize_map
 from padicdyn.padics import INF, NEG_INF, ceil_div, fraction_valuation
-from padicdyn.polynomials import _rescaled_coefficients, poly_eval
+from padicdyn.polynomials import poly_eval
 
 MAX_VERTICES = 800
 
@@ -159,8 +159,7 @@ def test_integer_edge_data_agrees_with_the_fraction_path(monkeypatch):
             top = A.transport_level
         except PadicDynError:
             return
-        d = max(f.m, f.n)
-        num, den = (_rescaled_coefficients(F, p, d, M) for F in (f.P, f.Q))
+        form = f.rescaled(M)
         # the transport level and up to four levels below it, each of at
         # most MAX_VERTICES balls
         for t in range(top, top - 5, -1):
@@ -171,7 +170,7 @@ def test_integer_edge_data_agrees_with_the_fraction_path(monkeypatch):
             except PadicDynError:
                 continue
             y, keys = G.residues, G.keys
-            got = [_outcome(subsidiary_edge_data, num, den, p, M, y[i], y[j], t, top)
+            got = [_outcome(subsidiary_edge_data, form, y[i], y[j], t, top)
                    for i, j in enumerate(G.succ)]
             want = [_outcome(_old_subsidiary_edge_data, f, keys[i], keys[j], t, top)
                     for i, j in enumerate(G.succ)]
