@@ -1,77 +1,45 @@
-"""Exact p-adic dynamics of rational maps on compact open domains."""
+"""Exact p-adic dynamics of rational maps on compact open domains.
 
-from .config import DEFAULT_CONFIG, AnalysisConfig
-from .digraph import (
-    Analysis,
-    ComponentSelection,
-    CycleDecomposition,
-    ErgodicVerdict,
-    LevelDigraph,
-    MPVerdict,
-    SubsidiaryEdgeData,
-    build_digraph,
-    cycle_decomposition,
-    union_verdict,
-)
-from .domains import Ball, CompactDomain, decompose
-from .global_qp import (
-    GlobalGateReport,
-    GlobalVerdict,
-    ObstructionWitness,
-    ReductionFailure,
-    SphereRegion,
-    certify_no_roots_qp,
-    degree_gate,
-    global_check,
-    global_obstruction,
-)
-from .hensel import HenselResult, hensel_lift
-from .maps import RationalMap, normalize_map
-from .padics import INF, NEG_INF, canonical_key, fraction_valuation
-from .parsing import QP_GLOBAL, parse_domain, parse_map
-from .polynomials import poly_eval
-from .scaling import ScalingReport, classify, lower_bound_bF
+The public names are loaded on first use (PEP 562): importing the package
+imports none of its modules, so a command reads only the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Analysis",
-    "AnalysisConfig",
-    "DEFAULT_CONFIG",
-    "Ball",
-    "CompactDomain",
-    "ComponentSelection",
-    "CycleDecomposition",
-    "ErgodicVerdict",
-    "GlobalGateReport",
-    "GlobalVerdict",
-    "HenselResult",
-    "INF",
-    "LevelDigraph",
-    "MPVerdict",
-    "NEG_INF",
-    "ObstructionWitness",
-    "QP_GLOBAL",
-    "RationalMap",
-    "ReductionFailure",
-    "ScalingReport",
-    "SphereRegion",
-    "SubsidiaryEdgeData",
-    "build_digraph",
-    "canonical_key",
-    "certify_no_roots_qp",
-    "classify",
-    "cycle_decomposition",
-    "decompose",
-    "degree_gate",
-    "fraction_valuation",
-    "global_check",
-    "global_obstruction",
-    "hensel_lift",
-    "lower_bound_bF",
-    "normalize_map",
-    "parse_domain",
-    "parse_map",
-    "poly_eval",
-    "union_verdict",
-]
+_EXPORTS = {
+    "config": ("AnalysisConfig", "DEFAULT_CONFIG"),
+    "digraph": (
+        "Analysis", "ComponentSelection", "CycleDecomposition", "ErgodicVerdict",
+        "LevelDigraph", "MPVerdict", "SubsidiaryEdgeData", "build_digraph",
+        "cycle_decomposition", "union_verdict",
+    ),
+    "domains": ("Ball", "CompactDomain", "decompose"),
+    "global_qp": (
+        "GlobalGateReport", "GlobalVerdict", "ObstructionWitness", "ReductionFailure",
+        "SphereRegion", "certify_no_roots_qp", "degree_gate", "global_check",
+        "global_obstruction",
+    ),
+    "hensel": ("HenselResult", "hensel_lift"),
+    "maps": ("RationalMap", "normalize_map"),
+    "padics": ("INF", "NEG_INF", "canonical_key", "fraction_valuation"),
+    "parsing": ("QP_GLOBAL", "parse_domain", "parse_map"),
+    "polynomials": ("poly_eval",),
+    "scaling": ("ScalingReport", "classify", "lower_bound_bF"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # not cached in the package: a patched module binding is read on every access
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

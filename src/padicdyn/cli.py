@@ -12,20 +12,11 @@ import argparse
 import dataclasses
 import sys
 from functools import cache
+from importlib import import_module
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .digraph import MEASURE_PRESERVING, NOT_ERGODIC, UNDECIDED, Analysis
 from .errors import PadicDynError
-from .global_qp import (
-    ERGODICITY,
-    MINIMALITY,
-    degree_gate,
-    global_check,
-    global_obstruction,
-)
-from .hensel import hensel_lift
 from .parsing import QP_GLOBAL, parse_domain, parse_map, parse_seed
-from .render import digraph_to_dot, digraph_to_json, write_atomic
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -113,18 +104,26 @@ def _config_for(inv: argparse.Namespace) -> AnalysisConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+@cache
+def _module(name: str):
+    """The library module ``name``, imported by the first command that needs
+    it, so a command loads only its own modules.  Later calls are one cache
+    hit; an import statement in ``run`` would resolve the package each time."""
+    return import_module(f".{name}", __package__)
+
+
 def _emit_graph(inv: argparse.Namespace, G, out) -> None:
     if inv.dot_path:
-        _write(inv.dot_path, digraph_to_dot(G))
+        _write(inv.dot_path, _module("render").digraph_to_dot(G))
         out(f"dot written: {inv.dot_path}")
     if inv.json_path:
-        _write(inv.json_path, digraph_to_json(G))
+        _write(inv.json_path, _module("render").digraph_to_json(G))
         out(f"json written: {inv.json_path}")
 
 
 def _write(path: str, text: str) -> None:
     try:
-        write_atomic(path, text)
+        _module("render").write_atomic(path, text)
     except OSError as exc:
         raise PadicDynError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -140,11 +139,8 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
     p = inv.prime
     f = parse_map(inv.map, p)
     domain = parse_domain(inv.domain, p)
-    is_global = domain == QP_GLOBAL
 
-    if inv.command in ("global", "witness", "hensel"):
-        pass
-    elif is_global:
+    if domain == QP_GLOBAL and inv.command not in ("global", "witness", "hensel"):
         raise PadicDynError(
             f"command '{inv.command}' needs a compact domain, not Qp"
         )
@@ -154,15 +150,16 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
             raise PadicDynError(
                 "hensel lifts polynomial roots: give a map with a constant denominator"
             )
-        res = hensel_lift(f.P, p, parse_seed(inv.seed), inv.precision)
+        res = _module("hensel").hensel_lift(f.P, p, parse_seed(inv.seed), inv.precision)
         out(f"root: {res.root} (mod {p}^{res.precision_exponent})")
         out(f"distance bound exponent: {res.bound_exponent}")
         out(f"newton steps: {res.steps}")
         return EXIT_OK
 
     if inv.command == "witness":
-        goal = MINIMALITY if inv.goal == "minimality" else ERGODICITY
-        w = global_obstruction(f, goal, cfg)
+        global_qp = _module("global_qp")
+        goal = global_qp.MINIMALITY if inv.goal == "minimality" else global_qp.ERGODICITY
+        w = global_qp.global_obstruction(f, goal, cfg)
         out(f"kind: {w.kind}")
         out(f"case: {w.case_tag}")
         out(f"region: {w.region}")
@@ -178,7 +175,8 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
         return EXIT_OK if w.verified else EXIT_ERROR
 
     if inv.command == "global":
-        gate = degree_gate(f, cfg)
+        global_qp = _module("global_qp")
+        gate = global_qp.degree_gate(f, cfg)
         out(
             f"gate: {'passed' if gate.gate_passed else 'failed'} "
             f"(alpha={gate.alpha}, m={gate.m}, n={gate.n})"
@@ -190,7 +188,7 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
             return EXIT_OK
         out(f"N: {gate.N_exponent}")
         # the lines above stay on stdout when the reduction raises
-        g = global_check(f, cfg, gate)
+        g = global_qp.global_check(f, cfg, gate)
         out(f"forward invariant ball B(0,{gate.N_exponent - 1}): "
             f"{_yesno(g.forward_invariant_ball)}")
         out(f"invertible local isometry: {g.isometry} ({g.isometry_reason})")
@@ -199,8 +197,9 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
             return EXIT_UNDECIDED
         return EXIT_OK
 
-    analysis = Analysis(f, domain, cfg)
-    report = analysis.report
+    if inv.command in ("classify", "radius"):
+        # both read the classification only, so no Analysis is built
+        report = _module("scaling").classify(f, domain, cfg)
 
     if inv.command == "classify":
         out(f"classification: {report.classification}"
@@ -223,6 +222,9 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
         out(f"b(T1) exponent: {report.b_t1_exponent}")
         out(f"classification: {report.classification}")
         return EXIT_OK
+
+    digraph = _module("digraph")
+    analysis = digraph.Analysis(f, domain, cfg)
 
     if inv.command == "digraph":
         G = analysis.digraph(inv.level)
@@ -260,11 +262,11 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
 
     if inv.command == "mp":
         verdict = analysis.mp()
-        if verdict.kind == MEASURE_PRESERVING:
+        if verdict.kind == digraph.MEASURE_PRESERVING:
             out("MeasurePreserving")
             out(f"certified via intrinsic level {verdict.intrinsic_level}")
             return EXIT_OK
-        if verdict.kind == UNDECIDED:
+        if verdict.kind == digraph.UNDECIDED:
             out(f"Undecided (all levels down to {verdict.scanned_to} are unions of cycles)")
             return EXIT_UNDECIDED
         out(
@@ -275,7 +277,7 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
 
     if inv.command == "ergodic":
         verdict = analysis.ergodic(inv.depth)
-        if verdict.kind == NOT_ERGODIC:
+        if verdict.kind == digraph.NOT_ERGODIC:
             out(f"NotErgodic at level {verdict.level} ({verdict.cycle_count} cycles)")
             out("minimality: No (same criterion)")
             return EXIT_OK

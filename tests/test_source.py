@@ -1,9 +1,8 @@
 """Static checks on the library's source.
 
 Certificates are checked by real code, so the library holds no ``assert``
-statement (``python -O`` strips them).  Every import is used, apart from
-the package's re-exports in ``__init__``, and every private function is
-called from somewhere other than its own body.  f's integer form on a ball
+statement (``python -O`` strips them).  Every import is used, and every
+private function is called from somewhere other than its own body.  f's integer form on a ball
 is built in one place: only ``RationalMap.rescaled`` and the descent
 ``lower_bound_bF`` rescale coefficients.
 """
@@ -88,9 +87,7 @@ def test_no_assert_statements(path):
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
 
