@@ -233,8 +233,10 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
         out(f"vertices: {len(G.vertices)}")
         out(f"cycle lengths: {dec.cycle_lengths}")
         out(f"tail vertices: {len(dec.tail_indices)}")
-        for cyc in dec.cycle_indices:
-            out("cycle: " + " -> ".join(names[i] for i in cyc))
+        # a functional graph on finitely many vertices has a cycle
+        out("\n".join(
+            ["cycle: " + " -> ".join([names[i] for i in cyc]) for cyc in dec.cycle_indices]
+        ))
         _emit_graph(inv, G, out)
         return EXIT_OK
 
@@ -245,11 +247,13 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
         out(f"vertices: {len(G.vertices)}")
         out(f"subsidiary edges kept: {kept} of {len(G.vertices)}")
         out(f"coincides with full digraph: {_yesno(G.is_subsidiary_equal)}")
-        for i, (j, d) in enumerate(zip(G.succ, G.subsidiary)):
-            out(
-                f"edge {names[i]} -> {names[j]}: s={d.s_exponent} "
-                f"bounds={list(d.bound_exponents)} passes={_yesno(d.passes)}"
-            )
+        data = G.per_datum(
+            lambda d: f"s={d.s_exponent} bounds={list(d.bound_exponents)} "
+            f"passes={_yesno(d.passes)}"
+        )
+        out("\n".join(
+            [f"edge {k} -> {names[j]}: {d}" for k, j, d in zip(names, G.succ, data)]
+        ))
         _emit_graph(inv, G, out)
         return EXIT_OK
 

@@ -6,9 +6,14 @@ suffices because the map is locally 1-Lipschitz at and below the certified
 transport level).  Edges are computed on plain integers: after rescaling
 the domain into Z_p, a key is a residue y mod p^(M - t) and its image is
 num(y) den(y)^-1 on f's integer form (``RationalMap.rescaled``), read off
-a first-order expansion at the key's ancestor mod p^ceil((M - t) / 2)
-wherever den is a unit there.  A digraph stores sorted residues and one successor index per
-vertex; Balls are built on demand.  Cycle structure decides measure
+a first-order expansion at an ancestor of the key, its residue mod p^K1
+for some K1 >= ceil((M - t) / 2), wherever den is a unit there.  The
+images of one such ancestor's descendants are one arithmetic progression
+of vertex indices, so a level costs one expansion per ancestor, not one
+evaluation per vertex.  A
+digraph stores sorted residues and one successor index per vertex; Balls
+are built on demand, and each distinct subsidiary datum is formatted once
+for output (``LevelDigraph.per_datum``).  Cycle structure decides measure
 preservation and semi-decides ergodicity and minimality; subsidiary edge
 data decides how far the finite digraphs certify the infinite family, and
 on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
@@ -105,8 +110,8 @@ class LevelDigraph:
         """``str`` of each key, as the CLI and the renderers print it."""
         if self.height == 0:
             # an integral key prints as the integer it equals
-            return [str(y) for y in self.residues]
-        return [str(k) for k in self.keys]
+            return list(map(str, self.residues))
+        return list(map(str, self.keys))
 
     @property
     def vertices(self) -> Sequence[Ball]:
@@ -117,6 +122,16 @@ class LevelDigraph:
         if self.subsidiary is None:
             raise ValueError("subsidiary data was not computed")
         return all(d.passes for d in self.subsidiary)
+
+    def per_datum(self, fmt: Callable[[SubsidiaryEdgeData], str]) -> list[str]:
+        """``fmt`` of each edge's subsidiary datum, in vertex order, with
+        ``fmt`` called once per distinct datum object: ``Analysis.subsidiary``
+        shares one datum across the edges of a settled ball."""
+        if self.subsidiary is None:
+            raise ValueError("subsidiary data was not computed")
+        distinct = {id(d): d for d in self.subsidiary}
+        text = {k: fmt(d) for k, d in distinct.items()}
+        return [text[id(d)] for d in self.subsidiary]
 
     @cached_property
     def cycles(self) -> CycleDecomposition:
@@ -206,14 +221,47 @@ def _successors(
 ) -> list[int]:
     """Index of the ball holding the image of each ball's key.
 
-    The image's rescaled key (see ``_rescaled_image``) names a ball of X
-    exactly when it is one of ``residues``.  Raises PoleInDomain at the first
-    key where Q vanishes and NotForwardInvariant with the number of balls
-    whose image leaves X and the first of them, its image from ``f.eval``.
+    The image's rescaled key z names a ball of X exactly when z mod the
+    domain's step p^(M - base level) is a base key; ``decompose_residues``
+    puts it at vertex (z // step) nb + j, with nb base keys and j the place
+    of z mod step among them.  With K = M - t, the ancestors are the n_a
+    keys below p^K1, K1 = max(ceil(K / 2), M - base level): they come first,
+    and vertex i + k n_a is keyed residues[i] + k p^K1.  Where den is a unit
+    at the ancestor a = residues[i], the images of a's descendants are
+    c0 + k c1 p^K1 mod p^K (see ``_expansion``, which holds for any
+    K1 >= ceil(K / 2)).  They agree mod the step, so they lie in X together,
+    at the vertices (j + k c1 n_a) mod n with j the vertex of c0: one
+    progression per ancestor fills succ[i::n_a].  The descendants of the
+    other ancestors are evaluated one by one, in vertex order.  Raises
+    PoleInDomain at the first key where Q vanishes and NotForwardInvariant
+    with the number of balls whose image leaves X and the first of them,
+    its image from ``f.eval``.
     """
-    image = _rescaled_image(f.rescaled(M), M - t)
-    index = dict(zip(residues, range(len(residues))))
-    succ = [index.get(image(y)) for y in residues]
+    form, p, K = f.rescaled(M), f.prime, M - t
+    n, nb = len(residues), len(X.keys)
+    step = p ** (M - X.base_level)
+    bases = dict(zip(residues[:nb], range(nb)))
+
+    def vertex(z: int | None) -> int | None:
+        j = None if z is None else bases.get(z % step)
+        return None if j is None else z // step * nb + j
+
+    n_a = n // p ** (K - max((K + 1) // 2, M - X.base_level))
+    expand, rest = _expansion(form, K), []
+    succ: list[int | None] = [None] * n
+    for i in range(n_a):
+        e = expand(residues[i])
+        if not e:
+            rest.extend(range(i, n, n_a))
+            continue
+        j = vertex(e[0])
+        if j is not None:
+            # n / n_a descendants, c1 n_a apart mod n (n apart for c1 = 0)
+            d = e[1] * n_a or n
+            succ[i::n_a] = [x % n for x in range(j, j + d * (n // n_a), d)]
+    image = _direct_image(form, K)
+    for i in sorted(rest):
+        succ[i] = vertex(image(residues[i]))
     if None in succ:
         b = residue_ball(residues[succ.index(None)], t, M, f.prime)
         first = (b, f.eval(b.key))
@@ -233,17 +281,32 @@ def _rescaled_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
     B(0, M)).  The returned function raises PoleInDomain at a key where Q
     vanishes, that is where den does.
 
-    A key y is read off a first-order expansion at its ancestor
-    a = y mod p^K1, K1 = ceil(K / 2), computed once per ancestor.  Where
-    den(a) is a unit, so is den(a + h) = den(a) (1 + sum_i (Qh_i / den(a)) h^i)
-    for h in p Z_p, with Qh_i the integer Taylor coefficients of den at a;
-    its inverse is the geometric series in those integral terms, so
-    g(a + h) = sum_i c_i h^i with every c_i in Z_p.  Since v(y - a) >= K1
-    and 2 K1 >= K, the terms of degree 2 and up vanish mod p^K, and
-    g(y) = c0 + c1 (y - a) mod p^K with c0 = g(a) and c1 = g'(a) =
-    t1(a) / den(a)^2; c1 matters only mod p^(K - K1).  Every other key
-    (den(a) not a unit, or K1 = K) is evaluated on its own.
+    A key y is read off the first-order expansion (c0, c1) of
+    ``_expansion`` at its ancestor a = y mod p^K1, K1 = ceil(K / 2),
+    computed once per ancestor, as c0 + c1 (y - a) mod p^K.  Every other
+    key (den(a) not a unit, or K1 = K) is evaluated on its own.
     """
+    direct = _direct_image(form, K)
+    K1 = (K + 1) // 2
+    if K1 == K:
+        return direct
+    coarse, mod, expand = form.prime**K1, form.prime**K, _expansion(form, K)
+    expansions: dict[int, tuple[int, ...]] = {}
+
+    def image(y: int) -> int | None:
+        a = y % coarse
+        e = expansions.get(a)
+        if e is None:
+            e = expansions[a] = expand(a)
+        if e:
+            return (e[0] + e[1] * (y - a)) % mod
+        return direct(y)
+
+    return image
+
+
+def _direct_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
+    """``_rescaled_image`` by one evaluation of num and den per key."""
     p, num, den = form.prime, form.num, form.den
     mod = p**K
 
@@ -259,30 +322,33 @@ def _rescaled_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
         n, rest = divmod(_evaluate(num, y), pk)
         return None if rest else n * pow(q // pk, -1, mod) % mod
 
-    K1 = (K + 1) // 2
-    if K1 == K:
-        return direct
-    coarse, slope_mod = p**K1, p ** (K - K1)
-    expansions: dict[int, tuple[int, ...]] = {}
+    return direct
 
-    def expansion(a: int) -> tuple[int, ...]:
-        """(c0, c1) at the ancestor a, or () where den(a) is not a unit."""
+
+def _expansion(form: RescaledMap, K: int) -> Callable[[int], tuple[int, ...]]:
+    """The map from an ancestor a to (c0, c1) with g(y) = c0 + c1 (y - a)
+    mod p^K for every y = a mod p^K1, K1 = ceil(K / 2), c0 in [0, p^K) and
+    c1 in [0, p^(K - K1)); () where den(a) is not a unit.
+
+    Where den(a) is a unit, so is den(a + h) = den(a) (1 + sum_i (Qh_i /
+    den(a)) h^i) for h in p Z_p, with Qh_i the integer Taylor coefficients
+    of den at a; its inverse is the geometric series in those integral
+    terms, so g(a + h) = sum_i c_i h^i with every c_i in Z_p.  Since
+    v(y - a) >= K1 and 2 K1 >= K, the terms of degree 2 and up vanish
+    mod p^K, and c0 = g(a) and c1 = g'(a) = t1(a) / den(a)^2; c1 matters
+    only mod p^(K - K1).
+    """
+    p, num, den, t1 = form.prime, form.num, form.den, form.t1
+    mod, slope_mod = p**K, p ** (K - (K + 1) // 2)
+
+    def expand(a: int) -> tuple[int, ...]:
         q = _evaluate(den, a)
         if q % p == 0:
             return ()
         inv = pow(q, -1, mod)
-        return _evaluate(num, a) * inv % mod, _evaluate(form.t1, a) * inv * inv % slope_mod
+        return _evaluate(num, a) * inv % mod, _evaluate(t1, a) * inv * inv % slope_mod
 
-    def image(y: int) -> int | None:
-        a = y % coarse
-        e = expansions.get(a)
-        if e is None:
-            e = expansions[a] = expansion(a)
-        if e:
-            return (e[0] + e[1] * (y - a)) % mod
-        return direct(y)
-
-    return image
+    return expand
 
 
 def subsidiary_edge_data(

@@ -1,13 +1,16 @@
 """DOT and JSON serializations of level digraphs.
 
 Output is deterministic (vertices sorted by canonical key) and writes are
-atomic (temp file in the target directory, then rename).
+atomic (temp file in the target directory, then rename).  Each distinct
+subsidiary datum is formatted once (``LevelDigraph.per_datum``), however
+many edges share it.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from itertools import repeat
 
 from .digraph import LevelDigraph
 from .padics import INF, NEG_INF
@@ -17,15 +20,19 @@ def digraph_to_dot(G: LevelDigraph) -> str:
     """One node per ball labeled "key (level)"; the unique out-edges are
     solid, except that edges failing the subsidiary admission are dashed."""
     names = G.key_strings
+    label = f' ({G.level})"];'
+    if G.subsidiary is None:
+        styles = repeat("solid")
+    else:
+        styles = G.per_datum(lambda d: "solid" if d.passes else "dashed")
     lines = ["digraph dynamics {"]
-    lines.extend(f'  "{k}" [label="{k} ({G.level})"];' for k in names)
-    for i, j in enumerate(G.succ):
-        dashed = G.subsidiary is not None and not G.subsidiary[i].passes
-        lines.append(
-            f'  "{names[i]}" -> "{names[j]}" [style={"dashed" if dashed else "solid"}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{k}" [label="{k}{label}' for k in names]
+    lines += [
+        f'  "{k}" -> "{names[j]}" [style={style}];'
+        for k, j, style in zip(names, G.succ, styles)
+    ]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def digraph_to_json(G: LevelDigraph) -> str:
@@ -43,20 +50,18 @@ def digraph_to_json(G: LevelDigraph) -> str:
         for k in q
     ]
     if G.subsidiary is None:
-        edges = [
-            f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n'
-            '      "s": null,\n      "passes": null\n    }'
-            for i, j in enumerate(G.succ)
-        ]
+        tails = repeat('      "s": null,\n      "passes": null\n    }')
     else:
-        edges = [
-            f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n'
-            f'      "s": {d.s_exponent},\n'
+        tails = G.per_datum(
+            lambda d: f'      "s": {d.s_exponent},\n'
             f'      "passes": {"true" if d.passes else "false"},\n'
             f'      "bounds": {_json_list([_bound(b) for b in d.bound_exponents], 6)}\n'
             "    }"
-            for (i, j), d in zip(enumerate(G.succ), G.subsidiary)
-        ]
+        )
+    edges = [
+        f'{{\n      "from": {k},\n      "to": {q[j]},\n{tail}'
+        for k, j, tail in zip(q, G.succ, tails)
+    ]
     cycles = G.cycles
     return (
         f'{{\n  "prime": {G.prime},\n  "level": {G.level},\n'
@@ -86,10 +91,16 @@ def _bound(x) -> str:
 
 
 def write_atomic(path: str, content: str) -> None:
+    """Write ``content`` to ``path`` through a temp file in its directory,
+    created with the mode ``open(path, "w")`` would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates the file 0o600; open(path, "w") honours the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(content)
         os.replace(tmp, path)
     except BaseException:

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import stat
 import sys
 import time
 
@@ -16,7 +18,7 @@ from padicdyn.cli import (
 )
 from fractions import Fraction
 
-from padicdyn.render import digraph_to_json
+from padicdyn.render import digraph_to_dot, digraph_to_json
 from padicdyn import (
     Analysis,
     CompactDomain,
@@ -405,6 +407,71 @@ def test_json_writer_on_hand_built_subsidiary_bounds():
     G = LevelDigraph(G.prime, G.level, G.height, G.residues, G.succ, data)
     want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
     assert digraph_to_json(G) == want
+
+
+def hand_built_subsidiary() -> LevelDigraph:
+    """The level -2 digraph of (x^2-1)/x on B(2,-1)+B(5,-1) (14 edges),
+    with data that mix one object shared by several edges, distinct objects
+    with equal values, and values that differ in one field only."""
+    f, X = parse_map("(x^2-1)/x", 7), parse_domain("B(2,-1)+B(5,-1)", 7)
+    G = build_digraph(f, X, -2)
+    shared = SubsidiaryEdgeData(0, (0, INF, NEG_INF, -3), True)
+    data = [
+        shared,
+        SubsidiaryEdgeData(1, (NEG_INF, NEG_INF, INF, 2), False),
+        shared,
+        SubsidiaryEdgeData(1, (NEG_INF, NEG_INF, INF, 2), False),
+        # differs from shared in passes, in one bound, in s
+        SubsidiaryEdgeData(0, (0, INF, NEG_INF, -3), False),
+        SubsidiaryEdgeData(0, (0, INF, INF, -3), True),
+        SubsidiaryEdgeData(2, (0, INF, NEG_INF, -3), True),
+    ]
+    data = tuple(data[i % len(data)] for i in range(len(G.succ)))
+    assert len({id(d) for d in data}) == 6 and len(set(data)) == 5
+    return LevelDigraph(G.prime, G.level, G.height, G.residues, G.succ, data)
+
+
+def test_outputs_format_each_edge_by_its_own_datum(monkeypatch, tmp_path):
+    # each output is checked against a per-edge oracle, so a memo keyed by
+    # anything coarser than the datum itself shows up as a wrong line
+    G = hand_built_subsidiary()
+    V, data = G.vertices, G.subsidiary
+    pairs = [(V[i].key, V[j].key) for i, j in enumerate(G.succ)]
+
+    monkeypatch.setattr(Analysis, "subsidiary", lambda self, t: G)
+    code, out = run_cli(P7_ARGS + ["subsidiary", "--level", "-2"])
+    assert code == EXIT_OK
+    assert [line for line in out.splitlines() if line.startswith("edge ")] == [
+        f"edge {a} -> {b}: s={d.s_exponent} bounds={list(d.bound_exponents)} "
+        f"passes={'yes' if d.passes else 'no'}"
+        for (a, b), d in zip(pairs, data)
+    ]
+
+    dot = digraph_to_dot(G)
+    assert [line for line in dot.splitlines() if "->" in line] == [
+        f'  "{a}" -> "{b}" [style={"solid" if d.passes else "dashed"}];'
+        for (a, b), d in zip(pairs, data)
+    ]
+    assert "dashed" in dot and "solid" in dot
+
+    assert digraph_to_json(G) == json.dumps(json_dict_oracle(G), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        code, _ = run_cli(P7_ARGS + ["digraph", "--level", "-2", "--dot",
+                                     str(tmp_path / "g.dot"), "--json", str(tmp_path / "g.json")])
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    want = 0o666 & ~umask
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == want
+    for name in ("g.dot", "g.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want, name
 
 
 def test_json_round_trip():

@@ -359,6 +359,83 @@ def test_expansion_matches_per_key_evaluation():
 
 
 @st.composite
+def successor_cases(draw):
+    """(f, X, t) on a sub-ball, punctured Z_p or a ball beyond Z_p, at a
+    level from X's base level down to at most 1024 balls, or on Z_p with a
+    ball of level -3 or -4 removed, one or two levels below its base level.
+    A third of the maps keep X invariant; the others are drawn as in
+    ``expansion_cases``, with Q a multiple of (p^M x - r) for a drawn key r
+    of X about half the time."""
+    kind = draw(st.sampled_from(["invariant", "drawn", "deep hole"]))
+    if kind == "invariant":
+        f, X = draw(st.one_of(one_lipschitz_instances(), shift_instances(), unit_instances()))
+        p = f.prime
+    elif kind == "drawn":
+        p = draw(PRIMES)
+        X = draw(domains(p, ("ball", "punctured", "beyond")))
+    else:
+        p = draw(st.sampled_from([2, 3]))
+        hole = CompactDomain.ball(draw(st.integers(0, p**4 - 1)), draw(st.integers(-4, -3)), p)
+        X = CompactDomain.zp(p).difference(hole)
+    M = X.height_exponent()
+    if kind == "deep hole":
+        # the step's classes are coarser than the keys mod p^ceil(K/2)
+        t = X.base_level - draw(st.integers(1, 2))
+    else:
+        deepest = X.base_level
+        while len(X.keys) * p ** (X.base_level - deepest + 1) <= 1024:
+            deepest -= 1
+        t = draw(st.integers(deepest, X.base_level))
+    if kind == "invariant":
+        return f, X, t
+    coeff = st.builds(lambda n, k: n * Fraction(p) ** k, st.integers(-30, 30), st.integers(-1, 1))
+    P = draw(st.lists(coeff, min_size=1, max_size=4))
+    Q = draw(st.lists(coeff, min_size=1, max_size=3))
+    if not any(Q):
+        Q[-1] = 1
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(decompose_residues(X, t)[1]))
+        Q = pmul(Q, [-r, p**M])
+    return normalize_map(P, Q, p), X, t
+
+
+def test_successors_match_per_key_evaluation_beyond_the_full_ball():
+    # layouts whose domain step p^(M - base level) is above 1: near the base
+    # level the ancestors are the step's classes, not the keys mod p^ceil(K/2)
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(successor_cases())
+    def check(case):
+        f, X, t = case
+        p, (M, residues) = f.prime, decompose_residues(X, t)
+        K, coarsest = M - t, M - X.base_level
+        path = ("K1 = K" if max((K + 1) // 2, coarsest) == K
+                else "K1 from the step" if coarsest > (K + 1) // 2 else "K1 = ceil(K/2)")
+        want = _outcome(per_key_successors, f, X, t, M, residues)
+        assert _outcome(_successors, f, X, t, M, residues) == want
+        seen.add((path, want[0] if isinstance(want, tuple) else list))
+        event(f"{path}, M = {M}")
+
+    check()
+    assert {(path, outcome) for path in ("K1 from the step", "K1 = ceil(K/2)")
+            for outcome in (PoleInDomain, NotForwardInvariant, list)} <= seen, seen
+    assert {("K1 = K", NotForwardInvariant), ("K1 = K", list)} <= seen, seen
+
+
+def test_poles_are_met_in_vertex_order():
+    # 1/((x-1)(x-9)) on Z_3 at level -4: Q^ is a non-unit at the ancestors
+    # 0 and 1 mod 9, and vanishes at the keys 1 and 9; key 1 comes first in
+    # vertex order, key 9 first among ancestor 0's descendants
+    f = parse_map("1/((x-1)(x-9))", 3)
+    M, residues = decompose_residues(CompactDomain.zp(3), -4)
+    want = (PoleInDomain, "denominator vanishes at 1")
+    assert _outcome(per_key_successors, f, CompactDomain.zp(3), -4, M, residues) == want
+    assert _outcome(_successors, f, CompactDomain.zp(3), -4, M, residues) == want
+
+
+@st.composite
 def shift_instances(draw):
     """x + p^-L (u + p h(p^M x)) / (1 + k p^(M + 1) x) with a unit u on a
     ball B(c, L): Z_p, a sub-ball, or B(0, 1) with M = 1.  Each point stays
@@ -483,7 +560,7 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
         with mock.patch.object(digraph, "_rescaled_image", counted_images(calls)):
             got = outcome(Analysis.ergodic, A, depth)
         passed = isinstance(got, ErgodicVerdict) and got.kind == SINGLE_CYCLE_TO_DEPTH
-        if passed and calls[0] < len(X.keys) * p ** (X.base_level - depth):
+        if passed and calls[0] < len(X.keys) * p ** (X.base_level - depth) and not A._digraphs:
             # cycle lifting certified levels that the walk did not reach,
             # and no level digraph was built
             event("lifting certificate")

@@ -4,7 +4,8 @@ Certificates are checked by real code, so the library holds no ``assert``
 statement (``python -O`` strips them).  Every import is used, and every
 private function is called from somewhere other than its own body.  f's integer form on a ball
 is built in one place: only ``RationalMap.rescaled`` and the descent
-``lower_bound_bF`` rescale coefficients.
+``lower_bound_bF`` rescale coefficients, and one first-order expansion
+(``_expansion``) serves both readers of the edge kernel.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def test_the_unused_import_check_sees_one():
 def test_only_the_form_and_the_descent_rescale_coefficients():
     trees = [_tree(p) for p in SOURCES]
     assert _callers(trees, "_rescaled_coefficients") == {"rescaled", "lower_bound_bF"}
+
+
+def test_one_expansion_serves_the_digraph_and_the_per_key_images():
+    trees = [_tree(p) for p in SOURCES]
+    assert _callers(trees, "_expansion") == {"_successors", "_rescaled_image"}
 
 
 def test_the_rescaling_check_sees_each_caller():
