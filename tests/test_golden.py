@@ -185,6 +185,21 @@ CASES.update({
     # the scan after one orbit of the four level -2 balls
     "shift-deep-ergodic-p2": ["-p", "2", "--map", "x+1", "--domain", "Zp",
                               "ergodic", "--depth", "-25"],
+    # mixed-level domains: maximal balls at levels 0 .. -3 (the 78 vertices
+    # of the level -4 digraph pin the vertex order), and a coarse ball with
+    # a fine one, whose 27 escaping balls start at B(1, -4)
+    "mixed-level-digraph": ["-p", "3", "--map=2-x", "--domain", "Zp-B(1,-3)",
+                            "digraph", "--level", "-4", "--json", "g.json"],
+    "mixed-level-mp": ["-p", "3", "--map=2-x", "--domain", "Zp-B(1,-3)", "mp"],
+    "mixed-level-subsidiary": ["-p", "3", "--map=2-x", "--domain", "Zp-B(1,-3)",
+                               "subsidiary", "--level", "-3"],
+    "mixed-level-punctured-mp": PUNCTURED[:4] + ["--domain", "Zp-B(1,-3)", "mp"],
+    "mixed-level-punctured-ergodic": PUNCTURED[:4] + ["--domain", "Zp-B(1,-3)",
+                                                      "ergodic", "--depth", "-4"],
+    "error-mixed-level-escape-mp": ["-p", "3", "--map", "x+1", "--domain", "B(0,-1)+B(1,-4)",
+                                    "mp"],
+    "deep-punctured-classify": ["-p", "3", "--map", "x+1", "--domain", "Zp-B(1,-8)",
+                                "classify"],
 })
 
 
