@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import Ball, CompactDomain, _check_decomposition, decompose_residues, residue_ball
+from .domains import Ball, CompactDomain, decompose_residues, residue_ball
 from .errors import (
     ConstantTermNotIntegral,
     DecompositionTooLarge,
@@ -238,7 +238,7 @@ def _successors(
     its image from ``f.eval``.
     """
     form, p, K = f.rescaled(M), f.prime, M - t
-    n, nb = len(residues), len(X.keys)
+    n, nb = len(residues), X.count(X.base_level)
     step = p ** (M - X.base_level)
     bases = dict(zip(residues[:nb], range(nb)))
 
@@ -522,7 +522,8 @@ class Analysis:
             G, level = self.digraph(t), self.transport_level
             p, M, y = self.f.prime, self.form.M, G.residues
             n, data = len(y), [None] * len(y)
-            u, n_u, balls = self.X.base_level, len(self.X.keys), range(len(self.X.keys))
+            u, n_u = self.X.base_level, self.X.count(self.X.base_level)
+            balls = range(n_u)
             while M == 0 and u > t:
                 split = []
                 for i in balls:
@@ -698,7 +699,7 @@ class Analysis:
                 else:
                     run = 0
             t -= 1
-            _check_decomposition(X, t, config)
+            config.check_ball_budget(X.count(t), "decomposition", t)
             centres = [y + k * mod for y in split for k in range(p)]
 
     def mp(self) -> MPVerdict:
@@ -770,7 +771,7 @@ class Analysis:
         """The first level of ``level`` .. ``depth`` that one orbit walk does
         not certify a single cycle; ``depth - 1`` when it certifies them all.
 
-        Level t <= base level has n_t = len(X.keys) p^(base - t) vertices
+        Level t <= base level has n_t = X.count(t) vertices
         and is a quotient of every finer level: the parent of the image of a
         ball is the successor of its parent.  So the level-K orbit of the
         smallest rescaled key y0, projected mod p^(M - t), is the level-t
@@ -795,7 +796,7 @@ class Analysis:
         certifies every level.
         """
         X, p, cap = self.X, self.f.prime, self.config.ball_cap
-        n = len(X.keys) * p ** (X.base_level - level)
+        n = X.count(level)
         if n > cap:
             return level
         K, n_K = level, n
@@ -809,7 +810,7 @@ class Analysis:
         image = _rescaled_image(self.form, M - K)
         t0 = min(level, M - 2)
         # no certificate (n0 = 0) when K is not below t0 or den is not a unit
-        n0 = len(X.keys) * p ** (X.base_level - t0) if K < t0 else 0
+        n0 = X.count(t0) if K < t0 else 0
         a, sq = 1, p * p
         t, mod = level, p ** (M - level)
         z = y0

@@ -2,11 +2,15 @@
 
 A closed ball of radius p^t is identified by its level t and canonical key:
 the unique finite base-p expansion of its center with digits only at
-exponents below -t.  A compact open domain is normalized to a disjoint
-union of balls at a single base level (differences are resolved by refining;
-complete sibling groups are merged back up), which makes equality, measure
-and refinement immediate.  A ball's key doubles as its representative point,
-so representatives are nested across levels automatically.
+exponents below -t.  A compact open domain is held as its maximal balls:
+disjoint, none inside another, and no complete set of p siblings (those are
+merged into their parent).  This form is unique, which makes equality
+immediate; measure and ball counts are sums over the few maximal balls, and
+a difference splits a ball only along the path down to each removed ball.
+The domain's base level is its finest maximal level, and its level-t balls
+for t at or below it come from ``decompose_residues``.  A ball's key doubles
+as its representative point, so representatives are nested across levels
+automatically.
 """
 
 from __future__ import annotations
@@ -41,11 +45,7 @@ class Ball:
         return fraction_valuation(x - self.key, self.prime) >= -self.level
 
     def parent(self) -> "Ball":
-        return Ball(
-            self.level + 1,
-            canonical_key(self.key, self.level + 1, self.prime),
-            self.prime,
-        )
+        return Ball.containing(self.key, self.level + 1, self.prime)
 
     def subdivide(self, level: int) -> Iterator["Ball"]:
         """All level-t descendants, t <= self.level, in key order."""
@@ -64,113 +64,118 @@ class Ball:
 
 @dataclass(frozen=True)
 class CompactDomain:
-    """Finite disjoint union of balls, all stored at one base level."""
+    """Finite disjoint union of balls, held as its maximal balls in key
+    order."""
 
     prime: int
-    base_level: int
-    keys: frozenset[Fraction]
+    balls: tuple[Ball, ...]
 
     @staticmethod
     def from_balls(balls: Iterable[Ball]) -> "CompactDomain":
-        """The union of ``balls``: a ball inside another is dropped, and the
-        rest are refined to the finest level among them."""
+        """The union of ``balls``: a ball inside another is dropped, and
+        every complete set of p siblings is merged into their parent."""
         balls = set(balls)
         if not balls:
             raise EmptyDomain("domain with no balls")
         p = next(iter(balls)).prime
         if any(b.prime != p for b in balls):
             raise PrimeMismatch("balls over different primes")
-        levels = {b.level for b in balls}
-        balls = [
-            b for b in balls
-            if not any(L > b.level and Ball.containing(b.key, L, p) in balls for L in levels)
-        ]
-        level = min(b.level for b in balls)
-        return CompactDomain(p, level, frozenset(_refined_keys(balls, level)))._coarsened()
+        # coarsest first: a ball lies inside another when an earlier one holds its key
+        order = sorted(balls, key=lambda b: -b.level)
+        balls = {b for i, b in enumerate(order) if not any(k.contains(b.key) for k in order[:i])}
+        while True:
+            parents = Counter(b.parent() for b in balls)
+            full = {q for q, c in parents.items() if c == p}
+            if not full:
+                return CompactDomain(p, tuple(sorted(balls, key=lambda b: b.key)))
+            balls = {b for b in balls if b.parent() not in full} | full
 
     @staticmethod
     def zp(p: int) -> "CompactDomain":
-        require_prime(p)
-        return CompactDomain(p, 0, frozenset([Fraction(0)]))
+        return CompactDomain.ball(0, 0, p)
 
     @staticmethod
     def ball(center: int | Fraction, level: int, p: int) -> "CompactDomain":
         require_prime(p)
-        return CompactDomain.from_balls([Ball.containing(center, level, p)])
+        return CompactDomain(p, (Ball.containing(center, level, p),))
 
     @staticmethod
     def sphere(radius_exponent: int, p: int) -> "CompactDomain":
         """S_{p^N}(0): the points of norm exactly p^N."""
-        require_prime(p)
         n = radius_exponent
-        step = Fraction(p) ** (-n)
-        balls = [Ball(n - 1, d * step, p) for d in range(1, p)]
-        return CompactDomain.from_balls(balls)
+        return CompactDomain.ball(0, n, p).difference(CompactDomain.ball(0, n - 1, p))
 
-    def _coarsened(self) -> "CompactDomain":
-        level, keys = self.base_level, self.keys
-        while True:
-            groups = Counter(canonical_key(k, level + 1, self.prime) for k in keys)
-            if any(c != self.prime for c in groups.values()):
-                return CompactDomain(self.prime, level, keys)
-            level, keys = level + 1, frozenset(groups)
-
-    def balls(self) -> tuple[Ball, ...]:
-        return tuple(
-            Ball(self.base_level, k, self.prime) for k in sorted(self.keys)
-        )
+    @property
+    def base_level(self) -> int:
+        """The finest level of a maximal ball: X is a union of level-t balls
+        exactly for t at or below it."""
+        return min(b.level for b in self.balls)
 
     @property
     def measure(self) -> Fraction:
-        return len(self.keys) * Fraction(self.prime) ** self.base_level
+        return sum(b.measure for b in self.balls)
+
+    def count(self, t: int) -> int:
+        """The number of level-t balls in X."""
+        if t > self.base_level:
+            raise LevelTooCoarse(
+                f"domain is expressed at level {self.base_level}; cannot decompose at {t}"
+            )
+        return sum(self.prime ** (b.level - t) for b in self.balls)
 
     def height_exponent(self) -> int:
         """Smallest M >= level data with X inside the ball of radius p^M
         around 0 (0 when the domain sits inside Z_p)."""
-        out = self.base_level
-        for k in self.keys:
-            if k != 0:
-                out = max(out, -int(fraction_valuation(k, self.prime)))
-        return max(out, 0)
+        # a nonzero key has digits below -level only, so -v(key) > level
+        return max(0, *(
+            -int(fraction_valuation(b.key, self.prime)) if b.key else b.level
+            for b in self.balls
+        ))
 
     def union(self, other: "CompactDomain") -> "CompactDomain":
-        self._check(other)
-        return CompactDomain.from_balls(self.balls() + other.balls())
+        out = CompactDomain.from_balls(self.balls + other.balls)
+        # ``ball_cap`` bounds the flat form: both domains refined to the
+        # finer base level, unless the finer domain lies in the coarser one
+        level = out.base_level if out in (self, other) else min(self.base_level, other.base_level)
+        DEFAULT_CONFIG.check_ball_budget(out.count(level), "decomposition", level)
+        return out
 
     def difference(self, other: "CompactDomain") -> "CompactDomain":
-        self._check(other)
-        # only the balls that meet the other domain are refined; a ball lies
-        # in a coarser (or equal) ball of a domain when the domain holds its key
-        mine = [b for b in self.balls() if not (b.level <= other.base_level and b.key in other)]
-        theirs = [b for b in other.balls() if b.level < self.base_level and b.key in self]
-        level = other.base_level if theirs else self.base_level
-        left = _refined_keys(mine, level) - _refined_keys(theirs, level)
-        if not left:
-            raise EmptyDomain("difference removed every ball")
-        return CompactDomain(self.prime, level, frozenset(left))._coarsened()
-
-    def _check(self, other: "CompactDomain"):
         if self.prime != other.prime:
             raise PrimeMismatch("domains over different primes")
+        left, balls = [], list(self.balls)
+        while balls:
+            a = balls.pop()
+            if any(r.level >= a.level and r.contains(a.key) for r in other.balls):
+                continue
+            # a ball of other inside a: split a only along the path down to it
+            if any(a.contains(r.key) for r in other.balls):
+                balls += a.subdivide(a.level - 1)
+            else:
+                left.append(a)
+        # maximal already: the parent of a piece holds a ball of other or lies outside self
+        out = CompactDomain(self.prime, tuple(sorted(left, key=lambda b: b.key))) if left else None
+        # ``ball_cap`` bounds the flat form: self refined to other's base
+        # level when a finer ball of other meets it, else what is left at
+        # self's base level
+        finer = other.base_level < self.base_level and out != self
+        level = other.base_level if finer else self.base_level
+        count = self.count(level) if finer else out.count(level) if out else 0
+        DEFAULT_CONFIG.check_ball_budget(count, "decomposition", level)
+        if out is None:
+            raise EmptyDomain("difference removed every ball")
+        return out
 
     def contains(self, x: int | Fraction) -> bool:
-        return canonical_key(x, self.base_level, self.prime) in self.keys
+        return any(b.contains(x) for b in self.balls)
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
 
     def __str__(self):
-        parts = " + ".join(str(b) for b in self.balls()[:6])
-        extra = "" if len(self.keys) <= 6 else f" + ... ({len(self.keys)} balls)"
+        parts = " + ".join(str(b) for b in self.balls[:6])
+        extra = "" if len(self.balls) <= 6 else f" + ... ({len(self.balls)} balls)"
         return parts + extra
-
-
-def _refined_keys(balls: list[Ball], level: int) -> set[Fraction]:
-    """The keys of the level balls in disjoint ``balls``, refused before any
-    is built when they exceed ``ball_cap``."""
-    count = sum(b.prime ** (b.level - level) for b in balls)
-    DEFAULT_CONFIG.check_ball_budget(count, "decomposition", level)
-    return {sub.key for b in balls for sub in b.subdivide(level)}
 
 
 def decompose(
@@ -197,20 +202,13 @@ def decompose_residues(
     Each y is the residue mod p^(M - t) of the rescaled key p^M * key, and
     the level-(t - 1) children of y are y + k p^(M - t), k = 0 .. p - 1.
     """
-    _check_decomposition(X, t, config)
+    config.check_ball_budget(X.count(t), "decomposition", t)
     p, M = X.prime, X.height_exponent()
-    scale = p**M
-    # the rescaled base keys lie in [0, step): adding multiples of step
-    # in the outer loop keeps the list sorted; p^M clears each key's
-    # denominator, as X lies in the ball of radius p^M
-    bases = sorted(k.numerator * (scale // k.denominator) for k in X.keys)
-    step = p ** (M - X.base_level)
-    return M, [b + s for s in range(0, p ** (M - t), step) for b in bases]
-
-
-def _check_decomposition(X: CompactDomain, t: int, config: AnalysisConfig) -> None:
-    if t > X.base_level:
-        raise LevelTooCoarse(
-            f"domain is expressed at level {X.base_level}; cannot decompose at {t}"
-        )
-    config.check_ball_budget(len(X.keys) * X.prime ** (X.base_level - t), "decomposition", t)
+    scale, top, ys = p**M, p ** (M - t), []
+    for b in X.balls:
+        # b's rescaled key lies in [0, p^(M - b.level)), as p^M clears its
+        # denominator (X lies in the ball of radius p^M), and its level-t
+        # keys add multiples of p^(M - b.level) to it
+        ys += range(b.key.numerator * (scale // b.key.denominator), top, p ** (M - b.level))
+    ys.sort()
+    return M, ys

@@ -306,7 +306,7 @@ def _holds_on_samples(
     """
     p = f.prime
     bottom = X.base_level - WITNESS_DEPTH
-    config.check_ball_budget(len(X.keys) * p**WITNESS_DEPTH, "decomposition", bottom)
+    config.check_ball_budget(X.count(bottom), "decomposition", bottom)
     form = f.rescaled(X.height_exponent())
     M, Ph, Qh = form.M, form.num, form.den
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import CompactDomain, _check_decomposition, decompose_residues, residue_ball
+from .domains import CompactDomain, decompose_residues, residue_ball
 from .errors import (
     CertificateFailed,
     DepthCapExceeded,
@@ -224,7 +224,7 @@ def classify(
         b_q = b_t1 = l = None
     else:
         l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
-        _check_decomposition(X, l, config)
+        config.check_ball_budget(X.count(l), "decomposition", l)
     exact, upper, least = _scalar_profile(f, X, M, l, config)
     exponents = exact.keys() | upper.keys()
     if max(exponents) > 0:

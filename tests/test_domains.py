@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,16 @@ from hypothesis import strategies as st
 from padicdyn import Ball, CompactDomain, decompose, fraction_valuation, parse_domain
 from padicdyn.cli import main
 from padicdyn.config import AnalysisConfig
+from padicdyn.domains import decompose_residues
 from padicdyn.errors import (
     DecompositionTooLarge,
     EmptyDomain,
     LevelTooCoarse,
 )
+
+
+def base_keys(X):
+    return frozenset(b.key for b in decompose(X, X.base_level))
 
 
 def two_unit_balls():
@@ -75,7 +81,7 @@ def test_locate_examples():
     assert 47 in X and Ball.containing(47, -2, 7).key == Fraction(47)
     assert 3 not in X
     # |3-2| = |3-5| = 1: both balls lie at distance exponent 0
-    assert [fraction_valuation(3 - k, 7) for k in sorted(X.keys)] == [0, 0]
+    assert [fraction_valuation(3 - b.key, 7) for b in decompose(X, X.base_level)] == [0, 0]
 
 
 def test_locate_representative_roundtrip():
@@ -112,7 +118,7 @@ def test_union_coarsens_back():
     parts = [CompactDomain.ball(k, -1, 3) for k in (0, 1, 2)]
     X = parts[0].union(parts[1]).union(parts[2])
     assert X.base_level == 0
-    assert X.keys == frozenset([Fraction(0)])
+    assert base_keys(X) == frozenset([Fraction(0)])
 
 
 def test_overlapping_union_dedupes():
@@ -134,7 +140,7 @@ def test_ball_budget_guard():
 def test_sphere_decomposition():
     S = CompactDomain.sphere(1, 3)
     assert S.base_level == 0
-    assert S.keys == frozenset([Fraction(1, 3), Fraction(2, 3)])
+    assert base_keys(S) == frozenset([Fraction(1, 3), Fraction(2, 3)])
     assert S.measure == Fraction(2)
     assert S.height_exponent() == 1
 
@@ -159,33 +165,88 @@ def test_ball_membership_matches_key(center, level, p):
 
 def refined_keys(X, level):
     """X's level-``level`` keys, by subdividing each of its balls."""
-    return {s.key for b in X.balls() for s in b.subdivide(level)}
+    return {s.key for b in X.balls for s in b.subdivide(level)}
 
 
-def ball_lists(p):
-    """One to three balls at levels -3 .. 1 (over Z_p and beyond), which may
-    overlap or nest."""
+def assert_maximal(X):
+    """X's balls are in key order, disjoint and none inside another (two
+    balls meet only when one holds the other), and no p of them are the
+    complete set of children of one parent."""
+    assert list(X.balls) == sorted(X.balls, key=lambda b: b.key)
+    for a in X.balls:
+        assert not any(b != a and b.level >= a.level and b.contains(a.key) for b in X.balls)
+    assert max(Counter(b.parent() for b in X.balls).values()) < X.prime
+
+
+def ball_lists(p, size=3):
+    """One to ``size`` balls at levels -3 .. 1 (over Z_p and beyond), which
+    may overlap or nest."""
     ball = st.builds(lambda c, t: Ball.containing(Fraction(c, p), t, p),
                      st.integers(0, p**4), st.integers(-3, 1))
-    return st.lists(ball, min_size=1, max_size=3)
+    return st.lists(ball, min_size=1, max_size=size)
 
 
 @given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(ball_lists(p), ball_lists(p))))
 @settings(max_examples=300, derandomize=True)
 def test_domain_algebra_matches_refined_key_sets(pair):
     # every operand refined to the finest level, as the algebra once ran
+    # and each result is held in the one maximal form, so == is set equality
     A, B = (CompactDomain.from_balls(balls) for balls in pair)
-    p, level = A.prime, min(b.level for balls in pair for b in balls)
+    level = min(b.level for balls in pair for b in balls)
     for balls, X in zip(pair, (A, B)):
         assert refined_keys(X, level) == {s.key for b in balls for s in b.subdivide(level)}
-    union = refined_keys(A, level) | refined_keys(B, level)
-    assert A.union(B) == CompactDomain(p, level, frozenset(union))._coarsened()
+        assert_maximal(X)
+    union = A.union(B)
+    assert refined_keys(union, level) == refined_keys(A, level) | refined_keys(B, level)
+    assert_maximal(union)
     left = refined_keys(A, level) - refined_keys(B, level)
     if not left:
         with pytest.raises(EmptyDomain):
             A.difference(B)
     else:
-        assert A.difference(B) == CompactDomain(p, level, frozenset(left))._coarsened()
+        difference = A.difference(B)
+        assert refined_keys(difference, level) == left
+        assert_maximal(difference)
+
+
+def flat_residues(X, t):
+    """``decompose_residues`` on the flat form: X's base keys from
+    ``Ball.subdivide``, with the height M read off them, rescaled by p^M,
+    sorted, and strided by p^(M - base level)."""
+    p, base = X.prime, X.base_level
+    keys = [s.key for b in X.balls for s in b.subdivide(base)]
+    M = max(0, base, *(-fraction_valuation(k, p) for k in keys if k != 0))
+    bases = sorted(int(k * p**M) for k in keys)
+    step = p ** (M - base)
+    return M, [y + s for s in range(0, p ** (M - t), step) for y in bases]
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(ball_lists(p, 4), st.lists(ball_lists(p, 2), max_size=1),
+                        st.integers(0, 2))))
+@settings(max_examples=200, derandomize=True)
+def test_decompose_residues_matches_the_flat_form(drawn):
+    # up to four balls, and now and then the balls of a second list taken out
+    balls, removed, depth = drawn
+    X = CompactDomain.from_balls(balls)
+    for other in removed:
+        try:
+            X = X.difference(CompactDomain.from_balls(other))
+        except EmptyDomain:
+            pass
+    t = X.base_level - depth
+    M, ys = decompose_residues(X, t)
+    assert (M, ys) == flat_residues(X, t)
+    assert M == X.height_exponent()
+    assert X.count(t) == len(ys)
+
+
+def test_a_deep_domain_is_its_maximal_balls():
+    start = time.perf_counter()
+    X = parse_domain("Zp-B(1,-12)", 3)
+    assert time.perf_counter() - start < 1
+    assert len(X.balls) == 24 and X.base_level == -12
+    assert X.measure == 1 - Fraction(1, 3**12)
 
 
 def cli_lines(argv, capsys):

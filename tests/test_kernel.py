@@ -123,7 +123,7 @@ def instances(draw):
     X = draw(domains(p))
     depth = draw(st.integers(0, 3))
     t = X.base_level - depth
-    assume(len(X.keys) * p**depth <= MAX_VERTICES)
+    assume(X.count(t) <= MAX_VERTICES)
     return f, X, t
 
 
@@ -383,7 +383,7 @@ def successor_cases(draw):
         t = X.base_level - draw(st.integers(1, 2))
     else:
         deepest = X.base_level
-        while len(X.keys) * p ** (X.base_level - deepest + 1) <= 1024:
+        while X.count(deepest - 1) <= 1024:
             deepest -= 1
         t = draw(st.integers(deepest, X.base_level))
     if kind == "invariant":
@@ -538,7 +538,7 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
         p = f.prime
         # a cap of a few levels' balls stops some scans with DecompositionTooLarge
         k = data.draw(st.none() | st.integers(0, 5), label="cap levels")
-        cap = None if k is None else len(X.keys) * p**k + data.draw(st.integers(0, p - 1))
+        cap = None if k is None else X.count(X.base_level - k) + data.draw(st.integers(0, p - 1))
         try:
             A = Analysis(f, X, AnalysisConfig() if cap is None else AnalysisConfig(ball_cap=cap))
         except PadicDynError:
@@ -548,7 +548,7 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
         top = A.report.transport_level
         top = X.base_level if top is None else top
         deepest = X.base_level
-        while len(X.keys) * p ** (X.base_level - deepest + 1) <= MAX_VERTICES:
+        while X.count(deepest - 1) <= MAX_VERTICES:
             deepest -= 1
         depth = data.draw(st.integers(min(deepest, top), top), label="depth")
         # Hypothesis favours a range's lower bound (0 of 0 .. 9 came up in 248
@@ -560,11 +560,11 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
         with mock.patch.object(digraph, "_rescaled_image", counted_images(calls)):
             got = outcome(Analysis.ergodic, A, depth)
         passed = isinstance(got, ErgodicVerdict) and got.kind == SINGLE_CYCLE_TO_DEPTH
-        if passed and calls[0] < len(X.keys) * p ** (X.base_level - depth) and not A._digraphs:
+        if passed and calls[0] < X.count(depth) and not A._digraphs:
             # cycle lifting certified levels that the walk did not reach,
             # and no level digraph was built
             event("lifting certificate")
-            seen.update({("certificate", p), ("certificate", "multi-ball" if len(X.keys) > 1
+            seen.update({("certificate", p), ("certificate", "multi-ball" if X.count(X.base_level) > 1
                                                 else "one ball")})
             if X.height_exponent():
                 seen.add(("certificate", "M >= 1"))

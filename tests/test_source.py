@@ -5,7 +5,9 @@ statement (``python -O`` strips them).  Every import is used, and every
 private function is called from somewhere other than its own body.  f's integer form on a ball
 is built in one place: only ``RationalMap.rescaled`` and the descent
 ``lower_bound_bF`` rescale coefficients, and one first-order expansion
-(``_expansion``) serves both readers of the edge kernel.
+(``_expansion``) serves both readers of the edge kernel.  Only ``domains.py``
+reads a domain's maximal balls; every other module counts and lists its
+level-t balls through ``count`` and ``decompose_residues``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ def _callers(trees: list[ast.Module], name: str) -> set[str]:
     return found
 
 
+def _attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[str]:
+    """The modules that read ``attr`` as an attribute (``x.attr``)."""
+    return {
+        name for name, tree in trees.items()
+        if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(tree))
+    }
+
+
 def test_sources_are_found():
     assert {"__init__.py", "scaling.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -119,6 +129,20 @@ def test_the_rescaling_check_sees_each_caller():
         "x = _rescaled_coefficients(3)\n"
     )
     assert _callers([tree], "_rescaled_coefficients") == {"rescaled", "inner", "<module>"}
+
+
+def test_only_domains_reads_the_maximal_balls():
+    trees = {p.name: _tree(p) for p in SOURCES}
+    assert _attribute_readers(trees, "balls") == {"domains.py"}
+
+
+def test_the_ball_reader_check_sees_one():
+    trees = {
+        "domains.py": ast.parse("def count(X):\n    return len(X.balls)\n"),
+        "digraph.py": ast.parse("balls = 3\nn = sum(b.level for b in self.X.balls)\n"),
+        "cli.py": ast.parse("balls = [1]\nprint(balls)\n"),
+    }
+    assert _attribute_readers(trees, "balls") == {"domains.py", "digraph.py"}
 
 
 def test_every_private_function_is_referenced():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from test_kernel import PRIMES, domains, one_lipschitz_instances, shift_instances
 from test_polynomials import padd, pderiv, pmul, pscale, ptaylor, trimmed
 
-from padicdyn import Analysis, CompactDomain, digraph, parse_domain, parse_map
+from padicdyn import Analysis, CompactDomain, decompose, digraph, parse_domain, parse_map
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import SubsidiaryEdgeData, subsidiary_edge_data
 from padicdyn.errors import (
@@ -126,7 +126,7 @@ def _cases(draw):
         Q, k = trimmed(qc), draw(st.integers(0, 2))
         return normalize_map(padd(pmul(x, Q), pscale(ac, p**k)), Q, p), X
     M = X.height_exponent()
-    c = min(X.keys) if len(X.keys) == 1 and X.base_level == 0 else Fraction(0)
+    c = decompose(X, 0)[0].key if X.base_level == 0 and X.count(0) == 1 else Fraction(0)
     R = 0 if c.denominator > 1 else M
     gc = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
     hc = [draw(st.sampled_from([1, -1, 2, 3, p]))]
@@ -163,7 +163,7 @@ def test_integer_edge_data_agrees_with_the_fraction_path(monkeypatch):
         # the transport level and up to four levels below it, each of at
         # most MAX_VERTICES balls
         for t in range(top, top - 5, -1):
-            if len(X.keys) * p ** (X.base_level - t) > MAX_VERTICES:
+            if X.count(t) > MAX_VERTICES:
                 break
             try:
                 G = A.digraph(t)
@@ -273,7 +273,7 @@ def test_intrinsic_level_matches_the_per_edge_search():
             # a cap of a few levels' balls stops some searches with
             # DecompositionTooLarge, and keeps the per-edge search small
             k = data.draw(st.integers(1, 12), label="cap levels")
-            cap = min(len(X.keys) * p**k + data.draw(st.integers(0, p - 1)), 3000)
+            cap = min(X.count(X.base_level - k) + data.draw(st.integers(0, p - 1)), 3000)
         config = AnalysisConfig(descent_cap=descent_cap, ball_cap=cap, intrinsic_margin=margin)
         try:
             new, old = Analysis(f, X, config), Analysis(f, X, config)

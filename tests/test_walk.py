@@ -86,8 +86,9 @@ def _rescaled(F, X):
     d = max(len(F) - 1, 0)
     G = pscale(shift_variable(F, p, -M), Fraction(p) ** (M * d))
     pm = Fraction(p) ** M
-    keys = frozenset(k * pm for k in X.keys)
-    Xs = CompactDomain(p, X.base_level - M, keys)
+    Xs = CompactDomain.from_balls(
+        Ball(X.base_level - M, b.key * pm, p) for b in decompose(X, X.base_level)
+    )
     return G, Xs, M * d
 
 
