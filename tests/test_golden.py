@@ -200,6 +200,18 @@ CASES.update({
                                     "mp"],
     "deep-punctured-classify": ["-p", "3", "--map", "x+1", "--domain", "Zp-B(1,-8)",
                                 "classify"],
+    # the parser's caps and domain-literal checks, and the per-ball
+    # certifier's depth cap: around the derivative root 0 of x^2/3^30 the
+    # ball-to-ball certificate holds only from level -60
+    "error-exponent-too-large": ["-p", "3", "--map", "x^65", "classify"],
+    "error-nested-too-deeply": ["-p", "3", "--map", "(" * 65 + "x" + ")" * 65, "classify"],
+    "error-domain-missing-denominator": ["-p", "3", "--map", "x", "--domain", "B(1/,0)",
+                                         "classify"],
+    "error-domain-zero-denominator": ["-p", "3", "--map", "x", "--domain", "B(1/0,0)",
+                                      "classify"],
+    "error-domain-unclosed-ball": ["-p", "3", "--map", "x", "--domain", "B(1,0", "classify"],
+    "error-certification-depth-cap": ["-p", "3", "--map", "x^2/205891132094649",
+                                      "--domain", "Zp", "classify"],
 })
 
 
