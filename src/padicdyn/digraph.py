@@ -49,7 +49,7 @@ from .errors import (
 from .maps import RationalMap, RescaledMap
 from .padics import INF, NEG_INF, ExtendedInt, ceil_div, int_valuation
 from .polynomials import (
-    _ball_valuation,
+    _ball_probe,
     _int_add,
     _evaluate,
     _int_mul,
@@ -568,7 +568,7 @@ class Analysis:
         M, o = self.form.M, self.form.offset
         k = M - t
         (vq, cq), (vqd, cqd), (vt, ct) = (
-            _ball_valuation(F, p, y, k) for F in (self.form.den, *taylor[1])
+            _ball_probe(F, p, y, k)[2:] for F in (self.form.den, *taylor[1])
         )
         if not (cq and cqd and ct):
             return None
@@ -576,8 +576,8 @@ class Analysis:
         s, constant, exact_to = 0, True, INF if M == 0 else vq - o
         for i, (Qi, Wi) in enumerate(taylor if M else ()):
             # v(Q_a[i]) >= q and v(W_i(a)) - v(Q(a)) >= w on the ball
-            q, q_exact = _ball_valuation(Qi, p, y, k)
-            w, w_exact = _ball_valuation(Wi, p, y, k)
+            q, q_exact = _ball_probe(Qi, p, y, k)[2:]
+            w, w_exact = _ball_probe(Wi, p, y, k)[2:]
             q, w = q + M * i - o, w - vq + M * (i - 1) - o
             if q != INF:
                 s = max(s, ceil_div(-q, i + 1))

@@ -166,12 +166,6 @@ class CompactDomain:
             raise EmptyDomain("difference removed every ball")
         return out
 
-    def contains(self, x: int | Fraction) -> bool:
-        return any(b.contains(x) for b in self.balls)
-
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
-
     def __str__(self):
         parts = " + ".join(str(b) for b in self.balls[:6])
         extra = "" if len(self.balls) <= 6 else f" + ... ({len(self.balls)} balls)"

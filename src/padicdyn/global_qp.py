@@ -29,6 +29,7 @@ from .maps import RationalMap
 from .padics import INF, ceil_div, int_valuation
 from .polynomials import (
     _ball_probe,
+    _evaluate,
     _int_divexact,
     _is_int_polynomial,
     _int_gcd,
@@ -319,11 +320,11 @@ def _holds_on_samples(
         if t == bottom:
             samples.append(y)
             return False
-        vq, _, cq = _ball_probe(Qh, p, y)
-        if t > cq + M:
+        vq, _, _, cq = _ball_probe(Qh, p, y, M - t)
+        if not cq:
             return True
-        vp, _, cp = _ball_probe(Ph, p, y)
-        if t > cp + M:
+        vp, _, _, cp = _ball_probe(Ph, p, y, M - t)
+        if not cp:
             return True
         # P and Q have constant norm on the ball, so |f| = p^(vq - vp + M)
         # on all of it: v(P(a)) and v(Q(a)) are v(Ph(y)) - o - M and v(Qh(y)) - o
@@ -332,10 +333,10 @@ def _holds_on_samples(
     walk(X, X.base_level, visit, config, "witness check")
     for y in sorted(samples):
         # |f(a)| = p^(vq - vp + M) at a = y / p^M, as on a settled ball
-        vq = _ball_probe(Qh, p, y)[0]
+        vq = int_valuation(_evaluate(Qh, y), p)
         if vq == INF:
             raise PoleInDomain(f"denominator vanishes at {Fraction(y, p**M)}")
-        if not within(vq - _ball_probe(Ph, p, y)[0] + M):
+        if not within(vq - int_valuation(_evaluate(Ph, y), p) + M):
             return False
     return True
 

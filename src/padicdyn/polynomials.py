@@ -5,7 +5,9 @@ trailing zeros; ``RationalMap`` holds its P, Q and T1 as tuples.  The zero
 polynomial is empty (degree -1).  Evaluation uses Horner's scheme
 (``_evaluate``), in integers at an integer point and exact at ``Fraction``
 points.  The gcd, exact division, Taylor shifts and the rescaling all run
-on integers (the ``_int_*`` helpers).
+on integers (the ``_int_*`` helpers).  One probe, ``_ball_probe``, reads
+off G's Taylor coefficients at y whether |G| is constant on the ball
+y + p^k Z_p: every per-ball certificate asks it at its ball's radius.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import comb
 from math import gcd as int_gcd
 from typing import Sequence
 
-from .padics import INF, NEG_INF, ExtendedInt, int_valuation
+from .padics import INF, ExtendedInt, int_valuation
 
 
 def poly_eval(F: Sequence[int], a: int | Fraction) -> Fraction:
@@ -163,37 +165,28 @@ def _rescaled_coefficients(F: Sequence[int], p: int, d: int, M: int) -> list[int
     return [c * p ** (M * (d - i)) for i, c in enumerate(F)]
 
 
-def _ball_probe(G: Sequence[int], p: int, y: int) -> tuple[ExtendedInt, ExtendedInt, ExtendedInt]:
-    """(v(G(y)), v(G'(y)), c) for an integer G (lowest degree first) at an
-    integer y, with c the largest level t certifying |G| constant on the
-    ball of radius p^t around y (INF for a nonzero constant, NEG_INF when
-    G(y) = 0): the largest t with v(g_0) < v(g_i) - i*t for the Taylor
-    coefficients g_i of G at y.  For G = ``_rescaled_coefficients(F, p, d, M)``
-    the i-th Taylor coefficient of F at a = y / p^M is p^(M(i - d)) g_i, so
-    v(F(a)) = v(G(y)) - Md, v(F'(a)) = v(G'(y)) + M(1 - d), and |F| is
-    constant on the ball of radius p^(c + M) around a.
+def _ball_probe(
+    G: Sequence[int], p: int, y: int, k: int
+) -> tuple[ExtendedInt, ExtendedInt, ExtendedInt, bool]:
+    """(v(G(y)), v(G'(y)), v, exact) for an integer G (lowest degree first)
+    on the ball y + p^k Z_p: v is the least v(g_j) + jk over the Taylor
+    coefficients g_j of G at y, a lower bound on v(G) over the ball, and
+    ``exact`` says that the j = 0 term alone attains it, so that |G| is
+    constant on the ball.  G = 0 gives (INF, INF, INF, True).  For
+    G = ``_rescaled_coefficients(F, p, d, M)`` the j-th Taylor coefficient
+    of F at a = y / p^M is p^(M(j - d)) g_j, so v(F(a)) = v(G(y)) - Md,
+    v(F'(a)) = v(G'(y)) + M(1 - d), and the ball of x-level t around a is
+    y's ball at k = M - t.
     """
     g = _taylor_coefficients(G, y)
     if not g:
-        return INF, INF, NEG_INF
+        return INF, INF, INF, True
     v0 = int_valuation(g[0], p)
-    v1 = int_valuation(g[1], p) if len(g) > 1 else INF
-    if v0 == INF:
-        return v0, v1, NEG_INF
-    c = INF
-    for i in range(1, len(g)):
-        if g[i]:
-            c = min(c, (int_valuation(g[i], p) - v0 - 1) // i)
-    return v0, v1, c
-
-
-def _ball_valuation(G: Sequence[int], p: int, y: int, k: int) -> tuple[ExtendedInt, bool]:
-    """(v, exact) for an integer G on the ball y + p^k Z_p (k >= 0): v is the
-    least v(g_j) + jk over the Taylor coefficients g_j of G at y, a lower
-    bound on v(G) over the ball, and ``exact`` says whether v(G) = v at
-    every point of it: the j = 0 term alone attains the least, as
-    ``_ball_probe``'s c >= -k says.  G = 0 gives (INF, True)."""
-    g = _taylor_coefficients(G, y)
-    v0 = int_valuation(g[0], p) if g else INF
-    rest = min((int_valuation(c, p) + j * k for j, c in enumerate(g) if j and c), default=INF)
-    return min(v0, rest), v0 < rest or rest == v0 == INF
+    v1 = v = INF
+    for j in range(1, len(g)):
+        if g[j]:
+            w = int_valuation(g[j], p)
+            if j == 1:
+                v1 = w
+            v = min(v, w + j * k)
+    return v0, v1, min(v0, v), v0 < v

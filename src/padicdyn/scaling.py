@@ -4,7 +4,8 @@
 the descent, the scalar profile of ``classify`` and ``global_qp``'s witness
 check run on it.  It names each ball by its rescaled residue y = p^M x,
 which takes the domain into Z_p, and each visit reads the ball through
-``_ball_probe`` on that integer.  A ``Ball``, in the domain's own
+``_ball_probe`` at that integer and the ball's own radius: a ball of
+level t is y + p^(M - t) Z_p in y.  A ``Ball``, in the domain's own
 coordinates, is built only for a ball that an error names.
 ``lower_bound_bF`` descends on G(y) = p^(Md) F(y / p^M): a ball of y-level
 s is a suspect when v(G(y)) >= -s, and p^e bounds |G| from below when e is
@@ -143,8 +144,8 @@ def _descend(G: list[int], X: CompactDomain, M: int, config: AnalysisConfig) -> 
 
     def visit(y: int, t: int) -> bool:
         s = t - M
-        v0, v1, c = _ball_probe(G, p, y)
-        if v0 < -s or c >= s:
+        v0, v1, _, exact = _ball_probe(G, p, y, M - t)
+        if v0 < -s or exact:
             # |G| = p^-v0 on all of the ball
             deepest.append((-v0, y))
         elif v0 == INF:
@@ -280,12 +281,12 @@ def _scalar_profile(
                 level=t,
                 suspect_ball=b,
             )
-        vq, _, cq = _ball_probe(form.den, p, y)
-        vt, _, ct = _ball_probe(form.t1, p, y)
+        vq, _, _, cq = _ball_probe(form.den, p, y, M - t)
+        vt, _, _, ct = _ball_probe(form.t1, p, y, M - t)
         # v(Q(a)) = v(den(y)) - o and v(T1(a)) = v(t1(y)) - 2o
         vq -= form.offset
         t1_norm_exp = 2 * form.offset - vt  # -inf at an exact derivative root
-        if t <= min(cq, ct) + M:
+        if cq and ct:
             e = 2 * vq + t1_norm_exp
             s = l if l is not None else t if e > 0 else min(t, -2 * vq - h_t)
             exact[e] = exact.get(e, 0) + p ** (t - s)
@@ -294,7 +295,7 @@ def _scalar_profile(
                 f"|Q| and |T1| are not certified constant on {residue_ball(y, t, M, p)} "
                 f"at the scaling radius"
             )
-        elif l is None and t <= cq + M and max(t1_norm_exp, t + h_t) <= -2 * vq:
+        elif l is None and cq and max(t1_norm_exp, t + h_t) <= -2 * vq:
             s = t
             e = max(t1_norm_exp, t + h_t) + 2 * vq
             upper[e] = upper.get(e, 0) + 1

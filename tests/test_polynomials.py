@@ -95,11 +95,14 @@ def shift_variable(F, p, k) -> list:
 def norm_constant_exponent(F, p, center) -> float:
     """Oracle for ``_ball_probe``'s constancy level, on ``Fraction``s: the
     largest level t certifying |F| constant on the ball of radius p^t
-    around the center (INF for nonzero constants, NEG_INF when F(center)
-    = 0), read from F's Taylor coefficients g_i at the center as the
-    largest t with v(g_0) < v(g_i) - i*t for every i >= 1."""
+    around the center (INF for constants, 0 included, NEG_INF when
+    F(center) = 0 for a nonzero F), read from F's Taylor coefficients g_i
+    at the center as the largest t with v(g_0) < v(g_i) - i*t for every
+    i >= 1.  The probe at radius p^-k says ``exact`` exactly when t >= -k."""
     g = ptaylor(F, center)
-    if not g or g[0] == 0:
+    if not g:
+        return INF
+    if g[0] == 0:
         return NEG_INF
     v0 = fraction_valuation(g[0], p)
     best = INF
@@ -179,7 +182,10 @@ def test_squarefree_part_is_primitive():
     ],
 )
 def test_norm_constant_examples(p, coeffs, center, expected):
-    assert _ball_probe(coeffs, p, center)[2] == expected
+    # exact on the balls of radius p^-k at and inside the constancy level,
+    # and not on the coarser ones
+    for k in range(-3, 6):
+        assert _ball_probe(coeffs, p, center, k)[3] == (expected >= -k)
 
 
 @pytest.mark.parametrize(
@@ -192,10 +198,13 @@ def test_norm_constant_examples(p, coeffs, center, expected):
     ],
 )
 def test_norm_constant_soundness_exhaustive(p, coeffs, center):
-    # every point of the certified ball, enumerated two levels deeper,
-    # has the same norm as the center
-    t = _ball_probe(coeffs, p, center)[2]
+    # the probe certifies the ball at the oracle's constancy level t and
+    # not the one above it, and every point of the certified ball,
+    # enumerated two levels deeper, has the same norm as the center
+    t = norm_constant_exponent(coeffs, p, center)
     assert isinstance(t, int) and abs(t) <= 4
+    assert _ball_probe(coeffs, p, center, -t)[3]
+    assert not _ball_probe(coeffs, p, center, -t - 1)[3]
     want = fraction_valuation(poly_eval(coeffs, center), p)
     ball = Ball.containing(center, t, p)
     for sub in ball.subdivide(t - 2):
@@ -235,13 +244,41 @@ def _probe_cases(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_probe_agrees_with_the_fraction_oracle(case):
     # v(F(a)) = v(G(y)) - Md, v(F'(a)) = v(G'(y)) + M(1 - d), and the
-    # constancy level of F at a is G's at y plus M
+    # probe of G at y on the ball of x-level t (k = M - t) is exact when t
+    # is at most F's constancy level at a: asked at the ball's level and on
+    # both sides of the constancy level
     F, X, ball, d = case
     p, M, a = X.prime, X.height_exponent(), ball.key
-    v0, v1, c = _ball_probe(_rescaled_coefficients(F, p, d, M), p, int(a * p**M))
-    assert v0 - M * d == fraction_valuation(poly_eval(F, a), p)
-    assert v1 + M * (1 - d) == fraction_valuation(poly_eval(pderiv(F), a), p)
-    assert c + M == norm_constant_exponent(F, p, a)
+    G, y = _rescaled_coefficients(F, p, d, M), int(a * p**M)
+    c = norm_constant_exponent(F, p, a)
+    for t in {ball.level} | ({c, c + 1} if abs(c) != INF else set()):
+        v0, v1, _, exact = _ball_probe(G, p, y, M - t)
+        assert v0 - M * d == fraction_valuation(poly_eval(F, a), p)
+        assert v1 + M * (1 - d) == fraction_valuation(poly_eval(pderiv(F), a), p)
+        assert exact == (c >= t)
+
+
+@given(_probe_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_probe_bounds_the_valuation_on_the_ball(case):
+    # v is the least v(g_j) + jk over G's Taylor coefficients at y, and
+    # every point of y + p^k Z_p, enumerated two levels down, has v(G) >= v,
+    # with v(G) = v(G(y)) when the probe says exact; asked at the ball's
+    # radius and one level to either side
+    F, X, ball, d = case
+    p, M = X.prime, X.height_exponent()
+    G, y = _rescaled_coefficients(F, p, d, M), int(ball.key * p**M)
+    g = ptaylor(G, y)
+    k0 = M - ball.level
+    for k in range(max(k0 - 1, 0), k0 + 2):
+        v0, _, v, exact = _ball_probe(G, p, y, k)
+        assert v == min((fraction_valuation(c, p) + j * k for j, c in enumerate(g)), default=INF)
+        for j in range(p**2):
+            x = y + j * p**k
+            w = fraction_valuation(sum(c * x**i for i, c in enumerate(G)), p)
+            assert w >= v
+            if exact:
+                assert w == v0
 
 
 small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(trimmed)

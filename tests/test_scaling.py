@@ -1,9 +1,11 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import padicdyn.scaling
 from padicdyn import (
     Analysis,
     CompactDomain,
@@ -15,8 +17,10 @@ from padicdyn import (
     parse_map,
     poly_eval,
 )
+from padicdyn.cli import main
 from padicdyn.config import AnalysisConfig
 from padicdyn.errors import (
+    CertificateFailed,
     DecompositionTooLarge,
     DepthCapExceeded,
     DerivativeRootInDomain,
@@ -279,3 +283,26 @@ def test_per_ball_certification_respects_the_ball_budget():
     assert classify(f, CompactDomain.zp(5), AnalysisConfig(ball_cap=10)).classification == (
         "LocallyRhoLipschitz"
     )
+
+
+def test_scaling_radius_certificate_failure_is_a_typed_error(monkeypatch, capsys):
+    # x^3 + x on Z_3 is root-free with scaling radius exponent l = -1; a
+    # probe that never finds |T1| constant leaves the level -1 balls
+    # unsettled at the scaling radius, and the check must hold under
+    # python -O too
+    f, X = parse_map("x^3+x", 3), CompactDomain.zp(3)
+    assert classify(f, X).radius_exponent == -1
+    t1 = f.rescaled(X.height_exponent()).t1
+    probe = padicdyn.scaling._ball_probe
+
+    def t1_never_constant(G, p, y, k):
+        v0, v1, v, exact = probe(G, p, y, k)
+        return v0, v1, v, exact and tuple(G) != t1
+
+    monkeypatch.setattr(padicdyn.scaling, "_ball_probe", t1_never_constant)
+    message = "|Q| and |T1| are not certified constant on B(0, -1) at the scaling radius"
+    with pytest.raises(CertificateFailed, match=re.escape(message)):
+        classify(f, X)
+    assert main(["-p", "3", "--map", "x^3+x", "--domain", "Zp", "classify"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
