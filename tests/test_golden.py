@@ -212,6 +212,13 @@ CASES.update({
     "error-domain-unclosed-ball": ["-p", "3", "--map", "x", "--domain", "B(1,0", "classify"],
     "error-certification-depth-cap": ["-p", "3", "--map", "x^2/205891132094649",
                                       "--domain", "Zp", "classify"],
+    # a unary plus, and a domain literal with trailing input
+    "unary-plus-classify": ["-p", "3", "--map", "+x+1", "--domain", "Zp", "classify"],
+    "error-domain-trailing-input": ["-p", "3", "--map", "x+1", "--domain", "Zp)", "classify"],
+    # x + 2/3 is an isometry of Q_3; with a descent cap of 1 the reduction
+    # ball's classification takes the profile route and its mp is Undecided
+    "shift-two-thirds-global-cap-one": ["-p", "3", "--map", "(2+3x)/3", "global",
+                                        "--cap", "1"],
 })
 
 
