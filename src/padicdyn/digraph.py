@@ -19,10 +19,10 @@ data decides how far the finite digraphs certify the infinite family, and
 on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
 constant.  ``Analysis`` answers these questions for one map and domain
 from one classification, building each level once.  Its single-cycle scan
-builds no level it can certify by one orbit walk at the deepest level, and
-keeps none; cycle lifting ends the walk after one orbit of a coarse level
-where it certifies every finer level.  Its intrinsic-level search builds
-only the transport level and reads the levels below it off per-ball bounds.
+builds no level where cycle lifting certifies every level from one orbit of
+a coarse level, and reads the level digraphs otherwise.  Its intrinsic-level
+search builds only the transport level and reads the levels below it off
+per-ball bounds.
 """
 
 from __future__ import annotations
@@ -274,39 +274,13 @@ def _successors(
     return succ
 
 
-def _rescaled_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
+def _direct_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
     """The map from a rescaled key y to the rescaled key of its image,
     g(y) = p^M f(y / p^M) = num(y) / den(y) mod p^K on f's integer form
-    ``form`` on B(0, M); None where that image is not integral (it leaves
-    B(0, M)).  The returned function raises PoleInDomain at a key where Q
-    vanishes, that is where den does.
-
-    A key y is read off the first-order expansion (c0, c1) of
-    ``_expansion`` at its ancestor a = y mod p^K1, K1 = ceil(K / 2),
-    computed once per ancestor, as c0 + c1 (y - a) mod p^K.  Every other
-    key (den(a) not a unit, or K1 = K) is evaluated on its own.
+    ``form`` on B(0, M), by one evaluation of num and den; None where that
+    image is not integral (it leaves B(0, M)).  The returned function
+    raises PoleInDomain at a key where Q vanishes, that is where den does.
     """
-    direct = _direct_image(form, K)
-    K1 = (K + 1) // 2
-    if K1 == K:
-        return direct
-    coarse, mod, expand = form.prime**K1, form.prime**K, _expansion(form, K)
-    expansions: dict[int, tuple[int, ...]] = {}
-
-    def image(y: int) -> int | None:
-        a = y % coarse
-        e = expansions.get(a)
-        if e is None:
-            e = expansions[a] = expand(a)
-        if e:
-            return (e[0] + e[1] * (y - a)) % mod
-        return direct(y)
-
-    return image
-
-
-def _direct_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
-    """``_rescaled_image`` by one evaluation of num and den per key."""
     p, num, den = form.prime, form.num, form.den
     mod = p**K
 
@@ -466,11 +440,10 @@ class Analysis:
     ``report`` is computed on construction.  The transport level, the
     intrinsic level and the digraph of each level (with and without
     subsidiary data) are computed on first use and kept, so each level is
-    built once however many questions read it.  ``ergodic`` walks one orbit
-    instead, ended early by cycle lifting, and keeps nothing from the walk;
-    only the levels the walk does not certify are built and kept.
-    ``intrinsic_level`` builds the transport level only, and walks its balls
-    for the levels below.
+    built once however many questions read it.  ``ergodic`` first walks one
+    orbit of a coarse level, and builds no level where cycle lifting
+    certifies them all.  ``intrinsic_level`` builds the transport level
+    only, and walks its balls for the levels below.
     """
 
     def __init__(
@@ -680,7 +653,7 @@ class Analysis:
                     else:
                         keys.extend(range(y, p ** (M - t), p ** (M - u)))
                 settled = still_open
-                image = _rescaled_image(self.form, M - t)
+                image = _direct_image(self.form, M - t)
                 data = [
                     subsidiary_edge_data(self.form, y, image(y), t, level)
                     for y in sorted(keys)
@@ -753,13 +726,20 @@ class Analysis:
 
         NotErgodic is definitive.  A pass reports only the scanned depth,
         also when cycle lifting has certified every level.  The same verdict
-        answers minimality.
+        answers minimality.  With t0 = min(level, M - 2), one orbit of the
+        level-t0 balls is tried first when a level below t0 is scanned and
+        level t0 - 1 fits in ``ball_cap``; where ``_lifts`` certifies every
+        level, no digraph is built.  Otherwise each level's digraph decides
+        it, from the transport level down.
         """
         level = self.transport_level
         if depth > level:
             raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
-        # the digraphs decide the levels the walk leaves open
-        for t in range(self._single_cycles_walked(level, depth), depth - 1, -1):
+        t0 = min(level, self.form.M - 2)
+        if (t0 > depth and self.X.count(t0 - 1) <= self.config.ball_cap
+                and self._lifts(level, t0)):
+            return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
+        for t in range(level, depth - 1, -1):
             dec = self.digraph(t).cycles
             if not dec.is_single_cycle:
                 return ErgodicVerdict(
@@ -767,82 +747,52 @@ class Analysis:
                 )
         return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
 
-    def _single_cycles_walked(self, level: int, depth: int) -> int:
-        """The first level of ``level`` .. ``depth`` that one orbit walk does
-        not certify a single cycle; ``depth - 1`` when it certifies them all.
+    def _lifts(self, level: int, t0: int) -> bool:
+        """Whether cycle lifting certifies that every level is one cycle,
+        from the orbit z_0 = y0, ..., z_n0 of the smallest rescaled key y0
+        under the rescaled map g, with n0 = X.count(t0) and K0 = M - t0 >= 2.
 
-        Level t <= base level has n_t = X.count(t) vertices
-        and is a quotient of every finer level: the parent of the image of a
-        ball is the successor of its parent.  So the level-K orbit of the
-        smallest rescaled key y0, projected mod p^(M - t), is the level-t
-        orbit of y0's ball, and level t is a single cycle exactly when that
-        projection first comes back to y0 at step n_t.  K is the deepest
-        level down to ``depth`` that fits in ``ball_cap``.  The walk stops
-        without deciding at an early return, at no return by step n_t, at
-        an image outside X and at a pole; the level digraph then decides.
+        Level u <= base level has n_u = X.count(u) balls and is a quotient of
+        every finer level: the parent of the image of a ball is the successor
+        of its parent.  So level u is one cycle exactly when the orbit is in
+        y0's level-u ball, z_i = y0 mod p^(M - u), at the steps i that are
+        multiples of n_u and at no other; the walk checks this at each level
+        from ``level`` to t0 and returns False at the first step that breaks
+        it, at a key where den is not a unit and at an image outside X.
 
-        Cycle lifting certifies every level after n0 = n_t0 steps, with
-        t0 = min(level, M - 2) above K and K0 = M - t0 >= 2.  Let z_j be
-        the orbit, g the rescaled map, a = prod_{j < n0} g'(z_j) and
-        b = (z_n0 - y0) / p^K0 mod p.  (1) Where den(z_j) is a unit (the
-        form of ``RationalMap.rescaled``), g is an integral power series
-        on z_j + p Z_p, so phi(s) = (g^n0(y0 + p^K0 s) - y0) / p^K0 = b + a s
-        + sum_{i >= 2} d_i s^i with v(d_i) >= (i - 1) K0.  (2) The level
-        t0 - k balls form one cycle exactly when phi cycles Z / p^k.  (3) As
-        K0 >= 2, the return map of each level-k cycle is affine mod
-        p^(k + 2), and phi' = a mod p^K0.  (4) So b_(k+1) = b_k (sum_{j < p}
-        a_k^j) / p mod p: b_k for odd p with a = 1 mod p, and b_k (1 + a_k) / 2
-        for p = 2 with a_k = a^(2^k) = 1 mod 4.  Induction on k: b != 0 mod p
-        certifies every level.
+        Let a = prod_{j < n0} g'(z_j) and b = (z_n0 - y0) / p^K0 mod p.
+        (1) Where den(z_j) is a unit (the form of ``RationalMap.rescaled``),
+        g is an integral power series on z_j + p Z_p, so phi(s) =
+        (g^n0(y0 + p^K0 s) - y0) / p^K0 = b + a s + sum_{i >= 2} d_i s^i
+        with v(d_i) >= (i - 1) K0.  (2) The level t0 - k balls form one cycle
+        exactly when phi cycles Z / p^k.  (3) As K0 >= 2, the return map of
+        each level-k cycle is affine mod p^(k + 2), and phi' = a mod p^K0.
+        (4) So b_(k+1) = b_k (sum_{j < p} a_k^j) / p mod p: b_k for odd p
+        with a = 1 mod p, and b_k (1 + a_k) / 2 for p = 2 with a_k = a^(2^k)
+        = 1 mod 4.  Induction on k: b != 0 mod p and a = 1 mod p (mod 4 for
+        p = 2) certify every level.
         """
-        X, p, cap = self.X, self.f.prime, self.config.ball_cap
-        n = X.count(level)
-        if n > cap:
-            return level
-        K, n_K = level, n
-        while K > depth and n_K * p <= cap:
-            K, n_K = K - 1, n_K * p
+        X, p, form = self.X, self.f.prime, self.form
         M, ys = decompose_residues(X, X.base_level, self.config)
         # decompose_residues' layout: a rescaled key lies in X exactly when
         # its residue mod step is one of the rescaled base keys
         step = p ** (M - X.base_level)
         bases, y0 = set(ys), ys[0]
-        image = _rescaled_image(self.form, M - K)
-        t0 = min(level, M - 2)
-        # no certificate (n0 = 0) when K is not below t0 or den is not a unit
-        n0 = X.count(t0) if K < t0 else 0
-        a, sq = 1, p * p
-        t, mod = level, p ** (M - level)
-        z = y0
-        # i <= n throughout, so step n_K certifies K or stops there
-        for i in range(1, n_K + 1):
-            if i <= n0:
-                q = _evaluate(self.form.den, z)
-                if q % p:
-                    a = a * _evaluate(self.form.t1, z) * pow(q, -2, sq) % sq
-                else:
-                    n0 = 0
-            try:
-                z = image(z)
-            except PoleInDomain:
-                return t
-            if z is None or z % step not in bases:
-                return t
-            if z % mod == y0:
-                if i < n:
-                    return t
-                # level t is one cycle; step n_t may be an early return at t - 1
-                t, n, mod = t - 1, n * p, mod * p
-                b = (z - y0) // p ** (M - t0) % p
-                if i == n0 and b and a % (4 if p == 2 else p) == 1:
-                    return depth - 1  # cycle lifting certifies every level
-                if t < K:
-                    return t
-                if z % mod == y0:
-                    return t
-            elif i == n:
-                return t
-        return t
+        levels = [(p ** (M - u), X.count(u)) for u in range(level, t0 - 1, -1)]
+        image = _direct_image(form, M - t0 + 1)
+        a, sq, z = 1, p * p, y0
+        for i in range(1, X.count(t0) + 1):
+            q = _evaluate(form.den, z)
+            if q % p == 0:
+                return False
+            a = a * _evaluate(form.t1, z) * pow(q, -2, sq) % sq
+            z = image(z)
+            if z % step not in bases or any(
+                (z % mod == y0) != (i % n == 0) for mod, n in levels
+            ):
+                return False
+        b = (z - y0) // p ** (M - t0) % p
+        return b != 0 and a % (4 if p == 2 else p) == 1
 
     def components(self, t: int) -> list[ComponentSelection]:
         """Per-cycle measure preservation verdicts at a level t <= t0.

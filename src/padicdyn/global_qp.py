@@ -242,13 +242,35 @@ def global_check(
     else:
         iso = ("No", "not invertible on the reduction ball")
         mp_verdict = ("No", "not measure preserving on the reduction ball")
-    if report.classification != LOCALLY_ISOMETRIC:
+    # an undecided scan leaves the isometry undecided unless |f'| < 1 is
+    # certified somewhere on the ball
+    if report.classification != LOCALLY_ISOMETRIC and (
+        mp.kind != UNDECIDED or _contracts(f, ball_domain, report, config)
+    ):
         iso = (
             "No",
             f"not locally isometric on the reduction ball "
             f"(classification: {report.classification})",
         )
     return GlobalVerdict(gate, *iso, *mp_verdict, None, report, True)
+
+
+def _contracts(
+    f: RationalMap, X: CompactDomain, report: ScalingReport, config: AnalysisConfig
+) -> bool:
+    """Whether |f'| < 1 is certified on some ball of X, which rules out a
+    local isometry: an exponent below 0 in the scalar profile or its upper
+    bounds, or a root of T1 in X."""
+    exponents = report.scalar_profile.keys() | report.scalar_upper_bounds.keys()
+    if min(exponents, default=0) < 0:
+        return True
+    try:
+        lower_bound_bF(f.t1, X, config)
+    except RootCertified:
+        return True
+    except DepthCapExceeded:
+        pass
+    return False
 
 
 def _failed(

@@ -78,7 +78,9 @@ def hensel_lift(
             break
         steps += 1
         if steps > _MAX_NEWTON_STEPS:
-            raise RuntimeError("Newton iteration failed to converge")
+            raise CertificateFailed(
+                f"Newton iteration failed to converge in {_MAX_NEWTON_STEPS} steps"
+            )
         x = unit_residue(x - fx / poly_eval(dF, x), p, K)
     root = Fraction(unit_residue(x, p, k))
     if fraction_valuation(poly_eval(F, root), p) < k:

@@ -122,6 +122,14 @@ class TestSevenAdicTwoBallMap:
         assert G.is_subsidiary_equal
         assert all(d.s_exponent == 0 for d in G.subsidiary)
 
+    def test_subsidiary_reads_need_subsidiary_data(self):
+        G = Analysis(*p7_instance()).digraph(-2)
+        assert G.subsidiary is None
+        with pytest.raises(ValueError, match="^subsidiary data was not computed$"):
+            G.is_subsidiary_equal
+        with pytest.raises(ValueError, match="^subsidiary data was not computed$"):
+            G.per_datum(str)
+
     def test_mp_and_ergodic(self):
         A = Analysis(*p7_instance())
         assert A.mp().kind == "MeasurePreserving"

@@ -14,6 +14,7 @@ from padicdyn.errors import (
     DecompositionTooLarge,
     EmptyDomain,
     LevelTooCoarse,
+    PrimeMismatch,
 )
 
 
@@ -133,6 +134,22 @@ def test_overlapping_union_dedupes():
 def test_empty_difference_rejected():
     with pytest.raises(EmptyDomain):
         CompactDomain.zp(5).difference(CompactDomain.zp(5))
+
+
+def test_subdividing_above_the_ball_level_is_refused():
+    with pytest.raises(LevelTooCoarse, match="^cannot subdivide a level--1 ball at level 0$"):
+        list(Ball(-1, Fraction(2), 3).subdivide(0))
+    assert list(Ball(-1, Fraction(2), 3).subdivide(-1)) == [Ball(-1, Fraction(2), 3)]
+
+
+def test_a_domain_of_no_balls_is_refused():
+    with pytest.raises(EmptyDomain, match="^domain with no balls$"):
+        CompactDomain.from_balls([])
+
+
+def test_difference_across_primes_is_refused():
+    with pytest.raises(PrimeMismatch, match="^domains over different primes$"):
+        CompactDomain.zp(3).difference(CompactDomain.ball(1, -1, 5))
 
 
 def test_ball_budget_guard():

@@ -9,6 +9,7 @@ from test_polynomials import as_ints, pmul, trimmed
 from test_scaling import scalar_exponent
 
 from padicdyn import (
+    Analysis,
     CompactDomain,
     certify_no_roots_qp,
     decompose,
@@ -21,6 +22,7 @@ from padicdyn import (
 )
 from padicdyn import cli, global_qp
 from padicdyn.config import AnalysisConfig
+from padicdyn.digraph import UNDECIDED, MPVerdict
 from padicdyn.errors import (
     DecompositionTooLarge,
     DepthCapExceeded,
@@ -38,6 +40,7 @@ from padicdyn.global_qp import (
 from padicdyn.padics import ceil_div, int_valuation
 from padicdyn.polynomials import _int_divexact, _int_gcd, _int_mul
 from padicdyn.maps import RationalMap, normalize_map
+from padicdyn.scaling import LOCALLY_1_LIPSCHITZ
 
 
 @pytest.mark.parametrize(
@@ -208,6 +211,11 @@ def test_mp_distortion_witnesses_for_gate_failures():
         produced += 1
 
 
+def test_an_unknown_obstruction_goal_is_refused():
+    with pytest.raises(ValueError, match="^unknown goal 'Measure'$"):
+        global_obstruction(parse_map("x^2", 3), "Measure")
+
+
 def test_minimality_witness_needs_pole_free_denominator_for_contraction():
     with pytest.raises(PoleInDomain):
         global_obstruction(parse_map("1/x", 7), MINIMALITY)
@@ -268,6 +276,36 @@ def test_reduction_failure_texts_and_verdicts():
         ("not locally 1-Lipschitz on the reduction ball", "No", "Undecided"),
         ("reduction ball is not forward invariant", "No", "No"),
     ]
+
+
+def test_an_undecided_scan_leaves_an_uncertified_isometry_undecided():
+    # x + 2/3 is an isometry of Q_3; with a descent cap of 1, T1 = 9 is not
+    # separated from 0, so the reduction ball is classified on the profile
+    # route (Locally1Lipschitz, every exponent 0) and its scan is Undecided
+    g = global_check(parse_map("(2+3x)/3", 3), AnalysisConfig(descent_cap=1, mp_scan_depth=1))
+    assert g.compact_report.classification == LOCALLY_1_LIPSCHITZ
+    assert g.compact_report.scalar_profile == {0: 27}
+    assert (g.isometry, g.measure_preserving) == ("Undecided", "Undecided")
+    assert g.isometry_reason == g.measure_preserving_reason == "cycle criterion undecided"
+
+
+@pytest.mark.parametrize("text,root_free", [
+    # T1 has a root in B(0, 0); every exponent of the profile is 0
+    ("(2-6x^2+2x^3)/(5+4x+2x^2)", False),
+    # |f'| = 1/3 on three of the balls of the scaling radius
+    ("(5-2x+5x^2+4x^3)/(-4+5x-8x^2)", True),
+])
+def test_an_undecided_scan_keeps_a_certified_non_isometry(monkeypatch, text, root_free):
+    f = parse_map(text, 3)
+    report = global_check(f).compact_report
+    assert report.derivative_root_free is root_free
+    assert (min(report.scalar_profile) < 0) is root_free
+    monkeypatch.setattr(Analysis, "mp", lambda self: MPVerdict(kind=UNDECIDED))
+    g = global_check(f)
+    assert (g.isometry, g.measure_preserving) == ("No", "Undecided")
+    assert g.isometry_reason == (
+        "not locally isometric on the reduction ball (classification: Locally1Lipschitz)"
+    )
 
 
 def _within(lo, hi, e):

@@ -99,9 +99,9 @@ CASES.update({
     "error-intrinsic-depth-cap": ["-p", "2", "--map", "(9+2x)/(9-9x-5x^2)",
                                   "--domain", "B(0,1)", "intrinsic-level", "--cap", "3"],
     "shift-ergodic-p5":["-p", "5", "--map", "x+1", "--domain", "Zp", "ergodic", "--depth", "-3"],
-    # scans that the deepest level's orbit walk hands back to the per-level
-    # digraphs: several cycles below a passing level, one cycle plus tails,
-    # and an image outside the domain
+    # scans that cycle lifting leaves to the per-level digraphs: several
+    # cycles below a passing level, one cycle plus tails, and an image
+    # outside the domain
     "quadratic-shift-ergodic-p3": ["-p", "3", "--map", "x+1+3x^2", "--domain", "Zp",
                                    "ergodic", "--depth", "-5"],
     "affine-tails-ergodic-p2": ["-p", "2", "--map", "4x+1", "--domain", "Zp",
@@ -181,6 +181,11 @@ CASES.update({
     # contracts (f'(0) = 16/9): cycle lifting must not certify the scan
     "nonunit-denominator-ergodic-p2": ["-p", "2", "--map", "(44+40x+23x^2+4x^3)/(6+4x+x^2)",
                                        "--domain", "B(0,-1)", "ergodic", "--depth", "-8"],
+    # an orbit that leaves the domain and comes back: 0 -> 1 -> 4 -> 3 -> 0
+    # mod 5 passes every other check of cycle lifting, so only the image
+    # check keeps the scan from certifying; the digraph then refuses it
+    "escaping-orbit-ergodic-p5": ["-p", "5", "--map", "6+3x", "--domain", "Zp-B(3,-1)",
+                                  "ergodic", "--depth", "-6"],
     # 2^25 level -25 balls, far over the ball cap: cycle lifting certifies
     # the scan after one orbit of the four level -2 balls
     "shift-deep-ergodic-p2": ["-p", "2", "--map", "x+1", "--domain", "Zp",

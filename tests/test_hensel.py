@@ -99,6 +99,19 @@ def test_postcondition_failure_is_a_typed_error(monkeypatch):
         hensel_lift((-2, 0, 1), 7, Fraction(3), 4)
 
 
+def test_non_convergence_is_a_typed_error(monkeypatch, capsys):
+    # no Newton step allowed: the library raises CertificateFailed, and the
+    # CLI prints it as one error line with exit status 1
+    monkeypatch.setattr(padicdyn.hensel, "_MAX_NEWTON_STEPS", 0)
+    with pytest.raises(CertificateFailed, match="^Newton iteration failed to converge in 0 steps$"):
+        hensel_lift((-2, 0, 1), 7, Fraction(3), 4)
+    argv = ["-p", "7", "--map", "x^2-2", "hensel", "--seed", "3", "--prec", "12"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Newton iteration failed to converge in 0 steps\n"
+
+
 def _random_instances(count, seed=7):
     rng = random.Random(seed)
     found = []

@@ -4,8 +4,8 @@ The oracle evaluates f at every ball's key in exact fractions and takes the
 canonical key of the image, as the digraph was first defined; the kernel
 must give the same vertices, the same edges and the same errors.  The
 first-order expansion behind each image is checked against per-key Horner
-evaluation at every residue.  The ergodic scan's orbit walk is checked
-against the cycle decomposition of every level digraph.
+evaluation at every residue.  The ergodic scan, cycle lifting included,
+is checked against the cycle decomposition of every level digraph.
 """
 
 from fractions import Fraction
@@ -34,7 +34,8 @@ from padicdyn.digraph import (
     NOT_ERGODIC,
     SINGLE_CYCLE_TO_DEPTH,
     ErgodicVerdict,
-    _rescaled_image,
+    _direct_image,
+    _expansion,
     _successors,
     build_digraph,
     cycle_decomposition,
@@ -329,18 +330,23 @@ def test_expansion_matches_per_key_evaluation():
         # the expansion reads Q^ over the largest power of p dividing
         # p^M P^ and Q^
         e = min(int_valuation(c, p) for c in num + den if c)
-        new, old = _rescaled_image(f.rescaled(M), K), per_key_image(f, M, K)
+        form, old = f.rescaled(M), per_key_image(f, M, K)
+        expand, direct = _expansion(form, K), _direct_image(form, K)
         for y in range(p**K):
             want = _outcome(old, y)
-            assert _outcome(new, y) == want
+            assert _outcome(direct, y) == want
+            # the expansion at y's ancestor a, read at y
             a = y % p**K1
-            if K1 == K:
-                seen.add("per key, K1 = K")
-            elif sum(c * a**i for i, c in enumerate(den)) // p**e % p:
-                seen.add("expansion")
+            expansion = expand(a)
+            if sum(c * a**i for i, c in enumerate(den)) // p**e % p:
+                c0, c1 = expansion
+                assert 0 <= c0 < p**K and 0 <= c1 < p ** (K - K1)
+                assert (c0 + c1 * (y - a)) % p**K == want
+                seen.add("expansion, K1 = K" if K1 == K else "expansion")
                 if M and f.n == 0:
                     seen.add("expansion, constant denominator, M >= 1")
             else:
+                assert expansion == ()
                 seen.add("per key, Q^(a) not a unit")
             seen.add(want[0] if isinstance(want, tuple) else "image" if want is not None
                      else "not integral")
@@ -352,7 +358,7 @@ def test_expansion_matches_per_key_evaluation():
         seen.add(("successors", want[0] if isinstance(want, tuple) else list))
 
     check()
-    assert {"expansion", "expansion, constant denominator, M >= 1", "per key, K1 = K",
+    assert {"expansion", "expansion, constant denominator, M >= 1", "expansion, K1 = K",
             "per key, Q^(a) not a unit", "image", "not integral", PoleInDomain} <= seen
     assert {("successors", PoleInDomain), ("successors", NotForwardInvariant),
             ("successors", list)} <= seen
@@ -493,10 +499,10 @@ def outcome(scan, A, depth):
 
 
 def counted_images(calls):
-    """``_rescaled_image`` whose images each add 1 to calls[0]."""
+    """``_direct_image`` whose images each add 1 to calls[0]."""
 
-    def rescaled_image(form, K):
-        image = _rescaled_image(form, K)
+    def direct_image(form, K):
+        image = _direct_image(form, K)
 
         def counted(y):
             calls[0] += 1
@@ -504,7 +510,7 @@ def counted_images(calls):
 
         return counted
 
-    return rescaled_image
+    return direct_image
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -513,7 +519,8 @@ def counted_images(calls):
                  shift_instances(), unit_instances()))
 def test_transport_level_is_at_or_below_the_base_level(instance):
     # both classify routes settle at or below the domain's base level, so
-    # the single-cycle scan always starts with its orbit walk
+    # the single-cycle scan's coarse orbit can count the balls of each level
+    # from the transport level down
     f, X = instance
     try:
         report = classify(f, X, AnalysisConfig(ball_cap=10_000))
@@ -557,7 +564,7 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
             depth = top + 1
         want = outcome(per_level_ergodic, A, depth)
         calls = [0]
-        with mock.patch.object(digraph, "_rescaled_image", counted_images(calls)):
+        with mock.patch.object(digraph, "_direct_image", counted_images(calls)):
             got = outcome(Analysis.ergodic, A, depth)
         passed = isinstance(got, ErgodicVerdict) and got.kind == SINGLE_CYCLE_TO_DEPTH
         if passed and calls[0] < X.count(depth) and not A._digraphs:
@@ -590,7 +597,7 @@ def test_lifting_certifies_deep_scans_from_p_squared_images(p, monkeypatch):
     # x + 1 cycles Z / p^k for every k; the scan to level -40 stops after
     # one orbit of the p^2 level -2 balls instead of walking p^40 balls
     calls = [0]
-    monkeypatch.setattr(digraph, "_rescaled_image", counted_images(calls))
+    monkeypatch.setattr(digraph, "_direct_image", counted_images(calls))
     A = Analysis(parse_map("x+1", p), CompactDomain.zp(p))
     assert A.ergodic(-40) == ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=-40)
     assert 0 < calls[0] <= p * p

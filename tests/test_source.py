@@ -4,10 +4,12 @@ Certificates are checked by real code, so the library holds no ``assert``
 statement (``python -O`` strips them).  Every import is used, and every
 private function is called from somewhere other than its own body.  f's integer form on a ball
 is built in one place: only ``RationalMap.rescaled`` and the descent
-``lower_bound_bF`` rescale coefficients, and one first-order expansion
-(``_expansion``) serves both readers of the edge kernel.  Only ``domains.py``
+``lower_bound_bF`` rescale coefficients, and only the level digraph's
+successors read the first-order expansion (``_expansion``).  Only ``domains.py``
 reads a domain's maximal balls; every other module counts and lists its
-level-t balls through ``count`` and ``decompose_residues``.
+level-t balls through ``count`` and ``decompose_residues``.  Every raised
+exception is typed: a ``PadicDynError`` subclass, ``ValueError``, or the
+``AttributeError`` of the package's ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from padicdyn import errors
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "padicdyn").glob("*.py"))
 
@@ -88,6 +92,32 @@ def _attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[str]:
     }
 
 
+def _untyped_raises(trees: dict[str, ast.Module], typed: set[str]) -> list[str]:
+    """``module:line name`` of each raise statement that names an exception
+    outside ``typed``, other than an AttributeError raised by ``__init__.py``'s
+    ``__getattr__``; a bare ``raise`` re-raises what it caught and is skipped."""
+    found = []
+    for module, tree in trees.items():
+        # the nodes of the package's __getattr__, where AttributeError is typed
+        lookup = {
+            n for fn in ast.walk(tree) if module == "__init__.py"
+            and isinstance(fn, ast.FunctionDef) and fn.name == "__getattr__"
+            for n in ast.walk(fn)
+        }
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                name = ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+                if name not in typed and not (name == "AttributeError" and n in lookup):
+                    found.append(f"{module}:{n.lineno} {name}")
+    return found
+
+
+TYPED_ERRORS = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.PadicDynError)
+} | {"ValueError"}
+
+
 def test_sources_are_found():
     assert {"__init__.py", "scaling.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -113,9 +143,9 @@ def test_only_the_form_and_the_descent_rescale_coefficients():
     assert _callers(trees, "_rescaled_coefficients") == {"rescaled", "lower_bound_bF"}
 
 
-def test_one_expansion_serves_the_digraph_and_the_per_key_images():
+def test_only_the_digraph_reads_the_expansion():
     trees = [_tree(p) for p in SOURCES]
-    assert _callers(trees, "_expansion") == {"_successors", "_rescaled_image"}
+    assert _callers(trees, "_expansion") == {"_successors"}
 
 
 def test_the_rescaling_check_sees_each_caller():
@@ -160,3 +190,28 @@ def test_the_private_function_check_sees_unreferenced_ones():
         "print(A()._read())\n"
     )
     assert _unreferenced_private_functions([tree]) == ["_recursive", "_method"]
+
+
+def test_every_raise_names_a_typed_error():
+    trees = {p.name: _tree(p) for p in SOURCES}
+    assert _untyped_raises(trees, TYPED_ERRORS) == []
+
+
+def test_the_raise_check_sees_untyped_ones():
+    trees = {
+        "__init__.py": ast.parse(
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+            "def other(name):\n    raise AttributeError(name)\n"
+        ),
+        "hensel.py": ast.parse(
+            "def lift():\n"
+            "    try:\n        step()\n    except KeyError:\n        raise\n"
+            "    if late():\n        raise RuntimeError('no convergence')\n"
+            "    if bad():\n        raise ValueError('bad input')\n"
+            "    raise CertificateFailed('not a root')\n"
+        ),
+        "cli.py": ast.parse("raise KeyError\n"),
+    }
+    assert _untyped_raises(trees, TYPED_ERRORS) == [
+        "__init__.py:4 AttributeError", "hensel.py:7 RuntimeError", "cli.py:1 KeyError",
+    ]
