@@ -224,6 +224,19 @@ CASES.update({
     # ball's classification takes the profile route and its mp is Undecided
     "shift-two-thirds-global-cap-one": ["-p", "3", "--map", "(2+3x)/3", "global",
                                         "--cap", "1"],
+    # maps whose intrinsic-level search stops with an error: over ball_cap
+    # (a unit-slope affine map on Q_5, two maps beyond Z_p), at a constant
+    # term that is not integral, and at the descent cap
+    "unit-slope-global-p5": ["-p", "5", "--map", "(-24/25+3x)/(-7)", "--domain", "Qp",
+                             "global"],
+    "intrinsic-over-ball-cap-mp-p7": ["-p", "7", "--map=(9*x^0+-8*x^1+-8*x^2)/(8*x^0+-2*x^1+2*x^2)",
+                                      "--domain", "B(0,1)", "mp"],
+    "intrinsic-constant-term-mp-p7": ["-p", "7", "--map=(9*x^0+-6*x^1)/(-1*x^0+-1*x^1+-6*x^2)",
+                                      "--domain", "B(0,2)", "mp", "--margin", "0"],
+    "intrinsic-depth-cap-mp-p5": ["-p", "5", "--map=(1*x^0+-7*x^1)/(-9*x^0+5*x^1+-3*x^2)",
+                                  "--domain", "B(0,1)", "mp", "--cap", "2"],
+    "intrinsic-over-ball-cap-isometry-mp-p5": ["-p", "5", "--map", "6x+(-9/25)",
+                                               "--domain", "B(0,2)", "mp"],
 })
 
 
