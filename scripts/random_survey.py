@@ -6,13 +6,15 @@ invariant, and tabulates classification, measure preservation, and how far
 single-cycle scans reach.  Cross-checks every kept digraph down to level -6
 (p <= 3), -5 (p = 5) or -3 (larger p) against the brute-force functional
 graph on residues, and the subsidiary data of those levels against
-``subsidiary_edge_data`` on every edge; every map's single-cycle scan to
-level -4 against the cycles of those graphs, and each scan that passes
-again down to the deepest checked level; every intrinsic level
-against the search over the subsidiary data of every edge; and the scalar
-profile of every sampled map with a root-free derivative against the
-exponents of |f'| read off exact values at the level-l residues.  A
-mismatch is reported on stderr with exit status 1.
+``subsidiary_edge_data`` on every edge; every measure-preservation verdict
+with a root-free derivative against the first ball of in-degree >= 2 in
+those graphs, from the transport level down to the deepest checked level;
+every map's single-cycle scan to level -4 against the cycles of those
+graphs, and each scan that passes again down to the deepest checked level;
+every intrinsic level against the search over the subsidiary data of every
+edge; and the scalar profile of every sampled map with a root-free
+derivative against the exponents of |f'| read off exact values at the
+level-l residues.  A mismatch is reported on stderr with exit status 1.
 """
 
 import argparse
@@ -72,6 +74,21 @@ def brute_force_scan(f, p, top, depth=-4):
         if cycles != 1 or len(on_cycle) != len(edges):
             return "NotErgodic", t, cycles
     return "SingleCycleToDepth", None, None
+
+
+def brute_force_mp(f, p, top, depth):
+    """(kind, level, key, in-degree) of the cycle criterion from level top
+    down to depth, read off the brute-force residue graphs: the first level
+    holding a ball of in-degree >= 2, with its least such key."""
+    for t in range(top, depth - 1, -1):
+        edges = brute_force_edges(f, p, t, max(4, -t))
+        if edges is None:
+            return "no brute-force graph", t, None, None
+        hits = Counter(edges.values())
+        bad = min((y for y, n in hits.items() if n >= 2), default=None)
+        if bad is not None:
+            return "NotMeasurePreserving", t, bad, hits[bad]
+    return "MeasurePreserving", None, None, None
 
 
 def per_edge_intrinsic_level(A):
@@ -153,6 +170,19 @@ def main():
         stats[f"classification: {report.classification}"] += 1
         verdict = A.mp()
         stats[f"measure preserving: {verdict.kind}"] += 1
+        deepest = DEEPEST_CHECKED.get(p, -3)
+        if report.derivative_root_free and A.transport_level > deepest:
+            # the library reads levels l and l - 1 only; the graphs check
+            # every level down to the deepest
+            ball = verdict.witness_ball
+            got = (verdict.kind, verdict.witness_level,
+                   None if ball is None else int(ball.key), verdict.in_degree)
+            want = brute_force_mp(f, p, A.transport_level, deepest)
+            if got != want:
+                print(f"measure preservation mismatch for {f}: {got} against {want}",
+                      file=sys.stderr)
+                sys.exit(1)
+            stats["oracle-checked mp verdicts"] += 1
         if report.derivative_root_free:
             got = outcome(lambda: A.intrinsic_level)
             want = outcome(lambda: per_edge_intrinsic_level(A))
@@ -176,7 +206,6 @@ def main():
             if erg.kind == "SingleCycleToDepth":
                 # cycle lifting may certify the deeper levels without
                 # walking them
-                deepest = DEEPEST_CHECKED.get(p, -3)
                 erg = A.ergodic(deepest)
                 want = brute_force_scan(f, p, A.transport_level, deepest)
                 if (erg.kind, erg.level, erg.cycle_count) != want:
@@ -186,7 +215,7 @@ def main():
                     )
                     sys.exit(1)
                 stats["oracle-checked deep ergodic scans"] += 1
-        for t in range(top, DEEPEST_CHECKED.get(p, -3) - 1, -1):
+        for t in range(top, deepest - 1, -1):
             G = A.digraph(t)
             oracle = brute_force_edges(f, p, t, max(4, -t))
             # on Z_p the residues are the integer keys

@@ -13,7 +13,7 @@ _EXPORTS = {
     "digraph": (
         "Analysis", "ComponentSelection", "CycleDecomposition", "ErgodicVerdict",
         "LevelDigraph", "MPVerdict", "SubsidiaryEdgeData", "build_digraph",
-        "cycle_decomposition", "union_verdict",
+        "cycle_decomposition",
     ),
     "domains": ("Ball", "CompactDomain", "decompose"),
     "global_qp": (

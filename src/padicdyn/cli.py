@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("mp", margin=True)
     add("ergodic", depth=True)
     add("components", level=True, margin=True)
-    add("global", margin=True)
+    add("global")
     h = add("hensel", cap=False)
     h.add_argument("--seed", required=True, help="integer or rational seed")
     h.add_argument("--prec", dest="precision", type=int, default=12)
@@ -267,8 +267,11 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
     if inv.command == "mp":
         verdict = analysis.mp()
         if verdict.kind == digraph.MEASURE_PRESERVING:
+            # read before any line is printed: a failed search prints only
+            # its error
+            t0 = analysis.intrinsic_level
             out("MeasurePreserving")
-            out(f"certified via intrinsic level {verdict.intrinsic_level}")
+            out(f"certified via intrinsic level {t0}")
             return EXIT_OK
         if verdict.kind == digraph.UNDECIDED:
             out(f"Undecided (all levels down to {verdict.scanned_to} are unions of cycles)")

@@ -18,11 +18,13 @@ preservation and semi-decides ergodicity and minimality; subsidiary edge
 data decides how far the finite digraphs certify the infinite family, and
 on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
 constant.  ``Analysis`` answers these questions for one map and domain
-from one classification, building each level once.  Its single-cycle scan
-builds no level where cycle lifting certifies every level from one orbit of
-a coarse level, and reads the level digraphs otherwise.  Its intrinsic-level
-search builds only the transport level and reads the levels below it off
-per-ball bounds.
+from one classification, building each level once.  With a root-free
+derivative, its measure-preservation verdict reads the transport level and
+the level below it only.  Its single-cycle scan builds no level where cycle
+lifting certifies every level from one orbit of a coarse level, and reads
+the level digraphs otherwise.  Its intrinsic-level search, which the
+measure-preservation verdict does not run, builds only the transport level
+and reads the levels below it off per-ball bounds.
 """
 
 from __future__ import annotations
@@ -179,8 +181,6 @@ class MPVerdict:
     witness_ball: Ball | None = None
     in_degree: int | None = None
     scanned_to: int | None = None
-    intrinsic_level: int | None = None
-    route: str = ""
 
 
 @dataclass(frozen=True)
@@ -426,24 +426,17 @@ def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
     )
 
 
-def union_verdict(components: list[ComponentSelection]) -> str:
-    return (
-        MEASURE_PRESERVING
-        if all(c.verdict == MEASURE_PRESERVING for c in components)
-        else NOT_MEASURE_PRESERVING
-    )
-
-
 class Analysis:
     """Everything attached to f on X, from one classification of f on X.
 
     ``report`` is computed on construction.  The transport level, the
     intrinsic level and the digraph of each level (with and without
     subsidiary data) are computed on first use and kept, so each level is
-    built once however many questions read it.  ``ergodic`` first walks one
-    orbit of a coarse level, and builds no level where cycle lifting
-    certifies them all.  ``intrinsic_level`` builds the transport level
-    only, and walks its balls for the levels below.
+    built once however many questions read it.  ``mp`` reads no intrinsic
+    level.  ``ergodic`` first walks one orbit of a coarse level, and builds
+    no level where cycle lifting certifies them all.  ``intrinsic_level``
+    builds the transport level only, and walks its balls for the levels
+    below.
     """
 
     def __init__(
@@ -676,35 +669,48 @@ class Analysis:
             centres = [y + k * mod for y in split for k in range(p)]
 
     def mp(self) -> MPVerdict:
-        """Measure preservation verdict for a locally 1-Lipschitz map.
+        """Measure preservation verdict for a locally 1-Lipschitz map: the
+        coarsest level holding a ball of in-degree >= 2 (a failure at one
+        level forces failures at every finer level), MeasurePreserving, or
+        Undecided.
 
-        Root-free derivative: decided finitely by checking the cycle
-        criterion at the intrinsic level and one level below.  With
-        derivative roots the criterion is scanned level by level to a depth
-        cap and an honest Undecided is returned when every scanned level
-        passes.
+        Root-free derivative: levels l and l - 1 decide, for the transport
+        level l.  On this route p^l is the uniform scaling radius: on each
+        level-l ball B, f scales distances by exactly |f'| = p^e, e <= 0.
+        - e < 0: f maps B into a ball of radius p^(l + e) <= p^(l - 1), so
+          B's p children map into one level-(l - 1) ball, whose in-degree
+          is >= p.
+        - e = 0: each ball of level t <= l inside B maps onto a ball of
+          level t, child onto child.  So if level l is a permutation and
+          e = 0 on every B, every finer level is one; and a collision at
+          level l repeats among the colliding balls' children at every
+          finer level.
+        So when neither level fails, f permutes every level, which is the
+        cycle criterion for measure preservation.  This is the compact-open
+        form of the result that a 1-Lipschitz map is measure preserving
+        exactly when it is an isometry (Anashin & Khrennikov, Applied
+        Algebraic Dynamics, 2009).
+
+        With derivative roots the criterion is scanned level by level down
+        to ``mp_scan_depth`` levels below l, and an honest Undecided is
+        returned when every scanned level passes.
         """
         level = self.transport_level
         if self.report.derivative_root_free:
-            t0 = self.intrinsic_level
-            # a failure at a fine level forces failures at all finer levels,
-            # so scanning from the top finds the first (coarsest) counterexample
-            for t in range(level, t0 - 2, -1):
-                verdict = self._cycle_failure(t)
-                if verdict is not None:
-                    return verdict
-            return MPVerdict(
-                kind=MEASURE_PRESERVING, intrinsic_level=t0, route="intrinsic"
+            return (
+                self._cycle_failure(level)
+                or self._cycle_failure(level - 1)
+                or MPVerdict(kind=MEASURE_PRESERVING)
             )
         floor = level - self.config.mp_scan_depth
         for t in range(level, floor - 1, -1):
             try:
                 verdict = self._cycle_failure(t)
             except DecompositionTooLarge:
-                return MPVerdict(kind=UNDECIDED, scanned_to=t + 1, route="scan")
+                return MPVerdict(kind=UNDECIDED, scanned_to=t + 1)
             if verdict is not None:
                 return verdict
-        return MPVerdict(kind=UNDECIDED, scanned_to=floor, route="scan")
+        return MPVerdict(kind=UNDECIDED, scanned_to=floor)
 
     def _cycle_failure(self, t: int) -> MPVerdict | None:
         G = self.digraph(t)
@@ -718,7 +724,6 @@ class Analysis:
             witness_level=t,
             witness_ball=G.vertices[i],
             in_degree=deg[i],
-            route="cycle-criterion",
         )
 
     def ergodic(self, depth: int) -> ErgodicVerdict:
@@ -799,8 +804,8 @@ class Analysis:
 
         For a local isometry every union of cycles is measure preserving; in
         general a cycle survives exactly when its balls stay a union of
-        cycles one level down.  Verdicts for unions combine conjunctively
-        (see ``union_verdict``).
+        cycles one level down.  A union of cycles is measure preserving
+        exactly when each of its cycles is.
         """
         t0 = self.intrinsic_level
         if t > t0:

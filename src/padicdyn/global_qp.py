@@ -208,9 +208,10 @@ def global_check(
     Gate-passing maps leave every sphere past the reduction radius
     invariant and act on it as invertible local isometries, so both
     questions reduce to B(0, N-1): its forward invariance, its
-    classification, and the cycle criterion on it.  For locally 1-Lipschitz
-    maps the two properties are equivalent.  ``gate`` is ``degree_gate(f,
-    config)`` when the caller has already computed it.
+    classification, and the cycle criterion on it (``Analysis.mp``, which
+    runs no intrinsic-level search).  For locally 1-Lipschitz maps the two
+    properties are equivalent.  ``gate`` is ``degree_gate(f, config)`` when
+    the caller has already computed it.
     """
     if gate is None:
         gate = degree_gate(f, config)
@@ -243,34 +244,17 @@ def global_check(
         iso = ("No", "not invertible on the reduction ball")
         mp_verdict = ("No", "not measure preserving on the reduction ball")
     # an undecided scan leaves the isometry undecided unless |f'| < 1 is
-    # certified somewhere on the ball
-    if report.classification != LOCALLY_ISOMETRIC and (
-        mp.kind != UNDECIDED or _contracts(f, ball_domain, report, config)
-    ):
+    # certified on some ball: an exponent below 0 in the scalar profile or
+    # its upper bounds, or a root of T1 that classifying the ball certified
+    exponents = report.scalar_profile.keys() | report.scalar_upper_bounds.keys()
+    contracts = min(exponents, default=0) < 0 or report.derivative_root_certified
+    if report.classification != LOCALLY_ISOMETRIC and (mp.kind != UNDECIDED or contracts):
         iso = (
             "No",
             f"not locally isometric on the reduction ball "
             f"(classification: {report.classification})",
         )
     return GlobalVerdict(gate, *iso, *mp_verdict, None, report, True)
-
-
-def _contracts(
-    f: RationalMap, X: CompactDomain, report: ScalingReport, config: AnalysisConfig
-) -> bool:
-    """Whether |f'| < 1 is certified on some ball of X, which rules out a
-    local isometry: an exponent below 0 in the scalar profile or its upper
-    bounds, or a root of T1 in X."""
-    exponents = report.scalar_profile.keys() | report.scalar_upper_bounds.keys()
-    if min(exponents, default=0) < 0:
-        return True
-    try:
-        lower_bound_bF(f.t1, X, config)
-    except RootCertified:
-        return True
-    except DepthCapExceeded:
-        pass
-    return False
 
 
 def _failed(

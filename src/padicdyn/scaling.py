@@ -74,6 +74,8 @@ class ScalingReport:
     scalar_profile: dict[int, int] = field(default_factory=dict)
     # exponent e -> count of balls near derivative roots where |f'| <= p^e
     scalar_upper_bounds: dict[int, int] = field(default_factory=dict)
+    # whether the descent on T1 certified a root of T1 in the domain
+    derivative_root_certified: bool = False
 
     @property
     def is_one_lipschitz(self) -> bool:
@@ -218,11 +220,12 @@ def classify(
         raise PoleInDomain(f"denominator has a root in the domain: {exc}", ball=exc.ball) from exc
     M = X.height_exponent()
     try:
-        b_t1 = lower_bound_bF(f.t1, X, config)
-    except (RootCertified, DepthCapExceeded):
+        b_t1, root = lower_bound_bF(f.t1, X, config), False
+    except (RootCertified, DepthCapExceeded) as exc:
         # derivative vanishes somewhere (or cannot be separated from zero):
         # decide 1-Lipschitz behaviour ball by ball instead
         b_q = b_t1 = l = None
+        root = isinstance(exc, RootCertified)
     else:
         l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
         config.check_ball_budget(X.count(l), "decomposition", l)
@@ -244,6 +247,7 @@ def classify(
         transport_level=transport,
         scalar_profile=exact,
         scalar_upper_bounds=upper,
+        derivative_root_certified=root,
     )
 
 

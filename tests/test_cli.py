@@ -262,18 +262,24 @@ def test_each_level_is_built_once_per_op(monkeypatch, argv, classify_calls):
 
 
 @pytest.mark.parametrize(
-    "argv,descents",
+    "argv,descents,exit_code",
     [
-        pytest.param(QUARTIC_ARGS[:4] + ["global"], 1, id="quartic-global"),
-        pytest.param(PUNCTURED_ARGS[:4] + ["global"], 1, id="punctured-global"),
+        pytest.param(QUARTIC_ARGS[:4] + ["global"], 1, EXIT_OK, id="quartic-global"),
+        pytest.param(PUNCTURED_ARGS[:4] + ["global"], 1, EXIT_OK, id="punctured-global"),
         # the invariant sphere needs N only, which takes no descent
-        pytest.param(QUARTIC_ARGS[:4] + ["witness", "--goal", "ergodicity"], 0,
+        pytest.param(QUARTIC_ARGS[:4] + ["witness", "--goal", "ergodicity"], 0, EXIT_OK,
                      id="quartic-witness-ergodicity"),
         pytest.param(["-p", "3", "--map", "x/(x^2+1)", "witness", "--goal", "minimality"], 1,
-                     id="contraction-witness-minimality"),
+                     EXIT_OK, id="contraction-witness-minimality"),
+        # an Undecided scan reads whether classifying the reduction ball
+        # certified a root of T1, and descends on T1 no second time
+        pytest.param(["-p", "3", "--map", "(2+3x)/3", "global", "--cap", "1"], 0,
+                     EXIT_UNDECIDED, id="undecided-scan-global"),
     ],
 )
-def test_each_op_descends_on_the_denominator_at_most_once(monkeypatch, argv, descents):
+def test_each_op_descends_on_the_denominator_at_most_once(
+    monkeypatch, argv, descents, exit_code
+):
     # only the global module's descents: classifying the reduction ball
     # descends on Q and T1 over that ball, through scaling's own binding
     calls = []
@@ -282,7 +288,7 @@ def test_each_op_descends_on_the_denominator_at_most_once(monkeypatch, argv, des
         global_qp, "lower_bound_bF", lambda *args: calls.append(args) or descend(*args)
     )
     code, _ = run_cli(argv)
-    assert code == EXIT_OK
+    assert code == exit_code
     assert len(calls) == descents
 
 
@@ -299,6 +305,12 @@ def test_global_prints_the_gate_before_the_reduction_runs(monkeypatch, capsys):
         "N: 1",
     ]
     assert captured.err == "error: reduction ball over budget\n"
+
+
+def test_global_takes_no_margin():
+    # global runs no intrinsic-level search, so a margin would set nothing
+    with pytest.raises(PadicDynError, match="^unrecognized arguments: --margin 1$"):
+        invocation_from_args(["-p", "3", "--map", "x+1/3", "global", "--margin", "1"])
 
 
 def test_level_flags_are_exponents():

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
-from test_kernel import PRIMES, children, cycle_balls, domains, edge_map
+from test_kernel import PRIMES, children, cycle_balls, domains, edge_map, one_lipschitz_instances
 from test_polynomials import (
     as_ints,
     is_integral,
@@ -26,7 +27,6 @@ from padicdyn import (
     normalize_map,
     parse_domain,
     parse_map,
-    union_verdict,
 )
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import ComponentSelection, LevelDigraph, subsidiary_edge_data
@@ -174,7 +174,7 @@ class TestThreeAdicPuncturedMap:
             assert comps[k].verdict == "MeasurePreserving"
         # the level -1 ball around 0 is the union of the three good cycles
         y2 = [comps[k] for k in (0, 3, 6)]
-        assert union_verdict(y2) == "MeasurePreserving"
+        assert all(c.verdict == "MeasurePreserving" for c in y2)
         merged = CompactDomain.from_balls([b for c in y2 for b in c.cycle])
         assert merged.base_level == -1 and [b.key for b in decompose(merged, -1)] == [Fraction(0)]
 
@@ -375,7 +375,8 @@ def test_mp_scan_route_with_derivative_root():
     # |f'| vanishes at -1; the scan finds a two-to-one collapse
     verdict = Analysis(parse_map("(x^2 + 2x)/2", 3), CompactDomain.zp(3)).mp()
     assert verdict.kind == "NotMeasurePreserving"
-    assert verdict.route == "cycle-criterion"
+    # f = 0, 0, 1 at x = 0, 1, 2 mod 3
+    assert (verdict.witness_level, verdict.witness_ball.key, verdict.in_degree) == (-1, 0, 2)
 
 
 def test_mp_scan_depth_controls_undecided():
@@ -591,3 +592,102 @@ def test_components_match_the_ball_oracle():
 
     check()
     assert {("refinement", "MeasurePreserving"), ("refinement", "NotMeasurePreserving")} <= verdicts
+
+
+def mp_oracle(A):
+    """``Analysis.mp`` on the root-free route as it was when it read the
+    intrinsic level t0 first: the first level from the transport level
+    down to t0 - 1 holding a ball of in-degree >= 2, as (kind, witness
+    level, witness ball, in-degree)."""
+    t0 = A.intrinsic_level
+    for t in range(A.transport_level, t0 - 2, -1):
+        G = A.digraph(t)
+        hits = Counter(G.succ)
+        bad = [i for i in range(len(G.succ)) if hits[i] >= 2]
+        if bad:
+            return "NotMeasurePreserving", t, G.vertices[bad[0]], hits[bad[0]]
+    return "MeasurePreserving", None, None, None
+
+
+# a MeasurePreserving verdict is checked on the brute-force digraph of
+# level -6, or of the finest level with at most this many balls
+BRUTE_FORCE_KEYS = 7**5
+
+
+def brute_force_level(f, X, t):
+    """(keys, images): the rescaled keys y = p^M key of X's level-t balls,
+    in key order, and the rescaled key of f(y / p^M) mod p^(M - t) of each,
+    from f's integer coefficients."""
+    p, M = f.prime, X.height_exponent()
+    d = max(len(f.P), len(f.Q)) - 1
+    # f(y / p^M) = num(y) / den(y), both scaled by p^(Md)
+    num = [c * p ** (M * (d - i)) for i, c in enumerate(f.P)]
+    den = [c * p ** (M * (d - i)) for i, c in enumerate(f.Q)]
+    mod = p ** (M - t)
+    keys = []
+    for b in X.balls:
+        y0 = b.key * p**M
+        assert y0.denominator == 1
+        keys.extend(range(int(y0), mod, p ** (M - b.level)))
+    keys.sort()
+    images = []
+    for y in keys:
+        a = p**M * sum(c * y**i for i, c in enumerate(num))
+        q = sum(c * y**i for i, c in enumerate(den))
+        pv = p ** fraction_valuation(q, p)
+        assert a % pv == 0, "the image leaves B(0, M)"
+        images.append(a // pv * pow(q // pv, -1, mod) % mod)
+    return keys, images
+
+
+def test_mp_reads_levels_l_and_l_minus_one_only():
+    # the same caps as the components property keep the oracle's
+    # intrinsic-level search shallow
+    config = AnalysisConfig(ball_cap=3000, descent_cap=8)
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.one_of(invariant_maps().map(lambda case: case[:2]), one_lipschitz_instances()))
+    def check(instance):
+        f, X = instance
+        try:
+            A = Analysis(f, X, config)
+            if not A.report.derivative_root_free:
+                return
+            l = A.transport_level
+            A.digraph(l)
+        except PadicDynError:
+            return
+        try:
+            want = mp_oracle(A)
+        except PadicDynError:
+            event("the oracle stops")
+            return
+        got = Analysis(f, X, config).mp()
+        assert (got.kind, got.witness_level, got.witness_ball, got.in_degree) == want
+        p, M = f.prime, X.height_exponent()
+        if got.kind == "MeasurePreserving":
+            t = -6
+            while X.count(t) > BRUTE_FORCE_KEYS:
+                t += 1
+            t = min(t, l - 1)
+            keys, images = brute_force_level(f, X, t)
+            # a permutation of level t permutes every coarser level too
+            assert sorted(images) == keys
+            seen.add(("MeasurePreserving", M > 0, t == -6))
+        else:
+            w = got.witness_level
+            seen.add(("NotMeasurePreserving", l - w))
+            if X.count(w) <= BRUTE_FORCE_KEYS:
+                keys, images = brute_force_level(f, X, w)
+                hits = Counter(images)
+                y = got.witness_ball.key * p**M
+                assert min(k for k in keys if hits[k] >= 2) == y
+                assert hits[y] == got.in_degree
+
+    check()
+    assert {
+        ("NotMeasurePreserving", 0), ("NotMeasurePreserving", 1),
+        ("MeasurePreserving", False, True), ("MeasurePreserving", True, True),
+    } <= seen

@@ -226,7 +226,9 @@ CASES.update({
                                         "--cap", "1"],
     # maps whose intrinsic-level search stops with an error: over ball_cap
     # (a unit-slope affine map on Q_5, two maps beyond Z_p), at a constant
-    # term that is not integral, and at the descent cap
+    # term that is not integral, and at the descent cap.  mp and global
+    # decide them from levels l and l - 1; only a MeasurePreserving mp
+    # still runs the search, to print t0
     "unit-slope-global-p5": ["-p", "5", "--map", "(-24/25+3x)/(-7)", "--domain", "Qp",
                              "global"],
     "intrinsic-over-ball-cap-mp-p7": ["-p", "7", "--map=(9*x^0+-8*x^1+-8*x^2)/(8*x^0+-2*x^1+2*x^2)",
@@ -269,6 +271,24 @@ def test_cli_output_matches_golden(name):
     assert got["stdout"] == want["stdout"]
     assert got["stderr"] == want["stderr"]
     assert got["files"] == want["files"]
+
+
+@pytest.mark.parametrize(
+    "name", ["quartic-global", "shift-third-global", "punctured-mp", "moebius-beyond-zp-mp"]
+)
+def test_mp_and_global_print_the_same_bytes_without_the_intrinsic_level(monkeypatch, name):
+    # global and a NotMeasurePreserving mp decide from levels l and l - 1
+    from padicdyn.digraph import Analysis
+
+    def unread(self):
+        raise AssertionError("the intrinsic level was read")
+
+    monkeypatch.setattr(Analysis, "intrinsic_level", property(unread))
+    want = _golden()[name]
+    got = run_case(CASES[name])
+    assert (got["exit"], got["stdout"], got["stderr"]) == (
+        want["exit"], want["stdout"], want["stderr"]
+    )
 
 
 def test_golden_file_has_no_stale_cases():

@@ -267,8 +267,12 @@ def _old_classify(f, X, config):
         raise PoleInDomain(f"denominator has a root in the domain: {exc}", ball=exc.ball) from exc
     try:
         b_t1 = lower_bound_bF(f.t1, X, config)
-    except (RootCertified, DepthCapExceeded):
-        return _old_certified_profile(f, X, config)
+    except (RootCertified, DepthCapExceeded) as exc:
+        # the report records whether the descent certified a root of T1
+        return dataclasses.replace(
+            _old_certified_profile(f, X, config),
+            derivative_root_certified=isinstance(exc, RootCertified),
+        )
     return _old_root_free_report(f, X, b_q, b_t1, config)
 
 
