@@ -239,6 +239,18 @@ CASES.update({
                                   "--domain", "B(0,1)", "mp", "--cap", "2"],
     "intrinsic-over-ball-cap-isometry-mp-p5": ["-p", "5", "--map", "6x+(-9/25)",
                                                "--domain", "B(0,2)", "mp"],
+    # components of a contraction with transport level -3 and intrinsic
+    # level -4: at the transport level and above it, and of a map whose
+    # derivative has a root in the domain; the cube's collision at level -2
+    # with a descent cap of 1
+    "contraction-components-at-transport-level": ["-p", "2", "--map", "4x-3", "--domain", "Zp",
+                                                  "components", "--level", "-3"],
+    "error-contraction-components-above-transport-level": ["-p", "2", "--map", "4x-3",
+                                                           "--domain", "Zp", "components",
+                                                           "--level", "-2"],
+    "error-derivative-root-components": PUNCTURED[:4] + ["--domain", "Zp", "components",
+                                                         "--level", "-1"],
+    "cube-mp-cap-one": ["-p", "3", "--map", "x^3", "--domain", "Zp", "mp", "--cap", "1"],
 })
 
 
