@@ -7,10 +7,14 @@ single-cycle scans reach.  Cross-checks every kept digraph down to level -6
 (p <= 3), -5 (p = 5) or -3 (larger p) against the brute-force functional
 graph on residues, and the subsidiary data of those levels against
 ``subsidiary_edge_data`` on every edge; every measure-preservation verdict
-with a root-free derivative against the first ball of in-degree >= 2 in
-those graphs, from the transport level down to the deepest checked level;
-every map's single-cycle scan to level -4 against the cycles of those
-graphs, and each scan that passes again down to the deepest checked level;
+against the first ball of in-degree >= 2 in those graphs, from the
+transport level down to the deepest checked level (a map with derivative
+roots that passes levels l and l - 1 is Undecided, and no level down to the
+deepest checked may fail); the components at each level from the transport
+level down to the one above the deepest checked against the cycles of those
+graphs and their children's images; every map's single-cycle scan to level
+-4 against the cycles of those graphs, and each scan that passes again down
+to the deepest checked level;
 every intrinsic level against the search over the subsidiary data of every
 edge; and the scalar profile of every sampled map with a root-free
 derivative against the exponents of |f'| read off exact values at the
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 from padicdyn import Analysis, CompactDomain, fraction_valuation, normalize_map, poly_eval
 from padicdyn.digraph import subsidiary_edge_data
-from padicdyn.errors import DepthCapExceeded, PadicDynError
+from padicdyn.errors import DepthCapExceeded, DerivativeRootInDomain, PadicDynError
 
 # the deepest level whose digraph and subsidiary data are checked, by prime
 DEEPEST_CHECKED = {2: -6, 3: -6, 5: -5}
@@ -89,6 +93,32 @@ def brute_force_mp(f, p, top, depth):
         if bad is not None:
             return "NotMeasurePreserving", t, bad, hits[bad]
     return "MeasurePreserving", None, None, None
+
+
+def brute_force_components(f, p, t):
+    """(cycle keys, verdict, witness level, witness key) of each cycle of
+    the level-t residue graph, least key first, from the residue graphs of
+    levels t and t - 1: a cycle is measure preserving exactly when level
+    t - 1 permutes its balls' children, and the witness is the least child
+    hit other than once from among them."""
+    edges = brute_force_edges(f, p, t, max(4, -t))
+    finer = brute_force_edges(f, p, t - 1, max(4, 1 - t))
+    out, seen = [], set()
+    for v in sorted(edges):
+        # v is on a cycle exactly when it comes back within len(edges) steps
+        cycle, u = [v], edges[v]
+        while u != v and len(cycle) <= len(edges):
+            cycle.append(u)
+            u = edges[u]
+        if u != v or v in seen:
+            continue
+        seen.update(cycle)
+        children = [y + k * p**-t for k in range(p) for y in cycle]
+        hits = Counter(finer[c] for c in children)
+        bad = min((c for c in children if hits[c] != 1), default=None)
+        verdict = "MeasurePreserving" if bad is None else "NotMeasurePreserving"
+        out.append((cycle, verdict, None if bad is None else t - 1, bad))
+    return out
 
 
 def per_edge_intrinsic_level(A):
@@ -171,18 +201,38 @@ def main():
         verdict = A.mp()
         stats[f"measure preserving: {verdict.kind}"] += 1
         deepest = DEEPEST_CHECKED.get(p, -3)
-        if report.derivative_root_free and A.transport_level > deepest:
+        if A.transport_level > deepest:
             # the library reads levels l and l - 1 only; the graphs check
-            # every level down to the deepest
+            # every level down to the deepest, and with derivative roots a
+            # pass at both levels is Undecided
             ball = verdict.witness_ball
             got = (verdict.kind, verdict.witness_level,
                    None if ball is None else int(ball.key), verdict.in_degree)
             want = brute_force_mp(f, p, A.transport_level, deepest)
+            if verdict.kind == "Undecided":
+                got = (want[0], verdict.scanned_to)
+                want = ("MeasurePreserving", A.transport_level - 1)
             if got != want:
                 print(f"measure preservation mismatch for {f}: {got} against {want}",
                       file=sys.stderr)
                 sys.exit(1)
             stats["oracle-checked mp verdicts"] += 1
+            for t in range(A.transport_level, deepest, -1):
+                got = outcome(lambda: [
+                    ([int(b.key) for b in c.cycle], c.verdict, c.witness_level,
+                     None if c.witness_ball is None else int(c.witness_ball.key))
+                    for c in A.components(t)
+                ])
+                if not report.derivative_root_free:
+                    want = (DerivativeRootInDomain,
+                            "components need a root-free derivative on the domain")
+                else:
+                    want = brute_force_components(f, p, t)
+                if got != want:
+                    print(f"components mismatch for {f} at level {t}: {got} against {want}",
+                          file=sys.stderr)
+                    sys.exit(1)
+                stats["oracle-checked component levels"] += 1
         if report.derivative_root_free:
             got = outcome(lambda: A.intrinsic_level)
             want = outcome(lambda: per_edge_intrinsic_level(A))

@@ -45,11 +45,9 @@ def analyze(name, p, map_text, domain_text, level, dot_dir=None):
     print(f"   measure preserving: {verdict.kind}")
     erg = A.ergodic(level - 2)
     print(f"   ergodic scan: {erg.kind} (level {erg.level}, depth {erg.depth})")
-    if t0 <= level:
-        comps = A.components(min(level, t0))
-        for c in comps:
-            balls = ",".join(str(b.key) for b in c.cycle)
-            print(f"   component [{balls}]: {c.verdict}")
+    for c in A.components(level):
+        balls = ",".join(str(b.key) for b in c.cycle)
+        print(f"   component [{balls}]: {c.verdict}")
     if dot_dir:
         path = os.path.join(dot_dir, f"p{p}_level{abs(level)}.dot")
         write_atomic(path, digraph_to_dot(G))

@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if margin:
             s.add_argument("--margin", type=int, help="intrinsic-level guard margin")
         if cap:
-            s.add_argument("--cap", type=int, help="descent/scan depth cap")
+            s.add_argument("--cap", type=int, help="descent depth cap")
         return s
 
     add("classify")
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("intrinsic-level", margin=True)
     add("mp", margin=True)
     add("ergodic", depth=True)
-    add("components", level=True, margin=True)
+    add("components", level=True)
     add("global")
     h = add("hensel", cap=False)
     h.add_argument("--seed", required=True, help="integer or rational seed")
@@ -100,7 +100,6 @@ def _config_for(inv: argparse.Namespace) -> AnalysisConfig:
         updates["intrinsic_margin"] = inv.margin
     if inv.cap is not None:
         updates["descent_cap"] = inv.cap
-        updates["mp_scan_depth"] = inv.cap
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

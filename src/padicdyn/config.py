@@ -1,4 +1,5 @@
-"""Tunable limits shared by the descent and scan routines."""
+"""Tunable limits of the descents, the decompositions and the intrinsic-level
+search."""
 
 from __future__ import annotations
 
@@ -15,12 +16,9 @@ class AnalysisConfig:
     ball_cap: int = 1_000_000
     # extra coincidence levels required below an intrinsic-level candidate
     intrinsic_margin: int = 2
-    # levels scanned below the radius before Analysis.mp returns Undecided
-    # (used only when the derivative has roots in the domain)
-    mp_scan_depth: int = 8
 
     def __post_init__(self):
-        for name in ("descent_cap", "intrinsic_margin", "mp_scan_depth"):
+        for name in ("descent_cap", "intrinsic_margin"):
             if getattr(self, name) < 0:
                 raise PadicDynError(f"{name} must be at least 0, got {getattr(self, name)}")
 

@@ -18,13 +18,12 @@ preservation and semi-decides ergodicity and minimality; subsidiary edge
 data decides how far the finite digraphs certify the infinite family, and
 on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
 constant.  ``Analysis`` answers these questions for one map and domain
-from one classification, building each level once.  With a root-free
-derivative, its measure-preservation verdict reads the transport level and
-the level below it only.  Its single-cycle scan builds no level where cycle
-lifting certifies every level from one orbit of a coarse level, and reads
-the level digraphs otherwise.  Its intrinsic-level search, which the
-measure-preservation verdict does not run, builds only the transport level
-and reads the levels below it off per-ball bounds.
+from one classification, building each level once.  Its measure-preservation
+verdicts, for the domain and for each cycle, read two adjacent levels.  Its
+single-cycle scan builds no level where cycle lifting certifies every level
+from one orbit of a coarse level, and reads the level digraphs otherwise.
+Its intrinsic-level search, which no verdict runs, builds only the transport
+level and reads the levels below it off per-ball bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .errors import (
     DecompositionTooLarge,
     DepthCapExceeded,
     DerivativeRootInDomain,
-    LevelAboveIntrinsic,
     LevelTooCoarse,
     NotForwardInvariant,
     NotOneLipschitz,
@@ -432,11 +430,11 @@ class Analysis:
     ``report`` is computed on construction.  The transport level, the
     intrinsic level and the digraph of each level (with and without
     subsidiary data) are computed on first use and kept, so each level is
-    built once however many questions read it.  ``mp`` reads no intrinsic
-    level.  ``ergodic`` first walks one orbit of a coarse level, and builds
-    no level where cycle lifting certifies them all.  ``intrinsic_level``
-    builds the transport level only, and walks its balls for the levels
-    below.
+    built once however many questions read it.  ``mp`` and ``components``
+    read two adjacent levels and no intrinsic level.  ``ergodic`` first walks
+    one orbit of a coarse level, and builds no level where cycle lifting
+    certifies them all.  ``intrinsic_level`` builds the transport level only,
+    and walks its balls for the levels below.
     """
 
     def __init__(
@@ -669,48 +667,54 @@ class Analysis:
             centres = [y + k * mod for y in split for k in range(p)]
 
     def mp(self) -> MPVerdict:
-        """Measure preservation verdict for a locally 1-Lipschitz map: the
-        coarsest level holding a ball of in-degree >= 2 (a failure at one
-        level forces failures at every finer level), MeasurePreserving, or
-        Undecided.
+        """Measure preservation verdict for a locally 1-Lipschitz map from
+        the transport level l and level l - 1: the least ball of in-degree
+        >= 2 at the first that has one, MeasurePreserving, or Undecided.
 
-        Root-free derivative: levels l and l - 1 decide, for the transport
-        level l.  On this route p^l is the uniform scaling radius: on each
-        level-l ball B, f scales distances by exactly |f'| = p^e, e <= 0.
-        - e < 0: f maps B into a ball of radius p^(l + e) <= p^(l - 1), so
-          B's p children map into one level-(l - 1) ball, whose in-degree
-          is >= p.
-        - e = 0: each ball of level t <= l inside B maps onto a ball of
-          level t, child onto child.  So if level l is a permutation and
-          e = 0 on every B, every finer level is one; and a collision at
-          level l repeats among the colliding balls' children at every
-          finer level.
-        So when neither level fails, f permutes every level, which is the
-        cycle criterion for measure preservation.  This is the compact-open
-        form of the result that a 1-Lipschitz map is measure preserving
-        exactly when it is an isometry (Anashin & Khrennikov, Applied
-        Algebraic Dynamics, 2009).
+        Root-free derivative: p^l is the uniform scaling radius, so f scales
+        each level-l ball B by exactly |f'| = p^e, e <= 0.  If e < 0, B's p
+        children map into one ball of radius p^(l + e) <= p^(l - 1).  If
+        e = 0, each ball inside B maps onto a ball, child onto child; so if
+        level l is a permutation and e = 0 on every B, every finer level is
+        one.  So when neither level fails, f permutes every level: the cycle
+        criterion, in the compact-open form of the result that a 1-Lipschitz
+        map is measure preserving exactly when it is an isometry (Anashin &
+        Khrennikov, Applied Algebraic Dynamics, 2009).  A LocallyIsometric
+        map has e = 0 on every B, so level l alone decides it.
 
-        With derivative roots the criterion is scanned level by level down
-        to ``mp_scan_depth`` levels below l, and an honest Undecided is
-        returned when every scanned level passes.
+        Derivative roots: a pass at both levels is Undecided, and so is a
+        level over ``ball_cap`` (Undecided down to the level above it).  On a
+        domain inside Z_p, B's children collide at level l - 1 unless f is
+        an isometry on B, so no level below l - 1 fails first.  There P and Q
+        are integral, T(x, y) = (P(x) Q(y) - P(y) Q(x)) / (x - y) is in
+        Z[x, y] and f(x) - f(y) = (x - y) T(x, y) / (Q(x) Q(y)).  B lies in
+        a ball that ``classify`` settled, so |Q| = p^-q on B with 2q <= -l.
+        For x, y in B, a its key and k = T1'(a) / 2 = (P''Q - PQ'')(a) / 2,
+        T(x, y) = T1(a) + k (x - a + y - a) mod p^(-2l), v(T1(a)) >= 2q as
+        |f'| <= 1, and x and y collide one level down iff v(T(x, y)) > 2q.
+        If v(k) - l > 2q, f is an isometry on B (v(T1(a)) = 2q) or all of B's
+        children collide.  Otherwise k is a unit and 2q = -l: for odd p, two
+        children's digits make x - a + y - a cancel T1(a) mod p^(2q + 1); for
+        p = 2 this case is void, as Q(a) is even and f(a) in Z_2 makes P(a)
+        even, so k = P(a) Q''(a) / 2 is even mod 2.  Beyond Z_p, T is
+        integral only in y = p^M x, where the certificate need not give
+        2q <= -l, and the proof does not close; no map whose first collision
+        lies below l - 1 is known.
         """
-        level = self.transport_level
-        if self.report.derivative_root_free:
-            return (
-                self._cycle_failure(level)
-                or self._cycle_failure(level - 1)
-                or MPVerdict(kind=MEASURE_PRESERVING)
-            )
-        floor = level - self.config.mp_scan_depth
-        for t in range(level, floor - 1, -1):
+        level, report = self.transport_level, self.report
+        levels = (level,) if report.classification == LOCALLY_ISOMETRIC else (level, level - 1)
+        for t in levels:
             try:
                 verdict = self._cycle_failure(t)
             except DecompositionTooLarge:
+                if report.derivative_root_free:
+                    raise
                 return MPVerdict(kind=UNDECIDED, scanned_to=t + 1)
             if verdict is not None:
                 return verdict
-        return MPVerdict(kind=UNDECIDED, scanned_to=floor)
+        if report.derivative_root_free:
+            return MPVerdict(kind=MEASURE_PRESERVING)
+        return MPVerdict(kind=UNDECIDED, scanned_to=level - 1)
 
     def _cycle_failure(self, t: int) -> MPVerdict | None:
         G = self.digraph(t)
@@ -800,18 +804,21 @@ class Analysis:
         return b != 0 and a % (4 if p == 2 else p) == 1
 
     def components(self, t: int) -> list[ComponentSelection]:
-        """Per-cycle measure preservation verdicts at a level t <= t0.
+        """Per-cycle measure preservation verdicts at a level t <= l, the
+        transport level, for a map whose derivative has no root.  A union of
+        cycles is measure preserving exactly when each of its cycles is.
 
-        For a local isometry every union of cycles is measure preserving; in
-        general a cycle survives exactly when its balls stay a union of
-        cycles one level down.  A union of cycles is measure preserving
-        exactly when each of its cycles is.
+        For a local isometry every cycle is.  Otherwise a cycle Y is exactly
+        when level t - 1 permutes the children of Y's balls: f scales each
+        ball B of Y by exactly |f'| = p^e, as in ``mp``.  If e < 0 on some B,
+        B's children map into one ball of level t - 1, and the check reports
+        it; if e = 0 on every B, f maps each B onto its successor, child onto
+        child, so every finer level of Y is a permutation.
         """
-        t0 = self.intrinsic_level
-        if t > t0:
-            raise LevelAboveIntrinsic(
-                f"components are certified only at levels <= t0 = {t0}, got {t}"
-            )
+        level = self.transport_level
+        if not self.report.derivative_root_free:
+            raise DerivativeRootInDomain("components need a root-free derivative on the domain")
+        self.digraph(level)  # an escape is reported at level l, as mp reports it
         G = self.digraph(t)
         V = G.vertices
         cycles = G.cycles.cycle_indices

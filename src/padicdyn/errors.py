@@ -111,11 +111,6 @@ class ConstantTermNotIntegral(PadicDynError):
     negative valuation; no rescaling exponent can fix it."""
 
 
-class LevelAboveIntrinsic(PadicDynError):
-    """Component extraction was requested at a level above the intrinsic
-    level, where cycle membership does not certify anything."""
-
-
 class InvalidPrime(PadicDynError):
     """The modulus given as p is not a prime."""
 

@@ -82,10 +82,12 @@ def test_ergodic_semidecision_exit_code():
 
 
 def test_mp_undecided_exit_code():
-    # derivative root plus a zero scan budget forces an honest Undecided
-    code, out = run_cli(["-p", "3", "--map", "x^3", "--domain", "Zp", "mp", "--cap", "0"])
+    # a descent cap of 1 leaves T1 = 9 of the isometry x + 2/3 unseparated
+    # from 0, so the classification takes the profile route, where levels l
+    # and l - 1 passing is an honest Undecided
+    code, out = run_cli(["-p", "3", "--map", "x+2/3", "--domain", "B(0,1)", "mp", "--cap", "1"])
     assert code == EXIT_UNDECIDED
-    assert "Undecided" in out
+    assert out == "Undecided (all levels down to -3 are unions of cycles)\n"
 
 
 def test_classify_command():
@@ -205,7 +207,7 @@ def test_artifact_path_that_is_a_directory_is_one_error_line(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["g.dot"]
 
 
-@pytest.mark.parametrize("field", ["descent_cap", "intrinsic_margin", "mp_scan_depth"])
+@pytest.mark.parametrize("field", ["descent_cap", "intrinsic_margin"])
 def test_config_rejects_negative_depths(field):
     with pytest.raises(PadicDynError, match=f"^{field} must be at least 0, got -1$"):
         AnalysisConfig(**{field: -1})
@@ -235,21 +237,27 @@ def _record_calls(monkeypatch, fn, calls):
 
 
 def _counted_ops():
-    """(name, argv, classify calls) of each op whose builds are counted."""
+    """(name, argv, classify calls, levels built or None) of each op whose
+    builds are counted."""
     for name, args in (("two-ball", P7_ARGS), ("punctured", PUNCTURED_ARGS),
                        ("quartic", QUARTIC_ARGS)):
-        yield f"{name}-mp", args + ["mp"], 1
-        yield f"{name}-components", args + ["components", "--level", "-2"], 1
+        # the two-ball and quartic maps are LocallyIsometric with transport
+        # level -1: their mp reads level -1 only, and so does the search
+        # for the intrinsic level that the MeasurePreserving line prints
+        yield f"{name}-mp", args + ["mp"], 1, None if name == "punctured" else [-1]
+        yield f"{name}-components", args + ["components", "--level", "-2"], 1, None
         # the two-ball map's denominator x has a root in Q_p, so its global
         # op stops before the reduction ball is classified
-        yield f"{name}-global", args[:4] + ["--domain", "Qp", "global"], int(name != "two-ball")
-    yield "shift-third-global", ["-p", "3", "--map", "x+1/3", "global"], 1
+        yield (f"{name}-global", args[:4] + ["--domain", "Qp", "global"],
+               int(name != "two-ball"), None)
+    yield "shift-third-global", ["-p", "3", "--map", "x+1/3", "global"], 1, None
 
 
 @pytest.mark.parametrize(
-    "argv,classify_calls", [pytest.param(a, c, id=n) for n, a, c in _counted_ops()]
+    "argv,classify_calls,built",
+    [pytest.param(a, c, b, id=n) for n, a, c, b in _counted_ops()],
 )
-def test_each_level_is_built_once_per_op(monkeypatch, argv, classify_calls):
+def test_each_level_is_built_once_per_op(monkeypatch, argv, classify_calls, built):
     builds, classifications = [], []
     _record_calls(monkeypatch, digraph.build_digraph, builds)
     _record_calls(monkeypatch, scaling.classify, classifications)
@@ -259,6 +267,8 @@ def test_each_level_is_built_once_per_op(monkeypatch, argv, classify_calls):
     assert len(levels) == len(set(levels)), sorted(levels)
     assert len(classifications) == classify_calls
     assert bool(levels) == bool(classify_calls)
+    if built is not None:
+        assert levels == built
 
 
 @pytest.mark.parametrize(
@@ -305,6 +315,12 @@ def test_global_prints_the_gate_before_the_reduction_runs(monkeypatch, capsys):
         "N: 1",
     ]
     assert captured.err == "error: reduction ball over budget\n"
+
+
+def test_components_take_no_margin():
+    # components read levels t and t - 1 and no intrinsic level
+    with pytest.raises(PadicDynError, match="^unrecognized arguments: --margin 1$"):
+        invocation_from_args(QUARTIC_ARGS + ["components", "--level", "-2", "--margin", "1"])
 
 
 def test_global_takes_no_margin():

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from test_kernel import PRIMES, children, cycle_balls, domains, edge_map, one_lipschitz_instances
 from test_polynomials import (
@@ -35,7 +35,6 @@ from padicdyn.errors import (
     ConstantTermNotIntegral,
     DecompositionTooLarge,
     DerivativeRootInDomain,
-    LevelAboveIntrinsic,
     LevelTooCoarse,
     NotForwardInvariant,
     NotOneLipschitz,
@@ -191,9 +190,10 @@ class TestThreeAdicPuncturedMap:
         Y2 = CompactDomain.ball(0, -1, 3)
         assert Analysis(f, Y2).mp().kind == "MeasurePreserving"
 
-    def test_level_above_intrinsic_rejected(self):
+    def test_level_above_transport_rejected(self):
         A = Analysis(*p3_punctured_instance())
-        with pytest.raises(LevelAboveIntrinsic):
+        message = "^level -1 is above the certified 1-Lipschitz level -2$"
+        with pytest.raises(LevelTooCoarse, match=message):
             A.components(-1)
 
 
@@ -379,19 +379,26 @@ def test_mp_scan_route_with_derivative_root():
     assert (verdict.witness_level, verdict.witness_ball.key, verdict.in_degree) == (-1, 0, 2)
 
 
-def test_mp_scan_depth_controls_undecided():
-    # x^3 fixes every residue mod 3 but collapses three balls mod 9: with a
-    # zero scan budget the verdict is an honest Undecided, with the default
-    # budget the collapse is found one level down
+def test_mp_reads_the_level_below_the_transport_level_on_a_derivative_root():
+    # x^3 fixes every residue mod 3 but collapses three balls mod 9: the
+    # collapse is found one level below the transport level -1, whatever
+    # the descent cap
     f = parse_map("x^3", 3)
     X = CompactDomain.zp(3)
-    shallow = Analysis(f, X, AnalysisConfig(mp_scan_depth=0))
-    assert not shallow.report.derivative_root_free
-    assert shallow.mp().kind == "Undecided"
-    full = Analysis(f, X).mp()
-    assert full.kind == "NotMeasurePreserving"
-    assert full.witness_level == -2
-    assert full.in_degree == 3
+    for config in (AnalysisConfig(descent_cap=0), AnalysisConfig()):
+        A = Analysis(f, X, config)
+        assert not A.report.derivative_root_free
+        assert A.transport_level == -1
+        verdict = A.mp()
+        assert verdict.kind == "NotMeasurePreserving"
+        assert (verdict.witness_level, verdict.witness_ball.key, verdict.in_degree) == (-2, 0, 3)
+
+
+def test_components_need_a_root_free_derivative():
+    A = Analysis(parse_map("x^3", 3), CompactDomain.zp(3))
+    message = "^components need a root-free derivative on the domain$"
+    with pytest.raises(DerivativeRootInDomain, match=message):
+        A.components(-1)
 
 
 def _residue_oracle(f, X, t, extra=2):
@@ -507,12 +514,9 @@ def test_children_of_vertex_i_are_the_finer_vertices_i_plus_k_n(X, depth):
 
 
 def components_oracle(A, t):
-    """``Analysis.components`` as it was on Balls: the children of each
-    cycle ball and their images from the finer
-    level's Ball-keyed edge dict."""
-    t0 = A.intrinsic_level
-    if t > t0:
-        raise LevelAboveIntrinsic(f"components are certified only at levels <= t0 = {t0}, got {t}")
+    """``Analysis.components`` at a level t <= t0 as it was on Balls: the
+    children of each cycle ball and their images from the finer level's
+    Ball-keyed edge dict."""
     G = A.digraph(t)
     cycles = cycle_balls(G, cycle_decomposition(G))
     if A.report.classification == "LocallyIsometric":
@@ -565,8 +569,9 @@ def invariant_maps(draw):
 
 
 def test_components_match_the_ball_oracle():
-    # small caps keep the intrinsic-level search shallow; the errors they
-    # raise must match too
+    # at and below the intrinsic level t0, where components were certified
+    # before they read levels t and t - 1 only; small caps keep the search
+    # for t0 shallow, and the errors at t must match too
     config = AnalysisConfig(ball_cap=3000, descent_cap=8)
     verdicts = set()
 
@@ -578,20 +583,76 @@ def test_components_match_the_ball_oracle():
     def check(instance):
         f, X, offset = instance
         try:
-            A = Analysis(f, X, config)
-            want = components_oracle(A, A.intrinsic_level - offset)
+            t = Analysis(f, X, config).intrinsic_level - offset
+        except PadicDynError:
+            event("no intrinsic level")
+            return
+        try:
+            want = components_oracle(Analysis(f, X, config), t)
         except PadicDynError as exc:
             with pytest.raises(type(exc)) as info:
-                B = Analysis(f, X, config)
-                B.components(B.intrinsic_level - offset)
+                Analysis(f, X, config).components(t)
             assert str(info.value) == str(exc)
             return
-        got = Analysis(f, X, config).components(A.intrinsic_level - offset)
+        got = Analysis(f, X, config).components(t)
         assert got == want
         verdicts.update((c.route, c.verdict) for c in got)
 
     check()
     assert {("refinement", "MeasurePreserving"), ("refinement", "NotMeasurePreserving")} <= verdicts
+
+
+def descendants_permuted(f, X, cycle, u):
+    """Whether f permutes the level-u balls of X inside the Balls of
+    ``cycle``, one cycle of a level t > u, from brute-force residues."""
+    p, M = f.prime, X.height_exponent()
+    keys, images = brute_force_level(f, X, u)
+    mod = p ** (M - cycle[0].level)
+    tops = {int(b.key * p**M) % mod for b in cycle}
+    inside = [(y, z) for y, z in zip(keys, images) if y % mod in tops]
+    return sorted(z for _, z in inside) == [y for y, _ in inside]
+
+
+def test_components_at_every_level_down_from_the_transport_level():
+    # each MeasurePreserving cycle of levels l - 2 .. l permutes its
+    # descendants three levels down; each NotMeasurePreserving one does not
+    # permute its children, and its witness is one of them
+    config = AnalysisConfig(ball_cap=3000, descent_cap=8)
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.one_of(invariant_maps().map(lambda case: case[:2]), one_lipschitz_instances()),
+           st.integers(0, 2))
+    # |f'| = |12x^2 - 1| is 1 on Z_2 and 1/2 on the rest of B(0, 1)
+    @example((parse_map("4x^3-x", 2), CompactDomain.ball(0, 1, 2)), 1)
+    def check(instance, depth):
+        f, X = instance
+        try:
+            A = Analysis(f, X, config)
+            t = A.transport_level - depth
+            if not A.report.derivative_root_free or X.count(t - 3) > 3**7:
+                return
+            got = A.components(t)
+        except PadicDynError:
+            return
+        M = X.height_exponent()
+        for c in got:
+            cycle = list(c.cycle)
+            seen.add((c.route, c.verdict, M > 0))
+            if c.verdict == "MeasurePreserving":
+                assert all(descendants_permuted(f, X, cycle, t - k) for k in (1, 2, 3))
+            else:
+                assert not descendants_permuted(f, X, cycle, t - 1)
+                assert c.witness_level == t - 1
+                assert c.witness_ball.parent() in cycle
+
+    check()
+    assert {
+        ("refinement", "MeasurePreserving", False), ("refinement", "NotMeasurePreserving", False),
+        ("refinement", "MeasurePreserving", True), ("refinement", "NotMeasurePreserving", True),
+        ("isometric", "MeasurePreserving", False),
+    } <= seen
 
 
 def mp_oracle(A):
@@ -691,3 +752,103 @@ def test_mp_reads_levels_l_and_l_minus_one_only():
         ("NotMeasurePreserving", 0), ("NotMeasurePreserving", 1),
         ("MeasurePreserving", False, True), ("MeasurePreserving", True, True),
     } <= seen
+
+
+def scan_oracle(A, depth=8):
+    """``Analysis.mp`` on maps with derivative roots as it was when it
+    scanned from the transport level down to ``depth`` levels below it:
+    (kind, witness level, witness ball, in-degree, level over ball_cap)."""
+    level = A.transport_level
+    for t in range(level, level - depth - 1, -1):
+        try:
+            G = A.digraph(t)
+        except DecompositionTooLarge:
+            return "Undecided", None, None, None, t
+        hits = Counter(G.succ)
+        bad = [i for i in range(len(G.succ)) if hits[i] >= 2]
+        if bad:
+            return "NotMeasurePreserving", t, G.vertices[bad[0]], hits[bad[0]], None
+    return "Undecided", None, None, None, None
+
+
+@st.composite
+def derivative_root_maps(draw):
+    """f(x) = c + lam (x - c) + h (x - c)^d (1 + k p^(M+1) (x - c)) with
+    d = 2 or p and h = s p^e, on a domain of ``test_kernel.domains``, half of
+    them beyond Z_p, with c the least key of X.  e >= dM - base_level keeps
+    a ball domain invariant, and for lam = 0, f' has the root c: f is
+    constant for s = 0, and y -> y^p in y = p^M x for d = p, s = 1 and k = 0
+    on B(0, M), which permutes the residues mod p and collides mod p^2."""
+    p = draw(PRIMES)
+    X = draw(st.one_of(domains(p, ("beyond",)), domains(p, ("zp", "ball", "punctured"))))
+    M, c = X.height_exponent(), decompose(X, X.base_level)[0].key
+    d = draw(st.sampled_from([2, p]))
+    lam = draw(st.sampled_from([0, p, p * p, 1]))
+    s, k = draw(st.integers(0, 9)), draw(st.integers(-2, 2))
+    e = max(0, d * M - X.base_level) + draw(st.integers(0, 1))
+    # R(z) = lam z + h z^d (1 + k p^(M+1) z), and P(x) = c + R(x - c) by Horner
+    R = padd([0, lam], [0] * d + [Fraction(p) ** e * s, Fraction(p) ** e * s * k * p ** (M + 1)])
+    P = []
+    for a in reversed(R):
+        P = padd(pmul(P, [-c, 1]), [a])
+    return normalize_map(padd(P, [c]), [1], p), X
+
+
+def test_mp_with_derivative_roots_matches_the_level_scan():
+    # wherever the scan down to l - 8 is definitive, or stops at a level
+    # over ball_cap, levels l and l - 1 give the same verdict and witness
+    config = AnalysisConfig(ball_cap=3000, descent_cap=8)
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.one_of(derivative_root_maps(), invariant_maps().map(lambda case: case[:2]),
+                     one_lipschitz_instances()))
+    def check(instance):
+        f, X = instance
+        try:
+            A = Analysis(f, X, config)
+            if A.report.derivative_root_free:
+                return
+            want = scan_oracle(A)
+        except PadicDynError:
+            return
+        if want[0] == "Undecided" and want[4] is None:
+            event("the scan is undecided")
+            return
+        got = Analysis(f, X, config).mp()
+        assert (got.kind, got.witness_level, got.witness_ball, got.in_degree) == want[:4]
+        l = A.transport_level
+        if got.kind == "Undecided":
+            assert got.scanned_to == max(want[4], l - 2) + 1
+            seen.add(("Undecided", l - want[4]))
+        else:
+            seen.add(("NotMeasurePreserving", l - got.witness_level, X.height_exponent() > 0))
+
+    check()
+    assert {
+        ("NotMeasurePreserving", 0, False), ("NotMeasurePreserving", 1, False),
+        ("NotMeasurePreserving", 0, True), ("NotMeasurePreserving", 1, True),
+    } <= seen
+
+
+def test_measure_preserving_maps_are_locally_isometric():
+    config = AnalysisConfig(ball_cap=3000, descent_cap=8)
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.one_of(invariant_maps().map(lambda case: case[:2]), one_lipschitz_instances(),
+                     derivative_root_maps()))
+    def check(instance):
+        try:
+            A = Analysis(*instance, config)
+            verdict = A.mp()
+        except PadicDynError:
+            return
+        verdicts.add(verdict.kind)
+        if verdict.kind == "MeasurePreserving":
+            assert A.report.classification == "LocallyIsometric"
+
+    check()
+    assert verdicts == {"MeasurePreserving", "NotMeasurePreserving", "Undecided"}

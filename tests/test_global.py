@@ -282,7 +282,7 @@ def test_an_undecided_scan_leaves_an_uncertified_isometry_undecided():
     # x + 2/3 is an isometry of Q_3; with a descent cap of 1, T1 = 9 is not
     # separated from 0, so the reduction ball is classified on the profile
     # route (Locally1Lipschitz, every exponent 0) and its scan is Undecided
-    g = global_check(parse_map("(2+3x)/3", 3), AnalysisConfig(descent_cap=1, mp_scan_depth=1))
+    g = global_check(parse_map("(2+3x)/3", 3), AnalysisConfig(descent_cap=1))
     assert g.compact_report.classification == LOCALLY_1_LIPSCHITZ
     assert g.compact_report.scalar_profile == {0: 27}
     assert (g.isometry, g.measure_preserving) == ("Undecided", "Undecided")

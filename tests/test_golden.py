@@ -286,10 +286,13 @@ def test_cli_output_matches_golden(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["quartic-global", "shift-third-global", "punctured-mp", "moebius-beyond-zp-mp"]
+    "name",
+    ["quartic-global", "shift-third-global", "punctured-mp", "moebius-beyond-zp-mp",
+     "two-ball-components", "punctured-components", "contraction-components-at-transport-level"],
 )
 def test_mp_and_global_print_the_same_bytes_without_the_intrinsic_level(monkeypatch, name):
-    # global and a NotMeasurePreserving mp decide from levels l and l - 1
+    # global and a NotMeasurePreserving mp decide from levels l and l - 1,
+    # and components at level t from levels t and t - 1
     from padicdyn.digraph import Analysis
 
     def unread(self):

@@ -30,3 +30,4 @@ def test_random_survey_script():
     out = _run_script("random_survey.py", "--count", "5")
     assert out.startswith("kept 5 of ")
     assert "  oracle-checked maps: 5" in out
+    assert "  oracle-checked component levels: " in out
