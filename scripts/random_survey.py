@@ -55,28 +55,31 @@ def brute_force_edges(f, p, t, depth=4):
     return edges
 
 
+def brute_force_cycles(edges):
+    """The cycles of a residue graph, each from its least key, least first."""
+    cycles, seen = [], set()
+    for v in sorted(edges):
+        if v in seen:
+            continue
+        # v is on a cycle exactly when it comes back within len(edges) steps
+        cycle, u = [v], edges[v]
+        while u != v and len(cycle) <= len(edges):
+            cycle.append(u)
+            u = edges[u]
+        if u == v:
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
 def brute_force_scan(f, p, top, depth=-4):
     """(kind, level, cycle count) of the single-cycle scan from level top
     down to depth, read off the brute-force residue graphs."""
     for t in range(top, depth - 1, -1):
         edges = brute_force_edges(f, p, t, max(4, -t))
-        on_cycle, cycles = set(), 0
-        for v in edges:
-            if v in on_cycle:
-                continue
-            # v is on a cycle exactly when it comes back within len(edges) steps
-            u, steps = edges[v], 1
-            while u != v and steps < len(edges):
-                u, steps = edges[u], steps + 1
-            if u == v:
-                cycles += 1
-                while True:
-                    on_cycle.add(u)
-                    u = edges[u]
-                    if u == v:
-                        break
-        if cycles != 1 or len(on_cycle) != len(edges):
-            return "NotErgodic", t, cycles
+        cycles = brute_force_cycles(edges)
+        if len(cycles) != 1 or len(cycles[0]) != len(edges):
+            return "NotErgodic", t, len(cycles)
     return "SingleCycleToDepth", None, None
 
 
@@ -101,18 +104,9 @@ def brute_force_components(f, p, t):
     levels t and t - 1: a cycle is measure preserving exactly when level
     t - 1 permutes its balls' children, and the witness is the least child
     hit other than once from among them."""
-    edges = brute_force_edges(f, p, t, max(4, -t))
     finer = brute_force_edges(f, p, t - 1, max(4, 1 - t))
-    out, seen = [], set()
-    for v in sorted(edges):
-        # v is on a cycle exactly when it comes back within len(edges) steps
-        cycle, u = [v], edges[v]
-        while u != v and len(cycle) <= len(edges):
-            cycle.append(u)
-            u = edges[u]
-        if u != v or v in seen:
-            continue
-        seen.update(cycle)
+    out = []
+    for cycle in brute_force_cycles(brute_force_edges(f, p, t, max(4, -t))):
         children = [y + k * p**-t for k in range(p) for y in cycle]
         hits = Counter(finer[c] for c in children)
         bad = min((c for c in children if hits[c] != 1), default=None)

@@ -655,6 +655,13 @@ def test_components_at_every_level_down_from_the_transport_level():
     } <= seen
 
 
+def first_collision(G):
+    """(the least ball of in-degree >= 2, its in-degree) of G, or None."""
+    hits = Counter(G.succ)
+    bad = [i for i in range(len(G.succ)) if hits[i] >= 2]
+    return (G.vertices[bad[0]], hits[bad[0]]) if bad else None
+
+
 def mp_oracle(A):
     """``Analysis.mp`` on the root-free route as it was when it read the
     intrinsic level t0 first: the first level from the transport level
@@ -662,11 +669,9 @@ def mp_oracle(A):
     level, witness ball, in-degree)."""
     t0 = A.intrinsic_level
     for t in range(A.transport_level, t0 - 2, -1):
-        G = A.digraph(t)
-        hits = Counter(G.succ)
-        bad = [i for i in range(len(G.succ)) if hits[i] >= 2]
-        if bad:
-            return "NotMeasurePreserving", t, G.vertices[bad[0]], hits[bad[0]]
+        collision = first_collision(A.digraph(t))
+        if collision:
+            return ("NotMeasurePreserving", t, *collision)
     return "MeasurePreserving", None, None, None
 
 
@@ -761,13 +766,11 @@ def scan_oracle(A, depth=8):
     level = A.transport_level
     for t in range(level, level - depth - 1, -1):
         try:
-            G = A.digraph(t)
+            collision = first_collision(A.digraph(t))
         except DecompositionTooLarge:
             return "Undecided", None, None, None, t
-        hits = Counter(G.succ)
-        bad = [i for i in range(len(G.succ)) if hits[i] >= 2]
-        if bad:
-            return "NotMeasurePreserving", t, G.vertices[bad[0]], hits[bad[0]], None
+        if collision:
+            return ("NotMeasurePreserving", t, *collision, None)
     return "Undecided", None, None, None, None
 
 
