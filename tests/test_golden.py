@@ -251,6 +251,32 @@ CASES.update({
     "error-derivative-root-components": PUNCTURED[:4] + ["--domain", "Zp", "components",
                                                          "--level", "-1"],
     "cube-mp-cap-one": ["-p", "3", "--map", "x^3", "--domain", "Zp", "mp", "--cap", "1"],
+    # domains with many base-level balls and few maximal ones: 1,594,322
+    # level -13 balls (over ball_cap) for a classification, an mp that
+    # builds that level, and a hensel lift that reads no domain
+    "deep-punctured-over-cap-classify": ["-p", "3", "--map", "x+1", "--domain", "Zp-B(1,-13)",
+                                         "classify"],
+    "error-deep-punctured-over-cap-mp": ["-p", "3", "--map", "x+1", "--domain", "Zp-B(1,-13)",
+                                         "mp"],
+    "deep-punctured-over-cap-hensel": ["-p", "3", "--map", "x^2-7", "--domain", "Zp-B(1,-13)",
+                                       "hensel", "--seed", "1"],
+    "deep-punctured-ten-classify": ["-p", "3", "--map", "x+1", "--domain", "Zp-B(1,-10)",
+                                    "classify"],
+    # the profile route without a radius starts at min(base level, -1), so
+    # its exact exponents come from balls finer than the maximal ones
+    "deep-punctured-profile-classify": ["-p", "3", "--map", "x^2+x", "--domain", "Zp-B(1,-8)",
+                                        "classify"],
+    # a radius exponent whose level is over ball_cap: classify and radius
+    # never build it, mp does
+    "radius-level-over-cap-classify-p7": ["-p", "7", "--map=(-5/343+1x)/(1)",
+                                          "--domain", "B(0,1)", "classify"],
+    "radius-level-over-cap-radius-p7": ["-p", "7", "--map=(-5/343+1x)/(1)",
+                                        "--domain", "B(0,1)", "radius"],
+    "error-radius-level-over-cap-mp-p7": ["-p", "7", "--map=(-5/343+1x)/(1)",
+                                          "--domain", "B(0,1)", "mp"],
+    # a pole certified on a domain of maximal balls at two levels
+    "error-mixed-level-pole-classify": ["-p", "3", "--map", "1/(x^2-7)",
+                                        "--domain", "B(1,-1)+B(2,-2)", "classify"],
 })
 
 
