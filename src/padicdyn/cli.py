@@ -266,11 +266,11 @@ def run(inv: argparse.Namespace, stdout=None) -> int:
     if inv.command == "mp":
         verdict = analysis.mp()
         if verdict.kind == digraph.MEASURE_PRESERVING:
-            # read before any line is printed: a failed search prints only
-            # its error
-            t0 = analysis.intrinsic_level
             out("MeasurePreserving")
-            out(f"certified via intrinsic level {t0}")
+            try:  # the verdict stands without t0, whose search can fail
+                out(f"certified via intrinsic level {analysis.intrinsic_level}")
+            except PadicDynError as exc:
+                out(f"no intrinsic level t0: {exc}")
             return EXIT_OK
         if verdict.kind == digraph.UNDECIDED:
             out(f"Undecided (all levels down to {verdict.scanned_to} are unions of cycles)")

@@ -26,8 +26,10 @@ class AnalysisConfig:
         """Raise DecompositionTooLarge when ``what`` needs more than
         ``ball_cap`` balls at ``level``."""
         if count > self.ball_cap:
+            # CPython refuses to print ints of more than 4,300 digits
+            shown = count if count < 10**4300 else f"at least 2^{count.bit_length() - 1}"
             raise DecompositionTooLarge(
-                f"{what} at level {level} needs {count} balls (cap {self.ball_cap})"
+                f"{what} at level {level} needs {shown} balls (cap {self.ball_cap})"
             )
 
 

@@ -133,12 +133,7 @@ class CompactDomain:
         ))
 
     def union(self, other: "CompactDomain") -> "CompactDomain":
-        out = CompactDomain.from_balls(self.balls + other.balls)
-        # ``ball_cap`` bounds the flat form: both domains refined to the
-        # finer base level, unless the finer domain lies in the coarser one
-        level = out.base_level if out in (self, other) else min(self.base_level, other.base_level)
-        DEFAULT_CONFIG.check_ball_budget(out.count(level), "decomposition", level)
-        return out
+        return CompactDomain.from_balls(self.balls + other.balls)
 
     def difference(self, other: "CompactDomain") -> "CompactDomain":
         if self.prime != other.prime:
@@ -153,18 +148,10 @@ class CompactDomain:
                 balls += a.subdivide(a.level - 1)
             else:
                 left.append(a)
-        # maximal already: the parent of a piece holds a ball of other or lies outside self
-        out = CompactDomain(self.prime, tuple(sorted(left, key=lambda b: b.key))) if left else None
-        # ``ball_cap`` bounds the flat form: self refined to other's base
-        # level when a finer ball of other meets it, else what is left at
-        # self's base level
-        finer = other.base_level < self.base_level and out != self
-        level = other.base_level if finer else self.base_level
-        count = self.count(level) if finer else out.count(level) if out else 0
-        DEFAULT_CONFIG.check_ball_budget(count, "decomposition", level)
-        if out is None:
+        if not left:
             raise EmptyDomain("difference removed every ball")
-        return out
+        # maximal already: the parent of a piece holds a ball of other or lies outside self
+        return CompactDomain(self.prime, tuple(sorted(left, key=lambda b: b.key)))
 
     def __str__(self):
         parts = " + ".join(str(b) for b in self.balls[:6])
@@ -197,12 +184,27 @@ def decompose_residues(
     the level-(t - 1) children of y are y + k p^(M - t), k = 0 .. p - 1.
     """
     config.check_ball_budget(X.count(t), "decomposition", t)
+    M, levels = start_residues(X, t, config)
+    return M, levels[t]
+
+
+def start_residues(
+    X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
+) -> tuple[int, dict[int, list[int]]]:
+    """(M, levels): X's maximal balls, each split to level t or, if finer,
+    at its own level s, keyed as in ``decompose_residues`` in the sorted
+    lists levels[t] and levels[s]; level t must fit ``ball_cap``."""
     p, M = X.prime, X.height_exponent()
-    scale, top, ys = p**M, p ** (M - t), []
+    count = sum(p ** (b.level - t) for b in X.balls if b.level >= t)
+    config.check_ball_budget(count, "decomposition", t)
+    scale, levels = p**M, {t: []}
     for b in X.balls:
+        s = min(b.level, t)
         # b's rescaled key lies in [0, p^(M - b.level)), as p^M clears its
-        # denominator (X lies in the ball of radius p^M), and its level-t
+        # denominator (X lies in the ball of radius p^M), and its level-s
         # keys add multiples of p^(M - b.level) to it
-        ys += range(b.key.numerator * (scale // b.key.denominator), top, p ** (M - b.level))
-    ys.sort()
-    return M, ys
+        y = b.key.numerator * (scale // b.key.denominator)
+        levels.setdefault(s, []).extend(range(y, p ** (M - s), p ** (M - b.level)))
+    # a finer level holds one residue per ball, in the balls' key order
+    levels[t].sort()
+    return M, levels

@@ -1,12 +1,13 @@
 """Certified lower bounds, uniform scaling radius, and classification.
 
-``walk`` visits a tree of balls level by level, settling or splitting each;
-the descent, the scalar profile of ``classify`` and ``global_qp``'s witness
-check run on it.  It names each ball by its rescaled residue y = p^M x,
-which takes the domain into Z_p, and each visit reads the ball through
-``_ball_probe`` at that integer and the ball's own radius: a ball of
-level t is y + p^(M - t) Z_p in y.  A ``Ball``, in the domain's own
-coordinates, is built only for a ball that an error names.
+``walk`` visits a tree of balls level by level from the domain's maximal
+balls, settling or splitting each; the descent, the scalar profile of
+``classify`` and ``global_qp``'s witness check run on it.  It names each
+ball by its rescaled residue y = p^M x, which takes the domain into Z_p,
+and each visit reads the ball through ``_ball_probe`` at that integer and
+the ball's own radius: a ball of level t is y + p^(M - t) Z_p in y.  A
+``Ball``, in the domain's own coordinates, is built only for a ball that
+an error names.
 ``lower_bound_bF`` descends on G(y) = p^(Md) F(y / p^M): a ball of y-level
 s is a suspect when v(G(y)) >= -s, and p^e bounds |G| from below when e is
 the deepest y-level holding a suspect.  A ball where G's Taylor expansion
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .domains import CompactDomain, decompose_residues, residue_ball
+from .domains import CompactDomain, residue_ball, start_residues
 from .errors import (
     CertificateFailed,
     DepthCapExceeded,
@@ -89,23 +90,25 @@ def walk(
     config: AnalysisConfig,
     what: str,
 ) -> None:
-    """Visit the level-t balls of X, then the children of every ball that
-    ``visit`` splits, level by level, until no ball is split.
+    """Visit X's maximal balls, each split to level t or, if finer, at its
+    own level, and the children of every ball that ``visit`` splits, level
+    by level, until no ball is left.
 
     Balls are named as ``decompose_residues`` names them: ``visit(y, t)``
     gets the residue y of a level-t ball and returns True to split it and
-    False to settle it, or raises.  A level keeps its parents' order,
-    children by digit, and each level below the first must fit
+    False to settle it, or raises.  A level lists the children in their
+    parents' order, by digit, then its maximal balls by key, and must fit
     ``config.ball_cap``.
     """
-    M, level = decompose_residues(X, t, config)
-    p = X.prime
-    while level:
+    M, levels = start_residues(X, t, config)
+    p, level = X.prime, levels.pop(t)
+    while level or levels:
         split = [y for y in level if visit(y, t)]
-        config.check_ball_budget(len(split) * p, what, t - 1)
         step = p ** (M - t)
-        level = [y + k * step for y in split for k in range(p)]
         t -= 1
+        joining = levels.pop(t, [])
+        config.check_ball_budget(len(split) * p + len(joining), what, t)
+        level = [y + k * step for y in split for k in range(p)] + joining
 
 
 def lower_bound_bF(
@@ -163,7 +166,7 @@ def _descend(G: list[int], X: CompactDomain, M: int, config: AnalysisConfig) -> 
             return True
         return False
 
-    walk(X, start + M, visit, config, "descent")
+    walk(X, M - 1, visit, config, "descent")
     breached = [y for e, y in deepest if e <= floor]
     if breached:
         # the suspect the walk would meet first on the floor level: the
@@ -228,7 +231,6 @@ def classify(
         root = isinstance(exc, RootCertified)
     else:
         l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
-        config.check_ball_budget(X.count(l), "decomposition", l)
     exact, upper, least = _scalar_profile(f, X, M, l, config)
     exponents = exact.keys() | upper.keys()
     if max(exponents) > 0:
@@ -266,11 +268,12 @@ def _scalar_profile(
     the level -2v(Q) - h_t where the ball-to-ball certificate
     max(|T1|, p^(t + h_t)) <= |Q|^2 holds, if finer than t.  A ball where
     only |Q| is constant and that certificate holds is settled with an
-    upper bound on |f'|.
+    upper bound on |f'|.  The route without l starts at min(base level, -1):
+    a coarser ball could settle with one bound over several exact exponents.
     """
     p, form = f.prime, f.rescaled(M)
     h_t = _two_variable_height_factor(f, M)
-    start = min(X.base_level, -1) if l is None else X.base_level
+    start = min(X.base_level, -1) if l is None else M
     floor = start - CERTIFY_CAP if l is None else l
     exact: dict[int, int] = {}
     upper: dict[int, int] = {}

@@ -188,6 +188,18 @@ def test_oversized_input_is_one_error_line(capsys, map_text, domain):
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_a_ball_count_past_the_printable_digits_is_one_error_line(capsys):
+    # B(0, 10000) has 3^10001 level -1 balls, a count of 4,772 digits
+    argv = ["-p", "3", "--map", "x+1", "--domain", "B(0,10000)", "mp"]
+    assert main(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: decomposition at level -1 needs at least 2^15851 balls (cap 1000000)\n"
+    # a count of 4,300 digits is printed in full
+    with pytest.raises(DecompositionTooLarge, match=r"needs 9{4300} balls"):
+        AnalysisConfig().check_ball_budget(10**4300 - 1, "decomposition", 0)
+
+
 @pytest.mark.parametrize("flag", ["--dot", "--json"])
 def test_artifact_in_a_missing_directory_is_one_error_line(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "g.out"

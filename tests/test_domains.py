@@ -279,25 +279,54 @@ def cli_lines(argv, capsys):
     return code, out + err
 
 
+# x^2 - 7 has the derivative root 0, so classify takes the profile route,
+# which decomposes X at min(base level, -1)
+CLASSIFY_X2_MINUS_7 = {
+    "Zp-B(1,-13)": (
+        1, "error: decomposition at level -13 needs 1594322 balls (cap 1000000)\n"
+    ),
+    "Zp-B(1,-13)+B(1,-13)": (0, (
+        "classification: Locally1Lipschitz\nradius exponent l: -1\n"
+        "derivative root-free: no\nscalar exponents at level -1: [0]\n"
+        "certified upper bounds on 1 ball(s) near derivative roots\n"
+    )),
+    "B(0,-1)+B(1,-14)": (
+        1, "error: decomposition at level -14 needs 1594324 balls (cap 1000000)\n"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "domain,level,count",
     [
-        # 1594322 balls before, counted on the built domain after 24 s
+        # each domain was refused while it was parsed, as its flat form at
+        # the level named here needed more than ball_cap balls
         ("Zp-B(1,-13)", -13, 1594323),
-        # Z_3 before, after two refinements to level -13
         ("Zp-B(1,-13)+B(1,-13)", -13, 1594323),
-        # the same error before, after the domain was built
         ("B(0,-1)+B(1,-14)", -14, 1594324),
     ],
 )
 @pytest.mark.parametrize("command", [["classify"], ["hensel", "--seed", "1"]])
 def test_domain_algebra_refines_within_the_ball_cap(capsys, domain, level, count, command):
-    # the refinement is refused before any ball is built; hensel, which
-    # reads no domain, used to answer once the domain was built
+    # the algebra builds the maximal balls only; a decomposition that a
+    # command needs is refused when it is built, with X's own count, and
+    # hensel, which reads no domain, answers
     argv = ["-p", "3", "--map", "x^2-7", "--domain", domain] + command
-    assert cli_lines(argv, capsys) == (
-        1, f"error: decomposition at level {level} needs {count} balls (cap 1000000)\n"
-    )
+    hensel = (0, "root: 148891 (mod 3^12)\ndistance bound exponent: -1\nnewton steps: 4\n")
+    want = CLASSIFY_X2_MINUS_7[domain] if command == ["classify"] else hensel
+    assert cli_lines(argv, capsys) == want
+    # the flat form counted the operands' balls; X's own balls are no more
+    assert parse_domain(domain, 3).count(level) <= count
+
+
+def test_a_deep_punctured_domain_classifies_from_its_maximal_balls(capsys):
+    # 24 maximal balls and 531,440 level -12 balls: the walks visit the
+    # maximal balls at their own levels
+    argv = ["-p", "3", "--map", "x+1", "--domain", "Zp-B(1,-12)", "classify"]
+    assert cli_lines(argv, capsys) == (0, (
+        "classification: LocallyIsometric\nradius exponent l: -12\n"
+        "derivative root-free: yes\nscalar exponents at level -12: [0]\n"
+    ))
 
 
 @pytest.mark.parametrize(

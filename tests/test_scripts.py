@@ -31,3 +31,8 @@ def test_random_survey_script():
     assert out.startswith("kept 5 of ")
     assert "  oracle-checked maps: 5" in out
     assert "  oracle-checked component levels: " in out
+
+
+def test_random_survey_checks_profiles_on_punctured_domains():
+    out = _run_script("random_survey.py", "--count", "20")
+    assert "  oracle-checked punctured profiles: " in out

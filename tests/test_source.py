@@ -7,7 +7,8 @@ is built in one place: only ``RationalMap.rescaled`` and the descent
 ``lower_bound_bF`` rescale coefficients, and only the level digraph's
 successors read the first-order expansion (``_expansion``).  Only ``domains.py``
 reads a domain's maximal balls; every other module counts and lists its
-level-t balls through ``count`` and ``decompose_residues``.  Every raised
+level-t balls through ``count`` and ``decompose_residues``, and starts a
+walk from ``start_residues``.  Every raised
 exception is typed: a ``PadicDynError`` subclass, ``ValueError``, or the
 ``AttributeError`` of the package's ``__getattr__``.
 """
