@@ -15,7 +15,7 @@ _EXPORTS = {
         "LevelDigraph", "MPVerdict", "SubsidiaryEdgeData", "build_digraph",
         "cycle_decomposition",
     ),
-    "domains": ("Ball", "CompactDomain", "decompose"),
+    "domains": ("Ball", "CompactDomain"),
     "global_qp": (
         "GlobalGateReport", "GlobalVerdict", "ObstructionWitness", "ReductionFailure",
         "SphereRegion", "certify_no_roots_qp", "degree_gate", "global_check",

@@ -21,9 +21,10 @@ constant.  ``Analysis`` answers these questions for one map and domain
 from one classification, building each level once.  Its measure-preservation
 verdicts, for the domain and for each cycle, read two adjacent levels.  Its
 single-cycle scan builds no level where cycle lifting certifies every level
-from one orbit of a coarse level, and reads the level digraphs otherwise.
-Its intrinsic-level search, which no verdict runs, builds only the transport
-level and reads the levels below it off per-ball bounds.
+from one orbit of a coarse level, and otherwise reads each level digraph
+once, without keeping it.  Its intrinsic-level search, which no verdict
+runs, builds only the transport level and reads the levels below it off
+per-ball bounds.
 """
 
 from __future__ import annotations
@@ -278,6 +279,8 @@ def _direct_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
     ``form`` on B(0, M), by one evaluation of num and den; None where that
     image is not integral (it leaves B(0, M)).  The returned function
     raises PoleInDomain at a key where Q vanishes, that is where den does.
+    It serves ``_successors`` where ``_expansion`` refuses a key, and the
+    intrinsic-level search.
     """
     p, num, den = form.prime, form.num, form.den
     mod = p**K
@@ -308,7 +311,9 @@ def _expansion(form: RescaledMap, K: int) -> Callable[[int], tuple[int, ...]]:
     terms, so g(a + h) = sum_i c_i h^i with every c_i in Z_p.  Since
     v(y - a) >= K1 and 2 K1 >= K, the terms of degree 2 and up vanish
     mod p^K, and c0 = g(a) and c1 = g'(a) = t1(a) / den(a)^2; c1 matters
-    only mod p^(K - K1).
+    only mod p^(K - K1).  ``_successors`` reads one progression per
+    ancestor from it, and ``_lifts`` one orbit step (y = a, K >= 4, so c1
+    is g'(a) mod p^2).
     """
     p, num, den, t1 = form.prime, form.num, form.den, form.t1
     mod, slope_mod = p**K, p ** (K - (K + 1) // 2)
@@ -433,7 +438,8 @@ class Analysis:
     built once however many questions read it.  ``mp`` and ``components``
     read two adjacent levels and no intrinsic level.  ``ergodic`` first walks
     one orbit of a coarse level, and builds no level where cycle lifting
-    certifies them all.  ``intrinsic_level`` builds the transport level only,
+    certifies them all; the levels it scans otherwise are read once and not
+    kept.  ``intrinsic_level`` builds the transport level only,
     and walks its balls for the levels below.
     """
 
@@ -739,39 +745,41 @@ class Analysis:
         level-t0 balls is tried first when a level below t0 is scanned and
         level t0 - 1 fits in ``ball_cap``; where ``_lifts`` certifies every
         level, no digraph is built.  Otherwise each level's digraph decides
-        it, from the transport level down.
+        it, from the transport level down; a level this scan builds is read
+        once and not kept.
         """
         level = self.transport_level
         if depth > level:
             raise LevelTooCoarse(f"depth {depth} is above the starting level {level}")
         t0 = min(level, self.form.M - 2)
-        if (t0 > depth and self.X.count(t0 - 1) <= self.config.ball_cap
-                and self._lifts(level, t0)):
+        if t0 > depth and self.X.count(t0 - 1) <= self.config.ball_cap and self._lifts(t0):
             return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
         for t in range(level, depth - 1, -1):
-            dec = self.digraph(t).cycles
+            G = self._digraphs.get(t) or build_digraph(self.f, self.X, t, self.config)
+            dec = G.cycles
             if not dec.is_single_cycle:
                 return ErgodicVerdict(
                     kind=NOT_ERGODIC, level=t, cycle_count=len(dec.cycle_indices)
                 )
         return ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=depth)
 
-    def _lifts(self, level: int, t0: int) -> bool:
+    def _lifts(self, t0: int) -> bool:
         """Whether cycle lifting certifies that every level is one cycle,
         from the orbit z_0 = y0, ..., z_n0 of the smallest rescaled key y0
         under the rescaled map g, with n0 = X.count(t0) and K0 = M - t0 >= 2.
 
-        Level u <= base level has n_u = X.count(u) balls and is a quotient of
-        every finer level: the parent of the image of a ball is the successor
-        of its parent.  So level u is one cycle exactly when the orbit is in
-        y0's level-u ball, z_i = y0 mod p^(M - u), at the steps i that are
-        multiples of n_u and at no other; the walk checks this at each level
-        from ``level`` to t0 and returns False at the first step that breaks
-        it, at a key where den is not a unit and at an image outside X.
+        Each step reads (g(z), g'(z)) off ``_expansion`` at z, mod p^K with
+        K = max(K0 + 1, 4), so g'(z) is known mod p^2; it returns False at a
+        key where den is not a unit.  Level t0 is one cycle exactly when the
+        orbit stays in X and first returns to y0's level-t0 ball at step n0.
+        At and below the transport level, the parent of a ball's image is the
+        successor of the ball's parent, so each coarser level down to t0 is a
+        quotient of level t0, and a quotient of one cycle is one cycle: a
+        coarser level that is not one cycle makes level t0 fail too.
 
         Let a = prod_{j < n0} g'(z_j) and b = (z_n0 - y0) / p^K0 mod p.
-        (1) Where den(z_j) is a unit (the form of ``RationalMap.rescaled``),
-        g is an integral power series on z_j + p Z_p, so phi(s) =
+        (1) Where den(z_j) is a unit, g is an integral power series on
+        z_j + p Z_p (the proof is in ``_expansion``), so phi(s) =
         (g^n0(y0 + p^K0 s) - y0) / p^K0 = b + a s + sum_{i >= 2} d_i s^i
         with v(d_i) >= (i - 1) K0.  (2) The level t0 - k balls form one cycle
         exactly when phi cycles Z / p^k.  (3) As K0 >= 2, the return map of
@@ -779,28 +787,25 @@ class Analysis:
         (4) So b_(k+1) = b_k (sum_{j < p} a_k^j) / p mod p: b_k for odd p
         with a = 1 mod p, and b_k (1 + a_k) / 2 for p = 2 with a_k = a^(2^k)
         = 1 mod 4.  Induction on k: b != 0 mod p and a = 1 mod p (mod 4 for
-        p = 2) certify every level.
+        p = 2) certify every level.  Fan & Liao, On minimal decomposition of
+        p-adic polynomial dynamical systems, Adv. Math. 2011.
         """
-        X, p, form = self.X, self.f.prime, self.form
+        X, p = self.X, self.f.prime
         M, ys = decompose_residues(X, X.base_level, self.config)
         # decompose_residues' layout: a rescaled key lies in X exactly when
         # its residue mod step is one of the rescaled base keys
-        step = p ** (M - X.base_level)
-        bases, y0 = set(ys), ys[0]
-        levels = [(p ** (M - u), X.count(u)) for u in range(level, t0 - 1, -1)]
-        image = _direct_image(form, M - t0 + 1)
-        a, sq, z = 1, p * p, y0
-        for i in range(1, X.count(t0) + 1):
-            q = _evaluate(form.den, z)
-            if q % p == 0:
+        step, bases, y0 = p ** (M - X.base_level), set(ys), ys[0]
+        mod, n0 = p ** (M - t0), X.count(t0)
+        expand = _expansion(self.form, max(M - t0 + 1, 4))
+        a, z = 1, y0
+        for i in range(1, n0 + 1):
+            e = expand(z)
+            if not e:
                 return False
-            a = a * _evaluate(form.t1, z) * pow(q, -2, sq) % sq
-            z = image(z)
-            if z % step not in bases or any(
-                (z % mod == y0) != (i % n == 0) for mod, n in levels
-            ):
+            a, z = a * e[1] % (p * p), e[0]
+            if z % step not in bases or (z % mod == y0) != (i == n0):
                 return False
-        b = (z - y0) // p ** (M - t0) % p
+        b = (z - y0) // mod % p
         return b != 0 and a % (4 if p == 2 else p) == 1
 
     def components(self, t: int) -> list[ComponentSelection]:

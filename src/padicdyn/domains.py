@@ -159,15 +159,6 @@ class CompactDomain:
         return parts + extra
 
 
-def decompose(
-    X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
-) -> list[Ball]:
-    """The unique decomposition of X into level-t balls, sorted by key: the
-    Ball view of ``decompose_residues``."""
-    M, ys = decompose_residues(X, t, config)
-    return [residue_ball(y, t, M, X.prime) for y in ys]
-
-
 def residue_ball(y: int, t: int, M: int, p: int) -> Ball:
     """The level-t ball keyed y / p^M, for a residue y of
     ``decompose_residues``."""
@@ -177,8 +168,9 @@ def residue_ball(y: int, t: int, M: int, p: int) -> Ball:
 def decompose_residues(
     X: CompactDomain, t: int, config: AnalysisConfig = DEFAULT_CONFIG
 ) -> tuple[int, list[int]]:
-    """``decompose`` on integers: (M, ys) with M = X.height_exponent() and
-    the level-t balls of X keyed y / p^M for y in ys, sorted.
+    """The unique decomposition of X into level-t balls, on integers: (M, ys)
+    with M = X.height_exponent() and the balls keyed y / p^M for y in ys,
+    sorted.
 
     Each y is the residue mod p^(M - t) of the rescaled key p^M * key, and
     the level-(t - 1) children of y are y + k p^(M - t), k = 0 .. p - 1.

@@ -9,13 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_domains import level_balls
 
 from padicdyn import (
     Analysis,
     CompactDomain,
     classify,
     cycle_decomposition,
-    decompose,
     degree_gate,
     fraction_valuation,
     global_obstruction,
@@ -110,7 +110,7 @@ def test_criterion_3_punctured_domain_reproduction():
         y2 = CompactDomain.from_balls(
             [b for k in (0, 3, 6) for b in comps[k].cycle]
         )
-        assert y2.base_level == -1 and [b.key for b in decompose(y2, -1)] == [Fraction(0)]
+        assert y2.base_level == -1 and [b.key for b in level_balls(y2, -1)] == [Fraction(0)]
         # a union of cycles is measure preserving when each of its cycles is
         assert all(comps[k].verdict == "MeasurePreserving" for k in (0, 3, 6))
 
@@ -273,7 +273,7 @@ def test_criterion_8_preserving_maps_are_isometries():
             verdict = A.mp()
             assert verdict.kind == "MeasurePreserving"
             l = A.report.radius_exponent
-            balls = decompose(X, l)
+            balls = level_balls(X, l)
             done = 0
             while done < 1000:
                 ball = rng.choice(balls)
@@ -340,5 +340,5 @@ def _claim_holds_at_samples(f, w):
         def claim(y):
             return -fraction_valuation(y, p) >= w.min_image_exponent
     return all(
-        claim(f.eval(b.key)) for X in regions for b in decompose(X, X.base_level - 4)
+        claim(f.eval(b.key)) for X in regions for b in level_balls(X, X.base_level - 4)
     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 from test_kernel import PRIMES, children, cycle_balls, domains, edge_map, one_lipschitz_instances
 from test_polynomials import (
     as_ints,
@@ -23,7 +24,6 @@ from padicdyn import (
     Ball,
     CompactDomain,
     cycle_decomposition,
-    decompose,
     normalize_map,
     parse_domain,
     parse_map,
@@ -175,7 +175,7 @@ class TestThreeAdicPuncturedMap:
         y2 = [comps[k] for k in (0, 3, 6)]
         assert all(c.verdict == "MeasurePreserving" for c in y2)
         merged = CompactDomain.from_balls([b for c in y2 for b in c.cycle])
-        assert merged.base_level == -1 and [b.key for b in decompose(merged, -1)] == [Fraction(0)]
+        assert merged.base_level == -1 and [b.key for b in level_balls(merged, -1)] == [Fraction(0)]
 
     def test_restriction_to_bad_ball_not_preserving(self):
         f, _ = p3_punctured_instance()
@@ -340,7 +340,7 @@ def _s_exponent(f, a, b):
 def test_s_exponent_matches_brute_force():
     rng = random.Random(99)
     f, X = p3_punctured_instance()
-    for v in decompose(X, -2):
+    for v in level_balls(X, -2):
         a = v.key
         image = f.eval(a)
         b = Fraction(image.numerator * pow(image.denominator, -1, 81) % 81)
@@ -439,7 +439,7 @@ def test_edges_match_residue_oracle_p2_and_rescaled(p, map_text, domain_text, de
     for t in range(top, top - depth, -1):
         G = A.digraph(t)
         assert G.height == X.height_exponent()
-        assert G.keys == tuple(b.key for b in decompose(X, t))
+        assert G.keys == tuple(b.key for b in level_balls(X, t))
         lib = {G.residues[i]: G.residues[j] for i, j in enumerate(G.succ)}
         assert lib == _residue_oracle(f, X, t)
 
@@ -554,7 +554,7 @@ def invariant_maps(draw):
     smaller norms, so both verdicts occur on the refinement route."""
     p = draw(PRIMES)
     X = draw(st.one_of(domains(p, ("beyond",)), domains(p, ("zp", "ball", "punctured"))))
-    M, c = X.height_exponent(), decompose(X, X.base_level)[0].key
+    M, c = X.height_exponent(), level_balls(X, X.base_level)[0].key
     lam = draw(st.sampled_from([1, -1, 1 + p, p, p * p]))
     if draw(st.booleans()):
         s = draw(st.integers(1, 9))
@@ -784,7 +784,7 @@ def derivative_root_maps(draw):
     on B(0, M), which permutes the residues mod p and collides mod p^2."""
     p = draw(PRIMES)
     X = draw(st.one_of(domains(p, ("beyond",)), domains(p, ("zp", "ball", "punctured"))))
-    M, c = X.height_exponent(), decompose(X, X.base_level)[0].key
+    M, c = X.height_exponent(), level_balls(X, X.base_level)[0].key
     d = draw(st.sampled_from([2, p]))
     lam = draw(st.sampled_from([0, p, p * p, 1]))
     s, k = draw(st.integers(0, 9)), draw(st.integers(-2, 2))

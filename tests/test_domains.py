@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import Ball, CompactDomain, decompose, fraction_valuation, parse_domain
+from padicdyn import Ball, CompactDomain, fraction_valuation, parse_domain
 from padicdyn.cli import main
-from padicdyn.config import AnalysisConfig
-from padicdyn.domains import decompose_residues
+from padicdyn.config import DEFAULT_CONFIG, AnalysisConfig
+from padicdyn.domains import decompose_residues, residue_ball
 from padicdyn.errors import (
     DecompositionTooLarge,
     EmptyDomain,
@@ -18,8 +18,14 @@ from padicdyn.errors import (
 )
 
 
+def level_balls(X, t, config=DEFAULT_CONFIG):
+    """X's level-t balls in key order: the Ball view of ``decompose_residues``."""
+    M, ys = decompose_residues(X, t, config)
+    return [residue_ball(y, t, M, X.prime) for y in ys]
+
+
 def base_keys(X):
-    return frozenset(b.key for b in decompose(X, X.base_level))
+    return frozenset(b.key for b in level_balls(X, X.base_level))
 
 
 def in_domain(x, X):
@@ -39,45 +45,45 @@ def punctured_z3():
 
 
 def test_decompose_two_unit_balls_level_minus_two():
-    keys = [b.key for b in decompose(two_unit_balls(), -2)]
+    keys = [b.key for b in level_balls(two_unit_balls(), -2)]
     assert keys == sorted(
         Fraction(k) for k in (2, 9, 16, 23, 30, 37, 44, 5, 12, 19, 26, 33, 40, 47)
     )
 
 
 def test_decompose_zp_level_minus_one():
-    keys = [b.key for b in decompose(CompactDomain.zp(3), -1)]
+    keys = [b.key for b in level_balls(CompactDomain.zp(3), -1)]
     assert keys == [Fraction(0), Fraction(1), Fraction(2)]
 
 
 def test_decompose_punctured_domain():
     X = punctured_z3()
     assert X.base_level == -2
-    assert [b.key for b in decompose(X, -2)] == [Fraction(k) for k in (0, 1, 2, 3, 6, 7, 8)]
+    assert [b.key for b in level_balls(X, -2)] == [Fraction(k) for k in (0, 1, 2, 3, 6, 7, 8)]
     assert X.measure == Fraction(7, 9)
 
 
 def test_level_too_coarse():
     with pytest.raises(LevelTooCoarse):
-        decompose(punctured_z3(), -1)
+        level_balls(punctured_z3(), -1)
 
 
 def test_representatives_z3_minus_three():
     # a ball's key is its representative
-    values = sorted(int(b.key) for b in decompose(CompactDomain.zp(3), -3))
+    values = sorted(int(b.key) for b in level_balls(CompactDomain.zp(3), -3))
     assert values == list(range(27))
 
 
 def test_representatives_nested():
     # a representative at level t is among the representatives at t-1
     X = two_unit_balls()
-    coarse = {b.key for b in decompose(X, -2)}
-    fine = {b.key for b in decompose(X, -3)}
+    coarse = {b.key for b in level_balls(X, -2)}
+    fine = {b.key for b in level_balls(X, -3)}
     assert coarse <= fine
 
 
 def test_single_ball_representative():
-    assert [b.key for b in decompose(CompactDomain.ball(2, -1, 7), -1)] == [Fraction(2)]
+    assert [b.key for b in level_balls(CompactDomain.ball(2, -1, 7), -1)] == [Fraction(2)]
 
 
 def test_locate_examples():
@@ -86,21 +92,21 @@ def test_locate_examples():
     assert in_domain(47, X) and Ball.containing(47, -2, 7).key == Fraction(47)
     assert not in_domain(3, X)
     # |3-2| = |3-5| = 1: both balls lie at distance exponent 0
-    assert [fraction_valuation(3 - b.key, 7) for b in decompose(X, X.base_level)] == [0, 0]
+    assert [fraction_valuation(3 - b.key, 7) for b in level_balls(X, X.base_level)] == [0, 0]
 
 
 def test_locate_representative_roundtrip():
     X = punctured_z3()
     for t in (-2, -3, -4):
-        for ball in decompose(X, t):
+        for ball in level_balls(X, t):
             assert in_domain(ball.key, X) and Ball.containing(ball.key, t, 3) == ball
 
 
 def test_refinement_structure():
     X = two_unit_balls()
     for t in (-2, -3):
-        coarse = decompose(X, t)
-        fine = decompose(X, t - 1)
+        coarse = level_balls(X, t)
+        fine = level_balls(X, t - 1)
         assert len(fine) == 7 * len(coarse)
         parents = {b.key for b in coarse}
         children_per_parent = {}
@@ -114,7 +120,7 @@ def test_refinement_structure():
 def test_measures_add_up():
     X = two_unit_balls()
     for t in (-1, -2, -3):
-        balls = decompose(X, t)
+        balls = level_balls(X, t)
         assert sum(b.measure for b in balls) == X.measure
         assert len(balls) == X.measure / Fraction(7) ** t
 
@@ -155,7 +161,7 @@ def test_difference_across_primes_is_refused():
 def test_ball_budget_guard():
     tight = AnalysisConfig(ball_cap=100)
     with pytest.raises(DecompositionTooLarge):
-        decompose(CompactDomain.zp(5), -4, tight)
+        decompose_residues(CompactDomain.zp(5), -4, tight)
 
 
 def test_sphere_decomposition():

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 from test_polynomials import as_ints, pmul, trimmed
 from test_scaling import scalar_exponent
 
@@ -12,7 +13,6 @@ from padicdyn import (
     Analysis,
     CompactDomain,
     certify_no_roots_qp,
-    decompose,
     degree_gate,
     fraction_valuation,
     global_check,
@@ -73,7 +73,7 @@ def test_compute_n_with_fractional_coefficient():
     # oracle for the norm conditions defining N: at |x| = p^N the numerator
     # and denominator of f' behave like their leading terms
     sphere = CompactDomain.sphere(n, 7)
-    for b in decompose(sphere, n - 1 - 2):
+    for b in level_balls(sphere, n - 1 - 2):
         x = b.key
         assert fraction_valuation(f.eval(x), 7) == fraction_valuation(x, 7)
         assert scalar_exponent(f, x) == 0
@@ -144,7 +144,7 @@ def test_invariant_sphere_witness():
     assert w.verified
     # direct check of sphere invariance at level -2 representatives
     sphere = CompactDomain.sphere(1, 7)
-    for b in decompose(sphere, -2):
+    for b in level_balls(sphere, -2):
         assert -fraction_valuation(f.eval(b.key), 7) == 1
 
 
@@ -155,7 +155,7 @@ def test_sphere_invariance_beyond_n():
         n = degree_gate(f).N_exponent
         for k in range(3):
             sphere = CompactDomain.sphere(n + k, p)
-            for b in decompose(sphere, n + k - 1 - 2):
+            for b in level_balls(sphere, n + k - 1 - 2):
                 assert -fraction_valuation(f.eval(b.key), p) == n + k
 
 
@@ -315,7 +315,7 @@ def _within(lo, hi, e):
 def _sampled_sweep(f, X, lo, hi, config):
     """The witness check before balls were settled: f at every ball centre
     WITNESS_DEPTH levels below X, in key order."""
-    samples = decompose(X, X.base_level - WITNESS_DEPTH, config)
+    samples = level_balls(X, X.base_level - WITNESS_DEPTH, config)
     return all(_within(lo, hi, -fraction_valuation(f.eval(b.key), f.prime)) for b in samples)
 
 
@@ -345,7 +345,7 @@ def _settling_cases(draw):
     q = trimmed(qc)
     if draw(st.booleans()):
         # a pole at one of the sample centres
-        keys = decompose(X, X.base_level - WITNESS_DEPTH)
+        keys = level_balls(X, X.base_level - WITNESS_DEPTH)
         root = keys[draw(st.integers(0, len(keys) - 1))].key
         q = pmul(q, [-root, 1])
     f = normalize_map(pc, q, p)

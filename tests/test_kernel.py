@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 from test_polynomials import pmul
 
 from padicdyn import (
@@ -25,7 +26,6 @@ from padicdyn import (
     canonical_key,
     classify,
     cli,
-    decompose,
     normalize_map,
     parse_map,
 )
@@ -77,7 +77,7 @@ def cycle_balls(G, dec):
 def oracle(f, X, t):
     """(keys, edges, escaping) by exact evaluation; raises PoleInDomain at
     the first key where the denominator vanishes."""
-    balls = decompose(X, t)
+    balls = level_balls(X, t)
     edges, escaping = {}, []
     for b in balls:
         image = f.eval(b.key)
@@ -498,19 +498,29 @@ def outcome(scan, A, depth):
         return type(exc), str(exc)
 
 
-def counted_images(calls):
-    """``_direct_image`` whose images each add 1 to calls[0]."""
+def counted_expansions(calls):
+    """``_expansion`` whose evaluations each add 1 to calls[0]."""
 
-    def direct_image(form, K):
-        image = _direct_image(form, K)
+    def expansion(form, K):
+        expand = _expansion(form, K)
 
-        def counted(y):
+        def counted(a):
             calls[0] += 1
-            return image(y)
+            return expand(a)
 
         return counted
 
-    return direct_image
+    return expansion
+
+
+def counted_builds(builds):
+    """``build_digraph`` that adds 1 to builds[0] on each call."""
+
+    def build(*args):
+        builds[0] += 1
+        return build_digraph(*args)
+
+    return build
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -563,11 +573,13 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
         if data.draw(st.integers(1, 10), label="above") == 10:
             depth = top + 1
         want = outcome(per_level_ergodic, A, depth)
-        calls = [0]
-        with mock.patch.object(digraph, "_direct_image", counted_images(calls)):
+        calls, builds = [0], [0]
+        with mock.patch.object(digraph, "_expansion", counted_expansions(calls)), \
+                mock.patch.object(digraph, "build_digraph", counted_builds(builds)):
             got = outcome(Analysis.ergodic, A, depth)
+        assert not A._digraphs  # the scan keeps no level it reads once
         passed = isinstance(got, ErgodicVerdict) and got.kind == SINGLE_CYCLE_TO_DEPTH
-        if passed and calls[0] < X.count(depth) and not A._digraphs:
+        if passed and calls[0] < X.count(depth) and not builds[0]:
             # cycle lifting certified levels that the walk did not reach,
             # and no level digraph was built
             event("lifting certificate")
@@ -596,8 +608,9 @@ def test_ergodic_scan_matches_per_level_cycle_decompositions():
 def test_lifting_certifies_deep_scans_from_p_squared_images(p, monkeypatch):
     # x + 1 cycles Z / p^k for every k; the scan to level -40 stops after
     # one orbit of the p^2 level -2 balls instead of walking p^40 balls
-    calls = [0]
-    monkeypatch.setattr(digraph, "_direct_image", counted_images(calls))
+    calls, builds = [0], [0]
+    monkeypatch.setattr(digraph, "_expansion", counted_expansions(calls))
+    monkeypatch.setattr(digraph, "build_digraph", counted_builds(builds))
     A = Analysis(parse_map("x+1", p), CompactDomain.zp(p))
     assert A.ergodic(-40) == ErgodicVerdict(kind=SINGLE_CYCLE_TO_DEPTH, depth=-40)
-    assert 0 < calls[0] <= p * p
+    assert 0 < calls[0] <= p * p and builds[0] == 0

@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 from test_polynomials import padd, pderiv, pmul, pscale, trimmed
 
-from padicdyn import QP_GLOBAL, decompose, normalize_map, parse_domain, parse_map
+from padicdyn import QP_GLOBAL, normalize_map, parse_domain, parse_map
 from padicdyn.errors import EmptyDomain, PadicDynError, ParseError, ZeroDenominator
 from padicdyn.maps import RationalMap
 from padicdyn.padics import fraction_valuation
@@ -113,7 +114,7 @@ def test_domain_parser_total(text):
 
 
 def base_keys(X):
-    return frozenset(b.key for b in decompose(X, X.base_level))
+    return frozenset(b.key for b in level_balls(X, X.base_level))
 
 
 def test_domain_two_balls():

@@ -4,12 +4,12 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 
 from padicdyn import (
     INF,
     NEG_INF,
     CompactDomain,
-    decompose,
     fraction_valuation,
     normalize_map,
     parse_domain,
@@ -219,7 +219,7 @@ def _probe_cases(draw):
         X = CompactDomain.sphere(draw(st.integers(-2, 2)), p)
     else:
         X = parse_domain(kind, p)
-    balls = decompose(X, X.base_level - draw(st.integers(0, 2)))
+    balls = level_balls(X, X.base_level - draw(st.integers(0, 2)))
     ball = balls[draw(st.integers(0, len(balls) - 1))]
     shape = draw(st.sampled_from(["zero", "constant", "random", "repeated root"]))
     if shape == "zero":

@@ -4,13 +4,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_domains import level_balls
 
 import padicdyn.scaling
 from padicdyn import (
     Analysis,
     CompactDomain,
     classify,
-    decompose,
     fraction_valuation,
     lower_bound_bF,
     parse_domain,
@@ -66,7 +66,7 @@ def test_lower_bound_is_sound_exhaustively():
     for p, F, X in cases:
         b = lower_bound_bF(F, X)
         depth = min(b - 2, X.base_level - 2)
-        for ball in decompose(X, depth):
+        for ball in level_balls(X, depth):
             assert fraction_valuation(poly_eval(F, ball.key), p) <= -b
 
 
@@ -151,7 +151,7 @@ def test_classify_examples(p, map_text, domain_text, expected):
 def test_scaled_map_has_uniform_contraction_profile():
     f, X = parse_map("3x", 3), CompactDomain.zp(3)
     report = classify(f, X)
-    balls = decompose(X, report.radius_exponent)
+    balls = level_balls(X, report.radius_exponent)
     assert {scalar_exponent(f, b.key) for b in balls} == {-1}
     assert report.scalar_profile == {-1: len(balls)}
 
@@ -220,7 +220,7 @@ def test_scaling_identity_on_radius_balls(p, map_text, domain_text):
     report = classify(f, X)
     assert report.derivative_root_free
     rng = random.Random(1234 + p)
-    balls = decompose(X, report.radius_exponent)
+    balls = level_balls(X, report.radius_exponent)
     pairs_per_ball = 1000 // len(balls) + 1
     checked = 0
     exponents = Counter()
@@ -247,7 +247,7 @@ def test_profile_constant_per_ball():
     report = classify(f, X)
     assert report.derivative_root_free
     exponents = Counter()
-    for ball in decompose(X, report.radius_exponent):
+    for ball in level_balls(X, report.radius_exponent):
         e = scalar_exponent(f, ball.key)
         exponents[e] += 1
         for sub in ball.subdivide(ball.level - 2):

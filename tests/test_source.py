@@ -2,14 +2,14 @@
 
 Certificates are checked by real code, so the library holds no ``assert``
 statement (``python -O`` strips them).  Every import is used, and every
-private function is called from somewhere other than its own body.  f's integer form on a ball
-is built in one place: only ``RationalMap.rescaled`` and the descent
-``lower_bound_bF`` rescale coefficients, and only the level digraph's
-successors read the first-order expansion (``_expansion``).  Only ``domains.py``
-reads a domain's maximal balls; every other module counts and lists its
-level-t balls through ``count`` and ``decompose_residues``, and starts a
-walk from ``start_residues``.  Every raised
-exception is typed: a ``PadicDynError`` subclass, ``ValueError``, or the
+private function is called from somewhere other than its own body.  f's
+integer form on a ball is built in one place: only ``RationalMap.rescaled``
+and the descent ``lower_bound_bF`` rescale coefficients, and only the level
+digraph's successors and cycle lifting read the first-order expansion
+(``_expansion``).  Only ``domains.py`` reads a domain's maximal balls; every
+other module counts and lists its level-t balls through ``count`` and
+``decompose_residues``, and starts a walk from ``start_residues``.  Every
+raised exception is typed: a ``PadicDynError`` subclass, ``ValueError``, or the
 ``AttributeError`` of the package's ``__getattr__``.
 """
 
@@ -144,9 +144,9 @@ def test_only_the_form_and_the_descent_rescale_coefficients():
     assert _callers(trees, "_rescaled_coefficients") == {"rescaled", "lower_bound_bF"}
 
 
-def test_only_the_digraph_reads_the_expansion():
+def test_only_the_successors_and_cycle_lifting_read_the_expansion():
     trees = [_tree(p) for p in SOURCES]
-    assert _callers(trees, "_expansion") == {"_successors"}
+    assert _callers(trees, "_expansion") == {"_successors", "_lifts"}
 
 
 def test_the_rescaling_check_sees_each_caller():

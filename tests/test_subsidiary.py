@@ -12,6 +12,11 @@ The second oracle finds the intrinsic level as it was first defined: for
 each candidate level from the top, the subsidiary data of every edge of the
 candidate and of the margin levels below it.  ``Analysis.intrinsic_level``
 must give the same level or the same error, and ``mp`` the same verdict.
+
+The third check holds each ball that the search settles beyond Z_p to
+``_settle``'s contract, edge by edge on its keys a few levels down: s bounds
+every edge's s where the ball's bounds keep the level, and no edge's s is
+below it at the levels down to ``exact_to``.
 """
 
 from fractions import Fraction
@@ -19,12 +24,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 from test_kernel import PRIMES, domains, one_lipschitz_instances, shift_instances
 from test_polynomials import padd, pderiv, pmul, pscale, ptaylor, trimmed
 
-from padicdyn import Analysis, CompactDomain, decompose, digraph, parse_domain, parse_map
+from padicdyn import Analysis, Ball, CompactDomain, digraph, parse_domain, parse_map
 from padicdyn.config import AnalysisConfig
-from padicdyn.digraph import SubsidiaryEdgeData, subsidiary_edge_data
+from padicdyn.digraph import (
+    SubsidiaryEdgeData,
+    _direct_image,
+    _edge_data,
+    subsidiary_edge_data,
+)
 from padicdyn.errors import (
     ConstantTermNotIntegral,
     DecompositionTooLarge,
@@ -97,16 +108,16 @@ def _horner(coeffs, u):
 
 
 @st.composite
-def _cases(draw):
-    """A map and a domain from ``test_kernel.domains``, half of them beyond
-    Z_p.  The map has integer coefficients (constant maps and constant
-    denominators included) or coefficients of valuation -1 to 1; or it is
-    x + p^k A(x) / Q(x) with deg A <= deg Q, which moves points little (it
-    reaches ConstantTermNotIntegral where |Q| > 1); or it is a map g of Z_p
-    carried onto the domain's ball, f(x) = c + g(u) / p^R with
-    u = p^R (x - c)."""
+def _cases(draw, kinds=("zp", "ball", "punctured", "beyond", "beyond", "beyond")):
+    """A map and a domain of ``kinds`` from ``test_kernel.domains``, by
+    default half of them beyond Z_p.  The map has integer coefficients
+    (constant maps and constant denominators included) or coefficients of
+    valuation -1 to 1; or it is x + p^k A(x) / Q(x) with deg A <= deg Q,
+    which moves points little (it reaches ConstantTermNotIntegral where
+    |Q| > 1); or it is a map g of Z_p carried onto the domain's ball,
+    f(x) = c + g(u) / p^R with u = p^R (x - c)."""
     p = draw(PRIMES)
-    X = draw(domains(p, ("zp", "ball", "punctured", "beyond", "beyond", "beyond")))
+    X = draw(domains(p, kinds))
     kind = draw(st.sampled_from(["integer", "fractional", "near-identity", "carried"]))
     x = [0, 1]
     if kind in ("integer", "fractional"):
@@ -126,7 +137,7 @@ def _cases(draw):
         Q, k = trimmed(qc), draw(st.integers(0, 2))
         return normalize_map(padd(pmul(x, Q), pscale(ac, p**k)), Q, p), X
     M = X.height_exponent()
-    c = decompose(X, 0)[0].key if X.base_level == 0 and X.count(0) == 1 else Fraction(0)
+    c = level_balls(X, 0)[0].key if X.base_level == 0 and X.count(0) == 1 else Fraction(0)
     R = 0 if c.denominator > 1 else M
     gc = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
     hc = [draw(st.sampled_from([1, -1, 2, 3, p]))]
@@ -297,3 +308,102 @@ def test_intrinsic_level_matches_the_per_edge_search():
     assert {(False, "t0 below the top"), (True, "t0 below the top"),
             (False, DecompositionTooLarge), (True, DecompositionTooLarge),
             (True, DepthCapExceeded), (True, ConstantTermNotIntegral)} <= seen
+
+
+# s = 1 on the settled ball B(0, -2) from its W_2 term alone; the CLI prints
+# t0: -12 with the term and without it, so no golden case pins the term
+W2_MAP, W2_DOMAIN = "(-7-9x)/(-10-10x-5x^2)", "B(0,2)"
+
+
+def _settled_balls(A):
+    """(level, rescaled centre, settle's values) of every ball that the
+    intrinsic-level search settles, and its outcome."""
+    settled, settle = [], A._settle
+
+    def record(y, t):
+        values = settle(y, t)
+        if values is not None:
+            settled.append((t, y, values))
+        return values
+
+    A._settle = record
+    return settled, _result(lambda A: A.intrinsic_level, A)
+
+
+def _settled_edges(A, u, y, values, levels=3, max_keys=64):
+    """(t, edge data, the ball's bounds keep t, t <= exact_to) for each
+    level-t key of the level-u ball at y, at the first ``levels`` levels
+    t <= min(u, l) of at most ``max_keys`` keys each."""
+    p, M, l = A.f.prime, A.form.M, A.transport_level
+    s, vq, vqd, vt, exact_to = values
+    top = min(u, l)
+    for t in range(top, top - levels, -1):
+        if p ** (u - t) > max_keys:
+            return
+        image = _direct_image(A.form, M - t)
+        kept = _edge_data(s, vq, vqd, vt, l, t).passes
+        for key in range(y, p ** (M - t), p ** (M - u)):
+            datum = subsidiary_edge_data(A.form, key, image(key), t, l)
+            yield t, datum, kept, t <= exact_to
+
+
+def test_settled_balls_beyond_zp_bound_the_s_of_their_edges():
+    # Analysis._settle: s bounds the s of each edge that the bounds under s
+    # keep, and no edge's s is below s at the levels u <= exact_to
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.one_of(_cases(kinds=("beyond",)),
+                     _contractions().filter(lambda case: case[1].height_exponent())))
+    @example((parse_map(W2_MAP, 2), parse_domain(W2_DOMAIN, 2)))
+    def check(case):
+        f, X = case
+        try:
+            A = Analysis(f, X, AnalysisConfig(ball_cap=3000))
+            A.transport_level
+        except PadicDynError:
+            assume(False)
+        settled, result = _settled_balls(A)
+        seen.add(result[0] if isinstance(result, tuple) else "t0")
+        for u, y, values in settled:
+            s = values[0]
+            for t, datum, kept, exact in _settled_edges(A, u, y, values):
+                if kept:
+                    assert datum.passes and datum.s_exponent <= s, (u, y, t)
+                    seen.add("kept")
+                if exact:
+                    assert datum.s_exponent >= s, (u, y, t)
+                    seen.add("exact")
+                if kept and exact:
+                    seen.add("s > 0" if s else "s = 0")
+
+    check()
+    assert {"t0", "kept", "exact", "s > 0", "s = 0"} <= seen, seen
+
+
+def test_a_w2_term_sets_s_on_a_settled_ball():
+    # the level -2 ball B(0, -2) (rescaled centre y = 0, M = 2) settles with
+    # s = 1; at each of its level -5 keys a, with b the key of a's
+    # successor, the Q_a[i] and W_1 terms of the edge's s are at most 0 and
+    # its W_2 term is 1, and the edge is kept with s = 1
+    f = parse_map(W2_MAP, 2)
+    A = Analysis(f, parse_domain(W2_DOMAIN, 2))
+    assert (A.form.M, A.transport_level) == (2, -5)
+    values = A._settle(0, -2)
+    assert values is not None and values[0] == 1
+    edges = list(_settled_edges(A, -2, 0, values, levels=1))
+    assert len(edges) == 8
+    for t, datum, kept, exact in edges:
+        assert (t, kept, exact, datum.s_exponent, datum.passes) == (-5, True, True, 1, True)
+    G, ball = A.digraph(-5), Ball(-2, Fraction(0), 2)
+    sources = [i for i, a in enumerate(G.keys) if ball.contains(a)]
+    assert len(sources) == 8
+    for i in sources:
+        a, b = G.keys[i], G.keys[G.succ[i]]
+        Pa, Qa = ptaylor(f.P, a), ptaylor(f.Q, a)
+        Pa += [0] * (len(Qa) - len(Pa))
+        q_terms = [ceil_div(-int(fraction_valuation(c, 2)), k + 1) for k, c in enumerate(Qa) if c]
+        w1, w2 = (ceil_div(-int(fraction_valuation(Pa[k] - b * Qa[k], 2)), k) for k in (1, 2))
+        assert max(q_terms) <= 0 and w1 <= 0 and w2 == 1
+        assert _old_s_exponent(f, a, b) == 1

@@ -22,6 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_domains import level_balls
 from test_kernel import children
 from test_polynomials import (
     as_ints,
@@ -35,7 +36,7 @@ from test_polynomials import (
 
 from padicdyn import cli
 from padicdyn.config import AnalysisConfig
-from padicdyn.domains import Ball, CompactDomain, decompose
+from padicdyn.domains import Ball, CompactDomain
 from padicdyn.errors import (
     CertificateFailed,
     DecompositionTooLarge,
@@ -89,7 +90,7 @@ def _rescaled(F, X):
     G = pscale(shift_variable(F, p, -M), Fraction(p) ** (M * d))
     pm = Fraction(p) ** M
     Xs = CompactDomain.from_balls(
-        Ball(X.base_level - M, b.key * pm, p) for b in decompose(X, X.base_level)
+        Ball(X.base_level - M, b.key * pm, p) for b in level_balls(X, X.base_level)
     )
     return G, Xs, M * d
 
@@ -98,7 +99,7 @@ def _old_descend(F, X, config):
     p = X.prime
     t = min(X.base_level, -1)
     floor = t - config.descent_cap
-    work = decompose(X, t, config)
+    work = level_balls(X, t, config)
     while True:
         suspects = []
         for b in work:
@@ -163,7 +164,7 @@ def _old_certified_profile(f, X, config):
     start = min(X.base_level, -1)
     floor = start - CERTIFY_CAP
     exact, upper = {}, {}
-    work = list(decompose(X, start, config))
+    work = list(level_balls(X, start, config))
     # balls produced per level: the walker's budget
     produced = Counter()
 
@@ -232,7 +233,7 @@ def _old_root_free_report(f, X, b_q, b_t1, config):
     M = X.height_exponent()
     l = min(b_q - _q_height_factor(f, M), b_t1 - _two_variable_height_factor(f, M)) - 1
     profile = {}
-    for b in decompose(X, l, config):
+    for b in level_balls(X, l, config):
         ta = poly_eval(f.t1, b.key)
         if ta == 0:
             raise CertificateFailed(
@@ -331,6 +332,14 @@ def test_descent_agrees_with_the_descent_that_splits_every_suspect():
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_descent_cases())
+    # 28 + 28x on Z_3 - B(3, -2): the walk names B(2, -1), which holds the
+    # copy's ball around the root -1
+    @example(([28, 28], parse_domain("Zp - B(3,-2)", 3),
+              AnalysisConfig(descent_cap=5, ball_cap=20_000)))
+    # x^2 - 51x - 472 on Z_5 - B(20, -2): the walk and the copy name balls
+    # around different roots
+    @example(([-472, -51, 1], parse_domain("Zp - B(20,-2)", 5),
+              AnalysisConfig(descent_cap=2, ball_cap=20_000)))
     def check(case):
         want = _outcome(_old_lower_bound, *case)
         got = _outcome(lower_bound_bF, *case)
@@ -474,6 +483,14 @@ def test_profile_agrees_with_the_depth_first_profile():
     # 3,125 balls, over the budget of 400
     @example((normalize_map([0, 1], [1, 0, 2], 5), CompactDomain.ball(0, 2, 5),
               AnalysisConfig(ball_cap=BALL_CAP_B02)))
+    # the copy runs out of the budget of 400 on B(0, 2) at p = 5, and
+    # finishes with 20 times that
+    @example((normalize_map([-1, -1, 3], [7, -1, 3], 5), CompactDomain.ball(0, 2, 5),
+              AnalysisConfig(ball_cap=BALL_CAP_B02)))
+    # 3x + 2 on Z_3: the copy splits balls on which |Q| and |T1| are
+    # already constant
+    @example((normalize_map([2, 3], [1], 3), CompactDomain.zp(3),
+              AnalysisConfig(ball_cap=BALL_CAP)))
     def check(case):
         f, X, config = case
         if not f.t1:
