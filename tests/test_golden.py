@@ -277,6 +277,14 @@ CASES.update({
     # a pole certified on a domain of maximal balls at two levels
     "error-mixed-level-pole-classify": ["-p", "3", "--map", "1/(x^2-7)",
                                         "--domain", "B(1,-1)+B(2,-2)", "classify"],
+    # the denominator is even at half the keys: cycle lifting refuses, and
+    # every level is built with per-key images there (32 of the 64 edges
+    # of level -6)
+    "even-denominator-ergodic-p2": ["-p", "2", "--map", "(3+3x-5x^2-x^3)/(1+2x+3x^2)",
+                                    "--domain", "Zp", "ergodic", "--depth", "-12"],
+    "even-denominator-digraph-p2": ["-p", "2", "--map", "(3+3x-5x^2-x^3)/(1+2x+3x^2)",
+                                    "--domain", "Zp", "digraph", "--level", "-6",
+                                    "--json", "g.json"],
 })
 
 
