@@ -5,12 +5,13 @@ containing the image of its canonical representative (a single evaluation
 suffices because the map is locally 1-Lipschitz at and below the certified
 transport level).  Edges are computed on plain integers: after rescaling
 the domain into Z_p, a key is a residue y mod p^(M - t) and its image is
-num(y) den(y)^-1 on f's integer form (``RationalMap.rescaled``), read off
-a first-order expansion at an ancestor of the key, its residue mod p^K1
-for some K1 >= ceil((M - t) / 2), wherever den is a unit there.  The
-images of one such ancestor's descendants are one arithmetic progression
-of vertex indices, so a level costs one expansion per ancestor, not one
-evaluation per vertex.  A
+num(y) den(y)^-1 on f's integer form (``RationalMap.rescaled``).  One
+kernel evaluates num and den (``_expansion``): at an ancestor of the key,
+its residue mod p^K1 for some K1 >= ceil((M - t) / 2), it gives a
+first-order expansion wherever den is a unit there, and elsewhere the
+image of each key on its own.  The images of one such ancestor's
+descendants are one arithmetic progression of vertex indices, so a level
+costs one expansion per ancestor, not one evaluation per vertex.  A
 digraph stores sorted residues and one successor index per vertex; Balls
 are built on demand, and each distinct subsidiary datum is formatted once
 for output (``LevelDigraph.per_datum``).  Cycle structure decides measure
@@ -230,11 +231,13 @@ def _successors(
     c0 + k c1 p^K1 mod p^K (see ``_expansion``, which holds for any
     K1 >= ceil(K / 2)).  They agree mod the step, so they lie in X together,
     at the vertices (j + k c1 n_a) mod n with j the vertex of c0: one
-    progression per ancestor fills succ[i::n_a].  The descendants of the
-    other ancestors are evaluated one by one, in vertex order.  Raises
-    PoleInDomain at the first key where Q vanishes and NotForwardInvariant
-    with the number of balls whose image leaves X and the first of them,
-    its image from ``f.eval``.
+    progression per ancestor fills succ[i::n_a].  Where den(a) is not a
+    unit, neither is den at a's descendants, and ``_expansion`` gives the
+    image of each of them on its own, in vertex order.  Raises PoleInDomain
+    at the first key where Q vanishes (the ancestors are the vertices below
+    n_a, so a pole among them comes first) and NotForwardInvariant with the
+    number of balls whose image leaves X and the first of them, its image
+    from ``f.eval``.
     """
     form, p, K = f.rescaled(M), f.prime, M - t
     n, nb = len(residues), X.count(X.base_level)
@@ -250,17 +253,16 @@ def _successors(
     succ: list[int | None] = [None] * n
     for i in range(n_a):
         e = expand(residues[i])
-        if not e:
-            rest.extend(range(i, n, n_a))
-            continue
         j = vertex(e[0])
-        if j is not None:
+        if len(e) == 1:
+            succ[i] = j
+            rest.extend(range(i + n_a, n, n_a))
+        elif j is not None:
             # n / n_a descendants, c1 n_a apart mod n (n apart for c1 = 0)
             d = e[1] * n_a or n
             succ[i::n_a] = [x % n for x in range(j, j + d * (n // n_a), d)]
-    image = _direct_image(form, K)
     for i in sorted(rest):
-        succ[i] = vertex(image(residues[i]))
+        succ[i] = vertex(expand(residues[i])[0])
     if None in succ:
         b = residue_ball(residues[succ.index(None)], t, M, f.prime)
         first = (b, f.eval(b.key))
@@ -273,57 +275,45 @@ def _successors(
     return succ
 
 
-def _direct_image(form: RescaledMap, K: int) -> Callable[[int], int | None]:
-    """The map from a rescaled key y to the rescaled key of its image,
-    g(y) = p^M f(y / p^M) = num(y) / den(y) mod p^K on f's integer form
-    ``form`` on B(0, M), by one evaluation of num and den; None where that
-    image is not integral (it leaves B(0, M)).  The returned function
-    raises PoleInDomain at a key where Q vanishes, that is where den does.
-    It serves ``_successors`` where ``_expansion`` refuses a key, and the
-    intrinsic-level search.
-    """
-    p, num, den = form.prime, form.num, form.den
-    mod = p**K
+def _expansion(form: RescaledMap, K: int) -> Callable[[int], tuple[int | None, ...]]:
+    """The map from a key a to the image of a under the rescaled map g(y) =
+    p^M f(y / p^M) = num(y) / den(y) on f's integer form ``form`` on
+    B(0, M), mod p^K.
 
-    def direct(y: int) -> int | None:
-        q = _evaluate(den, y)
-        if q % p:
-            return _evaluate(num, y) * pow(q, -1, mod) % mod
-        if q == 0:
-            raise PoleInDomain(f"denominator vanishes at {Fraction(y, p**form.M)}")
-        # with q = p^k * unit, the image num(y) / q is integral exactly
-        # when p^k divides num(y)
-        pk = p ** int_valuation(q, p)
-        n, rest = divmod(_evaluate(num, y), pk)
-        return None if rest else n * pow(q // pk, -1, mod) % mod
-
-    return direct
-
-
-def _expansion(form: RescaledMap, K: int) -> Callable[[int], tuple[int, ...]]:
-    """The map from an ancestor a to (c0, c1) with g(y) = c0 + c1 (y - a)
+    Where den(a) is a unit it returns (c0, c1) with g(y) = c0 + c1 (y - a)
     mod p^K for every y = a mod p^K1, K1 = ceil(K / 2), c0 in [0, p^K) and
-    c1 in [0, p^(K - K1)); () where den(a) is not a unit.
-
-    Where den(a) is a unit, so is den(a + h) = den(a) (1 + sum_i (Qh_i /
-    den(a)) h^i) for h in p Z_p, with Qh_i the integer Taylor coefficients
-    of den at a; its inverse is the geometric series in those integral
-    terms, so g(a + h) = sum_i c_i h^i with every c_i in Z_p.  Since
-    v(y - a) >= K1 and 2 K1 >= K, the terms of degree 2 and up vanish
+    c1 in [0, p^(K - K1)).  den(a + h) = den(a) (1 + sum_i (Qh_i / den(a))
+    h^i) for h in p Z_p, with Qh_i the integer Taylor coefficients of den
+    at a, is a unit too; its inverse is the geometric series in those
+    integral terms, so g(a + h) = sum_i c_i h^i with every c_i in Z_p.
+    Since v(y - a) >= K1 and 2 K1 >= K, the terms of degree 2 and up vanish
     mod p^K, and c0 = g(a) and c1 = g'(a) = t1(a) / den(a)^2; c1 matters
-    only mod p^(K - K1).  ``_successors`` reads one progression per
-    ancestor from it, and ``_lifts`` one orbit step (y = a, K >= 4, so c1
-    is g'(a) mod p^2).
+    only mod p^(K - K1).
+
+    Where den(a) = p^k u with k >= 1 and u a unit it returns (c0,), the
+    image of a alone: g(a) = num(a) / p^k / u is integral exactly when p^k
+    divides num(a), and c0 is g(a) mod p^K then and None otherwise (the
+    image leaves B(0, M)).  Where den(a) = 0, that is where Q vanishes, it
+    raises PoleInDomain.
+
+    ``_successors`` reads one progression per ancestor from it and the
+    image of each other key, the intrinsic-level search the image of each
+    key it computes on its own, and ``_lifts`` one orbit step (K >= 4, so
+    c1 is g'(a) mod p^2).
     """
     p, num, den, t1 = form.prime, form.num, form.den, form.t1
     mod, slope_mod = p**K, p ** (K - (K + 1) // 2)
 
-    def expand(a: int) -> tuple[int, ...]:
+    def expand(a: int) -> tuple[int | None, ...]:
         q = _evaluate(den, a)
-        if q % p == 0:
-            return ()
-        inv = pow(q, -1, mod)
-        return _evaluate(num, a) * inv % mod, _evaluate(t1, a) * inv * inv % slope_mod
+        if q % p:
+            inv = pow(q, -1, mod)
+            return _evaluate(num, a) * inv % mod, _evaluate(t1, a) * inv * inv % slope_mod
+        if q == 0:
+            raise PoleInDomain(f"denominator vanishes at {Fraction(a, p**form.M)}")
+        pk = p ** int_valuation(q, p)
+        n, rest = divmod(_evaluate(num, a), pk)
+        return (None if rest else n * pow(q // pk, -1, mod) % mod,)
 
     return expand
 
@@ -609,9 +599,10 @@ class Analysis:
         constant on the ball, each finite W_i term lies strictly below its
         Q_a[i] term (so it is the valuation), and u <= v(Q(a)) rules out
         ConstantTermNotIntegral.  Otherwise the ball's edges at u are
-        computed one by one.  All the edges computed at a level are computed
-        in vertex order before the level is judged, so the first error is
-        the one ``subsidiary`` meets first.
+        computed one by one, each from the image that ``_expansion`` gives
+        at its key, as the level digraph reads it.  All the edges computed
+        at a level are computed in vertex order before the level is judged,
+        so the first error is the one ``subsidiary`` meets first.
         """
         level = self.transport_level
         if not self.report.derivative_root_free:
@@ -650,9 +641,9 @@ class Analysis:
                     else:
                         keys.extend(range(y, p ** (M - t), p ** (M - u)))
                 settled = still_open
-                image = _direct_image(self.form, M - t)
+                expand = _expansion(self.form, M - t)
                 data = [
-                    subsidiary_edge_data(self.form, y, image(y), t, level)
+                    subsidiary_edge_data(self.form, y, expand(y)[0], t, level)
                     for y in sorted(keys)
                 ]
                 if kept and all(e.passes for e in data):
@@ -770,8 +761,11 @@ class Analysis:
 
         Each step reads (g(z), g'(z)) off ``_expansion`` at z, mod p^K with
         K = max(K0 + 1, 4), so g'(z) is known mod p^2; it returns False at a
-        key where den is not a unit.  Level t0 is one cycle exactly when the
-        orbit stays in X and first returns to y0's level-t0 ball at step n0.
+        key where den is not a unit, where ``_expansion`` gives g(z) alone.
+        No step meets a pole: ``classify`` refuses a domain that holds a
+        root of Q before an Analysis exists.  Level t0 is one cycle exactly
+        when the orbit stays in X and first returns to y0's level-t0 ball
+        at step n0.
         At and below the transport level, the parent of a ball's image is the
         successor of the ball's parent, so each coarser level down to t0 is a
         quotient of level t0, and a quotient of one cycle is one cycle: a
@@ -800,7 +794,7 @@ class Analysis:
         a, z = 1, y0
         for i in range(1, n0 + 1):
             e = expand(z)
-            if not e:
+            if len(e) == 1:
                 return False
             a, z = a * e[1] % (p * p), e[0]
             if z % step not in bases or (z % mod == y0) != (i == n0):

@@ -3,9 +3,11 @@
 The oracle evaluates f at every ball's key in exact fractions and takes the
 canonical key of the image, as the digraph was first defined; the kernel
 must give the same vertices, the same edges and the same errors.  The
-first-order expansion behind each image is checked against per-key Horner
-evaluation at every residue.  The ergodic scan, cycle lifting included,
-is checked against the cycle decomposition of every level digraph.
+one image kernel, ``_expansion``, is checked against per-key Horner
+evaluation at every residue: its first-order expansion where den is a
+unit, and its image of each key, or its pole, elsewhere.  The ergodic
+scan, cycle lifting included, is checked against the cycle decomposition
+of every level digraph.
 """
 
 from fractions import Fraction
@@ -34,7 +36,6 @@ from padicdyn.digraph import (
     NOT_ERGODIC,
     SINGLE_CYCLE_TO_DEPTH,
     ErgodicVerdict,
-    _direct_image,
     _expansion,
     _successors,
     build_digraph,
@@ -331,22 +332,24 @@ def test_expansion_matches_per_key_evaluation():
         # p^M P^ and Q^
         e = min(int_valuation(c, p) for c in num + den if c)
         form, old = f.rescaled(M), per_key_image(f, M, K)
-        expand, direct = _expansion(form, K), _direct_image(form, K)
+        expand = _expansion(form, K)
         for y in range(p**K):
             want = _outcome(old, y)
-            assert _outcome(direct, y) == want
-            # the expansion at y's ancestor a, read at y
+            got = _outcome(expand, y)
+            # y's ancestor a; den is a unit at y exactly when it is at a
             a = y % p**K1
-            expansion = expand(a)
             if sum(c * a**i for i, c in enumerate(den)) // p**e % p:
-                c0, c1 = expansion
+                # the expansion at a, read at y
+                c0, c1 = expand(a)
                 assert 0 <= c0 < p**K and 0 <= c1 < p ** (K - K1)
                 assert (c0 + c1 * (y - a)) % p**K == want
+                assert len(got) == 2 and got[0] == want
                 seen.add("expansion, K1 = K" if K1 == K else "expansion")
                 if M and f.n == 0:
                     seen.add("expansion, constant denominator, M >= 1")
             else:
-                assert expansion == ()
+                # y's image alone: (c0,), (None,) or the pole's error
+                assert got == (want if isinstance(want, tuple) else (want,))
                 seen.add("per key, Q^(a) not a unit")
             seen.add(want[0] if isinstance(want, tuple) else "image" if want is not None
                      else "not integral")

@@ -4,9 +4,11 @@ Certificates are checked by real code, so the library holds no ``assert``
 statement (``python -O`` strips them).  Every import is used, and every
 private function is called from somewhere other than its own body.  f's
 integer form on a ball is built in one place: only ``RationalMap.rescaled``
-and the descent ``lower_bound_bF`` rescale coefficients, and only the level
-digraph's successors and cycle lifting read the first-order expansion
-(``_expansion``).  Only ``domains.py`` reads a domain's maximal balls; every
+and the descent ``lower_bound_bF`` rescale coefficients.  The level digraph
+evaluates num and den in one kernel, ``_expansion``: the successors, the
+intrinsic-level search and cycle lifting read every image off it, and
+nothing else in ``digraph.py`` evaluates a polynomial at a point
+(``_evaluate``).  Only ``domains.py`` reads a domain's maximal balls; every
 other module counts and lists its level-t balls through ``count`` and
 ``decompose_residues``, and starts a walk from ``start_residues``.  Every
 raised exception is typed: a ``PadicDynError`` subclass, ``ValueError``, or the
@@ -144,9 +146,25 @@ def test_only_the_form_and_the_descent_rescale_coefficients():
     assert _callers(trees, "_rescaled_coefficients") == {"rescaled", "lower_bound_bF"}
 
 
-def test_only_the_successors_and_cycle_lifting_read_the_expansion():
+def test_every_image_is_read_off_the_expansion():
     trees = [_tree(p) for p in SOURCES]
-    assert _callers(trees, "_expansion") == {"_successors", "_lifts"}
+    assert _callers(trees, "_expansion") == {"_successors", "_lifts", "intrinsic_level"}
+    digraph = [_tree(p) for p in SOURCES if p.name == "digraph.py"]
+    # the closure that _expansion returns
+    assert _callers(digraph, "_evaluate") == {"expand"}
+
+
+def test_the_evaluation_check_sees_a_second_evaluator():
+    tree = ast.parse(
+        "def _expansion(form, K):\n"
+        "    def expand(a):\n        return _evaluate(form.den, a)\n"
+        "    return expand\n"
+        "class Analysis:\n"
+        "    def intrinsic_level(self):\n"
+        "        image = lambda y: _evaluate(self.form.num, y)\n"
+        "        return [image(y) for y in range(3)]\n"
+    )
+    assert _callers([tree], "_evaluate") == {"expand", "intrinsic_level"}
 
 
 def test_the_rescaling_check_sees_each_caller():

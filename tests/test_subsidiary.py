@@ -32,8 +32,8 @@ from padicdyn import Analysis, Ball, CompactDomain, digraph, parse_domain, parse
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import (
     SubsidiaryEdgeData,
-    _direct_image,
     _edge_data,
+    _expansion,
     subsidiary_edge_data,
 )
 from padicdyn.errors import (
@@ -340,10 +340,10 @@ def _settled_edges(A, u, y, values, levels=3, max_keys=64):
     for t in range(top, top - levels, -1):
         if p ** (u - t) > max_keys:
             return
-        image = _direct_image(A.form, M - t)
+        expand = _expansion(A.form, M - t)
         kept = _edge_data(s, vq, vqd, vt, l, t).passes
         for key in range(y, p ** (M - t), p ** (M - u)):
-            datum = subsidiary_edge_data(A.form, key, image(key), t, l)
+            datum = subsidiary_edge_data(A.form, key, expand(key)[0], t, l)
             yield t, datum, kept, t <= exact_to
 
 
