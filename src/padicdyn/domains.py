@@ -6,7 +6,8 @@ exponents below -t.  A compact open domain is held as its maximal balls:
 disjoint, none inside another, and no complete set of p siblings (those are
 merged into their parent).  This form is unique, which makes equality
 immediate; measure and ball counts are sums over the few maximal balls, and
-a difference splits a ball only along the path down to each removed ball.
+a difference splits a ball, on integer residues, only along the path down
+to each removed ball, once it has checked that the pieces fit ``ball_cap``.
 The domain's base level is its finest maximal level, and its level-t balls
 for t at or below it come from ``decompose_residues``.  A ball's key doubles
 as its representative point, so representatives are nested across levels
@@ -136,27 +137,47 @@ class CompactDomain:
         return CompactDomain.from_balls(self.balls + other.balls)
 
     def difference(self, other: "CompactDomain") -> "CompactDomain":
-        if self.prime != other.prime:
+        """self minus other, split on the integer residues of
+        ``decompose_residues``: for the larger height M, the level-t ball
+        keyed y / p^M is the residue y mod p^(M - t), and its children at
+        level t - 1 add multiples of p^(M - t) to y."""
+        p = self.prime
+        if p != other.prime:
             raise PrimeMismatch("domains over different primes")
-        left, balls = [], list(self.balls)
-        while balls:
-            a = balls.pop()
-            if any(r.level >= a.level and r.contains(a.key) for r in other.balls):
+        M = max(self.height_exponent(), other.height_exponent())
+        scale = p**M
+        removed = [(r.level, p ** (M - r.level), _rescaled_key(r, scale)) for r in other.balls]
+        work = [(b.level, p ** (M - b.level), _rescaled_key(b, scale)) for b in self.balls]
+        # the pieces, counted before any is formed: a ball with balls of
+        # other inside it leaves p - 1 a level on the path down to each (or
+        # fewer, where two paths share a level), and any other ball one or none
+        DEFAULT_CONFIG.check_ball_budget(sum(
+            sum((p - 1) * (t - s) for s, _, z in removed if s < t and z % m == y) or 1
+            for t, m, y in work), "difference", min(s for s, _, _ in removed))
+        left = []
+        while work:
+            t, m, y = work.pop()
+            if any(s >= t and y % n == z for s, n, z in removed):
                 continue
-            # a ball of other inside a: split a only along the path down to it
-            if any(a.contains(r.key) for r in other.balls):
-                balls += a.subdivide(a.level - 1)
+            # a ball of other inside this one: split only along the path down to it
+            if any(z % m == y for _, _, z in removed):
+                work += [(t - 1, m * p, y + j * m) for j in range(p)]
             else:
-                left.append(a)
+                left.append((y, t))
         if not left:
             raise EmptyDomain("difference removed every ball")
         # maximal already: the parent of a piece holds a ball of other or lies outside self
-        return CompactDomain(self.prime, tuple(sorted(left, key=lambda b: b.key)))
+        return CompactDomain(p, tuple(Ball(t, Fraction(y, scale), p) for y, t in sorted(left)))
 
     def __str__(self):
         parts = " + ".join(str(b) for b in self.balls[:6])
         extra = "" if len(self.balls) <= 6 else f" + ... ({len(self.balls)} balls)"
         return parts + extra
+
+
+def _rescaled_key(b: Ball, scale: int) -> int:
+    """The integer p^M key of a ball inside B(0, M), for scale = p^M."""
+    return b.key.numerator * (scale // b.key.denominator)
 
 
 def residue_ball(y: int, t: int, M: int, p: int) -> Ball:
@@ -195,7 +216,7 @@ def start_residues(
         # b's rescaled key lies in [0, p^(M - b.level)), as p^M clears its
         # denominator (X lies in the ball of radius p^M), and its level-s
         # keys add multiples of p^(M - b.level) to it
-        y = b.key.numerator * (scale // b.key.denominator)
+        y = _rescaled_key(b, scale)
         levels.setdefault(s, []).extend(range(y, p ** (M - s), p ** (M - b.level)))
     # a finer level holds one residue per ball, in the balls' key order
     levels[t].sort()

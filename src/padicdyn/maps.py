@@ -111,14 +111,15 @@ def normalize_map(
     Q = _trimmed([c.numerator * (den // c.denominator) for c in Q_raw])
     if not Q:
         raise ZeroDenominator("rational map with zero denominator polynomial")
-    if P:
+    if P and len(Q) > 1:  # the gcd with a constant Q is a constant
         g = _int_gcd(P, Q)
         if len(g) > 1:
             P = _int_divexact(P, g)
             Q = _int_divexact(Q, g)
     c = _int_content(P + Q)
-    P = [a // c for a in P]
-    Q = [b // c for b in Q]
+    if c > 1:
+        P = [a // c for a in P]
+        Q = [b // c for b in Q]
     alpha_p = int_valuation(P[-1], p) if P else 0
     t1 = _int_add(_int_mul(_int_derivative(P), Q), _int_mul(P, _int_derivative(Q)), -1)
     return RationalMap(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import InvalidPrime
@@ -26,8 +27,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=64)
 def require_prime(p: int) -> None:
-    """Raise InvalidPrime unless p is a prime below the exact-test limit."""
+    """Raise InvalidPrime unless p is a prime below the exact-test limit.
+    Each prime is tested once, and then remembered while it is among the 64
+    latest ones checked; a refusal raises, so the memo never stores one."""
     if p >= _MR_LIMIT:
         raise InvalidPrime(f"p = {p} is beyond the exact primality test (limit {_MR_LIMIT})")
     if p < 2 or any(p % q == 0 for q in _MR_BASES if q < p):

@@ -8,8 +8,9 @@ work, and a zero denominator anywhere is rejected.  The raw quotient is the
 one the formulas n1*d2 +- n2*d1 over d1*d2 give; ``normalize_map`` then
 makes it canonical.  Work is bounded: exponents above _MAX_POWER, products
 of degree above _MAX_DEGREE, nesting deeper than _MAX_DEPTH and literals
-too long for ``int()`` are refused.  Every rejection carries the byte
-offset of the offending token.
+too long for ``int()`` are refused, and so is a domain difference of more
+maximal balls than ``ball_cap``, before it splits.  Every parse error
+carries the byte offset of the offending token.
 
 Domains: ``Zp`` or ``B(<rational>, <t>)`` combined left to right with ``+``
 (union) and ``-`` (set difference); ``Qp`` selects the global analysis.
@@ -37,7 +38,7 @@ _MAX_DEGREE = 64
 QP_GLOBAL = "Qp"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tok:
     kind: str  # num, x, op, lparen, rparen, comma, name, end
     text: str
@@ -46,6 +47,12 @@ class _Tok:
 
 # the kind of each one-character token
 _SINGLE = {c: "op" for c in "+-*/^"} | {"(": "lparen", ")": "rparen", ",": "comma"}
+# operator texts: the parser tells an operator by its text alone, which no
+# other kind of token has
+_ADDITIVE = ("+", "-")
+_MULTIPLICATIVE = ("*", "/")
+# tokens that start the right operand of an implicit product
+_OPERAND = ("num", "x", "lparen")
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -82,54 +89,52 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-class _PolyFraction:
-    """Exact quotient num/den of two integer polynomials, the parser's value
-    type; coefficient lists run lowest degree first, without trailing
-    zeros."""
+# The parser's value: the exact quotient num/den of two integer polynomials,
+# as the pair (num, den) of coefficient lists, lowest degree first and
+# without trailing zeros.
+_Value = tuple[list[int], list[int]]
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num: list[int], den: list[int]):
-        self.num = num
-        self.den = den
+def _add(a: _Value, b: _Value, pos: int, sign: int) -> _Value:
+    """a + sign*b, as n1*d2 + sign*n2*d1 over d1*d2 even when the
+    denominators are equal: the sign of the raw denominator decides the
+    sign of the normalized pair."""
+    (n1, d1), (n2, d2) = a, b
+    return _int_add(_mul(n1, d2, pos), _mul(n2, d1, pos), sign), _mul(d1, d2, pos)
 
-    def add(self, o, pos: int, sign: int):
-        """self + sign*o, as n1*d2 + sign*n2*d1 over d1*d2 even when the
-        denominators are equal: the sign of the raw denominator decides the
-        sign of the normalized pair."""
-        return _PolyFraction(
-            _int_add(_mul(self.num, o.den, pos), _mul(o.num, self.den, pos), sign),
-            _mul(self.den, o.den, pos),
-        )
 
-    def mul(self, o, pos: int):
-        return _PolyFraction(_mul(self.num, o.num, pos), _mul(self.den, o.den, pos))
+def _times(a: _Value, b: _Value, pos: int) -> _Value:
+    return _mul(a[0], b[0], pos), _mul(a[1], b[1], pos)
 
-    def div(self, o, pos: int):
-        if not o.num:
-            raise ZeroDenominator(f"division by zero in map expression (offset {pos})")
-        return _PolyFraction(_mul(self.num, o.den, pos), _mul(self.den, o.num, pos))
 
-    def neg(self):
-        return _PolyFraction([-c for c in self.num], self.den)
+def _over(a: _Value, b: _Value, pos: int) -> _Value:
+    if not b[0]:
+        raise ZeroDenominator(f"division by zero in map expression (offset {pos})")
+    return _mul(a[0], b[1], pos), _mul(a[1], b[0], pos)
 
-    def pow(self, k: int, pos: int):
-        # no squaring past the last bit: every product formed is a factor
-        # of the result, so _mul refuses only results above _MAX_DEGREE
-        out = _PolyFraction([1], [1])
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base, pos)
-            k >>= 1
-            if k:
-                base = base.mul(base, pos)
-        return out
+
+def _power(base: _Value, k: int, pos: int) -> _Value:
+    # no squaring past the last bit: every product formed is a factor
+    # of the result, so _mul refuses only results above _MAX_DEGREE
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else _times(out, base, pos)
+        k >>= 1
+        if k:
+            base = _times(base, base, pos)
+    return out or ([1], [1])
 
 
 def _mul(a: list[int], b: list[int], pos: int) -> list[int]:
     """Product of two coefficient lists, refused before it is formed when
-    its degree would pass _MAX_DEGREE."""
+    its degree would pass _MAX_DEGREE.  A factor [1] returns the other one
+    (most products in a parse are by a denominator [1]), and another
+    constant scales it."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        return b if a[0] == 1 else [a[0] * c for c in b]
     if a and b and len(a) + len(b) - 2 > _MAX_DEGREE:
         raise ParseError(f"degree {len(a) + len(b) - 2} too large", pos)
     return _int_mul(a, b)
@@ -143,100 +148,86 @@ def _int_literal(t: _Tok) -> int:
 
 
 class _MapParser:
-    """Recursive descent with precedence: +- < */ < unary- < ^."""
+    """Recursive descent with precedence: +- < */ < unary- < ^; toks[i] is
+    the next token."""
 
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def advance(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def parse(self) -> _PolyFraction:
+    def parse(self) -> _Value:
         value = self.expr()
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "end":
             raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
         return value
 
-    def expr(self) -> _PolyFraction:
+    def expr(self) -> _Value:
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance()
-            rhs = self.term()
-            value = value.add(rhs, op.pos, 1 if op.text == "+" else -1)
+        while (op := self.toks[self.i]).text in _ADDITIVE:
+            self.i += 1
+            value = _add(value, self.term(), op.pos, 1 if op.text == "+" else -1)
         return value
 
-    def term(self) -> _PolyFraction:
+    def term(self) -> _Value:
         value = self.unary()
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "*/":
-                self.advance()
+            t = self.toks[self.i]
+            if t.text in _MULTIPLICATIVE:
+                self.i += 1
                 rhs = self.unary()
-                value = value.mul(rhs, t.pos) if t.text == "*" else value.div(rhs, t.pos)
-            elif t.kind in ("num", "x", "lparen"):
+                value = _times(value, rhs, t.pos) if t.text == "*" else _over(value, rhs, t.pos)
+            elif t.kind in _OPERAND:
                 # implicit multiplication: 2x, 2(x+1), x(x+1), (x+1)(x-1)
-                value = value.mul(self.unary(), t.pos)
+                value = _times(value, self.unary(), t.pos)
             else:
                 return value
 
-    def unary(self) -> _PolyFraction:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.advance()
-            return self.unary().neg()
-        if t.kind == "op" and t.text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> _PolyFraction:
-        base = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.advance()
-            e = self.peek()
-            if e.kind != "num":
-                raise ParseError("expected a nonnegative integer exponent", e.pos)
-            self.advance()
-            k = _int_literal(e)
-            if k > _MAX_POWER:
-                raise ParseError(f"exponent {k} too large", e.pos)
-            return base.pow(k, t.pos)
-        return base
-
-    def atom(self) -> _PolyFraction:
-        t = self.advance()
+    def unary(self) -> _Value:
+        """-u, +u, or a power: an atom, or an atom ^ an integer literal."""
+        t = self.toks[self.i]
+        self.i += 1
         if t.kind == "num":
             c = _int_literal(t)
-            return _PolyFraction([c] if c else [], [1])
-        if t.kind == "x":
-            return _PolyFraction([0, 1], [1])
-        if t.kind == "lparen":
+            base = ([c] if c else []), [1]
+        elif t.kind == "x":
+            base = [0, 1], [1]
+        elif t.kind == "lparen":
             self.depth += 1
             if self.depth > _MAX_DEPTH:
                 raise ParseError("expression nested too deeply", t.pos)
-            value = self.expr()
-            closing = self.advance()
+            base = self.expr()
+            closing = self.toks[self.i]
             if closing.kind != "rparen":
                 raise ParseError("expected ')'", closing.pos)
+            self.i += 1
             self.depth -= 1
-            return value
-        raise ParseError(f"expected a number, 'x' or '(': got {t.text!r}", t.pos)
+        elif t.text == "+":
+            return self.unary()
+        elif t.text == "-":
+            num, den = self.unary()
+            return [-c for c in num], den
+        else:
+            raise ParseError(f"expected a number, 'x' or '(': got {t.text!r}", t.pos)
+        t = self.toks[self.i]
+        if t.text != "^":
+            return base
+        e = self.toks[self.i + 1]
+        if e.kind != "num":
+            raise ParseError("expected a nonnegative integer exponent", e.pos)
+        self.i += 2
+        k = _int_literal(e)
+        if k > _MAX_POWER:
+            raise ParseError(f"exponent {k} too large", e.pos)
+        return _power(base, k, t.pos)
 
 
 def parse_map(text: str, p: int) -> RationalMap:
     """Parse and normalize a rational map expression."""
     require_prime(p)
-    value = _MapParser(_tokenize(text)).parse()
-    return normalize_map(value.num, value.den, p)
+    num, den = _MapParser(_tokenize(text)).parse()
+    return normalize_map(num, den, p)
 
 
 def parse_seed(text: str) -> Fraction:

@@ -31,7 +31,7 @@ from padicdyn import digraph, global_qp, scaling
 from padicdyn.config import AnalysisConfig
 from padicdyn.digraph import LevelDigraph, SubsidiaryEdgeData
 from padicdyn.errors import DecompositionTooLarge, PadicDynError
-from padicdyn.padics import INF, NEG_INF
+from padicdyn.padics import INF, NEG_INF, require_prime
 
 
 def run_cli(args):
@@ -173,6 +173,40 @@ def test_error_exit_code(capsys):
     assert main(["-p", "5", "--map", "x +", "--domain", "Zp", "classify"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "error:" in err and "offset" in err
+
+
+def test_a_non_prime_exits_1_after_a_prime_and_after_a_refusal(capsys):
+    assert main(["-p", "7", "--map", "x+1", "--domain", "Zp", "classify"]) == EXIT_OK
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["-p", "9", "--map", "x+1", "--domain", "Zp", "classify"]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: p must be a prime: got 9\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [P7_ARGS + ["classify"], ["-p", "3", "--map", "x+1/3", "global"],
+     ["-p", "5", "--map", "x^2+1", "hensel", "--seed", "2"]],
+    ids=["classify", "global", "hensel"],
+)
+def test_one_op_tests_its_prime_once(argv):
+    # the map, the domain and every ball check p; only the first check
+    # misses require_prime's memo and runs the Miller-Rabin test
+    require_prime.cache_clear()
+    assert run_cli(argv)[0] == EXIT_OK
+    info = require_prime.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_a_difference_past_the_ball_cap_is_one_error_line(capsys):
+    # Zp - B(1,-1) has p - 1 = 1,000,002 maximal balls at this p
+    start = time.perf_counter()
+    argv = ["-p", "1000003", "--map", "x+1", "--domain", "Zp-B(1,-1)", "classify"]
+    assert main(argv) == EXIT_ERROR
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: difference at level -1 needs 1000002 balls (cap 1000000)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,29 @@ def test_ball_budget_guard():
         decompose_residues(CompactDomain.zp(5), -4, tight)
 
 
+@pytest.mark.parametrize("p,allowed", [(11, True), (13, False)])
+def test_difference_checks_its_pieces_against_the_ball_cap(monkeypatch, p, allowed):
+    # Zp - B(1, -1) is p - 1 balls, and Zp - B(1, -2) is 2(p - 1)
+    monkeypatch.setattr("padicdyn.domains.DEFAULT_CONFIG", AnalysisConfig(ball_cap=20))
+    assert len(parse_domain("Zp-B(1,-1)", p).balls) == p - 1
+    if allowed:
+        assert len(parse_domain("Zp-B(1,-2)", p).balls) == 2 * (p - 1)
+        return
+    with pytest.raises(DecompositionTooLarge,
+                       match=rf"^difference at level -2 needs {2 * (p - 1)} balls \(cap 20\)$"):
+        parse_domain("Zp-B(1,-2)", p)
+
+
+def test_a_deep_difference_splits_on_integers():
+    # 12,000 balls with keys of up to 5,615 bits, split on integer residues;
+    # a split through a Fraction valuation per piece takes about 0.9 s
+    start = time.perf_counter()
+    X = parse_domain("Zp-B(1,-2000)", 7)
+    assert time.perf_counter() - start < 0.5
+    assert len(X.balls) == 12000 and X.base_level == -2000
+    assert X.measure == 1 - Fraction(1, 7**2000)
+
+
 def test_sphere_decomposition():
     S = CompactDomain.sphere(1, 3)
     assert S.base_level == 0

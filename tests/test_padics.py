@@ -14,6 +14,7 @@ from padicdyn import (
     build_digraph,
     canonical_key,
     normalize_map,
+    parse_domain,
     parse_map,
 )
 from padicdyn.errors import InvalidPrime, PrimeMismatch, ZeroDenominator
@@ -132,6 +133,26 @@ def test_require_prime_rejects(p):
 @pytest.mark.parametrize("p", [2, 3, 7, 2**61 - 1, 3_317_044_064_679_887_385_961_813])
 def test_require_prime_accepts(p):
     require_prime(p)
+
+
+# the library entry points that check their prime, each given one
+_PRIME_CHECKS = {
+    "parse_map": lambda p: parse_map("x+1", p),
+    "normalize_map": lambda p: normalize_map([1, 1], [1], p),
+    "parse_domain": lambda p: parse_domain("Zp", p),
+    "CompactDomain.ball": lambda p: CompactDomain.ball(0, 0, p),
+}
+
+
+@pytest.mark.parametrize("entry", _PRIME_CHECKS)
+def test_a_non_prime_is_refused_after_a_prime_and_after_a_refusal(entry):
+    # require_prime remembers the primes it accepted: 9 is refused after 7
+    # was accepted, and again after 9 was refused once
+    check = _PRIME_CHECKS[entry]
+    check(7)
+    for _ in range(2):
+        with pytest.raises(InvalidPrime, match="^p must be a prime: got 9$"):
+            check(9)
 
 
 def test_require_prime_agrees_with_trial_division():

@@ -11,6 +11,7 @@ from padicdyn import QP_GLOBAL, normalize_map, parse_domain, parse_map
 from padicdyn.errors import EmptyDomain, PadicDynError, ParseError, ZeroDenominator
 from padicdyn.maps import RationalMap
 from padicdyn.padics import fraction_valuation
+from padicdyn import parsing
 from padicdyn.parsing import _tokenize
 
 
@@ -512,3 +513,41 @@ def test_normalize_map_matches_the_parsed_text(pc, qc, p):
     text = f"({_coefficient_text(pc)})/({_coefficient_text(qc)})"
     assert normalize_map(pc, qc, p) == parse_map(text, p)
     assert normalize_map(pc, qc, p) == _old_normalize_map(pc, qc, p)
+
+
+# -- products by 1 are not formed ----------------------------------------------
+
+
+def _int_mul_operands(text, p):
+    """The operands of every product that parse_map hands to ``_int_mul``."""
+    operands = []
+    int_mul = parsing._int_mul
+
+    def recorded(a, b):
+        operands.append((a, b))
+        return int_mul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parsing, "_int_mul", recorded)
+        try:
+            parse_map(text, p)
+        except PadicDynError:
+            pass
+    return operands
+
+
+def test_int_mul_sees_the_products_of_two_polynomials():
+    assert _int_mul_operands("(x+1)(x-1)/2", 5) == [([1, 1], [-1, 1])]
+
+
+def test_a_product_by_one_is_the_other_factor_itself():
+    a = [2, 0, 1]
+    assert parsing._mul(a, [1], 0) is a and parsing._mul([1], a, 0) is a
+
+
+@given(_expressions(), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_parse_map_never_multiplies_by_one(text, p):
+    # a factor [1] (most are denominators) returns the other factor
+    operands = _int_mul_operands(text, p)
+    assert sum(a == [1] or b == [1] for a, b in operands) == 0
