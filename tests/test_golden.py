@@ -285,6 +285,12 @@ CASES.update({
     "even-denominator-digraph-p2": ["-p", "2", "--map", "(3+3x-5x^2-x^3)/(1+2x+3x^2)",
                                     "--domain", "Zp", "digraph", "--level", "-6",
                                     "--json", "g.json"],
+    # an mp whose levels l and l - 1 are unions of cycles (Undecided), and
+    # an ergodic scan asked to stop above its starting level
+    "undecided-mp-p7": ["-p", "7", "--map", "((-6/3)+(-23)*x^2)/((-2/49)+(23/7)*x+(10)*x^2)",
+                        "--domain", "B(0,2)", "mp"],
+    "error-depth-above-start-ergodic-p3": ["-p", "3", "--map", "3x+1", "--domain", "Zp",
+                                           "ergodic", "--depth", "-1"],
 })
 
 
