@@ -1,18 +1,19 @@
 """Command-line front end.
 
-One analysis per invocation: parse the map and domain, dispatch, print a
-text report, optionally write DOT/JSON artifacts.  Exit status 0 on a
-decided verdict, 2 on honest semi-decisions (Undecided, single-cycle scans
-that only certify to a depth), 1 on errors.
+One analysis per invocation: read argv with the option table (argparse
+only for help, unusual spellings and usage errors), parse the map and
+domain, dispatch, print a text report, optionally write DOT/JSON
+artifacts.  Exit status 0 on a decided verdict, 2 on honest semi-decisions
+(Undecided, single-cycle scans that only certify to a depth), 1 on errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 from functools import cache
 from importlib import import_module
+from types import SimpleNamespace
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .errors import PadicDynError
@@ -23,77 +24,133 @@ EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports bad argv as a PadicDynError: one ``error:`` line, status 1."""
+# The options, read by _read from a plain argv and by argparse from any
+# other: (flags, dest, type, required, default, help); a tuple type is the
+# choices of a string.  A command's options follow its name in argv.
+_TOP = (
+    (("-p", "--prime"), "prime", int, True, None, "the prime p"),
+    (("--map",), "map", str, True, None, "rational map, e.g. '(x^2-1)/x'"),
+    (("--domain",), "domain", str, False, "Qp",
+     "domain: 'Zp', 'B(c,t)' combined with + and -, or 'Qp'"),
+)
+_LEVEL = (("--level",), "level", int, True, None, "level exponent t")
+_GRAPH = ((("--dot",), "dot_path", str, False, None, "write the digraph as DOT"),
+          (("--json",), "json_path", str, False, None, "write the digraph as JSON"))
+_MARGIN = (("--margin",), "margin", int, False, None, "intrinsic-level guard margin")
+_CAP = (("--cap",), "cap", int, False, None, "descent depth cap")
+_COMMANDS = {
+    "classify": (_CAP,),
+    "radius": (_CAP,),
+    "digraph": (_LEVEL, *_GRAPH, _CAP),
+    "subsidiary": (_LEVEL, *_GRAPH, _CAP),
+    "intrinsic-level": (_MARGIN, _CAP),
+    "mp": (_MARGIN, _CAP),
+    "ergodic": ((("--depth",), "depth", int, True, None, "deepest level scanned"), _CAP),
+    "components": (_LEVEL, _CAP),
+    "global": (_CAP,),
+    "hensel": ((("--seed",), "seed", str, True, None, "integer or rational seed"),
+               (("--prec",), "precision", int, False, 12, None)),
+    "witness": (_CAP, (("--goal",), "goal", ("minimality", "ergodicity"), True, None, None)),
+}
+_OPTIONS = (_TOP, *_COMMANDS.values())
+_TOP_FLAGS = {flag: spec for spec in _TOP for flag in spec[0]}
+# what _read needs of each command: its flags, the dests argv must give, and
+# the namespace before argv is read, where another command's options are None
+_READERS = {
+    name: (
+        {flag: spec for spec in options for flag in spec[0]},
+        {spec[1] for spec in _TOP + options if spec[3]},
+        {**dict.fromkeys(spec[1] for opts in _OPTIONS for spec in opts),
+         **{spec[1]: spec[4] for spec in _TOP + options}, "command": name},
+    )
+    for name, options in _COMMANDS.items()
+}
 
-    def error(self, message):
-        raise PadicDynError(message)
+
+def _read(argv: list[str]) -> dict | None:
+    """The attributes of a plain argv: padicdyn's options, the command, then
+    the command's options, each flag exact and given once as ``--flag value``
+    or ``--flag=value``, with a value that argparse reads the same way.  None
+    for any other argv, which argparse reads."""
+    flags, reader, values, args = _TOP_FLAGS, None, {}, iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            if reader is not None or arg not in _READERS:
+                return None
+            reader = _READERS[arg]
+            flags = reader[0]
+            continue
+        if not eq:
+            value = next(args, None)
+            # argparse reads any other value with a leading "-" as a flag
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                return None
+        elif value == "--":  # argparse drops it
+            return None
+        _, dest, kind = spec[:3]
+        if dest in values:
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if reader is None or not reader[1] <= values.keys():
+        return None
+    return {**reader[2], **values}
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call."""
-    parser = _Parser(
-        prog="padicdyn",
-        description="Exact analysis of rational map dynamics over Q_p",
-    )
-    parser.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
-    parser.add_argument("--map", required=True, help="rational map, e.g. '(x^2-1)/x'")
-    parser.add_argument(
-        "--domain",
-        default="Qp",
-        help="domain: 'Zp', 'B(c,t)' combined with + and -, or 'Qp'",
-    )
+def _build_parser():
+    """The argument parser of the option table, built on first use and
+    shared by every call."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Reports bad argv as a PadicDynError: one ``error:`` line, status 1."""
+
+        def error(self, message):
+            raise PadicDynError(message)
+
+    def add(parser, options):
+        for flags, dest, kind, required, default, text in options:
+            parser.add_argument(
+                *flags, dest=dest, type=int if kind is int else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                required=required, default=default, help=text,
+            )
+        return parser
+
+    parser = add(Parser(prog="padicdyn",
+                        description="Exact analysis of rational map dynamics over Q_p"), _TOP)
     # the options of one command are None in another command's namespace
-    parser.set_defaults(
-        level=None, depth=None, dot_path=None, json_path=None, margin=None,
-        cap=None, seed=None, precision=None, goal=None,
-    )
+    parser.set_defaults(**dict.fromkeys(spec[1] for opts in _OPTIONS[1:] for spec in opts))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, level=False, depth=False, graph=False, margin=False, cap=True):
-        s = sub.add_parser(name)
-        if level:
-            s.add_argument("--level", type=int, required=True, help="level exponent t")
-        if depth:
-            s.add_argument("--depth", type=int, required=True, help="deepest level scanned")
-        if graph:
-            s.add_argument("--dot", dest="dot_path", help="write the digraph as DOT")
-            s.add_argument("--json", dest="json_path", help="write the digraph as JSON")
-        if margin:
-            s.add_argument("--margin", type=int, help="intrinsic-level guard margin")
-        if cap:
-            s.add_argument("--cap", type=int, help="descent depth cap")
-        return s
-
-    add("classify")
-    add("radius")
-    add("digraph", level=True, graph=True)
-    add("subsidiary", level=True, graph=True)
-    add("intrinsic-level", margin=True)
-    add("mp", margin=True)
-    add("ergodic", depth=True)
-    add("components", level=True)
-    add("global")
-    h = add("hensel", cap=False)
-    h.add_argument("--seed", required=True, help="integer or rational seed")
-    h.add_argument("--prec", dest="precision", type=int, default=12)
-    w = add("witness")
-    w.add_argument(
-        "--goal",
-        choices=["minimality", "ergodicity"],
-        required=True,
-    )
+    for name, options in _COMMANDS.items():
+        add(sub.add_parser(name), options)
     return parser
 
 
-def invocation_from_args(argv: list[str]) -> argparse.Namespace:
+def invocation_from_args(argv: list[str]) -> SimpleNamespace:
     """The parsed command line: every option of every command is an
     attribute, None where the command does not take it."""
-    return _build_parser().parse_args(argv)
+    attrs = _read(argv)
+    if attrs is None:
+        attrs = vars(_build_parser().parse_args(argv))
+        for opts in _OPTIONS:
+            for spec in opts:
+                # argparse reads --flag=-- as a list of no values
+                if isinstance(attrs[spec[1]], list):
+                    raise PadicDynError(f"argument {'/'.join(spec[0])}: expected one argument")
+    return SimpleNamespace(**attrs)
 
 
-def _config_for(inv: argparse.Namespace) -> AnalysisConfig:
+def _config_for(inv: SimpleNamespace) -> AnalysisConfig:
     cfg = DEFAULT_CONFIG
     updates = {}
     if inv.margin is not None:
@@ -111,7 +168,7 @@ def _module(name: str):
     return import_module(f".{name}", __package__)
 
 
-def _emit_graph(inv: argparse.Namespace, G, out) -> None:
+def _emit_graph(inv: SimpleNamespace, G, out) -> None:
     if inv.dot_path:
         _write(inv.dot_path, _module("render").digraph_to_dot(G))
         out(f"dot written: {inv.dot_path}")
@@ -127,7 +184,7 @@ def _write(path: str, text: str) -> None:
         raise PadicDynError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def run(inv: argparse.Namespace, stdout=None) -> int:
+def run(inv: SimpleNamespace, stdout=None) -> int:
     """Execute one invocation; returns the exit status."""
     stdout = stdout if stdout is not None else sys.stdout
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .errors import EmptyDomain, LevelTooCoarse, PrimeMismatch
@@ -47,17 +47,6 @@ class Ball:
 
     def parent(self) -> "Ball":
         return Ball.containing(self.key, self.level + 1, self.prime)
-
-    def subdivide(self, level: int) -> Iterator["Ball"]:
-        """All level-t descendants, t <= self.level, in key order."""
-        if level > self.level:
-            raise LevelTooCoarse(
-                f"cannot subdivide a level-{self.level} ball at level {level}"
-            )
-        yield Ball(level, self.key, self.prime)
-        step = Fraction(self.prime) ** (-self.level)
-        for j in range(1, self.prime ** (self.level - level)):
-            yield Ball(level, self.key + j * step, self.prime)
 
     def __str__(self):
         return f"B({self.key}, {self.level})"

@@ -4,10 +4,14 @@ import os
 import stat
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_kernel import cycle_balls, edge_map
 
+from padicdyn import cli
 from padicdyn.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -392,6 +396,133 @@ def test_shared_parser_keeps_no_state_between_calls():
     with pytest.raises(PadicDynError) as again:
         invocation_from_args(bad)
     assert str(again.value) == str(first.value)
+
+
+# values the reader reads, by option type, and values it leaves to argparse
+_PLAIN_VALUES = {int: ["7", "-2", "+1", "٣", "-٣", " 5", "1_0"],
+                 str: ["x+1", "Zp", "mp", "", "-3", "a b"]}
+_EQUALS_VALUES = ["-x+1", "-", "-1/2", "=x"]
+_ODD_VALUES = ["0.5", "x", "", "-", "--", "-x", "-x+1", "-1/2", "--map", "nope", "-1\n"]
+_ODD_WORDS = ["--", "-h", "--help", "extra", "nocmd", "-p7", "--dep", "--pr", "--do"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the plain shape, with up to three changes that mostly take
+    it out of that shape: a value argparse reads as a flag or rejects, an
+    abbreviated or glued flag, an option repeated, left out or moved to the
+    other side of the command, an odd word inserted, or another command."""
+    def option(spec):
+        flags, _, kind, *_ = spec
+        good = [*kind, "nope"] if isinstance(kind, tuple) else _PLAIN_VALUES[kind]
+        flag = draw(st.sampled_from(flags))
+        value = draw(st.sampled_from([*good, None, None]))
+        if value is None:
+            value = draw(st.text("-x1٣=", max_size=3))
+        if draw(st.booleans()):
+            return [flag, value]
+        if kind is str and draw(st.booleans()):
+            value = draw(st.sampled_from(_EQUALS_VALUES))
+        return [f"{flag}={value}"]
+
+    def options(specs):
+        chosen = [spec for spec in specs if spec[3] or draw(st.booleans())]
+        return [option(spec) for spec in draw(st.permutations(chosen))]
+
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    top, sub = options(cli._TOP), options(cli._COMMANDS[command])
+    for _ in range(draw(st.integers(0, 3))):
+        side = draw(st.sampled_from([top, sub]))
+        change = draw(st.sampled_from(
+            ["value", "flag", "repeat", "drop", "move", "insert", "command"]))
+        if change == "command":
+            command = draw(st.sampled_from([*cli._COMMANDS, "nocmd"]))
+        elif change == "insert":
+            word = draw(st.sampled_from([*_ODD_WORDS, *cli._COMMANDS]))
+            side.insert(draw(st.integers(0, len(side))), [word])
+        elif side:
+            i = draw(st.integers(0, len(side) - 1))
+            words = side[i]
+            if change == "value":
+                flag, value = words[0].partition("=")[0], draw(st.sampled_from(_ODD_VALUES))
+                side[i] = [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+            elif change == "flag":  # --map -> --ma, -p 7 -> -p7
+                flag, eq, value = words[0].partition("=")
+                if flag.startswith("--"):
+                    side[i] = [flag[:4] + eq + value, *words[1:]]
+                else:
+                    side[i] = [flag + value + "".join(words[1:])]
+            elif change == "repeat":
+                side.insert(i, words)
+            elif change == "drop":
+                del side[i]
+            else:
+                del side[i]
+                (sub if side is top else top).append(words)
+    return [w for words in top for w in words] + [command] + [w for words in sub for w in words]
+
+
+def test_the_reader_agrees_with_argparse_wherever_it_reads():
+    read = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_argvs())
+    # values next to the edge of what the reader reads, and a second command
+    @example(["-p", "-٣", "--map", "-x", "classify"])
+    @example(["-p", "7", "--map=x", "--domain=--", "mp"])
+    @example(["-p", "7", "--map", "x", "witness", "--goal", "nope"])
+    @example(["-p", "7", "--map", "x", "classify", "mp"])
+    def agrees(argv):
+        attrs = cli._read(argv)
+        read.append(attrs is not None)
+        if attrs is not None:
+            assert attrs == vars(cli._build_parser().parse_args(argv))
+
+    agrees()
+    assert set(read) == {True, False}
+
+
+def test_the_reader_reads_every_golden_argv_that_answers():
+    golden = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+    answered = [case["argv"] for case in golden.values() if case["exit"] in (0, 2)]
+    assert answered and all(cli._read(argv) is not None for argv in answered)
+
+
+def test_the_reader_reads_every_benchmark_argv(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import DEFAULT_SEED, HELD_OUT_SEED, WORKLOADS, build
+
+    for name in WORKLOADS:
+        for seed in (DEFAULT_SEED, HELD_OUT_SEED):
+            unread = [op.argv for op in build(name, seed).ops if cli._read(list(op.argv)) is None]
+            assert not unread, (name, seed, unread[:3])
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["-p=--", "--map", "x+1", "mp"], "-p/--prime"),
+     (P7_ARGS + ["digraph", "--level=--"], "--level"),
+     (P7_ARGS + ["digraph", "--level", "-2", "--dot=--"], "--dot"),
+     (P7_ARGS + ["mp", "--cap=--"], "--cap"),
+     (P7_ARGS[:2] + ["--map=--", "classify"], "--map"),
+     (P7_ARGS[:4] + ["--domain=--", "classify"], "--domain"),
+     (P7_ARGS[:4] + ["hensel", "--seed=--"], "--seed"),
+     (P7_ARGS[:4] + ["witness", "--goal=--"], "--goal")],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_a_double_dash_value_is_one_error_line(capsys, argv, flag):
+    # argparse hands over --flag=-- as an empty list
+    assert cli._read(argv) is None
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: argument {flag}: expected one argument\n")
+
+
+def test_unusual_spellings_mean_what_argparse_reads():
+    plain = invocation_from_args(P7_ARGS + ["ergodic", "--depth", "-3"])
+    for argv in (["-p7", *P7_ARGS[2:], "ergodic", "--dep", "-3"],
+                 [*P7_ARGS[:2], "--ma", P7_ARGS[3], "--dom", P7_ARGS[5], "ergodic", "--depth=-3"],
+                 [*P7_ARGS, "--domain", P7_ARGS[5], "ergodic", "--depth", "-1", "--depth", "-3"]):
+        assert invocation_from_args(argv) == plain
 
 
 def digraph_from_json(text: str) -> dict:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
-from test_domains import level_balls
+from test_domains import level_balls, sub_balls
 from test_kernel import PRIMES, children, cycle_balls, domains, edge_map, one_lipschitz_instances
 from test_polynomials import (
     as_ints,
@@ -81,7 +81,7 @@ def verify_bijection(A, source, sample_level, precision=12):
     Pa, Qa = ptaylor(f.P, a), ptaylor(f.Q, a)
     e = scalar_exponent(f, a)
     k = precision + max(0, -sample_level)
-    for b_ball in target.subdivide(sample_level):
+    for b_ball in sub_balls(target, sample_level):
         b = b_ball.key
         F = as_ints(padd(shift_variable(Pa, p, s), pscale(shift_variable(Qa, p, s), b), -1))
         preimage = Fraction(p) ** s * hensel_lift(F, p, Fraction(0), k).root + a

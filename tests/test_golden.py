@@ -291,6 +291,12 @@ CASES.update({
                         "--domain", "B(0,2)", "mp"],
     "error-depth-above-start-ergodic-p3": ["-p", "3", "--map", "3x+1", "--domain", "Zp",
                                            "ergodic", "--depth", "-1"],
+    # argparse hands over --flag=-- as a list of no values: a usage error
+    "error-usage-double-dash-seed": ["-p", "5", "--map", "x^2+1", "hensel", "--seed=--"],
+    "error-usage-double-dash-prime": ["-p=--", "--map", "x+1", "--domain", "Zp", "mp"],
+    "error-usage-double-dash-level": TWO_BALL + ["digraph", "--level=--"],
+    "error-usage-double-dash-cap": QUARTIC + ["mp", "--cap=--"],
+    "error-usage-double-dash-goal": QUARTIC[:4] + ["witness", "--goal=--"],
 })
 
 

@@ -44,13 +44,12 @@ EVERY_COMMAND = [
 ]
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The padicdyn modules loaded, by short name, after ``code`` runs in a
+def _fresh_json(code: str, value: str):
+    """The JSON value of the expression ``value`` after ``code`` runs in a
     fresh interpreter (under -O when this one runs under it)."""
     script = (
         f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{code}\n"
-        "import json\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('padicdyn.'))))\n"
+        f"import json\nprint(json.dumps({value}))\n"
     )
     proc = subprocess.run(
         [sys.executable, *["-O"] * sys.flags.optimize, "-c", script],
@@ -58,7 +57,14 @@ def _loaded_after(code: str) -> set[str]:
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.split(".", 1)[1] for name in json.loads(proc.stdout.splitlines()[-1])}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The padicdyn modules loaded, by short name, after ``code`` runs in a
+    fresh interpreter."""
+    loaded = _fresh_json(code, "sorted(m for m in sys.modules if m.startswith('padicdyn.'))")
+    return {name.split(".", 1)[1] for name in loaded}
 
 
 def test_the_package_alone_loads_no_module():
@@ -73,6 +79,54 @@ def test_parsing_any_command_loads_no_kernel():
     )
     assert "cli" in loaded
     assert not loaded & KERNELS
+
+
+def test_reading_any_command_builds_no_argument_parser():
+    read = _fresh_json(
+        "import padicdyn.cli\n"
+        f"for argv in {EVERY_COMMAND!r}:\n"
+        "    padicdyn.cli.invocation_from_args(argv)\n",
+        "['argparse' in sys.modules, padicdyn.cli._build_parser.cache_info().misses]",
+    )
+    assert read == [False, 0]
+
+
+HELP = """\
+usage: padicdyn [-h] -p PRIME --map MAP [--domain DOMAIN]
+                {classify,radius,digraph,subsidiary,intrinsic-level,mp,ergodic,components,global,hensel,witness}
+                ...
+
+Exact analysis of rational map dynamics over Q_p
+
+positional arguments:
+  {classify,radius,digraph,subsidiary,intrinsic-level,mp,ergodic,components,global,hensel,witness}
+
+options:
+  -h, --help            show this help message and exit
+  -p PRIME, --prime PRIME
+                        the prime p
+  --map MAP             rational map, e.g. '(x^2-1)/x'
+  --domain DOMAIN       domain: 'Zp', 'B(c,t)' combined with + and -, or 'Qp'
+"""
+
+
+def test_help_and_usage_errors_are_the_argument_parser_texts():
+    texts = _fresh_json(
+        "import contextlib, io, os\n"
+        "os.environ['COLUMNS'] = '80'\n"
+        "import padicdyn.cli\n"
+        "texts = []\n"
+        f"for argv in {[['--help'], DIGRAPH[:-1] + ['0.5']]!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = padicdyn.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    texts.append([code, out.getvalue(), err.getvalue()])\n",
+        "texts",
+    )
+    assert texts == [[0, HELP, ""], [1, "", "error: argument --level: invalid int value: '0.5'\n"]]
 
 
 @pytest.mark.parametrize(

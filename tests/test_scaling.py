@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_domains import level_balls
+from test_domains import level_balls, sub_balls
 
 import padicdyn.scaling
 from padicdyn import (
@@ -250,7 +250,7 @@ def test_profile_constant_per_ball():
     for ball in level_balls(X, report.radius_exponent):
         e = scalar_exponent(f, ball.key)
         exponents[e] += 1
-        for sub in ball.subdivide(ball.level - 2):
+        for sub in sub_balls(ball, ball.level - 2):
             assert scalar_exponent(f, sub.key) == e
     assert exponents == report.scalar_profile
 
