@@ -120,6 +120,10 @@ CASES.update({
                                              "witness", "--goal", "minimality"],
     "error-witness-denominator-root": ["-p", "7", "--map=(3+8*x)/(1+9*x)",
                                        "witness", "--goal", "ergodicity"],
+    # the invariant sphere S(0, 1) at p = 17: its 16 base-level balls hold
+    # 1,336,336 balls four levels down, over ball_cap
+    "sphere-p17-witness-ergodicity": ["-p", "17", "--map", "(x^2-1)/x",
+                                      "witness", "--goal", "ergodicity"],
     "fractional-denominator-global": ["-p", "5", "--map", "(-20x+20)/(25x^3+225x^2+200x-2)",
                                       "--domain", "Qp", "global"],
     "derivative-root-beyond-zp-classify": ["-p", "3", "--map", "(-14/9-3x-27x^2)/(1+27x)",
