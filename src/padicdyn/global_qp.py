@@ -7,6 +7,9 @@ global questions reduce to the compact ball.  Maps failing the gate carry
 constructive obstruction witnesses: an invariant (or measure-distorting)
 ball, or an escaping region; gate-passing maps always leave the sphere
 S_{p^N}(0) invariant, which rules out global ergodicity and minimality.
+Each witness's claim on |f| is proven on its whole region by one ball
+walk: a ball is settled once |Q| is constant on it and the bounds on |P|
+and |Q| put |f| within the claim; a key that breaks the claim refutes it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .digraph import MEASURE_PRESERVING, UNDECIDED, Analysis
-from .domains import Ball, CompactDomain
+from .domains import Ball, CompactDomain, residue_ball
 from .errors import (
     DepthCapExceeded,
     NotForwardInvariant,
@@ -29,20 +32,15 @@ from .maps import RationalMap
 from .padics import INF, ceil_div, int_valuation
 from .polynomials import (
     _ball_probe,
-    _evaluate,
     _int_divexact,
     _is_int_polynomial,
     _int_gcd,
     _int_mul,
 )
-from .scaling import LOCALLY_ISOMETRIC, ScalingReport, lower_bound_bF, walk
+from .scaling import LOCALLY_ISOMETRIC, lower_bound_bF, walk
 
 MINIMALITY = "Minimality"
 ERGODICITY = "Ergodicity"
-
-# levels below a witness region at which unsettled ball centres are
-# evaluated when verifying an obstruction
-WITNESS_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,10 @@ class ObstructionWitness:
     case_tag: str
     region: Ball | SphereRegion
     derived_levels: dict
-    # the stated property holds at every ball centre WITNESS_DEPTH levels
-    # below the checked region: proven on each ball where |f| is constant,
-    # evaluated at the centres no such ball covers
+    # the stated property is proven on every ball of the checked region,
+    # or refuted at a point of it
     verified: bool
-    checked_depth: int = WITNESS_DEPTH
-    # for contraction witnesses: samples of the region must land here
+    # for contraction witnesses: f maps all of the region into this ball
     image_region: Ball | None = None
     # for escaping witnesses: spheres from this exponent up stay at norm
     # at least p^min_image_exponent
@@ -112,8 +108,6 @@ class GlobalVerdict:
     isometry_reason: str
     measure_preserving: str
     measure_preserving_reason: str
-    failure: ReductionFailure | None = None
-    compact_report: ScalingReport | None = None
     # None when the reduction stopped before the ball was built
     forward_invariant_ball: bool | None = None
 
@@ -225,11 +219,11 @@ def global_check(
     analysis = Analysis(f, ball_domain, config)
     report = analysis.report
     if not report.is_one_lipschitz:
-        return _failed(gate, ReductionFailure.NOT_ONE_LIPSCHITZ, report)
+        return _failed(gate, ReductionFailure.NOT_ONE_LIPSCHITZ)
     try:
         analysis.digraph(analysis.transport_level)
     except NotForwardInvariant:
-        return _failed(gate, ReductionFailure.BALL_NOT_INVARIANT, report, False)
+        return _failed(gate, ReductionFailure.BALL_NOT_INVARIANT, False)
     mp = analysis.mp()
     if mp.kind == UNDECIDED:
         iso = mp_verdict = ("Undecided", "cycle criterion undecided")
@@ -254,18 +248,17 @@ def global_check(
             f"not locally isometric on the reduction ball "
             f"(classification: {report.classification})",
         )
-    return GlobalVerdict(gate, *iso, *mp_verdict, None, report, True)
+    return GlobalVerdict(gate, *iso, *mp_verdict, True)
 
 
 def _failed(
     gate: GlobalGateReport,
     failure: ReductionFailure,
-    report: ScalingReport | None = None,
     invariant: bool | None = None,
 ) -> GlobalVerdict:
     return GlobalVerdict(
         gate, failure.isometry, failure.text, failure.measure_preserving, failure.text,
-        failure, report, invariant,
+        invariant,
     )
 
 
@@ -280,9 +273,9 @@ def global_obstruction(
     Minimality: an invariant ball around 0 or a region that orbits never
     leave.  Ergodicity: for gate-passing maps the invariant sphere
     S_{p^N}(0); otherwise a measure-distorting ball or escaping region.
-    Before the witness is returned its region is settled ball by ball where
-    P and Q have constant norm, and f is evaluated only at the ball
-    centres WITNESS_DEPTH levels down that no ball settles.
+    Before the witness is returned its claim on |f| is proven on the whole
+    region, ball by ball: a ball is settled once |Q| is constant on it and
+    the probes' bounds on |P| and |Q| put |f| within the claim there.
     """
     if goal not in (MINIMALITY, ERGODICITY):
         raise ValueError(f"unknown goal {goal!r}")
@@ -296,55 +289,56 @@ def global_obstruction(
     return _escape_witness(f, strict, config)
 
 
-def _holds_on_samples(
+def _holds_on_region(
     f: RationalMap, X: CompactDomain, lo: int | None, hi: int | None,
     config: AnalysisConfig,
 ) -> bool:
-    """Whether lo <= -v(f(x)) <= hi (``None`` for an open side) at every
-    ball centre x of X, WITNESS_DEPTH levels below its base level.
+    """Whether lo <= -v(f(x)) <= hi (``None`` for an open side) for every
+    x in X, proven ball by ball.
 
-    A ball on which P and Q both have constant norm carries one norm
-    exponent of f; when it lies within the claim the ball is settled,
-    otherwise it is split.  |f| is read point by point only at the
-    sample-level centres that no ball settles, in key order.  A settled
-    ball holds no pole and no failing centre, so the first failing centre
-    or pole, and with it the verdict or the ``PoleInDomain`` raised, is the
-    full sweep's.
+    On the ball of residue y, -v(f) = v(Q) - v(P) + M exactly at the key
+    y / p^M, and at most v(Q) - (the probe's lower bound on v(P)) + M over
+    the ball once |Q| is constant there.  Only such balls settle, so none
+    holds a pole: under an upper bound alone once that maximum is within
+    it, otherwise once |P| is constant too.  Such a ball whose key breaks
+    the claim refutes it; any other ball is split.  A key where Q vanishes
+    raises ``PoleInDomain``, and a ball unsettled ``descent_cap`` levels
+    below X's base level raises ``DepthCapExceeded``.
     """
     p = f.prime
-    bottom = X.base_level - WITNESS_DEPTH
-    config.check_ball_budget(X.count(bottom), "decomposition", bottom)
+    floor = X.base_level - config.descent_cap
     form = f.rescaled(X.height_exponent())
     M, Ph, Qh = form.M, form.num, form.den
+    refuted = False
 
     def within(e) -> bool:
         return (lo is None or lo <= e) and (hi is None or e <= hi)
 
-    samples = []
-
     def visit(y: int, t: int) -> bool:
-        if t == bottom:
-            samples.append(y)
+        nonlocal refuted
+        if refuted:
             return False
         vq, _, _, cq = _ball_probe(Qh, p, y, M - t)
-        if not cq:
-            return True
-        vp, _, _, cp = _ball_probe(Ph, p, y, M - t)
-        if not cp:
-            return True
-        # P and Q have constant norm on the ball, so |f| = p^(vq - vp + M)
-        # on all of it: v(P(a)) and v(Q(a)) are v(Ph(y)) - o - M and v(Qh(y)) - o
-        return not within(vq - vp + M)
-
-    walk(X, X.base_level, visit, config, "witness check")
-    for y in sorted(samples):
-        # |f(a)| = p^(vq - vp + M) at a = y / p^M, as on a settled ball
-        vq = int_valuation(_evaluate(Qh, y), p)
         if vq == INF:
             raise PoleInDomain(f"denominator vanishes at {Fraction(y, p**M)}")
-        if not within(vq - int_valuation(_evaluate(Ph, y), p) + M):
-            return False
-    return True
+        if cq:
+            # v(P(a)) and v(Q(a)) are v(Ph(y)) - o - M and v(Qh(y)) - o
+            vp, _, least, cp = _ball_probe(Ph, p, y, M - t)
+            if not within(vq - vp + M):
+                refuted = True
+                return False
+            if cp or (lo is None and within(vq - least + M)):
+                return False
+        if t == floor:
+            b = residue_ball(y, t, M, p)
+            raise DepthCapExceeded(
+                f"witness check not settled after {config.descent_cap} levels; "
+                f"unsettled ball {b}", level=t, suspect_ball=b,
+            )
+        return True
+
+    walk(X, X.base_level, visit, config, "witness check")
+    return not refuted
 
 
 def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitness:
@@ -355,7 +349,7 @@ def _sphere_witness(f: RationalMap, config: AnalysisConfig) -> ObstructionWitnes
         case_tag="invariant-sphere",
         region=SphereRegion(N, p),
         derived_levels={"N": N},
-        verified=_holds_on_samples(f, CompactDomain.sphere(N, p), N, N, config),
+        verified=_holds_on_region(f, CompactDomain.sphere(N, p), N, N, config),
     )
 
 
@@ -404,7 +398,7 @@ def _contraction_witness(
         case_tag=tag,
         region=region,
         derived_levels={"N0": n0, "N": N, "l0": l0, "l1": l1, "N1": n1},
-        verified=_holds_on_samples(
+        verified=_holds_on_region(
             f, CompactDomain.ball(0, region.level, f.prime), None, image.level, config
         ),
         image_region=image,
@@ -431,7 +425,7 @@ def _escape_witness(
         region=Ball.containing(0, sphere_exp - 1, p),
         derived_levels={"N0": n0, "N": N},
         verified=all(
-            _holds_on_samples(f, CompactDomain.sphere(sphere_exp + k, p), min_image, None, config)
+            _holds_on_region(f, CompactDomain.sphere(sphere_exp + k, p), min_image, None, config)
             for k in range(3)
         ),
         sphere_exponent=sphere_exp,

@@ -315,7 +315,6 @@ def test_criterion_9_obstruction_suite():
                 continue
             w = global_obstruction(f, ERGODICITY)
             assert w.verified, f"unverified ergodicity witness for {f}"
-            assert w.checked_depth == 4
             assert _claim_holds_at_samples(f, w), f"ergodicity witness fails for {f}"
             try:
                 wm = global_obstruction(f, MINIMALITY)

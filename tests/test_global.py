@@ -13,6 +13,7 @@ from padicdyn import (
     Analysis,
     CompactDomain,
     certify_no_roots_qp,
+    classify,
     degree_gate,
     fraction_valuation,
     global_check,
@@ -33,12 +34,11 @@ from padicdyn.errors import (
 from padicdyn.global_qp import (
     ERGODICITY,
     MINIMALITY,
-    WITNESS_DEPTH,
     GlobalGateReport,
     ReductionFailure,
 )
 from padicdyn.padics import ceil_div, int_valuation
-from padicdyn.polynomials import _int_divexact, _int_gcd, _int_mul
+from padicdyn.polynomials import _int_divexact, _int_gcd, _int_mul, poly_eval
 from padicdyn.maps import RationalMap, normalize_map
 from padicdyn.scaling import LOCALLY_1_LIPSCHITZ
 
@@ -90,13 +90,27 @@ def test_root_certification_modes():
         certify_no_roots_qp((1, 0, 1, 0), 7)
 
 
+def _reduction_ball_report(f, config=AnalysisConfig()):
+    """The classification of the reduction ball B(0, N-1), or None where the
+    reduction stops before it: a failed gate or a denominator that is not
+    certified root-free on Q_p."""
+    gate = degree_gate(f, config)
+    if not gate.gate_passed or gate.q1_certification != "root-free":
+        return None
+    return classify(f, CompactDomain.ball(0, gate.N_exponent - 1, f.prime), config)
+
+
 def test_global_checks_quartic_yes():
     f = parse_map("(x^4 + x^3 + 2x^2 + 1)/(x^3 - x + 1)", 3)
     g = global_check(f)
     assert g.isometry == "Yes"
     assert g.measure_preserving == "Yes"
     assert g.forward_invariant_ball is True
-    assert g.failure is None
+    assert g.isometry_reason == "reduction ball is invariant, isometric and invertible"
+    assert g.measure_preserving_reason == (
+        "measure preserving on the invariant reduction ball "
+        "(equivalent to invertible local isometry here)"
+    )
 
 
 def test_global_checks_translation_yes():
@@ -128,9 +142,10 @@ def test_mp_equals_inv_iso_on_one_lipschitz_corpus():
         q = [rng.randint(-6, 6) for _ in range(n)] + [1]
         pc = [rng.randint(-6, 6) for _ in range(n + 1)] + [1]
         f = normalize_map(pc, q, p)
-        g = global_check(f)
-        if g.compact_report is None or not g.compact_report.is_one_lipschitz:
+        report = _reduction_ball_report(f)
+        if report is None or not report.is_one_lipschitz:
             continue  # the equivalence is only claimed for 1-Lipschitz maps
+        g = global_check(f)
         assert g.isometry == g.measure_preserving
         checked += 1
     assert checked >= 10
@@ -229,7 +244,7 @@ def test_reduction_ball_beyond_unit_ball_isometry():
     assert gate.N_exponent == 3
     g = global_check(f)
     assert g.isometry == "Yes" and g.measure_preserving == "Yes"
-    assert g.compact_report.classification == "LocallyIsometric"
+    assert _reduction_ball_report(f).classification == "LocallyIsometric"
 
 
 def test_reduction_ball_beyond_unit_ball_expansion_refused():
@@ -241,7 +256,7 @@ def test_reduction_ball_beyond_unit_ball_expansion_refused():
     assert gate.N_exponent == 3
     g = global_check(f)
     assert g.isometry == "No"
-    assert g.compact_report.classification == "LocallyRhoLipschitz"
+    assert _reduction_ball_report(f).classification == "LocallyRhoLipschitz"
 
 
 @pytest.mark.parametrize(
@@ -259,7 +274,6 @@ def test_reduction_ball_beyond_unit_ball_expansion_refused():
 )
 def test_reduction_failure_reasons(failure, f, config):
     g = global_check(f) if config is None else global_check(f, config)
-    assert g.failure is failure
     assert g.isometry_reason == g.measure_preserving_reason == failure.text
     assert (g.isometry, g.measure_preserving) == (failure.isometry, failure.measure_preserving)
     assert g.forward_invariant_ball is (
@@ -282,9 +296,11 @@ def test_an_undecided_scan_leaves_an_uncertified_isometry_undecided():
     # x + 2/3 is an isometry of Q_3; with a descent cap of 1, T1 = 9 is not
     # separated from 0, so the reduction ball is classified on the profile
     # route (Locally1Lipschitz, every exponent 0) and its scan is Undecided
-    g = global_check(parse_map("(2+3x)/3", 3), AnalysisConfig(descent_cap=1))
-    assert g.compact_report.classification == LOCALLY_1_LIPSCHITZ
-    assert g.compact_report.scalar_profile == {0: 27}
+    f, config = parse_map("(2+3x)/3", 3), AnalysisConfig(descent_cap=1)
+    g = global_check(f, config)
+    report = _reduction_ball_report(f, config)
+    assert report.classification == LOCALLY_1_LIPSCHITZ
+    assert report.scalar_profile == {0: 27}
     assert (g.isometry, g.measure_preserving) == ("Undecided", "Undecided")
     assert g.isometry_reason == g.measure_preserving_reason == "cycle criterion undecided"
 
@@ -297,7 +313,7 @@ def test_an_undecided_scan_leaves_an_uncertified_isometry_undecided():
 ])
 def test_an_undecided_scan_keeps_a_certified_non_isometry(monkeypatch, text, root_free):
     f = parse_map(text, 3)
-    report = global_check(f).compact_report
+    report = _reduction_ball_report(f)
     assert report.derivative_root_free is root_free
     assert (min(report.scalar_profile) < 0) is root_free
     monkeypatch.setattr(Analysis, "mp", lambda self: MPVerdict(kind=UNDECIDED))
@@ -312,10 +328,14 @@ def _within(lo, hi, e):
     return (lo is None or lo <= e) and (hi is None or e <= hi)
 
 
+# the depth of the sweep oracle, below the checked region's base level
+SWEEP_DEPTH = 4
+
+
 def _sampled_sweep(f, X, lo, hi, config):
-    """The witness check before balls were settled: f at every ball centre
-    WITNESS_DEPTH levels below X, in key order."""
-    samples = level_balls(X, X.base_level - WITNESS_DEPTH, config)
+    """An oracle independent of the ball probes: f at every ball centre
+    SWEEP_DEPTH levels below X, in key order."""
+    samples = level_balls(X, X.base_level - SWEEP_DEPTH, config)
     return all(_within(lo, hi, -fraction_valuation(f.eval(b.key), f.prime)) for b in samples)
 
 
@@ -332,7 +352,9 @@ _small_fraction = st.builds(
 
 
 @st.composite
-def _settling_cases(draw):
+def _region_cases(draw):
+    """(f, X, lo, hi, config, pole, zero): a claim on a ball or sphere X, and
+    the roots of Q and of P drawn inside X (None when none was drawn)."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     if draw(st.booleans()):
         X = CompactDomain.ball(0, draw(st.integers(-1, 1)), p)
@@ -342,43 +364,110 @@ def _settling_cases(draw):
     qc = draw(st.lists(_small_fraction, min_size=1, max_size=3))
     if not any(qc):
         qc[-1] = Fraction(1)
-    q = trimmed(qc)
-    if draw(st.booleans()):
-        # a pole at one of the sample centres
-        keys = level_balls(X, X.base_level - WITNESS_DEPTH)
-        root = keys[draw(st.integers(0, len(keys) - 1))].key
-        q = pmul(q, [-root, 1])
-    f = normalize_map(pc, q, p)
-    lo = draw(st.none() | st.integers(-6, 6))
-    hi = draw(st.none() | st.integers(-6, 6))
-    cap = draw(st.sampled_from([1_000_000, 1_000_000, 1_000_000, 50]))
-    return f, X, lo, hi, AnalysisConfig(ball_cap=cap)
+    t = X.base_level
+    keys = level_balls(X, t)
+
+    def point(key):
+        # a point of the base-level ball of this key: the key plus
+        # u p^(j - t), which is a key of a finer ball only for some u >= 0
+        return key + draw(st.integers(-9, 9)) * Fraction(p) ** (draw(st.integers(0, 5)) - t)
+
+    key = keys[draw(st.integers(0, len(keys) - 1))].key
+    pole = point(keys[draw(st.integers(0, len(keys) - 1))].key) if draw(st.booleans()) else None
+    zero = point(key) if draw(st.booleans()) else None
+    q = trimmed(qc) if pole is None else pmul(trimmed(qc), [-pole, 1])
+    f = normalize_map(pc if zero is None else pmul(pc, [-zero, 1]), q, p)
+    # half the bounds hold at the key of the zero's ball, so that only
+    # points deeper down (near a root of P or Q) can break them
+    if poly_eval(f.P, key) and poly_eval(f.Q, key) and draw(st.booleans()):
+        bound = -fraction_valuation(f.eval(key), p) + draw(st.integers(-1, 1))
+    else:
+        bound = draw(st.integers(-6, 6))
+    # the witnesses' claim shapes: an image bound, an escape bound, a sphere
+    lo, hi = draw(st.sampled_from([(None, bound), (bound, None), (bound, bound),
+                                   (bound - 1, bound)]))
+    cap = draw(st.sampled_from([1_000_000, 1_000_000, 1_000_000, 3]))
+    return f, X, lo, hi, AnalysisConfig(ball_cap=cap), pole, zero
 
 
-def test_settled_check_agrees_with_the_sampled_sweep():
+def test_region_check_proofs_and_refutations_are_confirmed(monkeypatch):
+    # a refutation names no point: the keys the walk probes are recorded,
+    # and f must break the claim at one of them
+    probed = []
+    real_probe = global_qp._ball_probe
+
+    def recording_probe(G, p, y, k):
+        probed.append(y)
+        return real_probe(G, p, y, k)
+
+    monkeypatch.setattr(global_qp, "_ball_probe", recording_probe)
     seen, alphas, heights = set(), set(), set()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_settling_cases())
+    @given(_region_cases())
     def check(case):
-        got = _outcome(global_qp._holds_on_samples, *case)
-        assert got == _outcome(_sampled_sweep, *case)
-        seen.add(got if isinstance(got, bool) else got[0])
-        f, X = case[:2]
+        f, X, lo, hi, config, pole, zero = case
+        p, scale = f.prime, f.prime ** X.height_exponent()
+        probed.clear()
+        try:
+            got = global_qp._holds_on_region(f, X, lo, hi, config)
+        except PadicDynError as exc:
+            got = exc
+        keys = [Fraction(y, scale) for y in reversed(probed)]
+        if got is True:
+            # a proof covers every point: no drawn pole, no drawn zero under
+            # a lower bound, and every centre of the sweep keeps the claim
+            assert pole is None and (zero is None or lo is None)
+            assert _sampled_sweep(f, X, lo, hi, AnalysisConfig()) is True
+        elif got is False:
+            assert any(
+                any(b.contains(a) for b in X.balls) and poly_eval(f.Q, a)
+                and not _within(lo, hi, -fraction_valuation(f.eval(a), p))
+                for a in keys
+            )
+        elif isinstance(got, PoleInDomain):
+            assert any(poly_eval(f.Q, a) == 0 for a in keys)
+        elif isinstance(got, DepthCapExceeded):
+            # Q is not separated from 0 on the unsettled ball
+            with pytest.raises((RootCertified, DepthCapExceeded)):
+                lower_bound_bF(f.Q, CompactDomain.from_balls([got.suspect_ball]))
+        else:
+            assert isinstance(got, DecompositionTooLarge) and config.ball_cap == 3
+        seen.add((got if isinstance(got, bool) else type(got), pole is not None))
         alphas.add(f.alpha != 0)
         heights.add(X.height_exponent())
 
     check()
-    assert seen == {True, False, PoleInDomain, DecompositionTooLarge}
+    assert {(True, False), (False, False), (False, True), (PoleInDomain, True),
+            (DepthCapExceeded, True)} <= seen
+    assert DecompositionTooLarge in {got for got, _ in seen}
     # the probes' rescaling offsets are exercised: alpha cancels from
     # v(Q) - v(P), and regions reach beyond Z_p
     assert alphas == {True, False} and max(heights) >= 2
 
 
+def test_a_lower_bound_is_not_settled_across_a_zero():
+    # |x + 1| = 1 at the key 0 of Z_5, but x + 1 vanishes at -1: |P| is not
+    # constant on Z_5, and the key 4 of a level -1 ball refutes |f| >= 1
+    f = normalize_map([1, 1], [1], 5)
+    assert global_qp._holds_on_region(f, CompactDomain.zp(5), 0, None, AnalysisConfig()) is False
+    assert global_qp._holds_on_region(f, CompactDomain.zp(5), None, 0, AnalysisConfig()) is True
+
+
+def test_a_pole_between_the_keys_is_not_proven():
+    # 0/(1 + x) keeps its pole at -1, which no key of B(1, -1) at p = 2 hits:
+    # the balls around it never have |Q| constant
+    f = normalize_map([0], [1, 1], 2)
+    with pytest.raises(DepthCapExceeded) as exc:
+        global_qp._holds_on_region(f, CompactDomain.ball(1, -1, 2), None, 0, AnalysisConfig())
+    assert exc.value.suspect_ball.level == -33
+    assert exc.value.suspect_ball.contains(-1)
+
+
 def _shift_claims(monkeypatch):
     """Move every witness claim one level past its bound: a sphere claim to
     the next sphere, an image bound one level in, an escape bound one out."""
-    real = global_qp._holds_on_samples
+    real = global_qp._holds_on_region
 
     def shifted(f, X, lo, hi, config):
         if lo == hi:
@@ -388,7 +477,7 @@ def _shift_claims(monkeypatch):
             hi = None if hi is None else hi - 1
         return real(f, X, lo, hi, config)
 
-    monkeypatch.setattr(global_qp, "_holds_on_samples", shifted)
+    monkeypatch.setattr(global_qp, "_holds_on_region", shifted)
 
 
 @pytest.mark.parametrize(
@@ -418,12 +507,10 @@ def test_cli_prints_failed_for_a_claim_past_its_bound(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "verified at depth 4: FAILED"
 
 
-@pytest.mark.parametrize(
-    "map_text,most",
-    [("(-7+5*x^2+6*x^3)/(7)", 0), ("(3-2*x+3*x^2)/(2+7*x+2*x^2)", 20)],
-)
-def test_witness_evaluates_only_unsettled_centres(monkeypatch, capsys, map_text, most):
-    # the sampled sweep made 43,218 and 2,401 evaluations
+@pytest.mark.parametrize("map_text", ["(-7+5*x^2+6*x^3)/(7)", "(3-2*x+3*x^2)/(2+7*x+2*x^2)"])
+def test_witness_evaluates_f_at_no_point(monkeypatch, capsys, map_text):
+    # near the roots of P in the second map's invariant ball, the proof
+    # reads the probes' bounds on |P|, not values of f
     real = RationalMap.eval
     calls = []
 
@@ -434,7 +521,7 @@ def test_witness_evaluates_only_unsettled_centres(monkeypatch, capsys, map_text,
     monkeypatch.setattr(RationalMap, "eval", counted)
     assert cli.main(["-p", "7", f"--map={map_text}", "witness", "--goal", "ergodicity"]) == 0
     assert "verified at depth 4: ok" in capsys.readouterr().out
-    assert len(calls) <= most
+    assert calls == []
 
 
 # -- the P1/Q1 quantities against the Fraction code they replaced -------------
@@ -521,7 +608,7 @@ def _old_degree_gate(f, config):
 def _old_witness(f, goal, config):
     """(kind, derived_levels, verified) of the parent's witness for goal."""
     p, alpha, m, n = f.prime, f.alpha, f.m, f.n
-    check = global_qp._holds_on_samples
+    check = global_qp._holds_on_region
     if goal == ERGODICITY and alpha == 0 and m == n + 1:
         N = _old_reduction_exponent(f)
         return "InvariantSphere", {"N": N}, check(f, CompactDomain.sphere(N, p), N, N, config)
