@@ -120,6 +120,9 @@ CASES.update({
                                              "witness", "--goal", "minimality"],
     "error-witness-denominator-root": ["-p", "7", "--map=(3+8*x)/(1+9*x)",
                                        "witness", "--goal", "ergodicity"],
+    # the denominator's root descent stops at the depth cap, undecided
+    "error-witness-denominator-depth-cap": ["-p", "7", "--map=(3-2*x+3*x^2)/(2+7*x+2*x^2)",
+                                            "witness", "--goal", "ergodicity", "--cap", "1"],
     # the invariant sphere S(0, 1) at p = 17: its 16 base-level balls hold
     # 1,336,336 balls four levels down, over ball_cap
     "sphere-p17-witness-ergodicity": ["-p", "17", "--map", "(x^2-1)/x",
