@@ -17,7 +17,7 @@ from padicdyn import (
     parse_domain,
     parse_map,
 )
-from padicdyn.render import digraph_to_dot, write_atomic
+from padicdyn.render import dot_chunks, write_atomic
 
 INSTANCES = [
     ("quadratic-over-linear on two unit balls", 7, "(x^2-1)/x", "B(2,-1)+B(5,-1)", -2),
@@ -50,7 +50,7 @@ def analyze(name, p, map_text, domain_text, level, dot_dir=None):
         print(f"   component [{balls}]: {c.verdict}")
     if dot_dir:
         path = os.path.join(dot_dir, f"p{p}_level{abs(level)}.dot")
-        write_atomic(path, digraph_to_dot(G))
+        write_atomic(path, dot_chunks(G))
         print(f"   dot written: {path}")
     print()
 

@@ -13,6 +13,7 @@ import dataclasses
 import sys
 from functools import cache
 from importlib import import_module
+from operator import attrgetter
 from types import SimpleNamespace
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
@@ -170,16 +171,16 @@ def _module(name: str):
 
 def _emit_graph(inv: SimpleNamespace, G, out) -> None:
     if inv.dot_path:
-        _write(inv.dot_path, _module("render").digraph_to_dot(G))
+        _write(inv.dot_path, _module("render").dot_chunks(G))
         out(f"dot written: {inv.dot_path}")
     if inv.json_path:
-        _write(inv.json_path, _module("render").digraph_to_json(G))
+        _write(inv.json_path, _module("render").json_chunks(G))
         out(f"json written: {inv.json_path}")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks) -> None:
     try:
-        _module("render").write_atomic(path, text)
+        _module("render").write_atomic(path, chunks)
     except OSError as exc:
         raise PadicDynError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -300,7 +301,7 @@ def run(inv: SimpleNamespace, stdout=None) -> int:
     if inv.command == "subsidiary":
         G = analysis.subsidiary(inv.level)
         names = G.key_strings
-        kept = sum(1 for d in G.subsidiary if d.passes)
+        kept = sum(G.per_datum(attrgetter("passes")))
         out(f"vertices: {len(G.vertices)}")
         out(f"subsidiary edges kept: {kept} of {len(G.vertices)}")
         out(f"coincides with full digraph: {_yesno(G.is_subsidiary_equal)}")

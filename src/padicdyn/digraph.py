@@ -13,8 +13,10 @@ image of each key on its own.  The images of one such ancestor's
 descendants are one arithmetic progression of vertex indices, so a level
 costs one expansion per ancestor, not one evaluation per vertex.  A
 digraph stores sorted residues and one successor index per vertex; Balls
-are built on demand, and each distinct subsidiary datum is formatted once
-for output (``LevelDigraph.per_datum``).  Cycle structure decides measure
+are built on demand.  Output reads a level in one pass over its vertices:
+``LevelDigraph.per_datum`` formats each distinct subsidiary datum once and
+gives each edge its datum's text by one lookup, and ``render`` streams
+the text into its file in chunks.  Cycle structure decides measure
 preservation and semi-decides ergodicity and minimality; subsidiary edge
 data decides how far the finite digraphs certify the infinite family, and
 on Z_p one datum serves every edge of a ball where |Q|, |Q'| and |T1| are
@@ -31,10 +33,12 @@ per-ball bounds.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from typing import TypeVar
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .domains import Ball, CompactDomain, decompose_residues, residue_ball
@@ -65,6 +69,8 @@ NOT_MEASURE_PRESERVING = "NotMeasurePreserving"
 UNDECIDED = "Undecided"
 NOT_ERGODIC = "NotErgodic"
 SINGLE_CYCLE_TO_DEPTH = "SingleCycleToDepth"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -121,19 +127,25 @@ class LevelDigraph:
 
     @property
     def is_subsidiary_equal(self) -> bool:
-        if self.subsidiary is None:
-            raise ValueError("subsidiary data was not computed")
-        return all(d.passes for d in self.subsidiary)
+        return all(d.passes for d in self._datum_ids[1].values())
 
-    def per_datum(self, fmt: Callable[[SubsidiaryEdgeData], str]) -> list[str]:
+    def per_datum(self, fmt: Callable[[SubsidiaryEdgeData], T]) -> Iterator[T]:
         """``fmt`` of each edge's subsidiary datum, in vertex order, with
         ``fmt`` called once per distinct datum object: ``Analysis.subsidiary``
         shares one datum across the edges of a settled ball."""
-        if self.subsidiary is None:
+        ids, distinct = self._datum_ids
+        value = {k: fmt(d) for k, d in distinct.items()}
+        return map(value.__getitem__, ids)
+
+    @cached_property
+    def _datum_ids(self) -> tuple[list[int], dict[int, SubsidiaryEdgeData]]:
+        """The id of each edge's subsidiary datum, in vertex order, and each
+        distinct datum object by its id."""
+        data = self.subsidiary
+        if data is None:
             raise ValueError("subsidiary data was not computed")
-        distinct = {id(d): d for d in self.subsidiary}
-        text = {k: fmt(d) for k, d in distinct.items()}
-        return [text[id(d)] for d in self.subsidiary]
+        ids = list(map(id, data))
+        return ids, dict(zip(ids, data))
 
     @cached_property
     def cycles(self) -> CycleDecomposition:
@@ -386,37 +398,48 @@ def _edge_data(
 def cycle_decomposition(G: LevelDigraph) -> CycleDecomposition:
     """Cycles and tails of the out-degree-1 functional graph.
 
-    Deterministic: cycles are rotated to start at their smallest key and
-    sorted by that key (vertex indices follow key order).
+    Each vertex is walked once: a walk follows out-edges from the least
+    unvisited vertex until it meets a visited one, and a walk that meets its
+    own path has closed a new cycle, the path from the meeting vertex on.
+    The tails are the vertices on no cycle.  Deterministic: cycles are
+    rotated to start at their smallest key and sorted by that key (vertex
+    indices follow key order).
     """
     succ = G.succ
-    walk = [0] * len(succ)  # 1 + the start of the walk that reached a vertex
-    on_cycle = bytearray(len(succ))
+    n = len(succ)
+    walk = [0] * n  # 1 + the start of the walk that reached a vertex
     cycles = []
-    for start in range(len(succ)):
-        if walk[start]:
+    # the iterator reads walk as the walks fill it in
+    for mark, seen in enumerate(walk, 1):
+        if seen:
             continue
-        mark = start + 1
-        v = start
-        while not walk[v]:
-            walk[v] = mark
-            v = succ[v]
-        if walk[v] == mark:
-            # this walk closed a new cycle through v
-            cyc = [v]
-            u = succ[v]
-            while u != v:
-                cyc.append(u)
-                u = succ[u]
-            k = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[k:] + cyc[:k]))
-            for u in cyc:
-                on_cycle[u] = 1
+        v = mark - 1
+        walk[v] = mark
+        u = succ[v]
+        if walk[u]:
+            # most walks on a level with tails end after one vertex
+            if u == v:
+                cycles.append((v,))
+            continue
+        path = [v]
+        while not walk[u]:
+            walk[u] = mark
+            path.append(u)
+            u = succ[u]
+        if walk[u] == mark:
+            # this walk closed a new cycle: its path from u on
+            del path[: path.index(u)]
+            k = path.index(min(path))
+            cycles.append(tuple(path[k:] + path[:k]))
     cycles.sort()
-    return CycleDecomposition(
-        cycle_indices=tuple(cycles),
-        tail_indices=tuple(i for i, c in enumerate(on_cycle) if not c),
-    )
+    tails = ()
+    if sum(map(len, cycles)) < n:
+        is_tail = bytearray(b"\x01") * n
+        for cyc in cycles:
+            for u in cyc:
+                is_tail[u] = 0
+        tails = tuple(compress(range(n), is_tail))
+    return CycleDecomposition(cycle_indices=tuple(cycles), tail_indices=tails)
 
 
 class Analysis:

@@ -372,9 +372,14 @@ def _contraction_witness(
     alpha, m, n = f.alpha, f.m, f.n
     n0 = _leading_term_exponent(f)
     cert, ball, l = certify_no_roots_qp(f.Q, f.prime, config)
-    if cert != "root-free":
+    if cert == "root":
         raise PoleInDomain(
             "the invariant-ball witness needs a pole-free denominator", ball=ball
+        )
+    if cert == "unknown":
+        raise DepthCapExceeded(
+            "the invariant-ball witness needs a pole-free denominator: its root "
+            f"descent hit the depth cap {config.descent_cap}"
         )
     # |Q1| >= p^l0 from |Q| >= p^l, as Q1 = Q / p^v(lead Q)
     l0 = l + int_valuation(f.Q[-1], f.prime)

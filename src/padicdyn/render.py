@@ -1,41 +1,52 @@
 """DOT and JSON serializations of level digraphs.
 
-Output is deterministic (vertices sorted by canonical key) and writes are
-atomic (temp file in the target directory, then rename).  Each distinct
-subsidiary datum is formatted once (``LevelDigraph.per_datum``), however
-many edges share it.
+Output is deterministic (vertices sorted by canonical key).  Each format
+has one renderer, which yields its text in chunks of at most ``CHUNK``
+vertices, edges, cycles or tail vertices, in one pass over the digraph;
+a caller that needs one string joins the chunks.  ``write_atomic`` streams
+the chunks into a temp file in the target directory and then renames it
+over the target, so the write is atomic: no whole-document string is
+built, and a failure midway leaves the target's old bytes and no temp
+file.  Each distinct subsidiary datum is formatted once
+(``LevelDigraph.per_datum``), however many edges share it.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from itertools import repeat
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice, repeat
 
 from .digraph import LevelDigraph
 from .padics import INF, NEG_INF
 
+# vertices, edges, cycles or tail vertices per chunk of text
+CHUNK = 256
+# between the items of a top-level member's JSON list
+_SEP = ",\n    "
 
-def digraph_to_dot(G: LevelDigraph) -> str:
+
+def dot_chunks(G: LevelDigraph) -> Iterator[str]:
     """One node per ball labeled "key (level)"; the unique out-edges are
     solid, except that edges failing the subsidiary admission are dashed."""
     names = G.key_strings
-    label = f' ({G.level})"];'
+    label = f' ({G.level})"];\n'
     if G.subsidiary is None:
         styles = repeat("solid")
     else:
         styles = G.per_datum(lambda d: "solid" if d.passes else "dashed")
-    lines = ["digraph dynamics {"]
-    lines += [f'  "{k}" [label="{k}{label}' for k in names]
-    lines += [
-        f'  "{k}" -> "{names[j]}" [style={style}];'
-        for k, j, style in zip(names, G.succ, styles)
-    ]
-    lines.append("}\n")
-    return "\n".join(lines)
+    yield "digraph dynamics {\n"
+    yield from _chunks(names, lambda batch: "".join(
+        [f'  "{k}" [label="{k}{label}' for k in batch]
+    ))
+    yield from _chunks(zip(names, G.succ, styles), lambda batch: "".join(
+        [f'  "{k}" -> "{names[j]}" [style={s}];\n' for k, j, s in batch]
+    ))
+    yield "}\n"
 
 
-def digraph_to_json(G: LevelDigraph) -> str:
+def json_chunks(G: LevelDigraph) -> Iterator[str]:
     """G with its cycles and tails.  "center" and "rep" repeat the key: a
     ball's key is its canonical center and representative.
 
@@ -44,42 +55,59 @@ def digraph_to_json(G: LevelDigraph) -> str:
     ``json.dumps`` to its pure-Python encoder.  Keys are ``str(Fraction)``
     (digits, "-" and "/"), so no string needs escaping.
     """
-    q = [f'"{k}"' for k in G.key_strings]
-    vertices = [
-        f'{{\n      "key": {k},\n      "center": {k},\n      "rep": {k}\n    }}'
-        for k in q
-    ]
+    names = G.key_strings
     if G.subsidiary is None:
         tails = repeat('      "s": null,\n      "passes": null\n    }')
     else:
         tails = G.per_datum(
             lambda d: f'      "s": {d.s_exponent},\n'
             f'      "passes": {"true" if d.passes else "false"},\n'
-            f'      "bounds": {_json_list([_bound(b) for b in d.bound_exponents], 6)}\n'
-            "    }"
+            '      "bounds": [\n        '
+            + ",\n        ".join(map(_bound, d.bound_exponents))
+            + "\n      ]\n    }"
         )
-    edges = [
-        f'{{\n      "from": {k},\n      "to": {q[j]},\n{tail}'
-        for k, j, tail in zip(q, G.succ, tails)
-    ]
     cycles = G.cycles
-    return (
-        f'{{\n  "prime": {G.prime},\n  "level": {G.level},\n'
-        f'  "vertices": {_json_list(vertices, 2)},\n'
-        f'  "edges": {_json_list(edges, 2)},\n'
-        f'  "cycles": {_json_list([_json_list([q[i] for i in c], 4) for c in cycles.cycle_indices], 2)},\n'
-        f'  "tails": {_json_list([q[i] for i in cycles.tail_indices], 2)}\n'
-        "}\n"
-    )
+    yield f'{{\n  "prime": {G.prime},\n  "level": {G.level},\n  "vertices": '
+    yield from _json_list(_chunks(names, lambda batch: _SEP.join(
+        [f'{{\n      "key": "{k}",\n      "center": "{k}",\n      "rep": "{k}"\n    }}'
+         for k in batch]
+    )))
+    yield ',\n  "edges": '
+    yield from _json_list(_chunks(zip(names, G.succ, tails), lambda batch: _SEP.join(
+        [f'{{\n      "from": "{k}",\n      "to": "{names[j]}",\n{tail}'
+         for k, j, tail in batch]
+    )))
+    yield ',\n  "cycles": '
+    # a cycle has at least one vertex
+    yield from _json_list(_chunks(cycles.cycle_indices, lambda batch: _SEP.join(
+        ['[\n      "' + '",\n      "'.join([names[i] for i in c]) + '"\n    ]' for c in batch]
+    )))
+    yield ',\n  "tails": '
+    yield from _json_list(_chunks(cycles.tail_indices, lambda batch: _SEP.join(
+        [f'"{names[i]}"' for i in batch]
+    )))
+    yield "\n}\n"
 
 
-def _json_list(items: list[str], indent: int) -> str:
-    """JSON list of encoded ``items`` whose closing bracket sits at
-    ``indent``, laid out as by ``json.dumps(..., indent=2)``."""
-    if not items:
-        return "[]"
-    pad = " " * (indent + 2)
-    return f"[\n{pad}" + f",\n{pad}".join(items) + "\n" + " " * indent + "]"
+def _chunks(rows: Iterable, text: Callable[[Iterator], str]) -> Iterator[str]:
+    """``text`` of successive batches of at most ``CHUNK`` rows, until the
+    rows run out (no row's text is empty).  Each batch is an iterator over
+    the rows themselves, so no row is stored between its source and its
+    text."""
+    rows = iter(rows)
+    while chunk := text(islice(rows, CHUNK)):
+        yield chunk
+
+
+def _json_list(chunks: Iterable[str]) -> Iterator[str]:
+    """A top-level member's JSON list of the ``_SEP``-joined items in
+    ``chunks``, laid out as by ``json.dumps(..., indent=2)``."""
+    opening = "[\n    "
+    for chunk in chunks:
+        yield opening
+        yield chunk
+        opening = _SEP
+    yield "\n  ]" if opening is _SEP else "[]"
 
 
 def _bound(x) -> str:
@@ -90,9 +118,11 @@ def _bound(x) -> str:
     return str(int(x))
 
 
-def write_atomic(path: str, content: str) -> None:
-    """Write ``content`` to ``path`` through a temp file in its directory,
-    created with the mode ``open(path, "w")`` would give it."""
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` through a temp file in its
+    directory, created with the mode ``open(path, "w")`` would give it.  If
+    anything fails midway, ``path`` keeps its old bytes and the temp file is
+    removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -101,7 +131,7 @@ def write_atomic(path: str, content: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(content)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

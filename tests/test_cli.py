@@ -22,7 +22,8 @@ from padicdyn.cli import (
 )
 from fractions import Fraction
 
-from padicdyn.render import digraph_to_dot, digraph_to_json
+from padicdyn import render
+from padicdyn.render import dot_chunks, json_chunks, write_atomic
 from padicdyn import (
     Analysis,
     CompactDomain,
@@ -255,6 +256,24 @@ def test_artifact_path_that_is_a_directory_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {path}: Is a directory\n"
     # the temporary file beside it is removed
     assert [p.name for p in tmp_path.iterdir()] == ["g.dot"]
+
+
+def test_a_renderer_failing_midway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b"old bytes\n")
+    G = build_digraph(parse_map(QUARTIC_ARGS[3], 3), parse_domain("Zp", 3), -6)
+
+    def failing():
+        chunks = json_chunks(G)
+        # several chunks reach the temp file before the failure
+        for _ in range(4):
+            yield next(chunks)
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="^renderer failed$"):
+        write_atomic(str(path), failing())
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
 
 
 @pytest.mark.parametrize("field", ["descent_cap", "intrinsic_margin"])
@@ -591,14 +610,25 @@ def _json_cases():
     yield "subsidiary", Analysis(*punctured).subsidiary(-3)
     shift = parse_map("x + 1/3", 3)
     yield "beyond Z_p", build_digraph(shift, CompactDomain.ball(0, 1, 3), -3)
+    yield "several chunks", build_digraph(
+        parse_map("(x^4+x^3+2x^2+1)/(x^3-x+1)", 3), parse_domain("Zp", 3), -6
+    )
 
 
 def test_json_writer_matches_json_dumps():
     for name, G in _json_cases():
         want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
-        assert digraph_to_json(G) == want, name
+        assert "".join(json_chunks(G)) == want, name
         if name == "beyond Z_p":
             assert '"1/3"' in want
+        if name == "several chunks":
+            # the vertices and the edges each span three chunks
+            assert len(G.succ) > 2 * render.CHUNK
+            lines = "".join(dot_chunks(G)).splitlines()
+            assert lines[0] == "digraph dynamics {" and lines[-1] == "}"
+            assert lines[1:-1] == [
+                f'  "{v.key}" [label="{v.key} ({G.level})"];' for v in G.vertices
+            ] + [f'  "{v.key}" -> "{w.key}" [style=solid];' for v, w in edge_map(G).items()]
 
 
 def test_json_writer_on_hand_built_subsidiary_bounds():
@@ -611,7 +641,7 @@ def test_json_writer_on_hand_built_subsidiary_bounds():
     )
     G = LevelDigraph(G.prime, G.level, G.height, G.residues, G.succ, data)
     want = json.dumps(json_dict_oracle(G), indent=2) + "\n"
-    assert digraph_to_json(G) == want
+    assert "".join(json_chunks(G)) == want
 
 
 def hand_built_subsidiary() -> LevelDigraph:
@@ -652,14 +682,14 @@ def test_outputs_format_each_edge_by_its_own_datum(monkeypatch, tmp_path):
         for (a, b), d in zip(pairs, data)
     ]
 
-    dot = digraph_to_dot(G)
+    dot = "".join(dot_chunks(G))
     assert [line for line in dot.splitlines() if "->" in line] == [
         f'  "{a}" -> "{b}" [style={"solid" if d.passes else "dashed"}];'
         for (a, b), d in zip(pairs, data)
     ]
     assert "dashed" in dot and "solid" in dot
 
-    assert digraph_to_json(G) == json.dumps(json_dict_oracle(G), indent=2) + "\n"
+    assert "".join(json_chunks(G)) == json.dumps(json_dict_oracle(G), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
@@ -683,7 +713,7 @@ def test_json_round_trip():
     f = parse_map("(x^2-1)/x", 7)
     X = parse_domain("B(2,-1)+B(5,-1)", 7)
     G = Analysis(f, X).subsidiary(-2)
-    text = digraph_to_json(G)
+    text = "".join(json_chunks(G))
     loaded = digraph_from_json(text)
     direct = structural_form(G)
     assert loaded["prime"] == direct["prime"]

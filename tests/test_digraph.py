@@ -465,7 +465,37 @@ def _functional_graph(succ):
     return LevelDigraph(2, -n, 0, tuple(range(n)), tuple(succ))
 
 
-@given(st.integers(1, 40).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+@st.composite
+def _successor_lists(draw):
+    """Successor lists of functional graphs: any map, a permutation, mostly
+    1-cycles, or long tails into cycles that earlier walks closed."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["any", "permutation", "fixed points", "long tails"]))
+    if kind == "any":
+        return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if kind == "permutation":
+        return draw(st.permutations(range(n)))
+    succ = list(range(n))
+    if kind == "fixed points":
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=max(1, n // 4))):
+            succ[i] = draw(st.integers(0, n - 1))
+        return succ
+    # cycles on the first c vertices; the rest are chains a -> a + 1 -> ...
+    # -> b - 1, each ending in an earlier vertex, so the walk from a runs
+    # the whole chain into a vertex that an earlier walk reached
+    c = draw(st.integers(1, n))
+    succ[:c] = draw(st.permutations(range(c)))
+    cuts = sorted(draw(st.sets(st.integers(c + 1, n - 1), max_size=3))) if n > c + 1 else []
+    for a, b in zip([c, *cuts], [*cuts, n]):
+        succ[a:b - 1] = range(a + 1, b)
+        succ[b - 1] = draw(st.integers(0, a - 1))
+    return succ
+
+
+@given(_successor_lists())
+@example([0] * 60)
+@example(list(range(60)))
+@example([59, *range(59)])
 def test_cycle_walk_matches_iterating_the_map(succ):
     n = len(succ)
     # v lies on a cycle iff it returns to itself within n steps

@@ -236,6 +236,14 @@ def test_minimality_witness_needs_pole_free_denominator_for_contraction():
         global_obstruction(parse_map("1/x", 7), MINIMALITY)
 
 
+def test_a_denominator_undecided_at_the_cap_is_not_reported_as_a_pole():
+    f = parse_map("(3-2*x+3*x^2)/(2+7*x+2*x^2)", 7)
+    assert certify_no_roots_qp(f.Q, 7, AnalysisConfig(descent_cap=1))[0] == "unknown"
+    with pytest.raises(DepthCapExceeded, match="hit the depth cap 1$"):
+        global_obstruction(f, ERGODICITY, AnalysisConfig(descent_cap=1))
+    assert global_obstruction(f, ERGODICITY).verified
+
+
 def test_reduction_ball_beyond_unit_ball_isometry():
     # translation by 1/9 passes the gate with N = 3; the reduction ball
     # B(0,2) reaches outside Z_3 and the verdict is still decided exactly
@@ -617,9 +625,14 @@ def _old_witness(f, goal, config):
     if m <= n or (m == n + 1 and alpha > 0):
         P1, Q1 = _old_p1_q1(f)
         cert, ball, l0 = _old_certify_no_roots_qp(Q1, p, config)
-        if cert != "root-free":
+        if cert == "root":
             raise PoleInDomain(
                 "the invariant-ball witness needs a pole-free denominator", ball=ball
+            )
+        if cert == "unknown":
+            raise DepthCapExceeded(
+                "the invariant-ball witness needs a pole-free denominator: its root "
+                f"descent hit the depth cap {config.descent_cap}"
             )
         if m == n + 1:
             N = n0
