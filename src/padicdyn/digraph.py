@@ -58,6 +58,7 @@ from .polynomials import (
     _ball_probe,
     _int_add,
     _evaluate,
+    _int_derivative,
     _int_mul,
     _taylor_coefficients,
     _taylor_polynomials,
@@ -546,18 +547,20 @@ class Analysis:
         no edge's exponent is below s at the levels u <= exact_to.  Above
         the transport level, only a ball on which every valuation entering s
         is constant settles: it then stands for its transport-level balls.
-        On Z_p (M = 0), s = 0 and the three valuations settle a ball."""
-        p, level, taylor = self.f.prime, self.transport_level, self._taylor
-        M, o = self.form.M, self.form.offset
+        On Z_p (M = 0), s = 0 and the three valuations settle a ball.  They
+        are read off den, den' = Qh_1 and t1 = W_1, so ``_taylor`` is built
+        only beyond Z_p, where the loop over its terms runs."""
+        p, level, form = self.f.prime, self.transport_level, self.form
+        M, o = form.M, form.offset
         k = M - t
         (vq, cq), (vqd, cqd), (vt, ct) = (
-            _ball_probe(F, p, y, k)[2:] for F in (self.form.den, *taylor[1])
+            _ball_probe(F, p, y, k)[2:] for F in (form.den, _int_derivative(form.den), form.t1)
         )
         if not (cq and cqd and ct):
             return None
         # with M = 0 every coefficient is an integer, s = 0
         s, constant, exact_to = 0, True, INF if M == 0 else vq - o
-        for i, (Qi, Wi) in enumerate(taylor if M else ()):
+        for i, (Qi, Wi) in enumerate(self._taylor if M else ()):
             # v(Q_a[i]) >= q and v(W_i(a)) - v(Q(a)) >= w on the ball
             q, q_exact = _ball_probe(Qi, p, y, k)[2:]
             w, w_exact = _ball_probe(Wi, p, y, k)[2:]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
@@ -95,10 +96,11 @@ class CompactDomain:
         n = radius_exponent
         return CompactDomain.ball(0, n, p).difference(CompactDomain.ball(0, n - 1, p))
 
-    @property
+    @cached_property
     def base_level(self) -> int:
         """The finest level of a maximal ball: X is a union of level-t balls
-        exactly for t at or below it."""
+        exactly for t at or below it.  Computed once per domain, outside
+        the fields, so ``==``, ``hash`` and ``repr`` do not see it."""
         return min(b.level for b in self.balls)
 
     @property
@@ -115,7 +117,12 @@ class CompactDomain:
 
     def height_exponent(self) -> int:
         """Smallest M >= level data with X inside the ball of radius p^M
-        around 0 (0 when the domain sits inside Z_p)."""
+        around 0 (0 when the domain sits inside Z_p); ``_height``, computed
+        once per domain like ``base_level``."""
+        return self._height
+
+    @cached_property
+    def _height(self) -> int:
         # a nonzero key has digits below -level only, so -v(key) > level
         return max(0, *(
             -int(fraction_valuation(b.key, self.prime)) if b.key else b.level

@@ -10,13 +10,15 @@ once; it drives the scaling analysis and the subsidiary edge bounds.
 
 ``RationalMap.rescaled(M)`` is f's one integer form on B(0, M), which every
 kernel reads: the level digraphs, the subsidiary data, the scalar profile
-and the global witness check.
+and the global witness check.  A map builds it once per M and keeps it, so
+the kernels of one analysis share one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -80,7 +82,11 @@ class RationalMap:
         return poly_eval(self.t1, x) / (q * q)
 
     def rescaled(self, M: int) -> RescaledMap:
-        """f's integer form on B(0, M), M >= 0."""
+        """f's integer form on B(0, M), M >= 0: built once per M and map,
+        and kept in ``_forms``, outside the fields, so ``==``, ``hash`` and
+        ``repr`` do not see it."""
+        if M in self._forms:
+            return self._forms[M]
         p, d = self.prime, max(self.m, self.n)
         num, den, t1 = (
             _rescaled_coefficients(F, p, k, M)
@@ -88,10 +94,15 @@ class RationalMap:
         )
         e = int_valuation(gcd(*num, *den), p)
         pe = p**e
-        return RescaledMap(
+        form = self._forms[M] = RescaledMap(
             p, M, tuple(c // pe for c in num), tuple(c // pe for c in den),
             tuple(c // pe // pe for c in t1), M * d - e,
         )
+        return form
+
+    @cached_property
+    def _forms(self) -> dict[int, RescaledMap]:
+        return {}
 
 
 def normalize_map(

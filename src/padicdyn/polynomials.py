@@ -6,8 +6,9 @@ polynomial is empty (degree -1).  Evaluation uses Horner's scheme
 (``_evaluate``), in integers at an integer point and exact at ``Fraction``
 points.  The gcd, exact division, Taylor shifts and the rescaling all run
 on integers (the ``_int_*`` helpers).  One probe, ``_ball_probe``, reads
-off G's Taylor coefficients at y whether |G| is constant on the ball
-y + p^k Z_p: every per-ball certificate asks it at its ball's radius.
+off whether |G| is constant on the ball y + p^k Z_p, from G(y) where that
+decides and from G's Taylor coefficients at y elsewhere: every per-ball
+certificate asks it at its ball's radius.
 """
 
 from __future__ import annotations
@@ -177,16 +178,23 @@ def _ball_probe(
     of F at a = y / p^M is p^(M(j - d)) g_j, so v(F(a)) = v(G(y)) - Md,
     v(F'(a)) = v(G'(y)) + M(1 - d), and the ball of x-level t around a is
     y's ball at k = M - t.
+
+    G(y) and G'(y) come first, in one Horner pass.  Where v(G(y)) < k (so
+    k >= 1) the constant term decides, as every g_j with j >= 1 is an
+    integer and its term has valuation at least jk >= k: the probe returns
+    (v0, v(G'(y)), v0, True) without the Taylor shift, which runs only
+    where the constant term does not decide.
     """
+    value = slope = 0
+    for c in reversed(G):
+        slope = slope * y + value
+        value = value * y + c
+    v0, v1 = int_valuation(value, p), int_valuation(slope, p)
+    if v0 < k or not G:
+        return v0, v1, v0, True
     g = _taylor_coefficients(G, y)
-    if not g:
-        return INF, INF, INF, True
-    v0 = int_valuation(g[0], p)
-    v1 = v = INF
+    v = INF
     for j in range(1, len(g)):
         if g[j]:
-            w = int_valuation(g[j], p)
-            if j == 1:
-                v1 = w
-            v = min(v, w + j * k)
+            v = min(v, int_valuation(g[j], p) + j * k)
     return v0, v1, min(v0, v), v0 < v

@@ -331,3 +331,52 @@ def test_exact_division_of_integer_polynomials(a, b, r):
     assert g[-1] > 0
     assert _int_mul(_int_divexact(b, g), g) == b
 
+
+
+def taylor_shift_probe(G, p, y, k):
+    """``_ball_probe`` as it was before its constant-term case: every
+    answer read off the Taylor coefficients of G at y."""
+    g = ptaylor(G, y)
+    if not g:
+        return INF, INF, INF, True
+    v0 = fraction_valuation(g[0], p)
+    v1 = v = INF
+    for j in range(1, len(g)):
+        if g[j]:
+            w = fraction_valuation(g[j], p)
+            if j == 1:
+                v1 = w
+            v = min(v, w + j * k)
+    return v0, v1, min(v0, v), v0 < v
+
+
+@st.composite
+def _shift_probe_cases(draw):
+    """(G, p, y, k): an integer G (zero and constants included), at times
+    with a root at y or a factor p^k, so that G(y) reaches valuation k."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    y = draw(st.integers(-p**3, p**3))
+    k = draw(st.integers(-1, 4))
+    G = trimmed(draw(st.lists(st.integers(-p**3, p**3), max_size=5)))
+    shape = draw(st.sampled_from(["plain", "root at y", "divisible"]))
+    if shape == "root at y":
+        G = pmul(G, [-y, 1])
+    elif shape == "divisible":
+        G = pscale(G, p ** max(k, 0))
+    return G, p, y, k
+
+
+def test_probe_matches_the_taylor_shift_probe():
+    # where v(G(y)) < k the probe answers from G(y) and G'(y) alone; both
+    # routes give the four values of the probe that always shifts
+    seen = set()
+
+    @given(_shift_probe_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case):
+        G, p, y, k = case
+        assert _ball_probe(G, p, y, k) == taylor_shift_probe(G, p, y, k)
+        seen.add(fraction_valuation(poly_eval(G, y), p) < k)
+
+    check()
+    assert seen == {True, False}

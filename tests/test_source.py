@@ -12,7 +12,10 @@ nothing else in ``digraph.py`` evaluates a polynomial at a point
 other module counts and lists its level-t balls through ``count`` and
 ``decompose_residues``, and starts a walk from ``start_residues``.  Every
 raised exception is typed: a ``PadicDynError`` subclass, ``ValueError``, or the
-``AttributeError`` of the package's ``__getattr__``.
+``AttributeError`` of the package's ``__getattr__``.  No memo outlives an op:
+the only module-level caches are the prime test's and the CLI's parser and
+module loader, and the values a map or a domain keeps for itself leave its
+``==``, ``hash`` and ``repr`` as they were.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from padicdyn import errors
+from padicdyn import errors, parse_domain, parse_map
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "padicdyn").glob("*.py"))
 
@@ -234,3 +237,54 @@ def test_the_raise_check_sees_untyped_ones():
     assert _untyped_raises(trees, TYPED_ERRORS) == [
         "__init__.py:4 AttributeError", "hensel.py:7 RuntimeError", "cli.py:1 KeyError",
     ]
+
+
+def _module_caches(trees: dict[str, ast.Module]) -> set[str]:
+    """``module:function`` for each function decorated with ``cache`` or
+    ``lru_cache``, bare, called or read off ``functools``."""
+    found = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in fn.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+                    if name in ("cache", "lru_cache"):
+                        found.add(f"{module}:{fn.name}")
+    return found
+
+
+def test_no_cache_outlives_an_op():
+    # a memo kept across ops would flatter every warm benchmark metric
+    trees = {p.name: _tree(p) for p in SOURCES}
+    assert _module_caches(trees) == {
+        "padics.py:require_prime", "cli.py:_build_parser", "cli.py:_module",
+    }
+
+
+def test_the_cache_check_sees_each_spelling():
+    trees = {
+        "maps.py": ast.parse(
+            "import functools\n"
+            "@functools.lru_cache(maxsize=None)\ndef _form(f, M):\n    return M\n"
+            "class RationalMap:\n"
+            "    @cache\n    def rescaled(self, M):\n        return M\n"
+            "    @cached_property\n    def _forms(self):\n        return {}\n"
+        ),
+        "domains.py": ast.parse("@lru_cache\ndef height(X):\n    return 0\n"),
+    }
+    assert _module_caches(trees) == {"maps.py:_form", "maps.py:rescaled", "domains.py:height"}
+
+
+def test_kept_values_leave_equality_hash_and_repr_alone():
+    # the form per M and the domain's base level and height live outside
+    # the fields: a map or domain that has computed them equals, hashes
+    # and prints as a fresh one
+    f, X = parse_map("(x^2+3)/(1+9x)", 3), parse_domain("Zp-B(1,-2)", 3)
+    before = [(repr(o), hash(o)) for o in (f, X)]
+    f.rescaled(0), f.rescaled(2), X.base_level, X.height_exponent()
+    g, Y = parse_map("(x^2+3)/(1+9x)", 3), parse_domain("Zp-B(1,-2)", 3)
+    assert (f, X) == (g, Y) and [(repr(o), hash(o)) for o in (f, X)] == before
+    assert {f: 1}[g] == 1 and {X: 1}[Y] == 1
+    # and the form is built once per M
+    assert f.rescaled(2) is f.rescaled(2) and g.rescaled(2) == f.rescaled(2)

@@ -407,3 +407,30 @@ def test_a_w2_term_sets_s_on_a_settled_ball():
         w1, w2 = (ceil_div(-int(fraction_valuation(Pa[k] - b * Qa[k], 2)), k) for k in (1, 2))
         assert max(q_terms) <= 0 and w1 <= 0 and w2 == 1
         assert _old_s_exponent(f, a, b) == 1
+
+
+def test_the_first_taylor_terms_are_den_prime_and_t1():
+    # _settle reads den' and t1 where _taylor[1] holds (Qh_1, W_1); the
+    # identity holds on every form, on Z_p and beyond it
+    seen = set()
+    domain = st.sampled_from(["Zp", "B(0,1)", "B(0,2)", "Zp-B(1,-1)"])
+    # n p^k for k = -1 .. 1
+    coeff = st.tuples(st.integers(-30, 30), st.integers(-1, 1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(PRIMES, domain, st.lists(coeff, min_size=1, max_size=5),
+           st.lists(coeff, min_size=1, max_size=4).filter(lambda qc: any(n for n, _ in qc)))
+    def check(p, text, pc, qc):
+        P, Q = ([n * Fraction(p) ** k for n, k in cs] for cs in (pc, qc))
+        f, X = normalize_map(P, Q, p), parse_domain(text, p)
+        try:
+            A = Analysis(f, X, AnalysisConfig(ball_cap=1000))
+        except PadicDynError:
+            assume(False)
+        form = A.form
+        assert A._taylor[1] == (pderiv(form.den), list(form.t1))
+        seen.add(text)
+
+    check()
+    assert seen == {"Zp", "B(0,1)", "B(0,2)", "Zp-B(1,-1)"}
