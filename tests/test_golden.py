@@ -304,6 +304,28 @@ CASES.update({
     "error-usage-double-dash-level": TWO_BALL + ["digraph", "--level=--"],
     "error-usage-double-dash-cap": QUARTIC + ["mp", "--cap=--"],
     "error-usage-double-dash-goal": QUARTIC[:4] + ["witness", "--goal=--"],
+    # a constant map (its radius exponent is None), the subsidiary data of
+    # an edge with T1(a) = 0, and the two ways a reduction ball ends global:
+    # not locally 1-Lipschitz (exit 2), and not forward invariant (exit 0)
+    "constant-map-classify": ["-p", "3", "--map", "5", "--domain", "Zp", "classify"],
+    "square-subsidiary-zero-t1": ["-p", "3", "--map", "x^2", "--domain", "Zp",
+                                  "subsidiary", "--level", "-1"],
+    "not-lipschitz-reduction-ball-global": ["-p", "3", "--map", "(3x^3+3x+1)/(3x^2+3)",
+                                            "global"],
+    "escaping-reduction-ball-global-p2": ["-p", "2", "--map=(-7+2x-5x^3)/(-2-8x+3x^2)",
+                                          "global"],
+    # unions: a ball added beside 800 maximal balls, and a ball that
+    # completes a sibling set, merged back into Z_p
+    "long-punctured-union-classify": ["-p", "3", "--map", "x+1",
+                                      "--domain", "Zp-B(1,-400)+B(2,-3)", "classify"],
+    "sibling-merge-union-classify": ["-p", "3", "--map", "x+1",
+                                     "--domain", "Zp-B(1,-1)+B(1,-1)", "classify"],
+    # a ball literal whose center, level or comma is missing
+    "error-domain-center-not-rational": ["-p", "3", "--map", "x", "--domain", "B(x,1)",
+                                         "classify"],
+    "error-domain-level-not-integer": ["-p", "3", "--map", "x", "--domain", "B(1,x)",
+                                       "classify"],
+    "error-domain-missing-comma": ["-p", "3", "--map", "x", "--domain", "B(1 2)", "classify"],
 })
 
 
