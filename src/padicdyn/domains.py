@@ -5,12 +5,13 @@ the unique finite base-p expansion of its center with digits only at
 exponents below -t.  A compact open domain is held as its maximal balls:
 disjoint, none inside another, and no complete set of p siblings (those are
 merged into their parent).  This form is unique, which makes equality
-immediate; measure and ball counts are sums over the few maximal balls, and
-a difference splits a ball, on integer residues, only along the path down
-to each removed ball, once it has checked that the pieces fit ``ball_cap``.
-The domain's base level is its finest maximal level, and its level-t balls
-for t at or below it come from ``decompose_residues``.  A ball's key doubles
-as its representative point, so representatives are nested across levels
+immediate; measure and ball counts are sums over the few maximal balls, a
+union tests nesting only across its two operands, and a difference splits a
+ball, on integer residues, only along the path down to each removed ball,
+once it has checked that the pieces fit ``ball_cap``.  The domain's base
+level is its finest maximal level, and its level-t balls for t at or below
+it come from ``decompose_residues``.  A ball's key doubles as its
+representative point, so representatives are nested across levels
 automatically.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
@@ -63,23 +64,11 @@ class CompactDomain:
 
     @staticmethod
     def from_balls(balls: Iterable[Ball]) -> "CompactDomain":
-        """The union of ``balls``: a ball inside another is dropped, and
-        every complete set of p siblings is merged into their parent."""
-        balls = set(balls)
-        if not balls:
+        """The union of ``balls``, taken one ball at a time with ``union``."""
+        domains = [CompactDomain(b.prime, (b,)) for b in balls]
+        if not domains:
             raise EmptyDomain("domain with no balls")
-        p = next(iter(balls)).prime
-        if any(b.prime != p for b in balls):
-            raise PrimeMismatch("balls over different primes")
-        # coarsest first: a ball lies inside another when an earlier one holds its key
-        order = sorted(balls, key=lambda b: -b.level)
-        balls = {b for i, b in enumerate(order) if not any(k.contains(b.key) for k in order[:i])}
-        while True:
-            parents = Counter(b.parent() for b in balls)
-            full = {q for q, c in parents.items() if c == p}
-            if not full:
-                return CompactDomain(p, tuple(sorted(balls, key=lambda b: b.key)))
-            balls = {b for b in balls if b.parent() not in full} | full
+        return reduce(CompactDomain.union, domains)
 
     @staticmethod
     def zp(p: int) -> "CompactDomain":
@@ -130,7 +119,21 @@ class CompactDomain:
         ))
 
     def union(self, other: "CompactDomain") -> "CompactDomain":
-        return CompactDomain.from_balls(self.balls + other.balls)
+        """self or other.  Each operand is maximal, so a ball can lie only
+        inside a ball of the other operand: the balls of other inside self
+        are dropped, then those of self inside what is left of other, and
+        every complete set of p siblings is merged into their parent."""
+        p = self.prime
+        if p != other.prime:
+            raise PrimeMismatch("domains over different primes")
+        added = [b for b in other.balls if not _inside(b, self.balls)]
+        balls = {b for b in self.balls if not _inside(b, added)} | set(added)
+        while True:
+            parents = Counter(b.parent() for b in balls)
+            full = {q for q, c in parents.items() if c == p}
+            if not full:
+                return CompactDomain(p, tuple(sorted(balls, key=lambda b: b.key)))
+            balls = {b for b in balls if b.parent() not in full} | full
 
     def difference(self, other: "CompactDomain") -> "CompactDomain":
         """self minus other, split on the integer residues of
@@ -169,6 +172,11 @@ class CompactDomain:
         parts = " + ".join(str(b) for b in self.balls[:6])
         extra = "" if len(self.balls) <= 6 else f" + ... ({len(self.balls)} balls)"
         return parts + extra
+
+
+def _inside(b: Ball, balls: Iterable[Ball]) -> bool:
+    """Whether b lies inside one of ``balls``."""
+    return any(c.level >= b.level and c.contains(b.key) for c in balls)
 
 
 def _rescaled_key(b: Ball, scale: int) -> int:

@@ -98,13 +98,11 @@ def fraction_valuation(x: Fraction, p: int) -> ExtendedInt:
 
 
 def unit_residue(x: Fraction, p: int, modulus_exponent: int) -> int:
-    """Canonical integer representative of x modulo p^k for v(x) >= 0.
+    """Canonical integer representative of x modulo p^k, k >= 1, for v(x) >= 0.
 
     The denominator must be coprime to p, which holds exactly when the
     valuation is nonnegative.
     """
-    if modulus_exponent <= 0:
-        return 0
     mod = p**modulus_exponent
     num = x.numerator % mod
     den = x.denominator % mod

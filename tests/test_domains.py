@@ -379,3 +379,74 @@ def test_domain_algebra_refines_only_where_needed(capsys, domain, same_as):
 def test_an_empty_difference_is_found_without_refining():
     with pytest.raises(EmptyDomain, match="after '-' \\(offset 8\\)"):
         parse_domain("B(1,-13)-Zp", 3)
+
+
+def scanned_union(balls):
+    """The union of ``balls`` as it was once formed: each ball tested
+    against every coarser one, then complete sibling sets merged."""
+    balls = set(balls)
+    p = next(iter(balls)).prime
+    order = sorted(balls, key=lambda b: -b.level)
+    balls = {b for i, b in enumerate(order) if not any(k.contains(b.key) for k in order[:i])}
+    while True:
+        parents = Counter(b.parent() for b in balls)
+        full = {q for q, c in parents.items() if c == p}
+        if not full:
+            return CompactDomain(p, tuple(sorted(balls, key=lambda b: b.key)))
+        balls = {b for b in balls if b.parent() not in full} | full
+
+
+@st.composite
+def union_operands(draw):
+    """(A, B) over p in {2, 3, 5}: A is Z_p less a ball B(c, -k), k <= 30,
+    at times less a second one; B is another such domain or one ball, in
+    Z_p, around it or beside it.  Centres come from a pool of at most three,
+    so the operands often nest, meet or complete a set of siblings."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    centres = st.sampled_from(draw(st.lists(st.integers(0, p**2), min_size=1, max_size=3)))
+    levels = st.integers(-30, -1)
+
+    def punctured():
+        X = CompactDomain.zp(p).difference(CompactDomain.ball(draw(centres), draw(levels), p))
+        if draw(st.booleans()):
+            try:
+                X = X.difference(CompactDomain.ball(draw(centres), draw(levels), p))
+            except EmptyDomain:
+                pass
+        return X
+
+    if draw(st.booleans()):
+        return punctured(), punctured()
+    centre = Fraction(draw(centres), p ** draw(st.integers(0, 1)))
+    return punctured(), CompactDomain.ball(centre, draw(st.integers(-30, 1)), p)
+
+
+def test_union_matches_the_all_pairs_scan():
+    # each operand is maximal, so nesting is tested only across the two
+    seen = set()
+
+    @given(union_operands())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(operands):
+        A, B = operands
+        want = scanned_union(A.balls + B.balls)
+        assert A.union(B) == want
+        assert B.union(A) == want
+        if A != B and want in (A, B):
+            seen.add("an operand swallowed whole")
+        if not set(want.balls) <= set(A.balls) | set(B.balls):
+            seen.add("a sibling set completed")
+        if want.measure == A.measure + B.measure:
+            seen.add("disjoint operands")
+
+    check()
+    assert seen == {"an operand swallowed whole", "a sibling set completed", "disjoint operands"}
+
+
+def test_a_union_beside_thousands_of_balls_takes_linear_time():
+    # 4,000 maximal balls: the all-pairs scan did not finish in 4 minutes
+    start = time.perf_counter()
+    X = parse_domain("Zp-B(1,-2000)+B(2,-3)", 3)
+    assert time.perf_counter() - start < 2
+    assert X == parse_domain("Zp-B(1,-2000)", 3)
+    assert parse_domain("Zp-B(1,-2000)+B(1,-5)", 3) == CompactDomain.zp(3)
